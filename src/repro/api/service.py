@@ -865,7 +865,7 @@ class PlutoService:
         controller = self._controller_for(batch[0])
         if not controller.backend.supports_batched:
             return False
-        from repro.api.session import compile_cached
+        from repro.api.session import compile_cached_with_key
 
         names = set(batch[0].inputs)
         if any(set(request.inputs) != names for request in batch[1:]):
@@ -888,7 +888,7 @@ class PlutoService:
             ) as opened:
                 if isinstance(opened, Span):
                     fused_span = opened
-                compiled = compile_cached(batch[0].calls)
+                compiled, _ = compile_cached_with_key(batch[0].calls, structure_key)
                 stacked = {
                     name: np.stack([request.inputs[name] for request in batch])
                     for name in batch[0].inputs
@@ -997,7 +997,7 @@ class PlutoService:
         ``request.calls`` is already post-optimization, so sharded and
         hierarchical dispatch never re-optimizes.
         """
-        from repro.api.session import compile_cached
+        from repro.api.session import compile_cached_with_key
 
         plan = request.plan
         jit = self._wants_jit(request)
@@ -1033,7 +1033,7 @@ class PlutoService:
             )
         controller = self._controller_for(request)
         return controller.execute(
-            compile_cached(request.calls),
+            compile_cached_with_key(request.calls, request.structure_key)[0],
             dict(request.inputs),
             structure_key=request.structure_key,
         )

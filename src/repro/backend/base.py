@@ -91,20 +91,9 @@ class ExecutionBackend(abc.ABC):
         """Evaluate the bound LUT for a vector of indices (``pluto_op``).
 
         Raises :class:`ExecutionError` if no LUT is bound to the register.
+        Batched-capable backends accept a stacked ``(shards, n)`` index
+        array here and return a result of the same shape.
         """
-
-    def lut_query_batched(
-        self, register_index: int, indices: np.ndarray
-    ) -> np.ndarray:
-        """Evaluate the bound LUT for a stacked ``(shards, n)`` index array.
-
-        Only available on backends with :attr:`supports_batched`; the
-        default raises so the dispatcher falls back to per-shard
-        execution on oracle backends.
-        """
-        raise ExecutionError(
-            f"backend {self.name!r} does not support batched LUT queries"
-        )
 
     # ------------------------------------------------------------------ #
     # Shared functional effects (identical in every backend)
@@ -152,11 +141,17 @@ class ExecutionBackend(abc.ABC):
     def move(
         source: np.ndarray, destination: np.ndarray | None
     ) -> np.ndarray:
-        """Row copy: write ``source`` into ``destination`` (or clone it)."""
-        if destination is not None and destination.size >= source.size:
-            destination[: source.size] = source
-            return destination
-        return source.copy()
+        """Row copy of ``source`` over ``destination``, as a fresh array.
+
+        A partial move (a larger destination) keeps the destination's
+        tail.  Neither argument is written: either may be a caller's
+        input array.
+        """
+        if destination is None or destination.size <= source.size:
+            return source.copy()
+        result = destination.copy()
+        result[: source.size] = source
+        return result
 
     # ------------------------------------------------------------------ #
     # Helpers for subclasses

@@ -26,7 +26,7 @@ module adds that execution mode on top of the existing controller:
 
 Functional outputs are bit-identical to unsharded execution by
 construction: every shard runs the same lowering over a disjoint slice of
-the same inputs, and the dispatcher concatenates the slices in order.
+the same inputs, and the dispatcher joins the slices back in order.
 """
 
 from __future__ import annotations
@@ -405,26 +405,47 @@ class ShardedExecutionResult(ExecutionResult):
         return self.serial_latency_ns / self.makespan_ns
 
 
+def _join(parts: Sequence[Mapping[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """Whole vectors from result arrays that cover consecutive slices.
+
+    Each part maps a name to a stacked ``(shards, size)`` array (one fused
+    group) or a ``(size,)`` array (one shard of the per-shard loop).  A
+    single part reshapes back into a view; several concatenate.
+    """
+    if len(parts) == 1:
+        return {name: data.reshape(-1) for name, data in parts[0].items()}
+    return {
+        name: np.concatenate([part[name] for part in parts], axis=None)
+        for name in parts[0]
+    }
+
+
 def execute_shard_plans(
     controller: PlutoController,
     plans: Sequence,
     arrays: Mapping[str, np.ndarray],
     *,
     fused: bool | None = None,
-) -> list[ExecutionResult]:
+) -> tuple[list[ExecutionResult], dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Execute shard plans, fused in one batched pass when possible.
 
-    ``plans`` is any sequence of plan objects with ``index`` / ``bank`` /
-    ``start`` / ``stop`` / ``calls`` attributes (both the bank-parallel
-    and hierarchical planners produce them).  With a batched-capable
-    backend (``fused=None`` auto-detects; ``False`` forces the per-shard
-    oracle loop) the equal-sized shards are grouped, their input slices
-    stacked into ``(shards, slice)`` views, and each group executes in a
-    single controller pass — one NumPy gather per LUT query instead of
-    ``shards`` trips through the controller.  Outputs, traces, and
-    per-shard results are identical to the per-shard loop.
+    ``plans`` are balanced contiguous slices in index order, as both the
+    bank-parallel and hierarchical planners produce them: objects with
+    ``index`` / ``bank`` / ``start`` / ``stop`` / ``calls`` attributes.
+    With a batched-capable backend (``fused=None`` auto-detects;
+    ``False`` forces the per-shard oracle loop) each group of equal-sized
+    shards executes in a single controller pass over a ``(shards, size)``
+    view of its slice of the inputs — one NumPy gather per LUT query
+    instead of ``shards`` trips through the controller, and no copy of
+    the inputs.  Outputs, traces, and per-shard results are identical to
+    the per-shard loop.
+
+    Returns ``(shard results, merged outputs, merged registers)``; merged
+    outputs are the merged registers of the output vectors.  The merged
+    arrays are views of the fused pass's results when every shard has one
+    size, and are concatenated when the split made two sizes.
     """
-    from repro.api.session import compile_cached, program_structure_key
+    from repro.api.session import compile_cached_with_key
 
     use_fused = controller.backend.supports_batched if fused is None else fused
     if use_fused and not controller.backend.supports_batched:
@@ -433,39 +454,41 @@ def execute_shard_plans(
             "pass fused=False (or None) to use the per-shard path"
         )
     if not use_fused:
-        results = []
-        for plan in plans:
-            compiled = compile_cached(list(plan.calls))
-            shard_inputs = {
-                name: data[plan.start : plan.stop] for name, data in arrays.items()
-            }
-            results.append(
-                controller.execute(compiled, shard_inputs, bank=plan.bank)
+        results = [
+            controller.execute(
+                compile_cached_with_key(plan.calls)[0],
+                {name: data[plan.start : plan.stop] for name, data in arrays.items()},
+                bank=plan.bank,
             )
-        return results
-
-    results: list[ExecutionResult | None] = [None] * len(plans)
-    groups: dict[int, list] = {}
-    for plan in plans:
-        groups.setdefault(plan.stop - plan.start, []).append(plan)
-    for group in groups.values():
-        calls = list(group[0].calls)
-        compiled = compile_cached(calls)
-        try:
-            structure_key = program_structure_key(calls)
-        except TypeError:
-            structure_key = None
-        stacked = {
-            name: np.stack([data[plan.start : plan.stop] for plan in group])
-            for name, data in arrays.items()
-        }
-        banks = [plan.bank for plan in group]
-        fused_results = controller.execute_fused(
-            compiled, stacked, banks=banks, structure_key=structure_key
-        )
-        for plan, result in zip(group, fused_results):
-            results[plan.index] = result
-    return results  # type: ignore[return-value]
+            for plan in plans
+        ]
+        parts: list = results
+    else:
+        groups: dict[int, list] = {}
+        for plan in plans:
+            groups.setdefault(plan.stop - plan.start, []).append(plan)
+        results = []
+        parts = []
+        for size, group in groups.items():
+            first, count = group[0].start, len(group)
+            if any(plan.start != first + k * size for k, plan in enumerate(group)):
+                raise ExecutionError(
+                    "fused shards of one size must be consecutive slices"
+                )
+            compiled, structure_key = compile_cached_with_key(group[0].calls)
+            fused_results = controller.execute_fused(
+                compiled,
+                {
+                    name: data[first : first + count * size].reshape(count, size)
+                    for name, data in arrays.items()
+                },
+                banks=[plan.bank for plan in group],
+                structure_key=structure_key,
+            )
+            results.extend(fused_results)
+            parts.append(fused_results)
+    registers = _join([part.registers for part in parts])
+    return results, {name: registers[name] for name in results[0].outputs}, registers
 
 
 class ParallelDispatcher:
@@ -502,10 +525,10 @@ class ParallelDispatcher:
         self._verify_plans(plans)
         arrays = {name: np.asarray(data) for name, data in inputs.items()}
         self._check_inputs(calls, arrays)
-        shard_results = execute_shard_plans(
+        shard_results, outputs, registers = execute_shard_plans(
             self.controller, plans, arrays, fused=self.fused
         )
-        return self._merge(plans, shard_results)
+        return self._merge(plans, shard_results, outputs, registers)
 
     # ------------------------------------------------------------------ #
     # Validation
@@ -558,7 +581,11 @@ class ParallelDispatcher:
     # Aggregation
     # ------------------------------------------------------------------ #
     def _merge(
-        self, plans: list[ShardPlan], shard_results: list[ExecutionResult]
+        self,
+        plans: list[ShardPlan],
+        shard_results: list[ExecutionResult],
+        outputs: dict[str, np.ndarray],
+        registers: dict[str, np.ndarray],
     ) -> ShardedExecutionResult:
         merged_trace = CommandTrace(
             timing=self.engine.timing, energy=self.engine.energy
@@ -569,18 +596,6 @@ class ParallelDispatcher:
             makespan = merged_makespan_ns(
                 [result.trace.commands for result in shard_results], self.engine
             )
-        outputs = {
-            name: np.concatenate(
-                [result.outputs[name] for result in shard_results]
-            )
-            for name in shard_results[0].outputs
-        }
-        registers = {
-            name: np.concatenate(
-                [result.registers[name] for result in shard_results]
-            )
-            for name in shard_results[0].registers
-        }
         return ShardedExecutionResult(
             outputs=outputs,
             trace=merged_trace,

@@ -18,7 +18,7 @@ command trace is identical whichever backend performs the arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -86,7 +86,12 @@ class TraceTemplate:
             # instead of rewriting every one.
             commands = list(self.commands)
         else:
-            commands = [replace(command, bank=bank) for command in self.commands]
+            # The positional constructor costs well under half of
+            # dataclasses.replace, which re-reads every field by name.
+            commands = [
+                Command(c.kind, bank, c.subarray, c.row, c.rows, c.meta)
+                for c in self.commands
+            ]
         trace = CommandTrace(
             timing=timing,
             energy=energy,
@@ -161,6 +166,17 @@ class ExecutionResult:
     def energy_nj(self) -> float:
         """Total modelled energy of the execution."""
         return self.trace.total_energy_nj
+
+
+class FusedResults(list):
+    """The per-shard :class:`ExecutionResult` list of one fused pass.
+
+    ``registers`` maps each vector name to the pass's stacked
+    ``(shards, size)`` result array; every shard's outputs and registers
+    are row views of them, so the dispatchers join shards without copying.
+    """
+
+    registers: dict[str, np.ndarray]
 
 
 class PlutoController:
@@ -289,20 +305,9 @@ class PlutoController:
 
             # All remaining instructions expand to DRAM commands.
             self._account(instruction, table, trace, cost_model, design)
-
             if isinstance(instruction, PlutoOp):
                 lut_queries += 1
-                self._execute_lut_query(instruction, compiled, values)
-            elif isinstance(instruction, PlutoBitwise):
-                self._execute_bitwise(instruction, values)
-            elif isinstance(instruction, (PlutoBitShift, PlutoByteShift)):
-                self._execute_shift(instruction, values)
-            elif isinstance(instruction, PlutoMove):
-                self._execute_move(instruction, values)
-            else:
-                raise ExecutionError(
-                    f"unsupported instruction {type(instruction).__name__}"
-                )
+            self._apply(instruction, compiled, values)
 
         outputs = {
             vector.name: values[register_by_vector[vector.name].index].copy()
@@ -473,18 +478,24 @@ class PlutoController:
         *,
         banks: Sequence[int],
         structure_key: tuple | None = None,
-    ) -> list[ExecutionResult]:
+    ) -> FusedResults:
         """Execute one program over many equal shards in a single pass.
 
         ``inputs`` maps each vector name to a stacked ``(shards, size)``
-        array whose row *i* is shard *i*'s slice; ``banks[i]`` is the bank
-        shard *i* is placed in.  The functional effects run **once** over
-        the stacked arrays (one NumPy gather per LUT query instead of one
-        per shard), and the per-shard command traces are synthesized from
-        the cached :class:`TraceTemplate` by rewriting bank ids.  Outputs
-        are bit-identical to executing each shard through
-        :meth:`execute` — the backend operations are element-wise, so
-        stacking adds an axis without changing any value.
+        array whose row *i* is shard *i*'s slice (a reshaped view of the
+        caller's vector will do: inputs are never written); ``banks[i]``
+        is the bank shard *i* is placed in.  The functional effects run
+        **once** over the stacked arrays (one NumPy gather per LUT query
+        instead of one per shard), and the per-shard command traces are
+        synthesized from the cached :class:`TraceTemplate` by rewriting
+        bank ids.  Outputs are bit-identical to executing each shard
+        through :meth:`execute` — the backend operations are element-wise,
+        so stacking adds an axis without changing any value.
+
+        Shard *i*'s outputs and registers are row views of the stacked
+        result arrays the returned :class:`FusedResults` carries.  Result
+        arrays that may alias an input are copied once for the whole
+        pass, so no result shares memory with ``inputs``.
 
         Requires a backend with ``supports_batched`` (the vectorized
         backend); the functional backend keeps the per-shard loop as the
@@ -497,34 +508,37 @@ class PlutoController:
                 "execution; dispatch shards through execute() instead"
             )
         shards = len(banks)
-        if shards == 0:
-            return []
         geometry = self.engine.geometry
         for bank in banks:
             if not 0 <= bank < geometry.banks:
                 raise ExecutionError(
                     f"bank {bank} outside the module's range [0, {geometry.banks})"
                 )
-        self._check_stacked_inputs(compiled, inputs, shards)
+        self._check_inputs(compiled, inputs, shards)
         template = self.trace_template(compiled, structure_key=structure_key)
         register_by_vector = compiled.vector_bindings
 
         executable = self._compiled_executable(compiled, structure_key)
         if executable is not None and executable.supports_fused:
-            # The whole stacked batch runs through the compiled closure;
-            # only the per-shard result assembly below stays in Python.
+            # The whole stacked batch runs through the compiled closure.
+            # Only finals whose slot the closure never rebinds can be an
+            # input array; those are the ones copied.
             finals = executable.run_finals(inputs, shards=shards)
             values = {
-                slot: finals[position]
-                for position, slot in enumerate(executable.final_slots)
+                slot: final.copy() if copy else final
+                for slot, final, copy in zip(
+                    executable.final_slots, finals, executable.copy_finals
+                )
             }
         else:
             backend.begin_program(geometry, self.engine.config.design)
-            values = {}
-            for name, data in inputs.items():
-                register = register_by_vector[name]
-                values[register.index] = np.asarray(data, dtype=np.uint64)
-
+            # Seeded with copies: every instruction below rebinds its
+            # destination to a fresh array, so after this nothing in
+            # ``values`` can alias an input.
+            values = {
+                register_by_vector[name].index: np.array(data, dtype=np.uint64)
+                for name, data in inputs.items()
+            }
             for instruction in compiled.program:
                 if isinstance(instruction, PlutoRowAlloc):
                     if instruction.destination.index not in values:
@@ -536,86 +550,32 @@ class PlutoController:
                         instruction.destination.index,
                         compiled.lut_bindings[instruction.destination.index],
                     )
-                elif isinstance(instruction, PlutoOp):
-                    self._execute_lut_query_batched(instruction, compiled, values)
-                elif isinstance(instruction, PlutoBitwise):
-                    self._execute_bitwise(instruction, values)
-                elif isinstance(instruction, (PlutoBitShift, PlutoByteShift)):
-                    self._execute_shift(instruction, values)
-                elif isinstance(instruction, PlutoMove):
-                    self._execute_move(instruction, values)
                 else:
-                    raise ExecutionError(
-                        f"unsupported instruction {type(instruction).__name__}"
-                    )
+                    self._apply(instruction, compiled, values)
 
-        results: list[ExecutionResult] = []
+        registers = {
+            name: values[register.index]
+            for name, register in register_by_vector.items()
+            if register.index in values
+        }
+        output_names = [vector.name for vector in compiled.outputs]
+        results = FusedResults()
         for shard, bank in enumerate(banks):
-            outputs = {
-                vector.name: values[register_by_vector[vector.name].index][
-                    shard
-                ].copy()
-                for vector in compiled.outputs
-            }
-            registers = {
-                name: values[register.index][shard].copy()
-                for name, register in register_by_vector.items()
-                if register.index in values
-            }
+            rows = {name: data[shard] for name, data in registers.items()}
             results.append(
                 ExecutionResult(
-                    outputs=outputs,
+                    outputs={name: rows[name] for name in output_names},
                     trace=template.realize(
                         self.engine.timing, self.engine.energy, bank=bank
                     ),
                     lut_queries=template.lut_queries,
                     instructions_executed=template.instructions_executed,
-                    registers=registers,
+                    registers=rows,
                     backend=backend.name,
                 )
             )
+        results.registers = registers
         return results
-
-    def _execute_lut_query_batched(
-        self, instruction: PlutoOp, compiled: CompiledProgram, values
-    ) -> None:
-        source = values.get(instruction.source.index)
-        if source is None:
-            raise ExecutionError(
-                f"{instruction.render()}: source register has no data"
-            )
-        lut = compiled.lut_bindings[instruction.lut_subarray.index]
-        result = self.backend.lut_query_batched(
-            instruction.lut_subarray.index, source
-        )
-        values[instruction.destination.index] = result & np.uint64(
-            mask_of(min(64, lut.element_bits))
-        )
-
-    @staticmethod
-    def _check_stacked_inputs(
-        compiled: CompiledProgram, inputs: dict[str, np.ndarray], shards: int
-    ) -> None:
-        """The stacked-array analogue of :meth:`_check_inputs`."""
-        for vector in compiled.external_inputs:
-            if vector.name not in inputs:
-                raise ExecutionError(
-                    f"missing input data for external vector {vector.name!r}"
-                )
-            data = np.asarray(inputs[vector.name])
-            if data.ndim != 2 or data.shape != (shards, vector.size):
-                raise ExecutionError(
-                    f"fused input {vector.name!r} has shape {data.shape}, "
-                    f"expected ({shards}, {vector.size})"
-                )
-            if data.size and int(data.max()) > mask_of(min(64, vector.bit_width)):
-                raise ExecutionError(
-                    f"input {vector.name!r} contains values wider than "
-                    f"{vector.bit_width} bits"
-                )
-        for name in inputs:
-            if name not in compiled.vector_bindings:
-                raise ExecutionError(f"input {name!r} is not a vector of this program")
 
     # ------------------------------------------------------------------ #
     # Cost accounting
@@ -673,6 +633,21 @@ class PlutoController:
     # ------------------------------------------------------------------ #
     # Functional execution helpers (all effects delegated to the backend)
     # ------------------------------------------------------------------ #
+    def _apply(self, instruction, compiled: CompiledProgram, values) -> None:
+        """Perform one compute instruction's functional effect on ``values``."""
+        if isinstance(instruction, PlutoOp):
+            self._execute_lut_query(instruction, compiled, values)
+        elif isinstance(instruction, PlutoBitwise):
+            self._execute_bitwise(instruction, values)
+        elif isinstance(instruction, (PlutoBitShift, PlutoByteShift)):
+            self._execute_shift(instruction, values)
+        elif isinstance(instruction, PlutoMove):
+            self._execute_move(instruction, values)
+        else:
+            raise ExecutionError(
+                f"unsupported instruction {type(instruction).__name__}"
+            )
+
     def _execute_lut_query(
         self, instruction: PlutoOp, compiled: CompiledProgram, values
     ) -> None:
@@ -719,17 +694,28 @@ class PlutoController:
     # Validation
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _check_inputs(compiled: CompiledProgram, inputs: dict[str, np.ndarray]) -> None:
+    def _check_inputs(
+        compiled: CompiledProgram,
+        inputs: dict[str, np.ndarray],
+        shards: int | None = None,
+    ) -> None:
+        """Validate inputs: one vector each, or ``(shards, size)`` stacks."""
         for vector in compiled.external_inputs:
             if vector.name not in inputs:
                 raise ExecutionError(
                     f"missing input data for external vector {vector.name!r}"
                 )
             data = np.asarray(inputs[vector.name])
-            if data.size != vector.size:
+            if shards is None:
+                if data.size != vector.size:
+                    raise ExecutionError(
+                        f"input {vector.name!r} has {data.size} elements, "
+                        f"expected {vector.size}"
+                    )
+            elif data.shape != (shards, vector.size):
                 raise ExecutionError(
-                    f"input {vector.name!r} has {data.size} elements, "
-                    f"expected {vector.size}"
+                    f"fused input {vector.name!r} has shape {data.shape}, "
+                    f"expected ({shards}, {vector.size})"
                 )
             if data.size and int(data.max()) > mask_of(min(64, vector.bit_width)):
                 raise ExecutionError(

@@ -435,10 +435,10 @@ class HierarchicalDispatcher:
         plans = self.planner.plan(calls, shards)
         arrays = {name: np.asarray(data) for name, data in inputs.items()}
         ParallelDispatcher._check_inputs(calls, arrays)
-        shard_results = execute_shard_plans(
+        shard_results, outputs, registers = execute_shard_plans(
             self.controller, plans, arrays, fused=self.fused
         )
-        return self._merge(plans, shard_results)
+        return self._merge(plans, shard_results, outputs, registers)
 
     # ------------------------------------------------------------------ #
     # Aggregation
@@ -447,6 +447,8 @@ class HierarchicalDispatcher:
         self,
         plans: list[HierarchyShard],
         shard_results: list[ExecutionResult],
+        outputs: dict[str, np.ndarray],
+        registers: dict[str, np.ndarray],
     ) -> HierarchicalExecutionResult:
         engine = self.engine
         merged_trace = CommandTrace(timing=engine.timing, energy=engine.energy)
@@ -474,19 +476,6 @@ class HierarchicalDispatcher:
             makespan, rank_makespans, channel_makespans = _schedule_hierarchy(
                 streams, engine, channels=self.channels, ranks=self.ranks
             )
-
-        outputs = {
-            name: np.concatenate(
-                [result.outputs[name] for result in shard_results]
-            )
-            for name in shard_results[0].outputs
-        }
-        registers = {
-            name: np.concatenate(
-                [result.registers[name] for result in shard_results]
-            )
-            for name in shard_results[0].registers
-        }
         return HierarchicalExecutionResult(
             outputs=outputs,
             trace=merged_trace,

@@ -1,10 +1,11 @@
 """Tests for fused single-pass shard execution (controller/executor.py).
 
 Contract: executing all shards of a plan in one batched pass over
-stacked ``(shards, slice)`` arrays is indistinguishable from the
+``(shards, slice)`` views of the inputs is indistinguishable from the
 per-shard loop — bit-identical outputs and registers, identical command
 traces, identical makespans — with the functional backend kept as the
-per-shard bit-exactness oracle.
+per-shard bit-exactness oracle.  The results are views of that pass and
+never share memory with, or write into, the caller's arrays.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.controller.hierarchy import HierarchicalDispatcher
 from repro.core.designs import PlutoDesign
 from repro.core.engine import PlutoConfig, PlutoEngine
 from repro.errors import ConfigurationError, ExecutionError
+from repro.plan import ExecutionPlan
 
 ELEMENTS = 640
 
@@ -201,6 +203,98 @@ class TestExecuteFused:
         second = trace_template_stats()
         assert second["hits"] > first["hits"]
         assert second["misses"] == first["misses"]
+
+
+def _uint64_inputs(inputs):
+    """``uint64`` inputs, which the fast tiers can use without converting."""
+    return {name: np.asarray(data, dtype=np.uint64) for name, data in inputs.items()}
+
+
+def _fused_and_oracle(dispatcher_type, session, inputs, shards, jit=True):
+    engine = PlutoEngine(PlutoConfig(tfaw_fraction=1.0))
+    fused = dispatcher_type(engine, fused=True, jit=jit).execute(
+        session.calls, inputs, shards=shards
+    )
+    oracle = dispatcher_type(engine, backend="functional").execute(
+        session.calls, inputs, shards=shards
+    )
+    return fused, oracle
+
+
+DISPATCHERS = pytest.mark.parametrize(
+    "dispatcher_type", [ParallelDispatcher, HierarchicalDispatcher]
+)
+
+
+class TestViewContract:
+    """Fused results are views of one pass; caller arrays are never shared."""
+
+    @DISPATCHERS
+    @pytest.mark.parametrize("jit", [True, False])
+    def test_input_registers_do_not_share_caller_memory(self, dispatcher_type, jit):
+        session, raw = _mixed_program()
+        inputs = _uint64_inputs(raw)
+        fused, _ = _fused_and_oracle(dispatcher_type, session, inputs, 8, jit)
+        for name, data in inputs.items():
+            assert not np.shares_memory(fused.registers[name], data), name
+            for shard in fused.shard_results:
+                assert not np.shares_memory(shard.registers[name], data), name
+
+    @DISPATCHERS
+    @pytest.mark.parametrize("jit", [True, False])
+    def test_mutating_outputs_leaves_inputs_unchanged(self, dispatcher_type, jit):
+        session, raw = _mixed_program()
+        inputs = _uint64_inputs(raw)
+        before = {name: data.copy() for name, data in inputs.items()}
+        fused, _ = _fused_and_oracle(dispatcher_type, session, inputs, 8, jit)
+        for data in (*fused.outputs.values(), *fused.registers.values()):
+            data[...] = 0
+        for name, data in inputs.items():
+            assert np.array_equal(data, before[name]), name
+
+    @DISPATCHERS
+    @pytest.mark.parametrize("elements,shards", [(ELEMENTS, 8), (29, 6)])
+    def test_strided_inputs_match_functional_oracle(
+        self, dispatcher_type, elements, shards
+    ):
+        """``arr[::2]`` inputs, even and uneven splits: same as the oracle."""
+        session, raw = _mixed_program(elements)
+        inputs = {}
+        for name, data in raw.items():
+            padded = np.full(2 * elements, 3, dtype=np.uint64)
+            padded[::2] = data
+            inputs[name] = padded[::2]
+        fused, oracle = _fused_and_oracle(dispatcher_type, session, inputs, shards)
+        plans = (
+            fused.shard_plans if dispatcher_type is ParallelDispatcher else fused.shards
+        )
+        assert len({plan.size for plan in plans}) == (1 if elements % shards == 0 else 2)
+        _assert_same_results(fused, oracle)
+        assert fused.energy_nj == oracle.energy_nj
+        for name, data in oracle.registers.items():
+            assert np.array_equal(fused.registers[name], data), name
+
+
+class TestCallerArraysUntouched:
+    """A ``move`` into a caller-seeded vector never writes the caller's array."""
+
+    @pytest.mark.parametrize("backend", ["functional", "vectorized"])
+    @pytest.mark.parametrize("tier", ["compiled", "interpreted"])
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_move_destination_is_not_written(self, backend, tier, shards):
+        session = PlutoSession()
+        source = session.pluto_malloc(16, 8, "a")
+        destination = session.pluto_malloc(16, 8, "b")
+        session.api_pluto_move(source, destination)
+        session.backend = backend
+        ia = np.arange(16, dtype=np.uint64)
+        ib = np.full(16, 7, dtype=np.uint64)
+        result = session.run(
+            {"a": ia, "b": ib}, plan=ExecutionPlan(shards=shards, tier=tier)
+        )
+        assert np.array_equal(result.outputs["b"], np.arange(16))
+        assert np.array_equal(ia, np.arange(16))
+        assert np.array_equal(ib, np.full(16, 7))
 
 
 class TestPlannerSharing:

@@ -39,13 +39,14 @@ GATED_WORKLOADS = ("image", "salsa20")
 
 def _functional_spot_check() -> dict:
     """The optimized image pipeline on the functional (oracle) backend."""
+    from repro.plan import ExecutionPlan
     from repro.workloads.programs import workload_program
 
     program = workload_program("image", elements=256)
     session = program.session
     session.backend = "functional"
     plain = session.run(program.inputs)
-    optimized = session.run(program.inputs, optimize=True)
+    optimized = session.run(program.inputs, plan=ExecutionPlan(optimize=True))
     identical = all(
         np.array_equal(plain.outputs[name], optimized.outputs[name])
         for name in plain.outputs

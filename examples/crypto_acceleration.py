@@ -28,6 +28,7 @@ from repro.workloads import CrcWorkload, Salsa20Workload, VmpcWorkload
 
 def run_optimized_pipelines(engine: PlutoEngine) -> None:
     """Run the recorded crypto pipelines through the pass pipeline."""
+    from repro.plan import ExecutionPlan
     from repro.workloads.programs import workload_program
 
     for name in ("crc", "salsa20", "vmpc"):
@@ -36,7 +37,7 @@ def run_optimized_pipelines(engine: PlutoEngine) -> None:
         print(f"({program.description})")
         plain = program.session.run(program.inputs, engine=engine)
         optimized = program.session.run(
-            program.inputs, engine=engine, optimize=True
+            program.inputs, engine=engine, plan=ExecutionPlan(optimize=True)
         )
         for output in plain.outputs:
             assert np.array_equal(

@@ -56,12 +56,15 @@ def run_workload(workload, elements: int, engine: PlutoEngine) -> None:
 
 def run_optimized_pipeline(engine: PlutoEngine) -> None:
     """Record the full image pipeline and show the optimizer's savings."""
+    from repro.plan import ExecutionPlan
     from repro.workloads.programs import workload_program
 
     print("--- optimized pipeline (grade -> threshold -> invert) ---")
     program = workload_program("image", elements=16384)
     plain = program.session.run(program.inputs, engine=engine)
-    optimized = program.session.run(program.inputs, engine=engine, optimize=True)
+    optimized = program.session.run(
+        program.inputs, engine=engine, plan=ExecutionPlan(optimize=True)
+    )
     for name in plain.outputs:
         assert np.array_equal(plain.outputs[name], optimized.outputs[name]), name
     print(optimized.optimization.summary())

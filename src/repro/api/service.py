@@ -9,9 +9,10 @@ execution stack:
   :meth:`PlutoService.submit_nowait` raises
   :class:`~repro.errors.ServiceOverloadError` immediately when the queue
   is full, so callers can shed load instead of buffering without bound;
-* **compiled-program cache reuse** — requests compile through the
-  process-wide structure-keyed cache (:func:`repro.api.session.compile_cached`),
-  so a million structurally identical requests compile once;
+* **prepared at submission** — every request is planned, optimized,
+  compiled through the process-wide structure-keyed cache and verified
+  by :func:`repro.api.session.prepare_execution` before it takes a queue
+  slot, so a million structurally identical requests compile once;
 * **batch coalescing** — the worker drains the queue and groups
   consecutive requests with the same program structure into one batch
   executed on one warm controller (shared backend LUT gather arrays);
@@ -22,15 +23,16 @@ execution stack:
   program, trace-template, and scheduler-makespan memos (hierarchical
   requests re-merge nothing), and
   :meth:`ServiceStats.cache_stats` reports their effectiveness;
-* **program optimization** — with ``optimize=True`` every request runs
-  through the pass pipeline of :mod:`repro.opt` (memoized on program
-  structure) before compilation, and batches coalesce on the
+* **program optimization** — under a plan with ``optimize=True`` every
+  request runs through the pass pipeline of :mod:`repro.opt` (memoized
+  on program structure) before compilation, and batches coalesce on the
   *post-optimization* structure key, so all downstream memo layers work
   on the rewritten, cheaper program.
 
 How each request executes is governed by one
-:class:`~repro.plan.ExecutionPlan` (the service-wide ``plan=``): the plain
-controller for unsharded plans, the bank-parallel
+:class:`~repro.plan.ExecutionPlan` (the service-wide ``plan=``), run on
+the warm :class:`~repro.api.session.Executors` of the request's backend:
+the plain controller for unsharded plans, the bank-parallel
 :class:`~repro.controller.dispatch.ParallelDispatcher` for sharded plans,
 or the :class:`~repro.controller.hierarchy.HierarchicalDispatcher` for
 hierarchical plans.  With ``plan="auto"`` the cost-based planner
@@ -44,13 +46,12 @@ from __future__ import annotations
 
 import asyncio
 import time
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from repro.api.session import _LEGACY_UNSET
+from repro.api.session import Executors, PreparedExecution, prepare_execution
 from repro.errors import ServiceClosedError, ServiceOverloadError
 from repro.obs.metrics import record_served_request, request_accounting
 from repro.obs.trace import (
@@ -65,6 +66,7 @@ from repro.serve.stats import LatencyBreakdown
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.api.session import PlutoSession
+    from repro.backend.base import ExecutionBackend
     from repro.controller.executor import ExecutionResult
     from repro.core.engine import PlutoEngine
     from repro.opt.report import OptimizationReport
@@ -186,33 +188,16 @@ class ServiceStats:
 @dataclass
 class _PendingRequest:
     request_id: int
-    calls: list
     inputs: dict[str, np.ndarray]
-    #: Backend selection of the session this request came from.
-    backend: object
+    #: Warm executors of the backend of the session this request came from.
+    executors: Executors
     enqueued_at: float
     future: "asyncio.Future[ServedResult]"
-    #: Structure key of ``calls`` (post-optimization when optimized);
-    #: ``None`` is the single unhashable-structure sentinel, used both to
-    #: keep such requests out of coalesced batches and to skip the
-    #: structure-keyed memo layers.
-    structure_key: tuple | None = field(default=None)
-    #: Whether ``calls`` went through the program optimizer.
-    optimized: bool = False
-    #: The optimizer's report for this request, when optimized.
-    optimization: "OptimizationReport | None" = None
-    #: The concrete plan this request executes under (auto plans are
-    #: resolved by the planner at submission time).
-    plan: "ExecutionPlan | None" = None
-    #: Planner report when the service plans automatically.
-    planner: "PlannerReport | None" = None
+    #: The request's program, prepared at submission: concrete plan,
+    #: post-optimization calls and structure key, compiled program.
+    prepared: PreparedExecution
     #: Request trace collecting per-stage spans (``None`` when tracing is off).
     trace: "RequestTrace | None" = None
-
-    @property
-    def backend_key(self) -> object:
-        """Hashable identity of the backend (names share, instances don't)."""
-        return self.backend if isinstance(self.backend, str) else id(self.backend)
 
     @property
     def coalesce_key(self) -> object:
@@ -221,13 +206,15 @@ class _PendingRequest:
         Optimized requests carry their *post-optimization* structure key,
         and the concrete :class:`~repro.plan.ExecutionPlan` is part of
         the key, so requests only share a batch when they run the same
-        program the same way (an optimized and an unoptimized recording
-        of the same program never coalesce).  Requests with unhashable
-        structure get an identity key and run alone.
+        program the same way on the same backend (an optimized and an
+        unoptimized recording of the same program never coalesce).
+        Requests with unhashable structure get an identity key and run
+        alone.
         """
-        if self.structure_key is None:
+        prepared = self.prepared
+        if prepared.structure_key is None:
             return (id(self),)
-        return (self.structure_key, self.backend_key, self.plan)
+        return (prepared.structure_key, self.executors, prepared.plan)
 
 
 class PlutoService:
@@ -255,16 +242,16 @@ class PlutoService:
     compilation — memoized on program structure, with the batch
     coalescing then keyed on the *post-optimization* structure so the
     compile, trace-template, and makespan caches all hit on the
-    rewritten program.  The deprecated ``hierarchical=`` / ``shards=`` /
-    ``optimize=`` keywords build the equivalent plan with a
-    ``DeprecationWarning``.
+    rewritten program.
     ``verify=True`` (the default) statically verifies every request's
     program at submission and rejects malformed ones with
     :class:`~repro.errors.VerificationError` carrying the structured
     diagnostics — *before* the request takes a queue slot, so a bad
-    program cannot crash the warm worker loop.  Verification reports
-    are memoized on the program structure key, so repeated request
-    shapes cost one dict hit.
+    program cannot crash the warm worker loop.  A clean verdict is
+    remembered on the compiled program, so repeated request shapes skip
+    the check.  Unsharded programs compile at submission too, so with
+    ``verify=False`` a program the compiler rejects fails from
+    :meth:`submit` rather than on its future.
     """
 
     def __init__(
@@ -275,46 +262,15 @@ class PlutoService:
         max_queue: int = 64,
         max_batch: int = 16,
         plan: "ExecutionPlan | str | None" = None,
-        hierarchical: object = _LEGACY_UNSET,
-        shards: object = _LEGACY_UNSET,
-        optimize: object = _LEGACY_UNSET,
         verify: bool = True,
     ) -> None:
         from repro.errors import ConfigurationError
-        from repro.plan.execution_plan import ExecutionPlan, resolve_plan
+        from repro.plan.execution_plan import resolve_plan
 
         if max_queue <= 0:
             raise ConfigurationError("max_queue must be positive")
         if max_batch <= 0:
             raise ConfigurationError("max_batch must be positive")
-        legacy: dict[str, object] = {}
-        if hierarchical is not _LEGACY_UNSET:
-            legacy["hierarchical"] = hierarchical
-        if shards is not _LEGACY_UNSET:
-            legacy["shards"] = shards
-        if optimize is not _LEGACY_UNSET:
-            legacy["optimize"] = optimize
-        if legacy:
-            if plan is not None:
-                raise ConfigurationError(
-                    "PlutoService got both plan= and the deprecated "
-                    f"{sorted(legacy)} keyword(s); pass only plan="
-                )
-            names = ", ".join(f"{name}=" for name in sorted(legacy))
-            warnings.warn(
-                f"PlutoService({names}) is deprecated; pass "
-                "plan=ExecutionPlan(...) (or plan='auto') instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            wants_hierarchy = bool(legacy.get("hierarchical", False))
-            plan = ExecutionPlan(
-                hierarchical=wants_hierarchy,
-                # The legacy shards= knob only ever applied to
-                # hierarchical dispatch; plain services ignored it.
-                shards=legacy.get("shards") if wants_hierarchy else None,  # type: ignore[arg-type]
-                optimize=legacy.get("optimize"),  # type: ignore[arg-type]
-            )
         if plan is None and engine is not None:
             plan = engine.config.plan
         self.session = session
@@ -331,14 +287,10 @@ class PlutoService:
         #: batch (arrival order is preserved).
         self._pending: _PendingRequest | None = None
         self._next_id = 0
-        #: Warm executors, keyed on backend selection plus the plan
-        #: facets that shape the executor (tier, placement).
-        self._controllers: dict[object, object] = {}
-        self._dispatchers: dict[object, object] = {}
-        #: Structure keys this service has already verified: repeat shapes
-        #: skip the per-request verify span (the memoized check itself still
-        #: runs), keeping the traced hot path under the overhead gate.
-        self._verified_keys: set = set()
+        #: Warm executors per backend selection (names share, instances
+        #: don't), so requests from an overriding session run on the
+        #: backend that session chose.
+        self._executors: dict[object, Executors] = {}
         #: Coalesce wall-clock of the batch currently being executed,
         #: stashed by the worker loop for the coalesce span.
         self._coalesce_ns = 0
@@ -395,9 +347,7 @@ class PlutoService:
                 # Drain gracefully, but stop waiting if the worker dies
                 # first (its queue would never empty).
                 join = asyncio.ensure_future(queue.join())
-                await asyncio.wait(
-                    {join, worker}, return_when=asyncio.FIRST_COMPLETED
-                )
+                await asyncio.wait({join, worker}, return_when=asyncio.FIRST_COMPLETED)
                 if not join.done():
                     join.cancel()
             worker.cancel()
@@ -436,7 +386,6 @@ class PlutoService:
         *,
         session: "PlutoSession | None" = None,
         plan: "ExecutionPlan | str | None" = None,
-        optimize: bool | None = None,
     ) -> ServedResult:
         """Queue one request and await its result.
 
@@ -444,10 +393,9 @@ class PlutoService:
         the service's backpressure: a flood of producers is slowed to the
         rate the executor drains, instead of buffering without bound.
         ``plan`` overrides the service-wide execution plan for this
-        request; the deprecated ``optimize=`` keyword adjusts only the
-        plan's optimizer flag (with a ``DeprecationWarning``).
+        request.
         """
-        request = self._make_request(inputs, session, plan, optimize)
+        request = self._make_request(inputs, session, plan)
         queue = self._require_queue()
         await queue.put(request)
         self._note_depth(queue)
@@ -470,10 +418,7 @@ class PlutoService:
         mid-queue).
         """
         results = await asyncio.gather(
-            *(
-                self.submit(inputs, session=session, plan=plan)
-                for inputs in inputs_list
-            ),
+            *(self.submit(inputs, session=session, plan=plan) for inputs in inputs_list),
             return_exceptions=True,
         )
         for result in results:
@@ -487,7 +432,6 @@ class PlutoService:
         *,
         session: "PlutoSession | None" = None,
         plan: "ExecutionPlan | str | None" = None,
-        optimize: bool | None = None,
     ) -> "asyncio.Future[ServedResult]":
         """Enqueue without waiting; shed load when the queue is full.
 
@@ -495,10 +439,9 @@ class PlutoService:
         call time, so a producer can catch
         :class:`~repro.errors.ServiceOverloadError` and back off
         immediately.  Returns a future resolving to the
-        :class:`ServedResult`.  ``plan`` / ``optimize`` as in
-        :meth:`submit`.
+        :class:`ServedResult`.  ``plan`` as in :meth:`submit`.
         """
-        request = self._make_request(inputs, session, plan, optimize)
+        request = self._make_request(inputs, session, plan)
         queue = self._require_queue()
         try:
             queue.put_nowait(request)
@@ -510,142 +453,52 @@ class PlutoService:
         self._note_depth(queue)
         return request.future
 
-    def _request_plan(
-        self, plan: "ExecutionPlan | str | None", optimize: bool | None
-    ) -> "ExecutionPlan":
-        """The effective plan for one request: override or service-wide.
-
-        The deprecated per-request ``optimize=`` keyword keeps its old
-        meaning — it adjusts only the optimizer flag of the service-wide
-        plan (auto plans search with the flag pinned).
-        """
-        from repro.errors import ConfigurationError
-        from repro.plan.execution_plan import resolve_plan
-
-        if optimize is not None:
-            if plan is not None:
-                raise ConfigurationError(
-                    "submit() got both plan= and the deprecated optimize= "
-                    "keyword; pass only plan="
-                )
-            warnings.warn(
-                "submit(optimize=) is deprecated; pass "
-                "plan=ExecutionPlan(optimize=...) (or plan='auto') instead",
-                DeprecationWarning,
-                stacklevel=4,
-            )
-            return replace(self.plan, optimize=bool(optimize))
-        if plan is None:
-            return self.plan
-        return resolve_plan(plan)
-
     def _make_request(
         self,
         inputs: Mapping[str, np.ndarray],
         session: "PlutoSession | None",
-        plan: "ExecutionPlan | str | None" = None,
-        optimize: bool | None = None,
+        plan: "ExecutionPlan | str | None",
     ) -> _PendingRequest:
+        from repro.plan.execution_plan import resolve_plan
+
         if not self.running:
             raise ServiceClosedError(
                 "service is not running; use 'async with session.serve()' "
                 "or call start() first"
             )
         source = session if session is not None else self.session
-        request_plan = self._request_plan(plan, optimize)
-        calls = list(source.calls)
-        planner_report: "PlannerReport | None" = None
         trace = new_trace("service", request_id=self._next_id)
         token = activate(trace)
         try:
             with span_of(trace, "submit"):
-                if request_plan.is_auto:
-                    from repro.backend.base import resolve_backend
-                    from repro.plan.planner import plan_program
-
-                    with span_of(trace, "plan") as plan_span:
-                        planned = plan_program(
-                            calls,
-                            self.engine,
-                            request=request_plan,
-                            modes=("single", "banks", "hierarchy"),
-                            supports_batched=resolve_backend(
-                                source.backend
-                            ).supports_batched,
-                            subject="request",
-                        )
-                        request_plan, planner_report = planned.plan, planned.report
-                        plan_span.set(cached=planner_report.cached)
-                optimized = request_plan.optimize
-                if optimized is None:
-                    optimized = (
-                        self.engine is not None and self.engine.config.optimize
-                    )
-                report = None
-                if optimized:
-                    from repro.opt.pipeline import optimize_cached
-
-                    with span_of(trace, "optimize"):
-                        program = optimize_cached(calls)
-                        calls = list(program.calls)
-                        report = program.report
-                structure_key = self._structure_key(calls)
-                if self.verify:
-                    # Reject malformed programs at submission —
-                    # synchronously, before the request takes a queue slot
-                    # — with the structured diagnostics on the raised
-                    # VerificationError.  Memoized on the program structure
-                    # key (reusing the coalescing key computed above), so
-                    # repeat shapes cost a dict hit.
-                    from repro.analyze.verifier import verify_cached
-
-                    if structure_key in self._verified_keys:
-                        verify_cached(
-                            calls, subject="request", key=structure_key
-                        ).raise_if_errors()
-                    else:
-                        with span_of(trace, "verify"):
-                            verify_cached(
-                                calls, subject="request", key=structure_key
-                            ).raise_if_errors()
-                        if structure_key is not None:
-                            self._verified_keys.add(structure_key)
+                prepared = prepare_execution(
+                    source.calls,
+                    self.engine,
+                    self.plan if plan is None else resolve_plan(plan),
+                    backend=source.backend,
+                    verify=self.verify,
+                    subject="request",
+                )
         finally:
             deactivate(token)
         request = _PendingRequest(
             request_id=self._next_id,
-            calls=calls,
             inputs={name: np.asarray(data) for name, data in inputs.items()},
-            backend=source.backend,
+            executors=self._executors_for(source.backend),
             enqueued_at=time.monotonic(),
             future=asyncio.get_running_loop().create_future(),
-            structure_key=structure_key,
-            optimized=optimized,
-            optimization=report,
-            plan=request_plan,
-            planner=planner_report,
+            prepared=prepared,
             trace=trace,
         )
         self._next_id += 1
         return request
 
-    @staticmethod
-    def _structure_key(calls: list) -> tuple | None:
-        """The program structure key, or ``None`` when unhashable.
-
-        The key tuple builds fine around unhashable parameter values
-        (e.g. lists) and only fails at hash time, so hashability is
-        probed here — downstream the key is both compared (coalescing)
-        and hashed (compile/trace-template memos).
-        """
-        from repro.api.session import program_structure_key
-
-        try:
-            key = program_structure_key(calls)
-            hash(key)
-            return key
-        except TypeError:
-            return None
+    def _executors_for(self, backend: "str | ExecutionBackend") -> Executors:
+        key = backend if isinstance(backend, str) else id(backend)
+        executors = self._executors.get(key)
+        if executors is None:
+            executors = self._executors[key] = Executors(self.engine, backend)
+        return executors
 
     def _require_queue(self) -> "asyncio.Queue[_PendingRequest]":
         if self._queue is None:
@@ -752,25 +605,19 @@ class PlutoService:
         self.stats.coalesced += len(batch) - 1
         # Only plain single-bank plans fuse into one batched pass;
         # sharded and hierarchical plans go through their dispatchers.
-        leader_plan = batch[0].plan
-        simple = leader_plan is None or (
-            not leader_plan.hierarchical and leader_plan.effective_shards == 1
-        )
         if (
             len(batch) > 1
-            and simple
+            and batch[0].prepared.compiled is not None
             and self._execute_batch_fused(batch, coalesce_ns)
         ):
             return
         for request in batch:
             begin = time.monotonic()
-            self._note_queue_wait(
-                request, begin - request.enqueued_at, coalesce_ns, len(batch)
-            )
+            self._note_queue_wait(request, begin - request.enqueued_at, coalesce_ns, len(batch))
             token = activate(request.trace)
             try:
                 with span_of(request.trace, "execute"):
-                    result = self._execute(request)
+                    result = request.executors.run(request.prepared, request.inputs)
             except Exception as error:  # surface on the caller's future
                 self.stats.failed += 1
                 if not request.future.cancelled():
@@ -778,34 +625,41 @@ class PlutoService:
                 continue
             finally:
                 deactivate(token)
-            finish = time.monotonic()
-            served = ServedResult(
-                request_id=request.request_id,
-                outputs=result.outputs,
-                latency_ns=result.latency_ns,
-                energy_nj=result.energy_nj,
-                # Everything before *this request's* execution counts as
-                # queueing — including earlier requests of its own batch —
-                # so turnaround_s is true submission-to-completion time.
-                queue_wait_s=begin - request.enqueued_at,
-                execute_s=finish - begin,
-                batch_size=len(batch),
-                backend=result.backend,
-                result=result,
-                optimization=request.optimization,
-                execution_plan=request.plan,
-                planner=(
-                    request.planner.with_measured(result.latency_ns)
-                    if request.planner is not None
-                    else None
-                ),
-                request_trace=request.trace,
-            )
-            self._account_served(request, served)
-            if not request.future.cancelled():
-                request.future.set_result(served)
+            # Everything before *this request's* execution counts as
+            # queueing — including earlier requests of its own batch — so
+            # turnaround_s is true submission-to-completion time.
+            self._serve(request, result, begin, time.monotonic() - begin, len(batch))
 
-    def _account_served(self, request: _PendingRequest, served: ServedResult) -> None:
+    def _serve(
+        self,
+        request: _PendingRequest,
+        result: "ExecutionResult",
+        begin: float,
+        execute_s: float,
+        batch_size: int,
+    ) -> None:
+        """Resolve one executed request's future with its served result."""
+        request.prepared.attach(result)
+        served = ServedResult(
+            request_id=request.request_id,
+            outputs=result.outputs,
+            latency_ns=result.latency_ns,
+            energy_nj=result.energy_nj,
+            queue_wait_s=begin - request.enqueued_at,
+            execute_s=execute_s,
+            batch_size=batch_size,
+            backend=result.backend,
+            result=result,
+            optimization=result.optimization,
+            execution_plan=result.execution_plan,
+            planner=result.planner,
+            request_trace=request.trace,
+        )
+        self._account_served(served)
+        if not request.future.cancelled():
+            request.future.set_result(served)
+
+    def _account_served(self, served: ServedResult) -> None:
         """Fold one successfully executed request into the aggregates.
 
         Optimizer savings are counted here — not at submission — so
@@ -820,9 +674,7 @@ class PlutoService:
         # picojoules, and refresh overhead, memoized on the (shared, for
         # warm JIT requests) command trace so the hot path pays a dict hit.
         command_trace = getattr(served.result, "trace", None)
-        accounting = (
-            request_accounting(command_trace) if command_trace is not None else None
-        )
+        accounting = request_accounting(command_trace) if command_trace is not None else None
         if served.request_trace is not None and accounting is not None:
             attributes = served.request_trace.attributes
             attributes.update(accounting)
@@ -835,21 +687,17 @@ class PlutoService:
             queue_wait_s=served.queue_wait_s,
             execute_s=served.execute_s,
             energy_nj=served.energy_nj,
-            commands=(
-                accounting["dram_commands_by_type"] if accounting is not None else None
-            ),
+            commands=(accounting["dram_commands_by_type"] if accounting is not None else None),
         )
-        report = request.optimization
-        if request.optimized and report is not None:
+        report = served.optimization
+        if report is not None:
             self.stats.optimized += 1
             self.stats.optimizer_ops_saved += report.ops_saved
             self.stats.optimizer_lut_queries_saved += report.lut_queries_saved
             self.stats.optimizer_swept_rows_saved += report.swept_rows_saved
             self.stats.optimizer_lut_loads_saved += report.lut_loads_saved
 
-    def _execute_batch_fused(
-        self, batch: "list[_PendingRequest]", coalesce_ns: int = 0
-    ) -> bool:
+    def _execute_batch_fused(self, batch: "list[_PendingRequest]", coalesce_ns: int = 0) -> bool:
         """Run a coalesced batch in one fused controller pass.
 
         The batch shares one program structure by construction, so the
@@ -862,42 +710,35 @@ class PlutoService:
         batch or the inputs do not stack; the per-request loop then
         surfaces any individual errors.
         """
-        controller = self._controller_for(batch[0])
+        leader = batch[0]
+        prepared = leader.prepared
+        controller = leader.executors.controller(prepared.plan)
         if not controller.backend.supports_batched:
             return False
-        from repro.api.session import compile_cached_with_key
-
-        names = set(batch[0].inputs)
+        names = set(leader.inputs)
         if any(set(request.inputs) != names for request in batch[1:]):
             # Differing provided-input sets seed different registers; the
             # per-request loop handles them individually.
             return False
-        # The unified sentinel: ``None`` structure keys (unhashable
-        # programs) simply skip the trace-template memo.
-        structure_key = batch[0].structure_key
-        leader = batch[0]
         begin = time.monotonic()
         # The fused pass runs once for the whole batch: the leader's trace
-        # is context-active so inner stages (compile, backend) attach their
-        # spans to it; followers get explicit evenly-attributed spans below.
+        # is context-active so inner stages (backend) attach their spans to
+        # it; followers get explicit evenly-attributed spans below.
         token = activate(leader.trace)
         fused_span: Span | None = None
         try:
-            with span_of(
-                leader.trace, "execute", fused=True, batch_size=len(batch)
-            ) as opened:
+            with span_of(leader.trace, "execute", fused=True, batch_size=len(batch)) as opened:
                 if isinstance(opened, Span):
                     fused_span = opened
-                compiled, _ = compile_cached_with_key(batch[0].calls, structure_key)
                 stacked = {
                     name: np.stack([request.inputs[name] for request in batch])
-                    for name in batch[0].inputs
+                    for name in leader.inputs
                 }
                 results = controller.execute_fused(
-                    compiled,
+                    prepared.compiled,
                     stacked,
                     banks=[0] * len(batch),
-                    structure_key=structure_key,
+                    structure_key=prepared.structure_key,
                 )
         except Exception:
             # The per-request fallback loop will record its own execute
@@ -944,96 +785,5 @@ class PlutoService:
                 request.trace.spans.append(
                     Span("execute", finish_ns - execute_ns, execute_ns, execute_attrs)
                 )
-            served = ServedResult(
-                request_id=request.request_id,
-                outputs=result.outputs,
-                latency_ns=result.latency_ns,
-                energy_nj=result.energy_nj,
-                queue_wait_s=begin - request.enqueued_at,
-                execute_s=execute_s,
-                batch_size=len(batch),
-                backend=result.backend,
-                result=result,
-                optimization=request.optimization,
-                execution_plan=request.plan,
-                planner=(
-                    request.planner.with_measured(result.latency_ns)
-                    if request.planner is not None
-                    else None
-                ),
-                request_trace=request.trace,
-            )
-            self._account_served(request, served)
-            if not request.future.cancelled():
-                request.future.set_result(served)
+            self._serve(request, result, begin, execute_s, len(batch))
         return True
-
-    @staticmethod
-    def _wants_jit(request: _PendingRequest) -> bool:
-        return request.plan is None or request.plan.tier != "interpreted"
-
-    def _controller_for(self, request: _PendingRequest):
-        """The warm :class:`PlutoController` for a request's backend/tier."""
-        jit = self._wants_jit(request)
-        key = (request.backend_key, jit)
-        controller = self._controllers.get(key)
-        if controller is None:
-            from repro.controller.executor import PlutoController
-
-            controller = PlutoController(
-                self.engine, backend=request.backend, jit=jit
-            )
-            self._controllers[key] = controller
-        return controller
-
-    def _execute(self, request: _PendingRequest) -> "ExecutionResult":
-        """Run one request on a warm executor for *its* backend and plan.
-
-        Executors are cached per backend selection plus the plan facets
-        that shape them (tier, hierarchy placement), so a request that
-        arrived with an overriding session (e.g. a functional-backend
-        session on a vectorized service) runs on the backend that session
-        chose, while same-backend requests keep sharing LUT caches.
-        ``request.calls`` is already post-optimization, so sharded and
-        hierarchical dispatch never re-optimizes.
-        """
-        from repro.api.session import compile_cached_with_key
-
-        plan = request.plan
-        jit = self._wants_jit(request)
-        if plan is not None and plan.hierarchical:
-            key = ("hierarchy", request.backend_key, plan.channels, plan.ranks, jit)
-            dispatcher = self._dispatchers.get(key)
-            if dispatcher is None:
-                from repro.controller.hierarchy import HierarchicalDispatcher
-
-                dispatcher = HierarchicalDispatcher(
-                    self.engine,
-                    backend=request.backend,
-                    jit=jit,
-                    channels=plan.channels,
-                    ranks=plan.ranks,
-                )
-                self._dispatchers[key] = dispatcher
-            return dispatcher.execute(
-                request.calls, request.inputs, shards=plan.shards
-            )
-        if plan is not None and plan.effective_shards > 1:
-            key = ("banks", request.backend_key, jit)
-            dispatcher = self._dispatchers.get(key)
-            if dispatcher is None:
-                from repro.controller.dispatch import ParallelDispatcher
-
-                dispatcher = ParallelDispatcher(
-                    self.engine, backend=request.backend, jit=jit
-                )
-                self._dispatchers[key] = dispatcher
-            return dispatcher.execute(
-                request.calls, request.inputs, shards=plan.effective_shards
-            )
-        controller = self._controller_for(request)
-        return controller.execute(
-            compile_cached_with_key(request.calls, request.structure_key)[0],
-            dict(request.inputs),
-            structure_key=request.structure_key,
-        )

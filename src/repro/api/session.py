@@ -15,13 +15,19 @@ compiled program, and :func:`execute_batch` submits many whole programs,
 deduplicating compilation across them.  Every execution exposes the same
 :class:`~repro.controller.executor.ExecutionResult` with its full command
 trace, whichever backend produced it.
+
+Every execution front door — these, the async service, the evaluation
+harness and the shared artifact store — prepares a program through
+:func:`prepare_execution` (plan, optimize, compile, verify) and runs it on
+:class:`Executors`, the one mapping from a concrete plan to the
+controller or dispatcher that executes it.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -29,7 +35,7 @@ from repro.api.handles import ApiCall, PlutoVector
 from repro.api.luts import BITWISE_OPERATIONS, add_lut, bitwise_lut, multiply_lut
 from repro.core.lut import LookupTable
 from repro.errors import ConfigurationError, ReproError, VerificationError
-from repro.obs.trace import activate, deactivate, new_trace, span_of, stage
+from repro.obs.trace import NOOP_SPAN, activate, deactivate, new_trace, span_of, stage
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.analyze.diagnostics import VerificationReport
@@ -37,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.backend.base import ExecutionBackend
     from repro.compiler.lowering import CompiledProgram
     from repro.controller.dispatch import ShardedExecutionResult
-    from repro.controller.executor import ExecutionResult
+    from repro.controller.executor import ExecutionResult, PlutoController
     from repro.controller.hierarchy import HierarchicalExecutionResult
     from repro.core.engine import PlutoEngine
     from repro.obs.trace import RequestTrace
@@ -49,6 +55,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 __all__ = [
     "PlutoSession",
     "BatchResult",
+    "PreparedExecution",
+    "prepare_execution",
+    "Executors",
     "execute_batch",
     "program_structure_key",
     "compile_cached",
@@ -296,28 +305,222 @@ class BatchResult:
         return sum(result.lut_queries for result in self.results)
 
 
-#: Sentinel distinguishing "legacy keyword not passed" from any real
-#: value (``None`` is meaningful for ``run_hierarchical(shards=)``).
-_LEGACY_UNSET: object = object()
+#: Every geometry family the planner can search: one bank, bank-parallel
+#: shards, and shards spread over channels and ranks.
+_ALL_MODES: tuple[str, ...] = ("single", "banks", "hierarchy")
+
+_Stamped = TypeVar("_Stamped", "ExecutionResult", BatchResult)
 
 
 @dataclass
-class _PreparedExecution:
-    """Everything the ``run*`` entry points share, resolved once.
+class PreparedExecution:
+    """A program made ready to execute under one concrete plan.
 
-    The product of :meth:`PlutoSession._prepare_execution`: the concrete
-    plan (auto plans resolved through the cost-based planner), the
-    post-optimization call list, the optimizer/planner reports, and —
-    for unsharded routes — the verified compiled program with its
-    structure key.
+    The product of :func:`prepare_execution`: the concrete plan (auto
+    plans resolved through the cost-based planner), the call list that
+    executes (post-optimization) with its structure key, the optimizer
+    and planner results and, for unsharded plans, the verified compiled
+    program.
     """
 
     plan: "ExecutionPlan"
     calls: "list[ApiCall]"
-    optimization: "OptimizationReport | None"
-    planner: "PlannerReport | None"
-    compiled: "CompiledProgram | None"
+    #: Structure key of ``calls``; ``None`` when it is not hashable.
     structure_key: "tuple | None"
+    #: The compiled program of an unsharded plan (``None`` when sharded:
+    #: the dispatchers compile their shard slices).
+    compiled: "CompiledProgram | None"
+    optimized: "OptimizedProgram | None"
+    planner: "PlannerReport | None"
+
+    @property
+    def optimization(self) -> "OptimizationReport | None":
+        """The optimizer's report, when the plan optimized."""
+        return None if self.optimized is None else self.optimized.report
+
+    def attach(self, result: _Stamped) -> _Stamped:
+        """Record the plan and reports on ``result``, and return it.
+
+        The planner report gets the measured makespan attached: the
+        result's latency, or a batch's total latency.
+        """
+        result.execution_plan = self.plan
+        if isinstance(result, BatchResult):
+            measured = result.total_latency_ns
+        else:
+            result.optimization = self.optimization
+            measured = result.latency_ns
+        if self.planner is not None:
+            result.planner = self.planner.with_measured(measured)
+        return result
+
+
+def prepare_execution(
+    calls: Sequence[ApiCall],
+    engine: "PlutoEngine | None",
+    plan: "ExecutionPlan",
+    *,
+    backend: "str | ExecutionBackend",
+    modes: tuple[str, ...] = _ALL_MODES,
+    verify: bool,
+    subject: str = "program",
+) -> PreparedExecution:
+    """The execution prologue every front door shares.
+
+    An auto ``plan`` resolves through the cost-based planner
+    (:func:`repro.plan.planner.plan_program`, memoized on the program
+    structure key), searching ``modes`` for a backend like ``backend``.
+    The program is then optimized when the plan asks for it (a plan that
+    leaves ``optimize`` unset defers to the engine configuration), and
+    its structure key is built once.  Unsharded plans compile through the
+    structure-keyed program cache; sharded plans leave their slices to
+    the dispatchers.  With ``verify`` the static verifier checks the
+    program that executes and raises
+    :class:`~repro.errors.VerificationError` on any error.  A compiled
+    program remembers its clean verdict, so warm runs skip the check;
+    when the compiler rejects the program, the verifier's diagnostics
+    replace the compiler's error.  ``subject`` names the program in
+    planner reports and diagnostics.
+
+    Compile and verify spans open only when that work runs, so a warm
+    unsharded run records neither.
+    """
+    planner: "PlannerReport | None" = None
+    if plan.is_auto:
+        from repro.backend.base import resolve_backend
+        from repro.plan.planner import plan_program
+
+        with stage("plan") as plan_span:
+            planned = plan_program(
+                calls,
+                engine,
+                request=plan,
+                modes=modes,
+                supports_batched=resolve_backend(backend).supports_batched,
+                subject=subject,
+            )
+            plan_span.set(cached=planned.report.cached)
+        plan, planner = planned.plan, planned.report
+    optimize = plan.optimize
+    if optimize is None:
+        optimize = engine is not None and engine.config.optimize
+    optimized: "OptimizedProgram | None" = None
+    if optimize:
+        from repro.opt.pipeline import optimize_cached
+
+        with stage("optimize"):
+            optimized = optimize_cached(calls)
+        calls = optimized.calls
+    calls = list(calls)
+    structure_key = hashable_structure_key(calls)
+    compiled: "CompiledProgram | None" = None
+    if not plan.hierarchical and plan.effective_shards == 1:
+        span = NOOP_SPAN if structure_key in _PROGRAM_CACHE else stage("compile")
+        try:
+            with span:
+                compiled, _ = compile_cached_with_key(calls, structure_key)
+        except ReproError:
+            if verify:
+                _verify(calls, structure_key, subject)
+            raise
+    if verify and (compiled is None or not compiled.verification_ok):
+        _verify(calls, structure_key, subject)
+        if compiled is not None:
+            compiled.verification_ok = True
+    return PreparedExecution(
+        plan=plan,
+        calls=calls,
+        structure_key=structure_key,
+        compiled=compiled,
+        optimized=optimized,
+        planner=planner,
+    )
+
+
+def _verify(calls: "list[ApiCall]", key: "tuple | None", subject: str) -> None:
+    """Verify ``calls`` (memoized on ``key``); raise on any error."""
+    from repro.analyze.verifier import verify_cached
+
+    with stage("verify"):
+        verify_cached(calls, subject=subject, key=key).raise_if_errors()
+
+
+class Executors:
+    """The warm executors of one engine and backend.
+
+    The one place a concrete :class:`~repro.plan.ExecutionPlan` picks its
+    executor: a :class:`~repro.controller.executor.PlutoController` for
+    unsharded plans, a :class:`~repro.controller.dispatch.ParallelDispatcher`
+    for sharded ones and a
+    :class:`~repro.controller.hierarchy.HierarchicalDispatcher` for
+    hierarchical ones.  Each is built once per tier (and placement) and
+    reused, so backend LUT arrays and pinned closures stay hot.
+    """
+
+    def __init__(
+        self, engine: "PlutoEngine | None", backend: "str | ExecutionBackend"
+    ) -> None:
+        self.engine = engine
+        self.backend = backend
+        self._warm: dict[tuple, Any] = {}
+
+    def controller(self, plan: "ExecutionPlan") -> "PlutoController":
+        """The warm controller for an unsharded plan's tier."""
+        jit = plan.tier != "interpreted"
+        controller = self._warm.get(("single", jit))
+        if controller is None:
+            from repro.controller.executor import PlutoController
+
+            controller = PlutoController(self.engine, backend=self.backend, jit=jit)
+            self._warm[("single", jit)] = controller
+        return controller
+
+    def run(
+        self, prepared: PreparedExecution, inputs: Mapping[str, np.ndarray]
+    ) -> "ExecutionResult":
+        """Execute a prepared program on the executor its plan calls for."""
+        plan = prepared.plan
+        if not plan.hierarchical and plan.effective_shards == 1:
+            return self.controller(plan).execute(
+                prepared.compiled,
+                dict(inputs),
+                structure_key=prepared.structure_key,
+            )
+        jit = plan.tier != "interpreted"
+        key = (plan.hierarchical, plan.channels, plan.ranks, jit)
+        dispatcher = self._warm.get(key)
+        if dispatcher is None:
+            if plan.hierarchical:
+                from repro.controller.hierarchy import HierarchicalDispatcher
+
+                dispatcher = HierarchicalDispatcher(
+                    self.engine,
+                    backend=self.backend,
+                    jit=jit,
+                    channels=plan.channels,
+                    ranks=plan.ranks,
+                )
+            else:
+                from repro.controller.dispatch import ParallelDispatcher
+
+                dispatcher = ParallelDispatcher(
+                    self.engine, backend=self.backend, jit=jit
+                )
+            self._warm[key] = dispatcher
+        # A sharded plan always pins its shard count; a hierarchical one
+        # may leave it to the device (one shard per bank).
+        return dispatcher.execute(prepared.calls, inputs, shards=plan.shards)
+
+
+def _requested_plan(
+    plan: "ExecutionPlan | str | None", engine: "PlutoEngine | None"
+) -> "ExecutionPlan":
+    """A ``plan=`` argument resolved; ``None`` defers to the engine's default."""
+    from repro.plan.execution_plan import resolve_plan
+
+    if plan is None and engine is not None:
+        plan = engine.config.plan
+    return resolve_plan(plan)
 
 
 @dataclass
@@ -509,189 +712,22 @@ class PlutoSession:
 
         return optimize_cached(self.calls)
 
-    def _resolve_optimize(
-        self, optimize: bool | None, engine: "PlutoEngine | None"
-    ) -> bool:
-        """Per-call ``optimize=`` wins; ``None`` defers to the engine config."""
-        if optimize is not None:
-            return bool(optimize)
-        return engine is not None and engine.config.optimize
-
-    def _calls_for_run(
-        self, optimize: bool | None, engine: "PlutoEngine | None"
-    ) -> "tuple[list[ApiCall], OptimizationReport | None]":
-        if not self._resolve_optimize(optimize, engine):
-            return list(self.calls), None
-        with stage("optimize"):
-            optimized = self.optimize()
-        return list(optimized.calls), optimized.report
-
-    @staticmethod
-    def _verify_for_run(
-        calls: "Sequence[ApiCall]",
-        engine: "PlutoEngine | None",
-        key: "tuple | None | object" = _KEY_UNSET,
-        compiled: "CompiledProgram | None" = None,
-    ) -> None:
-        """Verify what is about to execute, per the engine's verify mode.
-
-        Runs over the *post-optimization* call list (the program that
-        actually executes) and raises
-        :class:`~repro.errors.VerificationError` with the diagnostics on
-        any error-severity finding.  Memoized on the program structure
-        key (``key`` forwards an already-computed one); when the caller
-        holds the cached :class:`CompiledProgram`, a prior clean verdict
-        is remembered on the object itself, so warm verified serving
-        costs one attribute check per run.
-        """
-        if engine is None:
-            return
-        from repro.analyze.verifier import verification_enabled, verify_cached
-
-        if not verification_enabled(engine.config.verify):
-            return
-        if compiled is not None and compiled.verification_ok:
-            return
-        with stage("verify"):
-            if key is _KEY_UNSET:
-                # No precomputed key: let the verifier build its own.
-                verify_cached(calls).raise_if_errors()
-            else:
-                verify_cached(calls, key=key).raise_if_errors()
-        if compiled is not None:
-            compiled.verification_ok = True
-
-    def _compile_verified(
-        self, calls: "list[ApiCall]", engine: "PlutoEngine | None"
-    ) -> "tuple[CompiledProgram, tuple | None]":
-        """Compile (cached) then verify, per the engine's verify mode.
-
-        Compilation comes first so a prior clean verdict rides the
-        cached program object (one attribute check per warm run).  When
-        the compiler itself rejects the program and verification is on,
-        the verifier's structured diagnostics replace the raw compiler
-        error; the original error re-raises if the verifier finds
-        nothing (or verification is off).
-        """
-        structure_key = hashable_structure_key(calls)
-        warm = structure_key is not None and structure_key in _PROGRAM_CACHE
-        try:
-            with stage("compile", cached=warm):
-                compiled, structure_key = compile_cached_with_key(
-                    calls, structure_key
-                )
-        except ReproError:
-            self._verify_for_run(calls, engine, key=structure_key)
-            raise
-        self._verify_for_run(
-            calls, engine, key=structure_key, compiled=compiled
-        )
-        return compiled, structure_key
-
-    def _controller(self, engine: "PlutoEngine | None", *, jit: bool = True):
-        from repro.controller.executor import PlutoController
-
-        return PlutoController(engine, backend=self.backend, jit=jit)
-
-    def _resolve_plan_argument(
+    def _prepare(
         self,
         plan: "ExecutionPlan | str | None",
         engine: "PlutoEngine | None",
-        *,
-        entry: str,
-        hierarchical: bool,
-        shards: object = _LEGACY_UNSET,
-        optimize: object = _LEGACY_UNSET,
-    ) -> "ExecutionPlan":
-        """One ``ExecutionPlan`` from ``plan=`` plus the deprecated knobs.
+        modes: tuple[str, ...] = _ALL_MODES,
+    ) -> PreparedExecution:
+        """:func:`prepare_execution` of this program, verified per the engine."""
+        from repro.analyze.verifier import verification_enabled
 
-        The legacy ``shards=`` / ``optimize=`` keywords still work as
-        :class:`DeprecationWarning` shims that build the equivalent
-        explicit plan; combining them with ``plan=`` is rejected.  With
-        neither given, the engine's ``PlutoConfig(plan=...)`` default
-        applies.
-        """
-        from dataclasses import replace
-
-        from repro.plan.execution_plan import ExecutionPlan, resolve_plan
-
-        legacy: dict[str, object] = {}
-        if shards is not _LEGACY_UNSET:
-            legacy["shards"] = shards
-        if optimize is not _LEGACY_UNSET:
-            legacy["optimize"] = optimize
-        if legacy:
-            if plan is not None:
-                raise ConfigurationError(
-                    f"{entry}() got both plan= and the deprecated "
-                    f"{sorted(legacy)} keyword(s); pass only plan="
-                )
-            names = ", ".join(f"{name}=" for name in sorted(legacy))
-            warnings.warn(
-                f"{entry}({names}) is deprecated; pass "
-                "plan=ExecutionPlan(...) (or plan='auto') instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            return ExecutionPlan(
-                shards=legacy.get("shards"),  # type: ignore[arg-type]
-                hierarchical=hierarchical,
-                optimize=legacy.get("optimize"),  # type: ignore[arg-type]
-            )
-        if plan is None and engine is not None:
-            plan = engine.config.plan
-        resolved = resolve_plan(plan)
-        if hierarchical and not resolved.is_auto and not resolved.hierarchical:
-            resolved = replace(resolved, hierarchical=True)
-        return resolved
-
-    def _prepare_execution(
-        self,
-        plan: "ExecutionPlan",
-        engine: "PlutoEngine | None",
-        *,
-        modes: tuple[str, ...],
-    ) -> _PreparedExecution:
-        """The shared ``run*`` prologue: plan -> optimize -> verify -> compile.
-
-        Auto plans resolve through the cost-based planner
-        (:func:`repro.plan.planner.plan_program`, memoized on the
-        program structure key) into a concrete plan first; the program
-        is then optimized per the plan, verified per the engine's verify
-        mode, and — on the unsharded route — compiled through the
-        structure-keyed cache.
-        """
-        from repro.backend.base import resolve_backend
-
-        planner_report: "PlannerReport | None" = None
-        if plan.is_auto:
-            from repro.plan.planner import plan_program
-
-            with stage("plan") as plan_span:
-                planned = plan_program(
-                    self.calls,
-                    engine,
-                    request=plan,
-                    modes=modes,
-                    supports_batched=resolve_backend(
-                        self.backend
-                    ).supports_batched,
-                )
-                plan, planner_report = planned.plan, planned.report
-                plan_span.set(cached=planner_report.cached)
-        calls, report = self._calls_for_run(plan.optimize, engine)
-        if plan.hierarchical or plan.effective_shards > 1:
-            self._verify_for_run(calls, engine)
-            compiled, structure_key = None, None
-        else:
-            compiled, structure_key = self._compile_verified(calls, engine)
-        return _PreparedExecution(
-            plan=plan,
-            calls=calls,
-            optimization=report,
-            planner=planner_report,
-            compiled=compiled,
-            structure_key=structure_key,
+        return prepare_execution(
+            self.calls,
+            engine,
+            _requested_plan(plan, engine),
+            backend=self.backend,
+            modes=modes,
+            verify=engine is not None and verification_enabled(engine.config.verify),
         )
 
     @staticmethod
@@ -710,35 +746,12 @@ class PlutoSession:
             )
         result.request_trace = trace
 
-    @staticmethod
-    def _attach_reports(
-        result: "ExecutionResult", prepared: _PreparedExecution
-    ) -> "ExecutionResult":
-        result.optimization = prepared.optimization
-        result.execution_plan = prepared.plan
-        if prepared.planner is not None:
-            result.planner = prepared.planner.with_measured(result.latency_ns)
-        return result
-
-    @staticmethod
-    def _attach_batch_reports(
-        result: BatchResult, prepared: _PreparedExecution
-    ) -> BatchResult:
-        result.execution_plan = prepared.plan
-        if prepared.planner is not None:
-            result.planner = prepared.planner.with_measured(
-                result.total_latency_ns
-            )
-        return result
-
     def run(
         self,
         inputs: Mapping[str, np.ndarray],
         *,
         engine: "PlutoEngine | None" = None,
         plan: "ExecutionPlan | str | None" = None,
-        shards: object = _LEGACY_UNSET,
-        optimize: object = _LEGACY_UNSET,
     ) -> "ExecutionResult | ShardedExecutionResult":
         """Compile (cached) and execute this program on the session backend.
 
@@ -768,56 +781,17 @@ class PlutoSession:
         before compilation, with the
         :class:`~repro.opt.report.OptimizationReport` on
         ``result.optimization``.
-
-        The ``shards=`` / ``optimize=`` keywords are deprecated shims
-        that build the equivalent explicit plan (with a
-        ``DeprecationWarning``).
         """
-        resolved = self._resolve_plan_argument(
-            plan,
-            engine,
-            entry="run",
-            hierarchical=False,
-            shards=shards,
-            optimize=optimize,
-        )
         trace = new_trace("session.run")
         token = activate(trace)
         try:
-            prepared = self._prepare_execution(
-                resolved, engine, modes=("single", "banks", "hierarchy")
-            )
-            chosen = prepared.plan
-            jit = chosen.tier != "interpreted"
+            prepared = self._prepare(plan, engine)
             with span_of(trace, "execute"):
-                if chosen.hierarchical:
-                    from repro.controller.hierarchy import HierarchicalDispatcher
-
-                    result = HierarchicalDispatcher(
-                        engine,
-                        backend=self.backend,
-                        jit=jit,
-                        channels=chosen.channels,
-                        ranks=chosen.ranks,
-                    ).execute(prepared.calls, inputs, shards=chosen.shards)
-                elif chosen.effective_shards > 1:
-                    from repro.controller.dispatch import ParallelDispatcher
-
-                    result = ParallelDispatcher(
-                        engine, backend=self.backend, jit=jit
-                    ).execute(
-                        prepared.calls, inputs, shards=chosen.effective_shards
-                    )
-                else:
-                    result = self._controller(engine, jit=jit).execute(
-                        prepared.compiled,
-                        dict(inputs),
-                        structure_key=prepared.structure_key,
-                    )
+                result = Executors(engine, self.backend).run(prepared, inputs)
         finally:
             deactivate(token)
         self._finish_trace(trace, result)
-        return self._attach_reports(result, prepared)
+        return prepared.attach(result)
 
     def run_batch(
         self,
@@ -826,7 +800,6 @@ class PlutoSession:
         engine: "PlutoEngine | None" = None,
         parallel: bool = False,
         plan: "ExecutionPlan | str | None" = None,
-        optimize: object = _LEGACY_UNSET,
     ) -> BatchResult:
         """Execute this program once per input set in ``batch``.
 
@@ -840,26 +813,19 @@ class PlutoSession:
         ``plan`` accepts an :class:`~repro.plan.ExecutionPlan` or
         ``"auto"`` exactly as in :meth:`run`, restricted to unsharded
         plans — each job is one whole program; per-job sharding goes
-        through :meth:`run`.  The deprecated ``optimize=`` keyword
-        builds the equivalent plan with a ``DeprecationWarning``.
+        through :meth:`run`.
         """
-        resolved = self._resolve_plan_argument(
-            plan, engine, entry="run_batch", hierarchical=False, optimize=optimize
-        )
         trace = new_trace("session.run_batch")
         token = activate(trace)
         try:
-            prepared = self._prepare_execution(resolved, engine, modes=("single",))
-            chosen = prepared.plan
-            if chosen.hierarchical or chosen.effective_shards > 1:
+            prepared = self._prepare(plan, engine, modes=("single",))
+            if prepared.compiled is None:
                 raise ConfigurationError(
                     "run_batch executes each job as one unsharded program; "
                     "sharded/hierarchical plans go through run()"
                 )
             compiled, structure_key = prepared.compiled, prepared.structure_key
-            controller = self._controller(
-                engine, jit=chosen.tier != "interpreted"
-            )
+            controller = Executors(engine, self.backend).controller(prepared.plan)
             if not parallel:
                 with span_of(trace, "execute") as span:
                     results = [
@@ -869,8 +835,7 @@ class PlutoSession:
                         for inputs in batch
                     ]
                     span.set(jobs=len(results))
-                batch_result = BatchResult(results=results, request_trace=trace)
-                return self._attach_batch_reports(batch_result, prepared)
+                return prepared.attach(BatchResult(results=results, request_trace=trace))
             from repro.controller.dispatch import merged_makespan_ns
 
             jobs = list(batch)
@@ -904,11 +869,8 @@ class PlutoSession:
                 )
         finally:
             deactivate(token)
-        return self._attach_batch_reports(
-            BatchResult(
-                results=results, makespan_ns=makespan, request_trace=trace
-            ),
-            prepared,
+        return prepared.attach(
+            BatchResult(results=results, makespan_ns=makespan, request_trace=trace)
         )
 
     def run_hierarchical(
@@ -917,8 +879,6 @@ class PlutoSession:
         *,
         engine: "PlutoEngine | None" = None,
         plan: "ExecutionPlan | str | None" = None,
-        shards: object = _LEGACY_UNSET,
-        optimize: object = _LEGACY_UNSET,
     ) -> "HierarchicalExecutionResult":
         """Execute this program spread over the full DRAM hierarchy.
 
@@ -932,47 +892,29 @@ class PlutoSession:
         ``plan`` follows :meth:`run` but is forced hierarchical:
         explicit plans may narrow the placement
         (``ExecutionPlan(hierarchical=True, channels=..., ranks=...)``)
-        or pin the shard count, and ``"auto"`` searches hierarchical
-        candidates only.  The deprecated ``shards=`` / ``optimize=``
-        keywords build the equivalent plan with a
-        ``DeprecationWarning``; shards default to every bank in the
-        device.
+        or pin the shard count, which defaults to every bank in the
+        device; ``"auto"`` searches hierarchical candidates only.
         """
-        from repro.controller.hierarchy import HierarchicalDispatcher
+        from dataclasses import replace
 
-        resolved = self._resolve_plan_argument(
-            plan,
-            engine,
-            entry="run_hierarchical",
-            hierarchical=True,
-            shards=shards,
-            optimize=optimize,
-        )
+        requested = _requested_plan(plan, engine)
+        if not requested.is_auto and not requested.hierarchical:
+            requested = replace(requested, hierarchical=True)
         trace = new_trace("session.run_hierarchical")
         token = activate(trace)
         try:
-            prepared = self._prepare_execution(
-                resolved, engine, modes=("hierarchy",)
-            )
-            chosen = prepared.plan
-            if not chosen.hierarchical:
+            prepared = self._prepare(requested, engine, modes=("hierarchy",))
+            if not prepared.plan.hierarchical:
                 raise ConfigurationError(
                     "run_hierarchical needs a hierarchical plan; got "
-                    f"{chosen.label()!r}"
+                    f"{prepared.plan.label()!r}"
                 )
             with span_of(trace, "execute"):
-                result = HierarchicalDispatcher(
-                    engine,
-                    backend=self.backend,
-                    jit=chosen.tier != "interpreted",
-                    channels=chosen.channels,
-                    ranks=chosen.ranks,
-                ).execute(prepared.calls, inputs, shards=chosen.shards)
+                result = Executors(engine, self.backend).run(prepared, inputs)
         finally:
             deactivate(token)
         self._finish_trace(trace, result)
-        self._attach_reports(result, prepared)
-        return result
+        return prepared.attach(result)
 
     def serve(
         self,
@@ -981,9 +923,6 @@ class PlutoSession:
         max_queue: int = 64,
         max_batch: int = 16,
         plan: "ExecutionPlan | str | None" = None,
-        hierarchical: object = _LEGACY_UNSET,
-        shards: object = _LEGACY_UNSET,
-        optimize: object = _LEGACY_UNSET,
         verify: bool = True,
     ) -> "PlutoService":
         """An async serving frontend bound to this session's program.
@@ -994,10 +933,8 @@ class PlutoSession:
 
         ``plan`` is the service-wide execution plan (see :meth:`run`);
         ``"auto"`` plans each distinct request structure once through the
-        cost-based planner.  The deprecated ``hierarchical=`` /
-        ``shards=`` / ``optimize=`` keywords build the equivalent plan
-        with a ``DeprecationWarning``.  ``verify=True`` (the default)
-        rejects malformed request programs at submission with
+        cost-based planner.  ``verify=True`` (the default) rejects
+        malformed request programs at submission with
         :class:`~repro.errors.VerificationError` carrying the verifier's
         diagnostics.  See :mod:`repro.api.service`.
         """
@@ -1009,9 +946,6 @@ class PlutoSession:
             max_queue=max_queue,
             max_batch=max_batch,
             plan=plan,
-            hierarchical=hierarchical,
-            shards=shards,
-            optimize=optimize,
             verify=verify,
         )
 
@@ -1078,27 +1012,29 @@ def execute_batch(
 ) -> BatchResult:
     """Execute many (session, inputs) jobs, deduplicating compilation.
 
-    Structurally identical programs in the batch compile once (the
-    process-wide program cache is keyed on program structure), and one
-    controller per backend is shared across all jobs so LUT gather arrays
-    are reused.  ``backend`` overrides every session's own selection when
-    given.
+    Each job runs as :meth:`PlutoSession.run` would under the engine's
+    default plan.  Structurally identical programs in the batch compile
+    once (the process-wide program cache is keyed on program structure),
+    and one set of executors per backend is shared across all jobs so
+    LUT gather arrays are reused.  ``backend`` overrides every session's
+    own selection when given.
     """
-    from repro.controller.executor import PlutoController
+    from repro.analyze.verifier import verification_enabled
 
-    controllers: dict[object, PlutoController] = {}
+    plan = _requested_plan(None, engine)
+    verify = engine is not None and verification_enabled(engine.config.verify)
+    executors: dict[object, Executors] = {}
     results = []
     for session, inputs in jobs:
         selection = backend if backend is not None else session.backend
-        # Names share one controller per name; distinct backend instances
-        # each keep their own controller.
+        # Names share one set of executors per name; distinct backend
+        # instances each keep their own.
         key = selection if isinstance(selection, str) else id(selection)
-        controller = controllers.get(key)
-        if controller is None:
-            controller = PlutoController(engine, backend=selection)
-            controllers[key] = controller
-        compiled, structure_key = compile_cached_with_key(session.calls)
-        results.append(
-            controller.execute(compiled, dict(inputs), structure_key=structure_key)
+        runner = executors.get(key)
+        if runner is None:
+            runner = executors[key] = Executors(engine, selection)
+        prepared = prepare_execution(
+            session.calls, engine, plan, backend=selection, verify=verify
         )
+        results.append(prepared.attach(runner.run(prepared, inputs)))
     return BatchResult(results=results)

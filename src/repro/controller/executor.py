@@ -145,7 +145,8 @@ class ExecutionResult:
     #: Name of the execution backend that produced the functional outputs.
     backend: str = "functional"
     #: Report of the pre-compilation program optimization, when one ran
-    #: (``PlutoSession.run(..., optimize=True)`` and friends).
+    #: (``PlutoSession.run(..., plan=ExecutionPlan(optimize=True))`` and
+    #: friends).
     optimization: "OptimizationReport | None" = None
     #: The concrete :class:`~repro.plan.execution_plan.ExecutionPlan`
     #: this execution ran under (set by the session front doors).

@@ -68,8 +68,8 @@ class PlutoConfig:
 
     ``optimize`` makes every execution routed through an engine built
     from this configuration run the program optimizer
-    (:mod:`repro.opt`) before compilation by default; per-call
-    ``optimize=`` arguments on the session entry points still override
+    (:mod:`repro.opt`) before compilation by default; a per-call
+    ``plan=ExecutionPlan(optimize=...)`` that sets the flag overrides
     it either way.
 
     ``verify`` runs the static verifier (:mod:`repro.analyze`) over the

@@ -14,10 +14,12 @@ without changing a single output bit:
 * **LUT deduplication** — content-identical tables share one subarray
   allocation and ROM load (:class:`~repro.opt.passes.LutDeduplicationPass`).
 
-The pipeline runs before compilation (``PlutoSession.run(...,
-optimize=True)``, ``PlutoConfig(optimize=True)``, ``PlutoService(...,
-optimize=True)``), and every optimization is summarised by an
-:class:`~repro.opt.report.OptimizationReport`.
+The pipeline runs before compilation under any plan with
+``optimize=True`` (``PlutoSession.run(...,
+plan=ExecutionPlan(optimize=True))``, ``PlutoService(...,
+plan=ExecutionPlan(optimize=True))``) or on an engine built from
+``PlutoConfig(optimize=True)``, and every optimization is summarised by
+an :class:`~repro.opt.report.OptimizationReport`.
 """
 
 from repro.opt.compose import can_compose, compose_cache_stats, compose_luts

@@ -2,8 +2,8 @@
 
 Given a recorded program and an engine, :func:`plan_program` enumerates
 candidate execution configurations — shard counts, channel/rank
-placements, optimizer on/off, execution tier — prices each with the
-memoized analytic makespan model (the same
+placements, optimizer on/off — prices each with the memoized analytic
+makespan model (the same
 :func:`~repro.controller.dispatch.merged_makespan_ns` /
 :func:`~repro.controller.hierarchy.hierarchical_makespan_ns` the
 dispatchers charge executions with, backed by
@@ -251,12 +251,16 @@ def _placements(
     return placements
 
 
-def _tiers(request: ExecutionPlan, supports_batched: bool) -> tuple[str, ...]:
+def _tier(request: ExecutionPlan, supports_batched: bool) -> str:
+    """The execution tier every candidate runs on.
+
+    The pinned tier if the request has one, else the backend's fastest.
+    The tier never changes the modelled makespan and the compiled tier
+    costs less host time, so no other tier is worth pricing.
+    """
     if request.tier != "auto":
-        return (request.tier,)
-    if supports_batched:
-        return ("compiled", "interpreted")
-    return ("interpreted",)
+        return request.tier
+    return "compiled" if supports_batched else "interpreted"
 
 
 def _template_for(
@@ -282,13 +286,9 @@ def _tier_run_cost_s(tier: str, instructions: int, priors: CostPriors) -> float:
     return instructions * per_instruction
 
 
-def _complexity(plan: ExecutionPlan) -> tuple[int, int, int]:
+def _complexity(plan: ExecutionPlan) -> tuple[int, int]:
     """Tie-break ordering: prefer simpler plans at equal cost."""
-    return (
-        1 if plan.hierarchical else 0,
-        plan.effective_shards,
-        0 if plan.tier == "compiled" else 1,
-    )
+    return (1 if plan.hierarchical else 0, plan.effective_shards)
 
 
 def _verify_chosen(
@@ -341,7 +341,7 @@ def _enumerate(
 
     controller = PlutoController(engine, backend="vectorized", jit=False)
     geometry = engine.geometry
-    tiers = _tiers(request, supports_batched)
+    tier = _tier(request, supports_batched)
     optimize_options = (
         (bool(request.optimize),)
         if request.optimize is not None
@@ -398,20 +398,15 @@ def _enumerate(
                 continue
             whole = template_of(plan_calls, size if size is not None else -1)
             compile_cost_s = len(plan_calls) * priors.compile_s_per_call
-            for tier in tiers:
-                candidates.append(
-                    CandidatePlan(
-                        plan=ExecutionPlan(
-                            shards=1, optimize=optimize, tier=tier
-                        ),
-                        predicted_makespan_ns=whole.total_latency_ns,
-                        wall_cost_s=optimize_cost_s
-                        + compile_cost_s
-                        + _tier_run_cost_s(
-                            tier, whole.instructions_executed, priors
-                        ),
-                    )
+            candidates.append(
+                CandidatePlan(
+                    plan=ExecutionPlan(shards=1, optimize=optimize, tier=tier),
+                    predicted_makespan_ns=whole.total_latency_ns,
+                    wall_cost_s=optimize_cost_s
+                    + compile_cost_s
+                    + _tier_run_cost_s(tier, whole.instructions_executed, priors),
                 )
+            )
         if size is None:
             continue
 
@@ -439,18 +434,15 @@ def _enumerate(
                 compile_cost_s = (
                     distinct * len(plan_calls) * priors.compile_s_per_call
                 )
-                for tier in tiers:
-                    candidates.append(
-                        CandidatePlan(
-                            plan=ExecutionPlan(
-                                shards=shards, optimize=optimize, tier=tier
-                            ),
-                            predicted_makespan_ns=predicted,
-                            wall_cost_s=optimize_cost_s
-                            + compile_cost_s
-                            + _tier_run_cost_s(tier, instructions, priors),
-                        )
+                candidates.append(
+                    CandidatePlan(
+                        plan=ExecutionPlan(shards=shards, optimize=optimize, tier=tier),
+                        predicted_makespan_ns=predicted,
+                        wall_cost_s=optimize_cost_s
+                        + compile_cost_s
+                        + _tier_run_cost_s(tier, instructions, priors),
                     )
+                )
 
         if "hierarchy" in effective_modes:
             for channels, ranks in _placements(
@@ -483,23 +475,22 @@ def _enumerate(
                         channels if channels != geometry.channels else None
                     )
                     plan_ranks = ranks if ranks != geometry.ranks else None
-                    for tier in tiers:
-                        candidates.append(
-                            CandidatePlan(
-                                plan=ExecutionPlan(
-                                    shards=shards,
-                                    hierarchical=True,
-                                    channels=plan_channels,
-                                    ranks=plan_ranks,
-                                    optimize=optimize,
-                                    tier=tier,
-                                ),
-                                predicted_makespan_ns=predicted,
-                                wall_cost_s=optimize_cost_s
-                                + compile_cost_s
-                                + _tier_run_cost_s(tier, instructions, priors),
-                            )
+                    candidates.append(
+                        CandidatePlan(
+                            plan=ExecutionPlan(
+                                shards=shards,
+                                hierarchical=True,
+                                channels=plan_channels,
+                                ranks=plan_ranks,
+                                optimize=optimize,
+                                tier=tier,
+                            ),
+                            predicted_makespan_ns=predicted,
+                            wall_cost_s=optimize_cost_s
+                            + compile_cost_s
+                            + _tier_run_cost_s(tier, instructions, priors),
                         )
+                    )
     return candidates, calls_by_optimize
 
 

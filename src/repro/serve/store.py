@@ -203,18 +203,23 @@ def collect_artifacts(
 ) -> WarmArtifacts:
     """Run the warm-path pipeline for ``calls`` and bundle its products.
 
-    Every step goes through the normal memoized front doors
-    (``plan_program`` / ``optimize_cached`` / ``verify_cached`` /
-    ``compile_cached`` / ``trace_template``), so collecting from a
-    process that already served the shape is pure cache hits — a worker
-    can export what it just served at negligible cost.
+    The program is prepared exactly as the execution front doors prepare
+    it (:func:`repro.api.session.prepare_execution`: plan, optimize,
+    compile, verify — a program with verification errors is rejected),
+    so collecting from a process that already served the shape is pure
+    cache hits — a worker can export what it just served at negligible
+    cost.  Sharded plans additionally compile the whole program for its
+    trace template, and every distinct shard slice.
     """
     from repro.analyze.verifier import verify_cached
-    from repro.api.session import compile_cached_with_key, hashable_structure_key
+    from repro.api.session import (
+        compile_cached_with_key,
+        hashable_structure_key,
+        prepare_execution,
+    )
     from repro.controller.executor import PlutoController
-    from repro.opt.pipeline import optimize_cached
     from repro.plan.execution_plan import resolve_plan
-    from repro.plan.planner import plan_program
+    from repro.plan.planner import PlannedExecution
 
     engine = _resolve_engine(engine)
     structure_key = hashable_structure_key(calls)
@@ -224,39 +229,26 @@ def collect_artifacts(
             "is unhashable (list-valued call parameters)"
         )
     request = resolve_plan(plan if plan is not None else engine.config.plan)
-    planned = None
-    if request.is_auto:
-        planned = plan_program(
-            list(calls),
-            engine,
-            request=request,
-            modes=modes,
-            supports_batched=supports_batched,
-            subject="warm-start",
-        )
-        concrete = planned.plan
-    else:
-        concrete = request
-    optimize = concrete.optimize
-    if optimize is None:
-        optimize = engine.config.optimize
-    optimized = None
-    executed_calls = list(calls)
-    if optimize:
-        optimized = optimize_cached(list(calls))
-        executed_calls = list(optimized.calls)
-    executed_key = hashable_structure_key(executed_calls)
-    compiled, executed_key = compile_cached_with_key(
-        executed_calls, executed_key
+    prepared = prepare_execution(
+        calls,
+        engine,
+        request,
+        # Any backend with the requested batching capability plans alike.
+        backend="vectorized" if supports_batched else "functional",
+        modes=modes,
+        verify=True,
+        subject="warm-start",
     )
-    verification = (
-        verify_cached(executed_calls, key=executed_key, subject="warm-start")
-        if executed_key is not None
-        else None
-    )
+    concrete = prepared.plan
+    executed_calls = prepared.calls
+    executed_key = prepared.structure_key
+    assert executed_key is not None  # hashable raw key => hashable rewrite
+    compiled = prepared.compiled
+    if compiled is None:
+        compiled, _ = compile_cached_with_key(executed_calls, executed_key)
+    verification = verify_cached(executed_calls, key=executed_key, subject="warm-start")
     controller = PlutoController(engine, backend="vectorized", jit=False)
     template = controller.trace_template(compiled, structure_key=executed_key)
-    assert executed_key is not None  # hashable raw key => hashable rewrite
 
     shard_products: list[ShardArtifacts] = []
     if concrete.hierarchical or concrete.effective_shards > 1:
@@ -296,8 +288,12 @@ def collect_artifacts(
         request_plan=request,
         plan_modes=tuple(modes),
         supports_batched=supports_batched,
-        planned=planned,
-        optimized=optimized,
+        planned=(
+            PlannedExecution(plan=concrete, report=prepared.planner)
+            if prepared.planner is not None
+            else None
+        ),
+        optimized=prepared.optimized,
         executed_key=executed_key,
         verification=verification,
         compiled=compiled,

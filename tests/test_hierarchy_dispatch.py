@@ -18,6 +18,7 @@ from repro.core.engine import PlutoConfig, PlutoEngine
 from repro.dram.commands import Command, CommandType
 from repro.dram.geometry import DRAMGeometry
 from repro.errors import ConfigurationError, ExecutionError
+from repro.plan import ExecutionPlan
 
 ELEMENTS = 1024
 
@@ -240,7 +241,9 @@ class TestSessionSurface:
         session, inputs = _program()
         reference = session.run(inputs)
         engine = _engine(2, 2)
-        result = session.run_hierarchical(inputs, engine=engine, shards=8)
+        result = session.run_hierarchical(
+            inputs, engine=engine, plan=ExecutionPlan(hierarchical=True, shards=8)
+        )
         assert isinstance(result, HierarchicalExecutionResult)
         assert np.array_equal(result.outputs["out"], reference.outputs["out"])
         assert result.parallel_speedup > 1.0

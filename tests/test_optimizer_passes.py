@@ -11,6 +11,7 @@ from repro.core.engine import PlutoConfig, PlutoEngine
 from repro.core.lut import LookupTable, lut_from_function
 from repro.errors import CompilationError
 from repro.isa.instructions import PlutoSubarrayAlloc
+from repro.plan import ExecutionPlan
 from repro.opt import (
     CommonSubexpressionEliminationPass,
     DeadOpEliminationPass,
@@ -293,7 +294,7 @@ class TestSessionIntegration:
         session = _chain_session()
         inputs = _inputs()
         plain = session.run(inputs)
-        optimized = session.run(inputs, optimize=True)
+        optimized = session.run(inputs, plan=ExecutionPlan(optimize=True))
         assert sorted(plain.outputs) == sorted(optimized.outputs)
         for name in plain.outputs:
             assert np.array_equal(plain.outputs[name], optimized.outputs[name])
@@ -307,15 +308,16 @@ class TestSessionIntegration:
         inputs = _inputs()
         engine = PlutoEngine(PlutoConfig(optimize=True))
         assert session.run(inputs, engine=engine).optimization is not None
-        assert (
-            session.run(inputs, engine=engine, optimize=False).optimization is None
+        unoptimized = session.run(
+            inputs, engine=engine, plan=ExecutionPlan(optimize=False)
         )
+        assert unoptimized.optimization is None
 
     def test_sharded_run_plans_over_optimized_calls(self):
         session = _chain_session()
         inputs = _inputs()
-        plain = session.run(inputs, shards=4)
-        optimized = session.run(inputs, shards=4, optimize=True)
+        plain = session.run(inputs, plan=ExecutionPlan(shards=4))
+        optimized = session.run(inputs, plan=ExecutionPlan(shards=4, optimize=True))
         assert np.array_equal(plain.outputs["c"], optimized.outputs["c"])
         assert optimized.lut_queries < plain.lut_queries
         assert optimized.makespan_ns < plain.makespan_ns
@@ -325,14 +327,16 @@ class TestSessionIntegration:
         session = _chain_session()
         inputs = _inputs()
         plain = session.run_hierarchical(inputs)
-        optimized = session.run_hierarchical(inputs, optimize=True)
+        optimized = session.run_hierarchical(
+            inputs, plan=ExecutionPlan(hierarchical=True, optimize=True)
+        )
         assert np.array_equal(plain.outputs["c"], optimized.outputs["c"])
         assert optimized.makespan_ns < plain.makespan_ns
 
     def test_run_batch_optimizes_once(self):
         session = _chain_session()
         inputs = _inputs()
-        batch = session.run_batch([inputs, inputs], optimize=True)
+        batch = session.run_batch([inputs, inputs], plan=ExecutionPlan(optimize=True))
         plain = session.run(inputs)
         for result in batch:
             assert np.array_equal(result.outputs["c"], plain.outputs["c"])
@@ -346,7 +350,7 @@ class TestUnhashablePrograms:
         session.calls[0].parameters["taps"] = [1, 2, 3]
         inputs = _inputs()
         plain = session.run(inputs)
-        optimized = session.run(inputs, optimize=True)  # must not raise
+        optimized = session.run(inputs, plan=ExecutionPlan(optimize=True))  # must not raise
         for name in plain.outputs:
             assert np.array_equal(plain.outputs[name], optimized.outputs[name])
         assert optimizer_cache_stats()["uncached"] == 1  # bypassed, not cached

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import warnings
+import asyncio
 
 import numpy as np
 import pytest
@@ -228,39 +228,43 @@ class TestAutoMatchesStatic:
         assert auto.latency_ns <= min(static) * 1.005
 
 
-class TestDeprecatedShims:
-    def test_run_shards_kwarg_builds_equivalent_plan(self):
-        session, inputs = _add_program()
-        with pytest.warns(DeprecationWarning, match="run\\(shards=\\)"):
-            legacy = session.run(inputs, shards=4)
-        explicit = session.run(inputs, plan=ExecutionPlan(shards=4))
-        assert legacy.execution_plan == explicit.execution_plan
-        assert legacy.latency_ns == explicit.latency_ns
-        for name in explicit.outputs:
-            assert np.array_equal(legacy.outputs[name], explicit.outputs[name])
+class TestRemovedKeywords:
+    def test_removed_keywords_raise_type_error(self):
+        """The per-entry-point knobs are gone; only ``plan=`` remains."""
+        from repro.api import PlutoService
+        from repro.evaluation.harness import EvaluationHarness
 
-    def test_run_optimize_kwarg_builds_equivalent_plan(self):
-        session, inputs = _add_program()
-        with pytest.warns(DeprecationWarning, match="optimize="):
-            legacy = session.run(inputs, optimize=True)
-        explicit = session.run(inputs, plan=ExecutionPlan(optimize=True))
-        assert legacy.execution_plan == explicit.execution_plan
-        assert legacy.latency_ns == explicit.latency_ns
+        session, inputs = _add_program(256)
+        harness = EvaluationHarness()
+        calls = [
+            lambda: session.run(inputs, shards=4),
+            lambda: session.run(inputs, optimize=True),
+            lambda: session.run_batch([inputs], optimize=True),
+            lambda: session.run_hierarchical(inputs, shards=8),
+            lambda: session.run_hierarchical(inputs, optimize=True),
+            lambda: session.serve(hierarchical=True),
+            lambda: session.serve(shards=8),
+            lambda: session.serve(optimize=True),
+            lambda: PlutoService(session, hierarchical=True),
+            lambda: PlutoService(session, shards=8),
+            lambda: PlutoService(session, optimize=True),
+            lambda: harness.execute_program(session, inputs, shards=4),
+            lambda: harness.execute_program(session, inputs, optimize=True),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                call()
 
-    def test_run_rejects_plan_plus_legacy_kwargs(self):
-        session, inputs = _add_program()
-        with pytest.raises(ConfigurationError):
-            session.run(inputs, plan=ExecutionPlan(shards=2), shards=4)
+        async def submit(nowait: bool):
+            async with session.serve() as service:
+                if nowait:
+                    service.submit_nowait(inputs, optimize=True)
+                else:
+                    await service.submit(inputs, optimize=True)
 
-    def test_run_hierarchical_shims_and_plan(self):
-        session, inputs = _add_program()
-        with pytest.warns(DeprecationWarning):
-            legacy = session.run_hierarchical(inputs, shards=8)
-        explicit = session.run_hierarchical(
-            inputs, plan=ExecutionPlan(hierarchical=True, shards=8)
-        )
-        assert legacy.num_shards == explicit.num_shards == 8
-        assert legacy.latency_ns == explicit.latency_ns
+        for nowait in (False, True):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                asyncio.run(submit(nowait))
 
     def test_run_hierarchical_coerces_plain_plans(self):
         session, inputs = _add_program()
@@ -268,21 +272,10 @@ class TestDeprecatedShims:
         assert result.execution_plan.hierarchical
         assert result.num_shards == 4
 
-    def test_run_batch_optimize_shim_and_plan_restriction(self):
+    def test_run_batch_rejects_sharded_plans(self):
         session, inputs = _add_program(256)
-        with pytest.warns(DeprecationWarning):
-            legacy = session.run_batch([inputs], optimize=True)
-        explicit = session.run_batch([inputs], plan=ExecutionPlan(optimize=True))
-        assert legacy.total_latency_ns == explicit.total_latency_ns
         with pytest.raises(ConfigurationError):
             session.run_batch([inputs], plan=ExecutionPlan(shards=4))
-
-    def test_no_warning_on_plan_only_calls(self):
-        session, inputs = _add_program(256)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            session.run(inputs, plan=ExecutionPlan(shards=2))
-            session.run(inputs, plan="auto")
 
 
 class TestAutoOnEntryPoints:

@@ -19,6 +19,7 @@ from repro.core.designs import PlutoDesign
 from repro.core.engine import PlutoConfig, PlutoEngine
 from repro.dram.scheduler import activation_count, tfaw_lower_bound_ns
 from repro.errors import ConfigurationError
+from repro.plan import ExecutionPlan
 
 
 ELEMENTS = 4096
@@ -162,12 +163,12 @@ class TestSessionSurface:
     def test_run_with_shards(self):
         session, inputs = _program()
         reference = session.run(inputs)
-        sharded = session.run(inputs, shards=4)
+        sharded = session.run(inputs, plan=ExecutionPlan(shards=4))
         assert isinstance(sharded, ShardedExecutionResult)
         assert np.array_equal(sharded.outputs["final"], reference.outputs["final"])
         assert sharded.parallel_speedup > 1.0
         with pytest.raises(ConfigurationError):
-            session.run(inputs, shards=0)
+            session.run(inputs, plan=ExecutionPlan(shards=0))
 
     def test_run_batch_parallel_makespan(self):
         session, inputs = _program(1024)
@@ -190,7 +191,7 @@ class TestSessionSurface:
         """The session surface, not just the planner, explains the limit."""
         session, inputs = _program(64)
         with pytest.raises(ConfigurationError, match="16 banks"):
-            session.run(inputs, shards=17)
+            session.run(inputs, plan=ExecutionPlan(shards=17))
 
     def test_run_batch_parallel_warns_when_oversubscribed(self):
         """More jobs than banks clamps round-robin with a warning.
@@ -226,7 +227,9 @@ class TestSessionSurface:
         session, inputs = _program(1024)
         harness = EvaluationHarness()
         plain = harness.execute_program(session, inputs)
-        sharded = harness.execute_program(session, inputs, shards=4)
+        sharded = harness.execute_program(
+            session, inputs, plan=ExecutionPlan(shards=4)
+        )
         assert set(sharded) == set(plain)
         for label, result in sharded.items():
             assert isinstance(result, ShardedExecutionResult)

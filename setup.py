@@ -6,9 +6,11 @@ environments with older setuptools/pip combinations (no ``wheel`` package
 available for PEP 660 builds).  ``pyproject.toml`` holds the build-system
 pin and the ruff configuration CI lints with.
 
-CI installs the package as ``pip install -e .[test]``; the ``test`` extra
-matches exactly what the workflow jobs need to run the tier-1 suite and
-the benchmarks.
+The tests, sharded-smoke and perf-track CI jobs install the package as
+``pip install -e .[test]``; the ``test`` extra matches exactly what they
+need to run the tier-1 suite and the benchmarks.  The lint and
+examples-smoke jobs install it without the extra: ``numpy`` is the only
+runtime dependency.
 """
 
 from setuptools import find_packages, setup

@@ -25,8 +25,9 @@ controller or dispatcher that executes it.
 
 from __future__ import annotations
 
+import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -36,6 +37,7 @@ from repro.api.luts import BITWISE_OPERATIONS, add_lut, bitwise_lut, multiply_lu
 from repro.core.lut import LookupTable
 from repro.errors import ConfigurationError, ReproError, VerificationError
 from repro.obs.trace import NOOP_SPAN, activate, deactivate, new_trace, span_of, stage
+from repro.utils.memo import BoundedMemo
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.analyze.diagnostics import VerificationReport
@@ -70,8 +72,14 @@ __all__ = [
 ]
 
 
-#: Process-wide compiled-program cache: structure key -> CompiledProgram.
-_PROGRAM_CACHE: dict[tuple, "CompiledProgram"] = {}
+#: Process-wide compiled-program cache: structure key -> CompiledProgram,
+#: bounded like the trace templates so a stream of never-seen programs
+#: cannot grow it without limit.
+_PROGRAM_CACHE: "BoundedMemo[CompiledProgram]" = BoundedMemo(1024)
+
+#: Bumped by :func:`clear_all_caches`; a session's warm entries made
+#: before the bump no longer serve runs.
+_generation = 0
 
 
 def program_structure_key(calls: Sequence[ApiCall]) -> tuple:
@@ -121,11 +129,12 @@ def compile_cached_with_key(
     if key is _KEY_UNSET:
         key = hashable_structure_key(calls)
     if key is None:
+        _PROGRAM_CACHE.note_uncached()
         return PlutoCompiler().compile(list(calls)), None
     compiled = _PROGRAM_CACHE.get(key)
     if compiled is None:
         compiled = PlutoCompiler().compile(list(calls))
-        _PROGRAM_CACHE[key] = compiled
+        _PROGRAM_CACHE.put(key, compiled)
     return compiled, key
 
 
@@ -140,11 +149,11 @@ def seed_program_cache(key: tuple, compiled: "CompiledProgram") -> None:
     The warm-start path of :mod:`repro.serve.store` uses this to make a
     fresh process's first compile of a known structure a cache hit.
     """
-    _PROGRAM_CACHE[key] = compiled
+    _PROGRAM_CACHE.put(key, compiled)
 
 
 def clear_program_cache() -> None:
-    """Drop every cached compiled program.
+    """Drop every cached compiled program and reset the cache's counters.
 
     Only the compiled-program cache is cleared; the memoized LUT builders
     (:mod:`repro.api.luts`) and the gather-array cache
@@ -169,13 +178,20 @@ def cache_stats() -> dict[str, dict]:
     exposed as :meth:`PlutoSession.cache_stats` and through
     :meth:`~repro.api.service.ServiceStats.cache_stats`, so the serving
     layer can report memo effectiveness.
+
+    The layers keyed on program structure or table contents are bounded:
+    ``programs`` and ``lut_gather_arrays`` hold at most 1024 entries each
+    and report ``hits``, ``misses``, ``uncached`` and ``size`` like the
+    other memo layers.  A session's
+    warm entries (see :meth:`PlutoSession.run`) belong to the session and
+    are not process-wide, so they do not appear here.
     """
     from repro.analyze.verifier import verifier_cache_stats
     from repro.backend.compiled import compiled_exec_stats
     from repro.controller.dispatch import engine_helper_cache_stats
     from repro.controller.executor import trace_template_stats
     from repro.controller.hierarchy import hierarchy_cache_stats
-    from repro.core.lut import gather_cache_size
+    from repro.core.lut import gather_cache_stats
     from repro.dram.analytic import merge_cache_stats
     from repro.opt.compose import compose_cache_stats
     from repro.opt.pipeline import optimizer_cache_stats
@@ -184,7 +200,7 @@ def cache_stats() -> dict[str, dict]:
     from repro.serve.store import shared_store_stats
 
     stats = {
-        "programs": {"size": program_cache_size()},
+        "programs": _PROGRAM_CACHE.stats(),
         "shared_store": shared_store_stats(),
         "verifier": verifier_cache_stats(),
         "optimizer": optimizer_cache_stats(),
@@ -195,7 +211,7 @@ def cache_stats() -> dict[str, dict]:
         "scheduler_merges": merge_cache_stats(),
         "hierarchy_schedules": hierarchy_cache_stats(),
         "engine_helpers": engine_helper_cache_stats(),
-        "lut_gather_arrays": {"size": gather_cache_size()},
+        "lut_gather_arrays": gather_cache_stats(),
     }
     # Mirror every snapshot into the unified metrics registry
     # (``pluto_cache_*`` gauges) without changing the dict shape callers
@@ -212,8 +228,11 @@ def clear_all_caches() -> None:
     whole-program compiled closures, scheduler merges, hierarchical
     schedules, the pure per-engine helpers, and the LUT gather arrays —
     so tests and long-running services stop clearing layers one by one
-    (and new layers are covered automatically).
+    (and new layers are covered automatically).  It also retires every
+    session's warm entries, so the next run of any session prepares its
+    program again and counts the same cache misses as a fresh session.
     """
+    global _generation
     from repro.analyze.verifier import clear_verifier_cache
     from repro.backend.compiled import clear_compiled_programs
     from repro.controller.dispatch import clear_engine_helper_caches
@@ -226,6 +245,7 @@ def clear_all_caches() -> None:
     from repro.plan.planner import clear_planner_cache
     from repro.serve.store import reset_shared_store_stats
 
+    _generation += 1
     clear_program_cache()
     reset_shared_store_stats()
     clear_verifier_cache()
@@ -415,7 +435,7 @@ def prepare_execution(
     structure_key = hashable_structure_key(calls)
     compiled: "CompiledProgram | None" = None
     if not plan.hierarchical and plan.effective_shards == 1:
-        span = NOOP_SPAN if structure_key in _PROGRAM_CACHE else stage("compile")
+        span = stage("compile") if _PROGRAM_CACHE.peek(structure_key) is None else NOOP_SPAN
         try:
             with span:
                 compiled, _ = compile_cached_with_key(calls, structure_key)
@@ -512,6 +532,39 @@ class Executors:
         return dispatcher.execute(prepared.calls, inputs, shards=plan.shards)
 
 
+#: Warm entries one session keeps; making one more drops them all.
+_WARM_ENTRIES = 8
+
+
+@dataclass
+class _WarmEntry:
+    """A session's prepared program with the executors that ran it.
+
+    It serves a run while the engine and the session's backend are the
+    same objects, the session holds the same call objects in the same
+    order with parameters equal to the snapshot taken here, and no
+    :func:`clear_all_caches` ran since it was made.
+    """
+
+    prepared: PreparedExecution
+    executors: Executors
+    calls: "list[ApiCall]"
+    parameters: "list[dict[str, Any]]"
+    generation: int
+
+    def serves(self, session: "PlutoSession", engine: "PlutoEngine | None") -> bool:
+        """Whether a run of ``session`` on ``engine`` may reuse this entry."""
+        calls = session.calls
+        return (
+            self.generation == _generation
+            and engine is self.executors.engine
+            and session.backend is self.executors.backend
+            and len(calls) == len(self.calls)
+            and all(map(operator.is_, calls, self.calls))
+            and [call.parameters for call in calls] == self.parameters
+        )
+
+
 def _requested_plan(
     plan: "ExecutionPlan | str | None", engine: "PlutoEngine | None"
 ) -> "ExecutionPlan":
@@ -536,6 +589,15 @@ class PlutoSession:
     calls: list[ApiCall] = field(default_factory=list)
     _counter: int = 0
     backend: "str | ExecutionBackend" = "vectorized"
+    #: (plan argument, planner search modes) -> warm entry (see :meth:`run`).
+    _warm: "dict[tuple, _WarmEntry]" = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Warm entries hold generated closures, which do not pickle; a
+        # copy prepares its program again on its first run.
+        return dict(self.__dict__, _warm={})
 
     # ------------------------------------------------------------------ #
     # Memory allocation (Section 6.2, "Memory Allocation")
@@ -716,12 +778,36 @@ class PlutoSession:
         self,
         plan: "ExecutionPlan | str | None",
         engine: "PlutoEngine | None",
-        modes: tuple[str, ...] = _ALL_MODES,
-    ) -> PreparedExecution:
-        """:func:`prepare_execution` of this program, verified per the engine."""
-        from repro.analyze.verifier import verification_enabled
+        modes: tuple[str, ...],
+    ) -> tuple[PreparedExecution, Executors]:
+        """The prepared program and executors of a run of this program.
 
-        return prepare_execution(
+        A warm entry per (``plan`` argument, ``modes``) serves repeated
+        runs (see :meth:`run` for when it is valid).  Otherwise the
+        program goes through :func:`prepare_execution`, verified per the
+        engine, on fresh executors, and the pair becomes the new entry.
+        The stored planner report is marked ``cached``, as the planner's
+        own memo would return it.
+
+        Two kinds of run get no entry.  Programs without a hashable
+        structure key: their parameters may hold containers that a
+        shallow snapshot cannot guard.  Runs on a backend without the
+        compiled tier (the functional oracle): it keeps every table's
+        subarray image until its next program, which an entry would pin
+        for the session's life, and its runs take milliseconds, so the
+        preparation an entry saves is noise there.
+        """
+        key = (plan, modes)
+        try:
+            entry = self._warm.get(key)
+        except TypeError:  # not a plan: _requested_plan below rejects it
+            entry = None
+        if entry is not None and entry.serves(self, engine):
+            return entry.prepared, entry.executors
+        from repro.analyze.verifier import verification_enabled
+        from repro.backend.base import resolve_backend
+
+        prepared = prepare_execution(
             self.calls,
             engine,
             _requested_plan(plan, engine),
@@ -729,6 +815,21 @@ class PlutoSession:
             modes=modes,
             verify=engine is not None and verification_enabled(engine.config.verify),
         )
+        executors = Executors(engine, self.backend)
+        if prepared.structure_key is not None and resolve_backend(self.backend).supports_batched:
+            stored = prepared
+            if prepared.planner is not None:
+                stored = replace(prepared, planner=replace(prepared.planner, cached=True))
+            if len(self._warm) >= _WARM_ENTRIES:
+                self._warm.clear()
+            self._warm[key] = _WarmEntry(
+                prepared=stored,
+                executors=executors,
+                calls=list(self.calls),
+                parameters=[dict(call.parameters) for call in self.calls],
+                generation=_generation,
+            )
+        return prepared, executors
 
     @staticmethod
     def _finish_trace(trace: "RequestTrace | None", result: "ExecutionResult") -> None:
@@ -781,13 +882,34 @@ class PlutoSession:
         before compilation, with the
         :class:`~repro.opt.report.OptimizationReport` on
         ``result.optimization``.
+
+        **Warm runs.**  The session keeps the prepared program (plan,
+        optimized calls, structure key, compiled program, planner report)
+        and the controller or dispatcher that ran it, one entry per
+        method and ``plan`` argument (up to eight; making a ninth drops
+        them all).
+        A later run reuses them, skipping planning, optimization, keying,
+        compilation, verification and executor construction, while all
+        of these hold: ``engine`` is the same object, ``session.backend``
+        is the same object, ``session.calls`` holds the same call objects
+        in the same order, each call's ``parameters`` equals what it was
+        when the entry was made, and no :func:`clear_all_caches` ran
+        since.  Anything else prepares the program again, as do runs on
+        a backend without the compiled tier (the functional oracle) and
+        programs whose structure key is not hashable.  Inputs are
+        validated on every run.  Warm results are those of a fresh
+        session, except that consecutive unsharded results share one
+        bank-0 :class:`~repro.dram.commands.CommandTrace`, as
+        :class:`~repro.api.service.PlutoService` results do; the stack
+        never mutates a returned trace, and callers should not either.
+        Concurrent runs on one session share its executors.
         """
         trace = new_trace("session.run")
         token = activate(trace)
         try:
-            prepared = self._prepare(plan, engine)
+            prepared, executors = self._prepare(plan, engine, _ALL_MODES)
             with span_of(trace, "execute"):
-                result = Executors(engine, self.backend).run(prepared, inputs)
+                result = executors.run(prepared, inputs)
         finally:
             deactivate(token)
         self._finish_trace(trace, result)
@@ -805,10 +927,11 @@ class PlutoSession:
 
         The program is compiled once and the controller (and therefore the
         backend with its cached LUT arrays) is reused across the whole
-        batch.  With ``parallel=True`` the jobs are placed round-robin
-        across the module's banks and the batch's ``total_latency_ns``
-        becomes the scheduler-derived makespan of the merged command
-        streams (the naive sum stays available as ``serial_latency_ns``).
+        batch, and across batches as warm runs of :meth:`run` are.  With
+        ``parallel=True`` the jobs are placed round-robin across the
+        module's banks and the batch's ``total_latency_ns`` becomes the
+        scheduler-derived makespan of the merged command streams (the
+        naive sum stays available as ``serial_latency_ns``).
 
         ``plan`` accepts an :class:`~repro.plan.ExecutionPlan` or
         ``"auto"`` exactly as in :meth:`run`, restricted to unsharded
@@ -818,14 +941,14 @@ class PlutoSession:
         trace = new_trace("session.run_batch")
         token = activate(trace)
         try:
-            prepared = self._prepare(plan, engine, modes=("single",))
+            prepared, executors = self._prepare(plan, engine, ("single",))
             if prepared.compiled is None:
                 raise ConfigurationError(
                     "run_batch executes each job as one unsharded program; "
                     "sharded/hierarchical plans go through run()"
                 )
             compiled, structure_key = prepared.compiled, prepared.structure_key
-            controller = Executors(engine, self.backend).controller(prepared.plan)
+            controller = executors.controller(prepared.plan)
             if not parallel:
                 with span_of(trace, "execute") as span:
                     results = [
@@ -893,24 +1016,23 @@ class PlutoSession:
         explicit plans may narrow the placement
         (``ExecutionPlan(hierarchical=True, channels=..., ranks=...)``)
         or pin the shard count, which defaults to every bank in the
-        device; ``"auto"`` searches hierarchical candidates only.
+        device; ``"auto"`` searches hierarchical candidates only.  Warm
+        runs reuse their prepared program as in :meth:`run`.
         """
-        from dataclasses import replace
-
         requested = _requested_plan(plan, engine)
         if not requested.is_auto and not requested.hierarchical:
             requested = replace(requested, hierarchical=True)
         trace = new_trace("session.run_hierarchical")
         token = activate(trace)
         try:
-            prepared = self._prepare(requested, engine, modes=("hierarchy",))
+            prepared, executors = self._prepare(requested, engine, ("hierarchy",))
             if not prepared.plan.hierarchical:
                 raise ConfigurationError(
                     "run_hierarchical needs a hierarchical plan; got "
                     f"{prepared.plan.label()!r}"
                 )
             with span_of(trace, "execute"):
-                result = Executors(engine, self.backend).run(prepared, inputs)
+                result = executors.run(prepared, inputs)
         finally:
             deactivate(token)
         self._finish_trace(trace, result)

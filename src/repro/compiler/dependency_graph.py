@@ -9,7 +9,7 @@ per-vector lifetime information used by the allocator.
 
 from __future__ import annotations
 
-import networkx as nx
+import heapq
 
 from repro.api.handles import ApiCall, PlutoVector
 from repro.errors import CompilationError
@@ -22,26 +22,22 @@ class DependencyGraph:
 
     def __init__(self, calls: list[ApiCall]) -> None:
         self.calls = list(calls)
-        self.graph = nx.DiGraph()
-        self._build()
-
-    def _build(self) -> None:
         producers: dict[str, int] = {}
         for index, call in enumerate(self.calls):
-            self.graph.add_node(index, call=call)
             if call.output.name in producers:
                 raise CompilationError(
                     f"vector {call.output.name!r} is written by more than one "
                     "API call; pLUTo programs are single-assignment"
                 )
             producers[call.output.name] = index
+        #: Call index -> indices of the calls that read its output.
+        successors: list[set[int]] = [set() for _ in self.calls]
         for index, call in enumerate(self.calls):
             for operand in call.inputs:
                 producer = producers.get(operand.name)
                 if producer is not None and producer != index:
-                    self.graph.add_edge(producer, index, vector=operand.name)
-        if not nx.is_directed_acyclic_graph(self.graph):
-            raise CompilationError("the API program contains a dependency cycle")
+                    successors[producer].add(index)
+        self._order, self._depth = _topological_order(successors)
 
     # ------------------------------------------------------------------ #
     # Queries used by the compiler
@@ -52,8 +48,7 @@ class DependencyGraph:
         Ties are broken by original program order so the lowering is
         deterministic and matches what the programmer wrote when possible.
         """
-        order = nx.lexicographical_topological_sort(self.graph, key=lambda node: node)
-        return [self.calls[node] for node in order]
+        return [self.calls[node] for node in self._order]
 
     def external_inputs(self) -> list[PlutoVector]:
         """Vectors read by the program but never produced by it (user inputs)."""
@@ -81,6 +76,32 @@ class DependencyGraph:
     @property
     def depth(self) -> int:
         """Length of the longest dependency chain (critical path in calls)."""
-        if not self.graph:
-            return 0
-        return nx.dag_longest_path_length(self.graph) + 1
+        return self._depth
+
+
+def _topological_order(successors: list[set[int]]) -> tuple[list[int], int]:
+    """Kahn's algorithm, always emitting the smallest ready call index.
+
+    Returns the order and the longest chain's length in calls, or raises
+    :class:`~repro.errors.CompilationError` when the graph has a cycle.
+    """
+    indegree = [0] * len(successors)
+    for targets in successors:
+        for target in targets:
+            indegree[target] += 1
+    ready = [node for node, count in enumerate(indegree) if count == 0]
+    heapq.heapify(ready)
+    # Calls on the longest chain ending at each call, itself included.
+    chain = [1] * len(successors)
+    order: list[int] = []
+    while ready:
+        node = heapq.heappop(ready)
+        order.append(node)
+        for target in successors[node]:
+            chain[target] = max(chain[target], chain[node] + 1)
+            indegree[target] -= 1
+            if indegree[target] == 0:
+                heapq.heappush(ready, target)
+    if len(order) < len(successors):
+        raise CompilationError("the API program contains a dependency cycle")
+    return order, max(chain, default=0)

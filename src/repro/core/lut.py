@@ -17,11 +17,12 @@ import numpy as np
 from repro.dram.geometry import DRAMGeometry
 from repro.errors import LUTError
 from repro.utils.bitops import bit_length_for, mask_of, pack_elements
+from repro.utils.memo import BoundedMemo
 
 __all__ = [
     "LookupTable",
     "gather_array",
-    "gather_cache_size",
+    "gather_cache_stats",
     "clear_gather_cache",
     "lut_from_function",
     "replicate_lut_rows",
@@ -30,8 +31,10 @@ __all__ = [
 ]
 
 #: LookupTable -> read-only uint64 gather array (tables are immutable, so
-#: the conversion from the value tuple is paid once per distinct LUT).
-_GATHER_CACHE: dict["LookupTable", np.ndarray] = {}
+#: the conversion from the value tuple is paid once per distinct LUT),
+#: bounded like the trace templates so a stream of never-seen tables
+#: cannot grow it without limit.
+_GATHER_CACHE: BoundedMemo[np.ndarray] = BoundedMemo(1024)
 
 
 def gather_array(lut: "LookupTable") -> np.ndarray:
@@ -45,17 +48,17 @@ def gather_array(lut: "LookupTable") -> np.ndarray:
     if array is None:
         array = np.asarray(lut.values, dtype=np.uint64)
         array.setflags(write=False)
-        _GATHER_CACHE[lut] = array
+        _GATHER_CACHE.put(lut, array)
     return array
 
 
-def gather_cache_size() -> int:
-    """Number of distinct LUTs with a cached gather array."""
-    return len(_GATHER_CACHE)
+def gather_cache_stats() -> dict[str, int]:
+    """Hit/miss counters and size of the gather-array cache."""
+    return _GATHER_CACHE.stats()
 
 
 def clear_gather_cache() -> None:
-    """Drop every cached gather array (they rebuild on demand)."""
+    """Drop every cached gather array (they rebuild on demand) and reset the counters."""
     _GATHER_CACHE.clear()
 
 

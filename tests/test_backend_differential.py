@@ -16,11 +16,17 @@ import pytest
 
 from repro.api.handles import ApiCall
 from repro.api.luts import bitcount_lut, bitwise_lut
-from repro.api.session import PlutoSession, program_cache_size
+from repro.api.session import (
+    PlutoSession,
+    cache_stats,
+    clear_program_cache,
+    program_cache_size,
+)
 from repro.backend import FunctionalBackend, VectorizedBackend, resolve_backend
 from repro.controller.executor import PlutoController
 from repro.core.designs import PlutoDesign
 from repro.core.engine import DDR4, THREE_DS, PlutoConfig, PlutoEngine
+from repro.core.lut import LookupTable
 from repro.errors import ConfigurationError
 
 DESIGNS = list(PlutoDesign)
@@ -149,6 +155,8 @@ def test_backends_agree_on_random_programs(design, memory):
 
 
 def test_session_batch_uses_compile_cache():
+    # The cache is bounded: start below the bound so one insert shows.
+    clear_program_cache()
     before = program_cache_size()
     rng = np.random.default_rng(7)
     session = _random_program(rng, 999_001)
@@ -158,6 +166,35 @@ def test_session_batch_uses_compile_cache():
     assert batch.total_latency_ns == sum(r.latency_ns for r in batch)
     # One new structure: the three executions share a single compile.
     assert program_cache_size() == before + 1
+
+
+def test_program_and_gather_caches_stay_bounded():
+    """More structures and tables than the bound evict the oldest entries."""
+    rng = np.random.default_rng(11)
+    sessions = []
+    for index in range(1100):
+        session = PlutoSession()
+        a = session.pluto_malloc(16, 4, f"bound{index}_a")
+        out = session.pluto_malloc(16, 8, f"bound{index}_out")
+        values = tuple(int(v) for v in rng.integers(0, 256, 16))
+        session.api_pluto_map(LookupTable(values, 4, 8, f"bound{index}"), a, out)
+        session.run({a.name: rng.integers(0, 16, 16)})
+        sessions.append(session)
+    stats = cache_stats()
+    assert program_cache_size() == stats["programs"]["size"] <= 1024
+    assert stats["lut_gather_arrays"]["size"] <= 1024
+    # The oldest programs were evicted: fresh sessions compile them again,
+    # and every output still matches the functional oracle.
+    for session in sessions[:3] + sessions[-3:]:
+        call = session.calls[0]
+        inputs = {call.inputs[0].name: rng.integers(0, 16, 16)}
+        fast = PlutoSession(calls=session.calls).run(inputs)
+        oracle = PlutoSession(calls=session.calls, backend="functional").run(inputs)
+        expected = call.lut.query(inputs[call.inputs[0].name])
+        assert np.array_equal(fast.outputs[call.output.name], expected)
+        assert np.array_equal(oracle.outputs[call.output.name], expected)
+        assert fast.latency_ns == oracle.latency_ns
+    assert cache_stats()["programs"]["size"] <= 1024
 
 
 def test_resolve_backend_rejects_unknown_name():

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.api.luts import bitcount_lut, binarize_lut
 from repro.api.session import PlutoSession
 from repro.compiler.dependency_graph import DependencyGraph
@@ -57,8 +64,101 @@ class TestDependencyGraph:
         out = session.pluto_malloc(8, 8, "out")
         session.api_pluto_add(a, b, out, bit_width=4)
         session.api_pluto_add(a, b, out, bit_width=4)
-        with pytest.raises(CompilationError):
+        with pytest.raises(CompilationError, match="written by more than one API call"):
             DependencyGraph(session.calls)
+
+    def test_out_of_order_calls_break_ties_by_index(self):
+        session = PlutoSession()
+        a = session.pluto_malloc(8, 8, "a")
+        t = session.pluto_malloc(8, 8, "t")
+        u = session.pluto_malloc(8, 8, "u")
+        out = session.pluto_malloc(8, 8, "out")
+        # The consumer of t is recorded before its producer.
+        session.api_pluto_map(bitcount_lut(8), t, out)
+        session.api_pluto_map(bitcount_lut(8), a, t)
+        session.api_pluto_move(a, u)
+        graph = DependencyGraph(session.calls)
+        calls = session.calls
+        assert [id(c) for c in graph.execution_order()] == [
+            id(calls[1]),
+            id(calls[0]),
+            id(calls[2]),
+        ]
+        assert graph.depth == 2
+        assert [v.name for v in graph.external_inputs()] == ["a"]
+        assert [v.name for v in graph.outputs()] == ["out", "u"]
+
+    def test_diamond_depth_is_the_longest_chain(self):
+        session = PlutoSession()
+        a, src, left, mid, right, out = (
+            session.pluto_malloc(8, 8, name)
+            for name in ("a", "src", "left", "mid", "right", "out")
+        )
+        # src feeds both arms; the right arm is one call longer.
+        session.api_pluto_bitwise("and", left, right, out)
+        session.api_pluto_move(mid, right)
+        session.api_pluto_move(src, mid)
+        session.api_pluto_move(src, left)
+        session.api_pluto_move(a, src)
+        graph = DependencyGraph(session.calls)
+        assert [c.output.name for c in graph.execution_order()] == [
+            "src",
+            "mid",
+            "right",
+            "left",
+            "out",
+        ]
+        assert graph.depth == 4
+
+    def test_cycle_rejected(self):
+        session = PlutoSession()
+        x = session.pluto_malloc(8, 8, "x")
+        y = session.pluto_malloc(8, 8, "y")
+        session.api_pluto_move(x, y)
+        session.api_pluto_move(y, x)
+        with pytest.raises(CompilationError, match="the API program contains a dependency cycle"):
+            DependencyGraph(session.calls)
+
+    def test_empty_program(self):
+        graph = DependencyGraph([])
+        assert graph.execution_order() == []
+        assert graph.depth == 0
+        assert graph.external_inputs() == []
+        assert graph.outputs() == []
+
+    def test_compiling_imports_only_numpy_and_the_standard_library(self):
+        """``setup.py`` declares numpy as the only runtime dependency."""
+        script = textwrap.dedent(
+            """
+            import sys
+
+            import numpy
+
+            before = {name.split(".")[0] for name in sys.modules}
+            from repro.api.luts import bitcount_lut
+            from repro.api.session import PlutoSession
+
+            session = PlutoSession()
+            a = session.pluto_malloc(8, 8, "a")
+            out = session.pluto_malloc(8, 8, "out")
+            session.api_pluto_map(bitcount_lut(8), a, out)
+            session.compile()
+            session.run({"a": numpy.arange(8)}, plan="auto")
+            added = {name.split(".")[0] for name in sys.modules} - before
+            print(sorted(added - set(sys.stdlib_module_names) - {"repro", "__mp_main__"}))
+            """
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert completed.stdout.strip() == "[]"
 
 
 class TestCompiler:

@@ -359,19 +359,11 @@ class PreparedExecution:
         return None if self.optimized is None else self.optimized.report
 
     def attach(self, result: _Stamped) -> _Stamped:
-        """Record the plan and reports on ``result``, and return it.
-
-        The planner report gets the measured makespan attached: the
-        result's latency, or a batch's total latency.
-        """
+        """Record the plan and reports on ``result``, and return it."""
         result.execution_plan = self.plan
-        if isinstance(result, BatchResult):
-            measured = result.total_latency_ns
-        else:
+        result.planner = self.planner
+        if not isinstance(result, BatchResult):
             result.optimization = self.optimization
-            measured = result.latency_ns
-        if self.planner is not None:
-            result.planner = self.planner.with_measured(measured)
         return result
 
 

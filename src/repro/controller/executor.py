@@ -152,7 +152,7 @@ class ExecutionResult:
     #: this execution ran under (set by the session front doors).
     execution_plan: "ExecutionPlan | None" = None
     #: The auto-planner's report when the plan was chosen by
-    #: ``plan="auto"`` (predicted vs measured makespan, candidates).
+    #: ``plan="auto"`` (candidates, predicted makespan and energy).
     planner: "PlannerReport | None" = None
     #: Span tree of the run that produced this result (``None`` unless
     #: tracing is enabled; see :mod:`repro.obs`).

@@ -654,7 +654,9 @@ def figure_auto_planner(
                 ),
                 "candidates": len(report.candidates) if report else 0,
                 "prediction_error": (
-                    report.prediction_error if report else None
+                    abs(report.predicted_makespan_ns - auto.latency_ns) / auto.latency_ns
+                    if report and auto.latency_ns
+                    else None
                 ),
                 "planner_cached": bool(report.cached) if report else False,
             }

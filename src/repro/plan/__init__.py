@@ -15,14 +15,11 @@ from repro.plan.execution_plan import (
 )
 from repro.plan.planner import (
     CandidatePlan,
-    CostPriors,
     PlannedExecution,
     PlannerReport,
     clear_planner_cache,
-    cost_priors,
     plan_program,
     planner_cache_stats,
-    reset_cost_priors,
 )
 
 __all__ = [
@@ -30,12 +27,9 @@ __all__ = [
     "resolve_plan",
     "plan_conflict_diagnostics",
     "CandidatePlan",
-    "CostPriors",
     "PlannedExecution",
     "PlannerReport",
     "plan_program",
-    "cost_priors",
-    "reset_cost_priors",
     "planner_cache_stats",
     "clear_planner_cache",
 ]

@@ -7,11 +7,13 @@ makespan model (the same
 :func:`~repro.controller.dispatch.merged_makespan_ns` /
 :func:`~repro.controller.hierarchy.hierarchical_makespan_ns` the
 dispatchers charge executions with, backed by
-:mod:`repro.dram.analytic`), adds measured compile/optimize wall-clock
-priors, and picks the argmin.  Because pricing and execution share one
-model *and* one memo, the planner's predicted makespan is exact with
-respect to the model — and the merges it performs are warm-cache hits
-when the chosen plan executes.
+:mod:`repro.dram.analytic`), and picks the argmin.  Near-ties break on
+modelled energy, then on the simpler plan.  Because pricing and
+execution share one model *and* one memo, the planner's predicted
+makespan is exact with respect to the model — and the merges it
+performs are warm-cache hits when the chosen plan executes.  The
+planner reads no host clock: its choice is a function of the program
+structure, the engine configuration and the request alone.
 
 Chosen plans are memoized on the program structure key (the same
 identity the compile/optimize/verify/template memos use), surfaced in
@@ -23,9 +25,8 @@ is cached or executed.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, ClassVar, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ConfigurationError
 from repro.plan.execution_plan import ExecutionPlan
@@ -33,92 +34,26 @@ from repro.utils.memo import BoundedMemo
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.handles import ApiCall
-    from repro.controller.executor import PlutoController, TraceTemplate
+    from repro.controller.executor import TraceTemplate
     from repro.core.engine import PlutoEngine
-    from repro.dram.commands import Command
 
 __all__ = [
-    "CostPriors",
     "CandidatePlan",
     "PlannerReport",
     "PlannedExecution",
     "plan_program",
     "plan_memo_key",
     "seed_planner_cache",
-    "cost_priors",
-    "reset_cost_priors",
     "planner_cache_stats",
     "clear_planner_cache",
 ]
 
 
 #: Candidates within this fraction of the best predicted makespan are
-#: considered tied; ties break toward the cheaper wall-clock (and then
-#: simpler) plan, so auto never gives up more than this sliver of
-#: modelled makespan to save real compile/optimize seconds.
+#: considered tied; ties break toward the lower modelled energy (and
+#: then the simpler plan), so auto never gives up more than this sliver
+#: of modelled makespan, and only to save modelled energy or complexity.
 TIE_BREAK_FRACTION = 0.005
-
-
-@dataclass
-class CostPriors:
-    """EMA priors of the measured one-time wall-clock costs.
-
-    The analytic model prices *modelled DRAM time*; picking between
-    near-tied candidates additionally needs the *host* cost a candidate
-    implies — optimizing the program, compiling shard replicas, and the
-    per-run Python dispatch of each tier.  These priors start from
-    conservative estimates and blend in measurements taken while the
-    planner prepares candidates, so long-running sessions converge to
-    the machine's real costs.
-    """
-
-    optimize_s_per_call: float = 2.0e-4
-    compile_s_per_call: float = 1.0e-4
-    interpreted_s_per_instruction: float = 2.0e-5
-    compiled_s_per_instruction: float = 2.0e-6
-    updates: int = 0
-
-    _ALPHA: ClassVar[float] = 0.3
-
-    def observe_optimize(self, seconds: float, calls: int) -> None:
-        """Blend one measured optimizer run into the prior."""
-        per_call = seconds / max(calls, 1)
-        self.optimize_s_per_call += self._ALPHA * (
-            per_call - self.optimize_s_per_call
-        )
-        self.updates += 1
-
-    def observe_compile(self, seconds: float, calls: int) -> None:
-        """Blend one measured compile into the prior."""
-        per_call = seconds / max(calls, 1)
-        self.compile_s_per_call += self._ALPHA * (
-            per_call - self.compile_s_per_call
-        )
-        self.updates += 1
-
-    def snapshot(self) -> tuple[tuple[str, float], ...]:
-        """The priors as a hashable name/value tuple (for reports)."""
-        return (
-            ("optimize_s_per_call", self.optimize_s_per_call),
-            ("compile_s_per_call", self.compile_s_per_call),
-            ("interpreted_s_per_instruction", self.interpreted_s_per_instruction),
-            ("compiled_s_per_instruction", self.compiled_s_per_instruction),
-            ("updates", float(self.updates)),
-        )
-
-
-_PRIORS = CostPriors()
-
-
-def cost_priors() -> CostPriors:
-    """The process-wide cost priors the planner prices with."""
-    return _PRIORS
-
-
-def reset_cost_priors() -> None:
-    """Reset the measured priors to their conservative defaults."""
-    global _PRIORS
-    _PRIORS = CostPriors()
 
 
 @dataclass(frozen=True)
@@ -128,17 +63,17 @@ class CandidatePlan:
     plan: ExecutionPlan
     #: Modelled DRAM makespan of executing the plan once.
     predicted_makespan_ns: float
-    #: Estimated host wall-clock to prepare and run the plan once
-    #: (optimize + per-replica compiles + tier dispatch), from the priors.
-    wall_cost_s: float
+    #: Modelled DRAM energy of executing the plan once (summed over its
+    #: shards).
+    predicted_energy_nj: float
 
 
 @dataclass(frozen=True)
 class PlannerReport:
     """What the planner considered and what it chose.
 
-    ``measured_makespan_ns`` is attached by the execution front doors
-    after the run, so callers can hold prediction against measurement;
+    The predicted makespan is exact: a run of the chosen plan reports it
+    as its ``latency_ns`` (a batch as its ``total_latency_ns``).
     ``cached`` marks reports served from the plan memo.
     """
 
@@ -146,12 +81,10 @@ class PlannerReport:
     candidates: tuple[CandidatePlan, ...]
     chosen: ExecutionPlan
     predicted_makespan_ns: float
-    #: Predicted makespan of the naive default (one shard, unoptimized).
+    #: Predicted makespan of the one-shard plan under the request's
+    #: optimizer pin (unoptimized when unpinned).
     baseline_makespan_ns: float
-    priors: tuple[tuple[str, float], ...]
-    planning_wall_s: float
     cached: bool = False
-    measured_makespan_ns: float | None = None
 
     @property
     def predicted_gain(self) -> float:
@@ -159,20 +92,6 @@ class PlannerReport:
         if self.predicted_makespan_ns <= 0:
             return float("inf")
         return self.baseline_makespan_ns / self.predicted_makespan_ns
-
-    @property
-    def prediction_error(self) -> float | None:
-        """Relative |predicted - measured| / measured, when measured."""
-        if self.measured_makespan_ns is None or self.measured_makespan_ns <= 0:
-            return None
-        return (
-            abs(self.predicted_makespan_ns - self.measured_makespan_ns)
-            / self.measured_makespan_ns
-        )
-
-    def with_measured(self, makespan_ns: float) -> "PlannerReport":
-        """This report with the measured makespan attached."""
-        return replace(self, measured_makespan_ns=makespan_ns)
 
 
 @dataclass(frozen=True)
@@ -263,27 +182,46 @@ def _tier(request: ExecutionPlan, supports_batched: bool) -> str:
     return "compiled" if supports_batched else "interpreted"
 
 
-def _template_for(
-    controller: "PlutoController",
-    calls: Sequence["ApiCall"],
-    priors: CostPriors,
-) -> "TraceTemplate":
-    """Compile (cached) and build the accounting template, timing it."""
-    from repro.api.session import compile_cached_with_key
+def _price(
+    plan: ExecutionPlan,
+    templates: Sequence["TraceTemplate"],
+    engine: "PlutoEngine",
+) -> CandidatePlan:
+    """Price ``plan``, whose shards run the trace ``templates`` in order.
 
-    started = time.perf_counter()
-    compiled, key = compile_cached_with_key(list(calls))
-    priors.observe_compile(time.perf_counter() - started, len(calls))
-    return controller.trace_template(compiled, structure_key=key)
+    The makespan is what the plan's executor charges: the one-bank trace
+    when unsharded, the rank merge of per-bank streams for bank shards,
+    the hierarchical merge for hierarchical plans.  Energy adds across
+    shards.
+    """
+    from repro.controller.dispatch import merged_makespan_ns
+    from repro.controller.hierarchy import hierarchical_makespan_ns
 
-
-def _tier_run_cost_s(tier: str, instructions: int, priors: CostPriors) -> float:
-    per_instruction = (
-        priors.compiled_s_per_instruction
-        if tier == "compiled"
-        else priors.interpreted_s_per_instruction
+    geometry = engine.geometry
+    if plan.hierarchical:
+        # The hierarchical scheduler reassigns banks by stream index, so
+        # bank-0 realizations price exactly what the dispatcher will charge.
+        makespan = hierarchical_makespan_ns(
+            [template.commands for template in templates],
+            engine,
+            channels=plan.channels or geometry.channels,
+            ranks=plan.ranks or geometry.ranks,
+        )
+    elif len(templates) == 1:
+        makespan = templates[0].total_latency_ns
+    else:
+        makespan = merged_makespan_ns(
+            [
+                template.realize(engine.timing, engine.energy, bank=index).commands
+                for index, template in enumerate(templates)
+            ],
+            engine,
+        )
+    return CandidatePlan(
+        plan=plan,
+        predicted_makespan_ns=makespan,
+        predicted_energy_nj=sum(template.total_energy_nj for template in templates),
     )
-    return instructions * per_instruction
 
 
 def _complexity(plan: ExecutionPlan) -> tuple[int, int]:
@@ -297,8 +235,6 @@ def _verify_chosen(
     engine: "PlutoEngine",
 ) -> None:
     """Run the chosen shard plan through the static shard-plan verifier."""
-    from dataclasses import replace as replace_dataclass
-
     from repro.analyze.verifier import verify_shard_plans
     from repro.controller.dispatch import ShardPlanner
     from repro.controller.hierarchy import HierarchyPlanner
@@ -307,7 +243,7 @@ def _verify_chosen(
     if plan.hierarchical:
         placement = geometry
         if plan.channels is not None or plan.ranks is not None:
-            placement = replace_dataclass(
+            placement = replace(
                 geometry,
                 channels=plan.channels or geometry.channels,
                 ranks=plan.ranks or geometry.ranks,
@@ -331,12 +267,11 @@ def _enumerate(
     modes: tuple[str, ...],
     request: ExecutionPlan,
     supports_batched: bool,
-    priors: CostPriors,
 ) -> tuple[list[CandidatePlan], dict[bool, Sequence["ApiCall"]]]:
     """Price every candidate configuration for ``calls`` on ``engine``."""
-    from repro.controller.dispatch import ShardPlanner, merged_makespan_ns
+    from repro.api.session import compile_cached_with_key
+    from repro.controller.dispatch import ShardPlanner
     from repro.controller.executor import PlutoController
-    from repro.controller.hierarchy import hierarchical_makespan_ns
     from repro.opt.pipeline import optimize_cached
 
     controller = PlutoController(engine, backend="vectorized", jit=False)
@@ -361,15 +296,9 @@ def _enumerate(
     candidates: list[CandidatePlan] = []
     calls_by_optimize: dict[bool, Sequence["ApiCall"]] = {}
     for optimize in optimize_options:
-        optimize_cost_s = 0.0
-        if optimize:
-            started = time.perf_counter()
-            optimized = optimize_cached(list(calls))
-            priors.observe_optimize(time.perf_counter() - started, len(calls))
-            plan_calls: Sequence["ApiCall"] = list(optimized.calls)
-            optimize_cost_s = len(calls) * priors.optimize_s_per_call
-        else:
-            plan_calls = list(calls)
+        plan_calls: Sequence["ApiCall"] = (
+            list(optimize_cached(list(calls)).calls) if optimize else list(calls)
+        )
         calls_by_optimize[optimize] = plan_calls
 
         try:
@@ -386,144 +315,94 @@ def _enumerate(
         templates: dict[int, "TraceTemplate"] = {}
 
         def template_of(shard_calls: Sequence["ApiCall"], length: int) -> "TraceTemplate":
+            """Compile (cached) and build the accounting template, once per length."""
             template = templates.get(length)
             if template is None:
-                template = _template_for(controller, shard_calls, priors)
+                compiled, key = compile_cached_with_key(list(shard_calls))
+                template = controller.trace_template(compiled, structure_key=key)
                 templates[length] = template
             return template
 
         if "single" in effective_modes or size is None:
-            full = len(plan_calls)
-            if full == 0:
+            if not plan_calls:
                 continue
             whole = template_of(plan_calls, size if size is not None else -1)
-            compile_cost_s = len(plan_calls) * priors.compile_s_per_call
             candidates.append(
-                CandidatePlan(
-                    plan=ExecutionPlan(shards=1, optimize=optimize, tier=tier),
-                    predicted_makespan_ns=whole.total_latency_ns,
-                    wall_cost_s=optimize_cost_s
-                    + compile_cost_s
-                    + _tier_run_cost_s(tier, whole.instructions_executed, priors),
-                )
+                _price(ExecutionPlan(shards=1, optimize=optimize, tier=tier), [whole], engine)
             )
         if size is None:
             continue
 
+        plans: list[ExecutionPlan] = []
         if "banks" in effective_modes:
-            for shards in _shard_grid(geometry.banks, size):
-                if shards == 1:
-                    continue
-                slices = ShardPlanner.plan_slices(plan_calls, shards)
-                streams: list[Sequence["Command"]] = []
-                instructions = 0
-                distinct = 0
-                seen: set[int] = set()
-                for index, (start, stop, shard_calls) in enumerate(slices):
-                    template = template_of(shard_calls, stop - start)
-                    if (stop - start) not in seen:
-                        seen.add(stop - start)
-                        distinct += 1
-                    instructions += template.instructions_executed
-                    streams.append(
-                        template.realize(
-                            engine.timing, engine.energy, bank=index
-                        ).commands
-                    )
-                predicted = merged_makespan_ns(streams, engine)
-                compile_cost_s = (
-                    distinct * len(plan_calls) * priors.compile_s_per_call
-                )
-                candidates.append(
-                    CandidatePlan(
-                        plan=ExecutionPlan(shards=shards, optimize=optimize, tier=tier),
-                        predicted_makespan_ns=predicted,
-                        wall_cost_s=optimize_cost_s
-                        + compile_cost_s
-                        + _tier_run_cost_s(tier, instructions, priors),
-                    )
-                )
-
+            plans += [
+                ExecutionPlan(shards=shards, optimize=optimize, tier=tier)
+                for shards in _shard_grid(geometry.banks, size)
+                if shards > 1
+            ]
         if "hierarchy" in effective_modes:
-            for channels, ranks in _placements(
-                geometry.channels, geometry.ranks
-            ):
-                total_banks = channels * ranks * geometry.banks
-                for shards in _shard_grid(total_banks, size):
-                    slices = ShardPlanner.plan_slices(plan_calls, shards)
-                    streams_h: list[Sequence["Command"]] = []
-                    instructions = 0
-                    distinct = 0
-                    seen = set()
-                    for start, stop, shard_calls in slices:
-                        template = template_of(shard_calls, stop - start)
-                        if (stop - start) not in seen:
-                            seen.add(stop - start)
-                            distinct += 1
-                        instructions += template.instructions_executed
-                        # The hierarchical scheduler reassigns banks by
-                        # stream index, so bank-0 realizations price
-                        # exactly what the dispatcher will charge.
-                        streams_h.append(template.commands)
-                    predicted = hierarchical_makespan_ns(
-                        streams_h, engine, channels=channels, ranks=ranks
+            for channels, ranks in _placements(geometry.channels, geometry.ranks):
+                plans += [
+                    ExecutionPlan(
+                        shards=shards,
+                        hierarchical=True,
+                        channels=channels if channels != geometry.channels else None,
+                        ranks=ranks if ranks != geometry.ranks else None,
+                        optimize=optimize,
+                        tier=tier,
                     )
-                    compile_cost_s = (
-                        distinct * len(plan_calls) * priors.compile_s_per_call
-                    )
-                    plan_channels = (
-                        channels if channels != geometry.channels else None
-                    )
-                    plan_ranks = ranks if ranks != geometry.ranks else None
-                    candidates.append(
-                        CandidatePlan(
-                            plan=ExecutionPlan(
-                                shards=shards,
-                                hierarchical=True,
-                                channels=plan_channels,
-                                ranks=plan_ranks,
-                                optimize=optimize,
-                                tier=tier,
-                            ),
-                            predicted_makespan_ns=predicted,
-                            wall_cost_s=optimize_cost_s
-                            + compile_cost_s
-                            + _tier_run_cost_s(tier, instructions, priors),
-                        )
-                    )
+                    for shards in _shard_grid(channels * ranks * geometry.banks, size)
+                ]
+        for plan in plans:
+            slices = ShardPlanner.plan_slices(plan_calls, plan.effective_shards)
+            shard_templates = [
+                template_of(shard_calls, stop - start) for start, stop, shard_calls in slices
+            ]
+            candidates.append(_price(plan, shard_templates, engine))
     return candidates, calls_by_optimize
 
 
 def _choose(candidates: Sequence[CandidatePlan]) -> CandidatePlan:
-    """Argmin predicted makespan, ties broken by wall cost then simplicity."""
+    """Argmin predicted makespan; near-ties go to the lower modelled energy.
+
+    Candidates within :data:`TIE_BREAK_FRACTION` of the best makespan are
+    ranked by predicted energy, then :func:`_complexity`, then makespan.
+    """
     best = min(candidate.predicted_makespan_ns for candidate in candidates)
-    window = best * (1.0 + TIE_BREAK_FRACTION) if best > 0 else 0.0
-    tied = [
-        candidate
-        for candidate in candidates
-        if candidate.predicted_makespan_ns <= window
-    ] or list(candidates)
+    window = best * (1.0 + TIE_BREAK_FRACTION)
     return min(
-        tied,
+        (
+            candidate
+            for candidate in candidates
+            if candidate.predicted_makespan_ns <= window
+        ),
         key=lambda candidate: (
-            candidate.wall_cost_s,
+            candidate.predicted_energy_nj,
             _complexity(candidate.plan),
             candidate.predicted_makespan_ns,
         ),
     )
 
 
-def _baseline_makespan(candidates: Sequence[CandidatePlan]) -> float:
-    """Predicted makespan of the naive default (one shard, unoptimized)."""
+def _baseline_makespan(
+    candidates: Sequence[CandidatePlan],
+    request: ExecutionPlan,
+    chosen: CandidatePlan,
+) -> float:
+    """Predicted makespan of the one-shard plan under the optimizer pin.
+
+    The first one-shard candidate whose ``optimize`` matches the request
+    (unoptimized when the request leaves it unset): ``shards=1`` when the
+    search priced the ``single`` mode, ``hierarchical:1`` for a
+    hierarchy-only search.  A search that priced no one-shard plan
+    measures against the chosen plan, so it claims no gain.
+    """
+    optimize = bool(request.optimize)
     for candidate in candidates:
         plan = candidate.plan
-        if (
-            not plan.hierarchical
-            and plan.effective_shards == 1
-            and not plan.optimize
-        ):
+        if plan.effective_shards == 1 and plan.optimize == optimize:
             return candidate.predicted_makespan_ns
-    return max(candidate.predicted_makespan_ns for candidate in candidates)
+    return chosen.predicted_makespan_ns
 
 
 def plan_program(
@@ -582,15 +461,12 @@ def plan_program(
     else:
         _PLAN_MEMO.note_uncached()
 
-    started = time.perf_counter()
-    priors = _PRIORS
     candidates, calls_by_optimize = _enumerate(
         calls,
         engine,
         modes=modes,
         request=request,
         supports_batched=supports_batched,
-        priors=priors,
     )
     if not candidates:
         raise ConfigurationError(
@@ -605,9 +481,7 @@ def plan_program(
         candidates=tuple(candidates),
         chosen=plan,
         predicted_makespan_ns=chosen.predicted_makespan_ns,
-        baseline_makespan_ns=_baseline_makespan(candidates),
-        priors=priors.snapshot(),
-        planning_wall_s=time.perf_counter() - started,
+        baseline_makespan_ns=_baseline_makespan(candidates, request, chosen),
     )
     planned = PlannedExecution(plan=plan, report=report)
     if memo_key is not None:

@@ -3,13 +3,22 @@
 from __future__ import annotations
 
 import asyncio
+import json
+import os
+import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.api.session import PlutoSession
 from repro.core.designs import PlutoDesign
 from repro.core.engine import PlutoConfig, PlutoEngine
+from repro.core.lut import LookupTable
 from repro.dram.analytic import merge_cache_stats
 from repro.controller.hierarchy import hierarchy_cache_stats
 from repro.errors import ConfigurationError, VerificationError
@@ -20,6 +29,7 @@ from repro.plan import (
     planner_cache_stats,
     resolve_plan,
 )
+from repro.plan.planner import CandidatePlan, _choose
 from repro.workloads.programs import optimizer_workload_programs, workload_program
 
 ELEMENTS = 1024
@@ -173,10 +183,9 @@ class TestPredictionExactness:
         result = workload.session.run(workload.inputs, engine=engine, plan="auto")
         report = result.planner
         assert report is not None
-        assert report.measured_makespan_ns == pytest.approx(result.latency_ns)
         # The planner prices candidates from the same trace templates the
         # execution charges, so prediction is exact — not approximate.
-        assert report.prediction_error == 0.0
+        assert report.predicted_makespan_ns == result.latency_ns
         assert report.chosen == result.execution_plan
 
     def test_report_carries_ranked_candidates(self):
@@ -187,6 +196,139 @@ class TestPredictionExactness:
         predicted = [c.predicted_makespan_ns for c in report.candidates]
         assert report.predicted_makespan_ns == min(predicted)
         assert report.predicted_gain >= 1.0
+
+
+def _family_plans() -> list[list]:
+    """[label, predicted makespan] of every family at 256, 4096 and 65536."""
+    engine = PlutoEngine(PlutoConfig())
+    plans = []
+    for elements in (256, 4096, 65536):
+        for program in optimizer_workload_programs(elements=elements, seed=0):
+            clear_planner_cache()
+            planned = plan_program(program.session.calls, engine)
+            plans.append([planned.plan.label(), planned.report.predicted_makespan_ns])
+    return plans
+
+
+class TestPlannerIsPure:
+    """A plan is a function of (program, engine config, request) alone."""
+
+    def test_host_clock_never_changes_a_plan(self, monkeypatch):
+        expected = _family_plans()
+        rng = random.Random(7)
+        now = 0.0
+
+        def clock() -> float:
+            nonlocal now
+            now += rng.uniform(1e-6, 1.0)
+            return now
+
+        monkeypatch.setattr(time, "perf_counter", clock)
+        assert _family_plans() == expected
+
+    def test_hash_seed_never_changes_a_plan(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        script = (
+            "import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "from test_planner import _family_plans; print(json.dumps(_family_plans()))"
+        )
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, str(Path(__file__).parent)],
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+                stdout=subprocess.PIPE,
+                text=True,
+            )
+            for seed in ("1", "2")
+        ]
+        outputs = [child.communicate(timeout=300)[0] for child in children]
+        assert [child.returncode for child in children] == [0, 0]
+        expected = _family_plans()
+        for output in outputs:
+            assert json.loads(output) == expected
+
+
+def _candidate(
+    makespan_ns: float, energy_nj: float, shards: int = 1, **plan: object
+) -> CandidatePlan:
+    return CandidatePlan(
+        plan=ExecutionPlan(shards=shards, **plan),
+        predicted_makespan_ns=makespan_ns,
+        predicted_energy_nj=energy_nj,
+    )
+
+
+class TestTieBreak:
+    def test_lower_energy_wins_inside_the_window(self):
+        fast = _candidate(100.0, 20.0, shards=2)
+        frugal = _candidate(100.4, 10.0)
+        assert _choose([fast, frugal]) is frugal
+
+    def test_makespan_wins_outside_the_window(self):
+        fast = _candidate(100.0, 20.0, shards=2)
+        frugal = _candidate(100.6, 10.0)
+        assert _choose([frugal, fast]) is fast
+
+    def test_equal_energy_goes_to_the_simpler_then_faster_plan(self):
+        hierarchical = _candidate(100.0, 10.0, hierarchical=True)
+        sharded = _candidate(100.1, 10.0, shards=2)
+        slower = _candidate(100.3, 10.0, optimize=True)
+        simple = _candidate(100.2, 10.0)
+        assert _choose([hierarchical, sharded, slower, simple]) is simple
+
+    def test_near_tied_shards_lose_to_one_shard_on_energy(self):
+        session = PlutoSession()
+        x0 = session.pluto_malloc(256, 8, "x0")
+        x1 = session.pluto_malloc(256, 8, "x1")
+        t0 = session.pluto_malloc(256, 8, "t0")
+        t1 = session.pluto_malloc(256, 8, "t1")
+        table = LookupTable(
+            values=tuple((7 * value + 3) % 256 for value in range(256)),
+            index_bits=8,
+            element_bits=8,
+            name="lut",
+        )
+        session.api_pluto_map(table, x0, t0)
+        session.api_pluto_bitwise("and", x1, x0, t1)
+        rng = np.random.default_rng(5)
+        inputs = {"x0": rng.integers(0, 256, 256), "x1": rng.integers(0, 256, 256)}
+        clear_planner_cache()
+        auto = session.run(inputs, plan="auto")
+        default = session.run(inputs, plan=ExecutionPlan())
+        priced = {c.plan.label(): c for c in auto.planner.candidates}
+        one, two = priced["shards=1+compiled"], priced["shards=2+compiled"]
+        # The premise: two shards are a near-tie at twice the energy.
+        assert two.predicted_makespan_ns <= one.predicted_makespan_ns * 1.0003
+        assert two.predicted_energy_nj == 2 * one.predicted_energy_nj
+        assert auto.execution_plan.effective_shards == 1
+        assert auto.energy_nj == default.energy_nj == one.predicted_energy_nj
+
+
+class TestPredictedGain:
+    """The gain is measured against the one-shard plan of the same request."""
+
+    @pytest.mark.parametrize("family, gain", [("image", 3.0), ("crc", 2.0)])
+    def test_hierarchy_only_search_reports_the_full_search_gain(self, family, gain):
+        calls = workload_program(family, elements=4096, seed=0).session.calls
+        engine = PlutoEngine(PlutoConfig())
+        clear_planner_cache()
+        full = plan_program(calls, engine).report
+        hierarchy = plan_program(calls, engine, modes=("hierarchy",)).report
+        assert hierarchy.chosen.hierarchical
+        assert full.predicted_gain == pytest.approx(gain)
+        assert hierarchy.predicted_gain == pytest.approx(full.predicted_gain)
+
+    @pytest.mark.parametrize("elements", [256, 4096])
+    @pytest.mark.parametrize("family", ["image", "crc"])
+    def test_pinned_optimizer_one_shard_plan_reports_no_gain(self, family, elements):
+        calls = workload_program(family, elements=elements, seed=0).session.calls
+        clear_planner_cache()
+        planned = plan_program(
+            calls, PlutoEngine(PlutoConfig()), request=ExecutionPlan.auto(optimize=True)
+        )
+        assert planned.plan.effective_shards == 1
+        assert planned.report.predicted_gain == 1.0
 
 
 class TestAutoMatchesStatic:

@@ -151,7 +151,7 @@ def test_auto_plan_reports_the_planner_memo_after_the_first_run():
     for result in (first, second, fresh):
         assert result.execution_plan == first.execution_plan
         assert result.planner.chosen == first.planner.chosen
-        assert result.planner.measured_makespan_ns == result.latency_ns
+        assert result.planner.predicted_makespan_ns == result.latency_ns
     assert second.planner.predicted_makespan_ns == first.planner.predicted_makespan_ns
     _assert_same(second, fresh)
 

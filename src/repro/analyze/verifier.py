@@ -70,7 +70,6 @@ __all__ = [
     "verify_compiled",
     "verify_program",
     "verify_cached",
-    "seed_verifier_cache",
     "verify_shard_plans",
     "check_pass_invariants",
     "verifier_cache_stats",
@@ -789,15 +788,6 @@ def verify_cached(
     if report.subject != subject:
         report = VerificationReport(report.diagnostics, subject=subject)
     return report
-
-
-def seed_verifier_cache(key: tuple, report: VerificationReport) -> None:
-    """Install a verification report under its structure key (warm start).
-
-    Used by the shared artifact store (:mod:`repro.serve.store`) so a
-    fresh process's verify-on-submit of a known shape is a memo hit.
-    """
-    _VERIFY_MEMO.put(key, report)
 
 
 def verifier_cache_stats() -> dict[str, int]:

@@ -9,19 +9,20 @@ execution stack:
   :meth:`PlutoService.submit_nowait` raises
   :class:`~repro.errors.ServiceOverloadError` immediately when the queue
   is full, so callers can shed load instead of buffering without bound;
-* **prepared at submission** — every request is planned, optimized,
-  compiled through the process-wide structure-keyed cache and verified
-  by :func:`repro.api.session.prepare_execution` before it takes a queue
-  slot, so a million structurally identical requests compile once;
+* **prepared at submission** — every request's program is planned,
+  optimized, compiled and verified into a
+  :class:`~repro.api.session.ProgramArtifact` before it takes a queue
+  slot; a repeat request takes it from the submitting session's warm
+  entry and prepares nothing;
 * **batch coalescing** — the worker drains the queue and groups
   consecutive requests with the same program structure into one batch
   executed on one warm controller (shared backend LUT gather arrays);
 * **per-request latency accounting** — every :class:`ServedResult` carries
   the wall-clock queue wait and execution time next to the modelled DRAM
   latency of its program;
-* **warm memo caches** — repeat requests hit the process-wide compiled
-  program, trace-template, and scheduler-makespan memos (hierarchical
-  requests re-merge nothing), and
+* **warm memo caches** — repeat requests reuse the compiled program's
+  trace template and closure and hit the scheduler-makespan memo
+  (hierarchical requests re-merge nothing), and
   :meth:`ServiceStats.cache_stats` reports their effectiveness;
 * **program optimization** — under a plan with ``optimize=True`` every
   request runs through the pass pipeline of :mod:`repro.opt` (memoized
@@ -51,7 +52,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from repro.api.session import Executors, PreparedExecution, prepare_execution
+from repro.api.session import Executors, ProgramArtifact
 from repro.errors import ServiceClosedError, ServiceOverloadError
 from repro.obs.metrics import record_served_request, request_accounting
 from repro.obs.trace import (
@@ -195,7 +196,7 @@ class _PendingRequest:
     future: "asyncio.Future[ServedResult]"
     #: The request's program, prepared at submission: concrete plan,
     #: post-optimization calls and structure key, compiled program.
-    prepared: PreparedExecution
+    artifact: ProgramArtifact
     #: Request trace collecting per-stage spans (``None`` when tracing is off).
     trace: "RequestTrace | None" = None
 
@@ -211,10 +212,10 @@ class _PendingRequest:
         Requests with unhashable structure get an identity key and run
         alone.
         """
-        prepared = self.prepared
-        if prepared.structure_key is None:
+        artifact = self.artifact
+        if artifact.structure_key is None:
             return (id(self),)
-        return (prepared.structure_key, self.executors, prepared.plan)
+        return (artifact.structure_key, self.executors, artifact.plan)
 
 
 class PlutoService:
@@ -248,8 +249,8 @@ class PlutoService:
     :class:`~repro.errors.VerificationError` carrying the structured
     diagnostics — *before* the request takes a queue slot, so a bad
     program cannot crash the warm worker loop.  A clean verdict is
-    remembered on the compiled program, so repeated request shapes skip
-    the check.  Unsharded programs compile at submission too, so with
+    remembered on the artifact, so repeated request shapes skip the
+    check.  Unsharded programs compile at submission too, so with
     ``verify=False`` a program the compiler rejects fails from
     :meth:`submit` rather than on its future.
     """
@@ -459,8 +460,6 @@ class PlutoService:
         session: "PlutoSession | None",
         plan: "ExecutionPlan | str | None",
     ) -> _PendingRequest:
-        from repro.plan.execution_plan import resolve_plan
-
         if not self.running:
             raise ServiceClosedError(
                 "service is not running; use 'async with session.serve()' "
@@ -471,14 +470,7 @@ class PlutoService:
         token = activate(trace)
         try:
             with span_of(trace, "submit"):
-                prepared = prepare_execution(
-                    source.calls,
-                    self.engine,
-                    self.plan if plan is None else resolve_plan(plan),
-                    backend=source.backend,
-                    verify=self.verify,
-                    subject="request",
-                )
+                artifact = self._artifact(source, plan)
         finally:
             deactivate(token)
         request = _PendingRequest(
@@ -487,11 +479,33 @@ class PlutoService:
             executors=self._executors_for(source.backend),
             enqueued_at=time.monotonic(),
             future=asyncio.get_running_loop().create_future(),
-            prepared=prepared,
+            artifact=artifact,
             trace=trace,
         )
         self._next_id += 1
         return request
+
+    def _artifact(
+        self, session: "PlutoSession", plan: "ExecutionPlan | str | None"
+    ) -> ProgramArtifact:
+        """The artifact of ``session``'s program, from its warm entry when
+        one is valid (the session's own rule, plus this service's verify
+        setting), else prepared and kept as a new entry."""
+        from repro.plan.execution_plan import resolve_plan
+
+        return session._prepare(
+            self.plan if plan is None else resolve_plan(plan),
+            self.engine,
+            verify=self.verify,
+            subject="request",
+        )[0]
+
+    def _prime(self, session: "PlutoSession", inputs: Mapping[str, np.ndarray]) -> None:
+        """Run ``session``'s program once on the executors its requests
+        use, outside the service's statistics and the metrics registry,
+        so the first real request finds the program and its controller
+        warm."""
+        self._executors_for(session.backend).run(self._artifact(session, None), inputs)
 
     def _executors_for(self, backend: "str | ExecutionBackend") -> Executors:
         key = backend if isinstance(backend, str) else id(backend)
@@ -607,7 +621,7 @@ class PlutoService:
         # sharded and hierarchical plans go through their dispatchers.
         if (
             len(batch) > 1
-            and batch[0].prepared.compiled is not None
+            and batch[0].artifact.compiled is not None
             and self._execute_batch_fused(batch, coalesce_ns)
         ):
             return
@@ -617,7 +631,7 @@ class PlutoService:
             token = activate(request.trace)
             try:
                 with span_of(request.trace, "execute"):
-                    result = request.executors.run(request.prepared, request.inputs)
+                    result = request.executors.run(request.artifact, request.inputs)
             except Exception as error:  # surface on the caller's future
                 self.stats.failed += 1
                 if not request.future.cancelled():
@@ -639,7 +653,7 @@ class PlutoService:
         batch_size: int,
     ) -> None:
         """Resolve one executed request's future with its served result."""
-        request.prepared.attach(result)
+        request.artifact.attach(result)
         served = ServedResult(
             request_id=request.request_id,
             outputs=result.outputs,
@@ -711,8 +725,8 @@ class PlutoService:
         surfaces any individual errors.
         """
         leader = batch[0]
-        prepared = leader.prepared
-        controller = leader.executors.controller(prepared.plan)
+        artifact = leader.artifact
+        controller = leader.executors.controller(artifact.plan)
         if not controller.backend.supports_batched:
             return False
         names = set(leader.inputs)
@@ -735,10 +749,10 @@ class PlutoService:
                     for name in leader.inputs
                 }
                 results = controller.execute_fused(
-                    prepared.compiled,
+                    artifact.compiled,
                     stacked,
                     banks=[0] * len(batch),
-                    structure_key=prepared.structure_key,
+                    structure_key=artifact.structure_key,
                 )
         except Exception:
             # The per-request fallback loop will record its own execute

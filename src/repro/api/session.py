@@ -18,9 +18,12 @@ trace, whichever backend produced it.
 
 Every execution front door — these, the async service, the evaluation
 harness and the shared artifact store — prepares a program through
-:func:`prepare_execution` (plan, optimize, compile, verify) and runs it on
-:class:`Executors`, the one mapping from a concrete plan to the
-controller or dispatcher that executes it.
+:func:`prepare_execution` (plan, optimize, compile, verify) into one
+:class:`ProgramArtifact` per program and plan request, kept in a bounded
+process-wide table, and runs it on :class:`Executors`, the one mapping
+from a concrete plan to the controller or dispatcher that executes it.
+A session keeps the artifact and executors of its recent runs as warm
+entries, and the async service reuses the submitting session's entry.
 """
 
 from __future__ import annotations
@@ -28,12 +31,13 @@ from __future__ import annotations
 import operator
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
 from repro.api.handles import ApiCall, PlutoVector
 from repro.api.luts import BITWISE_OPERATIONS, add_lut, bitwise_lut, multiply_lut
+from repro.core.engine import PlutoConfig
 from repro.core.lut import LookupTable
 from repro.errors import ConfigurationError, ReproError, VerificationError
 from repro.obs.trace import NOOP_SPAN, activate, deactivate, new_trace, span_of, stage
@@ -57,14 +61,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 __all__ = [
     "PlutoSession",
     "BatchResult",
-    "PreparedExecution",
+    "ArtifactIdentity",
+    "ProgramArtifact",
     "prepare_execution",
+    "insert_artifact",
     "Executors",
     "execute_batch",
     "program_structure_key",
     "compile_cached",
     "compile_cached_with_key",
-    "seed_program_cache",
     "clear_program_cache",
     "clear_all_caches",
     "program_cache_size",
@@ -76,6 +81,9 @@ __all__ = [
 #: bounded like the trace templates so a stream of never-seen programs
 #: cannot grow it without limit.
 _PROGRAM_CACHE: "BoundedMemo[CompiledProgram]" = BoundedMemo(1024)
+
+#: Process-wide artifact table: request identity -> ProgramArtifact.
+_ARTIFACTS: "BoundedMemo[ProgramArtifact]" = BoundedMemo(512)
 
 #: Bumped by :func:`clear_all_caches`; a session's warm entries made
 #: before the bump no longer serve runs.
@@ -116,9 +124,9 @@ def compile_cached_with_key(
 ) -> "tuple[CompiledProgram, tuple | None]":
     """Compile a call list and return it with its structure key.
 
-    The key is what downstream warm-state layers (trace templates, the
-    whole-program compiled closures) memoize on, so the execution front
-    doors thread it through to the controller.  Falls back to an
+    The key is the controller's signal that the program may take the
+    compiled tier, so the execution front doors thread it through to the
+    controller.  Falls back to an
     uncached compile — and a ``None`` key — when the structure key is
     not hashable (e.g. a call carries list-valued parameters).  Callers
     that already hold the key (``None`` meaning "known unhashable") pass
@@ -143,15 +151,6 @@ def compile_cached(calls: Sequence[ApiCall]) -> "CompiledProgram":
     return compile_cached_with_key(calls)[0]
 
 
-def seed_program_cache(key: tuple, compiled: "CompiledProgram") -> None:
-    """Install a compiled program under ``key`` (shared-store warm start).
-
-    The warm-start path of :mod:`repro.serve.store` uses this to make a
-    fresh process's first compile of a known structure a cache hit.
-    """
-    _PROGRAM_CACHE.put(key, compiled)
-
-
 def clear_program_cache() -> None:
     """Drop every cached compiled program and reset the cache's counters.
 
@@ -171,8 +170,9 @@ def cache_stats() -> dict[str, dict]:
     """Hit/miss statistics of every memo layer in the execution stack.
 
     One snapshot covering the process-wide caches that make repeated and
-    sharded execution cheap: compiled programs (structure-keyed), trace
-    templates (fused dispatch), the scheduler makespan memo with its
+    sharded execution cheap: program artifacts (request-keyed), compiled
+    programs (structure-keyed) with the trace templates and closures
+    each keeps, the scheduler makespan memo with its
     exact-fast-merge/reference split, the hierarchical-schedule memo, the
     cached pure per-engine helpers, and the LUT gather arrays.  Also
     exposed as :meth:`PlutoSession.cache_stats` and through
@@ -180,16 +180,18 @@ def cache_stats() -> dict[str, dict]:
     layer can report memo effectiveness.
 
     The layers keyed on program structure or table contents are bounded:
-    ``programs`` and ``lut_gather_arrays`` hold at most 1024 entries each
-    and report ``hits``, ``misses``, ``uncached`` and ``size`` like the
-    other memo layers.  A session's
-    warm entries (see :meth:`PlutoSession.run`) belong to the session and
-    are not process-wide, so they do not appear here.
+    ``artifacts`` holds at most 512 entries, ``programs`` and
+    ``lut_gather_arrays`` at most 1024 each, and all report ``hits``,
+    ``misses``, ``uncached`` and ``size`` like the other memo layers.
+    ``trace_templates`` and ``compiled_exec`` count builds as misses and
+    reuses as hits; their ``size`` is what the cached programs hold.  A
+    session's warm entries (see :meth:`PlutoSession.run`) belong to the
+    session and are not process-wide, so they do not appear here.
     """
     from repro.analyze.verifier import verifier_cache_stats
-    from repro.backend.compiled import compiled_exec_stats
+    from repro.backend.compiled import CLOSURE_COUNTERS
     from repro.controller.dispatch import engine_helper_cache_stats
-    from repro.controller.executor import trace_template_stats
+    from repro.controller.executor import TEMPLATE_COUNTERS
     from repro.controller.hierarchy import hierarchy_cache_stats
     from repro.core.lut import gather_cache_stats
     from repro.dram.analytic import merge_cache_stats
@@ -199,15 +201,23 @@ def cache_stats() -> dict[str, dict]:
     from repro.plan.planner import planner_cache_stats
     from repro.serve.store import shared_store_stats
 
+    programs = _PROGRAM_CACHE.values()
     stats = {
         "programs": _PROGRAM_CACHE.stats(),
+        "artifacts": _ARTIFACTS.stats(),
         "shared_store": shared_store_stats(),
         "verifier": verifier_cache_stats(),
         "optimizer": optimizer_cache_stats(),
         "planner": planner_cache_stats(),
         "lut_compositions": compose_cache_stats(),
-        "trace_templates": trace_template_stats(),
-        "compiled_exec": compiled_exec_stats(),
+        "trace_templates": {
+            **TEMPLATE_COUNTERS.counts(),
+            "size": sum(len(program.templates) for program in programs),
+        },
+        "compiled_exec": {
+            **CLOSURE_COUNTERS.counts(),
+            "size": sum(bool(program.__dict__.get("_jit_executable")) for program in programs),
+        },
         "scheduler_merges": merge_cache_stats(),
         "hierarchy_schedules": hierarchy_cache_stats(),
         "engine_helpers": engine_helper_cache_stats(),
@@ -223,10 +233,11 @@ def cache_stats() -> dict[str, dict]:
 def clear_all_caches() -> None:
     """Drop every process-wide memo layer of the execution stack.
 
-    One call covering everything :func:`cache_stats` reports — compiled
-    programs, the optimizer memo, composed LUTs, trace templates, the
-    whole-program compiled closures, scheduler merges, hierarchical
-    schedules, the pure per-engine helpers, and the LUT gather arrays —
+    One call covering everything :func:`cache_stats` reports — program
+    artifacts, compiled programs with their trace templates and
+    closures, the optimizer memo, composed LUTs, scheduler merges,
+    hierarchical schedules, the pure per-engine helpers, and the LUT
+    gather arrays —
     so tests and long-running services stop clearing layers one by one
     (and new layers are covered automatically).  It also retires every
     session's warm entries, so the next run of any session prepares its
@@ -234,9 +245,9 @@ def clear_all_caches() -> None:
     """
     global _generation
     from repro.analyze.verifier import clear_verifier_cache
-    from repro.backend.compiled import clear_compiled_programs
+    from repro.backend.compiled import CLOSURE_COUNTERS
     from repro.controller.dispatch import clear_engine_helper_caches
-    from repro.controller.executor import clear_trace_templates
+    from repro.controller.executor import TEMPLATE_COUNTERS
     from repro.controller.hierarchy import clear_hierarchy_cache
     from repro.core.lut import clear_gather_cache
     from repro.dram.analytic import clear_merge_cache
@@ -246,14 +257,15 @@ def clear_all_caches() -> None:
     from repro.serve.store import reset_shared_store_stats
 
     _generation += 1
+    _ARTIFACTS.clear()
     clear_program_cache()
+    TEMPLATE_COUNTERS.reset()
+    CLOSURE_COUNTERS.reset()
     reset_shared_store_stats()
     clear_verifier_cache()
     clear_optimizer_cache()
     clear_planner_cache()
     clear_compose_cache()
-    clear_trace_templates()
-    clear_compiled_programs()
     clear_merge_cache()
     clear_hierarchy_cache()
     clear_engine_helper_caches()
@@ -332,31 +344,68 @@ _ALL_MODES: tuple[str, ...] = ("single", "banks", "hierarchy")
 _Stamped = TypeVar("_Stamped", "ExecutionResult", BatchResult)
 
 
-@dataclass
-class PreparedExecution:
+class ArtifactIdentity(NamedTuple):
+    """What one :class:`ProgramArtifact` answers: the recorded calls'
+    structure key on an engine configuration under the requested plan,
+    the planner's search modes, and the backend's batching capability."""
+
+    structure_key: tuple
+    config: "PlutoConfig"
+    plan: "ExecutionPlan"
+    modes: tuple[str, ...]
+    supports_batched: bool
+
+
+@dataclass(frozen=True)
+class ProgramArtifact:
     """A program made ready to execute under one concrete plan.
 
     The product of :func:`prepare_execution`: the concrete plan (auto
-    plans resolved through the cost-based planner), the call list that
-    executes (post-optimization) with its structure key, the optimizer
-    and planner results and, for unsharded plans, the verified compiled
-    program.
+    plans resolved through the cost-based planner) with the planner's
+    report, the optimizer's result, the call list that executes
+    (post-optimization) with its structure key, and its compiled
+    programs.  Each compiled program keeps its own trace templates and
+    closure, so an artifact holds everything a warm run needs, and the
+    shared artifact store (:mod:`repro.serve.store`) pickles it as it is.
     """
 
+    #: The request this artifact answers; ``None`` when the recorded
+    #: calls have no hashable structure key (such artifacts are not kept).
+    identity: "ArtifactIdentity | None"
     plan: "ExecutionPlan"
-    calls: "list[ApiCall]"
+    calls: "tuple[ApiCall, ...]"
     #: Structure key of ``calls``; ``None`` when it is not hashable.
     structure_key: "tuple | None"
-    #: The compiled program of an unsharded plan (``None`` when sharded:
-    #: the dispatchers compile their shard slices).
+    #: The verified compiled program of an unsharded plan (``None`` when
+    #: sharded or hierarchical).
     compiled: "CompiledProgram | None"
+    #: ``(structure key, compiled program)`` of each distinct slice
+    #: length of a sharded or hierarchical plan.
+    slices: "tuple[tuple[tuple, CompiledProgram], ...]"
     optimized: "OptimizedProgram | None"
     planner: "PlannerReport | None"
+    #: Whether the static verifier passed the program.  An unverified
+    #: artifact never serves a request that asks for verification.
+    verified: bool
 
     @property
     def optimization(self) -> "OptimizationReport | None":
         """The optimizer's report, when the plan optimized."""
         return None if self.optimized is None else self.optimized.report
+
+    def programs(self) -> "list[tuple[tuple, CompiledProgram]]":
+        """``(structure key, compiled program)`` of every program it runs
+        (none when the executed calls have no hashable structure key)."""
+        if self.compiled is None or self.structure_key is None:
+            return list(self.slices)
+        return [(self.structure_key, self.compiled)]
+
+    def reused(self) -> "ProgramArtifact":
+        """This artifact as a later request gets it: the planner report
+        marked ``cached``, as the planner's own memo would return it."""
+        if self.planner is None or self.planner.cached:
+            return self
+        return replace(self, planner=replace(self.planner, cached=True))
 
     def attach(self, result: _Stamped) -> _Stamped:
         """Record the plan and reports on ``result``, and return it."""
@@ -376,30 +425,47 @@ def prepare_execution(
     modes: tuple[str, ...] = _ALL_MODES,
     verify: bool,
     subject: str = "program",
-) -> PreparedExecution:
+) -> ProgramArtifact:
     """The execution prologue every front door shares.
 
-    An auto ``plan`` resolves through the cost-based planner
+    Returns the :class:`ProgramArtifact` of ``calls`` under ``plan``.
+    Artifacts are kept in one bounded process-wide table keyed on their
+    :class:`ArtifactIdentity`, so a structurally repeated request is a
+    table hit; a request with ``verify`` takes only a verified artifact.
+
+    Otherwise the program is prepared.  An auto ``plan`` resolves
+    through the cost-based planner
     (:func:`repro.plan.planner.plan_program`, memoized on the program
     structure key), searching ``modes`` for a backend like ``backend``.
     The program is then optimized when the plan asks for it (a plan that
-    leaves ``optimize`` unset defers to the engine configuration), and
-    its structure key is built once.  Unsharded plans compile through the
-    structure-keyed program cache; sharded plans leave their slices to
-    the dispatchers.  With ``verify`` the static verifier checks the
+    leaves ``optimize`` unset defers to the engine configuration).
+    Unsharded plans compile through the structure-keyed program cache;
+    sharded and hierarchical plans compile one program per distinct
+    slice length.  With ``verify`` the static verifier checks the
     program that executes and raises
-    :class:`~repro.errors.VerificationError` on any error.  A compiled
-    program remembers its clean verdict, so warm runs skip the check;
-    when the compiler rejects the program, the verifier's diagnostics
-    replace the compiler's error.  ``subject`` names the program in
-    planner reports and diagnostics.
-
-    Compile and verify spans open only when that work runs, so a warm
-    unsharded run records neither.
+    :class:`~repro.errors.VerificationError` on any error; when the
+    compiler rejects the program, the verifier's diagnostics replace the
+    compiler's error.  ``subject`` names the program in planner reports
+    and diagnostics.  Compile and verify spans open only when that work
+    runs.
     """
+    from repro.backend.base import resolve_backend
+
+    supports_batched = resolve_backend(backend).supports_batched
+    raw_key = hashable_structure_key(calls)
+    identity: "ArtifactIdentity | None" = None
+    if raw_key is None:
+        _ARTIFACTS.note_uncached()
+    else:
+        config = engine.config if engine is not None else PlutoConfig()
+        identity = ArtifactIdentity(raw_key, config, plan, tuple(modes), supports_batched)
+        artifact = _ARTIFACTS.peek(identity)
+        if artifact is not None and (artifact.verified or not verify):
+            _ARTIFACTS.hits += 1
+            return artifact
+        _ARTIFACTS.misses += 1
     planner: "PlannerReport | None" = None
     if plan.is_auto:
-        from repro.backend.base import resolve_backend
         from repro.plan.planner import plan_program
 
         with stage("plan") as plan_span:
@@ -408,7 +474,7 @@ def prepare_execution(
                 engine,
                 request=plan,
                 modes=modes,
-                supports_batched=resolve_backend(backend).supports_batched,
+                supports_batched=supports_batched,
                 subject=subject,
             )
             plan_span.set(cached=planned.report.cached)
@@ -423,8 +489,8 @@ def prepare_execution(
         with stage("optimize"):
             optimized = optimize_cached(calls)
         calls = optimized.calls
-    calls = list(calls)
-    structure_key = hashable_structure_key(calls)
+    calls = tuple(calls)
+    structure_key = raw_key if optimized is None else hashable_structure_key(calls)
     compiled: "CompiledProgram | None" = None
     if not plan.hierarchical and plan.effective_shards == 1:
         span = stage("compile") if _PROGRAM_CACHE.peek(structure_key) is None else NOOP_SPAN
@@ -435,26 +501,74 @@ def prepare_execution(
             if verify:
                 _verify(calls, structure_key, subject)
             raise
-    if verify and (compiled is None or not compiled.verification_ok):
+    if verify:
         _verify(calls, structure_key, subject)
-        if compiled is not None:
-            compiled.verification_ok = True
-    return PreparedExecution(
+    slices: "tuple[tuple[tuple, CompiledProgram], ...]" = ()
+    if compiled is None and structure_key is not None:
+        # Dispatchers slice these calls on every run; copies keep a later
+        # parameter edit out of an artifact other programs share.
+        calls = tuple(replace(call, parameters=dict(call.parameters)) for call in calls)
+        slices = _slices(calls, plan, engine)
+    artifact = ProgramArtifact(
+        identity=identity,
         plan=plan,
         calls=calls,
         structure_key=structure_key,
         compiled=compiled,
+        slices=slices,
         optimized=optimized,
         planner=planner,
+        verified=verify,
     )
+    if identity is not None:
+        _ARTIFACTS.put(identity, artifact.reused())
+    return artifact
 
 
-def _verify(calls: "list[ApiCall]", key: "tuple | None", subject: str) -> None:
+def _verify(calls: Sequence[ApiCall], key: "tuple | None", subject: str) -> None:
     """Verify ``calls`` (memoized on ``key``); raise on any error."""
     from repro.analyze.verifier import verify_cached
 
     with stage("verify"):
-        verify_cached(calls, subject=subject, key=key).raise_if_errors()
+        verify_cached(list(calls), subject=subject, key=key).raise_if_errors()
+
+
+def _slices(
+    calls: "tuple[ApiCall, ...]", plan: "ExecutionPlan", engine: "PlutoEngine | None"
+) -> "tuple[tuple[tuple, CompiledProgram], ...]":
+    """Compile one program per distinct slice length of a sharded plan.
+
+    The slices are the ones the plan's dispatcher runs, compiled through
+    the program cache it looks them up in.  A plan the dispatcher
+    rejects gets none here; it raises its own error when the plan runs.
+    """
+    programs: "dict[int, tuple[tuple, CompiledProgram]]" = {}
+    try:
+        dispatcher = Executors(engine, "vectorized").dispatcher(plan)
+        for shard in dispatcher.planner.plan(calls, plan.shards):
+            if shard.size not in programs:
+                compiled, key = compile_cached_with_key(shard.calls)
+                if key is not None:
+                    programs[shard.size] = (key, compiled)
+    except ReproError:
+        return ()
+    return tuple(programs.values())
+
+
+def insert_artifact(artifact: ProgramArtifact) -> None:
+    """Make ``artifact`` (say, one loaded from a shared store) warm state.
+
+    It joins the artifact table under its identity and its compiled
+    programs join the program cache.  Their closures, and with them the
+    LUT gather arrays, are generated now, so the first request for the
+    program runs the fully warm path.  None of this counts as a miss.
+    """
+    from repro.backend.compiled import pin_executable
+
+    _ARTIFACTS.put(artifact.identity, artifact.reused())
+    for key, compiled in artifact.programs():
+        _PROGRAM_CACHE.put(key, compiled)
+        pin_executable(compiled)
 
 
 class Executors:
@@ -487,17 +601,9 @@ class Executors:
             self._warm[("single", jit)] = controller
         return controller
 
-    def run(
-        self, prepared: PreparedExecution, inputs: Mapping[str, np.ndarray]
-    ) -> "ExecutionResult":
-        """Execute a prepared program on the executor its plan calls for."""
-        plan = prepared.plan
-        if not plan.hierarchical and plan.effective_shards == 1:
-            return self.controller(plan).execute(
-                prepared.compiled,
-                dict(inputs),
-                structure_key=prepared.structure_key,
-            )
+    def dispatcher(self, plan: "ExecutionPlan") -> Any:
+        """The warm dispatcher for a sharded or hierarchical plan's tier
+        and placement."""
         jit = plan.tier != "interpreted"
         key = (plan.hierarchical, plan.channels, plan.ranks, jit)
         dispatcher = self._warm.get(key)
@@ -519,9 +625,22 @@ class Executors:
                     self.engine, backend=self.backend, jit=jit
                 )
             self._warm[key] = dispatcher
+        return dispatcher
+
+    def run(
+        self, artifact: ProgramArtifact, inputs: Mapping[str, np.ndarray]
+    ) -> "ExecutionResult":
+        """Execute a prepared program on the executor its plan calls for."""
+        plan = artifact.plan
+        if not plan.hierarchical and plan.effective_shards == 1:
+            return self.controller(plan).execute(
+                artifact.compiled,
+                dict(inputs),
+                structure_key=artifact.structure_key,
+            )
         # A sharded plan always pins its shard count; a hierarchical one
         # may leave it to the device (one shard per bank).
-        return dispatcher.execute(prepared.calls, inputs, shards=plan.shards)
+        return self.dispatcher(plan).execute(artifact.calls, inputs, shards=plan.shards)
 
 
 #: Warm entries one session keeps; making one more drops them all.
@@ -530,7 +649,7 @@ _WARM_ENTRIES = 8
 
 @dataclass
 class _WarmEntry:
-    """A session's prepared program with the executors that ran it.
+    """A session's program artifact with the executors that ran it.
 
     It serves a run while the engine and the session's backend are the
     same objects, the session holds the same call objects in the same
@@ -538,7 +657,7 @@ class _WarmEntry:
     :func:`clear_all_caches` ran since it was made.
     """
 
-    prepared: PreparedExecution
+    artifact: ProgramArtifact
     executors: Executors
     calls: "list[ApiCall]"
     parameters: "list[dict[str, Any]]"
@@ -555,6 +674,15 @@ class _WarmEntry:
             and all(map(operator.is_, calls, self.calls))
             and [call.parameters for call in calls] == self.parameters
         )
+
+
+def _verifies(engine: "PlutoEngine | None") -> bool:
+    """Whether the session's front doors verify programs run on ``engine``."""
+    if engine is None:
+        return False
+    from repro.analyze.verifier import verification_enabled
+
+    return verification_enabled(engine.config.verify)
 
 
 def _requested_plan(
@@ -581,7 +709,8 @@ class PlutoSession:
     calls: list[ApiCall] = field(default_factory=list)
     _counter: int = 0
     backend: "str | ExecutionBackend" = "vectorized"
-    #: (plan argument, planner search modes) -> warm entry (see :meth:`run`).
+    #: (plan argument, planner search modes, verify) -> warm entry (see
+    #: :meth:`run`).
     _warm: "dict[tuple, _WarmEntry]" = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -770,16 +899,20 @@ class PlutoSession:
         self,
         plan: "ExecutionPlan | str | None",
         engine: "PlutoEngine | None",
-        modes: tuple[str, ...],
-    ) -> tuple[PreparedExecution, Executors]:
-        """The prepared program and executors of a run of this program.
+        modes: tuple[str, ...] = _ALL_MODES,
+        *,
+        verify: bool,
+        subject: str = "program",
+    ) -> tuple[ProgramArtifact, Executors]:
+        """The program artifact and executors of a run of this program.
 
-        A warm entry per (``plan`` argument, ``modes``) serves repeated
-        runs (see :meth:`run` for when it is valid).  Otherwise the
-        program goes through :func:`prepare_execution`, verified per the
-        engine, on fresh executors, and the pair becomes the new entry.
-        The stored planner report is marked ``cached``, as the planner's
-        own memo would return it.
+        A warm entry per (``plan`` argument, ``modes``, ``verify``)
+        serves repeated runs (see :meth:`run` for when it is valid); the
+        async service takes its requests' artifacts from here too.
+        Otherwise the program goes through :func:`prepare_execution`, on
+        fresh executors, and the pair becomes the new entry.  The stored
+        planner report is marked ``cached``, as the planner's own memo
+        would return it.
 
         Two kinds of run get no entry.  Programs without a hashable
         structure key: their parameters may hold containers that a
@@ -789,39 +922,35 @@ class PlutoSession:
         for the session's life, and its runs take milliseconds, so the
         preparation an entry saves is noise there.
         """
-        key = (plan, modes)
+        key = (plan, modes, verify)
         try:
             entry = self._warm.get(key)
         except TypeError:  # not a plan: _requested_plan below rejects it
             entry = None
         if entry is not None and entry.serves(self, engine):
-            return entry.prepared, entry.executors
-        from repro.analyze.verifier import verification_enabled
-        from repro.backend.base import resolve_backend
-
-        prepared = prepare_execution(
+            return entry.artifact, entry.executors
+        artifact = prepare_execution(
             self.calls,
             engine,
             _requested_plan(plan, engine),
             backend=self.backend,
             modes=modes,
-            verify=engine is not None and verification_enabled(engine.config.verify),
+            verify=verify,
+            subject=subject,
         )
         executors = Executors(engine, self.backend)
-        if prepared.structure_key is not None and resolve_backend(self.backend).supports_batched:
-            stored = prepared
-            if prepared.planner is not None:
-                stored = replace(prepared, planner=replace(prepared.planner, cached=True))
+        identity = artifact.identity
+        if identity is not None and identity.supports_batched:
             if len(self._warm) >= _WARM_ENTRIES:
                 self._warm.clear()
             self._warm[key] = _WarmEntry(
-                prepared=stored,
+                artifact=artifact.reused(),
                 executors=executors,
                 calls=list(self.calls),
                 parameters=[dict(call.parameters) for call in self.calls],
                 generation=_generation,
             )
-        return prepared, executors
+        return artifact, executors
 
     @staticmethod
     def _finish_trace(trace: "RequestTrace | None", result: "ExecutionResult") -> None:
@@ -875,11 +1004,13 @@ class PlutoSession:
         :class:`~repro.opt.report.OptimizationReport` on
         ``result.optimization``.
 
-        **Warm runs.**  The session keeps the prepared program (plan,
-        optimized calls, structure key, compiled program, planner report)
-        and the controller or dispatcher that ran it, one entry per
-        method and ``plan`` argument (up to eight; making a ninth drops
-        them all).
+        **Warm runs.**  The session keeps the program's
+        :class:`ProgramArtifact` (plan, optimized calls, structure key,
+        compiled programs, planner report) and the controller or
+        dispatcher that ran it, one entry per method, ``plan`` argument
+        and verification setting (up to eight; making a ninth drops them
+        all).  A :class:`~repro.api.service.PlutoService` serving this
+        session takes its requests' artifacts from the same entries.
         A later run reuses them, skipping planning, optimization, keying,
         compilation, verification and executor construction, while all
         of these hold: ``engine`` is the same object, ``session.backend``
@@ -899,13 +1030,13 @@ class PlutoSession:
         trace = new_trace("session.run")
         token = activate(trace)
         try:
-            prepared, executors = self._prepare(plan, engine, _ALL_MODES)
+            artifact, executors = self._prepare(plan, engine, verify=_verifies(engine))
             with span_of(trace, "execute"):
-                result = executors.run(prepared, inputs)
+                result = executors.run(artifact, inputs)
         finally:
             deactivate(token)
         self._finish_trace(trace, result)
-        return prepared.attach(result)
+        return artifact.attach(result)
 
     def run_batch(
         self,
@@ -933,14 +1064,16 @@ class PlutoSession:
         trace = new_trace("session.run_batch")
         token = activate(trace)
         try:
-            prepared, executors = self._prepare(plan, engine, ("single",))
-            if prepared.compiled is None:
+            artifact, executors = self._prepare(
+                plan, engine, ("single",), verify=_verifies(engine)
+            )
+            if artifact.compiled is None:
                 raise ConfigurationError(
                     "run_batch executes each job as one unsharded program; "
                     "sharded/hierarchical plans go through run()"
                 )
-            compiled, structure_key = prepared.compiled, prepared.structure_key
-            controller = executors.controller(prepared.plan)
+            compiled, structure_key = artifact.compiled, artifact.structure_key
+            controller = executors.controller(artifact.plan)
             if not parallel:
                 with span_of(trace, "execute") as span:
                     results = [
@@ -950,7 +1083,7 @@ class PlutoSession:
                         for inputs in batch
                     ]
                     span.set(jobs=len(results))
-                return prepared.attach(BatchResult(results=results, request_trace=trace))
+                return artifact.attach(BatchResult(results=results, request_trace=trace))
             from repro.controller.dispatch import merged_makespan_ns
 
             jobs = list(batch)
@@ -984,7 +1117,7 @@ class PlutoSession:
                 )
         finally:
             deactivate(token)
-        return prepared.attach(
+        return artifact.attach(
             BatchResult(results=results, makespan_ns=makespan, request_trace=trace)
         )
 
@@ -1017,18 +1150,20 @@ class PlutoSession:
         trace = new_trace("session.run_hierarchical")
         token = activate(trace)
         try:
-            prepared, executors = self._prepare(requested, engine, ("hierarchy",))
-            if not prepared.plan.hierarchical:
+            artifact, executors = self._prepare(
+                requested, engine, ("hierarchy",), verify=_verifies(engine)
+            )
+            if not artifact.plan.hierarchical:
                 raise ConfigurationError(
                     "run_hierarchical needs a hierarchical plan; got "
-                    f"{prepared.plan.label()!r}"
+                    f"{artifact.plan.label()!r}"
                 )
             with span_of(trace, "execute"):
-                result = executors.run(prepared, inputs)
+                result = executors.run(artifact, inputs)
         finally:
             deactivate(token)
         self._finish_trace(trace, result)
-        return prepared.attach(result)
+        return artifact.attach(result)
 
     def serve(
         self,
@@ -1133,10 +1268,8 @@ def execute_batch(
     LUT gather arrays are reused.  ``backend`` overrides every session's
     own selection when given.
     """
-    from repro.analyze.verifier import verification_enabled
-
     plan = _requested_plan(None, engine)
-    verify = engine is not None and verification_enabled(engine.config.verify)
+    verify = _verifies(engine)
     executors: dict[object, Executors] = {}
     results = []
     for session, inputs in jobs:
@@ -1147,8 +1280,8 @@ def execute_batch(
         runner = executors.get(key)
         if runner is None:
             runner = executors[key] = Executors(engine, selection)
-        prepared = prepare_execution(
+        artifact = prepare_execution(
             session.calls, engine, plan, backend=selection, verify=verify
         )
-        results.append(prepared.attach(runner.run(prepared, inputs)))
+        results.append(artifact.attach(runner.run(artifact, inputs)))
     return BatchResult(results=results)

@@ -10,27 +10,20 @@ speed:
 * ``"vectorized"`` — whole-program NumPy gather/bitwise execution.
 
 On top of the vectorized tier, :mod:`repro.backend.compiled` lowers a
-whole compiled program into a single cached NumPy closure (zero
-per-instruction Python dispatch); the controller routes vectorized
+whole compiled program into a single NumPy closure kept on the program
+(zero per-instruction Python dispatch); the controller routes vectorized
 executions through it automatically when a program structure key is
 available.
 """
 
 from repro.backend.base import ExecutionBackend, backend_names, resolve_backend
-from repro.backend.compiled import (
-    CompiledExecutable,
-    clear_compiled_programs,
-    compile_program,
-    compiled_exec_stats,
-)
+from repro.backend.compiled import CompiledExecutable, compile_program
 from repro.backend.functional import FunctionalBackend
 from repro.backend.vectorized import VectorizedBackend
 
 __all__ = [
     "backend_names",
-    "clear_compiled_programs",
     "compile_program",
-    "compiled_exec_stats",
     "CompiledExecutable",
     "ExecutionBackend",
     "FunctionalBackend",

@@ -9,9 +9,9 @@ optimized :class:`~repro.compiler.lowering.CompiledProgram` is lowered
 **once** into a single generated Python function whose body is the
 straight-line chain of NumPy gathers, shift-ORs, moves, and bitwise
 kernels — every gather array, mask constant, operand slot, and output
-selection resolved at compile time — and the resulting closure is cached
-process-wide on the program structure key like every other warm-state
-layer (:func:`compiled_exec_cached`).
+selection resolved at compile time — and the resulting closure is kept
+on the compiled program it was generated from (:func:`compiled_exec_cached`),
+so every controller executing that program shares it.
 
 Cost accounting is untouched: the controller realizes the program's
 cached :class:`~repro.controller.executor.TraceTemplate` alongside the
@@ -44,15 +44,14 @@ from repro.isa.instructions import (
 )
 from repro.obs.trace import stage
 from repro.utils.bitops import mask_of
-from repro.utils.memo import BoundedMemo
+from repro.utils.memo import MemoCounters
 
 __all__ = [
     "CompiledExecutable",
     "compile_program",
     "compiled_exec_cached",
-    "seed_compiled_exec",
-    "compiled_exec_stats",
-    "clear_compiled_programs",
+    "pin_executable",
+    "CLOSURE_COUNTERS",
 ]
 
 
@@ -522,73 +521,43 @@ def compile_program(
     return _lower(compiled)
 
 
-#: Cached compile *failures*: programs whose structure cannot lower (an
-#: unsupported instruction) are remembered so the controller stops
-#: re-attempting them on every execution.
-_UNSUPPORTED = object()
+#: Closure builds (misses) and reuses (hits), surfaced as
+#: ``cache_stats()["compiled_exec"]``.
+CLOSURE_COUNTERS = MemoCounters()
 
-#: Structure key -> CompiledExecutable (or the unsupported sentinel).
-_COMPILED_MEMO: BoundedMemo[object] = BoundedMemo(512)
+
+def pin_executable(compiled: CompiledProgram) -> CompiledExecutable | None:
+    """Generate the program's closure and keep it on the program.
+
+    Returns ``None`` when the program cannot take the compiled tier (an
+    unsupported instruction); that verdict is kept too, so the
+    controller stops re-attempting the program.
+    """
+    try:
+        executable: CompiledExecutable | None = _lower(compiled)
+    except Exception:
+        executable = None
+    compiled.__dict__["_jit_executable"] = executable if executable is not None else False
+    return executable
 
 
 def compiled_exec_cached(
     compiled: CompiledProgram, *, structure_key: tuple | None
 ) -> CompiledExecutable | None:
-    """The memoized executable for a program structure.
+    """The program's closure, generated on first use.
 
     Returns ``None`` when the program cannot take the compiled tier —
-    no usable structure key, or a structure that failed to lower (the
-    failure is cached too) — and the caller falls back to interpreted
+    no structure key (the caller's opt-in signal), or a structure that
+    failed to lower — and the caller falls back to interpreted
     execution.
     """
     if structure_key is None:
-        _COMPILED_MEMO.note_uncached()
+        CLOSURE_COUNTERS.note_uncached()
         return None
-    try:
-        cached = _COMPILED_MEMO.get(structure_key)
-    except TypeError:
-        _COMPILED_MEMO.note_uncached()
-        return None
-    if cached is not None:
-        return None if cached is _UNSUPPORTED else cached  # type: ignore[return-value]
-    try:
-        with stage("closure_build", instructions=len(compiled.program)):
-            executable = _lower(compiled)
-    except Exception:
-        _COMPILED_MEMO.put(structure_key, _UNSUPPORTED)
-        return None
-    _COMPILED_MEMO.put(structure_key, executable)
-    return executable
-
-
-def seed_compiled_exec(
-    compiled: CompiledProgram, *, structure_key: tuple
-) -> CompiledExecutable | None:
-    """Pre-build and install the executable without miss accounting.
-
-    Warm-start installation regenerates closures from stored compile
-    products; counting that regeneration as a cache miss would make a
-    fully warm process look cold.  Returns the installed executable (or
-    ``None`` when the structure cannot take the compiled tier — the
-    unsupported verdict is cached all the same).
-    """
-    cached = _COMPILED_MEMO.peek(structure_key)
-    if cached is not None:
-        return None if cached is _UNSUPPORTED else cached  # type: ignore[return-value]
-    try:
-        executable = _lower(compiled)
-    except Exception:
-        _COMPILED_MEMO.put(structure_key, _UNSUPPORTED)
-        return None
-    _COMPILED_MEMO.put(structure_key, executable)
-    return executable
-
-
-def compiled_exec_stats() -> dict[str, int]:
-    """Hit/miss counters and size of the compiled-closure cache."""
-    return _COMPILED_MEMO.stats()
-
-
-def clear_compiled_programs() -> None:
-    """Drop every cached whole-program closure and reset the counters."""
-    _COMPILED_MEMO.clear()
+    pinned = compiled.__dict__.get("_jit_executable")
+    if pinned is not None:
+        CLOSURE_COUNTERS.hits += 1
+        return pinned or None
+    CLOSURE_COUNTERS.misses += 1
+    with stage("closure_build", instructions=len(compiled.program)):
+        return pin_executable(compiled)

@@ -67,7 +67,15 @@ def program_structure_key(calls: "list[ApiCall] | tuple[ApiCall, ...]") -> tuple
 
 @dataclass
 class CompiledProgram:
-    """Result of compiling a pLUTo API program."""
+    """Result of compiling a pLUTo API program.
+
+    A compiled program is also the one home of its per-structure
+    products: the trace template of each engine configuration it ran
+    under (:attr:`templates`) and the whole-program closure the compiled
+    tier generates for it (:mod:`repro.backend.compiled`).  The closure
+    is generated code, so pickling drops it; it rebuilds from the
+    program.
+    """
 
     program: PlutoProgram
     register_file: RegisterFile
@@ -79,10 +87,14 @@ class CompiledProgram:
     external_inputs: list[PlutoVector] = field(default_factory=list)
     #: Vectors holding the program results.
     outputs: list[PlutoVector] = field(default_factory=list)
-    #: Set by the execution front doors after this (cached) program
-    #: verified error-free, so warm verified serving costs an attribute
-    #: check instead of a structure-key hash per run.
-    verification_ok: bool = field(default=False, compare=False)
+    #: Engine configuration -> the program's
+    #: :class:`~repro.controller.executor.TraceTemplate` under it.
+    templates: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_jit_executable", None)
+        return state
 
     @property
     def lut_queries(self) -> int:

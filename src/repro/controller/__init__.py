@@ -15,8 +15,6 @@ from repro.controller.executor import (
     ExecutionResult,
     PlutoController,
     TraceTemplate,
-    clear_trace_templates,
-    trace_template_stats,
 )
 from repro.controller.hierarchy import (
     HierarchicalDispatcher,
@@ -38,8 +36,6 @@ __all__ = [
     "ExecutionResult",
     "PlutoController",
     "TraceTemplate",
-    "trace_template_stats",
-    "clear_trace_templates",
     "CommandRom",
     "ParallelDispatcher",
     "ShardedExecutionResult",

@@ -42,7 +42,7 @@ from repro.isa.instructions import (
     PlutoSubarrayAlloc,
 )
 from repro.utils.bitops import mask_of
-from repro.utils.memo import BoundedMemo
+from repro.utils.memo import MemoCounters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import RequestTrace
@@ -54,9 +54,7 @@ __all__ = [
     "ExecutionResult",
     "PlutoController",
     "TraceTemplate",
-    "seed_trace_template",
-    "trace_template_stats",
-    "clear_trace_templates",
+    "TEMPLATE_COUNTERS",
 ]
 
 
@@ -108,29 +106,9 @@ class TraceTemplate:
         return trace
 
 
-#: (program structure key, engine config) -> TraceTemplate.
-_TEMPLATE_MEMO: BoundedMemo[TraceTemplate] = BoundedMemo(1024)
-
-
-def seed_trace_template(
-    structure_key: tuple, config, template: TraceTemplate
-) -> None:
-    """Install a template under ``(structure key, engine config)``.
-
-    Used by the shared artifact store (:mod:`repro.serve.store`) so a
-    fresh process's first fused dispatch of a known shape hits the memo.
-    """
-    _TEMPLATE_MEMO.put((structure_key, config), template)
-
-
-def trace_template_stats() -> dict[str, int]:
-    """Hit/miss counters and size of the trace-template cache."""
-    return _TEMPLATE_MEMO.stats()
-
-
-def clear_trace_templates() -> None:
-    """Drop every cached trace template and reset the counters."""
-    _TEMPLATE_MEMO.clear()
+#: Template builds (misses) and reuses (hits), surfaced as
+#: ``cache_stats()["trace_templates"]``.
+TEMPLATE_COUNTERS = MemoCounters()
 
 
 @dataclass
@@ -250,7 +228,7 @@ class PlutoController:
             )
         if self.jit and structure_key is not None:
             # Fast path: reuse the executable pinned on the program by a
-            # prior resolution; fall into the memo only when unseen.
+            # prior resolution; generate it only when unseen.
             executable = compiled.__dict__.get("_jit_executable")
             if executable is None:
                 executable = self._compiled_executable(compiled, structure_key)
@@ -259,13 +237,7 @@ class PlutoController:
             if executable is not None:
                 # Input validation happens inside run_finals (same rules
                 # as _check_inputs, fused into the seeding pass).
-                return self._execute_compiled(
-                    executable,
-                    compiled,
-                    inputs,
-                    bank=bank,
-                    structure_key=structure_key,
-                )
+                return self._execute_compiled(executable, compiled, inputs, bank=bank)
         self._check_inputs(compiled, inputs)
         table = AllocationTable(geometry, bank=bank)
         trace = CommandTrace(timing=self.engine.timing, energy=self.engine.energy)
@@ -334,30 +306,22 @@ class PlutoController:
     def _compiled_executable(
         self, compiled: CompiledProgram, structure_key: tuple | None
     ):
-        """The memoized whole-program closure, when the JIT tier applies.
+        """The program's whole-program closure, when the JIT tier applies.
 
         The tier requires an explicit opt-in signal (a structure key), a
         batched-capable backend, and ``jit=True``; the functional oracle
-        and keyless executions keep the interpreted walk.  The resolved
-        executable (or its absence) is pinned on the ``CompiledProgram``
-        object so repeated executions of a cached program skip the
-        structure-key rehash; the bounded memo stays the authoritative,
-        stats-surfaced store keyed by structure.
+        and keyless executions keep the interpreted walk.  The closure
+        (or the verdict that the program cannot lower) is kept on the
+        ``CompiledProgram``, so every controller shares it.
         """
-        if not self.jit or structure_key is None:
-            return None
-        if not self.backend.supports_batched:
+        if not self.jit or structure_key is None or not self.backend.supports_batched:
             return None
         pinned = compiled.__dict__.get("_jit_executable")
         if pinned is not None:
             return pinned or None
         from repro.backend.compiled import compiled_exec_cached
 
-        executable = compiled_exec_cached(compiled, structure_key=structure_key)
-        compiled.__dict__["_jit_executable"] = (
-            executable if executable is not None else False
-        )
-        return executable
+        return compiled_exec_cached(compiled, structure_key=structure_key)
 
     def _execute_compiled(
         self,
@@ -366,12 +330,11 @@ class PlutoController:
         inputs: dict[str, np.ndarray],
         *,
         bank: int,
-        structure_key: tuple | None,
     ) -> ExecutionResult:
         """Run the closure; accounting comes from the cached template."""
         entry = self._jit_entries.get(executable)
         if entry is None:
-            template = self.trace_template(compiled, structure_key=structure_key)
+            template = self.trace_template(compiled)
             # The realized bank-0 trace is placement-independent and
             # never mutated after execution, so it is shared across
             # results like the template's frozen commands already are.
@@ -415,34 +378,19 @@ class PlutoController:
     # ------------------------------------------------------------------ #
     # Fused (batched) execution
     # ------------------------------------------------------------------ #
-    def trace_template(
-        self,
-        compiled: CompiledProgram,
-        *,
-        structure_key: tuple | None = None,
-    ) -> TraceTemplate:
-        """The program's bank-independent trace, cached per structure.
+    def trace_template(self, compiled: CompiledProgram) -> TraceTemplate:
+        """The program's bank-independent trace under this engine.
 
-        ``structure_key`` is the program-structure key the compiled
-        program was cached under (``program_structure_key``); pass it to
-        memoize the template across executions.  Without a key the
-        template is rebuilt each call.
+        Built once per engine configuration and kept on the program
+        (:attr:`CompiledProgram.templates`).
         """
-        cache_key: tuple | None = None
-        if structure_key is not None:
-            try:
-                cache_key = (structure_key, self.engine.config)
-                template = _TEMPLATE_MEMO.get(cache_key)
-            except TypeError:
-                cache_key = None
-                template = None
-            if template is not None:
-                return template
-        if cache_key is None:
-            _TEMPLATE_MEMO.note_uncached()
-        template = self._build_template(compiled)
-        if cache_key is not None:
-            _TEMPLATE_MEMO.put(cache_key, template)
+        config = self.engine.config
+        template = compiled.templates.get(config)
+        if template is not None:
+            TEMPLATE_COUNTERS.hits += 1
+            return template
+        TEMPLATE_COUNTERS.misses += 1
+        template = compiled.templates[config] = self._build_template(compiled)
         return template
 
     def _build_template(self, compiled: CompiledProgram) -> TraceTemplate:
@@ -516,7 +464,7 @@ class PlutoController:
                     f"bank {bank} outside the module's range [0, {geometry.banks})"
                 )
         self._check_inputs(compiled, inputs, shards)
-        template = self.trace_template(compiled, structure_key=structure_key)
+        template = self.trace_template(compiled)
         register_by_vector = compiled.vector_bindings
 
         executable = self._compiled_executable(compiled, structure_key)

@@ -40,7 +40,6 @@ __all__ = [
     "default_passes",
     "optimize_program",
     "optimize_cached",
-    "seed_optimizer_cache",
     "optimizer_cache_stats",
     "clear_optimizer_cache",
 ]
@@ -224,15 +223,6 @@ def optimize_cached(calls: Sequence[ApiCall]) -> OptimizedProgram:
         optimized = optimize_program(calls)
         _OPTIMIZE_MEMO.put(key, optimized)
     return optimized
-
-
-def seed_optimizer_cache(key: tuple, optimized: OptimizedProgram) -> None:
-    """Install an optimization under its structure key (warm start).
-
-    Used by the shared artifact store (:mod:`repro.serve.store`) to hand
-    a fresh process the optimizations a previous one already paid for.
-    """
-    _OPTIMIZE_MEMO.put(key, optimized)
 
 
 def optimizer_cache_stats() -> dict[str, int]:

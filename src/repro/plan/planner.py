@@ -16,7 +16,7 @@ planner reads no host clock: its choice is a function of the program
 structure, the engine configuration and the request alone.
 
 Chosen plans are memoized on the program structure key (the same
-identity the compile/optimize/verify/template memos use), surfaced in
+identity the compile/optimize/verify memos use), surfaced in
 ``cache_stats()["planner"]``: planning a structurally repeated program
 is a dict hit with **zero** analytic-model calls.  Every chosen sharded
 plan passes :func:`~repro.analyze.verifier.verify_shard_plans` before it
@@ -42,8 +42,6 @@ __all__ = [
     "PlannerReport",
     "PlannedExecution",
     "plan_program",
-    "plan_memo_key",
-    "seed_planner_cache",
     "planner_cache_stats",
     "clear_planner_cache",
 ]
@@ -106,35 +104,6 @@ class PlannedExecution:
 #: -> PlannedExecution.  A hit returns the chosen plan with zero
 #: analytic-model calls.
 _PLAN_MEMO: BoundedMemo[PlannedExecution] = BoundedMemo(512)
-
-
-def plan_memo_key(
-    structure_key: tuple,
-    config: object,
-    modes: tuple[str, ...],
-    supports_batched: bool,
-    request: ExecutionPlan,
-) -> tuple:
-    """The chosen-plan memo identity for one planning query.
-
-    Exported so the shared artifact store (:mod:`repro.serve.store`) can
-    seed the memo with decisions a previous process already paid for;
-    :func:`plan_program` builds its keys through this same function, so
-    the two can never drift apart.
-    """
-    return (
-        structure_key,
-        config,
-        tuple(modes),
-        supports_batched,
-        request.optimize,
-        request.tier,
-    )
-
-
-def seed_planner_cache(memo_key: tuple, planned: PlannedExecution) -> None:
-    """Install a chosen plan under its memo key (shared-store warm start)."""
-    _PLAN_MEMO.put(memo_key, planned)
 
 
 def planner_cache_stats() -> dict[str, int]:
@@ -269,7 +238,7 @@ def _enumerate(
     supports_batched: bool,
 ) -> tuple[list[CandidatePlan], dict[bool, Sequence["ApiCall"]]]:
     """Price every candidate configuration for ``calls`` on ``engine``."""
-    from repro.api.session import compile_cached_with_key
+    from repro.api.session import compile_cached
     from repro.controller.dispatch import ShardPlanner
     from repro.controller.executor import PlutoController
     from repro.opt.pipeline import optimize_cached
@@ -318,8 +287,7 @@ def _enumerate(
             """Compile (cached) and build the accounting template, once per length."""
             template = templates.get(length)
             if template is None:
-                compiled, key = compile_cached_with_key(list(shard_calls))
-                template = controller.trace_template(compiled, structure_key=key)
+                template = controller.trace_template(compile_cached(shard_calls))
                 templates[length] = template
             return template
 
@@ -445,12 +413,13 @@ def plan_program(
     structure_key = hashable_structure_key(calls)
     memo_key: tuple | None = None
     if structure_key is not None:
-        memo_key = plan_memo_key(
+        memo_key = (
             structure_key,
             engine.config,
             tuple(modes),
             supports_batched,
-            request,
+            request.optimize,
+            request.tier,
         )
         cached = _PLAN_MEMO.get(memo_key)
         if cached is not None:

@@ -4,8 +4,8 @@ Layered above :class:`~repro.api.service.PlutoService`:
 
 * :mod:`repro.serve.stats` — streaming mergeable latency histograms
   (p50/p95/p99 for queue wait, execution, end-to-end);
-* :mod:`repro.serve.store` — the persistent shared warm-artifact store
-  (compile products keyed on program structure, versioned invalidation,
+* :mod:`repro.serve.store` — the persistent shared artifact store (one
+  pickled program artifact per request identity, versioned invalidation,
   instant worker warm start);
 * :mod:`repro.serve.pool` — the dispatcher + N worker processes with
   structure-key-affinity routing, admission control, and graceful drain;
@@ -18,10 +18,7 @@ from repro.serve.stats import LatencyBreakdown, LatencyHistogram
 from repro.serve.store import (
     ARTIFACT_SCHEMA_VERSION,
     SharedArtifactStore,
-    WarmArtifacts,
     WarmStartReport,
-    collect_artifacts,
-    install_artifacts,
     reset_shared_store_stats,
     shared_store_stats,
 )
@@ -30,11 +27,8 @@ __all__ = [
     "LatencyHistogram",
     "LatencyBreakdown",
     "SharedArtifactStore",
-    "WarmArtifacts",
     "WarmStartReport",
     "ARTIFACT_SCHEMA_VERSION",
-    "collect_artifacts",
-    "install_artifacts",
     "shared_store_stats",
     "reset_shared_store_stats",
     "PlutoWorkerPool",

@@ -21,9 +21,9 @@ statistics, and anything left unresolved fails with
 :class:`~repro.errors.ServiceClosedError` — no orphaned processes.
 
 Workers warm-start from a :class:`~repro.serve.store.SharedArtifactStore`
-when one is configured, and export the warm artifacts of every program
-they serve back to it, so a freshly spawned worker's first request runs
-the fully warm path.
+when one is configured, and export the artifact of every program they
+serve back to it, so a freshly spawned worker's first request runs the
+fully warm path.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import pickle
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.errors import (
@@ -133,7 +133,7 @@ def _zero_inputs(calls) -> dict:
 
     A vector is external when some call reads it before any call wrote
     it; zero is valid for every bit width and LUT, so the result always
-    executes.  Used to prime a warm-started worker's service instance.
+    executes.  Used to prime a warm-started worker's programs.
     """
     import numpy as np
 
@@ -184,13 +184,7 @@ def _worker_main(
         from repro.serve.store import SharedArtifactStore
 
         store = SharedArtifactStore(store_path)
-        report = store.warm_start(engine)
-        warm_report = {
-            "entries": report.entries,
-            "installed": report.installed,
-            "stale": report.stale,
-            "load_time_s": report.load_time_s,
-        }
+        warm_report = asdict(store.warm_start(engine))
     results.put(("ready", worker_id, warm_report))
 
     loop = asyncio.new_event_loop()
@@ -233,23 +227,13 @@ def _worker_main(
         return entries
 
     def _export(program_id: int) -> None:
-        """Persist the warm artifacts of a just-served program (cheap:
-        every pipeline stage is a cache hit by now)."""
+        """Persist the artifact a just-served program ran from."""
         if store is None or program_id in exported:
             return
         exported.add(program_id)
-        session = sessions[program_id]
+        assert service is not None
         try:
-            from repro.backend.base import resolve_backend
-
-            store.export(
-                session.calls,
-                engine,
-                plan=plan,
-                supports_batched=resolve_backend(
-                    session.backend
-                ).supports_batched,
-            )
+            store.save(service._artifact(sessions[program_id], None))
         except Exception:
             pass  # the store is an accelerator, never a failure source
 
@@ -274,16 +258,11 @@ def _worker_main(
                     )
                     loop.run_until_complete(_start(service))
                 if warm_report is not None and warm_report["installed"]:
-                    # Prime the service instance so the first real request
-                    # of a warm-started worker runs the fully hot path —
-                    # every pipeline stage is already installed, so this
-                    # dry request costs memo hits plus one closure call.
+                    # Run the program once outside the service's accounting,
+                    # so the first real request of a warm-started worker
+                    # finds its warm entry, closure and controller hot.
                     try:
-                        loop.run_until_complete(
-                            service.submit(
-                                _zero_inputs(session.calls), session=session
-                            )
-                        )
+                        service._prime(session, _zero_inputs(session.calls))
                     except Exception:
                         pass  # priming is best-effort
                 continue

@@ -4,17 +4,20 @@ Contract: executing through the compiled tier — one cached NumPy closure
 per program structure — is indistinguishable from the per-instruction
 interpreted vectorized walk and from the functional oracle: bit-identical
 outputs and registers, identical command traces and totals, identical
-error behavior (messages included).  The closure cache is bounded,
-surfaced through ``PlutoSession.cache_stats()``, and covered by
+error behavior (messages included).  Each closure is kept on its
+compiled program, so it is bounded with the program cache, surfaced
+through ``PlutoSession.cache_stats()``, and covered by
 ``clear_all_caches()``.
 """
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
-import repro.backend.compiled as compiled_module
+import repro.api.session as session_module
 from repro.api.luts import color_grade_lut
 from repro.api.session import (
     PlutoSession,
@@ -25,7 +28,6 @@ from repro.backend.compiled import (
     CompiledExecutable,
     compile_program,
     compiled_exec_cached,
-    compiled_exec_stats,
 )
 from repro.controller.dispatch import ParallelDispatcher
 from repro.controller.executor import PlutoController
@@ -210,38 +212,63 @@ class TestCompiledFused:
         assert not merged[8:].any()  # the zero-initialized tail survives
 
 
+def _closure_stats() -> dict:
+    return PlutoSession.cache_stats()["compiled_exec"]
+
+
 class TestCompiledCache:
     def test_hit_then_eviction(self, monkeypatch):
-        monkeypatch.setattr(compiled_module, "_COMPILED_MEMO", BoundedMemo(2))
-        programs = []
-        for elements in (16, 24, 32):
-            session, _ = _mixed_program(elements)
-            programs.append(compile_cached_with_key(session.calls))
+        """The closure lives on its program: a reuse is a hit, and it
+        leaves the cache with its program."""
+        monkeypatch.setattr(session_module, "_PROGRAM_CACHE", BoundedMemo(2))
+        clear_all_caches()
+        sessions = [_mixed_program(elements)[0] for elements in (16, 24, 32)]
+        programs = [compile_cached_with_key(session.calls) for session in sessions]
         first, first_key = programs[0]
-        assert compiled_exec_stats()["size"] == 0
+        assert _closure_stats()["size"] == 0
 
         executable = compiled_exec_cached(first, structure_key=first_key)
         assert isinstance(executable, CompiledExecutable)
         again = compiled_exec_cached(first, structure_key=first_key)
         assert again is executable  # hit returns the same closure
-        stats = compiled_exec_stats()
+        stats = _closure_stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
 
-        # Two more structures overflow the 2-entry bound: the oldest
-        # closure is evicted and recompiles on the next request.
+        # The third structure evicted the first program from the 2-entry
+        # program cache, its closure with it: recompiling the structure
+        # builds a fresh program whose closure is built again.
         for program, key in programs[1:]:
             compiled_exec_cached(program, structure_key=key)
-        assert compiled_exec_stats()["size"] == 2
-        rebuilt = compiled_exec_cached(first, structure_key=first_key)
+        assert _closure_stats()["size"] == 2
+        recompiled, _ = compile_cached_with_key(sessions[0].calls)
+        assert recompiled is not first
+        rebuilt = compiled_exec_cached(recompiled, structure_key=first_key)
         assert rebuilt is not executable
-        assert compiled_exec_stats()["misses"] > stats["misses"]
+        assert _closure_stats()["misses"] > stats["misses"]
+
+    def test_pickling_drops_the_closure_and_keeps_the_templates(self):
+        session, inputs = _mixed_program(16)
+        reference = session.run(inputs)
+        compiled, key = compile_cached_with_key(session.calls)
+        assert isinstance(compiled.__dict__["_jit_executable"], CompiledExecutable)
+        assert list(compiled.templates) == [PlutoConfig()]
+        clone = pickle.loads(pickle.dumps(compiled))
+        assert "_jit_executable" not in clone.__dict__
+        assert clone.templates == compiled.templates
+        result = PlutoController(backend="vectorized").execute(
+            clone, inputs, structure_key=key
+        )
+        assert isinstance(clone.__dict__["_jit_executable"], CompiledExecutable)
+        assert result.trace.commands == reference.trace.commands
+        for name, data in reference.outputs.items():
+            assert np.array_equal(result.outputs[name], data)
 
     def test_uncompilable_key_is_counted(self):
         session, _ = _mixed_program(16)
         compiled, _ = compile_cached_with_key(session.calls)
-        before = compiled_exec_stats()["uncached"]
+        before = _closure_stats()["uncached"]
         assert compiled_exec_cached(compiled, structure_key=None) is None
-        assert compiled_exec_stats()["uncached"] == before + 1
+        assert _closure_stats()["uncached"] == before + 1
 
     def test_surfaced_in_session_stats_and_cleared(self):
         session, inputs = _mixed_program(16)

@@ -13,13 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api.session import PlutoSession, cache_stats, compile_cached
+from repro.api.session import PlutoSession, cache_stats, clear_all_caches, compile_cached
 from repro.controller.dispatch import ParallelDispatcher, ShardPlanner
-from repro.controller.executor import (
-    PlutoController,
-    clear_trace_templates,
-    trace_template_stats,
-)
+from repro.controller.executor import PlutoController
 from repro.controller.hierarchy import HierarchicalDispatcher
 from repro.core.designs import PlutoDesign
 from repro.core.engine import PlutoConfig, PlutoEngine
@@ -192,15 +188,21 @@ class TestExecuteFused:
             controller.execute_fused(compiled, stacked, banks=[0, 99])
 
     def test_trace_template_cache(self):
-        clear_trace_templates()
+        clear_all_caches()
         session, inputs = _mixed_program(32)
         engine = PlutoEngine(PlutoConfig())
         dispatcher = ParallelDispatcher(engine, fused=True)
         dispatcher.execute(session.calls, inputs, shards=4)
-        first = trace_template_stats()
+        first = cache_stats()["trace_templates"]
         assert first["misses"] >= 1
+        # The template is kept on the slice program, once per engine config.
+        (slice_program,) = [
+            compile_cached(shard.calls) for shard in ShardPlanner().plan(session.calls, 4)[:1]
+        ]
+        assert list(slice_program.templates) == [engine.config]
+        assert first["size"] >= 1
         dispatcher.execute(session.calls, inputs, shards=4)
-        second = trace_template_stats()
+        second = cache_stats()["trace_templates"]
         assert second["hits"] > first["hits"]
         assert second["misses"] == first["misses"]
 
@@ -325,6 +327,7 @@ class TestCacheStatsSurface:
         stats = PlutoSession.cache_stats()
         assert set(stats) == {
             "programs",
+            "artifacts",
             "shared_store",
             "optimizer",
             "lut_compositions",

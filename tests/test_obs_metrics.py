@@ -102,6 +102,7 @@ class TestCacheStatsBridge:
     #: worker pool's final reports consume this exact shape).
     EXPECTED_LAYERS = {
         "programs",
+        "artifacts",
         "shared_store",
         "verifier",
         "optimizer",

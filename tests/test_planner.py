@@ -449,8 +449,10 @@ class TestAutoOnEntryPoints:
             assert first.execution_plan == second.execution_plan
             assert not first.planner.cached
             assert second.planner.cached
+            # The repeat request takes the session's warm entry, so it
+            # never reaches the planner again.
             stats = planner_cache_stats()
-            assert stats["misses"] == 1 and stats["hits"] >= 1
+            assert stats["misses"] == 1 and stats["hits"] == 0
 
         asyncio.run(main())
 

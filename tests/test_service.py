@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from repro.api import PlutoSession, PlutoService
+from repro.api.session import cache_stats, clear_all_caches
 from repro.controller.hierarchy import HierarchicalExecutionResult
 from repro.core.engine import PlutoConfig, PlutoEngine
 from repro.errors import (
     ConfigurationError,
     ServiceClosedError,
     ServiceOverloadError,
+    VerificationError,
 )
 from repro.plan import ExecutionPlan
 
@@ -473,3 +475,68 @@ class TestOptimizedServing:
             assert service.stats.served == 4
 
         asyncio.run(main())
+
+
+def _shift_program() -> tuple[PlutoSession, dict[str, np.ndarray]]:
+    session = PlutoSession()
+    a = session.pluto_malloc(ELEMENTS, 8, "a")
+    out = session.pluto_malloc(ELEMENTS, 8, "out")
+    session.api_pluto_shift(a, out, bits=1, direction="l")
+    return session, {"a": np.random.default_rng(17).integers(0, 256, ELEMENTS)}
+
+
+class TestWarmEntryReuse:
+    """The service takes a request's program from the submitting
+    session's warm entry while the entry is valid for it."""
+
+    def test_unverified_warm_entry_never_serves_a_verified_request(self):
+        session, inputs = _shift_program()
+        session.calls[0].parameters["direction"] = "x"  # after recording
+        session.run(inputs)  # unverified: accepted, leaves a warm entry
+        assert session._warm
+
+        async def main():
+            async with session.serve(verify=True) as service:
+                await service.submit(inputs)
+
+        with pytest.raises(VerificationError, match="shift-direction"):
+            asyncio.run(main())
+
+    def test_repeat_request_prepares_nothing(self):
+        async def main():
+            session, inputs = _shift_program()
+            async with session.serve() as service:
+                first = await service.submit(inputs)
+                before = cache_stats()
+                second = await service.submit(inputs)
+                after = cache_stats()
+            return first, second, before, after
+
+        first, second, before, after = asyncio.run(main())
+        for layer in ("artifacts", "programs", "planner", "optimizer", "verifier"):
+            assert after[layer] == before[layer], layer
+        assert np.array_equal(first.outputs["out"], second.outputs["out"])
+
+    @pytest.mark.parametrize("change", ["parameter mutation", "clear_all_caches"])
+    def test_invalidating_change_prepares_again(self, change):
+        async def main():
+            session, inputs = _shift_program()
+            async with session.serve() as service:
+                first = await service.submit(inputs)
+                if change == "parameter mutation":
+                    session.calls[0].parameters["bits"] = 3
+                else:
+                    clear_all_caches()
+                misses = cache_stats()["artifacts"]["misses"]
+                second = await service.submit(inputs)
+                assert cache_stats()["artifacts"]["misses"] == misses + 1
+            return session, inputs, first, second
+
+        session, inputs, first, second = asyncio.run(main())
+        fresh = PlutoSession(vectors=list(session.vectors), calls=list(session.calls))
+        reference = fresh.run(inputs)
+        assert np.array_equal(second.outputs["out"], reference.outputs["out"])
+        assert second.latency_ns == reference.latency_ns
+        assert second.energy_nj == reference.energy_nj
+        if change == "parameter mutation":
+            assert not np.array_equal(second.outputs["out"], first.outputs["out"])

@@ -1,8 +1,8 @@
-"""Tests for the persistent warm-artifact store (serve/store.py)."""
+"""Tests for the persistent artifact store (serve/store.py)."""
 
 from __future__ import annotations
 
-import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -10,12 +10,8 @@ import pytest
 from repro.api import PlutoSession
 from repro.api.session import cache_stats, clear_all_caches
 from repro.core.engine import PlutoConfig, PlutoEngine
-from repro.serve.store import (
-    ARTIFACT_SCHEMA_VERSION,
-    SharedArtifactStore,
-    collect_artifacts,
-    install_artifacts,
-)
+from repro.plan import ExecutionPlan
+from repro.serve.store import ARTIFACT_SCHEMA_VERSION, SharedArtifactStore
 from repro.workloads.programs import workload_program
 
 ELEMENTS = 256
@@ -46,22 +42,24 @@ class TestStoreRoundtrip:
     def test_export_load_roundtrip(self, tmp_path):
         session = _program()
         store = SharedArtifactStore(tmp_path / "store")
-        artifacts = store.export(session.calls)
+        artifact = store.export(session.calls)
         assert len(store) == 1
-        loaded = SharedArtifactStore(tmp_path / "store").load(
-            artifacts.identity
-        )
+        loaded = SharedArtifactStore(tmp_path / "store").load(artifact.identity)
         assert loaded is not None
-        assert loaded.identity == artifacts.identity
-        assert loaded.structure_key == artifacts.structure_key
+        assert loaded.identity == artifact.identity
+        assert loaded.structure_key == artifact.structure_key
+        assert loaded.verified
         assert loaded.compiled is not None
+        # The program travels with its trace template, not its closure.
+        assert list(loaded.compiled.templates) == [PlutoConfig()]
+        assert "_jit_executable" not in loaded.compiled.__dict__
 
     def test_missing_entry_counts_a_miss(self, tmp_path):
         session = _program()
         store = SharedArtifactStore(tmp_path / "store")
-        artifacts = collect_artifacts(session.calls)
+        artifact = SharedArtifactStore(tmp_path / "other").export(session.calls)
         before = cache_stats()["shared_store"]["misses"]
-        assert store.load(artifacts.identity) is None
+        assert store.load(artifact.identity) is None
         assert cache_stats()["shared_store"]["misses"] == before + 1
 
     def test_export_overwrites_same_key(self, tmp_path):
@@ -70,18 +68,33 @@ class TestStoreRoundtrip:
         store.export(session.calls)
         store.export(session.calls)
         assert len(store) == 1
+        assert not list(store.path.glob("*.tmp"))
+
+    def test_a_concurrent_writer_cannot_corrupt_the_published_entry(self, tmp_path):
+        """Each save writes through a temporary file of its own: a second
+        writer still writing the same entry never lands in the file the
+        first one published."""
+        session = _program()
+        store = SharedArtifactStore(tmp_path / "store")
+        artifact = store.export(session.calls)
+        target = store._entry_path(artifact.identity)
+        stale = cache_stats()["shared_store"]["stale"]
+        with open(target.with_suffix(".tmp"), "wb") as other_writer:
+            store.save(artifact)
+            other_writer.write(b"a second writer's unfinished bytes")
+        loaded = store.load(artifact.identity)
+        assert loaded is not None and loaded.identity == artifact.identity
+        assert cache_stats()["shared_store"]["stale"] == stale
+        assert target.exists()
 
 
 class TestVersionedInvalidation:
     def test_schema_mismatch_is_stale_and_removed(self, tmp_path):
         session = _program()
         store = SharedArtifactStore(tmp_path / "store")
-        artifacts = store.export(session.calls)
-        stale = dataclasses.replace(
-            artifacts, schema=ARTIFACT_SCHEMA_VERSION + 1
-        )
-        path = store.save(stale)
-        store._entry_path(artifacts.identity).unlink()  # keep only stale
+        artifact = store.export(session.calls)
+        path = store._entry_path(artifact.identity)
+        path.write_bytes(pickle.dumps((ARTIFACT_SCHEMA_VERSION + 1, artifact)))
         before = cache_stats()["shared_store"]["stale"]
         report = store.warm_start()
         assert report.installed == 0
@@ -91,8 +104,8 @@ class TestVersionedInvalidation:
     def test_corrupt_entry_is_stale_and_removed(self, tmp_path):
         session = _program()
         store = SharedArtifactStore(tmp_path / "store")
-        artifacts = store.export(session.calls)
-        path = store._entry_path(artifacts.identity)
+        artifact = store.export(session.calls)
+        path = store._entry_path(artifact.identity)
         path.write_bytes(b"not a pickle")
         report = store.warm_start()
         assert report.installed == 0
@@ -108,32 +121,49 @@ class TestVersionedInvalidation:
         assert report.installed == 0
         assert report.stale == 1
 
-    def test_install_rejects_foreign_config(self, tmp_path):
+    def test_foreign_config_inserts_nothing(self, tmp_path):
         session = _program()
-        artifacts = collect_artifacts(session.calls)
-        other = PlutoEngine(PlutoConfig(channels=2, ranks=2))
-        assert install_artifacts(artifacts, other) is False
+        store = SharedArtifactStore(tmp_path / "store")
+        store.export(session.calls)
+        clear_all_caches()
+        store.warm_start(PlutoEngine(PlutoConfig(channels=2, ranks=2)))
+        stats = cache_stats()
+        assert stats["artifacts"]["size"] == 0
+        assert stats["programs"]["size"] == 0
+
+
+#: Plans a warm start must serve without a cold miss, with the element
+#: count each runs at.
+WARM_PLANS = {
+    "default": (None, ELEMENTS),
+    "shards": (ExecutionPlan(shards=4), 4096),
+    "auto": ("auto", 4096),
+    "hierarchical": (ExecutionPlan(hierarchical=True), 4096),
+}
 
 
 class TestWarmStart:
-    def test_cleared_caches_serve_with_zero_cold_misses(self, tmp_path):
+    @pytest.mark.parametrize("plan, elements", list(WARM_PLANS.values()), ids=list(WARM_PLANS))
+    def test_cleared_caches_serve_with_zero_cold_misses(self, tmp_path, plan, elements):
         """The headline property: a warm-started process runs the fully
         warm path on its first request — zero optimizer / planner /
-        verifier / template / compile misses, bit-identical outputs."""
-        program = workload_program("crc", elements=ELEMENTS, seed=1)
+        verifier / template / compile misses, bit-identical outputs,
+        modelled latency and energy."""
+        program = workload_program("crc", elements=elements, seed=1)
         store = SharedArtifactStore(tmp_path / "store")
         store.export(
             program.session.calls,
+            plan=plan,
             supports_batched=True,
         )
-        cold = program.session.run(program.inputs)
+        cold = program.session.run(program.inputs, plan=plan)
 
         clear_all_caches()
         report = store.warm_start()
         assert report.installed == 1
         before = cache_stats()
 
-        warm = program.session.run(program.inputs)
+        warm = program.session.run(program.inputs, plan=plan)
         after = cache_stats()
 
         for layer in WARM_LAYERS:
@@ -141,6 +171,9 @@ class TestWarmStart:
             assert misses == 0, f"{layer} took {misses} cold miss(es)"
         # No program was compiled after warm start either.
         assert after["programs"]["size"] == before["programs"]["size"]
+        assert warm.execution_plan == cold.execution_plan
+        assert warm.latency_ns == cold.latency_ns
+        assert warm.energy_nj == cold.energy_nj
         for name, array in cold.outputs.items():
             assert np.array_equal(array, warm.outputs[name])
 
@@ -154,8 +187,9 @@ class TestWarmStart:
         assert report.entries == 3
         assert report.installed == 3
         assert report.load_time_s > 0.0
-        stats = cache_stats()["shared_store"]
-        assert stats["installed"] >= 3
+        stats = cache_stats()
+        assert stats["shared_store"]["installed"] >= 3
+        assert stats["artifacts"]["size"] == 3
 
     def test_clear_empties_the_store(self, tmp_path):
         session = _program()

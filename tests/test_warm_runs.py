@@ -20,6 +20,7 @@ from repro.core.designs import PlutoDesign
 from repro.core.engine import PlutoConfig, PlutoEngine
 from repro.errors import VerificationError
 from repro.obs.trace import tracing
+from repro.plan import ExecutionPlan
 
 ELEMENTS = 256
 
@@ -73,6 +74,21 @@ def test_in_place_parameter_edit_prepares_again(door):
     second = door(session, inputs)
     _assert_same(second, door(_fresh(session), inputs))
     assert not np.array_equal(second.outputs["out"], first.outputs["out"])
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [ExecutionPlan(shards=4), ExecutionPlan(hierarchical=True, shards=4)],
+    ids=["shards", "hierarchical"],
+)
+def test_an_edit_after_the_run_never_reaches_an_equal_program(plan):
+    """Prepared programs are shared by structure, so an edit to one
+    session's calls after its run must not change what a session
+    recording the original calls runs."""
+    session, inputs = _program()
+    first = session.run(inputs, plan=plan)
+    session.calls[1].parameters["bits"] = 2
+    _assert_same(_program()[0].run(inputs, plan=plan), first)
 
 
 def test_recorded_call_prepares_again():

@@ -236,16 +236,43 @@ class TestGracefulShutdown:
         with pytest.raises(ServiceClosedError):
             pool.submit(session, _add_inputs(rng))
 
-    def test_workers_report_final_statistics_at_close(self):
+    @pytest.mark.parametrize("warm_started", [False, True], ids=["cold", "warm-started"])
+    def test_workers_report_final_statistics_at_close(self, warm_started, tmp_path):
+        """A warm-started worker primes its programs outside the
+        service's accounting: only the real request is counted."""
+        from repro.serve.store import SharedArtifactStore
+
         session = _add_program()
         rng = np.random.default_rng(43)
-        with PlutoWorkerPool(workers=1) as pool:
+        store_path = None
+        if warm_started:
+            store_path = str(tmp_path / "store")
+            SharedArtifactStore(store_path).export(session.calls)
+        with PlutoWorkerPool(workers=1, store_path=store_path) as pool:
             pool.submit(session, _add_inputs(rng)).result(60.0)
+        if warm_started:
+            assert pool.warm_reports[0]["installed"] == 1
         report = pool.worker_reports[0]
         assert report["programs"] == 1
         assert report["service"]["served"] == 1
         assert report["service"]["latency"]["end_to_end"]["count"] == 1
         assert "programs" in report["cache_stats"]
+
+    def test_workers_export_what_they_serve(self, tmp_path):
+        from repro.serve.store import SharedArtifactStore
+
+        session = _add_program()
+        rng = np.random.default_rng(53)
+        store_path = str(tmp_path / "store")
+        with PlutoWorkerPool(workers=1, store_path=store_path) as pool:
+            expected = pool.submit(session, _add_inputs(rng)).result(60.0)
+        assert pool.warm_reports[0]["entries"] == 0
+        assert len(SharedArtifactStore(store_path)) == 1
+        with PlutoWorkerPool(workers=1, store_path=store_path) as pool:
+            assert pool.wait_ready(60.0)
+            assert pool.warm_reports[0]["installed"] == 1
+            served = pool.submit(session, _add_inputs(np.random.default_rng(53))).result(60.0)
+        assert served.digests == expected.digests
 
     def test_crashed_worker_fails_its_requests_not_the_pool(self):
         session = _add_program()

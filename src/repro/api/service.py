@@ -17,6 +17,9 @@ execution stack:
 * **batch coalescing** — the worker drains the queue and groups
   consecutive requests with the same program structure into one batch
   executed on one warm controller (shared backend LUT gather arrays);
+  :meth:`PlutoService.serve_chunk` runs the same coalescing and batch
+  execution synchronously on the caller's thread, with no event loop
+  (how a worker-pool process serves);
 * **per-request latency accounting** — every :class:`ServedResult` carries
   the wall-clock queue wait and execution time next to the modelled DRAM
   latency of its program;
@@ -48,6 +51,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
+from queue import SimpleQueue
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -186,6 +190,29 @@ class ServiceStats:
         return cache_stats()
 
 
+class _Outcome:
+    """The slot a request served by :meth:`PlutoService.serve_chunk`
+    resolves into: the part of the future protocol batch execution uses,
+    without an event loop or a lock (the chunk is served on one thread)."""
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value: "ServedResult | BaseException | None" = None
+
+    def done(self) -> bool:
+        return self.value is not None
+
+    def cancelled(self) -> bool:
+        return False
+
+    def set_result(self, served: ServedResult) -> None:
+        self.value = served
+
+    def set_exception(self, error: BaseException) -> None:
+        self.value = error
+
+
 @dataclass
 class _PendingRequest:
     request_id: int
@@ -193,7 +220,7 @@ class _PendingRequest:
     #: Warm executors of the backend of the session this request came from.
     executors: Executors
     enqueued_at: float
-    future: "asyncio.Future[ServedResult]"
+    future: "asyncio.Future[ServedResult] | _Outcome"
     #: The request's program, prepared at submission: concrete plan,
     #: post-optimization calls and structure key, compiled program.
     artifact: ProgramArtifact
@@ -216,6 +243,14 @@ class _PendingRequest:
         if artifact.structure_key is None:
             return (id(self),)
         return (artifact.structure_key, self.executors, artifact.plan)
+
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from typing import TypeAlias
+
+    #: What the coalescing loop drains: the async service's bounded queue,
+    #: or the local queue of one synchronously served chunk.
+    _RequestQueue: TypeAlias = "asyncio.Queue[_PendingRequest] | SimpleQueue[_PendingRequest]"
 
 
 class PlutoService:
@@ -330,7 +365,7 @@ class PlutoService:
             return
         error = worker.exception()
         if error is not None:
-            self._fail_pending(error)
+            self._fail_pending(error, self._queue)
 
     async def close(self) -> None:
         """Drain the queue, stop the worker, and reject new submissions.
@@ -358,21 +393,20 @@ class PlutoService:
                 pass
             except Exception as error:  # the worker loop crashed
                 crash = error
-        self._fail_pending(
-            crash
-            if crash is not None
-            else ServiceClosedError("service closed before the request ran")
-        )
+        if crash is None:
+            crash = ServiceClosedError("service closed before the request ran")
+        self._fail_pending(crash, queue)
 
-    def _fail_pending(self, error: BaseException) -> None:
-        """Resolve every request that will never execute with ``error``."""
+    def _fail_pending(self, error: BaseException, queue: "_RequestQueue | None") -> None:
+        """Resolve every request that will never execute with ``error``:
+        the parked ``_pending`` one and whatever ``queue`` still holds."""
         leftovers: list[_PendingRequest] = []
         if self._pending is not None:
             leftovers.append(self._pending)
             self._pending = None
-        if self._queue is not None:
-            while not self._queue.empty():
-                leftovers.append(self._queue.get_nowait())
+        if queue is not None:
+            while not queue.empty():
+                leftovers.append(queue.get_nowait())
         for request in leftovers:
             self.stats.failed += 1
             if not request.future.done():
@@ -396,7 +430,7 @@ class PlutoService:
         ``plan`` overrides the service-wide execution plan for this
         request.
         """
-        request = self._make_request(inputs, session, plan)
+        request = self._make_request(inputs, session, plan, self._loop_future())
         queue = self._require_queue()
         await queue.put(request)
         self._note_depth(queue)
@@ -442,7 +476,7 @@ class PlutoService:
         immediately.  Returns a future resolving to the
         :class:`ServedResult`.  ``plan`` as in :meth:`submit`.
         """
-        request = self._make_request(inputs, session, plan)
+        request = self._make_request(inputs, session, plan, self._loop_future())
         queue = self._require_queue()
         try:
             queue.put_nowait(request)
@@ -454,17 +488,63 @@ class PlutoService:
         self._note_depth(queue)
         return request.future
 
-    def _make_request(
+    def serve_chunk(
         self,
-        inputs: Mapping[str, np.ndarray],
         session: "PlutoSession | None",
-        plan: "ExecutionPlan | str | None",
-    ) -> _PendingRequest:
+        inputs_list: "Sequence[Mapping[str, np.ndarray]]",
+    ) -> "list[ServedResult | Exception]":
+        """Serve a chunk of requests synchronously, on the calling thread.
+
+        The service's event-loop-free serving path (a worker-pool process
+        serves through it): each request is prepared as :meth:`submit`
+        prepares it under the service-wide plan (verification, the
+        session's warm artifact), then the chunk runs through the same
+        coalescing and batch execution as the async worker loop, with the
+        same statistics, metrics and traces.  It needs no :meth:`start`,
+        and is meant for a service whose async loop is not running.
+        Returns one :class:`ServedResult` or one exception per request, in
+        order: a request's own failure never fails its neighbours.
+        """
+        queue: "SimpleQueue[_PendingRequest]" = SimpleQueue()
+        slots: "list[_Outcome | Exception]" = []
+        for inputs in inputs_list:
+            outcome = _Outcome()
+            try:
+                queue.put(self._make_request(inputs, session, None, outcome))
+            except Exception as error:  # rejected at submission
+                slots.append(error)
+                continue
+            self._note_depth(queue)
+            slots.append(outcome)
+        try:
+            while self._pending is not None or not queue.empty():
+                if self._pending is not None:
+                    leader, self._pending = self._pending, None
+                else:
+                    leader = queue.get_nowait()
+                self._run_batch([leader], queue)
+        except BaseException as error:
+            self._fail_pending(error, queue)
+            raise
+        # Every queued request ran in some batch, so every slot is filled.
+        return [slot.value if isinstance(slot, _Outcome) else slot for slot in slots]
+
+    def _loop_future(self) -> "asyncio.Future[ServedResult]":
+        """A future on the running loop, for a request the worker loop serves."""
         if not self.running:
             raise ServiceClosedError(
                 "service is not running; use 'async with session.serve()' "
                 "or call start() first"
             )
+        return asyncio.get_running_loop().create_future()
+
+    def _make_request(
+        self,
+        inputs: Mapping[str, np.ndarray],
+        session: "PlutoSession | None",
+        plan: "ExecutionPlan | str | None",
+        future: "asyncio.Future[ServedResult] | _Outcome",
+    ) -> _PendingRequest:
         source = session if session is not None else self.session
         trace = new_trace("service", request_id=self._next_id)
         token = activate(trace)
@@ -478,7 +558,7 @@ class PlutoService:
             inputs={name: np.asarray(data) for name, data in inputs.items()},
             executors=self._executors_for(source.backend),
             enqueued_at=time.monotonic(),
-            future=asyncio.get_running_loop().create_future(),
+            future=future,
             artifact=artifact,
             trace=trace,
         )
@@ -519,7 +599,7 @@ class PlutoService:
             raise ServiceClosedError("service has no queue; call start() first")
         return self._queue
 
-    def _note_depth(self, queue: "asyncio.Queue[_PendingRequest]") -> None:
+    def _note_depth(self, queue: "_RequestQueue") -> None:
         self.stats.max_queue_depth = max(self.stats.max_queue_depth, queue.qsize())
 
     # ------------------------------------------------------------------ #
@@ -534,21 +614,7 @@ class PlutoService:
                 leader = await queue.get()
             batch = [leader]
             try:
-                coalesce_start = time.perf_counter_ns()
-                self._coalesce_into(batch, queue)
-                # Stashed on the instance (not passed as an argument) so
-                # _execute_batch keeps its original batch-only signature.
-                self._coalesce_ns = time.perf_counter_ns() - coalesce_start
-                self._execute_batch(batch)
-            except BaseException as error:
-                # The loop itself failed (per-request execution errors are
-                # handled inside _execute_batch): resolve the in-flight
-                # requests before the worker dies, so no submitter hangs.
-                for request in batch:
-                    if not request.future.done():
-                        self.stats.failed += 1
-                        request.future.set_exception(error)
-                raise
+                self._run_batch(batch, queue)
             finally:
                 # One task_done per drained request (the held-over
                 # ``_pending`` request is acknowledged with *its* batch,
@@ -559,10 +625,32 @@ class PlutoService:
             # before the next batch is drained.
             await asyncio.sleep(0)
 
+    def _run_batch(self, batch: "list[_PendingRequest]", queue: "_RequestQueue") -> None:
+        """Coalesce the requests queued behind ``batch``'s leader into it,
+        then execute the batch (the async worker loop and
+        :meth:`serve_chunk` run every batch through here).
+        """
+        try:
+            coalesce_start = time.perf_counter_ns()
+            self._coalesce_into(batch, queue)
+            # Stashed on the instance (not passed as an argument) so
+            # _execute_batch keeps its original batch-only signature.
+            self._coalesce_ns = time.perf_counter_ns() - coalesce_start
+            self._execute_batch(batch)
+        except BaseException as error:
+            # The loop itself failed (per-request execution errors are
+            # handled inside _execute_batch): resolve the in-flight
+            # requests before the error propagates, so no submitter hangs.
+            for request in batch:
+                if not request.future.done():
+                    self.stats.failed += 1
+                    request.future.set_exception(error)
+            raise
+
     def _coalesce_into(
         self,
         batch: "list[_PendingRequest]",
-        queue: "asyncio.Queue[_PendingRequest]",
+        queue: "_RequestQueue",
     ) -> None:
         """Pull queued requests with the same program structure into ``batch``.
 

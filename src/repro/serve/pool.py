@@ -2,12 +2,23 @@
 
 :class:`PlutoWorkerPool` scales the single-process
 :class:`~repro.api.service.PlutoService` across CPU cores: each worker
-process runs one warm service loop (coalescing, fused batches, every
+process holds one warm service (coalescing, fused batches, every
 process-wide memo layer), and the dispatcher routes requests to workers
 with **structure-key affinity** — every request of one program structure
 lands on the same worker, so that worker's caches stay hot and
 same-structure requests still coalesce into fused batches.  Requests and
 results cross the process boundary in chunks to amortize pickling.
+
+Transport: each worker has one duplex pipe.  The submitting thread writes
+its chunk frame straight onto the worker's pipe under a per-worker send
+lock, preceded — the first time a program goes down that pipe — by the
+program's registration frame.  The worker serves each chunk synchronously
+(:meth:`~repro.api.service.PlutoService.serve_chunk`, no event loop) and
+writes the results straight back.  One collector thread blocks on every
+worker's pipe and process sentinel at once, resolving futures as result
+frames arrive.  No pipe write ever happens under the admission lock: a
+write blocks while the worker's inbound buffer is full, and the collector
+must stay free to take results meanwhile.
 
 Admission control sits dispatcher-side: each worker has a bounded
 in-flight depth, :meth:`PlutoWorkerPool.submit` blocks (backpressure)
@@ -15,10 +26,15 @@ while its worker is full, and ``shed=True`` raises
 :class:`~repro.errors.ServiceOverloadError` immediately instead —
 the pool-wide analogue of ``submit`` vs ``submit_nowait`` on the
 single-process service.  :meth:`PlutoWorkerPool.close` drains
-gracefully: a stop sentinel rides each worker's FIFO inbox behind every
-accepted chunk, so queued requests complete, workers report their final
+gracefully: a stop frame goes down each worker's pipe behind every
+accepted chunk, so accepted requests complete, workers report their final
 statistics, and anything left unresolved fails with
 :class:`~repro.errors.ServiceClosedError` — no orphaned processes.
+
+A worker that dies is noticed the moment its process exits: the collector
+takes whatever the worker sent before dying, then fails the requests
+still in flight there with :class:`~repro.errors.WorkerCrashedError`, and
+refuses new ones for the program structures routed to it.
 
 Workers warm-start from a :class:`~repro.serve.store.SharedArtifactStore`
 when one is configured, and export the artifact of every program they
@@ -43,14 +59,16 @@ from repro.errors import (
     ServiceOverloadError,
     WorkerCrashedError,
 )
-from repro.obs.trace import new_trace, tracing_enabled
+from repro.obs.trace import Span, new_trace, tracing_enabled
 from repro.serve.stats import LatencyBreakdown
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import concurrent.futures
+    from multiprocessing.connection import Connection
 
     import numpy as np
 
+    from repro.api.service import ServedResult
     from repro.api.session import PlutoSession
     from repro.core.engine import PlutoConfig
     from repro.obs.trace import RequestTrace
@@ -81,6 +99,11 @@ class WorkerResult:
     #: Worker-side span tree (when tracing was enabled at pool creation);
     #: the dispatcher grafts it into a pool-level trace on resolution.
     request_trace: "RequestTrace | None" = None
+    #: ``time.monotonic()`` in the worker when the request's chunk arrived
+    #: and when its results were sent back: the system-wide clock of the
+    #: dispatcher's submit stamp, so the hop splits into its legs.
+    received_at: float = 0.0
+    replied_at: float = 0.0
 
 
 @dataclass
@@ -147,28 +170,46 @@ def _zero_inputs(calls) -> dict:
     return zeros
 
 
+def _worker_entry(
+    served: "ServedResult | Exception", return_outputs: bool, received_at: float
+) -> "WorkerResult | BaseException":
+    """The picklable form of one served request (or its portable error)."""
+    if isinstance(served, Exception):
+        return _portable_error(served)
+    return WorkerResult(
+        outputs=dict(served.outputs) if return_outputs else None,
+        digests={name: _digest(array) for name, array in served.outputs.items()},
+        latency_ns=served.latency_ns,
+        energy_nj=served.energy_nj,
+        queue_wait_s=served.queue_wait_s,
+        execute_s=served.execute_s,
+        batch_size=served.batch_size,
+        backend=served.backend,
+        request_trace=served.request_trace,
+        received_at=received_at,
+    )
+
+
 def _worker_main(
     worker_id: int,
     config: "PlutoConfig | None",
     plan: "ExecutionPlan | str | None",
-    max_queue: int,
     max_batch: int,
     verify: bool,
     tracing: bool,
     store_path: str | None,
-    inbox: "multiprocessing.Queue",
-    results: "multiprocessing.Queue",
+    connection: "Connection",
 ) -> None:
-    """One worker: a persistent :class:`PlutoService` loop fed by a queue.
+    """One worker: a warm :class:`PlutoService` serving frames off one pipe.
 
-    The asyncio loop persists across chunks, so the service's worker
-    task, warm controllers, and coalescing state survive between them;
-    each ``run`` chunk resumes the loop, gathers its submissions (same-
-    structure requests coalesce into fused batches inside the service),
-    and ships the per-request results (or portable errors) back.
+    Frames arrive in order.  ``program`` registers a program structure
+    (priming it outside the service's accounting after a warm start);
+    ``run`` serves one chunk synchronously through
+    :meth:`~repro.api.service.PlutoService.serve_chunk` — the service's
+    warm executors, artifacts and statistics persist across chunks — and
+    sends back one :class:`WorkerResult` or portable error per request;
+    ``stop`` ends the loop.  The final statistics report goes out last.
     """
-    import asyncio
-
     from repro.api.service import PlutoService
     from repro.api.session import PlutoSession, cache_stats
     from repro.core.engine import PlutoEngine
@@ -185,46 +226,11 @@ def _worker_main(
 
         store = SharedArtifactStore(store_path)
         warm_report = asdict(store.warm_start(engine))
-    results.put(("ready", worker_id, warm_report))
+    connection.send(("ready", worker_id, warm_report))
 
-    loop = asyncio.new_event_loop()
     service: "PlutoService | None" = None
     sessions: dict[int, PlutoSession] = {}
     exported: set[int] = set()
-
-    async def _start(fresh: "PlutoService") -> None:
-        fresh.start()
-
-    async def _serve(
-        session: PlutoSession, chunk: list, return_outputs: bool
-    ) -> list:
-        assert service is not None
-        served = await asyncio.gather(
-            *(service.submit(inputs, session=session) for inputs in chunk),
-            return_exceptions=True,
-        )
-        entries: list = []
-        for item in served:
-            if isinstance(item, BaseException):
-                entries.append(_portable_error(item))
-                continue
-            entries.append(
-                WorkerResult(
-                    outputs=dict(item.outputs) if return_outputs else None,
-                    digests={
-                        name: _digest(array)
-                        for name, array in item.outputs.items()
-                    },
-                    latency_ns=item.latency_ns,
-                    energy_nj=item.energy_nj,
-                    queue_wait_s=item.queue_wait_s,
-                    execute_s=item.execute_s,
-                    batch_size=item.batch_size,
-                    backend=item.backend,
-                    request_trace=item.request_trace,
-                )
-            )
-        return entries
 
     def _export(program_id: int) -> None:
         """Persist the artifact a just-served program ran from."""
@@ -239,7 +245,7 @@ def _worker_main(
 
     try:
         while True:
-            message = inbox.get()
+            message = connection.recv()
             kind = message[0]
             if kind == "stop":
                 break
@@ -251,12 +257,10 @@ def _worker_main(
                     service = PlutoService(
                         session,
                         engine=engine,
-                        max_queue=max_queue,
                         max_batch=max_batch,
                         plan=plan,
                         verify=verify,
                     )
-                    loop.run_until_complete(_start(service))
                 if warm_report is not None and warm_report["installed"]:
                     # Run the program once outside the service's accounting,
                     # so the first real request of a warm-started worker
@@ -266,36 +270,35 @@ def _worker_main(
                     except Exception:
                         pass  # priming is best-effort
                 continue
-            if kind == "run":
-                _, chunk_id, program_id, chunk, return_outputs = message
-                session = sessions.get(program_id)
-                if session is None or service is None:
-                    error = _portable_error(
-                        ServiceError(
-                            f"worker {worker_id} has no program "
-                            f"{program_id} registered"
-                        )
-                    )
-                    results.put(
-                        ("done", chunk_id, worker_id, [error] * len(chunk))
-                    )
-                    continue
-                entries = loop.run_until_complete(
-                    _serve(session, chunk, return_outputs)
-                )
-                results.put(("done", chunk_id, worker_id, entries))
-                _export(program_id)
+            # A run frame: its program's registration always went first.
+            _, chunk_id, program_id, chunk, return_outputs = message
+            received_at = time.monotonic()
+            assert service is not None
+            try:
+                entries = [
+                    _worker_entry(served, return_outputs, received_at)
+                    for served in service.serve_chunk(sessions[program_id], chunk)
+                ]
+            except Exception as error:  # the serving loop itself failed
+                entries = [_portable_error(error)] * len(chunk)
+            replied_at = time.monotonic()
+            for entry in entries:
+                if isinstance(entry, WorkerResult):
+                    entry.replied_at = replied_at
+            connection.send(("done", chunk_id, worker_id, entries))
+            _export(program_id)
     finally:
         payload: dict = {"programs": len(sessions)}
         if service is not None:
-            loop.run_until_complete(service.close())
             payload["service"] = service.stats.summary()
         try:
             payload["cache_stats"] = cache_stats()
         except Exception:
             pass
-        loop.close()
-        results.put(("stopped", worker_id, payload))
+        try:
+            connection.send(("stopped", worker_id, payload))
+        except OSError:
+            pass  # the dispatcher is gone; nobody is left to tell
 
 
 # ---------------------------------------------------------------------- #
@@ -310,15 +313,17 @@ class PlutoWorkerPool:
             futures = pool.submit_many(session, inputs_list)
             results = [future.result() for future in futures]
 
-    ``engine`` / ``plan`` / ``max_queue`` / ``max_batch`` / ``verify``
-    configure every worker's inner :class:`~repro.api.service.PlutoService`
+    ``engine_config`` / ``plan`` / ``max_batch`` / ``verify`` configure
+    every worker's inner :class:`~repro.api.service.PlutoService`
     identically.  ``store_path`` enables the shared warm-artifact store:
     workers warm-start from it and export what they serve back to it.
     ``max_inflight`` bounds each worker's dispatcher-side in-flight
-    depth; ``chunk_size`` caps how many requests ride one IPC message.
-    ``start_method`` picks the multiprocessing start method (``None`` =
-    platform default; ``"spawn"`` gives genuinely cold processes, the
-    warm-start proof mode).
+    depth — the pool's only admission bound, since a worker serves each
+    chunk as it arrives and queues nothing; ``chunk_size`` caps how many
+    requests ride one pipe frame.  ``start_method`` picks the
+    multiprocessing start method (``None`` = platform default;
+    ``"spawn"`` gives genuinely cold processes, the warm-start proof
+    mode).
     """
 
     def __init__(
@@ -327,7 +332,6 @@ class PlutoWorkerPool:
         workers: int = 2,
         engine_config: "PlutoConfig | None" = None,
         plan: "ExecutionPlan | str | None" = None,
-        max_queue: int = 256,
         max_batch: int = 16,
         verify: bool = True,
         store_path: str | None = None,
@@ -357,30 +361,33 @@ class PlutoWorkerPool:
         self.worker_reports: dict[int, dict] = {}
 
         context = multiprocessing.get_context(start_method)
-        self._results: "multiprocessing.Queue" = context.Queue()
-        self._inboxes: "list[multiprocessing.Queue]" = []
+        self._connections: "list[Connection]" = []
         self._processes: list = []
         for worker_id in range(workers):
-            inbox = context.Queue()
+            connection, child = context.Pipe()
             process = context.Process(
                 target=_worker_main,
                 args=(
                     worker_id,
                     engine_config,
                     plan,
-                    max_queue,
                     max_batch,
                     verify,
                     tracing_enabled(),
                     store_path,
-                    inbox,
-                    self._results,
+                    child,
                 ),
                 daemon=True,
             )
             process.start()
-            self._inboxes.append(inbox)
+            # The worker now holds the only other end: its exit reads as EOF.
+            child.close()
+            self._connections.append(connection)
             self._processes.append(process)
+        #: One writer per pipe at a time, so frames never interleave.
+        self._send_locks = [threading.Lock() for _ in range(workers)]
+        #: Program ids whose registration frame went down each pipe.
+        self._registered: list[set[int]] = [set() for _ in range(workers)]
 
         self._admission = threading.Condition()
         self._inflight = [0] * workers
@@ -418,24 +425,34 @@ class PlutoWorkerPool:
     def close(self, timeout: float = 30.0) -> None:
         """Drain every worker and stop the pool (idempotent).
 
-        The stop sentinel rides each inbox *behind* every accepted chunk,
-        so queued requests complete before their worker exits; workers
+        The stop frame goes down each pipe *behind* every accepted chunk,
+        so accepted requests complete before their worker exits; workers
         report their final statistics (collected into
         :attr:`worker_reports`).  Anything still unresolved afterwards —
         a worker crashed, or the drain timed out — fails with
         :class:`~repro.errors.ServiceClosedError`.  Worker processes are
-        joined, then terminated if the deadline passes: no orphans.
+        joined until ``timeout`` seconds after the call, then terminated:
+        no orphans, even when a worker stopped reading its pipe.
         """
+        deadline = time.monotonic() + timeout
         with self._admission:
             if self._closed:
                 return
             self._closed = True
             self._admission.notify_all()
-        for worker_id, inbox in enumerate(self._inboxes):
+        for worker_id in range(self.workers):
             if worker_id not in self._dead:
-                inbox.put(("stop",))
-        self._all_stopped.wait(timeout)
-        deadline = time.monotonic() + timeout
+                # Sent from its own thread: the stop frame queues behind the
+                # sends in progress, and on a worker that stopped reading its
+                # write blocks too, so only the deadline below bounds the
+                # drain.  Terminating that worker ends the blocked write.
+                threading.Thread(
+                    target=self._send_stop,
+                    args=(worker_id,),
+                    name="pluto-pool-stop",
+                    daemon=True,
+                ).start()
+        self._all_stopped.wait(max(0.0, deadline - time.monotonic()))
         for process in self._processes:
             process.join(max(0.0, deadline - time.monotonic()))
             if process.is_alive():
@@ -445,6 +462,13 @@ class PlutoWorkerPool:
         self._fail_unresolved(
             ServiceClosedError("pool closed before the request ran")
         )
+
+    def _send_stop(self, worker_id: int) -> None:
+        with self._send_locks[worker_id]:
+            try:
+                self._connections[worker_id].send(("stop",))
+            except OSError:
+                pass  # the worker already exited; the collector saw it
 
     def _fail_unresolved(self, error: BaseException) -> None:
         with self._admission:
@@ -463,10 +487,11 @@ class PlutoWorkerPool:
     def _route(self, session: "PlutoSession") -> tuple[int, int]:
         """(program id, worker index) for a session's program structure.
 
-        First sighting of a structure registers it on the live worker
-        with the fewest programs (sticky thereafter), so distinct
-        structures spread across workers while every request of one
-        structure keeps hitting the same warm caches.
+        First sighting of a structure assigns it to the live worker with
+        the fewest programs (sticky thereafter), so distinct structures
+        spread across workers while every request of one structure keeps
+        hitting the same warm caches.  The worker learns the program from
+        the registration frame :meth:`_send` puts ahead of its first run.
         """
         from repro.api.session import hashable_structure_key
 
@@ -502,9 +527,6 @@ class PlutoWorkerPool:
         self._next_program += 1
         self._programs[key] = (program_id, worker_id)
         self._programs_per_worker[worker_id] += 1
-        self._inboxes[worker_id].put(
-            ("program", program_id, list(session.calls), session.backend)
-        )
         return program_id, worker_id
 
     # ------------------------------------------------------------------ #
@@ -538,9 +560,9 @@ class PlutoWorkerPool:
     ) -> "list[concurrent.futures.Future[WorkerResult]]":
         """Route a bulk of same-program requests; one future per request.
 
-        Requests ride the IPC channel in chunks of ``chunk_size``; every
+        Requests ride the worker's pipe in chunks of ``chunk_size``; every
         chunk lands on the program's affine worker, where consecutive
-        same-structure submissions coalesce into fused batches.
+        same-structure requests coalesce into fused batches.
         """
         import concurrent.futures
 
@@ -558,24 +580,26 @@ class PlutoWorkerPool:
             chunk_futures = [
                 concurrent.futures.Future() for _ in range(len(chunk))
             ]
-            self._admit(worker_id, len(chunk), shed=shed)
-            with self._admission:
-                chunk_id = self._next_chunk
-                self._next_chunk += 1
-                self._chunks[chunk_id] = (
-                    worker_id,
-                    chunk_futures,
-                    [time.monotonic()] * len(chunk),
-                )
-            self._inboxes[worker_id].put(
-                ("run", chunk_id, program_id, chunk, return_outputs)
+            chunk_id = self._admit(worker_id, chunk_futures, shed=shed)
+            self._send(
+                worker_id,
+                session,
+                program_id,
+                ("run", chunk_id, program_id, chunk, return_outputs),
             )
             self.stats.submitted += len(chunk)
             futures.extend(chunk_futures)
         return futures
 
-    def _admit(self, worker_id: int, count: int, *, shed: bool) -> None:
-        """Take ``count`` in-flight slots on a worker, or block/shed."""
+    def _admit(self, worker_id: int, futures: list, *, shed: bool) -> int:
+        """Take in-flight slots on a worker for one chunk's ``futures``
+        (or block / shed) and register the chunk; returns its id.
+
+        Registration shares the admission check's critical section, so a
+        worker death the collector handles afterwards fails this chunk
+        too.
+        """
+        count = len(futures)
         with self._admission:
             while True:
                 if self._closed:
@@ -587,7 +611,14 @@ class PlutoWorkerPool:
                     )
                 if self._inflight[worker_id] + count <= self.max_inflight:
                     self._inflight[worker_id] += count
-                    return
+                    chunk_id = self._next_chunk
+                    self._next_chunk += 1
+                    self._chunks[chunk_id] = (
+                        worker_id,
+                        futures,
+                        [time.monotonic()] * count,
+                    )
+                    return chunk_id
                 if shed:
                     self.stats.shed += 1
                     raise ServiceOverloadError(
@@ -596,37 +627,87 @@ class PlutoWorkerPool:
                     )
                 self._admission.wait(0.05)
 
+    def _send(
+        self, worker_id: int, session: "PlutoSession", program_id: int, frame: tuple
+    ) -> None:
+        """Write ``frame`` onto a worker's pipe, after the program's
+        registration frame the first time the program goes down it.
+
+        Never called under ``_admission``: the write blocks while the
+        worker's inbound buffer is full, and the collector needs that lock
+        to take the results that let the worker read on.
+        """
+        with self._send_locks[worker_id]:
+            connection = self._connections[worker_id]
+            try:
+                if program_id not in self._registered[worker_id]:
+                    connection.send(
+                        ("program", program_id, list(session.calls), session.backend)
+                    )
+                    self._registered[worker_id].add(program_id)
+                connection.send(frame)
+            except OSError:
+                pass  # the worker exited: the collector fails its chunks
+
     # ------------------------------------------------------------------ #
     # The collector thread
     # ------------------------------------------------------------------ #
     def _collect(self) -> None:
-        import queue as queue_module
+        """Take frames as they arrive and notice workers as they exit.
 
-        while True:
-            try:
-                message = self._results.get(timeout=0.1)
-            except queue_module.Empty:
-                self._check_workers()
-                if self._all_stopped.is_set() and not self._chunks:
-                    return
-                continue
-            kind = message[0]
-            if kind == "ready":
-                _, worker_id, warm_report = message
-                self.warm_reports[worker_id] = warm_report
-                self._ready_seen.add(worker_id)
-                if len(self._ready_seen) == self.workers:
-                    self._ready.set()
-            elif kind == "done":
-                self._resolve_chunk(message[1], message[3])
-            elif kind == "stopped":
-                _, worker_id, payload = message
-                self.worker_reports[worker_id] = payload
-                self._stopped_seen.add(worker_id)
-                if len(self._stopped_seen | self._dead) >= self.workers:
-                    self._all_stopped.set()
-                    if not self._chunks:
-                        return
+        Blocks on every worker's pipe and process sentinel at once and
+        returns when every worker has exited.  An exited worker's pipe is
+        drained before judging the exit: one that sent its final report
+        stopped cleanly, any other died with requests in flight.
+        """
+        from multiprocessing.connection import wait
+
+        # What the collector still waits on -> worker index.
+        waiting: dict = {}
+        for worker_id, process in enumerate(self._processes):
+            waiting[self._connections[worker_id]] = worker_id
+            waiting[process.sentinel] = worker_id
+        while waiting:
+            for ready in wait(list(waiting)):
+                worker_id = waiting.get(ready)
+                if worker_id is None:
+                    continue  # the pipe of a worker whose exit came first
+                connection = self._connections[worker_id]
+                if ready is connection:
+                    if not self._receive(worker_id):
+                        del waiting[connection]
+                    continue
+                # The process exited: take what it sent first, then judge.
+                del waiting[ready]
+                if connection in waiting:
+                    del waiting[connection]
+                    while self._receive(worker_id):
+                        pass
+                with self._send_locks[worker_id]:
+                    connection.close()
+                if worker_id not in self._stopped_seen:
+                    self._fail_worker(worker_id)
+
+    def _receive(self, worker_id: int) -> bool:
+        """Take one frame from a worker's pipe; ``False`` at its end."""
+        try:
+            message = self._connections[worker_id].recv()
+        except (EOFError, OSError):
+            return False
+        kind = message[0]
+        if kind == "done":
+            self._resolve_chunk(message[1], message[3])
+        elif kind == "ready":
+            self.warm_reports[worker_id] = message[2]
+            self._ready_seen.add(worker_id)
+            if len(self._ready_seen) == self.workers:
+                self._ready.set()
+        elif kind == "stopped":
+            self.worker_reports[worker_id] = message[2]
+            self._stopped_seen.add(worker_id)
+            if len(self._stopped_seen | self._dead) >= self.workers:
+                self._all_stopped.set()
+        return True
 
     def _resolve_chunk(self, chunk_id: int, entries: list) -> None:
         with self._admission:
@@ -648,40 +729,60 @@ class PlutoWorkerPool:
             self.stats.completed += 1
             self.stats.per_worker_served[worker_id] += 1
             self.stats.per_worker_busy_ns[worker_id] += entry.latency_ns
-            end_to_end_s = now - started
             self.stats.latency.observe(
                 queue_wait_s=entry.queue_wait_s,
                 execute_s=entry.execute_s,
-                end_to_end_s=end_to_end_s,
+                end_to_end_s=now - started,
             )
-            self._account_entry(entry, worker_id, end_to_end_s)
+            self._account_entry(entry, worker_id, started, now)
             if not future.done():
                 future.set_result(entry)
 
     def _account_entry(
-        self, entry: WorkerResult, worker_id: int, end_to_end_s: float
+        self,
+        entry: WorkerResult,
+        worker_id: int,
+        submitted_at: float,
+        resolved_at: float,
     ) -> None:
         """Graft the worker-side trace into a pool-level trace and record
         the request in the process-wide metrics registry.
 
         The pool trace gets two top-level spans that sum to the observed
-        end-to-end latency: ``pool_rpc`` (dispatcher-side time the worker
-        could not see — routing, IPC, queueing in the collector) and a
-        ``worker`` wrapper holding the grafted worker-side span tree.
+        end-to-end latency: ``pool_rpc`` (time outside the worker's
+        service spans) and a ``worker`` wrapper holding the grafted
+        worker-side span tree.  ``pool_rpc`` splits into three children
+        that sum to it, cut at the worker's monotonic stamps:
+        ``to_worker`` (submit until the worker holds the unpickled chunk:
+        admission, pickling, the pipe), ``in_worker`` (worker time outside
+        the service's spans: digests, building results) and
+        ``to_dispatcher`` (reply until the future resolves: pickling, the
+        pipe back, unpickling).
         """
         from repro.obs.metrics import record_served_request
 
+        end_to_end_s = resolved_at - submitted_at
         worker_trace = entry.request_trace
         pool_trace = new_trace("pool")
         if pool_trace is not None and worker_trace is not None:
             end_ns = time.perf_counter_ns()
             total_ns = max(int(end_to_end_s * 1e9), worker_trace.total_ns)
-            pool_trace.add_span(
-                "pool_rpc",
-                total_ns - worker_trace.total_ns,
-                start_ns=end_ns - total_ns,
-                worker=worker_id,
+            rpc_ns = total_ns - worker_trace.total_ns
+            rpc = pool_trace.add_span(
+                "pool_rpc", rpc_ns, start_ns=end_ns - total_ns, worker=worker_id
             )
+            to_worker = min(rpc_ns, max(0, int((entry.received_at - submitted_at) * 1e9)))
+            to_dispatcher = min(
+                rpc_ns - to_worker, max(0, int((resolved_at - entry.replied_at) * 1e9))
+            )
+            start_ns = rpc.start_ns
+            for name, duration_ns in (
+                ("to_worker", to_worker),
+                ("in_worker", rpc_ns - to_worker - to_dispatcher),
+                ("to_dispatcher", to_dispatcher),
+            ):
+                rpc.children.append(Span(name, start_ns, duration_ns))
+                start_ns += duration_ns
             pool_trace.graft(
                 worker_trace,
                 under="worker",
@@ -705,37 +806,28 @@ class PlutoWorkerPool:
             commands=commands,
         )
 
-    def _check_workers(self) -> None:
-        """Fail the in-flight work of any worker that died unexpectedly."""
-        crashed: list[int] = []
-        for worker_id, process in enumerate(self._processes):
-            if worker_id in self._dead or process.is_alive():
-                continue
-            if worker_id in self._stopped_seen:
-                continue  # clean exit, already reported
-            crashed.append(worker_id)
-        if not crashed:
-            return
-        for worker_id in crashed:
+    def _fail_worker(self, worker_id: int) -> None:
+        """Fail the in-flight work of a worker that died unexpectedly."""
+        process = self._processes[worker_id]
+        process.join(1.0)  # it has exited; reap it for its exit code
+        error = WorkerCrashedError(
+            f"worker {worker_id} exited with code {process.exitcode}"
+        )
+        with self._admission:
             self._dead.add(worker_id)
-            error = WorkerCrashedError(
-                f"worker {worker_id} exited with code "
-                f"{self._processes[worker_id].exitcode}"
-            )
-            with self._admission:
-                doomed = [
-                    (chunk_id, futures)
-                    for chunk_id, (owner, futures, _) in self._chunks.items()
-                    if owner == worker_id
-                ]
-                for chunk_id, _ in doomed:
-                    del self._chunks[chunk_id]
-                self._inflight[worker_id] = 0
-                self._admission.notify_all()
-            for _, futures in doomed:
-                for future in futures:
-                    if not future.done():
-                        self.stats.failed += 1
-                        future.set_exception(error)
+            doomed = [
+                chunk_id
+                for chunk_id, (owner, _, _) in self._chunks.items()
+                if owner == worker_id
+            ]
+            futures = [
+                future for chunk_id in doomed for future in self._chunks.pop(chunk_id)[1]
+            ]
+            self._inflight[worker_id] = 0
+            self._admission.notify_all()
+        for future in futures:
+            if not future.done():
+                self.stats.failed += 1
+                future.set_exception(error)
         if len(self._stopped_seen | self._dead) >= self.workers:
             self._all_stopped.set()

@@ -165,6 +165,12 @@ class TestPoolTracing:
             assert trace is not None
             top = [span.name for span in trace.spans]
             assert top == ["pool_rpc", "worker"]
+            # one span per leg of the hop, summing to the rpc remainder
+            rpc = trace.spans[0]
+            legs = {child.name: child.duration_ns for child in rpc.children}
+            assert list(legs) == ["to_worker", "in_worker", "to_dispatcher"]
+            assert all(duration >= 0 for duration in legs.values())
+            assert sum(legs.values()) == rpc.duration_ns
             worker = trace.spans[1]
             worker_stages = {child.name for child in worker.children}
             assert {"submit", "queue_wait", "execute"} <= worker_stages

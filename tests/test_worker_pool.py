@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 import zlib
 
@@ -20,35 +21,39 @@ from repro.serve import PlutoWorkerPool, fan_out, map_parallel
 ELEMENTS = 256
 
 
-def _add_program() -> PlutoSession:
+def _add_program(elements: int = ELEMENTS) -> PlutoSession:
     session = PlutoSession()
-    a = session.pluto_malloc(ELEMENTS, 4, "a")
-    b = session.pluto_malloc(ELEMENTS, 4, "b")
-    out = session.pluto_malloc(ELEMENTS, 8, "out")
+    a = session.pluto_malloc(elements, 4, "a")
+    b = session.pluto_malloc(elements, 4, "b")
+    out = session.pluto_malloc(elements, 8, "out")
     session.api_pluto_add(a, b, out, bit_width=4)
     return session
 
 
-def _mul_program() -> PlutoSession:
+def _mul_program(elements: int = ELEMENTS) -> PlutoSession:
     session = PlutoSession()
-    a = session.pluto_malloc(ELEMENTS, 2, "a")
-    b = session.pluto_malloc(ELEMENTS, 2, "b")
-    out = session.pluto_malloc(ELEMENTS, 4, "out")
+    a = session.pluto_malloc(elements, 2, "a")
+    b = session.pluto_malloc(elements, 2, "b")
+    out = session.pluto_malloc(elements, 4, "out")
     session.api_pluto_mul(a, b, out, bit_width=2)
     return session
 
 
-def _add_inputs(rng: np.random.Generator) -> dict[str, np.ndarray]:
+def _add_inputs(
+    rng: np.random.Generator, elements: int = ELEMENTS
+) -> dict[str, np.ndarray]:
     return {
-        "a": rng.integers(0, 16, ELEMENTS),
-        "b": rng.integers(0, 16, ELEMENTS),
+        "a": rng.integers(0, 16, elements),
+        "b": rng.integers(0, 16, elements),
     }
 
 
-def _mul_inputs(rng: np.random.Generator) -> dict[str, np.ndarray]:
+def _mul_inputs(
+    rng: np.random.Generator, elements: int = ELEMENTS
+) -> dict[str, np.ndarray]:
     return {
-        "a": rng.integers(0, 4, ELEMENTS),
-        "b": rng.integers(0, 4, ELEMENTS),
+        "a": rng.integers(0, 4, elements),
+        "b": rng.integers(0, 4, elements),
     }
 
 
@@ -182,6 +187,51 @@ class TestWorkerPool:
         with pytest.raises(ConfigurationError):
             PlutoWorkerPool(workers=1, chunk_size=0)
 
+    def test_frames_larger_than_the_pipe_buffer_flow_both_ways(self):
+        """~4 MB request frames and ~2 MB result frames, from two threads
+        onto two workers, against a pipe buffer of a few hundred KB: a
+        submitter blocked writing to a full pipe must never stop the
+        results that let the worker read on."""
+        elements, count = 8192, 64
+        programs = [
+            (_add_program(elements), _add_inputs),
+            (_mul_program(elements), _mul_inputs),
+        ]
+        jobs = []
+        for seed, (session, make_inputs) in enumerate(programs):
+            rng = np.random.default_rng(61 + seed)
+            requests = [make_inputs(rng, elements) for _ in range(count)]
+            expected = [_digests(session.run(inputs).outputs) for inputs in requests]
+            jobs.append((session, requests, expected))
+        served: dict[int, list] = {}
+        failures: list[BaseException] = []
+
+        def _serve(index: int, pool: PlutoWorkerPool) -> None:
+            session, requests, _ = jobs[index]
+            try:
+                served[index] = map_parallel(pool, session, requests)
+            except BaseException as error:  # reported by the main thread
+                failures.append(error)
+
+        with PlutoWorkerPool(workers=2, chunk_size=32) as pool:
+            assert pool.wait_ready(60.0)
+            threads = [
+                threading.Thread(target=_serve, args=(index, pool), daemon=True)
+                for index in range(len(jobs))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120.0)
+            assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        for index, (_, _, expected) in enumerate(jobs):
+            results = served[index]
+            assert [result.digests for result in results] == expected
+            for result in results:
+                assert result.digests == _digests(result.outputs)
+        assert sorted(pool.stats.per_worker_served) == [count, count]
+
     def test_latency_percentiles_stream_into_pool_stats(self):
         session = _add_program()
         rng = np.random.default_rng(29)
@@ -290,3 +340,41 @@ class TestGracefulShutdown:
         finally:
             pool.close(timeout=10.0)
         assert all(not process.is_alive() for process in pool._processes)
+
+    def test_dead_worker_is_noticed_while_another_keeps_answering(self):
+        """A worker's exit is noticed when it happens, even while a steady
+        stream of results from another worker keeps the collector busy."""
+        adds, muls = _add_program(), _mul_program()
+        pool = PlutoWorkerPool(workers=2)
+        stop = threading.Event()
+        failures: list[BaseException] = []
+
+        def _steady_adds() -> None:
+            rng = np.random.default_rng(67)
+            try:
+                while not stop.is_set():
+                    pool.submit(adds, _add_inputs(rng)).result(10.0)
+                    time.sleep(0.02)
+            except BaseException as error:  # reported by the main thread
+                failures.append(error)
+
+        traffic = threading.Thread(target=_steady_adds, daemon=True)
+        try:
+            rng = np.random.default_rng(71)
+            pool.submit(adds, _add_inputs(rng)).result(60.0)
+            pool.submit(muls, _mul_inputs(rng)).result(60.0)
+            # Least-programs routing put the second program on worker 1.
+            assert pool.stats.per_worker_served == [1, 1]
+            traffic.start()
+            pool._processes[1].kill()
+            time.sleep(0.5)
+            with pytest.raises(WorkerCrashedError):
+                pool.submit(muls, _mul_inputs(rng)).result(2.0)
+        finally:
+            stop.set()
+            if traffic.is_alive():
+                traffic.join(10.0)
+            pool.close(timeout=10.0)
+        assert not traffic.is_alive()
+        assert not failures
+        assert pool._dead == {1}

@@ -58,7 +58,7 @@ import numpy as np
 
 from repro.api.session import Executors, ProgramArtifact
 from repro.errors import ServiceClosedError, ServiceOverloadError
-from repro.obs.metrics import record_served_request, request_accounting
+from repro.obs.metrics import ServedLatency, request_accounting
 from repro.obs.trace import (
     RequestTrace,
     Span,
@@ -67,7 +67,6 @@ from repro.obs.trace import (
     new_trace,
     span_of,
 )
-from repro.serve.stats import LatencyBreakdown
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.api.session import PlutoSession
@@ -127,8 +126,6 @@ class ServiceStats:
     batches: int = 0
     coalesced: int = 0
     max_queue_depth: int = 0
-    total_queue_wait_s: float = 0.0
-    total_execute_s: float = 0.0
     total_latency_ns: float = 0.0
     #: Requests run through the program optimizer before compilation.
     optimized: int = 0
@@ -138,18 +135,19 @@ class ServiceStats:
     optimizer_lut_queries_saved: int = 0
     optimizer_swept_rows_saved: int = 0
     optimizer_lut_loads_saved: int = 0
-    #: Streaming latency distributions (queue wait, execute, end-to-end):
-    #: mergeable log-bucketed histograms, so p50/p95/p99 are available at
-    #: any point in the service's life and worker-pool dispatchers can
-    #: fold per-worker stats into pool-wide percentiles.
-    latency: LatencyBreakdown = field(default_factory=LatencyBreakdown)
+    #: Streaming latency distributions (queue wait, execute, end-to-end)
+    #: of the served requests, so p50/p95/p99 are available at any point
+    #: in the service's life; each served request is recorded there and in
+    #: the registry's ``path="service"`` series by one call.
+    latency: ServedLatency = field(default_factory=lambda: ServedLatency("service"))
 
     def summary(self) -> dict:
         """Counters plus p50/p95/p99 latency percentiles (picklable).
 
-        The reporting shape of the serving tier: every counter of this
-        dataclass, with the three latency distributions rendered as
-        :meth:`~repro.serve.stats.LatencyHistogram.summary` snapshots.
+        The reporting shape of the serving tier: the request counters, the
+        mean queue wait and batch size, the summed modelled latency, and
+        the three latency distributions as
+        :meth:`~repro.obs.metrics.ServedLatency.summary` renders them.
         """
         return {
             "served": self.served,
@@ -168,7 +166,7 @@ class ServiceStats:
     @property
     def mean_queue_wait_s(self) -> float:
         """Average wall-clock queue wait per served request."""
-        return self.total_queue_wait_s / self.served if self.served else 0.0
+        return self.latency.queue_wait.mean
 
     @property
     def mean_batch_size(self) -> float:
@@ -768,10 +766,7 @@ class PlutoService:
         load-shed or never-run requests cannot inflate the counters.
         """
         self.stats.served += 1
-        self.stats.total_queue_wait_s += served.queue_wait_s
-        self.stats.total_execute_s += served.execute_s
         self.stats.total_latency_ns += served.latency_ns
-        self.stats.latency.observe_result(served)
         # Per-request hardware attribution: DRAM command counts, energy in
         # picojoules, and refresh overhead, memoized on the (shared, for
         # warm JIT requests) command trace so the hot path pays a dict hit.
@@ -783,11 +778,10 @@ class PlutoService:
             attributes["latency_ns"] = served.latency_ns
             attributes["backend"] = served.backend
             attributes["batch_size"] = served.batch_size
-        record_served_request(
-            path="service",
-            end_to_end_s=served.turnaround_s,
+        self.stats.latency.observe(
             queue_wait_s=served.queue_wait_s,
             execute_s=served.execute_s,
+            end_to_end_s=served.turnaround_s,
             energy_nj=served.energy_nj,
             commands=(accounting["dram_commands_by_type"] if accounting is not None else None),
         )

@@ -1,14 +1,17 @@
 """End-to-end observability: request tracing, metrics, energy attribution.
 
-Three pieces (see ISSUE 10 / the ROADMAP's energy-realism item):
+Three pieces:
 
 * :mod:`repro.obs.trace` — a cheap, optional :class:`RequestTrace` span
   tree wired through every pipeline stage (plan → verify → optimize →
   compile → execute → schedule), propagated across the worker-pool
   process boundary.
 * :mod:`repro.obs.metrics` — a process-wide registry of counters /
-  gauges / histograms unifying the cache-stats islands, serving-latency
-  histograms, and per-request DRAM-command/energy/refresh attribution.
+  gauges / histograms (the ``cache_stats()`` mirror, both serving front
+  doors' request series, per-request DRAM-command/energy/refresh
+  attribution), and :class:`ServedLatency`, a front door's queue-wait /
+  execute / end-to-end histograms, fed together with the registry by one
+  call per served request.
 * :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto),
   Prometheus text exposition, JSON snapshots, and terminal tables.
 
@@ -29,6 +32,7 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    ServedLatency,
     command_counts,
     record_cache_stats,
     record_served_request,
@@ -56,6 +60,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "RequestTrace",
+    "ServedLatency",
     "Span",
     "activate",
     "chrome_trace_events",

@@ -25,7 +25,6 @@ from repro.obs.export import (
     prometheus_text,
     render_stage_breakdown,
 )
-from repro.obs.metrics import record_cache_stats  # noqa: F401  (re-export site)
 from repro.obs.trace import RequestTrace, enable_tracing
 
 WORKLOADS = ("image", "crc", "salsa20", "vmpc", "bitcount", "vector_ops")

@@ -1,14 +1,14 @@
-"""Process-wide metrics registry unifying the stack's stats islands.
+"""Process-wide metrics registry and per-request energy attribution.
 
-Before this module the repository had four disjoint stats surfaces: the
-``cache_stats()`` dict of memo-layer hit counters, the mergeable latency
-histograms in ``serve/stats.py``, the shed/crash/drain counters on the
-worker pool, and the per-command latency/energy accounting inside
-``dram/commands.py``.  :class:`MetricsRegistry` gives them one home as
-Prometheus-style counters, gauges, and histograms, and adds the
-per-request *energy attribution* the ROADMAP calls for: DRAM command
-counts by type, energy in picojoules, and refresh overhead drawn from
-:class:`repro.dram.refresh.RefreshModel`.
+:class:`MetricsRegistry` holds Prometheus-style counters, gauges, and
+histograms for the whole stack: the ``cache_stats()`` mirror
+(``pluto_cache_*``), the served-request series of both serving front
+doors, and the per-request *energy attribution* — DRAM command counts by
+type, energy in picojoules, and refresh overhead drawn from
+:class:`repro.dram.refresh.RefreshModel`.  :class:`Histogram` is the one
+streaming histogram of the package; :class:`ServedLatency` keeps a front
+door's own queue-wait / execute / end-to-end distributions and records
+each served request there and in the registry with one call.
 
 Everything here is pure bookkeeping over plain dicts — no third-party
 client library — and the exposition formats live in
@@ -21,6 +21,8 @@ import math
 import threading
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
+from repro.errors import ConfigurationError
+
 if TYPE_CHECKING:
     from repro.dram.commands import CommandTrace
 
@@ -29,6 +31,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "ServedLatency",
     "command_counts",
     "record_cache_stats",
     "record_served_request",
@@ -37,8 +40,8 @@ __all__ = [
     "reset_metrics",
 ]
 
-#: Bucket-boundary growth factor; matches ``repro.serve.stats`` so merged
-#: quantiles agree with the serving tier's own histograms (~7% resolution).
+#: Bucket-boundary growth factor: ~7% value resolution, so a quantile is
+#: within ~±3.5% of the sample it stands for.
 _GROWTH = 1.07
 _LOG_GROWTH = math.log(_GROWTH)
 #: Smallest resolvable observation.  Observations are recorded in seconds
@@ -90,9 +93,10 @@ class Gauge:
 class Histogram:
     """Log-bucketed streaming histogram with quantile estimation.
 
-    Same bucket math as ``repro.serve.stats.LatencyHistogram`` (growth
-    ``1.07``) so quantiles computed here line up with the serving tier's
-    summaries, but label-aware and unit-agnostic.
+    Label-aware and unit-agnostic, with O(1) recording and bounded memory.
+    A quantile is the geometric midpoint of the bucket holding rank
+    ``q * (count - 1)``, capped at the largest sample, so no answer
+    exceeds a recorded value and ``quantile(1.0)`` is that sample exactly.
     """
 
     __slots__ = ("name", "help", "labels", "buckets", "count", "total", "max_value")
@@ -124,16 +128,20 @@ class Histogram:
         return _FLOOR * (_GROWTH ** (bucket - 1)) * math.sqrt(_GROWTH)
 
     def quantile(self, q: float) -> float:
+        """The ``q``-quantile of the samples (0 when empty)."""
+        if not 0.0 <= q <= 1.0:
+            raise ConfigurationError(f"quantile must be in [0, 1], got {q}")
         if self.count == 0:
             return 0.0
-        q = min(max(q, 0.0), 1.0)
+        if q == 1.0:
+            return self.max_value
         rank = q * (self.count - 1)
         seen = 0
         for bucket in sorted(self.buckets):
             seen += self.buckets[bucket]
             if seen > rank:
-                return self._bucket_value(bucket)
-        return self._bucket_value(max(self.buckets))
+                return min(self._bucket_value(bucket), self.max_value)
+        return self.max_value  # pragma: no cover - rank < count always hits
 
     @property
     def mean(self) -> float:
@@ -161,6 +169,9 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._metrics: dict[tuple[str, LabelPairs], Metric] = {}
         self._help: dict[str, str] = {}
+        #: Path -> the served-request series of that path, resolved once
+        #: (:func:`record_served_request`); dropped with the metrics.
+        self._served: dict[str, _ServedSeries] = {}
 
     def _get(
         self,
@@ -230,6 +241,7 @@ class MetricsRegistry:
         with self._lock:
             self._metrics.clear()
             self._help.clear()
+            self._served.clear()
 
 
 def _render_name(name: str, labels: LabelPairs) -> str:
@@ -366,6 +378,28 @@ def request_accounting(trace: "CommandTrace | Any") -> dict[str, Any]:
 # --------------------------------------------------------------------------- #
 
 
+class _ServedSeries:
+    """One serving path's registry series, resolved once per registry
+    lifetime so that recording a request sorts no labels."""
+
+    __slots__ = ("requests", "energy", "seconds", "queue_wait", "execute", "commands")
+
+    def __init__(self, reg: MetricsRegistry, path: str) -> None:
+        self.requests = reg.counter("pluto_requests_total", "Requests served", path=path)
+        self.energy = reg.counter(
+            "pluto_energy_pj_total", "Modelled DRAM energy spent serving", path=path
+        )
+        self.seconds = reg.histogram(
+            "pluto_request_seconds", "End-to-end request latency", path=path
+        )
+        # Created on their first non-zero sample: a request recorded without
+        # a queue wait or execute time leaves no empty series behind.
+        self.queue_wait: Histogram | None = None
+        self.execute: Histogram | None = None
+        #: DRAM command type -> its ``pluto_dram_commands_total`` counter.
+        self.commands: dict[str, Counter] = {}
+
+
 def record_served_request(
     *,
     path: str,
@@ -377,23 +411,87 @@ def record_served_request(
 ) -> None:
     """Record one served request into the process-wide registry."""
 
-    REGISTRY.counter("pluto_requests_total", "Requests served", path=path).inc()
-    REGISTRY.counter(
-        "pluto_energy_pj_total", "Modelled DRAM energy spent serving", path=path
-    ).inc(energy_nj * 1000.0)
-    REGISTRY.histogram(
-        "pluto_request_seconds", "End-to-end request latency", path=path
-    ).observe(end_to_end_s)
+    series = REGISTRY._served.get(path)
+    if series is None:
+        series = REGISTRY._served[path] = _ServedSeries(REGISTRY, path)
+    series.requests.inc()
+    series.energy.inc(energy_nj * 1000.0)
+    series.seconds.observe(end_to_end_s)
     if queue_wait_s:
-        REGISTRY.histogram(
-            "pluto_queue_wait_seconds", "Time spent queued before execution", path=path
-        ).observe(queue_wait_s)
+        if series.queue_wait is None:
+            series.queue_wait = REGISTRY.histogram(
+                "pluto_queue_wait_seconds", "Time spent queued before execution", path=path
+            )
+        series.queue_wait.observe(queue_wait_s)
     if execute_s:
-        REGISTRY.histogram(
-            "pluto_execute_seconds", "Time spent executing on the device", path=path
-        ).observe(execute_s)
+        if series.execute is None:
+            series.execute = REGISTRY.histogram(
+                "pluto_execute_seconds", "Time spent executing on the device", path=path
+            )
+        series.execute.observe(execute_s)
     if commands:
         for kind, count in commands.items():
-            REGISTRY.counter(
-                "pluto_dram_commands_total", "DRAM commands issued", type=kind
-            ).inc(float(count))
+            counter = series.commands.get(kind)
+            if counter is None:
+                counter = series.commands[kind] = REGISTRY.counter(
+                    "pluto_dram_commands_total", "DRAM commands issued", type=kind
+                )
+            counter.inc(float(count))
+
+
+class ServedLatency:
+    """One serving front door's latency distributions, in seconds.
+
+    Holds the ``queue_wait``, ``execute`` and ``end_to_end``
+    :class:`Histogram` of the requests served through ``path``
+    (``"service"`` or ``"pool"``); :meth:`observe` records one request
+    there and in the registry's series for ``path`` in one call.
+    """
+
+    __slots__ = ("path", "queue_wait", "execute", "end_to_end")
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.queue_wait = Histogram("queue_wait")
+        self.execute = Histogram("execute")
+        self.end_to_end = Histogram("end_to_end")
+
+    def observe(
+        self,
+        *,
+        queue_wait_s: float,
+        execute_s: float,
+        end_to_end_s: float,
+        energy_nj: float,
+        commands: Mapping[str, int] | None,
+    ) -> None:
+        """Record one served request's wall-clock components and cost."""
+        self.queue_wait.observe(queue_wait_s)
+        self.execute.observe(execute_s)
+        self.end_to_end.observe(end_to_end_s)
+        record_served_request(
+            path=self.path,
+            end_to_end_s=end_to_end_s,
+            queue_wait_s=queue_wait_s,
+            execute_s=execute_s,
+            energy_nj=energy_nj,
+            commands=commands,
+        )
+
+    def summary(self) -> dict[str, dict[str, float]]:
+        """Count, mean, p50/p95/p99 and max of each distribution."""
+        return {
+            name: {
+                "count": float(histogram.count),
+                "mean_s": histogram.mean,
+                "p50_s": histogram.quantile(0.50),
+                "p95_s": histogram.quantile(0.95),
+                "p99_s": histogram.quantile(0.99),
+                "max_s": histogram.max_value,
+            }
+            for name, histogram in (
+                ("queue_wait", self.queue_wait),
+                ("execute", self.execute),
+                ("end_to_end", self.end_to_end),
+            )
+        }

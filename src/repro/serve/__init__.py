@@ -2,8 +2,6 @@
 
 Layered above :class:`~repro.api.service.PlutoService`:
 
-* :mod:`repro.serve.stats` — streaming mergeable latency histograms
-  (p50/p95/p99 for queue wait, execution, end-to-end);
 * :mod:`repro.serve.store` — the persistent shared artifact store (one
   pickled program artifact per request identity, versioned invalidation,
   instant worker warm start);
@@ -14,7 +12,6 @@ Layered above :class:`~repro.api.service.PlutoService`:
 
 from repro.serve.client import fan_out, map_parallel
 from repro.serve.pool import PlutoWorkerPool, PoolStats, WorkerResult
-from repro.serve.stats import LatencyBreakdown, LatencyHistogram
 from repro.serve.store import (
     ARTIFACT_SCHEMA_VERSION,
     SharedArtifactStore,
@@ -24,8 +21,6 @@ from repro.serve.store import (
 )
 
 __all__ = [
-    "LatencyHistogram",
-    "LatencyBreakdown",
     "SharedArtifactStore",
     "WarmStartReport",
     "ARTIFACT_SCHEMA_VERSION",

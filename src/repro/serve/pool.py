@@ -59,8 +59,8 @@ from repro.errors import (
     ServiceOverloadError,
     WorkerCrashedError,
 )
+from repro.obs.metrics import ServedLatency
 from repro.obs.trace import Span, new_trace, tracing_enabled
-from repro.serve.stats import LatencyBreakdown
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import concurrent.futures
@@ -119,7 +119,7 @@ class PoolStats:
     #: Modelled DRAM busy-time per worker (summed request latency_ns) —
     #: the device-level load-balance view of the affinity router.
     per_worker_busy_ns: list[float] = field(default_factory=list)
-    latency: LatencyBreakdown = field(default_factory=LatencyBreakdown)
+    latency: ServedLatency = field(default_factory=lambda: ServedLatency("pool"))
 
     def summary(self) -> dict:
         """Counters plus streaming p50/p95/p99 of the three latencies."""
@@ -729,11 +729,6 @@ class PlutoWorkerPool:
             self.stats.completed += 1
             self.stats.per_worker_served[worker_id] += 1
             self.stats.per_worker_busy_ns[worker_id] += entry.latency_ns
-            self.stats.latency.observe(
-                queue_wait_s=entry.queue_wait_s,
-                execute_s=entry.execute_s,
-                end_to_end_s=now - started,
-            )
             self._account_entry(entry, worker_id, started, now)
             if not future.done():
                 future.set_result(entry)
@@ -746,7 +741,8 @@ class PlutoWorkerPool:
         resolved_at: float,
     ) -> None:
         """Graft the worker-side trace into a pool-level trace and record
-        the request in the process-wide metrics registry.
+        the request in the pool's latency distributions and the
+        process-wide metrics registry (one call).
 
         The pool trace gets two top-level spans that sum to the observed
         end-to-end latency: ``pool_rpc`` (time outside the worker's
@@ -759,8 +755,6 @@ class PlutoWorkerPool:
         ``to_dispatcher`` (reply until the future resolves: pickling, the
         pipe back, unpickling).
         """
-        from repro.obs.metrics import record_served_request
-
         end_to_end_s = resolved_at - submitted_at
         worker_trace = entry.request_trace
         pool_trace = new_trace("pool")
@@ -797,11 +791,10 @@ class PlutoWorkerPool:
             by_type = worker_trace.attributes.get("dram_commands_by_type")
             if isinstance(by_type, Mapping):
                 commands = by_type
-        record_served_request(
-            path="pool",
-            end_to_end_s=end_to_end_s,
+        self.stats.latency.observe(
             queue_wait_s=entry.queue_wait_s,
             execute_s=entry.execute_s,
+            end_to_end_s=end_to_end_s,
             energy_nj=entry.energy_nj,
             commands=commands,
         )

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.api.session import PlutoSession, cache_stats
+from repro.errors import ConfigurationError
+from repro.obs.export import prometheus_text
 from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
+    ServedLatency,
     command_counts,
     record_cache_stats,
     record_served_request,
@@ -36,8 +40,6 @@ def _session() -> PlutoSession:
 
 
 def _inputs() -> dict:
-    import numpy as np
-
     rng = np.random.default_rng(11)
     return {
         "a": rng.integers(0, 16, 128),
@@ -82,6 +84,51 @@ class TestRegistry:
         # nearest-rank on 5 samples: p99 falls on the 4th observation
         assert summary["p99"] == pytest.approx(0.008, rel=0.08)
         assert histogram.quantile(1.0) == pytest.approx(0.1, rel=0.08)
+
+    def test_quantiles_track_numpy_within_bucket_error(self):
+        rng = np.random.default_rng(3)
+        samples = rng.lognormal(mean=-6.0, sigma=1.5, size=5000)
+        histogram = Histogram("latency")
+        for sample in samples:
+            histogram.observe(float(sample))
+        for q in (0.5, 0.95, 0.99):
+            # log-bucketed with growth 1.07 -> a few percent of error
+            assert histogram.quantile(q) == pytest.approx(
+                float(np.quantile(samples, q)), rel=0.08
+            )
+        assert histogram.count == 5000
+        assert histogram.mean == pytest.approx(float(samples.mean()))
+        assert histogram.quantile(1.0) == float(samples.max())
+
+    @pytest.mark.parametrize(
+        "samples",
+        [(), (0.0,), (0.01,), (0.001, 0.002, 0.004, 0.008, 0.1)],
+        ids=["empty", "zero", "one-sample", "five-samples"],
+    )
+    def test_quantiles_never_exceed_the_largest_sample(self, samples):
+        histogram = Histogram("latency")
+        for sample in samples:
+            histogram.observe(sample)
+        largest = max(samples, default=0.0)
+        quantiles = [histogram.quantile(q) for q in (0.0, 0.5, 0.95, 0.99)]
+        assert quantiles == sorted(quantiles)
+        assert all(0.0 <= value <= largest for value in quantiles)
+        assert histogram.quantile(1.0) == largest
+        assert histogram.count == len(samples)
+        for q in (1.5, -0.1):
+            with pytest.raises(ConfigurationError):
+                histogram.quantile(q)
+
+    def test_exposed_quantiles_never_exceed_the_largest_sample(self):
+        reg = MetricsRegistry()
+        reg.histogram("pluto_request_seconds", path="service").observe(0.01)
+        exposed = [
+            float(line.rsplit(" ", 1)[1])
+            for line in prometheus_text(reg).splitlines()
+            if "quantile=" in line
+        ]
+        assert len(exposed) == 3
+        assert all(value <= 0.01 for value in exposed)
 
     def test_snapshot_shape(self):
         reg = MetricsRegistry()
@@ -198,4 +245,36 @@ class TestServedRequestRecording:
         assert (
             snapshot["histograms"]['pluto_queue_wait_seconds{path="service"}']["count"]
             == 1.0
+        )
+
+    def test_served_latency_feeds_its_histograms_and_the_registry(self):
+        latency = ServedLatency("pool")
+        latency.observe(
+            queue_wait_s=0.001,
+            execute_s=0.002,
+            end_to_end_s=0.003,
+            energy_nj=1.0,
+            commands=None,
+        )
+        latency.observe(
+            queue_wait_s=0.003,
+            execute_s=0.004,
+            end_to_end_s=0.009,
+            energy_nj=1.0,
+            commands={"ACT": 2},
+        )
+        summary = latency.summary()
+        assert set(summary) == {"queue_wait", "execute", "end_to_end"}
+        for distribution in summary.values():
+            assert set(distribution) == {
+                "count", "mean_s", "p50_s", "p95_s", "p99_s", "max_s"
+            }
+            assert distribution["count"] == 2
+        assert summary["end_to_end"]["max_s"] == 0.009
+        # The same call fed the registry's series for the front door.
+        snapshot = registry().snapshot()
+        assert snapshot["counters"]['pluto_requests_total{path="pool"}'] == 2.0
+        assert (
+            snapshot["histograms"]['pluto_request_seconds{path="pool"}']["count"]
+            == 2.0
         )

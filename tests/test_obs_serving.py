@@ -125,6 +125,25 @@ class TestServiceTracing:
         results = asyncio.run(_serve(2))
         assert all(served.request_trace is None for served in results)
 
+    def test_reset_metrics_strands_no_series(self):
+        """Registry series resolved before ``reset_metrics()`` are dropped
+        with it: the next request lands in the fresh registry, while the
+        service's own distributions keep every request."""
+        from repro.api.service import PlutoService
+
+        session, inputs = _program()
+        service = PlutoService(session)
+        service.serve_chunk(session, [dict(inputs)])
+        reset_metrics()
+        service.serve_chunk(session, [dict(inputs)])
+        snapshot = registry().snapshot()
+        assert snapshot["counters"]['pluto_requests_total{path="service"}'] == 1.0
+        assert (
+            snapshot["histograms"]['pluto_request_seconds{path="service"}']["count"]
+            == 1.0
+        )
+        assert service.stats.summary()["latency"]["end_to_end"]["count"] == 2
+
 
 class TestSessionTracing:
     def test_run_builds_a_trace_with_pipeline_spans(self):

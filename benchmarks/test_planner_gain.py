@@ -13,7 +13,8 @@ asserts the PR's acceptance criteria:
   exactly (the analytic model prices candidates from the very trace
   templates execution charges);
 * outputs are bit-identical (the figure itself raises otherwise), and
-  re-planning an equal-structure program is a memo hit.
+  an equal-structure program reuses the first one's artifact, plan
+  included.
 
 The numbers are emitted as JSON (stdout + ``benchmarks/planner_gain.json``,
 overridable via ``PLANNER_GAIN_JSON``); CI's perf-track job folds them
@@ -37,20 +38,20 @@ MIN_FAMILIES_BEATING_DEFAULT = 4
 
 
 def _memo_hit_check() -> dict:
-    """Re-planning an equal-structure program must be a pure cache hit."""
-    from repro.plan import clear_planner_cache, plan_program, planner_cache_stats
+    """An equal-structure auto request must be a pure artifact-table hit."""
+    from repro.api.session import cache_stats, clear_all_caches
     from repro.workloads.programs import workload_program
 
-    clear_planner_cache()
+    clear_all_caches()
     first = workload_program("image", elements=512, seed=0)
     second = workload_program("image", elements=512, seed=1)
-    cold = plan_program(first.session.calls)
-    warm = plan_program(second.session.calls)
-    stats = planner_cache_stats()
-    assert not cold.report.cached and warm.report.cached
+    cold = first.session.run(first.inputs, plan="auto")
+    warm = second.session.run(second.inputs, plan="auto")
+    stats = cache_stats()["artifacts"]
+    assert not cold.planner.cached and warm.planner.cached
     assert stats["hits"] == 1 and stats["misses"] == 1
     return {
-        "plan": warm.plan.label(),
+        "plan": warm.execution_plan.label(),
         "hits": stats["hits"],
         "misses": stats["misses"],
     }

@@ -29,13 +29,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.api.session import clear_all_caches
 from repro.controller.dispatch import (
     merged_makespan_ns,
     rank_scheduler,
     sweep_act_interval_ns,
 )
 from repro.core.engine import PlutoConfig, PlutoEngine
-from repro.dram.analytic import clear_merge_cache, homogeneous_sweep_makespan_ns
+from repro.dram.analytic import homogeneous_sweep_makespan_ns
 from repro.dram.commands import Command, CommandType
 
 #: One LUT load + one Row Sweep per bank over a 128-entry LUT.
@@ -70,7 +71,7 @@ def test_memoized_scheduling_is_faster():
 
     # Memoized: the first query computes (exact fast merge), repeats hit
     # the structural-signature cache.
-    clear_merge_cache()
+    clear_all_caches()
     assert merged_makespan_ns(streams, engine) == reference
     start = time.perf_counter()
     for _ in range(QUERIES):

@@ -39,12 +39,10 @@ from repro.analyze.verifier import (
     VERIFY_MODES,
     VerificationError,
     check_pass_invariants,
-    clear_verifier_cache,
     narrow_output_diagnostic,
     operand_width_diagnostic,
     shards_overcommit_diagnostic,
     verification_enabled,
-    verifier_cache_stats,
     verify_cached,
     verify_calls,
     verify_compiled,
@@ -62,12 +60,10 @@ __all__ = [
     "VERIFY_MODES",
     "VerificationError",
     "check_pass_invariants",
-    "clear_verifier_cache",
     "narrow_output_diagnostic",
     "operand_width_diagnostic",
     "shards_overcommit_diagnostic",
     "verification_enabled",
-    "verifier_cache_stats",
     "verify_cached",
     "verify_calls",
     "verify_compiled",

@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.analyze.dataflow import DataflowSummary, analyze_dataflow
 from repro.analyze.diagnostics import Diagnostic, Severity, VerificationReport
+from repro.api.session import _KEY_UNSET, hashable_structure_key
 from repro.errors import (
     CompilationError,
     ConfigurationError,
@@ -72,8 +73,6 @@ __all__ = [
     "verify_cached",
     "verify_shard_plans",
     "check_pass_invariants",
-    "verifier_cache_stats",
-    "clear_verifier_cache",
 ]
 
 #: The ``PlutoConfig(verify=...)`` / ``PassManager(verify=...)`` modes.
@@ -743,10 +742,7 @@ def verify_program(
 
 
 #: Structure key -> VerificationReport (whole-program verification).
-_VERIFY_MEMO: BoundedMemo[VerificationReport] = BoundedMemo(512)
-
-#: Sentinel distinguishing "compute the key" from "known unhashable".
-_KEY_UNSET: object = object()
+_VERIFY_MEMO: BoundedMemo[VerificationReport] = BoundedMemo("verifier", 512)
 
 
 def verify_cached(
@@ -768,36 +764,11 @@ def verify_cached(
     unhashable"), so the hot path builds the key once per run.
     """
     if key is _KEY_UNSET:
-        from repro.compiler.lowering import program_structure_key
-
-        try:
-            key = program_structure_key(list(calls))
-            # The key tuple builds fine around unhashable parameter
-            # values and only fails at hash time — probe before touching
-            # the memo.
-            hash(key)
-        except TypeError:
-            key = None
-    if key is None:
-        _VERIFY_MEMO.note_uncached()
-        return verify_program(calls, subject=subject)
-    report = _VERIFY_MEMO.get(key)
-    if report is None:
-        report = verify_program(calls, subject=subject)
-        _VERIFY_MEMO.put(key, report)
+        key = hashable_structure_key(calls)
+    report = _VERIFY_MEMO.get_or_compute(key, lambda: verify_program(calls, subject=subject))
     if report.subject != subject:
         report = VerificationReport(report.diagnostics, subject=subject)
     return report
-
-
-def verifier_cache_stats() -> dict[str, int]:
-    """Hit/miss counters and size of the memoized-verification cache."""
-    return _VERIFY_MEMO.stats()
-
-
-def clear_verifier_cache() -> None:
-    """Drop every memoized verification report and reset the counters."""
-    _VERIFY_MEMO.clear()
 
 
 # ---------------------------------------------------------------------- #

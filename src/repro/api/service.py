@@ -40,10 +40,10 @@ the plain controller for unsharded plans, the bank-parallel
 :class:`~repro.controller.dispatch.ParallelDispatcher` for sharded plans,
 or the :class:`~repro.controller.hierarchy.HierarchicalDispatcher` for
 hierarchical plans.  With ``plan="auto"`` the cost-based planner
-(:func:`repro.plan.plan_program`) prices the candidate configurations per
-distinct request structure — memoized, so a coalesced batch plans once —
-and each :class:`ServedResult` carries the chosen plan and its
-:class:`~repro.plan.PlannerReport`.
+(:func:`repro.plan.plan_program`) prices the candidate configurations
+once per distinct request structure — a repeat request reuses its
+program artifact, plan included — and each :class:`ServedResult`
+carries the chosen plan and its :class:`~repro.plan.PlannerReport`.
 """
 
 from __future__ import annotations
@@ -269,14 +269,14 @@ class PlutoService:
     :class:`~repro.plan.ExecutionPlan` (or ``"auto"``) every request
     executes under — sharding, hierarchy placement, optimizer, and
     execution tier, exactly as in :meth:`PlutoSession.run`; with
-    ``"auto"`` the cost-based planner resolves a concrete plan per
-    distinct request structure (memoized, so one planning pass serves a
-    whole coalesced batch).  A plan with ``optimize=True`` runs every
-    request's program through the optimizer (:mod:`repro.opt`) before
-    compilation — memoized on program structure, with the batch
-    coalescing then keyed on the *post-optimization* structure so the
-    compile, trace-template, and makespan caches all hit on the
-    rewritten program.
+    ``"auto"`` the cost-based planner resolves a concrete plan once per
+    distinct request structure (a repeat request reuses its program
+    artifact, so one planning pass serves a whole coalesced batch).  A
+    plan with ``optimize=True`` runs every request's program through the
+    optimizer (:mod:`repro.opt`) before compilation — memoized on
+    program structure, with the batch coalescing then keyed on the
+    *post-optimization* structure so the compile, trace-template, and
+    makespan caches all hit on the rewritten program.
     ``verify=True`` (the default) statically verifies every request's
     program at submission and rejects malformed ones with
     :class:`~repro.errors.VerificationError` carrying the structured

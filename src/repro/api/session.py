@@ -41,7 +41,7 @@ from repro.core.engine import PlutoConfig
 from repro.core.lut import LookupTable
 from repro.errors import ConfigurationError, ReproError, VerificationError
 from repro.obs.trace import NOOP_SPAN, activate, deactivate, new_trace, span_of, stage
-from repro.utils.memo import BoundedMemo
+from repro.utils.memo import BoundedMemo, clear_layers, layer_stats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.analyze.diagnostics import VerificationReport
@@ -70,9 +70,7 @@ __all__ = [
     "program_structure_key",
     "compile_cached",
     "compile_cached_with_key",
-    "clear_program_cache",
     "clear_all_caches",
-    "program_cache_size",
     "cache_stats",
 ]
 
@@ -80,10 +78,10 @@ __all__ = [
 #: Process-wide compiled-program cache: structure key -> CompiledProgram,
 #: bounded like the trace templates so a stream of never-seen programs
 #: cannot grow it without limit.
-_PROGRAM_CACHE: "BoundedMemo[CompiledProgram]" = BoundedMemo(1024)
+_PROGRAM_CACHE: "BoundedMemo[CompiledProgram]" = BoundedMemo("programs", 1024)
 
 #: Process-wide artifact table: request identity -> ProgramArtifact.
-_ARTIFACTS: "BoundedMemo[ProgramArtifact]" = BoundedMemo(512)
+_ARTIFACTS: "BoundedMemo[ProgramArtifact]" = BoundedMemo("artifacts", 512)
 
 #: Bumped by :func:`clear_all_caches`; a session's warm entries made
 #: before the bump no longer serve runs.
@@ -104,9 +102,10 @@ _KEY_UNSET: object = object()
 def hashable_structure_key(calls: Sequence[ApiCall]) -> "tuple | None":
     """The program structure key, or ``None`` when it is not hashable.
 
-    The execution front doors compute this once per run and thread it
-    through both the verifier memo and the compile cache, so neither
-    layer rebuilds the key on the hot path.
+    The key of the compile, verify and optimize memos (``None`` counts
+    as ``uncached`` there).  The execution front doors compute it once
+    per run and thread it through both the verifier memo and the compile
+    cache, so neither layer rebuilds the key on the hot path.
     """
     try:
         key = program_structure_key(calls)
@@ -136,13 +135,7 @@ def compile_cached_with_key(
 
     if key is _KEY_UNSET:
         key = hashable_structure_key(calls)
-    if key is None:
-        _PROGRAM_CACHE.note_uncached()
-        return PlutoCompiler().compile(list(calls)), None
-    compiled = _PROGRAM_CACHE.get(key)
-    if compiled is None:
-        compiled = PlutoCompiler().compile(list(calls))
-        _PROGRAM_CACHE.put(key, compiled)
+    compiled = _PROGRAM_CACHE.get_or_compute(key, lambda: PlutoCompiler().compile(list(calls)))
     return compiled, key
 
 
@@ -151,125 +144,48 @@ def compile_cached(calls: Sequence[ApiCall]) -> "CompiledProgram":
     return compile_cached_with_key(calls)[0]
 
 
-def clear_program_cache() -> None:
-    """Drop every cached compiled program and reset the cache's counters.
-
-    Only the compiled-program cache is cleared; the memoized LUT builders
-    (:mod:`repro.api.luts`) and the gather-array cache
-    (:mod:`repro.core.lut`) keep their entries.
-    """
-    _PROGRAM_CACHE.clear()
-
-
-def program_cache_size() -> int:
-    """Number of distinct program structures currently cached."""
-    return len(_PROGRAM_CACHE)
-
-
 def cache_stats() -> dict[str, dict]:
     """Hit/miss statistics of every memo layer in the execution stack.
 
-    One snapshot covering the process-wide caches that make repeated and
-    sharded execution cheap: program artifacts (request-keyed), compiled
-    programs (structure-keyed) with the trace templates and closures
-    each keeps, the scheduler makespan memo with its
-    exact-fast-merge/reference split, the hierarchical-schedule memo, the
-    cached pure per-engine helpers, and the LUT gather arrays.  Also
-    exposed as :meth:`PlutoSession.cache_stats` and through
+    One snapshot of the process-wide memo table
+    (:mod:`repro.utils.memo`), one entry per layer: program artifacts
+    (request-keyed), compiled programs (structure-keyed) with the trace
+    templates and closures each keeps, the shared artifact store, the
+    verifier and optimizer memos, composed LUTs, the scheduler makespan
+    memo with its exact-fast-merge/reference split, the
+    hierarchical-schedule memo, the cached per-engine helpers, and the
+    LUT gather arrays.  Every layer is reported, whichever modules the
+    process has imported so far.  Also exposed as
+    :meth:`PlutoSession.cache_stats` and through
     :meth:`~repro.api.service.ServiceStats.cache_stats`, so the serving
-    layer can report memo effectiveness.
+    layer can report memo effectiveness, and read by the process-wide
+    metrics registry as its ``pluto_cache_*`` gauges.
 
     The layers keyed on program structure or table contents are bounded:
-    ``artifacts`` holds at most 512 entries, ``programs`` and
-    ``lut_gather_arrays`` at most 1024 each, and all report ``hits``,
-    ``misses``, ``uncached`` and ``size`` like the other memo layers.
+    ``artifacts``, ``verifier`` and ``optimizer`` hold at most 512
+    entries each, ``programs``, ``hierarchy_schedules`` and
+    ``lut_gather_arrays`` at most 1024, and ``scheduler_merges`` at most
+    4096; they report ``hits``, ``misses``, ``uncached`` and ``size``.
     ``trace_templates`` and ``compiled_exec`` count builds as misses and
     reuses as hits; their ``size`` is what the cached programs hold.  A
     session's warm entries (see :meth:`PlutoSession.run`) belong to the
     session and are not process-wide, so they do not appear here.
     """
-    from repro.analyze.verifier import verifier_cache_stats
-    from repro.backend.compiled import CLOSURE_COUNTERS
-    from repro.controller.dispatch import engine_helper_cache_stats
-    from repro.controller.executor import TEMPLATE_COUNTERS
-    from repro.controller.hierarchy import hierarchy_cache_stats
-    from repro.core.lut import gather_cache_stats
-    from repro.dram.analytic import merge_cache_stats
-    from repro.opt.compose import compose_cache_stats
-    from repro.opt.pipeline import optimizer_cache_stats
-    from repro.obs.metrics import record_cache_stats
-    from repro.plan.planner import planner_cache_stats
-    from repro.serve.store import shared_store_stats
-
-    programs = _PROGRAM_CACHE.values()
-    stats = {
-        "programs": _PROGRAM_CACHE.stats(),
-        "artifacts": _ARTIFACTS.stats(),
-        "shared_store": shared_store_stats(),
-        "verifier": verifier_cache_stats(),
-        "optimizer": optimizer_cache_stats(),
-        "planner": planner_cache_stats(),
-        "lut_compositions": compose_cache_stats(),
-        "trace_templates": {
-            **TEMPLATE_COUNTERS.counts(),
-            "size": sum(len(program.templates) for program in programs),
-        },
-        "compiled_exec": {
-            **CLOSURE_COUNTERS.counts(),
-            "size": sum(bool(program.__dict__.get("_jit_executable")) for program in programs),
-        },
-        "scheduler_merges": merge_cache_stats(),
-        "hierarchy_schedules": hierarchy_cache_stats(),
-        "engine_helpers": engine_helper_cache_stats(),
-        "lut_gather_arrays": gather_cache_stats(),
-    }
-    # Mirror every snapshot into the unified metrics registry
-    # (``pluto_cache_*`` gauges) without changing the dict shape callers
-    # have always consumed.
-    record_cache_stats(stats)
-    return stats
+    return layer_stats()
 
 
 def clear_all_caches() -> None:
     """Drop every process-wide memo layer of the execution stack.
 
-    One call covering everything :func:`cache_stats` reports — program
-    artifacts, compiled programs with their trace templates and
-    closures, the optimizer memo, composed LUTs, scheduler merges,
-    hierarchical schedules, the pure per-engine helpers, and the LUT
-    gather arrays —
-    so tests and long-running services stop clearing layers one by one
-    (and new layers are covered automatically).  It also retires every
-    session's warm entries, so the next run of any session prepares its
-    program again and counts the same cache misses as a fresh session.
+    Clears every layer of the memo table :func:`cache_stats` reports,
+    entries and counters, so tests and long-running services never clear
+    layers one by one.  It also retires every session's warm entries, so
+    the next run of any session prepares its program again and counts
+    the same cache misses as a fresh session.
     """
     global _generation
-    from repro.analyze.verifier import clear_verifier_cache
-    from repro.backend.compiled import CLOSURE_COUNTERS
-    from repro.controller.dispatch import clear_engine_helper_caches
-    from repro.controller.executor import TEMPLATE_COUNTERS
-    from repro.controller.hierarchy import clear_hierarchy_cache
-    from repro.core.lut import clear_gather_cache
-    from repro.dram.analytic import clear_merge_cache
-    from repro.opt.compose import clear_compose_cache
-    from repro.opt.pipeline import clear_optimizer_cache
-    from repro.plan.planner import clear_planner_cache
-    from repro.serve.store import reset_shared_store_stats
-
     _generation += 1
-    _ARTIFACTS.clear()
-    clear_program_cache()
-    TEMPLATE_COUNTERS.reset()
-    CLOSURE_COUNTERS.reset()
-    reset_shared_store_stats()
-    clear_verifier_cache()
-    clear_optimizer_cache()
-    clear_planner_cache()
-    clear_compose_cache()
-    clear_merge_cache()
-    clear_hierarchy_cache()
-    clear_engine_helper_caches()
-    clear_gather_cache()
+    clear_layers()
 
 
 @dataclass
@@ -402,7 +318,7 @@ class ProgramArtifact:
 
     def reused(self) -> "ProgramArtifact":
         """This artifact as a later request gets it: the planner report
-        marked ``cached``, as the planner's own memo would return it."""
+        marked ``cached``, since it comes from a reused artifact."""
         if self.planner is None or self.planner.cached:
             return self
         return replace(self, planner=replace(self.planner, cached=True))
@@ -431,12 +347,14 @@ def prepare_execution(
     Returns the :class:`ProgramArtifact` of ``calls`` under ``plan``.
     Artifacts are kept in one bounded process-wide table keyed on their
     :class:`ArtifactIdentity`, so a structurally repeated request is a
-    table hit; a request with ``verify`` takes only a verified artifact.
+    table hit.  A request with ``verify`` that finds an artifact prepared
+    without verification verifies its executed calls once and keeps it
+    as verified, still a hit.
 
     Otherwise the program is prepared.  An auto ``plan`` resolves
     through the cost-based planner
-    (:func:`repro.plan.planner.plan_program`, memoized on the program
-    structure key), searching ``modes`` for a backend like ``backend``.
+    (:func:`repro.plan.planner.plan_program`), searching ``modes`` for a
+    backend like ``backend``.
     The program is then optimized when the plan asks for it (a plan that
     leaves ``optimize`` unset defers to the engine configuration).
     Unsharded plans compile through the structure-keyed program cache;
@@ -460,7 +378,11 @@ def prepare_execution(
         config = engine.config if engine is not None else PlutoConfig()
         identity = ArtifactIdentity(raw_key, config, plan, tuple(modes), supports_batched)
         artifact = _ARTIFACTS.peek(identity)
-        if artifact is not None and (artifact.verified or not verify):
+        if artifact is not None:
+            if verify and not artifact.verified:
+                _verify(artifact.calls, artifact.structure_key, subject)
+                artifact = replace(artifact, verified=True)
+                _ARTIFACTS.put(identity, artifact)
             _ARTIFACTS.hits += 1
             return artifact
         _ARTIFACTS.misses += 1
@@ -911,8 +833,7 @@ class PlutoSession:
         async service takes its requests' artifacts from here too.
         Otherwise the program goes through :func:`prepare_execution`, on
         fresh executors, and the pair becomes the new entry.  The stored
-        planner report is marked ``cached``, as the planner's own memo
-        would return it.
+        planner report is marked ``cached``, as a reused artifact's is.
 
         Two kinds of run get no entry.  Programs without a hashable
         structure key: their parameters may hold containers that a
@@ -986,8 +907,8 @@ class PlutoSession:
         :class:`~repro.plan.ExecutionPlan` describing the shard count,
         hierarchy placement, optimizer, and execution tier — or the
         string ``"auto"``, which hands the choice to the cost-based
-        planner (candidates priced with the analytic makespan model,
-        chosen plans memoized on the program structure key; the result
+        planner (candidates priced with the analytic makespan model; a
+        repeated request reuses its artifact, plan included; the result
         then carries a :class:`~repro.plan.PlannerReport` as
         ``result.planner``).  ``None`` defers to the engine's
         ``PlutoConfig(plan=...)`` default.  Outputs are bit-identical

@@ -521,9 +521,16 @@ def compile_program(
     return _lower(compiled)
 
 
-#: Closure builds (misses) and reuses (hits), surfaced as
-#: ``cache_stats()["compiled_exec"]``.
-CLOSURE_COUNTERS = MemoCounters()
+def _cached_closures() -> int:
+    """Closures the cached compiled programs hold."""
+    from repro.api.session import _PROGRAM_CACHE
+
+    return sum(bool(program.__dict__.get("_jit_executable")) for program in _PROGRAM_CACHE.values())
+
+
+#: Closure builds (misses) and reuses (hits), surfaced with the closures
+#: the cached programs hold as ``cache_stats()["compiled_exec"]``.
+CLOSURE_COUNTERS = MemoCounters("compiled_exec", _cached_closures)
 
 
 def pin_executable(compiled: CompiledProgram) -> CompiledExecutable | None:

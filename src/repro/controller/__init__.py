@@ -6,7 +6,6 @@ from repro.controller.dispatch import (
     ShardedExecutionResult,
     ShardPlan,
     ShardPlanner,
-    engine_helper_cache_stats,
     execute_shard_plans,
     merged_makespan_ns,
     sweep_act_interval_ns,
@@ -22,9 +21,7 @@ from repro.controller.hierarchy import (
     HierarchyPlanner,
     HierarchyShard,
     bus_occupancy_ns,
-    clear_hierarchy_cache,
     hierarchical_makespan_ns,
-    hierarchy_cache_stats,
     interleaved_bank_order,
 )
 from repro.controller.rom import CommandRom
@@ -42,7 +39,6 @@ __all__ = [
     "ShardPlan",
     "ShardPlanner",
     "execute_shard_plans",
-    "engine_helper_cache_stats",
     "merged_makespan_ns",
     "sweep_act_interval_ns",
     "HierarchicalDispatcher",
@@ -51,7 +47,5 @@ __all__ = [
     "HierarchyShard",
     "bus_occupancy_ns",
     "hierarchical_makespan_ns",
-    "hierarchy_cache_stats",
-    "clear_hierarchy_cache",
     "interleaved_bank_order",
 ]

@@ -47,6 +47,7 @@ from repro.dram.commands import Command, CommandTrace
 from repro.dram.scheduler import CommandScheduler
 from repro.errors import ConfigurationError, ExecutionError, VerificationError
 from repro.obs.trace import stage
+from repro.utils.memo import register_layer
 
 __all__ = [
     "ShardPlan",
@@ -60,20 +61,7 @@ __all__ = [
     "merged_makespan_ns",
     "rank_scheduler",
     "rank_scheduler_key",
-    "engine_helper_cache_stats",
-    "clear_engine_helper_caches",
 ]
-
-
-@lru_cache(maxsize=None)
-def _sweep_act_interval(
-    design: PlutoDesign, t_rcd: float, t_rp: float, lisa_hop_ns: float
-) -> float:
-    if design is PlutoDesign.GSA:
-        return lisa_hop_ns + t_rcd
-    if design is PlutoDesign.GMC:
-        return t_rcd
-    return t_rcd + t_rp
 
 
 def sweep_act_interval_ns(engine: PlutoEngine) -> float:
@@ -84,21 +72,13 @@ def sweep_act_interval_ns(engine: PlutoEngine) -> float:
     pLUTo-GMC opens rows back to back (tRCD per row, one trailing
     precharge), and pLUTo-GSA additionally streams the LUT row back in
     through a LISA hop before each activation (destructive reads).
-    Cached on the (design, timing) values the result depends on.
     """
-    return _sweep_act_interval(
-        engine.config.design,
-        engine.timing.t_rcd,
-        engine.timing.t_rp,
-        engine.cost_model.lisa_hop_latency_ns,
-    )
-
-
-@lru_cache(maxsize=None)
-def _sweep_tail(design: PlutoDesign, t_rp: float) -> float:
-    if design is PlutoDesign.BSA:
-        return 0.0
-    return t_rp
+    design, timing = engine.config.design, engine.timing
+    if design is PlutoDesign.GSA:
+        return engine.cost_model.lisa_hop_latency_ns + timing.t_rcd
+    if design is PlutoDesign.GMC:
+        return timing.t_rcd
+    return timing.t_rcd + timing.t_rp
 
 
 def sweep_tail_ns(engine: PlutoEngine) -> float:
@@ -108,56 +88,21 @@ def sweep_tail_ns(engine: PlutoEngine) -> float:
     Table 1 query latencies); BSA's per-row spacing already contains the
     precharge, so its sweeps carry no tail.
     """
-    return _sweep_tail(engine.config.design, engine.timing.t_rp)
-
-
-@lru_cache(maxsize=None)
-def _sweep_acts(design: PlutoDesign) -> int:
-    return 2 if design is PlutoDesign.GSA else 1
+    return 0.0 if engine.config.design is PlutoDesign.BSA else engine.timing.t_rp
 
 
 def sweep_acts_per_row(engine: PlutoEngine) -> int:
     """Row activations per swept LUT entry (2 for GSA's reload+sweep)."""
-    return _sweep_acts(engine.config.design)
-
-
-def engine_helper_cache_stats() -> dict[str, dict[str, int]]:
-    """Hit/miss counters of the cached pure per-engine helpers."""
-    from repro.controller.hierarchy import _interleaved_bank_order
-
-    stats: dict[str, dict[str, int]] = {}
-    for name, cached in (
-        ("sweep_act_interval_ns", _sweep_act_interval),
-        ("sweep_tail_ns", _sweep_tail),
-        ("sweep_acts_per_row", _sweep_acts),
-        ("interleaved_bank_order", _interleaved_bank_order),
-    ):
-        info = cached.cache_info()
-        stats[name] = {
-            "hits": info.hits,
-            "misses": info.misses,
-            "size": info.currsize,
-        }
-    return stats
-
-
-def clear_engine_helper_caches() -> None:
-    """Drop the cached pure per-engine helpers (and the throttled timings)."""
-    from repro.controller.hierarchy import _interleaved_bank_order
-
-    for cached in (
-        _sweep_act_interval,
-        _sweep_tail,
-        _sweep_acts,
-        _throttled_timing,
-        _interleaved_bank_order,
-    ):
-        cached.cache_clear()
+    return 2 if engine.config.design is PlutoDesign.GSA else 1
 
 
 @lru_cache(maxsize=None)
 def _throttled_timing(timing, tfaw_fraction: float):
     return timing.with_tfaw_fraction(tfaw_fraction)
+
+
+# Part of the engine helpers layer: cleared with it, not reported.
+register_layer("engine_helpers", dict, _throttled_timing.cache_clear)
 
 
 def rank_scheduler(engine: PlutoEngine) -> CommandScheduler:

@@ -106,9 +106,16 @@ class TraceTemplate:
         return trace
 
 
-#: Template builds (misses) and reuses (hits), surfaced as
-#: ``cache_stats()["trace_templates"]``.
-TEMPLATE_COUNTERS = MemoCounters()
+def _cached_templates() -> int:
+    """Trace templates the cached compiled programs hold."""
+    from repro.api.session import _PROGRAM_CACHE
+
+    return sum(len(program.templates) for program in _PROGRAM_CACHE.values())
+
+
+#: Template builds (misses) and reuses (hits), surfaced with the templates
+#: the cached programs hold as ``cache_stats()["trace_templates"]``.
+TEMPLATE_COUNTERS = MemoCounters("trace_templates", _cached_templates)
 
 
 @dataclass

@@ -61,7 +61,7 @@ from repro.dram.geometry import DRAMGeometry
 from repro.dram.scheduler import activation_count
 from repro.errors import ConfigurationError
 from repro.obs.trace import stage
-from repro.utils.memo import BoundedMemo
+from repro.utils.memo import BoundedMemo, register_lru_cache
 
 __all__ = [
     "HierarchyShard",
@@ -71,8 +71,6 @@ __all__ = [
     "bus_occupancy_ns",
     "hierarchical_makespan_ns",
     "interleaved_bank_order",
-    "hierarchy_cache_stats",
-    "clear_hierarchy_cache",
 ]
 
 
@@ -102,17 +100,7 @@ def bus_occupancy_ns(streams: Sequence[Sequence[Command]], engine: PlutoEngine) 
 #: rank makespans, channel makespans).  The per-rank merges additionally
 #: share the module-wide makespan memo, so collapsing levels re-merges
 #: nothing.
-_HIERARCHY_MEMO: BoundedMemo[tuple[float, dict, dict]] = BoundedMemo(1024)
-
-
-def hierarchy_cache_stats() -> dict[str, int]:
-    """Hit/miss counters and size of the hierarchical-schedule memo."""
-    return _HIERARCHY_MEMO.stats()
-
-
-def clear_hierarchy_cache() -> None:
-    """Drop every memoized hierarchical schedule and reset the counters."""
-    _HIERARCHY_MEMO.clear()
+_HIERARCHY_MEMO: BoundedMemo[tuple[float, dict, dict]] = BoundedMemo("hierarchy_schedules", 1024)
 
 
 def _schedule_hierarchy(
@@ -215,6 +203,9 @@ def _interleaved_bank_order(geometry: DRAMGeometry) -> tuple[int, ...]:
         for slot in range(geometry.banks_per_group)
         for group in range(geometry.bank_groups)
     )
+
+
+register_lru_cache("engine_helpers", _interleaved_bank_order, "interleaved_bank_order")
 
 
 def interleaved_bank_order(geometry: DRAMGeometry) -> tuple[int, ...]:

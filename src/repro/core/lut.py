@@ -22,8 +22,6 @@ from repro.utils.memo import BoundedMemo
 __all__ = [
     "LookupTable",
     "gather_array",
-    "gather_cache_stats",
-    "clear_gather_cache",
     "lut_from_function",
     "replicate_lut_rows",
     "concat_binary_lut",
@@ -34,7 +32,7 @@ __all__ = [
 #: the conversion from the value tuple is paid once per distinct LUT),
 #: bounded like the trace templates so a stream of never-seen tables
 #: cannot grow it without limit.
-_GATHER_CACHE: BoundedMemo[np.ndarray] = BoundedMemo(1024)
+_GATHER_CACHE: BoundedMemo[np.ndarray] = BoundedMemo("lut_gather_arrays", 1024)
 
 
 def gather_array(lut: "LookupTable") -> np.ndarray:
@@ -50,16 +48,6 @@ def gather_array(lut: "LookupTable") -> np.ndarray:
         array.setflags(write=False)
         _GATHER_CACHE.put(lut, array)
     return array
-
-
-def gather_cache_stats() -> dict[str, int]:
-    """Hit/miss counters and size of the gather-array cache."""
-    return _GATHER_CACHE.stats()
-
-
-def clear_gather_cache() -> None:
-    """Drop every cached gather array (they rebuild on demand) and reset the counters."""
-    _GATHER_CACHE.clear()
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro.dram.commands import Command
 from repro.dram.timing import TimingParameters
 from repro.errors import TimingViolationError
-from repro.utils.memo import BoundedMemo
+from repro.utils.memo import BoundedMemo, tally
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dram.scheduler import CommandScheduler
@@ -58,8 +58,6 @@ __all__ = [
     "memoized_merge_makespan_ns",
     "fast_merge_makespan_ns",
     "homogeneous_sweep_makespan_ns",
-    "merge_cache_stats",
-    "clear_merge_cache",
 ]
 
 
@@ -108,8 +106,9 @@ def merge_signature(
 # Memoized merging
 # --------------------------------------------------------------------- #
 #: merge signature -> makespan.
-_MERGE_MEMO: BoundedMemo[float] = BoundedMemo(4096)
-_ROUTE_STATS = {"fast": 0, "reference": 0}
+_MERGE_MEMO: BoundedMemo[float] = BoundedMemo("scheduler_merges", 4096)
+#: Which merge computed each miss: the exact fast one or the reference.
+_ROUTES = tally("scheduler_merges", fast=0, reference=0)
 
 
 def memoized_merge_makespan_ns(
@@ -152,22 +151,10 @@ def _run_merge(
 ) -> float:
     fast = fast_merge_makespan_ns(streams, scheduler)
     if fast is not None:
-        _ROUTE_STATS["fast"] += 1
+        _ROUTES["fast"] += 1
         return fast
-    _ROUTE_STATS["reference"] += 1
+    _ROUTES["reference"] += 1
     return scheduler.merge_streams(streams)
-
-
-def merge_cache_stats() -> dict[str, int]:
-    """Hit/miss counters, computation routes, and size of the memo."""
-    return dict(_MERGE_MEMO.stats(), **_ROUTE_STATS)
-
-
-def clear_merge_cache() -> None:
-    """Drop every memoized makespan and reset the counters."""
-    _MERGE_MEMO.clear()
-    for key in _ROUTE_STATS:
-        _ROUTE_STATS[key] = 0
 
 
 # --------------------------------------------------------------------- #

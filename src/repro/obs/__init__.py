@@ -7,9 +7,10 @@ Three pieces:
   compile → execute → schedule), propagated across the worker-pool
   process boundary.
 * :mod:`repro.obs.metrics` — a process-wide registry of counters /
-  gauges / histograms (the ``cache_stats()`` mirror, both serving front
-  doors' request series, per-request DRAM-command/energy/refresh
-  attribution), and :class:`ServedLatency`, a front door's queue-wait /
+  gauges / histograms (both serving front doors' request series,
+  per-request DRAM-command/energy/refresh attribution, and the
+  ``pluto_cache_*`` gauges it reads from the memo-layer table at every
+  exposition), and :class:`ServedLatency`, a front door's queue-wait /
   execute / end-to-end histograms, fed together with the registry by one
   call per served request.
 * :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto),
@@ -34,7 +35,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     ServedLatency,
     command_counts,
-    record_cache_stats,
     record_served_request,
     registry,
     request_accounting,
@@ -72,7 +72,6 @@ __all__ = [
     "metrics_json",
     "new_trace",
     "prometheus_text",
-    "record_cache_stats",
     "record_served_request",
     "registry",
     "render_stage_breakdown",

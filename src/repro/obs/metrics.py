@@ -1,11 +1,14 @@
 """Process-wide metrics registry and per-request energy attribution.
 
 :class:`MetricsRegistry` holds Prometheus-style counters, gauges, and
-histograms for the whole stack: the ``cache_stats()`` mirror
-(``pluto_cache_*``), the served-request series of both serving front
-doors, and the per-request *energy attribution* — DRAM command counts by
-type, energy in picojoules, and refresh overhead drawn from
-:class:`repro.dram.refresh.RefreshModel`.  :class:`Histogram` is the one
+histograms for the whole stack: the served-request series of both
+serving front doors, and the per-request *energy attribution* — DRAM
+command counts by type, energy in picojoules, and refresh overhead drawn
+from :class:`repro.dram.refresh.RefreshModel`.  The process-wide
+registry also carries one ``pluto_cache_*`` gauge per memo-layer
+statistic, read from the memo table (:mod:`repro.utils.memo`, the one
+``cache_stats()`` reports) each time its metrics are iterated, so every
+exposition shows the layers as they are.  :class:`Histogram` is the one
 streaming histogram of the package; :class:`ServedLatency` keeps a front
 door's own queue-wait / execute / end-to-end distributions and records
 each served request there and in the registry with one call.
@@ -22,6 +25,7 @@ import threading
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from repro.errors import ConfigurationError
+from repro.utils.memo import layer_stats
 
 if TYPE_CHECKING:
     from repro.dram.commands import CommandTrace
@@ -33,7 +37,6 @@ __all__ = [
     "MetricsRegistry",
     "ServedLatency",
     "command_counts",
-    "record_cache_stats",
     "record_served_request",
     "registry",
     "request_accounting",
@@ -251,8 +254,27 @@ def _render_name(name: str, labels: LabelPairs) -> str:
     return f"{name}{{{rendered}}}"
 
 
+class _ProcessRegistry(MetricsRegistry):
+    """The process-wide registry: iterating its metrics (every snapshot
+    and exposition does) first sets its ``pluto_cache_*`` gauges from the
+    memo table."""
+
+    def __iter__(self) -> Iterator[Metric]:
+        self._set_cache_gauges("pluto_cache", layer_stats())
+        return super().__iter__()
+
+    def _set_cache_gauges(self, prefix: str, stats: Mapping[str, Any]) -> None:
+        for key, value in stats.items():
+            if isinstance(value, Mapping):
+                self._set_cache_gauges(f"{prefix}_{key}", value)
+            elif isinstance(value, (int, float)):
+                self.gauge(
+                    f"{prefix}_{key}", help="Memo-layer statistic from cache_stats()"
+                ).set(float(value))
+
+
 #: The process-wide registry every layer records into.
-REGISTRY = MetricsRegistry()
+REGISTRY: MetricsRegistry = _ProcessRegistry()
 
 
 def registry() -> MetricsRegistry:
@@ -265,33 +287,6 @@ def reset_metrics() -> None:
     """Clear the process-wide registry (tests and benchmarks)."""
 
     REGISTRY.reset()
-
-
-# --------------------------------------------------------------------------- #
-# Cache-stats bridge
-# --------------------------------------------------------------------------- #
-
-
-def record_cache_stats(stats: Mapping[str, Any]) -> None:
-    """Mirror a ``cache_stats()`` dict into ``pluto_cache_*`` gauges.
-
-    Accepts the exact nested dict shape ``repro.api.session.cache_stats``
-    returns (including the per-engine sub-dicts of ``engine_helpers``) and
-    leaves it untouched — the dict remains the public API; the gauges are
-    the unified view.
-    """
-
-    _record_cache_layer("pluto_cache", stats)
-
-
-def _record_cache_layer(prefix: str, stats: Mapping[str, Any]) -> None:
-    for key, value in stats.items():
-        if isinstance(value, Mapping):
-            _record_cache_layer(f"{prefix}_{key}", value)
-        elif isinstance(value, (int, float)):
-            REGISTRY.gauge(
-                f"{prefix}_{key}", help="Memo-layer statistic from cache_stats()"
-            ).set(float(value))
 
 
 # --------------------------------------------------------------------------- #

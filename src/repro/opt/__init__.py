@@ -22,7 +22,7 @@ plan=ExecutionPlan(optimize=True))``) or on an engine built from
 an :class:`~repro.opt.report.OptimizationReport`.
 """
 
-from repro.opt.compose import can_compose, compose_cache_stats, compose_luts
+from repro.opt.compose import can_compose, compose_luts
 from repro.opt.passes import (
     CommonSubexpressionEliminationPass,
     DeadOpEliminationPass,
@@ -33,11 +33,9 @@ from repro.opt.passes import (
 from repro.opt.pipeline import (
     OptimizedProgram,
     PassManager,
-    clear_optimizer_cache,
     default_passes,
     optimize_cached,
     optimize_program,
-    optimizer_cache_stats,
 )
 from repro.opt.report import (
     OptimizationReport,
@@ -57,13 +55,10 @@ __all__ = [
     "default_passes",
     "optimize_program",
     "optimize_cached",
-    "optimizer_cache_stats",
-    "clear_optimizer_cache",
     "OptimizationReport",
     "PassStats",
     "ProgramMetrics",
     "program_metrics",
     "can_compose",
     "compose_luts",
-    "compose_cache_stats",
 ]

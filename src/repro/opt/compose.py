@@ -14,12 +14,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 from repro.core.lut import LookupTable
+from repro.utils.memo import register_lru_cache
 
 __all__ = [
     "can_compose",
     "compose_luts",
-    "compose_cache_stats",
-    "clear_compose_cache",
     "MAX_COMPOSE_ENTRIES",
 ]
 
@@ -57,12 +56,4 @@ def compose_luts(inner: LookupTable, outer: LookupTable) -> LookupTable:
     )
 
 
-def compose_cache_stats() -> dict[str, int]:
-    """Hit/miss counters of the composed-LUT cache."""
-    info = compose_luts.cache_info()
-    return {"hits": info.hits, "misses": info.misses, "size": info.currsize}
-
-
-def clear_compose_cache() -> None:
-    """Drop every memoized LUT composition."""
-    compose_luts.cache_clear()
+register_lru_cache("lut_compositions", compose_luts)

@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 
 from repro.analyze.verifier import check_pass_invariants, verification_enabled
 from repro.api.handles import ApiCall, PlutoVector
+from repro.api.session import hashable_structure_key
 from repro.errors import CompilationError
 from repro.opt.analysis import natural_output_names, topological_calls
 from repro.opt.passes import (
@@ -40,8 +41,6 @@ __all__ = [
     "default_passes",
     "optimize_program",
     "optimize_cached",
-    "optimizer_cache_stats",
-    "clear_optimizer_cache",
 ]
 
 
@@ -196,7 +195,7 @@ def optimize_program(
 
 
 #: Structure key -> OptimizedProgram (natural outputs, default pipeline).
-_OPTIMIZE_MEMO: BoundedMemo[OptimizedProgram] = BoundedMemo(512)
+_OPTIMIZE_MEMO: BoundedMemo[OptimizedProgram] = BoundedMemo("optimizer", 512)
 
 
 def optimize_cached(calls: Sequence[ApiCall]) -> OptimizedProgram:
@@ -208,28 +207,6 @@ def optimize_cached(calls: Sequence[ApiCall]) -> OptimizedProgram:
     once.  Unhashable structures (list-valued parameters) bypass the
     memo and are counted as ``uncached``.
     """
-    from repro.compiler.lowering import program_structure_key
-
-    try:
-        key = program_structure_key(list(calls))
-        # The key tuple builds fine around unhashable parameter values
-        # and only fails at hash time — probe before touching the memo.
-        hash(key)
-    except TypeError:
-        _OPTIMIZE_MEMO.note_uncached()
-        return optimize_program(calls)
-    optimized = _OPTIMIZE_MEMO.get(key)
-    if optimized is None:
-        optimized = optimize_program(calls)
-        _OPTIMIZE_MEMO.put(key, optimized)
-    return optimized
-
-
-def optimizer_cache_stats() -> dict[str, int]:
-    """Hit/miss counters and size of the memoized-optimization cache."""
-    return _OPTIMIZE_MEMO.stats()
-
-
-def clear_optimizer_cache() -> None:
-    """Drop every memoized optimization and reset the counters."""
-    _OPTIMIZE_MEMO.clear()
+    return _OPTIMIZE_MEMO.get_or_compute(
+        hashable_structure_key(calls), lambda: optimize_program(calls)
+    )

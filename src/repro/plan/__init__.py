@@ -17,9 +17,7 @@ from repro.plan.planner import (
     CandidatePlan,
     PlannedExecution,
     PlannerReport,
-    clear_planner_cache,
     plan_program,
-    planner_cache_stats,
 )
 
 __all__ = [
@@ -30,6 +28,4 @@ __all__ = [
     "PlannedExecution",
     "PlannerReport",
     "plan_program",
-    "planner_cache_stats",
-    "clear_planner_cache",
 ]

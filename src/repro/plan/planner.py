@@ -15,12 +15,12 @@ performs are warm-cache hits when the chosen plan executes.  The
 planner reads no host clock: its choice is a function of the program
 structure, the engine configuration and the request alone.
 
-Chosen plans are memoized on the program structure key (the same
-identity the compile/optimize/verify memos use), surfaced in
-``cache_stats()["planner"]``: planning a structurally repeated program
-is a dict hit with **zero** analytic-model calls.  Every chosen sharded
-plan passes :func:`~repro.analyze.verifier.verify_shard_plans` before it
-is cached or executed.
+The planner keeps no memo of its own: every front door prepares a
+program into one :class:`~repro.api.session.ProgramArtifact` per
+request identity, plan included, so a structurally repeated request
+reuses its artifact and never reaches the planner.  Every chosen
+sharded plan passes :func:`~repro.analyze.verifier.verify_shard_plans`
+before it is returned.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ConfigurationError
 from repro.plan.execution_plan import ExecutionPlan
-from repro.utils.memo import BoundedMemo
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.handles import ApiCall
@@ -42,8 +41,6 @@ __all__ = [
     "PlannerReport",
     "PlannedExecution",
     "plan_program",
-    "planner_cache_stats",
-    "clear_planner_cache",
 ]
 
 
@@ -72,7 +69,8 @@ class PlannerReport:
 
     The predicted makespan is exact: a run of the chosen plan reports it
     as its ``latency_ns`` (a batch as its ``total_latency_ns``).
-    ``cached`` marks reports served from the plan memo.
+    ``cached`` marks a report that came from a reused program artifact
+    (:meth:`~repro.api.session.ProgramArtifact.reused`).
     """
 
     subject: str
@@ -98,22 +96,6 @@ class PlannedExecution:
 
     plan: ExecutionPlan
     report: PlannerReport
-
-
-#: (structure key, engine config, modes, batched, optimize pin, tier pin)
-#: -> PlannedExecution.  A hit returns the chosen plan with zero
-#: analytic-model calls.
-_PLAN_MEMO: BoundedMemo[PlannedExecution] = BoundedMemo(512)
-
-
-def planner_cache_stats() -> dict[str, int]:
-    """Hit/miss counters and size of the chosen-plan memo."""
-    return _PLAN_MEMO.stats()
-
-
-def clear_planner_cache() -> None:
-    """Drop every memoized chosen plan and reset the counters."""
-    _PLAN_MEMO.clear()
 
 
 def _shard_grid(limit: int, size: int) -> list[int]:
@@ -392,13 +374,11 @@ def plan_program(
     plan (the functional oracle cannot fuse shards or run the compiled
     tier).
 
-    Chosen plans are memoized on the program structure key plus the
-    engine configuration and search constraints; a hit performs **zero**
-    analytic-model calls.  The returned plan is concrete
-    (``mode="explicit"``) and its shard plan, when sharded, has passed
-    :func:`~repro.analyze.verifier.verify_shard_plans`.
+    Every call plans: reuse lives in the program artifact table of
+    :func:`~repro.api.session.prepare_execution`.  The returned plan is
+    concrete (``mode="explicit"``) and its shard plan, when sharded, has
+    passed :func:`~repro.analyze.verifier.verify_shard_plans`.
     """
-    from repro.api.session import hashable_structure_key
     from repro.core.engine import PlutoConfig, PlutoEngine
 
     if engine is None:
@@ -409,26 +389,6 @@ def plan_program(
         raise ConfigurationError(
             "plan_program expects an auto plan; explicit plans execute as-is"
         )
-
-    structure_key = hashable_structure_key(calls)
-    memo_key: tuple | None = None
-    if structure_key is not None:
-        memo_key = (
-            structure_key,
-            engine.config,
-            tuple(modes),
-            supports_batched,
-            request.optimize,
-            request.tier,
-        )
-        cached = _PLAN_MEMO.get(memo_key)
-        if cached is not None:
-            return PlannedExecution(
-                plan=cached.plan,
-                report=replace(cached.report, cached=True),
-            )
-    else:
-        _PLAN_MEMO.note_uncached()
 
     candidates, calls_by_optimize = _enumerate(
         calls,
@@ -452,7 +412,4 @@ def plan_program(
         predicted_makespan_ns=chosen.predicted_makespan_ns,
         baseline_makespan_ns=_baseline_makespan(candidates, request, chosen),
     )
-    planned = PlannedExecution(plan=plan, report=report)
-    if memo_key is not None:
-        _PLAN_MEMO.put(memo_key, planned)
-    return planned
+    return PlannedExecution(plan=plan, report=report)

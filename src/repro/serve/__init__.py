@@ -16,16 +16,12 @@ from repro.serve.store import (
     ARTIFACT_SCHEMA_VERSION,
     SharedArtifactStore,
     WarmStartReport,
-    reset_shared_store_stats,
-    shared_store_stats,
 )
 
 __all__ = [
     "SharedArtifactStore",
     "WarmStartReport",
     "ARTIFACT_SCHEMA_VERSION",
-    "shared_store_stats",
-    "reset_shared_store_stats",
     "PlutoWorkerPool",
     "PoolStats",
     "WorkerResult",

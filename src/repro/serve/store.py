@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.api.session import ProgramArtifact
 from repro.errors import ConfigurationError
+from repro.utils.memo import tally
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.handles import ApiCall
@@ -48,8 +49,6 @@ __all__ = [
     "ARTIFACT_SCHEMA_VERSION",
     "WarmStartReport",
     "SharedArtifactStore",
-    "shared_store_stats",
-    "reset_shared_store_stats",
 ]
 
 
@@ -58,26 +57,11 @@ __all__ = [
 ARTIFACT_SCHEMA_VERSION = 3
 
 
-#: Process-wide counters surfaced as ``cache_stats()["shared_store"]``.
-_STATS = {
-    "hits": 0,
-    "misses": 0,
-    "stale": 0,
-    "saved": 0,
-    "installed": 0,
-    "load_time_s": 0.0,
-}
-
-
-def shared_store_stats() -> dict[str, float]:
-    """Hit/miss/stale/saved counters and cumulative load wall-clock."""
-    return dict(_STATS)
-
-
-def reset_shared_store_stats() -> None:
-    """Reset the process-wide shared-store counters."""
-    for key in _STATS:
-        _STATS[key] = 0.0 if key == "load_time_s" else 0
+#: Process-wide hit/miss/stale/saved/installed counters and cumulative
+#: load wall-clock, surfaced as ``cache_stats()["shared_store"]``.
+_STATS = tally(
+    "shared_store", hits=0, misses=0, stale=0, saved=0, installed=0, load_time_s=0.0
+)
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,7 @@ import pytest
 
 from repro.api.handles import ApiCall
 from repro.api.luts import bitcount_lut, bitwise_lut
-from repro.api.session import (
-    PlutoSession,
-    cache_stats,
-    clear_program_cache,
-    program_cache_size,
-)
+from repro.api.session import PlutoSession, cache_stats, clear_all_caches
 from repro.backend import FunctionalBackend, VectorizedBackend, resolve_backend
 from repro.controller.executor import PlutoController
 from repro.core.designs import PlutoDesign
@@ -156,8 +151,8 @@ def test_backends_agree_on_random_programs(design, memory):
 
 def test_session_batch_uses_compile_cache():
     # The cache is bounded: start below the bound so one insert shows.
-    clear_program_cache()
-    before = program_cache_size()
+    clear_all_caches()
+    before = cache_stats()["programs"]["size"]
     rng = np.random.default_rng(7)
     session = _random_program(rng, 999_001)
     compiled = session.compile()
@@ -165,7 +160,7 @@ def test_session_batch_uses_compile_cache():
     assert len(batch) == 3
     assert batch.total_latency_ns == sum(r.latency_ns for r in batch)
     # One new structure: the three executions share a single compile.
-    assert program_cache_size() == before + 1
+    assert cache_stats()["programs"]["size"] == before + 1
 
 
 def test_program_and_gather_caches_stay_bounded():
@@ -181,7 +176,7 @@ def test_program_and_gather_caches_stay_bounded():
         session.run({a.name: rng.integers(0, 16, 16)})
         sessions.append(session)
     stats = cache_stats()
-    assert program_cache_size() == stats["programs"]["size"] <= 1024
+    assert stats["programs"]["size"] <= 1024
     assert stats["lut_gather_arrays"]["size"] <= 1024
     # The oldest programs were evicted: fresh sessions compile them again,
     # and every output still matches the functional oracle.

@@ -33,7 +33,6 @@ from repro.controller.dispatch import ParallelDispatcher
 from repro.controller.executor import PlutoController
 from repro.core.engine import PlutoConfig, PlutoEngine
 from repro.errors import ExecutionError, LUTError
-from repro.utils.memo import BoundedMemo
 from repro.workloads.programs import workload_program
 
 ELEMENTS = 96
@@ -220,7 +219,7 @@ class TestCompiledCache:
     def test_hit_then_eviction(self, monkeypatch):
         """The closure lives on its program: a reuse is a hit, and it
         leaves the cache with its program."""
-        monkeypatch.setattr(session_module, "_PROGRAM_CACHE", BoundedMemo(2))
+        monkeypatch.setattr(session_module._PROGRAM_CACHE, "limit", 2)
         clear_all_caches()
         sessions = [_mixed_program(elements)[0] for elements in (16, 24, 32)]
         programs = [compile_cached_with_key(session.calls) for session in sessions]

@@ -323,26 +323,6 @@ class TestPlannerSharing:
 
 
 class TestCacheStatsSurface:
-    def test_session_cache_stats_keys(self):
-        stats = PlutoSession.cache_stats()
-        assert set(stats) == {
-            "programs",
-            "artifacts",
-            "shared_store",
-            "optimizer",
-            "lut_compositions",
-            "trace_templates",
-            "scheduler_merges",
-            "hierarchy_schedules",
-            "engine_helpers",
-            "lut_gather_arrays",
-            "compiled_exec",
-            "verifier",
-            "planner",
-        }
-        assert {"hits", "misses", "size"} <= set(stats["scheduler_merges"])
-        assert stats is not cache_stats()  # fresh snapshots, not aliases
-
     def test_service_stats_report_cache_stats(self):
         from repro.api.service import ServiceStats
 

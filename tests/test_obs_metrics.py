@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.api.session import PlutoSession, cache_stats
+import repro
+from repro.api.session import PlutoSession, cache_stats, clear_all_caches
 from repro.errors import ConfigurationError
 from repro.obs.export import prometheus_text
 from repro.obs.metrics import (
@@ -15,7 +21,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     ServedLatency,
     command_counts,
-    record_cache_stats,
     record_served_request,
     registry,
     request_accounting,
@@ -30,20 +35,20 @@ def _clean_registry():
     reset_metrics()
 
 
-def _session() -> PlutoSession:
+def _session(elements: int = 128) -> PlutoSession:
     session = PlutoSession()
-    a = session.pluto_malloc(128, 4, "a")
-    b = session.pluto_malloc(128, 4, "b")
-    out = session.pluto_malloc(128, 8, "out")
+    a = session.pluto_malloc(elements, 4, "a")
+    b = session.pluto_malloc(elements, 4, "b")
+    out = session.pluto_malloc(elements, 8, "out")
     session.api_pluto_add(a, b, out, bit_width=4)
     return session
 
 
-def _inputs() -> dict:
+def _inputs(elements: int = 128) -> dict:
     rng = np.random.default_rng(11)
     return {
-        "a": rng.integers(0, 16, 128),
-        "b": rng.integers(0, 16, 128),
+        "a": rng.integers(0, 16, elements),
+        "b": rng.integers(0, 16, elements),
     }
 
 
@@ -153,7 +158,6 @@ class TestCacheStatsBridge:
         "shared_store",
         "verifier",
         "optimizer",
-        "planner",
         "lut_compositions",
         "trace_templates",
         "compiled_exec",
@@ -168,20 +172,41 @@ class TestCacheStatsBridge:
         assert set(stats) == self.EXPECTED_LAYERS
         for layer, values in stats.items():
             assert isinstance(values, dict), layer
+        assert {"hits", "misses", "size"} <= set(stats["scheduler_merges"])
+        assert stats is not cache_stats()  # fresh snapshots, not aliases
 
-    def test_cache_stats_mirrors_into_pluto_cache_gauges(self):
-        cache_stats()
-        gauges = registry().snapshot()["gauges"]
-        assert "pluto_cache_programs_size" in gauges
-        assert "pluto_cache_compiled_exec_size" in gauges
-        # every numeric leaf of every layer lands in the registry
-        assert any(name.startswith("pluto_cache_verifier") for name in gauges)
+    def test_a_fresh_interpreter_reports_every_layer(self):
+        """The layers never depend on which modules were imported first."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        completed = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "from repro.api.session import cache_stats; print(sorted(cache_stats()))",
+            ],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert completed.stdout.strip() == str(sorted(self.EXPECTED_LAYERS))
 
-    def test_record_cache_stats_recurses_nested_layers(self):
-        record_cache_stats({"outer": {"inner": {"deep": 3}, "flat": 1.5}})
+    def test_pluto_cache_gauges_are_read_at_exposition(self):
+        """No ``cache_stats()`` call is needed, and no exposition is stale."""
+        clear_all_caches()
+        _session().run(_inputs())
         gauges = registry().snapshot()["gauges"]
-        assert gauges["pluto_cache_outer_inner_deep"] == 3.0
-        assert gauges["pluto_cache_outer_flat"] == 1.5
+        size = cache_stats()["programs"]["size"]
+        assert gauges["pluto_cache_programs_size"] == size
+        # nested layers land too, their keys joined by "_"
+        assert "pluto_cache_engine_helpers_interleaved_bank_order_size" in gauges
+
+        _session(136).run(_inputs(136))  # a never-seen program structure
+        grown = cache_stats()["programs"]["size"]
+        assert grown == size + 1
+        assert f"\npluto_cache_programs_size {grown}\n" in prometheus_text()
 
 
 class TestEnergyAttribution:

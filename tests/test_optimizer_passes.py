@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.api.luts import add_lut, binarize_lut, color_grade_lut, identity_lut, relu_lut
-from repro.api.session import PlutoSession
+from repro.api.session import PlutoSession, cache_stats, clear_all_caches
 from repro.core.engine import PlutoConfig, PlutoEngine
 from repro.core.lut import LookupTable, lut_from_function
 from repro.errors import CompilationError
@@ -18,11 +18,9 @@ from repro.opt import (
     LutChainFusionPass,
     LutDeduplicationPass,
     can_compose,
-    clear_optimizer_cache,
     compose_luts,
     optimize_cached,
     optimize_program,
-    optimizer_cache_stats,
     program_metrics,
 )
 
@@ -271,12 +269,12 @@ class TestReportAndCache:
         assert metrics.lut_loads == 3
 
     def test_optimize_cached_memoizes_on_structure(self):
-        clear_optimizer_cache()
+        clear_all_caches()
         session = _chain_session()
         first = optimize_cached(session.calls)
         second = optimize_cached(list(session.calls))
         assert first is second
-        stats = optimizer_cache_stats()
+        stats = cache_stats()["optimizer"]
         assert stats["hits"] == 1 and stats["misses"] == 1
 
     def test_identity_program_reports_no_change(self):
@@ -345,7 +343,7 @@ class TestSessionIntegration:
 class TestUnhashablePrograms:
     def test_unhashable_parameters_optimize_uncached(self):
         """List-valued parameters bypass the memo instead of crashing."""
-        clear_optimizer_cache()
+        clear_all_caches()
         session = _chain_session()
         session.calls[0].parameters["taps"] = [1, 2, 3]
         inputs = _inputs()
@@ -353,7 +351,7 @@ class TestUnhashablePrograms:
         optimized = session.run(inputs, plan=ExecutionPlan(optimize=True))  # must not raise
         for name in plain.outputs:
             assert np.array_equal(plain.outputs[name], optimized.outputs[name])
-        assert optimizer_cache_stats()["uncached"] == 1  # bypassed, not cached
+        assert cache_stats()["optimizer"]["uncached"] == 1  # bypassed, not cached
 
     def test_cse_skips_unhashable_duplicates(self):
         session = PlutoSession()

@@ -15,20 +15,12 @@ import numpy as np
 import pytest
 
 import repro
-from repro.api.session import PlutoSession
+from repro.api.session import PlutoSession, cache_stats, clear_all_caches, prepare_execution
 from repro.core.designs import PlutoDesign
 from repro.core.engine import PlutoConfig, PlutoEngine
 from repro.core.lut import LookupTable
-from repro.dram.analytic import merge_cache_stats
-from repro.controller.hierarchy import hierarchy_cache_stats
 from repro.errors import ConfigurationError, VerificationError
-from repro.plan import (
-    ExecutionPlan,
-    clear_planner_cache,
-    plan_program,
-    planner_cache_stats,
-    resolve_plan,
-)
+from repro.plan import ExecutionPlan, plan_program, resolve_plan
 from repro.plan.planner import CandidatePlan, _choose
 from repro.workloads.programs import optimizer_workload_programs, workload_program
 
@@ -128,49 +120,54 @@ class TestPlutoConfigPlanValidation:
         assert result.num_shards == 4
 
 
-class TestPlannerMemoization:
-    def test_second_plan_is_cache_hit_with_zero_analytic_calls(self):
-        clear_planner_cache()
+def _prepare_auto(session: PlutoSession, engine: PlutoEngine):
+    """The artifact of ``session``'s program under ``plan="auto"``."""
+    return prepare_execution(
+        session.calls, engine, ExecutionPlan.auto(), backend="vectorized", verify=False
+    )
+
+
+class TestArtifactReuse:
+    """A repeated auto request reuses its artifact, plan included."""
+
+    def test_second_request_is_artifact_hit_with_zero_analytic_calls(self):
+        clear_all_caches()
         session, _ = _add_program()
         engine = PlutoEngine(PlutoConfig(design=PlutoDesign.BSA))
-        first = plan_program(session.calls, engine)
-        assert not first.report.cached
-        stats = planner_cache_stats()
+        first = _prepare_auto(session, engine)
+        assert not first.planner.cached
+        stats = cache_stats()["artifacts"]
         assert stats["misses"] == 1 and stats["hits"] == 0
 
-        merges_before = dict(merge_cache_stats())
-        hierarchy_before = dict(hierarchy_cache_stats())
-        second = plan_program(session.calls, engine)
-        assert second.report.cached
+        merges_before = dict(cache_stats()["scheduler_merges"])
+        hierarchy_before = dict(cache_stats()["hierarchy_schedules"])
+        second = _prepare_auto(session, engine)
+        assert second.planner.cached
         assert second.plan == first.plan
-        stats = planner_cache_stats()
+        stats = cache_stats()["artifacts"]
         assert stats["hits"] == 1 and stats["misses"] == 1
-        # The cache hit prices nothing: the analytic scheduler memos are
+        # The hit prices nothing: the analytic scheduler memos are
         # untouched (no hits, no misses — zero model calls).
-        assert dict(merge_cache_stats()) == merges_before
-        assert dict(hierarchy_cache_stats()) == hierarchy_before
+        assert dict(cache_stats()["scheduler_merges"]) == merges_before
+        assert dict(cache_stats()["hierarchy_schedules"]) == hierarchy_before
 
     def test_structurally_identical_programs_share_a_plan(self):
-        clear_planner_cache()
+        clear_all_caches()
         engine = PlutoEngine(PlutoConfig(design=PlutoDesign.BSA))
         first_session, _ = _add_program()
         second_session, _ = _add_program()
-        plan_program(first_session.calls, engine)
-        planned = plan_program(second_session.calls, engine)
-        assert planned.report.cached
+        _prepare_auto(first_session, engine)
+        artifact = _prepare_auto(second_session, engine)
+        assert artifact.planner.cached
 
     def test_different_engines_plan_separately(self):
-        clear_planner_cache()
+        clear_all_caches()
         session, _ = _add_program()
         ddr4 = PlutoEngine(PlutoConfig(design=PlutoDesign.BSA))
         three_ds = PlutoEngine(PlutoConfig(design=PlutoDesign.BSA, memory="3DS"))
-        plan_program(session.calls, ddr4)
-        planned = plan_program(session.calls, three_ds)
-        assert not planned.report.cached
-
-    def test_planner_stats_surface_in_session_cache_stats(self):
-        stats = PlutoSession.cache_stats()
-        assert {"hits", "misses", "size"} <= set(stats["planner"])
+        _prepare_auto(session, ddr4)
+        artifact = _prepare_auto(session, three_ds)
+        assert not artifact.planner.cached
 
 
 class TestPredictionExactness:
@@ -204,7 +201,6 @@ def _family_plans() -> list[list]:
     plans = []
     for elements in (256, 4096, 65536):
         for program in optimizer_workload_programs(elements=elements, seed=0):
-            clear_planner_cache()
             planned = plan_program(program.session.calls, engine)
             plans.append([planned.plan.label(), planned.report.predicted_makespan_ns])
     return plans
@@ -293,7 +289,7 @@ class TestTieBreak:
         session.api_pluto_bitwise("and", x1, x0, t1)
         rng = np.random.default_rng(5)
         inputs = {"x0": rng.integers(0, 256, 256), "x1": rng.integers(0, 256, 256)}
-        clear_planner_cache()
+        clear_all_caches()
         auto = session.run(inputs, plan="auto")
         default = session.run(inputs, plan=ExecutionPlan())
         priced = {c.plan.label(): c for c in auto.planner.candidates}
@@ -312,7 +308,6 @@ class TestPredictedGain:
     def test_hierarchy_only_search_reports_the_full_search_gain(self, family, gain):
         calls = workload_program(family, elements=4096, seed=0).session.calls
         engine = PlutoEngine(PlutoConfig())
-        clear_planner_cache()
         full = plan_program(calls, engine).report
         hierarchy = plan_program(calls, engine, modes=("hierarchy",)).report
         assert hierarchy.chosen.hierarchical
@@ -323,7 +318,6 @@ class TestPredictedGain:
     @pytest.mark.parametrize("family", ["image", "crc"])
     def test_pinned_optimizer_one_shard_plan_reports_no_gain(self, family, elements):
         calls = workload_program(family, elements=elements, seed=0).session.calls
-        clear_planner_cache()
         planned = plan_program(
             calls, PlutoEngine(PlutoConfig()), request=ExecutionPlan.auto(optimize=True)
         )
@@ -439,7 +433,7 @@ class TestAutoOnEntryPoints:
         import asyncio
 
         async def main():
-            clear_planner_cache()
+            clear_all_caches()
             session, inputs = _add_program(256)
             async with session.serve(
                 max_queue=8, max_batch=4, plan="auto"
@@ -450,8 +444,8 @@ class TestAutoOnEntryPoints:
             assert not first.planner.cached
             assert second.planner.cached
             # The repeat request takes the session's warm entry, so it
-            # never reaches the planner again.
-            stats = planner_cache_stats()
+            # never reaches the artifact table (or the planner) again.
+            stats = cache_stats()["artifacts"]
             assert stats["misses"] == 1 and stats["hits"] == 0
 
         asyncio.run(main())

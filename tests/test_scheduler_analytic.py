@@ -15,26 +15,21 @@ import random
 
 import pytest
 
+from repro.api.session import cache_stats, clear_all_caches
 from repro.controller.dispatch import (
-    engine_helper_cache_stats,
+    _throttled_timing,
     merged_makespan_ns,
     rank_scheduler,
     sweep_act_interval_ns,
     sweep_acts_per_row,
     sweep_tail_ns,
 )
-from repro.controller.hierarchy import (
-    _schedule_hierarchy,
-    clear_hierarchy_cache,
-    hierarchy_cache_stats,
-)
+from repro.controller.hierarchy import _schedule_hierarchy, interleaved_bank_order
 from repro.core.designs import PlutoDesign
 from repro.core.engine import DDR4, THREE_DS, PlutoConfig, PlutoEngine
 from repro.dram.analytic import (
-    clear_merge_cache,
     fast_merge_makespan_ns,
     homogeneous_sweep_makespan_ns,
-    merge_cache_stats,
     merge_signature,
     stream_signature,
 )
@@ -141,19 +136,19 @@ class TestFastMergeExactness:
 
 class TestMemoization:
     def test_repeat_merges_hit_the_cache(self):
-        clear_merge_cache()
+        clear_all_caches()
         engine = PlutoEngine(PlutoConfig(tfaw_fraction=1.0))
         streams = _sweep_streams(range(8), 16, lut_rows=16)
         first = merged_makespan_ns(streams, engine)
-        stats = merge_cache_stats()
+        stats = cache_stats()["scheduler_merges"]
         assert stats["misses"] == 1 and stats["hits"] == 0
         second = merged_makespan_ns(streams, engine)
         assert second == first
-        stats = merge_cache_stats()
+        stats = cache_stats()["scheduler_merges"]
         assert stats["hits"] == 1 and stats["misses"] == 1
 
     def test_memoized_equals_reference_exactly(self):
-        clear_merge_cache()
+        clear_all_caches()
         for design, memory in itertools.product(DESIGNS, MEMORIES):
             engine = _engine(design, memory, 1.0)
             streams = _sweep_streams(range(engine.geometry.banks), 18, lut_rows=18)
@@ -172,7 +167,7 @@ class TestMemoization:
         assert merge_signature([a], scheduler) == merge_signature([b], scheduler)
 
     def test_distinct_timing_distinct_entries(self):
-        clear_merge_cache()
+        clear_all_caches()
         streams = _sweep_streams(range(16), 8)
         throttled = merged_makespan_ns(
             streams, PlutoEngine(PlutoConfig(tfaw_fraction=2.0))
@@ -181,16 +176,16 @@ class TestMemoization:
             streams, PlutoEngine(PlutoConfig(tfaw_fraction=0.0))
         )
         assert throttled > unthrottled
-        assert merge_cache_stats()["misses"] == 2
+        assert cache_stats()["scheduler_merges"]["misses"] == 2
 
     def test_hierarchy_schedule_memo(self):
-        clear_hierarchy_cache()
+        clear_all_caches()
         engine = PlutoEngine(PlutoConfig(tfaw_fraction=1.0, channels=2, ranks=2))
         streams = _sweep_streams([0] * 8, 16, lut_rows=16)
         cold = _schedule_hierarchy(streams, engine, channels=2, ranks=2)
-        assert hierarchy_cache_stats()["misses"] == 1
+        assert cache_stats()["hierarchy_schedules"]["misses"] == 1
         warm = _schedule_hierarchy(streams, engine, channels=2, ranks=2)
-        assert hierarchy_cache_stats()["hits"] == 1
+        assert cache_stats()["hierarchy_schedules"]["hits"] == 1
         assert warm[0] == cold[0]
         assert warm[1] == cold[1] and warm[2] == cold[2]
         # The memo hands out copies: mutating a result must not poison it.
@@ -200,11 +195,17 @@ class TestMemoization:
 
     def test_helper_caches_report_hits(self):
         engine = PlutoEngine(PlutoConfig())
-        before = engine_helper_cache_stats()["sweep_act_interval_ns"]["hits"]
-        sweep_act_interval_ns(engine)
-        sweep_act_interval_ns(engine)
-        after = engine_helper_cache_stats()["sweep_act_interval_ns"]["hits"]
+        before = cache_stats()["engine_helpers"]["interleaved_bank_order"]["hits"]
+        interleaved_bank_order(engine.geometry)
+        interleaved_bank_order(engine.geometry)
+        after = cache_stats()["engine_helpers"]["interleaved_bank_order"]["hits"]
         assert after >= before + 1
+
+    def test_clearing_the_helpers_empties_the_throttled_timings(self):
+        merged_makespan_ns(_sweep_streams(range(4), 8), PlutoEngine(PlutoConfig()))
+        assert _throttled_timing.cache_info().currsize > 0
+        clear_all_caches()
+        assert _throttled_timing.cache_info().currsize == 0
 
 
 class TestClosedForm:

@@ -17,6 +17,7 @@ from repro.errors import (
     ServiceOverloadError,
     VerificationError,
 )
+from repro.obs.trace import tracing
 from repro.plan import ExecutionPlan
 
 ELEMENTS = 512
@@ -502,6 +503,21 @@ class TestWarmEntryReuse:
         with pytest.raises(VerificationError, match="shift-direction"):
             asyncio.run(main())
 
+    def test_verifying_request_on_an_unverified_artifact_plans_nothing(self):
+        """It verifies the artifact's calls once and keeps it as verified."""
+        clear_all_caches()
+        session, inputs = _shift_program()
+        expected = session.run(inputs, plan="auto")  # default engine: no verification
+        service = PlutoService(session, plan="auto", verify=True)
+        with tracing():
+            [served] = service.serve_chunk(None, [inputs])
+        spans = served.request_trace.spans
+        assert [span.name for span in spans] == ["submit", "queue_wait", "execute"]
+        assert [span.name for span in spans[0].children] == ["verify"]
+        stats = cache_stats()["artifacts"]
+        assert stats["hits"] == 1 and stats["misses"] == 1
+        assert np.array_equal(served.outputs["out"], expected.outputs["out"])
+
     def test_repeat_request_prepares_nothing(self):
         async def main():
             session, inputs = _shift_program()
@@ -513,7 +529,7 @@ class TestWarmEntryReuse:
             return first, second, before, after
 
         first, second, before, after = asyncio.run(main())
-        for layer in ("artifacts", "programs", "planner", "optimizer", "verifier"):
+        for layer in ("artifacts", "programs", "optimizer", "verifier"):
             assert after[layer] == before[layer], layer
         assert np.array_equal(first.outputs["out"], second.outputs["out"])
 

@@ -22,7 +22,6 @@ ELEMENTS = 256
 #: recomputed per realized stream and costs microseconds).
 WARM_LAYERS = (
     "optimizer",
-    "planner",
     "verifier",
     "trace_templates",
     "compiled_exec",

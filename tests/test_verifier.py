@@ -32,9 +32,8 @@ from repro.analyze import (
     verify_shard_plans,
 )
 from repro.analyze.cli import main as analyze_main
-from repro.analyze.verifier import clear_verifier_cache, verifier_cache_stats
 from repro.api.handles import ApiCall, PlutoVector
-from repro.api.session import PlutoSession
+from repro.api.session import PlutoSession, cache_stats, clear_all_caches
 from repro.compiler.lowering import CompiledProgram, program_structure_key
 from repro.controller.dispatch import ShardPlan
 from repro.core.engine import PlutoConfig, PlutoEngine
@@ -467,12 +466,12 @@ class TestFrontDoors:
         asyncio.run(main())
 
     def test_verify_cached_memoizes_on_structure(self):
-        clear_verifier_cache()
+        clear_all_caches()
         calls = _valid_calls()
         first = verify_cached(calls)
         second = verify_cached(list(calls))
         assert first.clean and second.clean
-        stats = verifier_cache_stats()
+        stats = cache_stats()["verifier"]
         assert stats["misses"] == 1
         assert stats["hits"] == 1
 

@@ -1,7 +1,7 @@
 """Benchmark: per-level makespans of hierarchical dispatch.
 
-Runs the reference 256-entry LUT map through the hierarchical dispatcher
-for growing device shapes and asserts the PR's acceptance criteria on the
+Runs the reference 256-entry LUT map through the dispatcher, one shard
+per bank, for growing device shapes and asserts these properties of the
 makespan decomposition:
 
 * per level, enabling more hierarchy never hurts —
@@ -50,7 +50,7 @@ def _fusion_comparison() -> dict:
     """Time fused vs per-shard dispatch of the 64-shard colorgrade map."""
     from repro.api.luts import color_grade_lut
     from repro.api.session import PlutoSession
-    from repro.controller.hierarchy import HierarchicalDispatcher
+    from repro.controller.dispatch import ParallelDispatcher
     from repro.core.designs import PlutoDesign
     from repro.core.engine import PlutoConfig, PlutoEngine
 
@@ -66,7 +66,7 @@ def _fusion_comparison() -> dict:
     timings = {}
     results = {}
     for label, fused in (("per_shard", False), ("fused", True)):
-        dispatcher = HierarchicalDispatcher(engine, fused=fused)
+        dispatcher = ParallelDispatcher(engine, fused=fused)
         dispatcher.execute(session.calls, inputs)  # warm-up: caches, compiles
         best = float("inf")
         for _ in range(3):

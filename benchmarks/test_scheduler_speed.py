@@ -5,7 +5,7 @@ these per-bank command streams":
 
 * the reference event-driven :meth:`CommandScheduler.merge_streams`
   (replays every activation through the Python scheduling loop),
-* the memoized path used by the dispatchers
+* the memoized path used by the dispatcher
   (:func:`repro.controller.dispatch.merged_makespan_ns` — structural
   signature + cache, bit-identical results),
 * the closed-form homogeneous Row-Sweep model

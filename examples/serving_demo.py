@@ -1,4 +1,4 @@
-"""Serving demo: the async frontend over the hierarchical dispatcher.
+"""Serving demo: the async frontend over hierarchical sharded dispatch.
 
 Simulates a small burst of traffic against one pLUTo module:
 

@@ -782,20 +782,22 @@ def verify_shard_plans(
 ) -> VerificationReport:
     """Verify dispatch plans: slice aliasing, bank placement, coverage.
 
-    ``plans`` is any sequence of plan objects with ``index`` / ``bank`` /
-    ``start`` / ``stop`` attributes (bank-parallel and hierarchical
-    planners both produce them); the diagnostic ``instruction`` field
-    carries the shard index.  Overlapping element slices are errors —
-    two shards writing one output region is the silent-corruption case
-    sharded execution must never reach; gaps are warnings (legal, but
-    the concatenated outputs will not cover the program's vectors).
+    ``plans`` are :class:`~repro.controller.dispatch.ShardPlan` records;
+    the diagnostic ``instruction`` field carries the shard index.
+    ``num_banks`` is the bank count of the placement the plans spread
+    over (channels x ranks x banks per rank).  Overlapping
+    element slices are errors — two shards writing one output region is
+    the silent-corruption case sharded execution must never reach; gaps
+    are warnings (legal, but the concatenated outputs will not cover the
+    program's vectors).  Two shards on one (channel, rank, bank)
+    position are a warning: they serialize.
     """
     diagnostics: list[Diagnostic] = []
     if num_banks is not None:
         overcommit = shards_overcommit_diagnostic(len(plans), num_banks)
         if overcommit is not None:
             diagnostics.append(overcommit)
-    banks_seen: dict[int, int] = {}
+    positions_seen: dict[tuple[int, int, int], int] = {}
     for plan in plans:
         if plan.start >= plan.stop:
             diagnostics.append(
@@ -823,7 +825,8 @@ def verify_shard_plans(
                     hint=f"banks are numbered 0..{num_banks - 1}",
                 )
             )
-        previous = banks_seen.get(plan.bank)
+        position = (plan.channel, plan.rank, plan.bank)
+        previous = positions_seen.get(position)
         if previous is not None:
             diagnostics.append(
                 Diagnostic(
@@ -831,14 +834,15 @@ def verify_shard_plans(
                     code="duplicate-bank",
                     message=(
                         f"shards {previous} and {plan.index} share bank "
-                        f"{plan.bank} and will serialize"
+                        f"{plan.bank} of channel {plan.channel}, rank "
+                        f"{plan.rank} and will serialize"
                     ),
                     instruction=plan.index,
                     hint="place each shard in its own bank for overlap",
                 )
             )
         else:
-            banks_seen[plan.bank] = plan.index
+            positions_seen[position] = plan.index
 
     ordered = sorted(plans, key=lambda plan: (plan.start, plan.stop))
     for before, after in zip(ordered, ordered[1:]):

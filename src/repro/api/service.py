@@ -36,10 +36,10 @@ execution stack:
 How each request executes is governed by one
 :class:`~repro.plan.ExecutionPlan` (the service-wide ``plan=``), run on
 the warm :class:`~repro.api.session.Executors` of the request's backend:
-the plain controller for unsharded plans, the bank-parallel
-:class:`~repro.controller.dispatch.ParallelDispatcher` for sharded plans,
-or the :class:`~repro.controller.hierarchy.HierarchicalDispatcher` for
-hierarchical plans.  With ``plan="auto"`` the cost-based planner
+the plain controller for unsharded plans, or the
+:class:`~repro.controller.dispatch.ParallelDispatcher` over the plan's
+placement for sharded and hierarchical plans (a bank-sharded plan is one
+rank of one channel).  With ``plan="auto"`` the cost-based planner
 (:func:`repro.plan.plan_program`) prices the candidate configurations
 once per distinct request structure — a repeat request reuses its
 program artifact, plan included — and each :class:`ServedResult`
@@ -704,7 +704,7 @@ class PlutoService:
         self.stats.batches += 1
         self.stats.coalesced += len(batch) - 1
         # Only plain single-bank plans fuse into one batched pass;
-        # sharded and hierarchical plans go through their dispatchers.
+        # sharded and hierarchical plans go through the dispatcher.
         if (
             len(batch) > 1
             and batch[0].artifact.compiled is not None

@@ -48,9 +48,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.api.service import PlutoService
     from repro.backend.base import ExecutionBackend
     from repro.compiler.lowering import CompiledProgram
-    from repro.controller.dispatch import ShardedExecutionResult
+    from repro.controller.dispatch import ParallelDispatcher, ShardedExecutionResult
     from repro.controller.executor import ExecutionResult, PlutoController
-    from repro.controller.hierarchy import HierarchicalExecutionResult
     from repro.core.engine import PlutoEngine
     from repro.obs.trace import RequestTrace
     from repro.opt.pipeline import OptimizedProgram
@@ -498,11 +497,12 @@ class Executors:
 
     The one place a concrete :class:`~repro.plan.ExecutionPlan` picks its
     executor: a :class:`~repro.controller.executor.PlutoController` for
-    unsharded plans, a :class:`~repro.controller.dispatch.ParallelDispatcher`
-    for sharded ones and a
-    :class:`~repro.controller.hierarchy.HierarchicalDispatcher` for
-    hierarchical ones.  Each is built once per tier (and placement) and
-    reused, so backend LUT arrays and pinned closures stay hot.
+    unsharded plans and a
+    :class:`~repro.controller.dispatch.ParallelDispatcher` over the
+    plan's placement for sharded and hierarchical ones (a bank-sharded
+    plan is one rank of one channel).  Each is built once per tier (and
+    placement) and reused, so backend LUT arrays and pinned closures stay
+    hot.
     """
 
     def __init__(
@@ -523,29 +523,22 @@ class Executors:
             self._warm[("single", jit)] = controller
         return controller
 
-    def dispatcher(self, plan: "ExecutionPlan") -> Any:
-        """The warm dispatcher for a sharded or hierarchical plan's tier
-        and placement."""
+    def dispatcher(self, plan: "ExecutionPlan") -> "ParallelDispatcher":
+        """The warm dispatcher for a sharded plan's placement and tier."""
         jit = plan.tier != "interpreted"
-        key = (plan.hierarchical, plan.channels, plan.ranks, jit)
+        channels, ranks = plan.placement
+        if self.engine is not None:
+            # The device's own count, so equal placements share one.
+            channels = channels or self.engine.geometry.channels
+            ranks = ranks or self.engine.geometry.ranks
+        key = (channels, ranks, jit)
         dispatcher = self._warm.get(key)
         if dispatcher is None:
-            if plan.hierarchical:
-                from repro.controller.hierarchy import HierarchicalDispatcher
+            from repro.controller.dispatch import ParallelDispatcher
 
-                dispatcher = HierarchicalDispatcher(
-                    self.engine,
-                    backend=self.backend,
-                    jit=jit,
-                    channels=plan.channels,
-                    ranks=plan.ranks,
-                )
-            else:
-                from repro.controller.dispatch import ParallelDispatcher
-
-                dispatcher = ParallelDispatcher(
-                    self.engine, backend=self.backend, jit=jit
-                )
+            dispatcher = ParallelDispatcher(
+                self.engine, backend=self.backend, jit=jit, channels=channels, ranks=ranks
+            )
             self._warm[key] = dispatcher
         return dispatcher
 
@@ -1048,15 +1041,16 @@ class PlutoSession:
         *,
         engine: "PlutoEngine | None" = None,
         plan: "ExecutionPlan | str | None" = None,
-    ) -> "HierarchicalExecutionResult":
+    ) -> "ShardedExecutionResult":
         """Execute this program spread over the full DRAM hierarchy.
 
         Shards are placed channel-first across the engine's channels,
         ranks, bank groups, and banks (pass an engine built from a
         ``PlutoConfig(channels=..., ranks=...)`` to model more than the
-        Table 3 single-channel module).  Outputs are bit-identical to
-        :meth:`run`; ``latency_ns`` is the hierarchical makespan and the
-        result decomposes the speedup per level.
+        Table 3 single-channel module) by the same dispatcher a sharded
+        :meth:`run` uses.  Outputs are bit-identical to :meth:`run`;
+        ``latency_ns`` is the hierarchical makespan and the result
+        decomposes the speedup per level.
 
         ``plan`` follows :meth:`run` but is forced hierarchical:
         explicit plans may narrow the placement

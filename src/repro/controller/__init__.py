@@ -1,4 +1,4 @@
-"""The pLUTo Controller (Section 6.4) and the parallel dispatchers."""
+"""The pLUTo Controller (Section 6.4) and the parallel dispatcher."""
 
 from repro.controller.allocation_table import AllocationTable, RowAllocation, SubarrayAllocation
 from repro.controller.dispatch import (
@@ -6,7 +6,9 @@ from repro.controller.dispatch import (
     ShardedExecutionResult,
     ShardPlan,
     ShardPlanner,
+    bus_occupancy_ns,
     execute_shard_plans,
+    interleaved_bank_order,
     merged_makespan_ns,
     sweep_act_interval_ns,
 )
@@ -14,15 +16,6 @@ from repro.controller.executor import (
     ExecutionResult,
     PlutoController,
     TraceTemplate,
-)
-from repro.controller.hierarchy import (
-    HierarchicalDispatcher,
-    HierarchicalExecutionResult,
-    HierarchyPlanner,
-    HierarchyShard,
-    bus_occupancy_ns,
-    hierarchical_makespan_ns,
-    interleaved_bank_order,
 )
 from repro.controller.rom import CommandRom
 
@@ -41,11 +34,6 @@ __all__ = [
     "execute_shard_plans",
     "merged_makespan_ns",
     "sweep_act_interval_ns",
-    "HierarchicalDispatcher",
-    "HierarchicalExecutionResult",
-    "HierarchyPlanner",
-    "HierarchyShard",
     "bus_occupancy_ns",
-    "hierarchical_makespan_ns",
     "interleaved_bank_order",
 ]

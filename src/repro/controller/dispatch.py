@@ -1,28 +1,36 @@
-"""Bank-parallel sharded execution of pLUTo programs.
+"""Sharded execution of pLUTo programs over the DRAM hierarchy.
 
 The paper's scalability results (Figure 12) and the tFAW study
 (Section 8.7) rest on parallelism across subarrays and banks: every bank
-can sweep its own LUT-holding subarray concurrently, with the rank-level
-tRRD/tFAW activation constraints as the only coupling between them.  This
-module adds that execution mode on top of the existing controller:
+can sweep its own LUT-holding subarray concurrently, coupled only by the
+tRRD/tFAW activation constraints inside a rank and by the command/data
+bus its ranks share above that.  So "where does shard *i* run, and what
+is the makespan" is one question, answered here once for every
+placement — the whole device, a narrowed channel/rank subset, or one
+rank of one channel, which is what a bank-sharded plan is:
 
 * :class:`ShardPlanner` partitions a program's element space into
-  contiguous shards and rewrites the recorded API calls so each shard is
-  a complete, smaller program over its slice (equal-sized shards share
-  one compiled program through the structure-keyed compile cache).
+  balanced contiguous shards, rewrites the recorded API calls so each
+  shard is a complete, smaller program over its slice (equal-sized
+  shards share one compiled program through the structure-keyed compile
+  cache), and places shard *i* channel-first: channel ``i % channels``,
+  rank ``(i // channels) % ranks``, then the rank-local
+  :func:`interleaved_bank_order` that round-robins bank groups.
 * :class:`ParallelDispatcher` executes the shards through the
   :class:`~repro.controller.executor.PlutoController` — in one *fused*
   batched pass over a ``(shards, slice)`` view of the inputs when the
   selected :class:`~repro.backend.base.ExecutionBackend` supports it
   (the vectorized default), or shard by shard on the functional oracle —
-  placing shard *i* in bank *i* so the per-shard command traces carry
-  distinct bank ids.
-* :func:`merged_makespan_ns` merges the per-shard command streams with
-  the semantics of the timing-aware
+  so the per-shard command traces carry their shards' bank ids.
+* :func:`merged_makespan_ns` schedules the per-shard command streams:
+  within a rank they merge with the semantics of the timing-aware
   :class:`~repro.dram.scheduler.CommandScheduler`, memoized on the
-  streams' structure (:mod:`repro.dram.analytic`), so the aggregate
-  latency is a *makespan* with cross-bank tRRD/tFAW contention enforced,
-  not a naive per-shard sum.
+  streams' structure (:mod:`repro.dram.analytic`), so the latency is a
+  *makespan* with cross-bank tRRD/tFAW contention enforced, not a naive
+  per-shard sum; ranks sharing a channel are jointly bounded by the
+  channel bus (:func:`bus_occupancy_ns`), and channels are independent.
+* :class:`ShardedExecutionResult` reports that makespan and decomposes
+  it per level (serial >= bank-only >= rank-parallel >= channel-parallel).
 
 Functional outputs are bit-identical to unsharded execution by
 construction: every shard runs the same lowering over a disjoint slice of
@@ -31,7 +39,7 @@ the same inputs, and the dispatcher joins the slices back in order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -42,12 +50,13 @@ from repro.backend.base import ExecutionBackend
 from repro.controller.executor import ExecutionResult, PlutoController
 from repro.core.designs import PlutoDesign
 from repro.core.engine import PlutoConfig, PlutoEngine
-from repro.dram.analytic import memoized_merge_makespan_ns
-from repro.dram.commands import Command, CommandTrace
-from repro.dram.scheduler import CommandScheduler
+from repro.dram.analytic import memoized_merge_makespan_ns, streams_signature
+from repro.dram.commands import Command, CommandTrace, CommandType
+from repro.dram.geometry import DRAMGeometry
+from repro.dram.scheduler import CommandScheduler, activation_count
 from repro.errors import ConfigurationError, ExecutionError, VerificationError
 from repro.obs.trace import stage
-from repro.utils.memo import register_layer
+from repro.utils.memo import BoundedMemo, register_layer, register_lru_cache
 
 __all__ = [
     "ShardPlan",
@@ -59,6 +68,8 @@ __all__ = [
     "sweep_tail_ns",
     "sweep_acts_per_row",
     "merged_makespan_ns",
+    "bus_occupancy_ns",
+    "interleaved_bank_order",
     "rank_scheduler",
     "rank_scheduler_key",
 ]
@@ -136,20 +147,154 @@ def rank_scheduler_key(engine: PlutoEngine) -> tuple:
     )
 
 
-def merged_makespan_ns(
-    command_streams: Sequence[Sequence[Command]], engine: PlutoEngine
-) -> float:
-    """Makespan of concurrent per-bank command streams under rank timing.
+@lru_cache(maxsize=None)
+def interleaved_bank_order(geometry: DRAMGeometry) -> tuple[int, ...]:
+    """Rank-local bank ids ordered to round-robin across bank groups.
 
-    The streams are merged at activation granularity with the semantics
-    of :meth:`CommandScheduler.merge_streams`, configured with the
-    engine's bank count, its design's sweep spacing, and its
+    Consecutive shards land in different bank groups, so back-to-back
+    column traffic pays tCCD_S instead of tCCD_L and activation pressure
+    spreads across the rank's group-level circuitry.  Cached per
+    geometry (geometries are frozen); returns an immutable tuple.
+    """
+    return tuple(
+        group * geometry.banks_per_group + slot
+        for slot in range(geometry.banks_per_group)
+        for group in range(geometry.bank_groups)
+    )
+
+
+register_lru_cache("engine_helpers", interleaved_bank_order, "interleaved_bank_order")
+
+
+def bus_occupancy_ns(streams: Sequence[Sequence[Command]], engine: PlutoEngine) -> float:
+    """Channel-bus time one rank's command streams occupy.
+
+    First-order model of the shared command/data bus ranks contend for:
+    every row activation a command expands to costs one command-bus slot
+    (one interface clock), and every column access additionally occupies
+    the data bus for one burst (bounded below by tCCD_S, the fastest legal
+    back-to-back burst spacing).  Commands that neither activate rows nor
+    move data (PRE, REF) cost one command slot.
+    """
+    timing = engine.timing
+    total = 0.0
+    for stream in streams:
+        for command in stream:
+            if command.kind in (CommandType.RD, CommandType.WR):
+                total += max(timing.t_burst, timing.t_ccd_s, timing.clock_ns)
+                continue
+            acts = activation_count(command)
+            total += max(acts, 1) * timing.clock_ns
+    return total
+
+
+#: (streams signature, scheduler key, channels, ranks) -> (makespan,
+#: rank makespans, channel makespans).  The per-rank merges additionally
+#: share the module-wide makespan memo, so collapsing levels re-merges
+#: nothing.
+_HIERARCHY_MEMO: BoundedMemo[tuple[float, dict, dict]] = BoundedMemo("hierarchy_schedules", 1024)
+
+
+def _schedule_hierarchy(
+    streams: Sequence[Sequence[Command]],
+    engine: PlutoEngine,
+    *,
+    channels: int,
+    ranks: int,
+) -> tuple[float, dict[tuple[int, int], float], dict[int, float]]:
+    """Schedule per-shard streams over a hierarchy, with the breakdown.
+
+    Stream *i* is placed as :class:`ShardPlanner` places shard *i*, with
+    its commands moved to that bank.  Returns ``(makespan,
+    rank_makespans, channel_makespans)`` where ``rank_makespans`` maps
+    ``(channel, rank)`` to that rank's merged makespan (before the
+    channel-bus bound) and ``channel_makespans`` maps each populated
+    channel to ``max(slowest rank, bus occupancy)``.  Results are
+    memoized on the streams' structural signature plus the hierarchy
+    shape, with the per-rank merges sharing the module-wide makespan memo.
+    """
+    if channels <= 0 or ranks <= 0:
+        raise ConfigurationError("channel and rank counts must be positive")
+    streams = [stream for stream in streams if len(stream)]
+    if not streams:
+        return 0.0, {}, {}
+    config_key = rank_scheduler_key(engine)
+    try:
+        key = (streams_signature(streams), config_key, channels, ranks)
+    except TypeError:
+        key = None
+        _HIERARCHY_MEMO.note_uncached()
+    if key is not None:
+        cached = _HIERARCHY_MEMO.get(key)
+        if cached is not None:
+            makespan, rank_makespans, channel_makespans = cached
+            return makespan, dict(rank_makespans), dict(channel_makespans)
+
+    rank_makespans: dict[tuple[int, int], float] = {}
+    channel_makespans: dict[int, float] = {}
+    bank_order = interleaved_bank_order(engine.geometry)
+    by_rank: dict[tuple[int, int], list[list[Command]]] = {}
+    for index, stream in enumerate(streams):
+        channel = index % channels
+        rank = (index // channels) % ranks
+        bank = bank_order[(index // (channels * ranks)) % len(bank_order)]
+        by_rank.setdefault((channel, rank), []).append(
+            [replace(command, bank=bank) for command in stream]
+        )
+    for channel in range(channels):
+        channel_bus_ns = 0.0
+        slowest_rank = 0.0
+        for rank in range(ranks):
+            rank_streams = by_rank.get((channel, rank))
+            if not rank_streams:
+                continue
+            rank_makespan = memoized_merge_makespan_ns(
+                rank_streams,
+                lambda: rank_scheduler(engine),
+                config_key=config_key,
+            )
+            rank_makespans[(channel, rank)] = rank_makespan
+            slowest_rank = max(slowest_rank, rank_makespan)
+            channel_bus_ns += bus_occupancy_ns(rank_streams, engine)
+        if slowest_rank:
+            channel_makespans[channel] = max(slowest_rank, channel_bus_ns)
+    makespan = max(channel_makespans.values(), default=0.0)
+    if key is not None:
+        _HIERARCHY_MEMO.put(
+            key, (makespan, dict(rank_makespans), dict(channel_makespans))
+        )
+    return makespan, rank_makespans, channel_makespans
+
+
+def merged_makespan_ns(
+    command_streams: Sequence[Sequence[Command]],
+    engine: PlutoEngine,
+    *,
+    channels: int = 1,
+    ranks: int = 1,
+) -> float:
+    """Makespan of concurrent per-shard command streams.
+
+    On one channel and one rank (the default) the streams merge in the
+    banks their commands name, at activation granularity with the
+    semantics of :meth:`CommandScheduler.merge_streams`, configured with
+    the engine's bank count, its design's sweep spacing, and its
     configuration's tFAW throttle (``tfaw_fraction``, matching the
     Figure 13 convention where 0 means unthrottled).  Returns the time at
     which the last command completes.  Results are memoized on the
     streams' structural signature (:mod:`repro.dram.analytic`), so
     repeated identical shard plans merge once.
+
+    Over more channels or ranks, stream *i* moves to the position
+    :class:`ShardPlanner` gives shard *i*; each rank's streams merge as
+    above, ranks sharing a channel are jointly bounded by the channel
+    bus's issue throughput (:func:`bus_occupancy_ns`), and channels are
+    independent.
     """
+    if (channels, ranks) != (1, 1):
+        return _schedule_hierarchy(
+            command_streams, engine, channels=channels, ranks=ranks
+        )[0]
     streams = [stream for stream in command_streams if len(stream)]
     if not streams:
         return 0.0
@@ -162,13 +307,15 @@ def merged_makespan_ns(
 
 @dataclass(frozen=True)
 class ShardPlan:
-    """One shard: a bank, an element slice, and the rewritten program."""
+    """One shard: a position in the device, an element slice, and its program."""
 
     index: int
     bank: int
     start: int
     stop: int
     calls: tuple[ApiCall, ...]
+    channel: int = 0
+    rank: int = 0
 
     @property
     def size(self) -> int:
@@ -177,45 +324,84 @@ class ShardPlan:
 
 
 class ShardPlanner:
-    """Partitions an element-wise API program across banks."""
+    """Places balanced element slices of an API program over a device.
 
-    def __init__(self, *, num_banks: int = 16) -> None:
-        if num_banks <= 0:
-            raise ConfigurationError("shard planning needs at least one bank")
-        self.num_banks = num_banks
+    ``geometry`` is the device (the default DDR4 module when ``None``);
+    ``channels`` / ``ranks`` narrow the placement to a subset of its
+    channels and ranks (``None`` keeps the device's count).  The planner
+    places shards over :attr:`geometry`, that narrowed device; a
+    bank-sharded plan is the one-channel, one-rank placement.
+    """
 
-    # ------------------------------------------------------------------ #
-    # Planning
-    # ------------------------------------------------------------------ #
-    def plan(self, calls: Sequence[ApiCall], shards: int) -> list[ShardPlan]:
-        """Split ``calls`` into ``shards`` contiguous element slices.
+    def __init__(
+        self,
+        geometry: DRAMGeometry | None = None,
+        *,
+        channels: int | None = None,
+        ranks: int | None = None,
+    ) -> None:
+        geometry = geometry if geometry is not None else DRAMGeometry()
+        if channels is not None and not 1 <= channels <= geometry.channels:
+            raise ConfigurationError(
+                f"placement channels must be within [1, {geometry.channels}], "
+                f"got {channels}"
+            )
+        if ranks is not None and not 1 <= ranks <= geometry.ranks:
+            raise ConfigurationError(
+                f"placement ranks must be within [1, {geometry.ranks}], "
+                f"got {ranks}"
+            )
+        channels = channels if channels is not None else geometry.channels
+        ranks = ranks if ranks is not None else geometry.ranks
+        if (channels, ranks) != (geometry.channels, geometry.ranks):
+            geometry = replace(geometry, channels=channels, ranks=ranks)
+        self.geometry = geometry
+        self._bank_order = interleaved_bank_order(geometry)
 
-        Shard sizes are balanced (they differ by at most one element), so
-        equal-sized shards lower to structurally identical programs and
-        compile once.  Shard *i* is placed in bank ``i % num_banks``.
+    def plan(self, calls: Sequence[ApiCall], shards: int | None = None) -> list[ShardPlan]:
+        """Split ``calls`` into ``shards`` slices placed channel-first.
+
+        ``shards`` defaults to every bank of the placement (capped at the
+        element count, so small programs still plan).  Shard *i* lands on
+        channel ``i % channels``, rank ``(i // channels) % ranks``, and
+        :meth:`bank` — each added shard buys the most independent level
+        of parallelism still available.
         """
         from repro.analyze.verifier import shards_overcommit_diagnostic
 
-        overcommit = shards_overcommit_diagnostic(shards, self.num_banks)
+        geometry = self.geometry
+        if shards is None:
+            shards = min(geometry.total_banks, self._uniform_size(calls))
+        overcommit = shards_overcommit_diagnostic(shards, geometry.total_banks)
         if overcommit is not None:
             # The same Diagnostic the shard-plan verifier reports;
             # VerificationError subclasses ConfigurationError, so
             # existing handlers keep working.
             raise VerificationError((overcommit,), subject="shard plan")
+        channels, ranks = geometry.channels, geometry.ranks
         return [
             ShardPlan(
                 index=index,
-                # One bank per shard; shards <= num_banks is enforced
-                # above, so the assignment never wraps.
-                bank=index,
+                bank=self.bank(index),
                 start=start,
                 stop=stop,
-                calls=calls_,
+                calls=shard_calls,
+                channel=index % channels,
+                rank=(index // channels) % ranks,
             )
-            for index, (start, stop, calls_) in enumerate(
+            for index, (start, stop, shard_calls) in enumerate(
                 self.plan_slices(calls, shards)
             )
         ]
+
+    def bank(self, index: int) -> int:
+        """The rank-local bank shard ``index`` is placed in.
+
+        Shards take :func:`interleaved_bank_order` one step per round over
+        the placement's channels and ranks; :meth:`plan` rejects more
+        shards than the placement has banks, so the order never wraps.
+        """
+        return self._bank_order[index // (self.geometry.channels * self.geometry.ranks)]
 
     @classmethod
     def plan_slices(
@@ -223,9 +409,9 @@ class ShardPlanner:
     ) -> list[tuple[int, int, tuple[ApiCall, ...]]]:
         """Balanced contiguous ``(start, stop, rewritten calls)`` slices.
 
-        The placement-free half of :meth:`plan`: the hierarchical planner
-        reuses it with its own channel/rank/bank mapping, which is not
-        limited to one rank's banks.
+        The placement-free half of :meth:`plan`.  Shard sizes differ by at
+        most one element, so equal-sized shards lower to structurally
+        identical programs and compile once.
         """
         if shards <= 0:
             raise ConfigurationError("shard count must be positive")
@@ -302,22 +488,37 @@ class ShardPlanner:
 
 @dataclass
 class ShardedExecutionResult(ExecutionResult):
-    """Aggregate result of a bank-parallel execution.
+    """Aggregate result of a sharded execution.
 
     ``trace`` holds every shard's commands and the *summed* latency/energy
     (energy genuinely adds across banks; the summed latency is exposed as
     :attr:`serial_latency_ns`).  :attr:`latency_ns` is overridden with the
     scheduler-derived :attr:`makespan_ns`, the time at which the slowest
-    bank finishes under cross-bank tRRD/tFAW contention.
+    bank finishes under cross-bank tRRD/tFAW contention and, over several
+    ranks, the channel bus.
+
+    The result decomposes where the parallel speedup comes from:
+    :attr:`serial_latency_ns` drains every shard through one bank;
+    :attr:`bank_only_makespan_ns` uses the banks of a single rank;
+    :attr:`rank_parallel_makespan_ns` adds the ranks of one channel;
+    :attr:`makespan_ns` uses the whole placement.  Each level can only
+    help, so the four values are monotonically non-increasing; on one
+    rank of one channel the three makespans are one value.
     """
 
     shard_results: list[ExecutionResult] = field(default_factory=list)
     shard_plans: list[ShardPlan] = field(default_factory=list)
     makespan_ns: float = 0.0
+    bank_only_makespan_ns: float = 0.0
+    rank_parallel_makespan_ns: float = 0.0
+    #: Per-channel makespans of the full schedule.
+    channel_makespans: dict[int, float] = field(default_factory=dict)
+    #: Per-(channel, rank) makespans before the channel-bus bound.
+    rank_makespans: dict[tuple[int, int], float] = field(default_factory=dict)
 
     @property
     def num_shards(self) -> int:
-        """Number of bank-parallel shards that produced this result."""
+        """Number of parallel shards that produced this result."""
         return len(self.shard_results)
 
     @property
@@ -333,7 +534,7 @@ class ShardedExecutionResult(ExecutionResult):
 
     @property
     def latency_ns(self) -> float:
-        """Scheduler-derived makespan of the bank-parallel execution."""
+        """Scheduler-derived makespan of the parallel execution."""
         return self.makespan_ns
 
     @property
@@ -348,6 +549,37 @@ class ShardedExecutionResult(ExecutionResult):
         if self.makespan_ns <= 0:
             return float("inf")
         return self.serial_latency_ns / self.makespan_ns
+
+    @property
+    def bank_speedup(self) -> float:
+        """Speedup bought by bank-level parallelism alone (one rank)."""
+        if self.bank_only_makespan_ns <= 0:
+            return float("inf")
+        return self.serial_latency_ns / self.bank_only_makespan_ns
+
+    @property
+    def rank_speedup(self) -> float:
+        """Extra speedup from spreading the shards over one channel's ranks."""
+        if self.rank_parallel_makespan_ns <= 0:
+            return float("inf")
+        return self.bank_only_makespan_ns / self.rank_parallel_makespan_ns
+
+    @property
+    def channel_speedup(self) -> float:
+        """Extra speedup from spreading the ranks over every channel."""
+        if self.makespan_ns <= 0:
+            return float("inf")
+        return self.rank_parallel_makespan_ns / self.makespan_ns
+
+    @property
+    def speedup_decomposition(self) -> dict[str, float]:
+        """Multiplicative decomposition: bank x rank x channel = total."""
+        return {
+            "bank": self.bank_speedup,
+            "rank": self.rank_speedup,
+            "channel": self.channel_speedup,
+            "total": self.parallel_speedup,
+        }
 
 
 def _join(parts: Sequence[Mapping[str, np.ndarray]]) -> dict[str, np.ndarray]:
@@ -367,23 +599,21 @@ def _join(parts: Sequence[Mapping[str, np.ndarray]]) -> dict[str, np.ndarray]:
 
 def execute_shard_plans(
     controller: PlutoController,
-    plans: Sequence,
+    plans: Sequence[ShardPlan],
     arrays: Mapping[str, np.ndarray],
     *,
     fused: bool | None = None,
 ) -> tuple[list[ExecutionResult], dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Execute shard plans, fused in one batched pass when possible.
 
-    ``plans`` are balanced contiguous slices in index order, as both the
-    bank-parallel and hierarchical planners produce them: objects with
-    ``index`` / ``bank`` / ``start`` / ``stop`` / ``calls`` attributes.
-    With a batched-capable backend (``fused=None`` auto-detects;
-    ``False`` forces the per-shard oracle loop) each group of equal-sized
-    shards executes in a single controller pass over a ``(shards, size)``
-    view of its slice of the inputs — one NumPy gather per LUT query
-    instead of ``shards`` trips through the controller, and no copy of
-    the inputs.  Outputs, traces, and per-shard results are identical to
-    the per-shard loop.
+    ``plans`` are balanced contiguous slices in index order, as
+    :class:`ShardPlanner` produces them.  With a batched-capable backend
+    (``fused=None`` auto-detects; ``False`` forces the per-shard oracle
+    loop) each group of equal-sized shards executes in a single
+    controller pass over a ``(shards, size)`` view of its slice of the
+    inputs — one NumPy gather per LUT query instead of ``shards`` trips
+    through the controller, and no copy of the inputs.  Outputs, traces,
+    and per-shard results are identical to the per-shard loop.
 
     Returns ``(shard results, merged outputs, merged registers)``; merged
     outputs are the merged registers of the output vectors.  The merged
@@ -443,6 +673,11 @@ class ParallelDispatcher:
     shards in one batched pass when the backend supports it, ``False``
     forces the per-shard loop (the bit-exactness oracle path), ``True``
     requires a batched backend.
+
+    ``channels`` / ``ranks`` optionally *narrow* the placement to a
+    subset of the engine's channels and ranks (the auto-planner prices
+    partial placements, and a bank-sharded plan runs on one channel and
+    one rank); ``None`` uses the engine geometry's full count.
     """
 
     def __init__(
@@ -452,10 +687,14 @@ class ParallelDispatcher:
         *,
         fused: bool | None = None,
         jit: bool = True,
+        channels: int | None = None,
+        ranks: int | None = None,
     ) -> None:
         self.engine = engine if engine is not None else PlutoEngine(PlutoConfig())
+        self.planner = ShardPlanner(self.engine.geometry, channels=channels, ranks=ranks)
+        self.channels = self.planner.geometry.channels
+        self.ranks = self.planner.geometry.ranks
         self.controller = PlutoController(self.engine, backend=backend, jit=jit)
-        self.planner = ShardPlanner(num_banks=self.engine.geometry.banks)
         self.fused = fused
 
     def execute(
@@ -463,9 +702,12 @@ class ParallelDispatcher:
         calls: Sequence[ApiCall],
         inputs: Mapping[str, np.ndarray],
         *,
-        shards: int,
+        shards: int | None = None,
     ) -> ShardedExecutionResult:
-        """Run ``calls`` bank-parallel over ``shards`` slices of ``inputs``."""
+        """Run ``calls`` over ``shards`` slices of ``inputs`` in parallel.
+
+        ``shards`` defaults to every bank of the placement.
+        """
         plans = self.planner.plan(calls, shards)
         self._verify_plans(plans)
         arrays = {name: np.asarray(data) for name, data in inputs.items()}
@@ -478,7 +720,7 @@ class ParallelDispatcher:
     # ------------------------------------------------------------------ #
     # Validation
     # ------------------------------------------------------------------ #
-    def _verify_plans(self, plans: "list[ShardPlan]") -> None:
+    def _verify_plans(self, plans: list[ShardPlan]) -> None:
         """Statically verify the shard plan, per the engine's verify mode.
 
         Catches slice aliasing and bad bank placement before any shard
@@ -492,7 +734,7 @@ class ParallelDispatcher:
 
         if verification_enabled(self.engine.config.verify):
             verify_shard_plans(
-                plans, num_banks=self.engine.geometry.banks
+                plans, num_banks=self.planner.geometry.total_banks
             ).raise_if_errors()
 
     @staticmethod
@@ -532,15 +774,32 @@ class ParallelDispatcher:
         outputs: dict[str, np.ndarray],
         registers: dict[str, np.ndarray],
     ) -> ShardedExecutionResult:
-        merged_trace = CommandTrace(
-            timing=self.engine.timing, energy=self.engine.energy
-        )
+        engine, channels, ranks = self.engine, self.channels, self.ranks
+        merged_trace = CommandTrace(timing=engine.timing, energy=engine.energy)
         for result in shard_results:
             merged_trace.merge(result.trace)
-        with stage("schedule", shards=len(shard_results)):
-            makespan = merged_makespan_ns(
-                [result.trace.commands for result in shard_results], self.engine
-            )
+        streams = [result.trace.commands for result in shard_results]
+        with stage(
+            "schedule", shards=len(shard_results), channels=channels, ranks=ranks
+        ):
+            if (channels, ranks) == (1, 1):
+                # One rank of one channel: every level is the one merge.
+                makespan = merged_makespan_ns(streams, engine)
+                bank_only = rank_parallel = makespan
+                rank_makespans = {(0, 0): makespan}
+                channel_makespans = {0: makespan}
+            else:
+                # The schedule merged_makespan_ns takes its makespan from,
+                # with the per-rank/per-channel breakdown keyed on the
+                # plans' (channel, rank) positions, then the same streams
+                # with fewer levels enabled.
+                makespan, rank_makespans, channel_makespans = _schedule_hierarchy(
+                    streams, engine, channels=channels, ranks=ranks
+                )
+                bank_only = _schedule_hierarchy(streams, engine, channels=1, ranks=1)[0]
+                rank_parallel = _schedule_hierarchy(
+                    streams, engine, channels=1, ranks=ranks
+                )[0]
         return ShardedExecutionResult(
             outputs=outputs,
             trace=merged_trace,
@@ -553,4 +812,8 @@ class ParallelDispatcher:
             shard_results=shard_results,
             shard_plans=plans,
             makespan_ns=makespan,
+            bank_only_makespan_ns=bank_only,
+            rank_parallel_makespan_ns=rank_parallel,
+            channel_makespans=channel_makespans,
+            rank_makespans=rank_makespans,
         )

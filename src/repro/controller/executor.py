@@ -66,7 +66,7 @@ class TraceTemplate:
     design — the bank id merely stamps each command — so the trace of a
     program is generated once (commands recorded against bank 0) and
     *synthesized* for any placement by rewriting the bank ids.  The shard
-    dispatchers use this to stop re-executing the controller ``shards``
+    dispatcher uses this to stop re-executing the controller ``shards``
     times just to regenerate identical traces.
     """
 
@@ -159,7 +159,7 @@ class FusedResults(list):
 
     ``registers`` maps each vector name to the pass's stacked
     ``(shards, size)`` result array; every shard's outputs and registers
-    are row views of them, so the dispatchers join shards without copying.
+    are row views of them, so the dispatcher joins shards without copying.
     """
 
     registers: dict[str, np.ndarray]

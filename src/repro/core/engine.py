@@ -62,9 +62,10 @@ class PlutoConfig:
     """One evaluated pLUTo configuration (design x memory x parallelism).
 
     ``channels`` / ``ranks`` override the memory preset's interface-level
-    hierarchy (Table 3 evaluates one channel with one rank); the
-    hierarchical dispatcher uses them to model channel- and rank-level
-    parallelism above the per-rank bank scheduling.
+    hierarchy (Table 3 evaluates one channel with one rank); hierarchical
+    plans use them to model channel- and rank-level parallelism above
+    the per-rank bank scheduling, while bank-sharded plans stay on one
+    rank of one channel.
 
     ``optimize`` makes every execution routed through an engine built
     from this configuration run the program optimizer

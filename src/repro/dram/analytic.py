@@ -16,7 +16,7 @@ up the reference semantics, via three layers:
    timing configuration, never on data values.  :func:`merge_signature`
    captures that structure in a small hashable key and
    :func:`memoized_merge_makespan_ns` caches results under it, so the
-   dispatchers and the serving layer re-merge identical shard plans once.
+   dispatcher and the serving layer re-merge identical shard plans once.
 2. **A fast exact merge** — :func:`fast_merge_makespan_ns` replays the
    *same* greedy schedule as ``merge_streams`` (same constraint terms,
    same floating-point operations, same tie-breaking) but picks the next

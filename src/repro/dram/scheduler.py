@@ -12,8 +12,8 @@ enforcing the timing constraints that matter for pLUTo:
   bank groups, so hierarchical merges see DDR4's bank-group asymmetry.
 
 It is intentionally simpler than a full DDR protocol engine (one scheduler
-instance models one rank; the hierarchical dispatcher composes ranks and
-channels above it) because that is the fidelity level of the paper's own
+instance models one rank; the dispatcher's makespan function composes
+ranks and channels above it) because that is the fidelity level of the paper's own
 simulator: command sequences plus timing-parameter enforcement.
 
 :meth:`CommandScheduler.merge_streams` is the *reference* merge.  The

@@ -460,15 +460,14 @@ def figure_hierarchy_scaling(
     """Per-level makespans of one LUT-query program across the hierarchy.
 
     For every ``(channels, ranks)`` device shape the reference 256-entry
-    LUT map runs through the hierarchical dispatcher with one shard per
-    bank, and the same shard command streams are re-scheduled with levels
+    LUT map runs through the dispatcher with one shard per bank, and the same shard command streams are re-scheduled with levels
     progressively enabled: serial (one bank), bank-parallel (one rank),
     rank-parallel (one channel), and the full hierarchy.  Each level can
     only help, so the four makespans are monotonically non-increasing —
     the execution-layer decomposition of the throughput scaling the
     paper's Section 8 attributes to DRAM-wide parallelism.
     """
-    from repro.controller.hierarchy import HierarchicalDispatcher
+    from repro.controller.dispatch import ParallelDispatcher
 
     session, inputs = _sharded_reference_session(elements)
     result = FigureResult(
@@ -484,7 +483,7 @@ def figure_hierarchy_scaling(
                 ranks=ranks,
             )
         )
-        execution = HierarchicalDispatcher(engine).execute(session.calls, inputs)
+        execution = ParallelDispatcher(engine).execute(session.calls, inputs)
         decomposition = execution.speedup_decomposition
         result.rows.append(
             {

@@ -193,10 +193,11 @@ class EvaluationHarness:
         makes this cheap enough to run across all configurations.
 
         ``plan`` selects the execution configuration exactly as in
-        :meth:`PlutoSession.run` — sharded plans run bank-parallel
-        through the :class:`~repro.controller.dispatch.ParallelDispatcher`
-        (``latency_ns`` becomes the scheduler-derived makespan),
-        hierarchical plans spread over channels and ranks, and
+        :meth:`PlutoSession.run` — sharded plans run through the
+        :class:`~repro.controller.dispatch.ParallelDispatcher`, on one
+        rank of one channel when bank-sharded and over channels and ranks
+        when hierarchical (``latency_ns`` becomes the scheduler-derived
+        makespan), and
         ``plan="auto"`` asks the cost-based planner *per engine*, so
         each configuration gets the plan that is cheapest on *its*
         geometry (the chosen plan rides on ``result.execution_plan``

@@ -154,6 +154,16 @@ class ExecutionPlan:
         """The shard count this plan executes with (1 when unset)."""
         return self.shards if self.shards is not None else 1
 
+    @property
+    def placement(self) -> tuple[int | None, int | None]:
+        """The ``(channels, ranks)`` this plan's shards spread over.
+
+        A bank-sharded plan runs on one channel and one rank; a
+        hierarchical plan keeps its narrowing, where ``None`` means the
+        device's own count.
+        """
+        return (self.channels, self.ranks) if self.hierarchical else (1, 1)
+
     def label(self) -> str:
         """Compact human-readable description, e.g. ``shards=16+opt``."""
         if self.is_auto:
@@ -241,27 +251,9 @@ def plan_conflict_diagnostics(
             )
         )
     if plan.shards is not None:
-        if plan.hierarchical:
-            channels = plan.channels or geometry.channels
-            ranks = plan.ranks or geometry.ranks
-            capacity = channels * ranks * geometry.banks
-            if plan.shards > capacity:
-                diagnostics.append(
-                    Diagnostic(
-                        severity=Severity.ERROR,
-                        code="shards-overcommit",
-                        message=(
-                            f"cannot run {plan.shards} shards on a device "
-                            f"offering {capacity} banks ({channels} channels "
-                            f"x {ranks} ranks x {geometry.banks} banks)"
-                        ),
-                        hint="lower the shard count or widen the geometry",
-                    )
-                )
-        else:
-            overcommit = shards_overcommit_diagnostic(
-                plan.shards, geometry.banks
-            )
-            if overcommit is not None:
-                diagnostics.append(overcommit)
+        channels, ranks = plan.placement
+        capacity = (channels or geometry.channels) * (ranks or geometry.ranks) * geometry.banks
+        overcommit = shards_overcommit_diagnostic(plan.shards, capacity)
+        if overcommit is not None:
+            diagnostics.append(overcommit)
     return tuple(diagnostics)

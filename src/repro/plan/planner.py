@@ -1,12 +1,11 @@
 """The cost-based auto-planner.
 
 Given a recorded program and an engine, :func:`plan_program` enumerates
-candidate execution configurations — shard counts, channel/rank
-placements, optimizer on/off — prices each with the memoized analytic
-makespan model (the same
-:func:`~repro.controller.dispatch.merged_makespan_ns` /
-:func:`~repro.controller.hierarchy.hierarchical_makespan_ns` the
-dispatchers charge executions with, backed by
+candidate execution configurations — shard counts over each channel/rank
+placement (one rank of one channel for bank-sharded plans), optimizer
+on/off — prices each with the memoized analytic makespan model (the
+same :func:`~repro.controller.dispatch.merged_makespan_ns` the
+dispatcher charges executions with, backed by
 :mod:`repro.dram.analytic`), and picks the argmin.  Near-ties break on
 modelled energy, then on the simpler plan.  Because pricing and
 execution share one model *and* one memo, the planner's predicted
@@ -25,14 +24,15 @@ before it is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from repro.errors import ConfigurationError
+from repro.errors import AllocationError, ConfigurationError
 from repro.plan.execution_plan import ExecutionPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.handles import ApiCall
+    from repro.controller.dispatch import ShardPlanner
     from repro.controller.executor import TraceTemplate
     from repro.core.engine import PlutoEngine
 
@@ -110,17 +110,6 @@ def _shard_grid(limit: int, size: int) -> list[int]:
     return sorted(grid)
 
 
-def _placements(
-    channels: int, ranks: int
-) -> list[tuple[int, int]]:
-    """Hierarchy placements worth pricing: full device plus each level alone."""
-    placements = [(channels, ranks)]
-    if ranks > 1 and channels > 1:
-        placements.append((channels, 1))
-        placements.append((1, ranks))
-    return placements
-
-
 def _tier(request: ExecutionPlan, supports_batched: bool) -> str:
     """The execution tier every candidate runs on.
 
@@ -137,36 +126,28 @@ def _price(
     plan: ExecutionPlan,
     templates: Sequence["TraceTemplate"],
     engine: "PlutoEngine",
+    planner: "ShardPlanner | None" = None,
 ) -> CandidatePlan:
     """Price ``plan``, whose shards run the trace ``templates`` in order.
 
     The makespan is what the plan's executor charges: the one-bank trace
-    when unsharded, the rank merge of per-bank streams for bank shards,
-    the hierarchical merge for hierarchical plans.  Energy adds across
-    shards.
+    when unsharded, else :func:`merged_makespan_ns` of the shards'
+    streams, realized in the banks ``planner`` places them in, over its
+    placement.  Energy adds across shards.
     """
     from repro.controller.dispatch import merged_makespan_ns
-    from repro.controller.hierarchy import hierarchical_makespan_ns
 
-    geometry = engine.geometry
-    if plan.hierarchical:
-        # The hierarchical scheduler reassigns banks by stream index, so
-        # bank-0 realizations price exactly what the dispatcher will charge.
-        makespan = hierarchical_makespan_ns(
-            [template.commands for template in templates],
-            engine,
-            channels=plan.channels or geometry.channels,
-            ranks=plan.ranks or geometry.ranks,
-        )
-    elif len(templates) == 1:
+    if planner is None:
         makespan = templates[0].total_latency_ns
     else:
         makespan = merged_makespan_ns(
             [
-                template.realize(engine.timing, engine.energy, bank=index).commands
+                template.realize(engine.timing, engine.energy, bank=planner.bank(index)).commands
                 for index, template in enumerate(templates)
             ],
             engine,
+            channels=planner.geometry.channels,
+            ranks=planner.geometry.ranks,
         )
     return CandidatePlan(
         plan=plan,
@@ -188,26 +169,14 @@ def _verify_chosen(
     """Run the chosen shard plan through the static shard-plan verifier."""
     from repro.analyze.verifier import verify_shard_plans
     from repro.controller.dispatch import ShardPlanner
-    from repro.controller.hierarchy import HierarchyPlanner
 
-    geometry = engine.geometry
-    if plan.hierarchical:
-        placement = geometry
-        if plan.channels is not None or plan.ranks is not None:
-            placement = replace(
-                geometry,
-                channels=plan.channels or geometry.channels,
-                ranks=plan.ranks or geometry.ranks,
-            )
-        plans = HierarchyPlanner(placement).plan(calls, plan.shards)
+    if plan.hierarchical or plan.effective_shards > 1:
+        channels, ranks = plan.placement
+        planner = ShardPlanner(engine.geometry, channels=channels, ranks=ranks)
         verify_shard_plans(
-            plans, num_banks=geometry.banks, subject="auto-planned shard plan"
-        ).raise_if_errors()
-    elif plan.effective_shards > 1:
-        planner = ShardPlanner(num_banks=geometry.banks)
-        plans_ = planner.plan(calls, plan.effective_shards)
-        verify_shard_plans(
-            plans_, num_banks=geometry.banks, subject="auto-planned shard plan"
+            planner.plan(calls, plan.shards),
+            num_banks=planner.geometry.total_banks,
+            subject="auto-planned shard plan",
         ).raise_if_errors()
 
 
@@ -219,7 +188,12 @@ def _enumerate(
     request: ExecutionPlan,
     supports_batched: bool,
 ) -> tuple[list[CandidatePlan], dict[bool, Sequence["ApiCall"]]]:
-    """Price every candidate configuration for ``calls`` on ``engine``."""
+    """Price every candidate configuration for ``calls`` on ``engine``.
+
+    A candidate whose program cannot be allocated is skipped; when none
+    fits, the first candidate's :class:`~repro.errors.AllocationError`
+    is raised.
+    """
     from repro.api.session import compile_cached
     from repro.controller.dispatch import ShardPlanner
     from repro.controller.executor import PlutoController
@@ -233,18 +207,22 @@ def _enumerate(
         if request.optimize is not None
         else (False, True)
     )
-    # Hierarchy placement on a single-channel single-rank device adds a
-    # bus bound on top of the identical bank merge — strictly dominated
-    # by the plain bank-parallel mode whenever that mode is searched.
-    effective_modes = list(modes)
-    if (
-        "hierarchy" in effective_modes
-        and "banks" in effective_modes
-        and geometry.channels * geometry.ranks == 1
-    ):
-        effective_modes.remove("hierarchy")
+    # Placement -> whether its plans are spelled hierarchical.  "banks"
+    # is one channel and one rank; "hierarchy" is the full device plus
+    # each interface level alone, and on a one-rank device the full
+    # device is the "banks" placement, priced once.
+    placements: dict[tuple[int, int], bool] = {}
+    if "banks" in modes:
+        placements[(1, 1)] = False
+    if "hierarchy" in modes:
+        channels, ranks = geometry.channels, geometry.ranks
+        placements.setdefault((channels, ranks), True)
+        if channels > 1 and ranks > 1:
+            placements.setdefault((channels, 1), True)
+            placements.setdefault((1, ranks), True)
 
     candidates: list[CandidatePlan] = []
+    unallocatable: list[AllocationError] = []
     calls_by_optimize: dict[bool, Sequence["ApiCall"]] = {}
     for optimize in optimize_options:
         plan_calls: Sequence["ApiCall"] = (
@@ -259,41 +237,50 @@ def _enumerate(
             # mode applies.  Entry points that demand a sharded layout
             # (run_hierarchical) get the shard planner's own error
             # rather than a silent fall back to a single-bank plan.
-            if "single" not in effective_modes:
+            if "single" not in modes:
                 raise
             size = None
 
-        templates: dict[int, "TraceTemplate"] = {}
+        templates: dict[int, "TraceTemplate | AllocationError"] = {}
 
-        def template_of(shard_calls: Sequence["ApiCall"], length: int) -> "TraceTemplate":
-            """Compile (cached) and build the accounting template, once per length."""
-            template = templates.get(length)
-            if template is None:
-                template = controller.trace_template(compile_cached(shard_calls))
-                templates[length] = template
-            return template
+        def templates_of(
+            programs: Sequence[tuple[Sequence["ApiCall"], int]],
+        ) -> "list[TraceTemplate] | None":
+            """Compiled (cached) accounting templates, one build per length.
 
-        if "single" in effective_modes or size is None:
+            ``None`` when a program cannot be allocated.
+            """
+            built: list["TraceTemplate"] = []
+            for shard_calls, length in programs:
+                template = templates.get(length)
+                if template is None:
+                    try:
+                        template = controller.trace_template(compile_cached(shard_calls))
+                    except AllocationError as error:
+                        unallocatable.append(error)
+                        template = error
+                    templates[length] = template
+                if isinstance(template, AllocationError):
+                    return None
+                built.append(template)
+            return built
+
+        if "single" in modes or size is None:
             if not plan_calls:
                 continue
-            whole = template_of(plan_calls, size if size is not None else -1)
-            candidates.append(
-                _price(ExecutionPlan(shards=1, optimize=optimize, tier=tier), [whole], engine)
-            )
+            whole = templates_of([(plan_calls, size if size is not None else -1)])
+            if whole is not None:
+                candidates.append(
+                    _price(ExecutionPlan(shards=1, optimize=optimize, tier=tier), whole, engine)
+                )
         if size is None:
             continue
 
-        plans: list[ExecutionPlan] = []
-        if "banks" in effective_modes:
-            plans += [
-                ExecutionPlan(shards=shards, optimize=optimize, tier=tier)
-                for shards in _shard_grid(geometry.banks, size)
-                if shards > 1
-            ]
-        if "hierarchy" in effective_modes:
-            for channels, ranks in _placements(geometry.channels, geometry.ranks):
-                plans += [
-                    ExecutionPlan(
+        for (channels, ranks), hierarchical in placements.items():
+            planner = ShardPlanner(geometry, channels=channels, ranks=ranks)
+            for shards in _shard_grid(planner.geometry.total_banks, size):
+                if hierarchical:
+                    plan = ExecutionPlan(
                         shards=shards,
                         hierarchical=True,
                         channels=channels if channels != geometry.channels else None,
@@ -301,14 +288,20 @@ def _enumerate(
                         optimize=optimize,
                         tier=tier,
                     )
-                    for shards in _shard_grid(channels * ranks * geometry.banks, size)
-                ]
-        for plan in plans:
-            slices = ShardPlanner.plan_slices(plan_calls, plan.effective_shards)
-            shard_templates = [
-                template_of(shard_calls, stop - start) for start, stop, shard_calls in slices
-            ]
-            candidates.append(_price(plan, shard_templates, engine))
+                elif shards > 1:
+                    plan = ExecutionPlan(shards=shards, optimize=optimize, tier=tier)
+                else:
+                    continue
+                shard_templates = templates_of(
+                    [
+                        (shard_calls, stop - start)
+                        for start, stop, shard_calls in planner.plan_slices(plan_calls, shards)
+                    ]
+                )
+                if shard_templates is not None:
+                    candidates.append(_price(plan, shard_templates, engine, planner))
+    if not candidates and unallocatable:
+        raise unallocatable[0]
     return candidates, calls_by_optimize
 
 

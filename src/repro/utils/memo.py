@@ -47,7 +47,6 @@ _LAYER_MODULES = (
     "repro.backend.compiled",
     "repro.controller.dispatch",
     "repro.controller.executor",
-    "repro.controller.hierarchy",
     "repro.core.lut",
     "repro.dram.analytic",
     "repro.opt.compose",

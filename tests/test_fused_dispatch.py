@@ -16,7 +16,6 @@ import pytest
 from repro.api.session import PlutoSession, cache_stats, clear_all_caches, compile_cached
 from repro.controller.dispatch import ParallelDispatcher, ShardPlanner
 from repro.controller.executor import PlutoController
-from repro.controller.hierarchy import HierarchicalDispatcher
 from repro.core.designs import PlutoDesign
 from repro.core.engine import PlutoConfig, PlutoEngine
 from repro.errors import ConfigurationError, ExecutionError
@@ -72,9 +71,13 @@ def _assert_same_results(fused, loop):
         assert np.array_equal(fused.outputs[name], data), name
     assert fused.makespan_ns == loop.makespan_ns
     assert fused.serial_latency_ns == loop.serial_latency_ns
+    assert fused.bank_only_makespan_ns == loop.bank_only_makespan_ns
+    assert fused.rank_parallel_makespan_ns == loop.rank_parallel_makespan_ns
+    assert fused.channel_makespans == loop.channel_makespans
+    assert fused.rank_makespans == loop.rank_makespans
 
 
-class TestFusedParallelDispatch:
+class TestFusedDispatch:
     @pytest.mark.parametrize(
         "design", [PlutoDesign.BSA, PlutoDesign.GSA, PlutoDesign.GMC]
     )
@@ -129,25 +132,16 @@ class TestFusedParallelDispatch:
         for name, data in reference.outputs.items():
             assert np.array_equal(fused.outputs[name], data), name
 
-
-class TestFusedHierarchicalDispatch:
     @pytest.mark.parametrize("channels,ranks", [(1, 1), (2, 2)])
-    def test_bit_identical_to_per_shard(self, channels, ranks):
+    def test_every_bank_of_the_device_matches_per_shard(self, channels, ranks):
         session, inputs = _mixed_program()
         engine = PlutoEngine(
             PlutoConfig(tfaw_fraction=1.0, channels=channels, ranks=ranks)
         )
-        fused = HierarchicalDispatcher(engine, fused=True).execute(
-            session.calls, inputs
-        )
-        loop = HierarchicalDispatcher(engine, fused=False).execute(
-            session.calls, inputs
-        )
+        fused = ParallelDispatcher(engine, fused=True).execute(session.calls, inputs)
+        loop = ParallelDispatcher(engine, fused=False).execute(session.calls, inputs)
+        assert fused.num_shards == engine.geometry.total_banks
         _assert_same_results(fused, loop)
-        assert fused.bank_only_makespan_ns == loop.bank_only_makespan_ns
-        assert fused.rank_parallel_makespan_ns == loop.rank_parallel_makespan_ns
-        assert fused.channel_makespans == loop.channel_makespans
-        assert fused.rank_makespans == loop.rank_makespans
 
 
 class TestExecuteFused:
@@ -212,53 +206,51 @@ def _uint64_inputs(inputs):
     return {name: np.asarray(data, dtype=np.uint64) for name, data in inputs.items()}
 
 
-def _fused_and_oracle(dispatcher_type, session, inputs, shards, jit=True):
-    engine = PlutoEngine(PlutoConfig(tfaw_fraction=1.0))
-    fused = dispatcher_type(engine, fused=True, jit=jit).execute(
+def _fused_and_oracle(placement, session, inputs, shards, jit=True):
+    channels, ranks = placement
+    engine = PlutoEngine(PlutoConfig(tfaw_fraction=1.0, channels=channels, ranks=ranks))
+    fused = ParallelDispatcher(engine, fused=True, jit=jit).execute(
         session.calls, inputs, shards=shards
     )
-    oracle = dispatcher_type(engine, backend="functional").execute(
+    oracle = ParallelDispatcher(engine, backend="functional").execute(
         session.calls, inputs, shards=shards
     )
     return fused, oracle
 
 
-DISPATCHERS = pytest.mark.parametrize(
-    "dispatcher_type", [ParallelDispatcher, HierarchicalDispatcher]
-)
+#: One rank of one channel (a bank-sharded plan) and a 2 x 2 device.
+PLACEMENTS = pytest.mark.parametrize("placement", [(1, 1), (2, 2)])
 
 
 class TestViewContract:
     """Fused results are views of one pass; caller arrays are never shared."""
 
-    @DISPATCHERS
+    @PLACEMENTS
     @pytest.mark.parametrize("jit", [True, False])
-    def test_input_registers_do_not_share_caller_memory(self, dispatcher_type, jit):
+    def test_input_registers_do_not_share_caller_memory(self, placement, jit):
         session, raw = _mixed_program()
         inputs = _uint64_inputs(raw)
-        fused, _ = _fused_and_oracle(dispatcher_type, session, inputs, 8, jit)
+        fused, _ = _fused_and_oracle(placement, session, inputs, 8, jit)
         for name, data in inputs.items():
             assert not np.shares_memory(fused.registers[name], data), name
             for shard in fused.shard_results:
                 assert not np.shares_memory(shard.registers[name], data), name
 
-    @DISPATCHERS
+    @PLACEMENTS
     @pytest.mark.parametrize("jit", [True, False])
-    def test_mutating_outputs_leaves_inputs_unchanged(self, dispatcher_type, jit):
+    def test_mutating_outputs_leaves_inputs_unchanged(self, placement, jit):
         session, raw = _mixed_program()
         inputs = _uint64_inputs(raw)
         before = {name: data.copy() for name, data in inputs.items()}
-        fused, _ = _fused_and_oracle(dispatcher_type, session, inputs, 8, jit)
+        fused, _ = _fused_and_oracle(placement, session, inputs, 8, jit)
         for data in (*fused.outputs.values(), *fused.registers.values()):
             data[...] = 0
         for name, data in inputs.items():
             assert np.array_equal(data, before[name]), name
 
-    @DISPATCHERS
+    @PLACEMENTS
     @pytest.mark.parametrize("elements,shards", [(ELEMENTS, 8), (29, 6)])
-    def test_strided_inputs_match_functional_oracle(
-        self, dispatcher_type, elements, shards
-    ):
+    def test_strided_inputs_match_functional_oracle(self, placement, elements, shards):
         """``arr[::2]`` inputs, even and uneven splits: same as the oracle."""
         session, raw = _mixed_program(elements)
         inputs = {}
@@ -266,11 +258,9 @@ class TestViewContract:
             padded = np.full(2 * elements, 3, dtype=np.uint64)
             padded[::2] = data
             inputs[name] = padded[::2]
-        fused, oracle = _fused_and_oracle(dispatcher_type, session, inputs, shards)
-        plans = (
-            fused.shard_plans if dispatcher_type is ParallelDispatcher else fused.shards
-        )
-        assert len({plan.size for plan in plans}) == (1 if elements % shards == 0 else 2)
+        fused, oracle = _fused_and_oracle(placement, session, inputs, shards)
+        sizes = {plan.size for plan in fused.shard_plans}
+        assert len(sizes) == (1 if elements % shards == 0 else 2)
         _assert_same_results(fused, oracle)
         assert fused.energy_nj == oracle.energy_nj
         for name, data in oracle.registers.items():
@@ -303,12 +293,12 @@ class TestPlannerSharing:
     def test_equal_shards_share_call_tuples(self):
         """The resize fix: one rewritten program per distinct shard size."""
         session, _ = _mixed_program(64)
-        plans = ShardPlanner(num_banks=16).plan(session.calls, 8)
+        plans = ShardPlanner().plan(session.calls, 8)
         assert all(plan.calls is plans[0].calls for plan in plans)
 
     def test_two_sizes_share_within_each_group(self):
         session, _ = _mixed_program(29)
-        plans = ShardPlanner(num_banks=16).plan(session.calls, 6)
+        plans = ShardPlanner().plan(session.calls, 6)
         by_size = {}
         for plan in plans:
             by_size.setdefault(plan.size, set()).add(id(plan.calls))

@@ -19,7 +19,7 @@ from repro.api.session import PlutoSession, cache_stats, clear_all_caches, prepa
 from repro.core.designs import PlutoDesign
 from repro.core.engine import PlutoConfig, PlutoEngine
 from repro.core.lut import LookupTable
-from repro.errors import ConfigurationError, VerificationError
+from repro.errors import AllocationError, ConfigurationError, VerificationError
 from repro.plan import ExecutionPlan, plan_program, resolve_plan
 from repro.plan.planner import CandidatePlan, _choose
 from repro.workloads.programs import optimizer_workload_programs, workload_program
@@ -98,6 +98,10 @@ class TestPlutoConfigPlanValidation:
         # Default DDR4 module: 1 channel x 1 rank x 16 banks.
         with pytest.raises(VerificationError):
             PlutoConfig(plan=ExecutionPlan(shards=64))
+        # A hierarchical plan may use every bank of its placement.
+        with pytest.raises(VerificationError, match="shards-overcommit.*32 banks"):
+            PlutoConfig(channels=2, plan=ExecutionPlan(hierarchical=True, shards=33))
+        assert PlutoConfig(channels=2, plan=ExecutionPlan(hierarchical=True, shards=32))
 
     def test_config_rejects_placement_wider_than_device(self):
         with pytest.raises(VerificationError):
@@ -457,3 +461,36 @@ class TestAutoOnEntryPoints:
             auto = program.session.run(program.inputs, engine=engine, plan="auto")
             for name in reference.outputs:
                 assert np.array_equal(auto.outputs[name], reference.outputs[name])
+
+
+class TestAutoSearchFits:
+    """The search keeps only candidates the device can place and allocate."""
+
+    def test_multi_rank_auto_may_use_more_shards_than_one_rank_has(self):
+        engine = PlutoEngine(PlutoConfig(channels=2, ranks=2))
+        program = workload_program("crc", 262144)
+        default = program.session.run(program.inputs, engine=engine)
+        for door in (program.session.run, program.session.run_hierarchical):
+            result = door(program.inputs, engine=engine, plan="auto")
+            assert result.num_shards > engine.geometry.banks
+            assert result.planner.predicted_makespan_ns == result.latency_ns
+            for name, data in default.outputs.items():
+                assert np.array_equal(result.outputs[name], data), name
+
+    def test_unallocatable_candidates_are_skipped(self):
+        program = workload_program("salsa20", 524288)
+        auto = program.session.run(program.inputs, plan="auto")
+        halves = program.session.run(program.inputs, plan=ExecutionPlan(shards=2))
+        assert auto.execution_plan.effective_shards > 1
+        for name, data in halves.outputs.items():
+            assert np.array_equal(auto.outputs[name], data), name
+
+    def test_the_first_allocation_error_is_raised_when_nothing_fits(self):
+        program = workload_program("salsa20", 524288)
+        with pytest.raises(AllocationError) as explicit:
+            program.session.run(program.inputs, plan=ExecutionPlan(optimize=False))
+        with pytest.raises(AllocationError) as auto:
+            program.session.run_batch(
+                [program.inputs], plan=ExecutionPlan.auto(optimize=False)
+            )
+        assert str(auto.value) == str(explicit.value)

@@ -17,14 +17,15 @@ import pytest
 
 from repro.api.session import cache_stats, clear_all_caches
 from repro.controller.dispatch import (
+    _schedule_hierarchy,
     _throttled_timing,
+    interleaved_bank_order,
     merged_makespan_ns,
     rank_scheduler,
     sweep_act_interval_ns,
     sweep_acts_per_row,
     sweep_tail_ns,
 )
-from repro.controller.hierarchy import _schedule_hierarchy, interleaved_bank_order
 from repro.core.designs import PlutoDesign
 from repro.core.engine import DDR4, THREE_DS, PlutoConfig, PlutoEngine
 from repro.dram.analytic import (

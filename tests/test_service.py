@@ -9,7 +9,7 @@ import pytest
 
 from repro.api import PlutoSession, PlutoService
 from repro.api.session import cache_stats, clear_all_caches
-from repro.controller.hierarchy import HierarchicalExecutionResult
+from repro.controller.dispatch import ShardedExecutionResult
 from repro.core.engine import PlutoConfig, PlutoEngine
 from repro.errors import (
     ConfigurationError,
@@ -225,7 +225,7 @@ class TestServing:
                 engine=engine, plan=ExecutionPlan(hierarchical=True, shards=8)
             ) as service:
                 served = await service.submit(inputs)
-            assert isinstance(served.result, HierarchicalExecutionResult)
+            assert isinstance(served.result, ShardedExecutionResult)
             assert served.result.num_shards == 8
             assert np.array_equal(
                 served.outputs["out"], inputs["a"] + inputs["b"]

@@ -1,4 +1,9 @@
-"""Tests for bank-parallel sharded execution (controller/dispatch.py)."""
+"""Tests for sharded execution over the DRAM hierarchy (controller/dispatch.py).
+
+One planner, one dispatcher and one makespan function serve every
+placement: a bank-sharded plan is the one-channel, one-rank placement,
+and hierarchical plans spread over the device's channels and ranks.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +15,9 @@ from repro.controller.dispatch import (
     ParallelDispatcher,
     ShardedExecutionResult,
     ShardPlanner,
+    _schedule_hierarchy,
+    bus_occupancy_ns,
+    interleaved_bank_order,
     merged_makespan_ns,
     sweep_act_interval_ns,
     sweep_acts_per_row,
@@ -17,12 +25,18 @@ from repro.controller.dispatch import (
 )
 from repro.core.designs import PlutoDesign
 from repro.core.engine import PlutoConfig, PlutoEngine
+from repro.dram.commands import Command, CommandType
+from repro.dram.geometry import DRAMGeometry
 from repro.dram.scheduler import activation_count, tfaw_lower_bound_ns
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ExecutionError, VerificationError
 from repro.plan import ExecutionPlan
-
+from repro.workloads.programs import workload_program
 
 ELEMENTS = 4096
+
+#: Every (channels, ranks) device shape the dispatcher places shards on.
+SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2)]
+PLACEMENTS = pytest.mark.parametrize("channels,ranks", SHAPES)
 
 
 def _program(elements: int = ELEMENTS) -> tuple[PlutoSession, dict]:
@@ -46,27 +60,108 @@ def _program(elements: int = ELEMENTS) -> tuple[PlutoSession, dict]:
     return session, inputs
 
 
+def _mac_program(elements: int = 1024) -> tuple[PlutoSession, dict]:
+    """The Figure 5 multiply-add over many elements."""
+    session = PlutoSession()
+    a = session.pluto_malloc(elements, 2, "a")
+    b = session.pluto_malloc(elements, 2, "b")
+    c = session.pluto_malloc(elements, 4, "c")
+    tmp = session.pluto_malloc(elements, 4, "tmp")
+    out = session.pluto_malloc(elements, 8, "out")
+    session.api_pluto_mul(a, b, tmp, bit_width=2)
+    session.api_pluto_add(c, tmp, out, bit_width=4)
+    rng = np.random.default_rng(11)
+    inputs = {
+        "a": rng.integers(0, 4, elements),
+        "b": rng.integers(0, 4, elements),
+        "c": rng.integers(0, 16, elements),
+    }
+    return session, inputs
+
+
+def _engine(channels: int = 1, ranks: int = 1, **config) -> PlutoEngine:
+    return PlutoEngine(
+        PlutoConfig(tfaw_fraction=1.0, channels=channels, ranks=ranks, **config)
+    )
+
+
 class TestShardPlanner:
     def test_balanced_contiguous_slices(self):
         session, _ = _program(10)
-        plans = ShardPlanner(num_banks=16).plan(session.calls, 3)
+        plans = ShardPlanner().plan(session.calls, 3)
         assert [(p.start, p.stop) for p in plans] == [(0, 4), (4, 7), (7, 10)]
-        assert [p.bank for p in plans] == [0, 1, 2]
+        # One rank of one channel, banks round-robin over bank groups.
+        assert [p.bank for p in plans] == [0, 4, 8]
+        assert {(p.channel, p.rank) for p in plans} == {(0, 0)}
         for plan in plans:
             sizes = {
                 v.size for call in plan.calls for v in (*call.inputs, call.output)
             }
             assert sizes == {plan.size}
 
-    def test_rejects_more_shards_than_banks(self):
+    def test_eight_shards_take_two_banks_per_group(self):
         session, _ = _program(64)
-        with pytest.raises(ConfigurationError):
-            ShardPlanner(num_banks=4).plan(session.calls, 8)
+        plans = ShardPlanner().plan(session.calls, 8)
+        assert sorted(p.bank for p in plans) == [0, 1, 4, 5, 8, 9, 12, 13]
+
+    def test_channel_first_placement(self):
+        session, _ = _program(64)
+        plans = ShardPlanner(DRAMGeometry(channels=2, ranks=2)).plan(session.calls, 8)
+        assert [plan.channel for plan in plans] == [0, 1, 0, 1, 0, 1, 0, 1]
+        assert [plan.rank for plan in plans] == [0, 0, 1, 1, 0, 0, 1, 1]
+        # The first four shards use bank 0 of four different (channel,
+        # rank) pairs; the next four move to the next bank group.
+        assert [plan.bank for plan in plans] == [0, 0, 0, 0, 4, 4, 4, 4]
+        assert [plan.bank // 4 for plan in plans] == [0, 0, 0, 0, 1, 1, 1, 1]
+
+    def test_bank_order_round_robins_groups(self):
+        order = interleaved_bank_order(DRAMGeometry())
+        assert sorted(order) == list(range(16))
+        groups = [bank // 4 for bank in order]
+        assert groups[:8] == [0, 1, 2, 3, 0, 1, 2, 3]
+
+    def test_default_shard_count_uses_every_bank(self):
+        session, _ = _program(256)
+        geometry = DRAMGeometry(channels=2, ranks=1)
+        plans = ShardPlanner(geometry).plan(session.calls)
+        assert len(plans) == geometry.total_banks == 32
+
+    def test_default_clamps_to_element_count(self):
+        session, _ = _program(3)
+        plans = ShardPlanner(DRAMGeometry()).plan(session.calls)
+        assert len(plans) == 3
+
+    def test_narrowing_places_on_a_subset_of_the_device(self):
+        session, _ = _program(64)
+        device = DRAMGeometry(channels=2, ranks=2)
+        planner = ShardPlanner(device, channels=1, ranks=1)
+        assert planner.geometry.total_banks == 16
+        assert {(p.channel, p.rank) for p in planner.plan(session.calls, 16)} == {(0, 0)}
+        assert ShardPlanner(device, ranks=1).geometry.total_banks == 32
+        with pytest.raises(ConfigurationError, match="channels"):
+            ShardPlanner(device, channels=3)
+        with pytest.raises(ConfigurationError, match="ranks"):
+            ShardPlanner(device, ranks=0)
+
+    @pytest.mark.parametrize(
+        "geometry,shards,banks",
+        [
+            (DRAMGeometry(bank_groups=1, banks_per_group=4), 8, 4),
+            (DRAMGeometry(), 17, 16),
+            (DRAMGeometry(channels=2, ranks=2), 65, 64),
+        ],
+    )
+    def test_rejects_more_shards_than_placement_banks(self, geometry, shards, banks):
+        session, _ = _program(256)
+        with pytest.raises(VerificationError, match=f"with {banks} banks") as raised:
+            ShardPlanner(geometry).plan(session.calls, shards)
+        assert [d.code for d in raised.value.diagnostics] == ["shards-overcommit"]
+        assert isinstance(raised.value, ConfigurationError)
 
     def test_rejects_more_shards_than_elements(self):
         session, _ = _program(2)
         with pytest.raises(ConfigurationError):
-            ShardPlanner(num_banks=16).plan(session.calls, 3)
+            ShardPlanner().plan(session.calls, 3)
 
     def test_rejects_empty_program(self):
         with pytest.raises(ConfigurationError):
@@ -86,29 +181,46 @@ class TestShardPlanner:
         with pytest.raises(ConfigurationError):
             ShardPlanner().plan(first.calls + second.calls, 2)
 
+    def test_slices_cover_elements_exactly(self):
+        session, _ = _program(29)
+        plans = ShardPlanner(DRAMGeometry(channels=2, ranks=2)).plan(session.calls, 6)
+        assert plans[0].start == 0
+        assert plans[-1].stop == 29
+        for before, after in zip(plans, plans[1:]):
+            assert before.stop == after.start
+
 
 class TestDifferential:
-    """The PR's acceptance criteria: bit-identical outputs, honest timing."""
+    """Bit-exact outputs and honest timing on every placement."""
 
     @pytest.mark.parametrize("backend", ["vectorized", "functional"])
-    @pytest.mark.parametrize("shards", [1, 2, 4, 8])
-    def test_sharded_matches_unsharded(self, backend, shards):
+    @pytest.mark.parametrize(
+        "channels,ranks,banks_used",
+        [(*shape, banks) for shape in SHAPES for banks in (1, 2, 4)] + [(1, 1, 8)],
+    )
+    def test_bit_identical_to_unsharded(self, backend, channels, ranks, banks_used):
         session, inputs = _program()
         session.backend = backend
-        engine = PlutoEngine(PlutoConfig(tfaw_fraction=1.0))
+        engine = _engine(channels, ranks)
         reference = session.run(inputs, engine=engine)
+        shards = channels * ranks * banks_used
         result = ParallelDispatcher(engine, backend=backend).execute(
             session.calls, inputs, shards=shards
         )
         assert isinstance(result, ShardedExecutionResult)
         assert result.num_shards == shards
+        assert result.backend == backend
         for name, data in reference.outputs.items():
             assert np.array_equal(result.outputs[name], data), name
+        positions = {
+            (plan.channel, plan.rank, plan.bank) for plan in result.shard_plans
+        }
+        assert len(positions) == shards
 
     @pytest.mark.parametrize("shards", [2, 4, 8])
     def test_makespan_between_bounds(self, shards):
         session, inputs = _program()
-        engine = PlutoEngine(PlutoConfig(tfaw_fraction=1.0))
+        engine = _engine()
         result = ParallelDispatcher(engine).execute(
             session.calls, inputs, shards=shards
         )
@@ -121,23 +233,24 @@ class TestDifferential:
         )
         assert result.makespan_ns >= tfaw_lower_bound_ns(activations, timing)
 
-    def test_single_shard_makespan_matches_serial(self, any_design):
+    @PLACEMENTS
+    def test_single_shard_matches_serial(self, any_design, channels, ranks):
         session, inputs = _program()
-        engine = PlutoEngine(
-            PlutoConfig(design=any_design, tfaw_fraction=1.0)
-        )
+        engine = _engine(channels, ranks, design=any_design)
         result = ParallelDispatcher(engine).execute(session.calls, inputs, shards=1)
         assert result.makespan_ns == pytest.approx(
             result.serial_latency_ns, rel=1e-6
         )
         assert result.latency_ns == result.makespan_ns
+        assert result.bank_only_makespan_ns == pytest.approx(
+            result.makespan_ns, rel=1e-6
+        )
 
-    def test_rejects_mis_sized_and_unknown_inputs(self):
+    @PLACEMENTS
+    def test_rejects_mis_sized_and_unknown_inputs(self, channels, ranks):
         """Sharded runs must reject what unsharded runs reject, not slice."""
-        from repro.errors import ExecutionError
-
         session, inputs = _program(16)
-        dispatcher = ParallelDispatcher()
+        dispatcher = ParallelDispatcher(_engine(channels, ranks))
         oversized = dict(inputs, a=np.zeros(32, dtype=np.uint64))
         with pytest.raises(ExecutionError):
             dispatcher.execute(session.calls, oversized, shards=2)
@@ -145,18 +258,175 @@ class TestDifferential:
         with pytest.raises(ExecutionError):
             dispatcher.execute(session.calls, unknown, shards=2)
 
+    @PLACEMENTS
+    def test_every_placement_is_statically_verified(self, monkeypatch, channels, ranks):
+        import repro.analyze.verifier as verifier
+
+        checked = []
+        verify = verifier.verify_shard_plans
+
+        def recording(plans, **options):
+            checked.append((len(plans), options["num_banks"]))
+            return verify(plans, **options)
+
+        monkeypatch.setattr(verifier, "verify_shard_plans", recording)
+        session, inputs = _program(64)
+        engine = _engine(channels, ranks, verify="always")
+        ParallelDispatcher(engine).execute(session.calls, inputs, shards=4)
+        assert checked == [(4, engine.geometry.total_banks)]
+
     def test_makespan_improves_with_shards(self):
         # 32768 elements: the add's merged 8-bit index register spans four
         # DRAM rows, so each doubling of the shard count halves the rows
         # (and sweeps) per bank until every shard is down to one row.
         session, inputs = _program(32768)
-        engine = PlutoEngine(PlutoConfig(tfaw_fraction=1.0))
-        dispatcher = ParallelDispatcher(engine)
+        dispatcher = ParallelDispatcher(_engine())
         makespans = [
             dispatcher.execute(session.calls, inputs, shards=n).makespan_ns
             for n in (1, 2, 4)
         ]
         assert makespans[0] > makespans[1] > makespans[2]
+
+    @PLACEMENTS
+    def test_per_level_makespans_are_monotone(self, channels, ranks):
+        session, inputs = _mac_program(8192)
+        result = ParallelDispatcher(_engine(channels, ranks)).execute(
+            session.calls, inputs
+        )
+        assert (
+            result.makespan_ns
+            <= result.rank_parallel_makespan_ns
+            <= result.bank_only_makespan_ns
+            <= result.serial_latency_ns
+        )
+        decomposition = result.speedup_decomposition
+        assert decomposition["total"] == pytest.approx(
+            decomposition["bank"]
+            * decomposition["rank"]
+            * decomposition["channel"]
+        )
+
+    def test_one_rank_levels_are_the_makespan(self):
+        """One rank of one channel schedules once; every level is that merge."""
+        session, inputs = _mac_program(4096)
+        engine = _engine(2, 2)
+        result = ParallelDispatcher(engine, channels=1, ranks=1).execute(
+            session.calls, inputs, shards=8
+        )
+        makespan = result.makespan_ns
+        assert result.bank_only_makespan_ns == makespan
+        assert result.rank_parallel_makespan_ns == makespan
+        assert result.rank_makespans == {(0, 0): makespan}
+        assert result.channel_makespans == {0: makespan}
+        streams = [shard.trace.commands for shard in result.shard_results]
+        assert makespan == merged_makespan_ns(streams, engine)
+        # The channel-bus bound does not bind on one rank.
+        assert makespan == _schedule_hierarchy(streams, engine, channels=1, ranks=1)[0]
+
+    def test_levels_help_once_tfaw_binds(self):
+        """Extra ranks/channels relieve the per-rank tFAW throttle."""
+        session, inputs = _mac_program(16384)
+        flat = ParallelDispatcher(_engine(1, 1)).execute(
+            session.calls, inputs, shards=16
+        )
+        tall = ParallelDispatcher(_engine(2, 2)).execute(
+            session.calls, inputs, shards=64
+        )
+        assert tall.rank_speedup > 1.5
+        assert tall.channel_speedup > 1.5
+        assert tall.parallel_speedup > flat.parallel_speedup
+
+    def test_channel_makespans_cover_device_makespan(self):
+        session, inputs = _mac_program(4096)
+        result = ParallelDispatcher(_engine(2, 2)).execute(session.calls, inputs)
+        assert set(result.channel_makespans) == {0, 1}
+        assert max(result.channel_makespans.values()) == pytest.approx(
+            result.makespan_ns
+        )
+        assert set(result.rank_makespans) == {(c, r) for c in (0, 1) for r in (0, 1)}
+
+
+class TestBankShardedIsOneRankPlacement:
+    """``shards=n`` is ``hierarchical=True`` narrowed to one channel and rank."""
+
+    @pytest.mark.parametrize("channels,ranks", [(1, 1), (2, 2)])
+    @pytest.mark.parametrize(
+        "family", ["image", "crc", "salsa20", "vmpc", "bitcount", "vector_ops"]
+    )
+    def test_same_results_and_traces(self, family, channels, ranks):
+        program = workload_program(family, elements=4096)
+        engine = PlutoEngine(PlutoConfig(channels=channels, ranks=ranks))
+        for shards in (2, 4, 8, 16):
+            banked = program.session.run(
+                program.inputs, engine=engine, plan=ExecutionPlan(shards=shards)
+            )
+            narrowed = program.session.run(
+                program.inputs,
+                engine=engine,
+                plan=ExecutionPlan(hierarchical=True, channels=1, ranks=1, shards=shards),
+            )
+            for name, data in banked.outputs.items():
+                assert np.array_equal(narrowed.outputs[name], data), (shards, name)
+            assert banked.latency_ns == narrowed.latency_ns
+            assert banked.energy_nj == narrowed.energy_nj
+            assert [(c.kind, c.bank, c.rows) for c in banked.trace.commands] == [
+                (c.kind, c.bank, c.rows) for c in narrowed.trace.commands
+            ]
+
+
+class TestMakespanModel:
+    def test_collapsed_hierarchy_equals_bank_only(self):
+        session, inputs = _mac_program(4096)
+        engine = _engine(2, 2)
+        result = ParallelDispatcher(engine).execute(session.calls, inputs)
+        streams = [r.trace.commands for r in result.shard_results]
+        assert _schedule_hierarchy(
+            streams, engine, channels=1, ranks=1
+        )[0] == pytest.approx(result.bank_only_makespan_ns)
+
+    @PLACEMENTS
+    def test_empty_streams_have_zero_makespan(self, channels, ranks):
+        engine = _engine(channels, ranks)
+        assert merged_makespan_ns([], engine, channels=channels, ranks=ranks) == 0.0
+        assert merged_makespan_ns([[]], engine, channels=channels, ranks=ranks) == 0.0
+
+    def test_rejects_non_positive_levels(self):
+        engine = _engine()
+        stream = [[Command(CommandType.ACT, bank=0)]]
+        with pytest.raises(ConfigurationError):
+            merged_makespan_ns(stream, engine, channels=0, ranks=1)
+        with pytest.raises(ConfigurationError):
+            merged_makespan_ns(stream, engine, channels=1, ranks=-1)
+        with pytest.raises(ConfigurationError):
+            merged_makespan_ns(stream, engine, channels=-1, ranks=-1)
+
+    def test_bus_occupancy_counts_activations_and_bursts(self):
+        engine = _engine()
+        timing = engine.timing
+        streams = [
+            [
+                Command(CommandType.ROW_SWEEP, bank=0, rows=8),
+                Command(CommandType.RD, bank=0),
+                Command(CommandType.PRE, bank=0),
+            ]
+        ]
+        expected = (
+            8 * timing.clock_ns
+            + max(timing.t_burst, timing.t_ccd_s, timing.clock_ns)
+            + timing.clock_ns
+        )
+        assert bus_occupancy_ns(streams, engine) == pytest.approx(expected)
+
+    def test_channel_bus_bounds_rank_parallelism(self):
+        """A channel cannot finish before issuing every rank's commands."""
+        engine = _engine(1, 4)
+        # Four one-activation streams, one per rank: rank makespans overlap
+        # fully, so the bus occupancy (4 activations) is not the binding
+        # constraint — but the model must still include it.
+        streams = [[Command(CommandType.ACT, bank=0)] for _ in range(4)]
+        makespan = merged_makespan_ns(streams, engine, channels=1, ranks=4)
+        assert makespan >= 4 * engine.timing.clock_ns
+        assert makespan >= engine.timing.t_rcd
 
 
 class TestSessionSurface:
@@ -169,6 +439,23 @@ class TestSessionSurface:
         assert sharded.parallel_speedup > 1.0
         with pytest.raises(ConfigurationError):
             session.run(inputs, plan=ExecutionPlan(shards=0))
+
+    def test_bank_sharded_plan_stays_on_one_rank_of_a_larger_device(self):
+        session, inputs = _program(1024)
+        result = session.run(inputs, engine=_engine(2, 2), plan=ExecutionPlan(shards=8))
+        assert {(plan.channel, plan.rank) for plan in result.shard_plans} == {(0, 0)}
+        with pytest.raises(ConfigurationError, match="16 banks"):
+            session.run(inputs, engine=_engine(2, 2), plan=ExecutionPlan(shards=17))
+
+    def test_one_warm_dispatcher_per_placement_and_tier(self):
+        from repro.api.session import Executors
+
+        executors = Executors(_engine(), "vectorized")
+        banked = executors.dispatcher(ExecutionPlan(shards=8))
+        # On a one-rank device the device-wide hierarchical placement is
+        # the bank-sharded one.
+        assert executors.dispatcher(ExecutionPlan(hierarchical=True, shards=4)) is banked
+        assert executors.dispatcher(ExecutionPlan(shards=8, tier="interpreted")) is not banked
 
     def test_run_batch_parallel_makespan(self):
         session, inputs = _program(1024)
@@ -237,6 +524,32 @@ class TestSessionSurface:
                 result.outputs["final"], plain[label].outputs["final"]
             ), label
 
+    def test_run_hierarchical(self):
+        session, inputs = _mac_program()
+        reference = session.run(inputs)
+        engine = _engine(2, 2)
+        result = session.run_hierarchical(
+            inputs, engine=engine, plan=ExecutionPlan(hierarchical=True, shards=8)
+        )
+        assert isinstance(result, ShardedExecutionResult)
+        assert np.array_equal(result.outputs["out"], reference.outputs["out"])
+        assert result.parallel_speedup > 1.0
+
+    def test_run_hierarchical_default_shards(self):
+        session, inputs = _mac_program(64)
+        result = session.run_hierarchical(inputs)
+        # Default engine: a single-channel, single-rank, 16-bank module.
+        assert result.num_shards == 16
+
+    def test_run_hierarchical_rejects_more_shards_than_device_banks(self):
+        session, inputs = _mac_program(256)
+        with pytest.raises(VerificationError, match="shards-overcommit.*64 banks"):
+            session.run_hierarchical(
+                inputs,
+                engine=_engine(2, 2),
+                plan=ExecutionPlan(hierarchical=True, shards=65),
+            )
+
 
 class TestSweepInterval:
     def test_design_specific_spacing(self):
@@ -271,7 +584,6 @@ class TestSweepInterval:
 
     def test_gsa_sweeps_count_reload_activations(self):
         """GSA's destructive-read reloads double the tFAW pressure."""
-        from repro.dram.commands import Command, CommandType
         from repro.dram.scheduler import CommandScheduler
         from repro.dram.timing import TimingParameters
 
@@ -289,7 +601,6 @@ class TestSweepInterval:
         assert double.merge_streams(streams) >= 1000.0
 
     def test_merge_streams_requires_fresh_scheduler(self):
-        from repro.dram.commands import Command, CommandType
         from repro.dram.scheduler import CommandScheduler
         from repro.dram.timing import DDR4_2400
         from repro.errors import TimingViolationError
@@ -298,8 +609,3 @@ class TestSweepInterval:
         scheduler.issue(Command(CommandType.ACT, bank=0))
         with pytest.raises(TimingViolationError):
             scheduler.merge_streams([[Command(CommandType.ACT, bank=1)]])
-
-    def test_empty_streams_have_zero_makespan(self):
-        engine = PlutoEngine(PlutoConfig())
-        assert merged_makespan_ns([], engine) == 0.0
-        assert merged_makespan_ns([[]], engine) == 0.0

@@ -35,9 +35,10 @@ from repro.analyze.cli import main as analyze_main
 from repro.api.handles import ApiCall, PlutoVector
 from repro.api.session import PlutoSession, cache_stats, clear_all_caches
 from repro.compiler.lowering import CompiledProgram, program_structure_key
-from repro.controller.dispatch import ShardPlan
+from repro.controller.dispatch import ShardPlan, ShardPlanner
 from repro.core.engine import PlutoConfig, PlutoEngine
 from repro.core.lut import LookupTable
+from repro.dram.geometry import DRAMGeometry
 from repro.errors import ConfigurationError, VerificationError
 from repro.isa.instructions import (
     PlutoMove,
@@ -352,6 +353,29 @@ class TestShardPlanVerification:
         plans = [self._plan(i, i, 4 * i, 4 * (i + 1)) for i in range(20)]
         report = verify_shard_plans(plans, num_banks=16)
         assert "shards-overcommit" in report.codes()
+
+    def test_duplicates_are_keyed_on_the_full_position(self):
+        plans = [
+            ShardPlan(index=0, channel=0, rank=0, bank=3, start=0, stop=32, calls=()),
+            ShardPlan(index=1, channel=1, rank=0, bank=3, start=32, stop=64, calls=()),
+            ShardPlan(index=2, channel=1, rank=1, bank=3, start=64, stop=96, calls=()),
+        ]
+        assert verify_shard_plans(plans, num_banks=64).clean
+        twin = replace(plans[2], index=3, rank=0, start=96, stop=128)
+        report = verify_shard_plans([*plans, twin], num_banks=64)
+        assert report.codes() == {"duplicate-bank"}
+
+    def test_full_device_plan_on_a_multi_rank_device_is_clean(self):
+        session = PlutoSession()
+        a = session.pluto_malloc(256, 4, "a")
+        b = session.pluto_malloc(256, 4, "b")
+        out = session.pluto_malloc(256, 8, "out")
+        session.api_pluto_add(a, b, out, bit_width=4)
+        planner = ShardPlanner(DRAMGeometry(channels=2, ranks=2))
+        plans = planner.plan(session.calls)
+        assert len(plans) == 64
+        report = verify_shard_plans(plans, num_banks=planner.geometry.total_banks)
+        assert report.diagnostics == ()
 
 
 class TestDiagnosticMachinery:

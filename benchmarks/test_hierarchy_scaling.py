@@ -67,11 +67,12 @@ def _fusion_comparison() -> dict:
     results = {}
     for label, fused in (("per_shard", False), ("fused", True)):
         dispatcher = ParallelDispatcher(engine, fused=fused)
-        dispatcher.execute(session.calls, inputs)  # warm-up: caches, compiles
+        # Warm-up: caches, compiles.
+        dispatcher.execute(dispatcher.planner.plan(session.calls), inputs)
         best = float("inf")
         for _ in range(3):
             start = time.perf_counter()
-            results[label] = dispatcher.execute(session.calls, inputs)
+            results[label] = dispatcher.execute(dispatcher.planner.plan(session.calls), inputs)
             best = min(best, time.perf_counter() - start)
         timings[label] = best
 

@@ -24,7 +24,8 @@ Two levels are verified, matching the two program representations:
 reports on the program structure key (the identity every other warm
 layer uses), so verify-on-submit in the serving tier costs a dict hit
 per repeated request shape.  :func:`verify_shard_plans` checks dispatch
-plans for slice aliasing and bank placement, and
+plans for slice aliasing and for positions outside their placement's
+channels, ranks and banks, and
 :func:`check_pass_invariants` is the optimizer's hook: it re-verifies a
 pass's output and raises on errors or dropped preserved outputs.
 """
@@ -60,6 +61,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.api.handles import ApiCall, PlutoVector
     from repro.compiler.lowering import CompiledProgram
     from repro.core.lut import LookupTable
+    from repro.dram.geometry import DRAMGeometry
 
 __all__ = [
     "VERIFY_MODES",
@@ -777,15 +779,16 @@ def verify_cached(
 def verify_shard_plans(
     plans: Sequence[Any],
     *,
-    num_banks: int | None = None,
+    geometry: "DRAMGeometry",
     subject: str = "shard plan",
 ) -> VerificationReport:
     """Verify dispatch plans: slice aliasing, bank placement, coverage.
 
     ``plans`` are :class:`~repro.controller.dispatch.ShardPlan` records;
     the diagnostic ``instruction`` field carries the shard index.
-    ``num_banks`` is the bank count of the placement the plans spread
-    over (channels x ranks x banks per rank).  Overlapping
+    ``geometry`` is the placement the plans spread over (the narrowed
+    device): each shard's channel, rank and rank-local bank must lie
+    inside it, and the shards may not outnumber its banks.  Overlapping
     element slices are errors — two shards writing one output region is
     the silent-corruption case sharded execution must never reach; gaps
     are warnings (legal, but the concatenated outputs will not cover the
@@ -793,10 +796,9 @@ def verify_shard_plans(
     position are a warning: they serialize.
     """
     diagnostics: list[Diagnostic] = []
-    if num_banks is not None:
-        overcommit = shards_overcommit_diagnostic(len(plans), num_banks)
-        if overcommit is not None:
-            diagnostics.append(overcommit)
+    overcommit = shards_overcommit_diagnostic(len(plans), geometry.total_banks)
+    if overcommit is not None:
+        diagnostics.append(overcommit)
     positions_seen: dict[tuple[int, int, int], int] = {}
     for plan in plans:
         if plan.start >= plan.stop:
@@ -812,17 +814,26 @@ def verify_shard_plans(
                     hint="plan fewer shards than elements",
                 )
             )
-        if num_banks is not None and not 0 <= plan.bank < num_banks:
+        if not (
+            0 <= plan.channel < geometry.channels
+            and 0 <= plan.rank < geometry.ranks
+            and 0 <= plan.bank < geometry.banks
+        ):
             diagnostics.append(
                 Diagnostic(
                     severity=Severity.ERROR,
                     code="bank-out-of-range",
                     message=(
-                        f"shard {plan.index} is placed in bank {plan.bank} "
-                        f"of a {num_banks}-bank module"
+                        f"shard {plan.index} is placed in channel {plan.channel}, "
+                        f"rank {plan.rank}, bank {plan.bank} of a placement with "
+                        f"{geometry.channels} channel(s), {geometry.ranks} rank(s) "
+                        f"and {geometry.banks} banks per rank"
                     ),
                     instruction=plan.index,
-                    hint=f"banks are numbered 0..{num_banks - 1}",
+                    hint=(
+                        f"channels are numbered 0..{geometry.channels - 1}, ranks "
+                        f"0..{geometry.ranks - 1} and banks 0..{geometry.banks - 1}"
+                    ),
                 )
             )
         position = (plan.channel, plan.rank, plan.bank)

@@ -10,10 +10,11 @@ execution stack:
   :class:`~repro.errors.ServiceOverloadError` immediately when the queue
   is full, so callers can shed load instead of buffering without bound;
 * **prepared at submission** — every request's program is planned,
-  optimized, compiled and verified into a
-  :class:`~repro.api.session.ProgramArtifact` before it takes a queue
-  slot; a repeat request takes it from the submitting session's warm
-  entry and prepares nothing;
+  optimized, compiled and verified (and, under a sharded plan, laid out
+  over its placement) into a :class:`~repro.api.session.ProgramArtifact`
+  before it takes a queue slot, so a program or plan that cannot run
+  raises from the submit call; a repeat request takes the artifact from
+  the submitting session's warm entry and prepares nothing;
 * **batch coalescing** — the worker drains the queue and groups
   consecutive requests with the same program structure into one batch
   executed on one warm controller (shared backend LUT gather arrays);

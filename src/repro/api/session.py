@@ -48,7 +48,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.api.service import PlutoService
     from repro.backend.base import ExecutionBackend
     from repro.compiler.lowering import CompiledProgram
-    from repro.controller.dispatch import ParallelDispatcher, ShardedExecutionResult
+    from repro.controller.dispatch import (
+        ParallelDispatcher,
+        ShardedExecutionResult,
+        ShardLayout,
+    )
     from repro.controller.executor import ExecutionResult, PlutoController
     from repro.core.engine import PlutoEngine
     from repro.obs.trace import RequestTrace
@@ -278,10 +282,13 @@ class ProgramArtifact:
     The product of :func:`prepare_execution`: the concrete plan (auto
     plans resolved through the cost-based planner) with the planner's
     report, the optimizer's result, the call list that executes
-    (post-optimization) with its structure key, and its compiled
-    programs.  Each compiled program keeps its own trace templates and
-    closure, so an artifact holds everything a warm run needs, and the
-    shared artifact store (:mod:`repro.serve.store`) pickles it as it is.
+    (post-optimization) with its structure key, and either its compiled
+    program (unsharded plans) or its verified shard layout (sharded and
+    hierarchical plans: placement, shard plans and one compiled program
+    per distinct slice size).  Each compiled program keeps its own trace
+    templates and closure, so an artifact holds everything a warm run
+    needs, and the shared artifact store (:mod:`repro.serve.store`)
+    pickles it as it is.
     """
 
     #: The request this artifact answers; ``None`` when the recorded
@@ -294,9 +301,9 @@ class ProgramArtifact:
     #: The verified compiled program of an unsharded plan (``None`` when
     #: sharded or hierarchical).
     compiled: "CompiledProgram | None"
-    #: ``(structure key, compiled program)`` of each distinct slice
-    #: length of a sharded or hierarchical plan.
-    slices: "tuple[tuple[tuple, CompiledProgram], ...]"
+    #: The verified layout of a sharded or hierarchical plan (``None``
+    #: when unsharded); the dispatcher runs it as it is.
+    layout: "ShardLayout | None"
     optimized: "OptimizedProgram | None"
     planner: "PlannerReport | None"
     #: Whether the static verifier passed the program.  An unverified
@@ -311,9 +318,9 @@ class ProgramArtifact:
     def programs(self) -> "list[tuple[tuple, CompiledProgram]]":
         """``(structure key, compiled program)`` of every program it runs
         (none when the executed calls have no hashable structure key)."""
-        if self.compiled is None or self.structure_key is None:
-            return list(self.slices)
-        return [(self.structure_key, self.compiled)]
+        if self.layout is not None:
+            return [program for program in self.layout.programs.values() if program[0] is not None]
+        return [] if self.structure_key is None else [(self.structure_key, self.compiled)]
 
     def reused(self) -> "ProgramArtifact":
         """This artifact as a later request gets it: the planner report
@@ -356,15 +363,16 @@ def prepare_execution(
     backend like ``backend``.
     The program is then optimized when the plan asks for it (a plan that
     leaves ``optimize`` unset defers to the engine configuration).
-    Unsharded plans compile through the structure-keyed program cache;
-    sharded and hierarchical plans compile one program per distinct
-    slice length.  With ``verify`` the static verifier checks the
-    program that executes and raises
-    :class:`~repro.errors.VerificationError` on any error; when the
-    compiler rejects the program, the verifier's diagnostics replace the
-    compiler's error.  ``subject`` names the program in planner reports
-    and diagnostics.  Compile and verify spans open only when that work
-    runs.
+    Unsharded plans compile through the structure-keyed program cache.
+    With ``verify`` the static verifier checks the program that executes
+    and raises :class:`~repro.errors.VerificationError` on any error;
+    when the compiler rejects the program, the verifier's diagnostics
+    replace the compiler's error.  Sharded and hierarchical plans are
+    then laid out (:meth:`~repro.controller.dispatch.ShardPlanner.plan`,
+    one program per distinct slice size, verified whatever ``verify``
+    says); a plan that cannot be laid out raises here.  ``subject``
+    names the program in planner reports and diagnostics.  Compile and
+    verify spans open only when that work runs.
     """
     from repro.backend.base import resolve_backend
 
@@ -424,19 +432,21 @@ def prepare_execution(
             raise
     if verify:
         _verify(calls, structure_key, subject)
-    slices: "tuple[tuple[tuple, CompiledProgram], ...]" = ()
-    if compiled is None and structure_key is not None:
-        # Dispatchers slice these calls on every run; copies keep a later
-        # parameter edit out of an artifact other programs share.
-        calls = tuple(replace(call, parameters=dict(call.parameters)) for call in calls)
-        slices = _slices(calls, plan, engine)
+    layout: "ShardLayout | None" = None
+    if compiled is None:
+        from repro.controller.dispatch import ShardPlanner
+
+        channels, ranks = plan.placement
+        geometry = None if engine is None else engine.geometry
+        # A hierarchical plan may leave the shard count to the placement.
+        layout = ShardPlanner(geometry, channels=channels, ranks=ranks).plan(calls, plan.shards)
     artifact = ProgramArtifact(
         identity=identity,
         plan=plan,
         calls=calls,
         structure_key=structure_key,
         compiled=compiled,
-        slices=slices,
+        layout=layout,
         optimized=optimized,
         planner=planner,
         verified=verify,
@@ -452,28 +462,6 @@ def _verify(calls: Sequence[ApiCall], key: "tuple | None", subject: str) -> None
 
     with stage("verify"):
         verify_cached(list(calls), subject=subject, key=key).raise_if_errors()
-
-
-def _slices(
-    calls: "tuple[ApiCall, ...]", plan: "ExecutionPlan", engine: "PlutoEngine | None"
-) -> "tuple[tuple[tuple, CompiledProgram], ...]":
-    """Compile one program per distinct slice length of a sharded plan.
-
-    The slices are the ones the plan's dispatcher runs, compiled through
-    the program cache it looks them up in.  A plan the dispatcher
-    rejects gets none here; it raises its own error when the plan runs.
-    """
-    programs: "dict[int, tuple[tuple, CompiledProgram]]" = {}
-    try:
-        dispatcher = Executors(engine, "vectorized").dispatcher(plan)
-        for shard in dispatcher.planner.plan(calls, plan.shards):
-            if shard.size not in programs:
-                compiled, key = compile_cached_with_key(shard.calls)
-                if key is not None:
-                    programs[shard.size] = (key, compiled)
-    except ReproError:
-        return ()
-    return tuple(programs.values())
 
 
 def insert_artifact(artifact: ProgramArtifact) -> None:
@@ -545,17 +533,15 @@ class Executors:
     def run(
         self, artifact: ProgramArtifact, inputs: Mapping[str, np.ndarray]
     ) -> "ExecutionResult":
-        """Execute a prepared program on the executor its plan calls for."""
-        plan = artifact.plan
-        if not plan.hierarchical and plan.effective_shards == 1:
-            return self.controller(plan).execute(
+        """Execute a prepared program on the executor its plan calls for;
+        a sharded one hands its prepared layout to the dispatcher."""
+        if artifact.layout is None:
+            return self.controller(artifact.plan).execute(
                 artifact.compiled,
                 dict(inputs),
                 structure_key=artifact.structure_key,
             )
-        # A sharded plan always pins its shard count; a hierarchical one
-        # may leave it to the device (one shard per bank).
-        return self.dispatcher(plan).execute(artifact.calls, inputs, shards=plan.shards)
+        return self.dispatcher(artifact.plan).execute(artifact.layout, inputs)
 
 
 #: Warm entries one session keeps; making one more drops them all.

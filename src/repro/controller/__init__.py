@@ -4,6 +4,7 @@ from repro.controller.allocation_table import AllocationTable, RowAllocation, Su
 from repro.controller.dispatch import (
     ParallelDispatcher,
     ShardedExecutionResult,
+    ShardLayout,
     ShardPlan,
     ShardPlanner,
     bus_occupancy_ns,
@@ -30,6 +31,7 @@ __all__ = [
     "ParallelDispatcher",
     "ShardedExecutionResult",
     "ShardPlan",
+    "ShardLayout",
     "ShardPlanner",
     "execute_shard_plans",
     "merged_makespan_ns",

@@ -10,13 +10,13 @@ placement — the whole device, a narrowed channel/rank subset, or one
 rank of one channel, which is what a bank-sharded plan is:
 
 * :class:`ShardPlanner` partitions a program's element space into
-  balanced contiguous shards, rewrites the recorded API calls so each
-  shard is a complete, smaller program over its slice (equal-sized
-  shards share one compiled program through the structure-keyed compile
-  cache), and places shard *i* channel-first: channel ``i % channels``,
-  rank ``(i // channels) % ranks``, then the rank-local
-  :func:`interleaved_bank_order` that round-robins bank groups.
-* :class:`ParallelDispatcher` executes the shards through the
+  balanced contiguous shards, rewrites and compiles the recorded API
+  calls once per distinct slice size so each shard is a complete,
+  smaller program over its slice, and places shard *i* channel-first:
+  channel ``i % channels``, rank ``(i // channels) % ranks``, then the
+  rank-local :func:`interleaved_bank_order` that round-robins bank
+  groups.  It returns a :class:`ShardLayout`, verified as it is built.
+* :class:`ParallelDispatcher` executes a layout through the
   :class:`~repro.controller.executor.PlutoController` — in one *fused*
   batched pass over a ``(shards, slice)`` view of the inputs when the
   selected :class:`~repro.backend.base.ExecutionBackend` supports it
@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.api.handles import ApiCall, PlutoVector
 from repro.backend.base import ExecutionBackend
+from repro.compiler.lowering import CompiledProgram
 from repro.controller.executor import ExecutionResult, PlutoController
 from repro.core.designs import PlutoDesign
 from repro.core.engine import PlutoConfig, PlutoEngine
@@ -60,6 +61,7 @@ from repro.utils.memo import BoundedMemo, register_layer, register_lru_cache
 
 __all__ = [
     "ShardPlan",
+    "ShardLayout",
     "ShardPlanner",
     "ShardedExecutionResult",
     "ParallelDispatcher",
@@ -323,8 +325,32 @@ class ShardPlan:
         return self.stop - self.start
 
 
+@dataclass(frozen=True, eq=False)
+class ShardLayout:
+    """A sharded program laid out over one placement, verified when built.
+
+    :meth:`ShardPlanner.plan` builds it from the program and the plan
+    alone, so a prepared program carries it for every request.  Its
+    constructor runs :func:`~repro.analyze.verifier.verify_shard_plans`
+    against ``geometry`` and raises on any error, whatever the verify mode.
+    """
+
+    geometry: DRAMGeometry
+    plans: tuple[ShardPlan, ...]
+    #: Slice size -> ``(structure key, compiled program)`` of that slice;
+    #: the key is ``None`` when the program's is not hashable.
+    programs: Mapping[int, tuple[tuple | None, CompiledProgram]]
+    #: Name -> element count of every vector of the whole program.
+    vectors: Mapping[str, int]
+
+    def __post_init__(self) -> None:
+        from repro.analyze.verifier import verify_shard_plans
+
+        verify_shard_plans(self.plans, geometry=self.geometry).raise_if_errors()
+
+
 class ShardPlanner:
-    """Places balanced element slices of an API program over a device.
+    """Lays balanced element slices of an API program out over a device.
 
     ``geometry`` is the device (the default DDR4 module when ``None``);
     ``channels`` / ``ranks`` narrow the placement to a subset of its
@@ -358,16 +384,18 @@ class ShardPlanner:
         self.geometry = geometry
         self._bank_order = interleaved_bank_order(geometry)
 
-    def plan(self, calls: Sequence[ApiCall], shards: int | None = None) -> list[ShardPlan]:
-        """Split ``calls`` into ``shards`` slices placed channel-first.
+    def plan(self, calls: Sequence[ApiCall], shards: int | None = None) -> ShardLayout:
+        """Lay ``calls`` out over ``shards`` slices placed channel-first.
 
         ``shards`` defaults to every bank of the placement (capped at the
         element count, so small programs still plan).  Shard *i* lands on
         channel ``i % channels``, rank ``(i // channels) % ranks``, and
         :meth:`bank` — each added shard buys the most independent level
-        of parallelism still available.
+        of parallelism still available.  Equal-sized shards share one
+        resized call tuple, compiled once through the program cache.
         """
         from repro.analyze.verifier import shards_overcommit_diagnostic
+        from repro.api.session import compile_cached_with_key
 
         geometry = self.geometry
         if shards is None:
@@ -378,21 +406,36 @@ class ShardPlanner:
             # VerificationError subclasses ConfigurationError, so
             # existing handlers keep working.
             raise VerificationError((overcommit,), subject="shard plan")
+        size = self._uniform_size(calls)
         channels, ranks = geometry.channels, geometry.ranks
-        return [
-            ShardPlan(
-                index=index,
-                bank=self.bank(index),
-                start=start,
-                stop=stop,
-                calls=shard_calls,
-                channel=index % channels,
-                rank=(index // channels) % ranks,
+        resized: dict[int, tuple[ApiCall, ...]] = {}
+        programs: dict[int, tuple[tuple | None, CompiledProgram]] = {}
+        plans = []
+        for index, (start, stop) in enumerate(self.slice_bounds(size, shards)):
+            shard_calls = resized.get(stop - start)
+            if shard_calls is None:
+                shard_calls = resized[stop - start] = self._resize_calls(calls, stop - start)
+                compiled, key = compile_cached_with_key(shard_calls)
+                programs[stop - start] = (key, compiled)
+            plans.append(
+                ShardPlan(
+                    index=index,
+                    bank=self.bank(index),
+                    start=start,
+                    stop=stop,
+                    calls=shard_calls,
+                    channel=index % channels,
+                    rank=(index // channels) % ranks,
+                )
             )
-            for index, (start, stop, shard_calls) in enumerate(
-                self.plan_slices(calls, shards)
-            )
-        ]
+        return ShardLayout(
+            geometry=geometry,
+            plans=tuple(plans),
+            programs=programs,
+            vectors={
+                vector.name: size for call in calls for vector in (*call.inputs, call.output)
+            },
+        )
 
     def bank(self, index: int) -> int:
         """The rank-local bank shard ``index`` is placed in.
@@ -403,41 +446,28 @@ class ShardPlanner:
         """
         return self._bank_order[index // (self.geometry.channels * self.geometry.ranks)]
 
-    @classmethod
-    def plan_slices(
-        cls, calls: Sequence[ApiCall], shards: int
-    ) -> list[tuple[int, int, tuple[ApiCall, ...]]]:
-        """Balanced contiguous ``(start, stop, rewritten calls)`` slices.
+    @staticmethod
+    def slice_bounds(size: int, shards: int) -> list[tuple[int, int]]:
+        """Balanced contiguous ``(start, stop)`` slices of ``size`` elements.
 
-        The placement-free half of :meth:`plan`.  Shard sizes differ by at
-        most one element, so equal-sized shards lower to structurally
-        identical programs and compile once.
+        Shard sizes differ by at most one element, the larger first, so a
+        split takes at most two distinct slice sizes and equal-sized
+        shards run one program.
         """
         if shards <= 0:
             raise ConfigurationError("shard count must be positive")
-        size = cls._uniform_size(calls)
         if shards > size:
             raise ConfigurationError(
                 f"cannot split {size} elements into {shards} non-empty shards"
             )
-        slices: list[tuple[int, int, tuple[ApiCall, ...]]] = []
         base, remainder = divmod(size, shards)
-        # Balanced shards take at most two distinct sizes, and the
-        # rewritten call tuples depend only on the size — share them so
-        # planning allocates O(distinct sizes) replica programs instead
-        # of O(shards x calls) vectors.
-        resized: dict[int, tuple[ApiCall, ...]] = {}
+        bounds = []
         start = 0
         for index in range(shards):
             stop = start + base + (1 if index < remainder else 0)
-            shard_size = stop - start
-            shard_calls = resized.get(shard_size)
-            if shard_calls is None:
-                shard_calls = cls._resize_calls(calls, shard_size)
-                resized[shard_size] = shard_calls
-            slices.append((start, stop, shard_calls))
+            bounds.append((start, stop))
             start = stop
-        return slices
+        return bounds
 
     @staticmethod
     def _uniform_size(calls: Sequence[ApiCall]) -> int:
@@ -599,17 +629,17 @@ def _join(parts: Sequence[Mapping[str, np.ndarray]]) -> dict[str, np.ndarray]:
 
 def execute_shard_plans(
     controller: PlutoController,
-    plans: Sequence[ShardPlan],
+    layout: ShardLayout,
     arrays: Mapping[str, np.ndarray],
     *,
     fused: bool | None = None,
 ) -> tuple[list[ExecutionResult], dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Execute shard plans, fused in one batched pass when possible.
+    """Execute a layout's shards, fused in one batched pass when possible.
 
-    ``plans`` are balanced contiguous slices in index order, as
-    :class:`ShardPlanner` produces them.  With a batched-capable backend
-    (``fused=None`` auto-detects; ``False`` forces the per-shard oracle
-    loop) each group of equal-sized shards executes in a single
+    Each shard runs its slice size's program from ``layout``.  With a
+    batched-capable backend (``fused=None`` auto-detects; ``False``
+    forces the per-shard oracle loop) each group of equal-sized shards
+    executes in a single
     controller pass over a ``(shards, size)`` view of its slice of the
     inputs — one NumPy gather per LUT query instead of ``shards`` trips
     through the controller, and no copy of the inputs.  Outputs, traces,
@@ -620,27 +650,26 @@ def execute_shard_plans(
     arrays are views of the fused pass's results when every shard has one
     size, and are concatenated when the split made two sizes.
     """
-    from repro.api.session import compile_cached_with_key
-
     use_fused = controller.backend.supports_batched if fused is None else fused
     if use_fused and not controller.backend.supports_batched:
         raise ConfigurationError(
             f"backend {controller.backend.name!r} cannot run fused; "
             "pass fused=False (or None) to use the per-shard path"
         )
+    programs = layout.programs
     if not use_fused:
         results = [
             controller.execute(
-                compile_cached_with_key(plan.calls)[0],
+                programs[plan.size][1],
                 {name: data[plan.start : plan.stop] for name, data in arrays.items()},
                 bank=plan.bank,
             )
-            for plan in plans
+            for plan in layout.plans
         ]
         parts: list = results
     else:
         groups: dict[int, list] = {}
-        for plan in plans:
+        for plan in layout.plans:
             groups.setdefault(plan.stop - plan.start, []).append(plan)
         results = []
         parts = []
@@ -650,7 +679,7 @@ def execute_shard_plans(
                 raise ExecutionError(
                     "fused shards of one size must be consecutive slices"
                 )
-            compiled, structure_key = compile_cached_with_key(group[0].calls)
+            structure_key, compiled = programs[size]
             fused_results = controller.execute_fused(
                 compiled,
                 {
@@ -667,7 +696,7 @@ def execute_shard_plans(
 
 
 class ParallelDispatcher:
-    """Executes shard plans through the controller and merges the results.
+    """Executes shard layouts through the controller and merges the results.
 
     ``fused`` selects the execution strategy: ``None`` (default) runs the
     shards in one batched pass when the backend supports it, ``False``
@@ -677,7 +706,9 @@ class ParallelDispatcher:
     ``channels`` / ``ranks`` optionally *narrow* the placement to a
     subset of the engine's channels and ranks (the auto-planner prices
     partial placements, and a bank-sharded plan runs on one channel and
-    one rank); ``None`` uses the engine geometry's full count.
+    one rank); ``None`` uses the engine geometry's full count.  Its
+    :attr:`planner` lays programs out over that placement:
+    ``dispatcher.execute(dispatcher.planner.plan(calls, shards), inputs)``.
     """
 
     def __init__(
@@ -692,76 +723,47 @@ class ParallelDispatcher:
     ) -> None:
         self.engine = engine if engine is not None else PlutoEngine(PlutoConfig())
         self.planner = ShardPlanner(self.engine.geometry, channels=channels, ranks=ranks)
-        self.channels = self.planner.geometry.channels
-        self.ranks = self.planner.geometry.ranks
         self.controller = PlutoController(self.engine, backend=backend, jit=jit)
         self.fused = fused
 
     def execute(
-        self,
-        calls: Sequence[ApiCall],
-        inputs: Mapping[str, np.ndarray],
-        *,
-        shards: int | None = None,
+        self, layout: ShardLayout, inputs: Mapping[str, np.ndarray]
     ) -> ShardedExecutionResult:
-        """Run ``calls`` over ``shards`` slices of ``inputs`` in parallel.
+        """Run ``layout``'s shards over their slices of ``inputs`` in parallel.
 
-        ``shards`` defaults to every bank of the placement.
+        A layout planned for another placement raises
+        :class:`~repro.errors.ConfigurationError` before any shard runs:
+        the schedule places stream *i* where this placement puts shard *i*.
         """
-        plans = self.planner.plan(calls, shards)
-        self._verify_plans(plans)
+        placement = self.planner.geometry
+        if layout.geometry != placement:
+            raise ConfigurationError(
+                f"the shard layout was planned for {layout.geometry}, not for "
+                f"this dispatcher's placement {placement}; lay the program out "
+                "with the dispatcher's planner"
+            )
         arrays = {name: np.asarray(data) for name, data in inputs.items()}
-        self._check_inputs(calls, arrays)
+        self._check_inputs(layout.vectors, arrays)
         shard_results, outputs, registers = execute_shard_plans(
-            self.controller, plans, arrays, fused=self.fused
+            self.controller, layout, arrays, fused=self.fused
         )
-        return self._merge(plans, shard_results, outputs, registers)
-
-    # ------------------------------------------------------------------ #
-    # Validation
-    # ------------------------------------------------------------------ #
-    def _verify_plans(self, plans: list[ShardPlan]) -> None:
-        """Statically verify the shard plan, per the engine's verify mode.
-
-        Catches slice aliasing and bad bank placement before any shard
-        executes — two shards writing one output region is the silent
-        corruption sharded execution must never reach.
-        """
-        from repro.analyze.verifier import (
-            verification_enabled,
-            verify_shard_plans,
-        )
-
-        if verification_enabled(self.engine.config.verify):
-            verify_shard_plans(
-                plans, num_banks=self.planner.geometry.total_banks
-            ).raise_if_errors()
+        return self._merge(layout, shard_results, outputs, registers)
 
     @staticmethod
-    def _check_inputs(
-        calls: Sequence[ApiCall], arrays: Mapping[str, np.ndarray]
-    ) -> None:
+    def _check_inputs(vectors: Mapping[str, int], arrays: Mapping[str, np.ndarray]) -> None:
         """Validate inputs against the *full-size* program vectors.
 
         The per-shard controller only ever sees exact-size slices, so
         without this check an oversized input array would be silently
         truncated — diverging from the unsharded run, which rejects it.
         """
-        vectors = {
-            vector.name: vector
-            for call in calls
-            for vector in (*call.inputs, call.output)
-        }
         for name, data in arrays.items():
-            vector = vectors.get(name)
-            if vector is None:
+            size = vectors.get(name)
+            if size is None:
+                raise ExecutionError(f"input {name!r} is not a vector of this program")
+            if data.size != size:
                 raise ExecutionError(
-                    f"input {name!r} is not a vector of this program"
-                )
-            if data.size != vector.size:
-                raise ExecutionError(
-                    f"input {name!r} has {data.size} elements, "
-                    f"expected {vector.size}"
+                    f"input {name!r} has {data.size} elements, expected {size}"
                 )
 
     # ------------------------------------------------------------------ #
@@ -769,12 +771,12 @@ class ParallelDispatcher:
     # ------------------------------------------------------------------ #
     def _merge(
         self,
-        plans: list[ShardPlan],
+        layout: ShardLayout,
         shard_results: list[ExecutionResult],
         outputs: dict[str, np.ndarray],
         registers: dict[str, np.ndarray],
     ) -> ShardedExecutionResult:
-        engine, channels, ranks = self.engine, self.channels, self.ranks
+        engine, channels, ranks = self.engine, layout.geometry.channels, layout.geometry.ranks
         merged_trace = CommandTrace(timing=engine.timing, energy=engine.energy)
         for result in shard_results:
             merged_trace.merge(result.trace)
@@ -810,7 +812,7 @@ class ParallelDispatcher:
             registers=registers,
             backend=self.controller.backend.name,
             shard_results=shard_results,
-            shard_plans=plans,
+            shard_plans=list(layout.plans),
             makespan_ns=makespan,
             bank_only_makespan_ns=bank_only,
             rank_parallel_makespan_ns=rank_parallel,

@@ -341,7 +341,7 @@ def figure12_sharded_scaling(
     )
     dispatcher = ParallelDispatcher(engine)
     executions = {
-        shards: dispatcher.execute(session.calls, inputs, shards=shards)
+        shards: dispatcher.execute(dispatcher.planner.plan(session.calls, shards), inputs)
         for shards in shard_counts
     }
     # The speedup baseline is always a true single-shard run, whatever
@@ -350,7 +350,7 @@ def figure12_sharded_scaling(
         reference = executions[1].makespan_ns
     else:
         reference = dispatcher.execute(
-            session.calls, inputs, shards=1
+            dispatcher.planner.plan(session.calls, 1), inputs
         ).makespan_ns
     for shards in shard_counts:
         execution = executions[shards]
@@ -435,7 +435,7 @@ def figure13_sharded_tfaw(
             PlutoConfig(design=PlutoDesign.BSA, tfaw_fraction=fraction)
         )
         dispatcher = ParallelDispatcher(engine)
-        execution = dispatcher.execute(session.calls, inputs, shards=shards)
+        execution = dispatcher.execute(dispatcher.planner.plan(session.calls, shards), inputs)
         if reference is None:
             reference = execution.makespan_ns
         result.rows.append(
@@ -483,7 +483,8 @@ def figure_hierarchy_scaling(
                 ranks=ranks,
             )
         )
-        execution = ParallelDispatcher(engine).execute(session.calls, inputs)
+        dispatcher = ParallelDispatcher(engine)
+        execution = dispatcher.execute(dispatcher.planner.plan(session.calls), inputs)
         decomposition = execution.speedup_decomposition
         result.rows.append(
             {

@@ -17,9 +17,13 @@ structure, the engine configuration and the request alone.
 The planner keeps no memo of its own: every front door prepares a
 program into one :class:`~repro.api.session.ProgramArtifact` per
 request identity, plan included, so a structurally repeated request
-reuses its artifact and never reaches the planner.  Every chosen
-sharded plan passes :func:`~repro.analyze.verifier.verify_shard_plans`
-before it is returned.
+reuses its artifact and never reaches the planner.  Pricing needs only
+each candidate's slice lengths
+(:meth:`~repro.controller.dispatch.ShardPlanner.slice_bounds`), so a
+slice's calls are resized once per distinct length.  The chosen plan is
+laid out once, by :meth:`~repro.controller.dispatch.ShardPlanner.plan`
+when its artifact is prepared, and the layout verifies itself as it is
+built.
 """
 
 from __future__ import annotations
@@ -161,25 +165,6 @@ def _complexity(plan: ExecutionPlan) -> tuple[int, int]:
     return (1 if plan.hierarchical else 0, plan.effective_shards)
 
 
-def _verify_chosen(
-    plan: ExecutionPlan,
-    calls: Sequence["ApiCall"],
-    engine: "PlutoEngine",
-) -> None:
-    """Run the chosen shard plan through the static shard-plan verifier."""
-    from repro.analyze.verifier import verify_shard_plans
-    from repro.controller.dispatch import ShardPlanner
-
-    if plan.hierarchical or plan.effective_shards > 1:
-        channels, ranks = plan.placement
-        planner = ShardPlanner(engine.geometry, channels=channels, ranks=ranks)
-        verify_shard_plans(
-            planner.plan(calls, plan.shards),
-            num_banks=planner.geometry.total_banks,
-            subject="auto-planned shard plan",
-        ).raise_if_errors()
-
-
 def _enumerate(
     calls: Sequence["ApiCall"],
     engine: "PlutoEngine",
@@ -187,7 +172,7 @@ def _enumerate(
     modes: tuple[str, ...],
     request: ExecutionPlan,
     supports_batched: bool,
-) -> tuple[list[CandidatePlan], dict[bool, Sequence["ApiCall"]]]:
+) -> list[CandidatePlan]:
     """Price every candidate configuration for ``calls`` on ``engine``.
 
     A candidate whose program cannot be allocated is skipped; when none
@@ -223,12 +208,10 @@ def _enumerate(
 
     candidates: list[CandidatePlan] = []
     unallocatable: list[AllocationError] = []
-    calls_by_optimize: dict[bool, Sequence["ApiCall"]] = {}
     for optimize in optimize_options:
         plan_calls: Sequence["ApiCall"] = (
             list(optimize_cached(list(calls)).calls) if optimize else list(calls)
         )
-        calls_by_optimize[optimize] = plan_calls
 
         try:
             size: int | None = ShardPlanner._uniform_size(plan_calls)
@@ -241,19 +224,25 @@ def _enumerate(
                 raise
             size = None
 
-        templates: dict[int, "TraceTemplate | AllocationError"] = {}
+        # Slice length -> accounting template; the whole program is the
+        # length ``size`` (``None`` when it has no uniform one).
+        templates: dict[int | None, "TraceTemplate | AllocationError"] = {}
 
-        def templates_of(
-            programs: Sequence[tuple[Sequence["ApiCall"], int]],
-        ) -> "list[TraceTemplate] | None":
+        def templates_of(lengths: Sequence[int | None]) -> "list[TraceTemplate] | None":
             """Compiled (cached) accounting templates, one build per length.
 
+            A slice's calls are resized only when its length is new.
             ``None`` when a program cannot be allocated.
             """
             built: list["TraceTemplate"] = []
-            for shard_calls, length in programs:
+            for length in lengths:
                 template = templates.get(length)
                 if template is None:
+                    shard_calls = (
+                        plan_calls
+                        if length is None or length == size
+                        else ShardPlanner._resize_calls(plan_calls, length)
+                    )
                     try:
                         template = controller.trace_template(compile_cached(shard_calls))
                     except AllocationError as error:
@@ -268,7 +257,7 @@ def _enumerate(
         if "single" in modes or size is None:
             if not plan_calls:
                 continue
-            whole = templates_of([(plan_calls, size if size is not None else -1)])
+            whole = templates_of([size])
             if whole is not None:
                 candidates.append(
                     _price(ExecutionPlan(shards=1, optimize=optimize, tier=tier), whole, engine)
@@ -293,16 +282,13 @@ def _enumerate(
                 else:
                     continue
                 shard_templates = templates_of(
-                    [
-                        (shard_calls, stop - start)
-                        for start, stop, shard_calls in planner.plan_slices(plan_calls, shards)
-                    ]
+                    [stop - start for start, stop in ShardPlanner.slice_bounds(size, shards)]
                 )
                 if shard_templates is not None:
                     candidates.append(_price(plan, shard_templates, engine, planner))
     if not candidates and unallocatable:
         raise unallocatable[0]
-    return candidates, calls_by_optimize
+    return candidates
 
 
 def _choose(candidates: Sequence[CandidatePlan]) -> CandidatePlan:
@@ -369,8 +355,9 @@ def plan_program(
 
     Every call plans: reuse lives in the program artifact table of
     :func:`~repro.api.session.prepare_execution`.  The returned plan is
-    concrete (``mode="explicit"``) and its shard plan, when sharded, has
-    passed :func:`~repro.analyze.verifier.verify_shard_plans`.
+    concrete (``mode="explicit"``); when it is sharded,
+    :func:`~repro.api.session.prepare_execution` lays it out and the
+    layout verifies itself as it is built.
     """
     from repro.core.engine import PlutoConfig, PlutoEngine
 
@@ -383,7 +370,7 @@ def plan_program(
             "plan_program expects an auto plan; explicit plans execute as-is"
         )
 
-    candidates, calls_by_optimize = _enumerate(
+    candidates = _enumerate(
         calls,
         engine,
         modes=modes,
@@ -397,7 +384,6 @@ def plan_program(
         )
     chosen = _choose(candidates)
     plan = chosen.plan
-    _verify_chosen(plan, calls_by_optimize[bool(plan.optimize)], engine)
     report = PlannerReport(
         subject=subject,
         candidates=tuple(candidates),

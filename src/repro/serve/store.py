@@ -54,7 +54,8 @@ __all__ = [
 
 #: Bump when the artifact layout (or the meaning of any stored product)
 #: changes; entries written under another schema are discarded as stale.
-ARTIFACT_SCHEMA_VERSION = 3
+#: Version 4: a sharded artifact carries its verified shard layout.
+ARTIFACT_SCHEMA_VERSION = 4
 
 
 #: Process-wide hit/miss/stale/saved/installed counters and cumulative
@@ -179,7 +180,8 @@ class SharedArtifactStore:
 
         The program is prepared exactly as the execution front doors
         prepare it (:func:`repro.api.session.prepare_execution`), and
-        verified: a program with verification errors is rejected.  A
+        verified: a program with verification errors, or a sharded plan
+        that cannot be laid out, is rejected and nothing is saved.  A
         process that already served the program holds its artifact, so
         exporting it costs one table lookup and one write.  ``plan``
         ``None`` defers to the engine's default plan.

@@ -159,12 +159,10 @@ class TestCompiledFused:
     def test_fused_dispatch_uses_compiled_tier(self):
         session, inputs = _mixed_program(66)
         engine = PlutoEngine(PlutoConfig())
-        fused = ParallelDispatcher(engine, fused=True).execute(
-            session.calls, inputs, shards=3
-        )
-        loop = ParallelDispatcher(engine, fused=False).execute(
-            session.calls, inputs, shards=3
-        )
+        fused_dispatcher = ParallelDispatcher(engine, fused=True)
+        fused = fused_dispatcher.execute(fused_dispatcher.planner.plan(session.calls, 3), inputs)
+        loop_dispatcher = ParallelDispatcher(engine, fused=False)
+        loop = loop_dispatcher.execute(loop_dispatcher.planner.plan(session.calls, 3), inputs)
         for name, data in loop.outputs.items():
             assert np.array_equal(fused.outputs[name], data), name
         assert fused.makespan_ns == loop.makespan_ns

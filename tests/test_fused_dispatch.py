@@ -51,6 +51,11 @@ def _mixed_program(elements: int = ELEMENTS):
     return session, inputs
 
 
+def _run(dispatcher, session, inputs, shards=None):
+    """Lay ``session``'s program out on ``dispatcher``'s placement and run it."""
+    return dispatcher.execute(dispatcher.planner.plan(session.calls, shards), inputs)
+
+
 def _assert_same_results(fused, loop):
     assert len(fused.shard_results) == len(loop.shard_results)
     for shard_fused, shard_loop in zip(fused.shard_results, loop.shard_results):
@@ -85,12 +90,8 @@ class TestFusedDispatch:
     def test_bit_identical_to_per_shard(self, design, shards):
         session, inputs = _mixed_program()
         engine = PlutoEngine(PlutoConfig(design=design, tfaw_fraction=1.0))
-        fused = ParallelDispatcher(engine, fused=True).execute(
-            session.calls, inputs, shards=shards
-        )
-        loop = ParallelDispatcher(engine, fused=False).execute(
-            session.calls, inputs, shards=shards
-        )
+        fused = _run(ParallelDispatcher(engine, fused=True), session, inputs, shards)
+        loop = _run(ParallelDispatcher(engine, fused=False), session, inputs, shards)
         assert fused.backend == loop.backend == "vectorized"
         _assert_same_results(fused, loop)
 
@@ -98,12 +99,8 @@ class TestFusedDispatch:
         """Fused vectorized output == per-shard functional execution."""
         session, inputs = _mixed_program(96)
         engine = PlutoEngine(PlutoConfig())
-        fused = ParallelDispatcher(engine, fused=True).execute(
-            session.calls, inputs, shards=6
-        )
-        oracle = ParallelDispatcher(engine, backend="functional").execute(
-            session.calls, inputs, shards=6
-        )
+        fused = _run(ParallelDispatcher(engine, fused=True), session, inputs, 6)
+        oracle = _run(ParallelDispatcher(engine, backend="functional"), session, inputs, 6)
         assert oracle.backend == "functional"
         for name, data in oracle.outputs.items():
             assert np.array_equal(fused.outputs[name], data), name
@@ -112,21 +109,17 @@ class TestFusedDispatch:
     def test_functional_backend_defaults_to_per_shard(self):
         session, inputs = _mixed_program(64)
         dispatcher = ParallelDispatcher(backend="functional")
-        result = dispatcher.execute(session.calls, inputs, shards=4)
+        result = _run(dispatcher, session, inputs, 4)
         assert result.backend == "functional"
         with pytest.raises(ConfigurationError, match="cannot run fused"):
-            ParallelDispatcher(backend="functional", fused=True).execute(
-                session.calls, inputs, shards=4
-            )
+            _run(ParallelDispatcher(backend="functional", fused=True), session, inputs, 4)
 
     def test_uneven_shards_group_by_size(self):
         """29 elements over 6 shards: two size groups, outputs intact."""
         session, inputs = _mixed_program(29)
         engine = PlutoEngine(PlutoConfig())
         reference = session.run(inputs, engine=engine)
-        fused = ParallelDispatcher(engine, fused=True).execute(
-            session.calls, inputs, shards=6
-        )
+        fused = _run(ParallelDispatcher(engine, fused=True), session, inputs, 6)
         sizes = {plan.size for plan in fused.shard_plans}
         assert sizes == {4, 5}
         for name, data in reference.outputs.items():
@@ -138,8 +131,8 @@ class TestFusedDispatch:
         engine = PlutoEngine(
             PlutoConfig(tfaw_fraction=1.0, channels=channels, ranks=ranks)
         )
-        fused = ParallelDispatcher(engine, fused=True).execute(session.calls, inputs)
-        loop = ParallelDispatcher(engine, fused=False).execute(session.calls, inputs)
+        fused = _run(ParallelDispatcher(engine, fused=True), session, inputs)
+        loop = _run(ParallelDispatcher(engine, fused=False), session, inputs)
         assert fused.num_shards == engine.geometry.total_banks
         _assert_same_results(fused, loop)
 
@@ -186,16 +179,16 @@ class TestExecuteFused:
         session, inputs = _mixed_program(32)
         engine = PlutoEngine(PlutoConfig())
         dispatcher = ParallelDispatcher(engine, fused=True)
-        dispatcher.execute(session.calls, inputs, shards=4)
+        _run(dispatcher, session, inputs, 4)
         first = cache_stats()["trace_templates"]
         assert first["misses"] >= 1
         # The template is kept on the slice program, once per engine config.
         (slice_program,) = [
-            compile_cached(shard.calls) for shard in ShardPlanner().plan(session.calls, 4)[:1]
+            compile_cached(shard.calls) for shard in ShardPlanner().plan(session.calls, 4).plans[:1]
         ]
         assert list(slice_program.templates) == [engine.config]
         assert first["size"] >= 1
-        dispatcher.execute(session.calls, inputs, shards=4)
+        _run(dispatcher, session, inputs, 4)
         second = cache_stats()["trace_templates"]
         assert second["hits"] > first["hits"]
         assert second["misses"] == first["misses"]
@@ -209,12 +202,8 @@ def _uint64_inputs(inputs):
 def _fused_and_oracle(placement, session, inputs, shards, jit=True):
     channels, ranks = placement
     engine = PlutoEngine(PlutoConfig(tfaw_fraction=1.0, channels=channels, ranks=ranks))
-    fused = ParallelDispatcher(engine, fused=True, jit=jit).execute(
-        session.calls, inputs, shards=shards
-    )
-    oracle = ParallelDispatcher(engine, backend="functional").execute(
-        session.calls, inputs, shards=shards
-    )
+    fused = _run(ParallelDispatcher(engine, fused=True, jit=jit), session, inputs, shards)
+    oracle = _run(ParallelDispatcher(engine, backend="functional"), session, inputs, shards)
     return fused, oracle
 
 
@@ -293,23 +282,30 @@ class TestPlannerSharing:
     def test_equal_shards_share_call_tuples(self):
         """The resize fix: one rewritten program per distinct shard size."""
         session, _ = _mixed_program(64)
-        plans = ShardPlanner().plan(session.calls, 8)
-        assert all(plan.calls is plans[0].calls for plan in plans)
+        layout = ShardPlanner().plan(session.calls, 8)
+        assert all(plan.calls is layout.plans[0].calls for plan in layout.plans)
+        assert list(layout.programs) == [8]
 
     def test_two_sizes_share_within_each_group(self):
         session, _ = _mixed_program(29)
-        plans = ShardPlanner().plan(session.calls, 6)
+        layout = ShardPlanner().plan(session.calls, 6)
         by_size = {}
-        for plan in plans:
+        for plan in layout.plans:
             by_size.setdefault(plan.size, set()).add(id(plan.calls))
         assert all(len(ids) == 1 for ids in by_size.values())
         assert len(by_size) == 2
+        # One compiled program per distinct slice size, from the program cache.
+        assert sorted(layout.programs) == [4, 5]
+        for plan in layout.plans:
+            key, compiled = layout.programs[plan.size]
+            assert compile_cached(plan.calls) is compiled
+            assert key is not None
 
     def test_full_size_slice_reuses_original_calls(self):
         session, _ = _mixed_program(64)
-        slices = ShardPlanner.plan_slices(session.calls, 1)
-        assert slices[0][2] == tuple(session.calls)
-        assert slices[0][2][0] is session.calls[0]
+        (plan,) = ShardPlanner().plan(session.calls, 1).plans
+        assert plan.calls == tuple(session.calls)
+        assert plan.calls[0] is session.calls[0]
 
 
 class TestCacheStatsSurface:

@@ -237,11 +237,11 @@ def test_differential_compiled_tier(seed, any_design):
         # Fused sharded execution routes through the compiled closure
         # when the program supports it and must match the per-shard
         # functional oracle exactly.
-        fused = ParallelDispatcher(engine, fused=True).execute(
-            calls, external, shards=3
-        )
-        sharded_oracle = ParallelDispatcher(engine, backend="functional").execute(
-            calls, external, shards=3
+        fused_dispatcher = ParallelDispatcher(engine, fused=True)
+        fused = fused_dispatcher.execute(fused_dispatcher.planner.plan(calls, 3), external)
+        oracle_dispatcher = ParallelDispatcher(engine, backend="functional")
+        sharded_oracle = oracle_dispatcher.execute(
+            oracle_dispatcher.planner.plan(calls, 3), external
         )
         for name, data in sharded_oracle.outputs.items():
             assert np.array_equal(fused.outputs[name], data), name

@@ -249,6 +249,29 @@ class TestPlannerIsPure:
             assert json.loads(output) == expected
 
 
+class TestSliceResizing:
+    @pytest.mark.parametrize("channels, ranks, resizes", [(2, 2, 12), (None, None, 8)])
+    def test_each_slice_length_is_resized_once(self, monkeypatch, channels, ranks, resizes):
+        """Pricing resizes the calls once per distinct (slice length,
+        optimizer) pair, however many placements share the length."""
+        from repro.controller.dispatch import ShardPlanner
+
+        original = ShardPlanner._resize_calls
+        lengths: list[int] = []
+
+        def counting(calls, size):
+            lengths.append(size)
+            return original(calls, size)
+
+        monkeypatch.setattr(ShardPlanner, "_resize_calls", staticmethod(counting))
+        calls = workload_program("crc", elements=4096, seed=0).session.calls
+        plan_program(calls, PlutoEngine(PlutoConfig(channels=channels, ranks=ranks)))
+        assert len(lengths) == resizes
+        # 2048 down to 64 elements on the 2 x 2 device (2048 down to 256
+        # on one rank), once unoptimized and once optimized.
+        assert len(set(lengths)) == resizes // 2
+
+
 def _candidate(
     makespan_ns: float, energy_nj: float, shards: int = 1, **plan: object
 ) -> CandidatePlan:

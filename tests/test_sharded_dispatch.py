@@ -88,7 +88,7 @@ def _engine(channels: int = 1, ranks: int = 1, **config) -> PlutoEngine:
 class TestShardPlanner:
     def test_balanced_contiguous_slices(self):
         session, _ = _program(10)
-        plans = ShardPlanner().plan(session.calls, 3)
+        plans = ShardPlanner().plan(session.calls, 3).plans
         assert [(p.start, p.stop) for p in plans] == [(0, 4), (4, 7), (7, 10)]
         # One rank of one channel, banks round-robin over bank groups.
         assert [p.bank for p in plans] == [0, 4, 8]
@@ -101,12 +101,12 @@ class TestShardPlanner:
 
     def test_eight_shards_take_two_banks_per_group(self):
         session, _ = _program(64)
-        plans = ShardPlanner().plan(session.calls, 8)
+        plans = ShardPlanner().plan(session.calls, 8).plans
         assert sorted(p.bank for p in plans) == [0, 1, 4, 5, 8, 9, 12, 13]
 
     def test_channel_first_placement(self):
         session, _ = _program(64)
-        plans = ShardPlanner(DRAMGeometry(channels=2, ranks=2)).plan(session.calls, 8)
+        plans = ShardPlanner(DRAMGeometry(channels=2, ranks=2)).plan(session.calls, 8).plans
         assert [plan.channel for plan in plans] == [0, 1, 0, 1, 0, 1, 0, 1]
         assert [plan.rank for plan in plans] == [0, 0, 1, 1, 0, 0, 1, 1]
         # The first four shards use bank 0 of four different (channel,
@@ -123,12 +123,12 @@ class TestShardPlanner:
     def test_default_shard_count_uses_every_bank(self):
         session, _ = _program(256)
         geometry = DRAMGeometry(channels=2, ranks=1)
-        plans = ShardPlanner(geometry).plan(session.calls)
+        plans = ShardPlanner(geometry).plan(session.calls).plans
         assert len(plans) == geometry.total_banks == 32
 
     def test_default_clamps_to_element_count(self):
         session, _ = _program(3)
-        plans = ShardPlanner(DRAMGeometry()).plan(session.calls)
+        plans = ShardPlanner(DRAMGeometry()).plan(session.calls).plans
         assert len(plans) == 3
 
     def test_narrowing_places_on_a_subset_of_the_device(self):
@@ -136,7 +136,7 @@ class TestShardPlanner:
         device = DRAMGeometry(channels=2, ranks=2)
         planner = ShardPlanner(device, channels=1, ranks=1)
         assert planner.geometry.total_banks == 16
-        assert {(p.channel, p.rank) for p in planner.plan(session.calls, 16)} == {(0, 0)}
+        assert {(p.channel, p.rank) for p in planner.plan(session.calls, 16).plans} == {(0, 0)}
         assert ShardPlanner(device, ranks=1).geometry.total_banks == 32
         with pytest.raises(ConfigurationError, match="channels"):
             ShardPlanner(device, channels=3)
@@ -183,7 +183,7 @@ class TestShardPlanner:
 
     def test_slices_cover_elements_exactly(self):
         session, _ = _program(29)
-        plans = ShardPlanner(DRAMGeometry(channels=2, ranks=2)).plan(session.calls, 6)
+        plans = ShardPlanner(DRAMGeometry(channels=2, ranks=2)).plan(session.calls, 6).plans
         assert plans[0].start == 0
         assert plans[-1].stop == 29
         for before, after in zip(plans, plans[1:]):
@@ -204,9 +204,8 @@ class TestDifferential:
         engine = _engine(channels, ranks)
         reference = session.run(inputs, engine=engine)
         shards = channels * ranks * banks_used
-        result = ParallelDispatcher(engine, backend=backend).execute(
-            session.calls, inputs, shards=shards
-        )
+        dispatcher = ParallelDispatcher(engine, backend=backend)
+        result = dispatcher.execute(dispatcher.planner.plan(session.calls, shards), inputs)
         assert isinstance(result, ShardedExecutionResult)
         assert result.num_shards == shards
         assert result.backend == backend
@@ -221,9 +220,8 @@ class TestDifferential:
     def test_makespan_between_bounds(self, shards):
         session, inputs = _program()
         engine = _engine()
-        result = ParallelDispatcher(engine).execute(
-            session.calls, inputs, shards=shards
-        )
+        dispatcher = ParallelDispatcher(engine)
+        result = dispatcher.execute(dispatcher.planner.plan(session.calls, shards), inputs)
         # Strictly faster than draining every shard through one bank ...
         assert result.makespan_ns < result.serial_latency_ns
         # ... but never below the rank's tFAW activation floor.
@@ -237,7 +235,8 @@ class TestDifferential:
     def test_single_shard_matches_serial(self, any_design, channels, ranks):
         session, inputs = _program()
         engine = _engine(channels, ranks, design=any_design)
-        result = ParallelDispatcher(engine).execute(session.calls, inputs, shards=1)
+        dispatcher = ParallelDispatcher(engine)
+        result = dispatcher.execute(dispatcher.planner.plan(session.calls, 1), inputs)
         assert result.makespan_ns == pytest.approx(
             result.serial_latency_ns, rel=1e-6
         )
@@ -251,29 +250,39 @@ class TestDifferential:
         """Sharded runs must reject what unsharded runs reject, not slice."""
         session, inputs = _program(16)
         dispatcher = ParallelDispatcher(_engine(channels, ranks))
+        layout = dispatcher.planner.plan(session.calls, 2)
         oversized = dict(inputs, a=np.zeros(32, dtype=np.uint64))
-        with pytest.raises(ExecutionError):
-            dispatcher.execute(session.calls, oversized, shards=2)
+        with pytest.raises(ExecutionError, match="'a' has 32 elements, expected 16"):
+            dispatcher.execute(layout, oversized)
         unknown = dict(inputs, ghost=np.zeros(16, dtype=np.uint64))
-        with pytest.raises(ExecutionError):
-            dispatcher.execute(session.calls, unknown, shards=2)
+        with pytest.raises(ExecutionError, match="'ghost' is not a vector"):
+            dispatcher.execute(layout, unknown)
 
     @PLACEMENTS
-    def test_every_placement_is_statically_verified(self, monkeypatch, channels, ranks):
+    @pytest.mark.parametrize("verify", ["always", "debug", "off"])
+    def test_every_placement_is_statically_verified(
+        self, monkeypatch, channels, ranks, verify
+    ):
+        """A layout is verified once, as it is built, under every verify
+        mode; executing it verifies nothing."""
         import repro.analyze.verifier as verifier
 
         checked = []
-        verify = verifier.verify_shard_plans
+        original = verifier.verify_shard_plans
 
         def recording(plans, **options):
-            checked.append((len(plans), options["num_banks"]))
-            return verify(plans, **options)
+            checked.append((len(plans), options["geometry"]))
+            return original(plans, **options)
 
         monkeypatch.setattr(verifier, "verify_shard_plans", recording)
         session, inputs = _program(64)
-        engine = _engine(channels, ranks, verify="always")
-        ParallelDispatcher(engine).execute(session.calls, inputs, shards=4)
-        assert checked == [(4, engine.geometry.total_banks)]
+        engine = _engine(channels, ranks, verify=verify)
+        dispatcher = ParallelDispatcher(engine)
+        layout = dispatcher.planner.plan(session.calls, 4)
+        assert checked == [(4, engine.geometry)]
+        dispatcher.execute(layout, inputs)
+        dispatcher.execute(layout, inputs)
+        assert checked == [(4, engine.geometry)]
 
     def test_makespan_improves_with_shards(self):
         # 32768 elements: the add's merged 8-bit index register spans four
@@ -282,7 +291,7 @@ class TestDifferential:
         session, inputs = _program(32768)
         dispatcher = ParallelDispatcher(_engine())
         makespans = [
-            dispatcher.execute(session.calls, inputs, shards=n).makespan_ns
+            dispatcher.execute(dispatcher.planner.plan(session.calls, n), inputs).makespan_ns
             for n in (1, 2, 4)
         ]
         assert makespans[0] > makespans[1] > makespans[2]
@@ -290,9 +299,8 @@ class TestDifferential:
     @PLACEMENTS
     def test_per_level_makespans_are_monotone(self, channels, ranks):
         session, inputs = _mac_program(8192)
-        result = ParallelDispatcher(_engine(channels, ranks)).execute(
-            session.calls, inputs
-        )
+        dispatcher = ParallelDispatcher(_engine(channels, ranks))
+        result = dispatcher.execute(dispatcher.planner.plan(session.calls), inputs)
         assert (
             result.makespan_ns
             <= result.rank_parallel_makespan_ns
@@ -310,9 +318,8 @@ class TestDifferential:
         """One rank of one channel schedules once; every level is that merge."""
         session, inputs = _mac_program(4096)
         engine = _engine(2, 2)
-        result = ParallelDispatcher(engine, channels=1, ranks=1).execute(
-            session.calls, inputs, shards=8
-        )
+        dispatcher = ParallelDispatcher(engine, channels=1, ranks=1)
+        result = dispatcher.execute(dispatcher.planner.plan(session.calls, 8), inputs)
         makespan = result.makespan_ns
         assert result.bank_only_makespan_ns == makespan
         assert result.rank_parallel_makespan_ns == makespan
@@ -326,24 +333,113 @@ class TestDifferential:
     def test_levels_help_once_tfaw_binds(self):
         """Extra ranks/channels relieve the per-rank tFAW throttle."""
         session, inputs = _mac_program(16384)
-        flat = ParallelDispatcher(_engine(1, 1)).execute(
-            session.calls, inputs, shards=16
-        )
-        tall = ParallelDispatcher(_engine(2, 2)).execute(
-            session.calls, inputs, shards=64
-        )
+        flat_dispatcher = ParallelDispatcher(_engine(1, 1))
+        flat = flat_dispatcher.execute(flat_dispatcher.planner.plan(session.calls, 16), inputs)
+        tall_dispatcher = ParallelDispatcher(_engine(2, 2))
+        tall = tall_dispatcher.execute(tall_dispatcher.planner.plan(session.calls, 64), inputs)
         assert tall.rank_speedup > 1.5
         assert tall.channel_speedup > 1.5
         assert tall.parallel_speedup > flat.parallel_speedup
 
     def test_channel_makespans_cover_device_makespan(self):
         session, inputs = _mac_program(4096)
-        result = ParallelDispatcher(_engine(2, 2)).execute(session.calls, inputs)
+        dispatcher = ParallelDispatcher(_engine(2, 2))
+        result = dispatcher.execute(dispatcher.planner.plan(session.calls), inputs)
         assert set(result.channel_makespans) == {0, 1}
         assert max(result.channel_makespans.values()) == pytest.approx(
             result.makespan_ns
         )
         assert set(result.rank_makespans) == {(c, r) for c in (0, 1) for r in (0, 1)}
+
+
+class TestShardLayout:
+    """A layout is built once, verified as it is built, and only run after."""
+
+    def test_a_layout_for_another_placement_is_rejected_before_any_shard_runs(
+        self, monkeypatch
+    ):
+        import repro.controller.dispatch as dispatch
+
+        ran = []
+        original = dispatch.execute_shard_plans
+
+        def recording(*args, **options):
+            ran.append(1)
+            return original(*args, **options)
+
+        monkeypatch.setattr(dispatch, "execute_shard_plans", recording)
+        session, inputs = _program(64)
+        engine = _engine(2, 2)
+        device_wide = ParallelDispatcher(engine).planner.plan(session.calls, 4)
+        one_rank = ParallelDispatcher(engine, channels=1, ranks=1)
+        with pytest.raises(ConfigurationError, match="planned for"):
+            one_rank.execute(device_wide, inputs)
+        with pytest.raises(ConfigurationError, match="planned for"):
+            ParallelDispatcher(engine).execute(one_rank.planner.plan(session.calls, 4), inputs)
+        with pytest.raises(ConfigurationError, match="planned for"):
+            ParallelDispatcher(_engine(1, 2)).execute(device_wide, inputs)
+        assert ran == []
+        # One rank of any device is the one-rank placement of the default.
+        ParallelDispatcher(_engine()).execute(one_rank.planner.plan(session.calls, 4), inputs)
+        assert ran == [1]
+
+    def test_an_aliased_or_misplaced_layout_cannot_be_built(self):
+        from dataclasses import replace
+
+        session, _ = _program(64)
+        layout = ShardPlanner(DRAMGeometry(channels=2, ranks=2)).plan(session.calls, 4)
+        first, second, *rest = layout.plans
+        aliased = (first, replace(second, start=second.start - 1), *rest)
+        with pytest.raises(VerificationError, match="aliased-slices"):
+            replace(layout, plans=aliased)
+        for position in ({"channel": 2}, {"rank": 2}, {"bank": 16}, {"bank": -1}):
+            misplaced = (*layout.plans[:3], replace(layout.plans[3], **position))
+            with pytest.raises(VerificationError, match="bank-out-of-range"):
+                replace(layout, plans=misplaced)
+
+    @pytest.mark.parametrize(
+        "plan,shape,elements",
+        [
+            (ExecutionPlan(shards=8), (1, 1), 4096),
+            (ExecutionPlan(hierarchical=True), (2, 2), 4096),
+            ("auto", (1, 1), 65536),
+        ],
+        ids=["shards", "hierarchical", "auto"],
+    )
+    def test_a_warm_request_slices_compiles_and_verifies_nothing(
+        self, monkeypatch, plan, shape, elements
+    ):
+        import repro.analyze.verifier as verifier
+        import repro.api.session as session_module
+
+        program = workload_program("crc", elements=elements, seed=1)
+        engine = _engine(*shape)
+        cold = program.session.run(program.inputs, engine=engine, plan=plan)
+        assert isinstance(cold, ShardedExecutionResult)
+        calls: dict[str, int] = {}
+
+        def counting(name, function):
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return function(*args, **kwargs)
+
+            return counted
+
+        resize = counting("_resize_calls", ShardPlanner._resize_calls)
+        monkeypatch.setattr(ShardPlanner, "_resize_calls", staticmethod(resize))
+        for owner, name in (
+            (session_module, "compile_cached_with_key"),
+            (verifier, "verify_shard_plans"),
+            (ParallelDispatcher, "execute"),
+        ):
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+        warm = program.session.run(program.inputs, engine=engine, plan=plan)
+        assert calls == {"execute": 1}
+        assert warm.execution_plan == cold.execution_plan
+        assert warm.latency_ns == cold.latency_ns
+        assert warm.energy_nj == cold.energy_nj
+        for name, data in cold.outputs.items():
+            assert np.array_equal(warm.outputs[name], data), name
 
 
 class TestBankShardedIsOneRankPlacement:
@@ -378,7 +474,8 @@ class TestMakespanModel:
     def test_collapsed_hierarchy_equals_bank_only(self):
         session, inputs = _mac_program(4096)
         engine = _engine(2, 2)
-        result = ParallelDispatcher(engine).execute(session.calls, inputs)
+        dispatcher = ParallelDispatcher(engine)
+        result = dispatcher.execute(dispatcher.planner.plan(session.calls), inputs)
         streams = [r.trace.commands for r in result.shard_results]
         assert _schedule_hierarchy(
             streams, engine, channels=1, ranks=1

@@ -168,8 +168,10 @@ class TestWarmStart:
         for layer in WARM_LAYERS:
             misses = after[layer]["misses"] - before[layer]["misses"]
             assert misses == 0, f"{layer} took {misses} cold miss(es)"
-        # No program was compiled after warm start either.
-        assert after["programs"]["size"] == before["programs"]["size"]
+        # No program was compiled after warm start either, nor even looked
+        # up: the artifact carries every program it runs.
+        for counter in ("size", "hits", "misses"):
+            assert after["programs"][counter] == before["programs"][counter], counter
         assert warm.execution_plan == cold.execution_plan
         assert warm.latency_ns == cold.latency_ns
         assert warm.energy_nj == cold.energy_nj

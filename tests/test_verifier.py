@@ -314,6 +314,11 @@ class TestCompiledVerification:
         assert indices == sorted(indices)
 
 
+#: The default one-rank module (16 banks) and a 2-channel x 2-rank device.
+ONE_RANK = DRAMGeometry()
+TWO_BY_TWO = DRAMGeometry(channels=2, ranks=2)
+
+
 class TestShardPlanVerification:
     @staticmethod
     def _plan(index, bank, start, stop) -> ShardPlan:
@@ -321,11 +326,11 @@ class TestShardPlanVerification:
 
     def test_disjoint_plans_are_clean(self):
         plans = [self._plan(0, 0, 0, 32), self._plan(1, 1, 32, 64)]
-        assert verify_shard_plans(plans, num_banks=16).clean
+        assert verify_shard_plans(plans, geometry=ONE_RANK).clean
 
     def test_aliased_slices(self):
         plans = [self._plan(0, 0, 0, 40), self._plan(1, 1, 32, 64)]
-        report = verify_shard_plans(plans, num_banks=16)
+        report = verify_shard_plans(plans, geometry=ONE_RANK)
         assert "aliased-slices" in report.codes()
         (finding,) = report.errors
         assert "[0, 40)" in finding.message and "[32, 64)" in finding.message
@@ -334,24 +339,24 @@ class TestShardPlanVerification:
 
     def test_slice_gap_is_warning(self):
         plans = [self._plan(0, 0, 0, 16), self._plan(1, 1, 32, 64)]
-        report = verify_shard_plans(plans, num_banks=16)
+        report = verify_shard_plans(plans, geometry=ONE_RANK)
         assert report.ok
         assert "slice-gap" in report.codes()
 
     def test_empty_shard_and_bank_range(self):
         plans = [self._plan(0, 99, 16, 16)]
-        report = verify_shard_plans(plans, num_banks=16)
+        report = verify_shard_plans(plans, geometry=ONE_RANK)
         assert {"empty-shard", "bank-out-of-range"} <= report.codes()
 
     def test_duplicate_bank_is_warning(self):
         plans = [self._plan(0, 3, 0, 32), self._plan(1, 3, 32, 64)]
-        report = verify_shard_plans(plans, num_banks=16)
+        report = verify_shard_plans(plans, geometry=ONE_RANK)
         assert report.ok
         assert "duplicate-bank" in report.codes()
 
     def test_shards_overcommit(self):
         plans = [self._plan(i, i, 4 * i, 4 * (i + 1)) for i in range(20)]
-        report = verify_shard_plans(plans, num_banks=16)
+        report = verify_shard_plans(plans, geometry=ONE_RANK)
         assert "shards-overcommit" in report.codes()
 
     def test_duplicates_are_keyed_on_the_full_position(self):
@@ -360,9 +365,9 @@ class TestShardPlanVerification:
             ShardPlan(index=1, channel=1, rank=0, bank=3, start=32, stop=64, calls=()),
             ShardPlan(index=2, channel=1, rank=1, bank=3, start=64, stop=96, calls=()),
         ]
-        assert verify_shard_plans(plans, num_banks=64).clean
+        assert verify_shard_plans(plans, geometry=TWO_BY_TWO).clean
         twin = replace(plans[2], index=3, rank=0, start=96, stop=128)
-        report = verify_shard_plans([*plans, twin], num_banks=64)
+        report = verify_shard_plans([*plans, twin], geometry=TWO_BY_TWO)
         assert report.codes() == {"duplicate-bank"}
 
     def test_full_device_plan_on_a_multi_rank_device_is_clean(self):
@@ -371,11 +376,36 @@ class TestShardPlanVerification:
         b = session.pluto_malloc(256, 4, "b")
         out = session.pluto_malloc(256, 8, "out")
         session.api_pluto_add(a, b, out, bit_width=4)
-        planner = ShardPlanner(DRAMGeometry(channels=2, ranks=2))
-        plans = planner.plan(session.calls)
+        planner = ShardPlanner(TWO_BY_TWO)
+        plans = planner.plan(session.calls).plans
         assert len(plans) == 64
-        report = verify_shard_plans(plans, num_banks=planner.geometry.total_banks)
+        report = verify_shard_plans(plans, geometry=planner.geometry)
         assert report.diagnostics == ()
+
+    @pytest.mark.parametrize(
+        "channel,rank,bank",
+        [(1, 1, 20), (5, 7, 0), (0, 2, 0), (2, 0, 0), (1, 1, 16), (0, 0, -1)],
+    )
+    def test_positions_are_checked_against_the_placement(self, channel, rank, bank):
+        """The bank is rank-local: a 2x2 placement of 16-bank ranks has 64
+        banks, but no bank 20 and no channel 5 or rank 7."""
+        plan = ShardPlan(
+            index=0, channel=channel, rank=rank, bank=bank, start=0, stop=32, calls=()
+        )
+        report = verify_shard_plans([plan], geometry=TWO_BY_TWO)
+        assert report.codes() == {"bank-out-of-range"}
+        (finding,) = report.errors
+        assert f"channel {channel}, rank {rank}, bank {bank}" in finding.message
+
+    def test_overcommit_counts_every_bank_of_the_placement(self):
+        plans = [
+            ShardPlan(
+                index=i, channel=i % 2, rank=i // 2 % 2, bank=i // 4, start=i, stop=i + 1, calls=()
+            )
+            for i in range(64)
+        ]
+        assert verify_shard_plans(plans, geometry=TWO_BY_TWO).clean
+        assert "shards-overcommit" in verify_shard_plans(plans, geometry=ONE_RANK).codes()
 
 
 class TestDiagnosticMachinery:

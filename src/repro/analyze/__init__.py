@@ -37,7 +37,6 @@ from repro.analyze.diagnostics import (
 )
 from repro.analyze.verifier import (
     VERIFY_MODES,
-    VerificationError,
     check_pass_invariants,
     narrow_output_diagnostic,
     operand_width_diagnostic,
@@ -49,6 +48,7 @@ from repro.analyze.verifier import (
     verify_program,
     verify_shard_plans,
 )
+from repro.errors import VerificationError
 
 __all__ = [
     "DataflowSummary",

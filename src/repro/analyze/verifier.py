@@ -42,7 +42,6 @@ from repro.errors import (
     ConfigurationError,
     ExecutionError,
     ReproError,
-    VerificationError,
 )
 from repro.isa.instructions import (
     Instruction,

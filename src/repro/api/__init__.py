@@ -25,7 +25,6 @@ from repro.api.session import (
     PlutoSession,
     cache_stats,
     clear_all_caches,
-    execute_batch,
     program_structure_key,
 )
 
@@ -38,7 +37,6 @@ __all__ = [
     "ServedResult",
     "ServiceStats",
     "BatchResult",
-    "execute_batch",
     "program_structure_key",
     "cache_stats",
     "clear_all_caches",

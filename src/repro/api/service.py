@@ -15,12 +15,14 @@ execution stack:
   before it takes a queue slot, so a program or plan that cannot run
   raises from the submit call; a repeat request takes the artifact from
   the submitting session's warm entry and prepares nothing;
-* **batch coalescing** — the worker drains the queue and groups
-  consecutive requests with the same program structure into one batch
-  executed on one warm controller (shared backend LUT gather arrays);
-  :meth:`PlutoService.serve_chunk` runs the same coalescing and batch
-  execution synchronously on the caller's thread, with no event loop
-  (how a worker-pool process serves);
+* **batch coalescing** — one synchronous request core
+  (``PlutoService._serve_requests``) takes prepared requests batch by
+  batch, each batch a run of consecutive requests with the same program
+  structure (``_next_batch``), and runs each batch on one warm controller
+  (``_execute_batch``: one fused pass, or each request on its own); the
+  async worker loop drains its queue into the core, and
+  :meth:`PlutoService.serve_chunk` runs it on the caller's thread with
+  no event loop (how a worker-pool process serves);
 * **per-request latency accounting** — every :class:`ServedResult` carries
   the wall-clock queue wait and execution time next to the modelled DRAM
   latency of its program;
@@ -51,9 +53,9 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from queue import SimpleQueue
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -189,29 +191,6 @@ class ServiceStats:
         return cache_stats()
 
 
-class _Outcome:
-    """The slot a request served by :meth:`PlutoService.serve_chunk`
-    resolves into: the part of the future protocol batch execution uses,
-    without an event loop or a lock (the chunk is served on one thread)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value: "ServedResult | BaseException | None" = None
-
-    def done(self) -> bool:
-        return self.value is not None
-
-    def cancelled(self) -> bool:
-        return False
-
-    def set_result(self, served: ServedResult) -> None:
-        self.value = served
-
-    def set_exception(self, error: BaseException) -> None:
-        self.value = error
-
-
 @dataclass
 class _PendingRequest:
     request_id: int
@@ -219,12 +198,16 @@ class _PendingRequest:
     #: Warm executors of the backend of the session this request came from.
     executors: Executors
     enqueued_at: float
-    future: "asyncio.Future[ServedResult] | _Outcome"
     #: The request's program, prepared at submission: concrete plan,
     #: post-optimization calls and structure key, compiled program.
     artifact: ProgramArtifact
     #: Request trace collecting per-stage spans (``None`` when tracing is off).
     trace: "RequestTrace | None" = None
+    #: The submitter's future (``None`` when served by ``serve_chunk``).
+    future: "asyncio.Future[ServedResult] | None" = None
+    #: What the request core left: the served result or the request's own
+    #: error (``None`` until the core reaches it).
+    outcome: "ServedResult | BaseException | None" = None
 
     @property
     def coalesce_key(self) -> object:
@@ -243,13 +226,16 @@ class _PendingRequest:
             return (id(self),)
         return (artifact.structure_key, self.executors, artifact.plan)
 
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from typing import TypeAlias
-
-    #: What the coalescing loop drains: the async service's bounded queue,
-    #: or the local queue of one synchronously served chunk.
-    _RequestQueue: TypeAlias = "asyncio.Queue[_PendingRequest] | SimpleQueue[_PendingRequest]"
+    def resolve(self) -> None:
+        """Settle the submitter's future (if any, and not cancelled) with
+        the outcome."""
+        future, outcome = self.future, self.outcome
+        if future is None or future.done():
+            return
+        if isinstance(outcome, ServedResult):
+            future.set_result(outcome)
+        else:
+            future.set_exception(outcome)
 
 
 class PlutoService:
@@ -317,18 +303,11 @@ class PlutoService:
         self.stats = ServiceStats()
         self._queue: asyncio.Queue[_PendingRequest] | None = None
         self._worker: asyncio.Task | None = None
-        #: A drained-but-unprocessed request: the first one whose program
-        #: structure did not match its batch leader's.  It leads the next
-        #: batch (arrival order is preserved).
-        self._pending: _PendingRequest | None = None
         self._next_id = 0
         #: Warm executors per backend selection (names share, instances
         #: don't), so requests from an overriding session run on the
         #: backend that session chose.
         self._executors: dict[object, Executors] = {}
-        #: Coalesce wall-clock of the batch currently being executed,
-        #: stashed by the worker loop for the coalesce span.
-        self._coalesce_ns = 0
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -364,7 +343,7 @@ class PlutoService:
             return
         error = worker.exception()
         if error is not None:
-            self._fail_pending(error, self._queue)
+            self._fail_queued(error, self._queue)
 
     async def close(self) -> None:
         """Drain the queue, stop the worker, and reject new submissions.
@@ -394,22 +373,18 @@ class PlutoService:
                 crash = error
         if crash is None:
             crash = ServiceClosedError("service closed before the request ran")
-        self._fail_pending(crash, queue)
+        self._fail_queued(crash, queue)
 
-    def _fail_pending(self, error: BaseException, queue: "_RequestQueue | None") -> None:
-        """Resolve every request that will never execute with ``error``:
-        the parked ``_pending`` one and whatever ``queue`` still holds."""
-        leftovers: list[_PendingRequest] = []
-        if self._pending is not None:
-            leftovers.append(self._pending)
-            self._pending = None
-        if queue is not None:
-            while not queue.empty():
-                leftovers.append(queue.get_nowait())
-        for request in leftovers:
+    def _fail_queued(
+        self, error: BaseException, queue: "asyncio.Queue[_PendingRequest] | None"
+    ) -> None:
+        """Fail every request still in ``queue`` with ``error``: none of
+        them will execute."""
+        while queue is not None and not queue.empty():
+            request = queue.get_nowait()
             self.stats.failed += 1
-            if not request.future.done():
-                request.future.set_exception(error)
+            request.outcome = error
+            request.resolve()
 
     # ------------------------------------------------------------------ #
     # Submission
@@ -432,7 +407,7 @@ class PlutoService:
         request = self._make_request(inputs, session, plan, self._loop_future())
         queue = self._require_queue()
         await queue.put(request)
-        self._note_depth(queue)
+        self._note_depth(queue.qsize())
         return await request.future
 
     async def submit_many(
@@ -484,7 +459,7 @@ class PlutoService:
             raise ServiceOverloadError(
                 f"request queue is full ({self.max_queue} pending requests)"
             ) from None
-        self._note_depth(queue)
+        self._note_depth(queue.qsize())
         return request.future
 
     def serve_chunk(
@@ -497,36 +472,25 @@ class PlutoService:
         The service's event-loop-free serving path (a worker-pool process
         serves through it): each request is prepared as :meth:`submit`
         prepares it under the service-wide plan (verification, the
-        session's warm artifact), then the chunk runs through the same
-        coalescing and batch execution as the async worker loop, with the
-        same statistics, metrics and traces.  It needs no :meth:`start`,
-        and is meant for a service whose async loop is not running.
-        Returns one :class:`ServedResult` or one exception per request, in
-        order: a request's own failure never fails its neighbours.
+        session's warm artifact), then the chunk runs through the request
+        core the async worker loop drains into (``_serve_requests``: the
+        same batches, batch executor, statistics, metrics and traces).
+        It needs no :meth:`start`, and is meant for a service whose async
+        loop is not running.  Returns one :class:`ServedResult` or one
+        exception per request, in order: a request's own failure never
+        fails its neighbours.
         """
-        queue: "SimpleQueue[_PendingRequest]" = SimpleQueue()
-        slots: "list[_Outcome | Exception]" = []
+        slots: "list[_PendingRequest | Exception]" = []
         for inputs in inputs_list:
-            outcome = _Outcome()
             try:
-                queue.put(self._make_request(inputs, session, None, outcome))
+                slots.append(self._make_request(inputs, session, None))
             except Exception as error:  # rejected at submission
                 slots.append(error)
-                continue
-            self._note_depth(queue)
-            slots.append(outcome)
-        try:
-            while self._pending is not None or not queue.empty():
-                if self._pending is not None:
-                    leader, self._pending = self._pending, None
-                else:
-                    leader = queue.get_nowait()
-                self._run_batch([leader], queue)
-        except BaseException as error:
-            self._fail_pending(error, queue)
-            raise
-        # Every queued request ran in some batch, so every slot is filled.
-        return [slot.value if isinstance(slot, _Outcome) else slot for slot in slots]
+        requests = deque(slot for slot in slots if isinstance(slot, _PendingRequest))
+        self._note_depth(len(requests))
+        for _ in self._serve_requests(requests):
+            pass
+        return [slot.outcome if isinstance(slot, _PendingRequest) else slot for slot in slots]
 
     def _loop_future(self) -> "asyncio.Future[ServedResult]":
         """A future on the running loop, for a request the worker loop serves."""
@@ -542,7 +506,7 @@ class PlutoService:
         inputs: Mapping[str, np.ndarray],
         session: "PlutoSession | None",
         plan: "ExecutionPlan | str | None",
-        future: "asyncio.Future[ServedResult] | _Outcome",
+        future: "asyncio.Future[ServedResult] | None" = None,
     ) -> _PendingRequest:
         source = session if session is not None else self.session
         trace = new_trace("service", request_id=self._next_id)
@@ -598,8 +562,8 @@ class PlutoService:
             raise ServiceClosedError("service has no queue; call start() first")
         return self._queue
 
-    def _note_depth(self, queue: "_RequestQueue") -> None:
-        self.stats.max_queue_depth = max(self.stats.max_queue_depth, queue.qsize())
+    def _note_depth(self, depth: int) -> None:
+        self.stats.max_queue_depth = max(self.stats.max_queue_depth, depth)
 
     # ------------------------------------------------------------------ #
     # Worker loop
@@ -607,66 +571,82 @@ class PlutoService:
     async def _run(self) -> None:
         queue = self._require_queue()
         while True:
-            if self._pending is not None:
-                leader, self._pending = self._pending, None
-            else:
-                leader = await queue.get()
-            batch = [leader]
+            requests = deque([await queue.get()])
+            while not queue.empty():
+                requests.append(queue.get_nowait())
             try:
-                self._run_batch(batch, queue)
+                for batch in self._serve_requests(requests):
+                    for request in batch:
+                        request.resolve()
+                        queue.task_done()
+                    # Yield after each batch, not once per drain: its
+                    # submitters resume and drop their requests, and
+                    # producers blocked on the bounded queue make progress,
+                    # before the next batch runs.
+                    await asyncio.sleep(0)
             finally:
-                # One task_done per drained request (the held-over
-                # ``_pending`` request is acknowledged with *its* batch,
-                # so ``queue.join()`` waits for it to actually run).
-                for _ in batch:
-                    queue.task_done()
-            # Yield so producers blocked on the bounded queue make progress
-            # before the next batch is drained.
-            await asyncio.sleep(0)
+                # Left only if the loop stopped mid-drain (a crash, or a
+                # cancellation at the yield): settle what never ran.
+                if requests:
+                    self._fail_unserved(
+                        requests, ServiceClosedError("service closed before the request ran")
+                    )
+                    for request in requests:
+                        request.resolve()
+                        queue.task_done()
 
-    def _run_batch(self, batch: "list[_PendingRequest]", queue: "_RequestQueue") -> None:
-        """Coalesce the requests queued behind ``batch``'s leader into it,
-        then execute the batch (the async worker loop and
-        :meth:`serve_chunk` run every batch through here).
+    def _serve_requests(
+        self, requests: "deque[_PendingRequest]"
+    ) -> "Iterator[list[_PendingRequest]]":
+        """The request core: serve prepared ``requests`` batch by batch.
+
+        Both serving paths run it: the async worker loop over each drained
+        set of queued requests (yielding to the event loop between
+        batches), and :meth:`serve_chunk` over one chunk.  Each batch is
+        taken off the front of ``requests`` by :meth:`_next_batch`, run
+        through :meth:`_execute_batch` — which leaves every request in it
+        with its :class:`ServedResult` or its own error as ``outcome`` —
+        and yielded.  If the core itself fails, the batch goes back to the
+        front of ``requests``, and every request there without an outcome
+        fails with that error (counted once) before it propagates, so the
+        caller can settle every request.
         """
-        try:
-            coalesce_start = time.perf_counter_ns()
-            self._coalesce_into(batch, queue)
-            # Stashed on the instance (not passed as an argument) so
-            # _execute_batch keeps its original batch-only signature.
-            self._coalesce_ns = time.perf_counter_ns() - coalesce_start
-            self._execute_batch(batch)
-        except BaseException as error:
-            # The loop itself failed (per-request execution errors are
-            # handled inside _execute_batch): resolve the in-flight
-            # requests before the error propagates, so no submitter hangs.
-            for request in batch:
-                if not request.future.done():
-                    self.stats.failed += 1
-                    request.future.set_exception(error)
-            raise
+        while requests:
+            batch, coalesce_ns = self._next_batch(requests)
+            try:
+                self._execute_batch(batch, coalesce_ns)
+            except BaseException as error:
+                requests.extendleft(reversed(batch))
+                self._fail_unserved(requests, error)
+                raise
+            yield batch
 
-    def _coalesce_into(
-        self,
-        batch: "list[_PendingRequest]",
-        queue: "_RequestQueue",
-    ) -> None:
-        """Pull queued requests with the same program structure into ``batch``.
+    def _next_batch(
+        self, requests: "deque[_PendingRequest]"
+    ) -> "tuple[list[_PendingRequest], int]":
+        """Take the next batch off the front of ``requests``.
 
-        Only *consecutive* structurally identical requests coalesce, so
-        results keep arrival order; the first request for a different
-        program is parked in ``_pending`` and leads the next batch.
-        Keys are computed at submission time (post-optimization for
-        optimized requests); requests with unhashable structure carry
-        the ``None`` sentinel and never coalesce.
+        A batch is a run of consecutive requests with equal
+        :attr:`~_PendingRequest.coalesce_key` (computed at submission,
+        post-optimization for optimized requests), at most ``max_batch``
+        long, in arrival order; a request with unhashable structure has a
+        key of its own and runs alone.  Also returns the wall-clock ns
+        spent forming the batch (the coalesce span).
         """
-        leader_key = batch[0].coalesce_key
-        while len(batch) < self.max_batch and not queue.empty():
-            candidate = queue.get_nowait()
-            if candidate.coalesce_key != leader_key:
-                self._pending = candidate
-                break
-            batch.append(candidate)
+        began = time.perf_counter_ns()
+        leader = requests.popleft()
+        batch = [leader]
+        key = leader.coalesce_key
+        while requests and len(batch) < self.max_batch and requests[0].coalesce_key == key:
+            batch.append(requests.popleft())
+        return batch, time.perf_counter_ns() - began
+
+    def _fail_unserved(self, requests: "deque[_PendingRequest]", error: BaseException) -> None:
+        """Fail every request of ``requests`` that has no outcome yet."""
+        for request in requests:
+            if request.outcome is None:
+                self.stats.failed += 1
+                request.outcome = error
 
     @staticmethod
     def _note_queue_wait(
@@ -700,8 +680,8 @@ class PlutoService:
         wait.children = [shared_coalesce]
         request.trace.spans.append(wait)
 
-    def _execute_batch(self, batch: "list[_PendingRequest]") -> None:
-        coalesce_ns = self._coalesce_ns
+    def _execute_batch(self, batch: "list[_PendingRequest]", coalesce_ns: int) -> None:
+        """Run one batch: one fused pass, or each request on its own."""
         self.stats.batches += 1
         self.stats.coalesced += len(batch) - 1
         # Only plain single-bank plans fuse into one batched pass;
@@ -719,10 +699,9 @@ class PlutoService:
             try:
                 with span_of(request.trace, "execute"):
                     result = request.executors.run(request.artifact, request.inputs)
-            except Exception as error:  # surface on the caller's future
+            except Exception as error:  # this request's own failure
                 self.stats.failed += 1
-                if not request.future.cancelled():
-                    request.future.set_exception(error)
+                request.outcome = error
                 continue
             finally:
                 deactivate(token)
@@ -739,7 +718,7 @@ class PlutoService:
         execute_s: float,
         batch_size: int,
     ) -> None:
-        """Resolve one executed request's future with its served result."""
+        """Leave one executed request with its served result."""
         request.artifact.attach(result)
         served = ServedResult(
             request_id=request.request_id,
@@ -757,8 +736,7 @@ class PlutoService:
             request_trace=request.trace,
         )
         self._account_served(served)
-        if not request.future.cancelled():
-            request.future.set_result(served)
+        request.outcome = served
 
     def _account_served(self, served: ServedResult) -> None:
         """Fold one successfully executed request into the aggregates.
@@ -794,7 +772,7 @@ class PlutoService:
             self.stats.optimizer_swept_rows_saved += report.swept_rows_saved
             self.stats.optimizer_lut_loads_saved += report.lut_loads_saved
 
-    def _execute_batch_fused(self, batch: "list[_PendingRequest]", coalesce_ns: int = 0) -> bool:
+    def _execute_batch_fused(self, batch: "list[_PendingRequest]", coalesce_ns: int) -> bool:
         """Run a coalesced batch in one fused controller pass.
 
         The batch shares one program structure by construction, so the

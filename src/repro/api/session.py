@@ -11,8 +11,7 @@ compiles (through a process-wide compiled-program cache keyed on program
 session's selected backend — the vectorized NumPy fast path by default,
 or the bit-exact subarray row-sweep path with ``backend="functional"``.
 :meth:`PlutoSession.run_batch` submits many input sets against one
-compiled program, and :func:`execute_batch` submits many whole programs,
-deduplicating compilation across them.  Every execution exposes the same
+compiled program.  Every execution exposes the same
 :class:`~repro.controller.executor.ExecutionResult` with its full command
 trace, whichever backend produced it.
 
@@ -69,7 +68,6 @@ __all__ = [
     "prepare_execution",
     "insert_artifact",
     "Executors",
-    "execute_batch",
     "program_structure_key",
     "compile_cached",
     "compile_cached_with_key",
@@ -1152,37 +1150,3 @@ class PlutoSession:
             raise ConfigurationError(
                 f"unsupported bitwise operation {operation!r}; expected {expected}"
             )
-
-
-def execute_batch(
-    jobs: Sequence[tuple[PlutoSession, Mapping[str, np.ndarray]]],
-    *,
-    engine: "PlutoEngine | None" = None,
-    backend: "str | ExecutionBackend | None" = None,
-) -> BatchResult:
-    """Execute many (session, inputs) jobs, deduplicating compilation.
-
-    Each job runs as :meth:`PlutoSession.run` would under the engine's
-    default plan.  Structurally identical programs in the batch compile
-    once (the process-wide program cache is keyed on program structure),
-    and one set of executors per backend is shared across all jobs so
-    LUT gather arrays are reused.  ``backend`` overrides every session's
-    own selection when given.
-    """
-    plan = _requested_plan(None, engine)
-    verify = _verifies(engine)
-    executors: dict[object, Executors] = {}
-    results = []
-    for session, inputs in jobs:
-        selection = backend if backend is not None else session.backend
-        # Names share one set of executors per name; distinct backend
-        # instances each keep their own.
-        key = selection if isinstance(selection, str) else id(selection)
-        runner = executors.get(key)
-        if runner is None:
-            runner = executors[key] = Executors(engine, selection)
-        artifact = prepare_execution(
-            session.calls, engine, plan, backend=selection, verify=verify
-        )
-        results.append(artifact.attach(runner.run(artifact, inputs)))
-    return BatchResult(results=results)

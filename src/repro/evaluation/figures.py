@@ -460,7 +460,8 @@ def figure_hierarchy_scaling(
     """Per-level makespans of one LUT-query program across the hierarchy.
 
     For every ``(channels, ranks)`` device shape the reference 256-entry
-    LUT map runs through the dispatcher with one shard per bank, and the same shard command streams are re-scheduled with levels
+    LUT map runs through the dispatcher with one shard per bank, and the
+    same shard command streams are re-scheduled with levels
     progressively enabled: serial (one bank), bank-parallel (one rank),
     rank-parallel (one channel), and the full hierarchy.  Each level can
     only help, so the four makespans are monotonically non-increasing —

@@ -340,32 +340,33 @@ def request_accounting(trace: "CommandTrace | Any") -> dict[str, Any]:
     overhead the ROADMAP asks to fold into served-path accounting
     (refresh-inflated latency, refresh commands falling inside the
     request's window).  Memoized on the trace object like
-    :func:`command_counts`.
+    :func:`command_counts`, and like it every call returns fresh dicts
+    (the by-type counts included), so a caller that edits its copy
+    cannot change what later requests are charged.
     """
 
     store = _pin_store(trace)
-    cached: dict[str, Any] | None = store.get("_obs_accounting")
-    if cached is not None:
-        return dict(cached)
-    from repro.dram.refresh import RefreshModel
+    accounting: dict[str, Any] | None = store.get("_obs_accounting")
+    if accounting is None:
+        from repro.dram.refresh import RefreshModel
 
-    refresh = RefreshModel(trace.timing)
-    latency_ns = float(trace.total_latency_ns)
-    counts = command_counts(trace)
-    overhead = refresh.overhead_fraction
-    inflated = (
-        refresh.inflate_latency(latency_ns) if overhead < 1.0 else float("inf")
-    )
-    accounting: dict[str, Any] = {
-        "dram_commands": int(sum(counts.values())),
-        "dram_commands_by_type": counts,
-        "energy_pj": float(trace.total_energy_nj) * 1000.0,
-        "refresh_overhead_fraction": overhead,
-        "refresh_commands": refresh.refreshes_during(latency_ns),
-        "refresh_inflated_latency_ns": inflated,
-    }
-    store["_obs_accounting"] = accounting
-    return dict(accounting)
+        refresh = RefreshModel(trace.timing)
+        latency_ns = float(trace.total_latency_ns)
+        counts = command_counts(trace)
+        overhead = refresh.overhead_fraction
+        inflated = (
+            refresh.inflate_latency(latency_ns) if overhead < 1.0 else float("inf")
+        )
+        accounting = {
+            "dram_commands": int(sum(counts.values())),
+            "dram_commands_by_type": counts,
+            "energy_pj": float(trace.total_energy_nj) * 1000.0,
+            "refresh_overhead_fraction": overhead,
+            "refresh_commands": refresh.refreshes_during(latency_ns),
+            "refresh_inflated_latency_ns": inflated,
+        }
+        store["_obs_accounting"] = accounting
+    return {**accounting, "dram_commands_by_type": dict(accounting["dram_commands_by_type"])}
 
 
 # --------------------------------------------------------------------------- #

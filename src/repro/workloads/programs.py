@@ -19,7 +19,6 @@ from typing import Callable
 import numpy as np
 
 from repro.api.luts import (
-    add_lut,
     binarize_lut,
     bitcount_lut,
     color_grade_lut,

@@ -1,8 +1,9 @@
 """Front-door conformance: one program, one plan, one answer.
 
-The session, the async service, the evaluation harness and a service
-warm-started from the shared artifact store all prepare and execute a
-program the same way.  Under each plan below the four must agree exactly
+The session, the async service, its synchronous ``serve_chunk`` path (how
+a pool worker serves), the evaluation harness and a service warm-started
+from the shared artifact store all prepare and execute a program the
+same way.  Under each plan below the five must agree exactly
 on outputs, modelled latency and energy, the concrete plan that ran and
 the planner's choice; a malformed program must be rejected with the same
 diagnostics by the session and the service.
@@ -70,6 +71,9 @@ def test_every_front_door_agrees(plan, tmp_path):
     doors = {
         "session.run": session.run(inputs, engine=engine, plan=plan),
         "service.submit": asyncio.run(_submit(session, engine, plan, inputs)),
+        "service.serve_chunk": PlutoService(session, engine=engine, plan=plan).serve_chunk(
+            None, [inputs]
+        )[0],
         "harness": harness.execute_program(session, inputs, plan=plan)[LABEL],
     }
     store = SharedArtifactStore(tmp_path / "store")

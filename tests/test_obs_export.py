@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.obs.export import (
     chrome_trace_events,
     chrome_trace_json,

@@ -15,8 +15,6 @@ from repro.api.session import PlutoSession, cache_stats, clear_all_caches
 from repro.errors import ConfigurationError
 from repro.obs.export import prometheus_text
 from repro.obs.metrics import (
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     ServedLatency,

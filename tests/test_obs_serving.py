@@ -144,6 +144,26 @@ class TestServiceTracing:
         )
         assert service.stats.summary()["latency"]["end_to_end"]["count"] == 2
 
+    def test_editing_one_trace_changes_no_later_accounting(self):
+        """Every request gets its own copy of the memoized accounting:
+        editing a served request's by-type counts changes neither a later
+        request's attributes and accounting nor the registry counters."""
+        from repro.api.service import PlutoService
+        from repro.obs.metrics import request_accounting
+
+        session, inputs = _program()
+        service = PlutoService(session)
+        [first] = service.serve_chunk(session, [dict(inputs)])
+        by_type = first.request_trace.attributes["dram_commands_by_type"]
+        expected = dict(by_type)
+        by_type["ROW_SWEEP"] = 10**6
+        [second] = service.serve_chunk(session, [dict(inputs)])
+        assert second.request_trace.attributes["dram_commands_by_type"] == expected
+        assert request_accounting(second.result.trace)["dram_commands_by_type"] == expected
+        counters = registry().snapshot()["counters"]
+        row_sweeps = counters['pluto_dram_commands_total{type="ROW_SWEEP"}']
+        assert row_sweeps == 2 * expected["ROW_SWEEP"]
+
 
 class TestSessionTracing:
     def test_run_builds_a_trace_with_pipeline_spans(self):

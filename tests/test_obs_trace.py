@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import pickle
 
-import pytest
-
 from repro.obs.trace import (
     NOOP_SPAN,
     RequestTrace,

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.api.handles import ApiCall
-from repro.api.luts import add_lut
 from repro.api.session import PlutoSession
 from repro.core.designs import PlutoDesign
 from repro.core.engine import PlutoConfig, PlutoEngine

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api.luts import add_lut, binarize_lut, color_grade_lut, identity_lut, relu_lut
+from repro.api.luts import binarize_lut, color_grade_lut, identity_lut, relu_lut
 from repro.api.session import PlutoSession, cache_stats, clear_all_caches
 from repro.core.engine import PlutoConfig, PlutoEngine
 from repro.core.lut import LookupTable, lut_from_function
@@ -14,9 +14,6 @@ from repro.isa.instructions import PlutoSubarrayAlloc
 from repro.plan import ExecutionPlan
 from repro.opt import (
     CommonSubexpressionEliminationPass,
-    DeadOpEliminationPass,
-    LutChainFusionPass,
-    LutDeduplicationPass,
     can_compose,
     compose_luts,
     optimize_cached,

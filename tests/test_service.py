@@ -48,6 +48,13 @@ def _add_inputs(rng: np.random.Generator) -> dict[str, np.ndarray]:
     }
 
 
+def _mul_inputs(rng: np.random.Generator) -> dict[str, np.ndarray]:
+    return {
+        "a": rng.integers(0, 4, ELEMENTS),
+        "b": rng.integers(0, 4, ELEMENTS),
+    }
+
+
 class TestServing:
     def test_serves_correct_outputs_with_accounting(self):
         async def main():
@@ -261,7 +268,7 @@ class TestServing:
             rng = np.random.default_rng(19)
             service = session.serve(max_queue=8, max_batch=2)
             async with service:
-                def boom(batch):
+                def boom(*args):
                     raise RuntimeError("worker loop crashed")
 
                 service._execute_batch = boom
@@ -364,6 +371,95 @@ class TestServing:
                     )
                 # the good batch mates still served
                 assert service.stats.served == 2
+
+        asyncio.run(main())
+
+
+class TestRequestCore:
+    """The async loop and ``serve_chunk`` serve through one request core."""
+
+    def test_both_serving_paths_batch_and_serve_alike(self):
+        """``A A A A A B B A`` with a poisoned second request, through
+        gathered submits and through ``serve_chunk``.  A chunk carries one
+        program (as the pool sends it), so the sequence goes down as one
+        chunk per run of equal programs."""
+        add, mul = _add_program(), _mul_program()
+        rng = np.random.default_rng(37)
+        sequence = [(add, _add_inputs(rng)) for _ in range(5)]
+        sequence += [(mul, _mul_inputs(rng)) for _ in range(2)]
+        sequence += [(add, _add_inputs(rng))]
+        # More than 4 bits: fails the fused pass, then fails alone.
+        sequence[1][1]["a"] = np.full(ELEMENTS, 99)
+
+        async def gathered():
+            async with PlutoService(add, max_queue=8, max_batch=4) as service:
+                outcomes = await asyncio.gather(
+                    *(service.submit(inputs, session=owner) for owner, inputs in sequence),
+                    return_exceptions=True,
+                )
+            return service, outcomes
+
+        submitted, by_submit = asyncio.run(gathered())
+        chunked = PlutoService(add, max_queue=8, max_batch=4)
+        by_chunk = []
+        for first, last in ((0, 5), (5, 7), (7, 8)):
+            owner = sequence[first][0]
+            by_chunk += chunked.serve_chunk(owner, [inputs for _, inputs in sequence[first:last]])
+
+        sizes = []
+        for index, (left, right) in enumerate(zip(by_submit, by_chunk)):
+            if index == 1:
+                assert isinstance(left, Exception) and type(left) is type(right)
+                assert str(left) == str(right)
+                continue
+            sizes.append(left.batch_size)
+            assert left.batch_size == right.batch_size, index
+            assert left.latency_ns == right.latency_ns, index
+            assert left.energy_nj == right.energy_nj, index
+            assert np.array_equal(left.outputs["out"], right.outputs["out"]), index
+        assert sizes == [4, 4, 4, 1, 2, 2, 1]
+        for name in ("served", "failed", "batches", "coalesced"):
+            assert getattr(submitted.stats, name) == getattr(chunked.stats, name), name
+        assert (submitted.stats.served, submitted.stats.failed) == (7, 1)
+        assert (submitted.stats.batches, submitted.stats.coalesced) == (4, 4)
+
+    def test_loop_crash_in_a_later_batch_strands_no_request(self):
+        """The batch that ran keeps its results; every other request
+        fails with the crash or ``ServiceClosedError``, counted once."""
+
+        async def main():
+            add, mul = _add_program(), _mul_program()
+            rng = np.random.default_rng(41)
+            service = add.serve(max_queue=8, max_batch=4)
+            async with service:
+                execute = service._execute_batch
+                batches = []
+
+                def crash_on_second(batch, *args):
+                    batches.append(len(batch))
+                    if len(batches) == 2:
+                        raise RuntimeError("worker loop crashed")
+                    execute(batch, *args)
+
+                service._execute_batch = crash_on_second
+                requests = [_add_inputs(rng) for _ in range(2)]
+                futures = [service.submit_nowait(inputs) for inputs in requests]
+                futures += [
+                    service.submit_nowait(_mul_inputs(rng), session=mul) for _ in range(2)
+                ]
+                futures += [service.submit_nowait(_add_inputs(rng)) for _ in range(2)]
+                done, pending = await asyncio.wait(futures, timeout=5.0)
+                assert not pending
+            assert batches == [2, 2]
+            for inputs, future in zip(requests, futures):
+                assert np.array_equal(
+                    future.result().outputs["out"], inputs["a"] + inputs["b"]
+                )
+            for future in futures[2:]:
+                with pytest.raises((RuntimeError, ServiceClosedError)):
+                    future.result()
+            assert service.stats.served == 2
+            assert service.stats.served + service.stats.failed == len(futures)
 
         asyncio.run(main())
 

@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for pLUTo's design choices.
 
 These are not paper figures; they quantify the cost of individual design
 decisions so the trade-offs of Section 5 can be inspected directly:

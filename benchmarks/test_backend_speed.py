@@ -184,12 +184,13 @@ def test_compiled_tier_floor():
 
 
 def test_verified_serving_overhead():
-    """Serving with verify="always" stays within 5% of unverified serving.
+    """What serving with verify="always" costs over unverified serving.
 
-    Interleaved rounds (like the compiled-tier gate): each round times
+    Interleaved rounds (like the compiled-tier floor): each round times
     ``reps`` runs under ``verify="off"`` then under ``verify="always"``,
-    and the gate uses the median per-round ratio so machine-state drift
-    moves both configurations together.
+    and the recorded overhead is the median per-round ratio so
+    machine-state drift moves both configurations together.  The test
+    only measures and records; ``perf_track.py`` gates the 5% ceiling.
     """
     from repro.workloads.programs import workload_program
 
@@ -231,8 +232,6 @@ def test_verified_serving_overhead():
     }
     print("VERIFIED_SERVING_JSON " + json.dumps(payload))
     _merge_payload({"verified_serving": payload})
-
-    assert overhead <= MAX_VERIFY_OVERHEAD, (
-        f"verified serving costs {100 * overhead:.1f}% over unverified "
-        f"(allowed {100 * MAX_VERIFY_OVERHEAD:.0f}%)"
-    )
+    # No ratio assertion here: the ratio depends on host load, so the
+    # ceiling is gated by ``perf_track.py`` from this payload's
+    # ``max_overhead``.

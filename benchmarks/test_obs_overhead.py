@@ -1,6 +1,6 @@
 """Benchmark: observability must stay (nearly) free.
 
-Two gates share this file (and the ``obs_overhead.json`` payload,
+Two tests share this file (and the ``obs_overhead.json`` payload,
 overridable via the ``OBS_OVERHEAD_JSON`` environment variable):
 
 1. ``test_tracing_overhead_on_serving_path`` — the PR 10 ceiling:
@@ -8,10 +8,13 @@ overridable via the ``OBS_OVERHEAD_JSON`` environment variable):
    serving with tracing disabled.  Interleaved rounds against one
    long-lived service (so loop/service setup, identical either way,
    stays out of the measurement): each round serves the same burst
-   with tracing off then on, and the gate compares best-of-rounds
-   (``timeit``-style — the minimum filters scheduler/GC hiccups that
-   would otherwise dominate a ~4 ms burst) with the median ratio kept
-   in the payload as a drift diagnostic.
+   with tracing off then on, and the recorded overhead compares
+   best-of-rounds (``timeit``-style — the minimum filters
+   scheduler/GC hiccups that would otherwise dominate a ~4 ms burst)
+   with the median ratio kept in the payload as a drift diagnostic.
+   The test checks that tracing ran and records the overhead;
+   ``perf_track.py`` gates the ceiling, since the ratio depends on
+   host load.
 2. ``test_energy_accounting_determinism`` — the per-request energy
    attribution is a pure function of the program structure: repeated
    serves report bit-identical energy/command numbers, and they match
@@ -129,7 +132,7 @@ async def _measure_interleaved(program) -> tuple[list[float], float, float, list
 
 
 def test_tracing_overhead_on_serving_path():
-    """Serving with tracing on stays within 5% of tracing off."""
+    """What serving with tracing on costs over tracing off."""
     program = workload_program("image", elements=ELEMENTS, seed=0)
     assert not tracing_enabled()
 
@@ -158,11 +161,9 @@ def test_tracing_overhead_on_serving_path():
     }
     print("OBS_OVERHEAD_JSON " + json.dumps(payload))
     _merge_payload({"tracing": payload})
-
-    assert overhead <= MAX_TRACING_OVERHEAD, (
-        f"tracing costs {100 * overhead:.1f}% over untraced serving "
-        f"(allowed {100 * MAX_TRACING_OVERHEAD:.0f}%)"
-    )
+    # No ratio assertion here: the ratio depends on host load, so the
+    # ceiling is gated by ``perf_track.py`` from this payload's
+    # ``max_overhead``.
 
 
 def test_energy_accounting_determinism():

@@ -76,7 +76,7 @@ PAPER_HEADLINES = {
     ),
     "Auto-planner gains": (
         "(beyond the paper) The cost-based planner prices shard counts, "
-        "placements, optimizer, and tier from the analytic makespan model "
+        "placements, and optimizer from the analytic makespan model "
         "and matches the best static configuration exactly (zero "
         "predicted-vs-measured error, bit-identical outputs)"
     ),

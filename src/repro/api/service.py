@@ -254,8 +254,8 @@ class PlutoService:
     ``max_batch`` caps how many structurally identical requests one batch
     coalesces.  ``plan`` is the service-wide
     :class:`~repro.plan.ExecutionPlan` (or ``"auto"``) every request
-    executes under — sharding, hierarchy placement, optimizer, and
-    execution tier, exactly as in :meth:`PlutoSession.run`; with
+    executes under — sharding, hierarchy placement and optimizer,
+    exactly as in :meth:`PlutoSession.run`; with
     ``"auto"`` the cost-based planner resolves a concrete plan once per
     distinct request structure (a repeat request reuses its program
     artifact, so one planning pass serves a whole coalesced batch).  A
@@ -787,7 +787,7 @@ class PlutoService:
         """
         leader = batch[0]
         artifact = leader.artifact
-        controller = leader.executors.controller(artifact.plan)
+        controller = leader.executors.controller()
         if not controller.backend.supports_batched:
             return False
         names = set(leader.inputs)

@@ -263,14 +263,15 @@ _Stamped = TypeVar("_Stamped", "ExecutionResult", BatchResult)
 
 class ArtifactIdentity(NamedTuple):
     """What one :class:`ProgramArtifact` answers: the recorded calls'
-    structure key on an engine configuration under the requested plan,
-    the planner's search modes, and the backend's batching capability."""
+    structure key on an engine configuration under the requested plan
+    and, for an auto plan, the planner's search modes (``()`` for an
+    explicit plan, which runs as it is whatever the front door).  No
+    backend is part of it: every backend runs an artifact alike."""
 
     structure_key: tuple
     config: "PlutoConfig"
     plan: "ExecutionPlan"
     modes: tuple[str, ...]
-    supports_batched: bool
 
 
 @dataclass(frozen=True)
@@ -341,7 +342,6 @@ def prepare_execution(
     engine: "PlutoEngine | None",
     plan: "ExecutionPlan",
     *,
-    backend: "str | ExecutionBackend",
     modes: tuple[str, ...] = _ALL_MODES,
     verify: bool,
     subject: str = "program",
@@ -357,10 +357,11 @@ def prepare_execution(
 
     Otherwise the program is prepared.  An auto ``plan`` resolves
     through the cost-based planner
-    (:func:`repro.plan.planner.plan_program`), searching ``modes`` for a
-    backend like ``backend``.
-    The program is then optimized when the plan asks for it (a plan that
-    leaves ``optimize`` unset defers to the engine configuration).
+    (:func:`repro.plan.planner.plan_program`), searching ``modes``.  The
+    artifact depends on no backend: whichever runs it, the controller
+    decides how the host simulates it.  The program is then optimized
+    when the plan asks for it (a plan that leaves ``optimize`` unset
+    defers to the engine configuration).
     Unsharded plans compile through the structure-keyed program cache.
     With ``verify`` the static verifier checks the program that executes
     and raises :class:`~repro.errors.VerificationError` on any error;
@@ -372,16 +373,13 @@ def prepare_execution(
     names the program in planner reports and diagnostics.  Compile and
     verify spans open only when that work runs.
     """
-    from repro.backend.base import resolve_backend
-
-    supports_batched = resolve_backend(backend).supports_batched
     raw_key = hashable_structure_key(calls)
     identity: "ArtifactIdentity | None" = None
     if raw_key is None:
         _ARTIFACTS.note_uncached()
     else:
         config = engine.config if engine is not None else PlutoConfig()
-        identity = ArtifactIdentity(raw_key, config, plan, tuple(modes), supports_batched)
+        identity = ArtifactIdentity(raw_key, config, plan, tuple(modes) if plan.is_auto else ())
         artifact = _ARTIFACTS.peek(identity)
         if artifact is not None:
             if verify and not artifact.verified:
@@ -401,7 +399,6 @@ def prepare_execution(
                 engine,
                 request=plan,
                 modes=modes,
-                supports_batched=supports_batched,
                 subject=subject,
             )
             plan_span.set(cached=planned.report.cached)
@@ -486,9 +483,10 @@ class Executors:
     unsharded plans and a
     :class:`~repro.controller.dispatch.ParallelDispatcher` over the
     plan's placement for sharded and hierarchical ones (a bank-sharded
-    plan is one rank of one channel).  Each is built once per tier (and
-    placement) and reused, so backend LUT arrays and pinned closures stay
-    hot.
+    plan is one rank of one channel).  Each is built once (a dispatcher
+    once per placement) and reused, so backend LUT arrays and pinned
+    closures stay hot.  Whether a run takes the compiled closure is the
+    controller's decision, not the plan's.
     """
 
     def __init__(
@@ -496,36 +494,34 @@ class Executors:
     ) -> None:
         self.engine = engine
         self.backend = backend
-        self._warm: dict[tuple, Any] = {}
+        self._controller: "PlutoController | None" = None
+        self._dispatchers: "dict[tuple, ParallelDispatcher]" = {}
 
-    def controller(self, plan: "ExecutionPlan") -> "PlutoController":
-        """The warm controller for an unsharded plan's tier."""
-        jit = plan.tier != "interpreted"
-        controller = self._warm.get(("single", jit))
-        if controller is None:
+    def controller(self) -> "PlutoController":
+        """The warm controller for unsharded plans."""
+        if self._controller is None:
             from repro.controller.executor import PlutoController
 
-            controller = PlutoController(self.engine, backend=self.backend, jit=jit)
-            self._warm[("single", jit)] = controller
-        return controller
+            self._controller = PlutoController(self.engine, backend=self.backend)
+        return self._controller
 
     def dispatcher(self, plan: "ExecutionPlan") -> "ParallelDispatcher":
-        """The warm dispatcher for a sharded plan's placement and tier."""
-        jit = plan.tier != "interpreted"
+        """The warm dispatcher for a sharded plan's placement."""
         channels, ranks = plan.placement
-        if self.engine is not None:
-            # The device's own count, so equal placements share one.
-            channels = channels or self.engine.geometry.channels
-            ranks = ranks or self.engine.geometry.ranks
-        key = (channels, ranks, jit)
-        dispatcher = self._warm.get(key)
+        if channels is None or ranks is None:
+            # The device's own counts (the default device's without an
+            # engine), so equal placements share one dispatcher.
+            from repro.dram.geometry import DRAMGeometry
+
+            geometry = DRAMGeometry() if self.engine is None else self.engine.geometry
+            channels, ranks = channels or geometry.channels, ranks or geometry.ranks
+        dispatcher = self._dispatchers.get((channels, ranks))
         if dispatcher is None:
             from repro.controller.dispatch import ParallelDispatcher
 
-            dispatcher = ParallelDispatcher(
-                self.engine, backend=self.backend, jit=jit, channels=channels, ranks=ranks
+            dispatcher = self._dispatchers[(channels, ranks)] = ParallelDispatcher(
+                self.engine, backend=self.backend, channels=channels, ranks=ranks
             )
-            self._warm[key] = dispatcher
         return dispatcher
 
     def run(
@@ -534,7 +530,7 @@ class Executors:
         """Execute a prepared program on the executor its plan calls for;
         a sharded one hands its prepared layout to the dispatcher."""
         if artifact.layout is None:
-            return self.controller(artifact.plan).execute(
+            return self.controller().execute(
                 artifact.compiled,
                 dict(inputs),
                 structure_key=artifact.structure_key,
@@ -827,18 +823,20 @@ class PlutoSession:
             entry = None
         if entry is not None and entry.serves(self, engine):
             return entry.artifact, entry.executors
+        from repro.backend.base import resolve_backend
+
+        requested = _requested_plan(plan, engine)
+        batched = resolve_backend(self.backend).supports_batched
         artifact = prepare_execution(
             self.calls,
             engine,
-            _requested_plan(plan, engine),
-            backend=self.backend,
+            requested,
             modes=modes,
             verify=verify,
             subject=subject,
         )
         executors = Executors(engine, self.backend)
-        identity = artifact.identity
-        if identity is not None and identity.supports_batched:
+        if artifact.identity is not None and batched:
             if len(self._warm) >= _WARM_ENTRIES:
                 self._warm.clear()
             self._warm[key] = _WarmEntry(
@@ -882,14 +880,13 @@ class PlutoSession:
 
         ``plan`` is the unified execution front door: an
         :class:`~repro.plan.ExecutionPlan` describing the shard count,
-        hierarchy placement, optimizer, and execution tier — or the
-        string ``"auto"``, which hands the choice to the cost-based
-        planner (candidates priced with the analytic makespan model; a
-        repeated request reuses its artifact, plan included; the result
-        then carries a :class:`~repro.plan.PlannerReport` as
-        ``result.planner``).  ``None`` defers to the engine's
-        ``PlutoConfig(plan=...)`` default.  Outputs are bit-identical
-        whichever plan executes.
+        hierarchy placement and optimizer — or the string ``"auto"``,
+        which hands the choice to the cost-based planner (candidates
+        priced with the analytic makespan model; a repeated request
+        reuses its artifact, plan included; the result then carries a
+        :class:`~repro.plan.PlannerReport` as ``result.planner``).
+        ``None`` defers to the engine's ``PlutoConfig(plan=...)``
+        default.  Outputs are bit-identical whichever plan executes.
 
         Sharded plans partition the element space across DRAM banks and
         execute bank-parallel — in one fused batched pass on
@@ -971,7 +968,7 @@ class PlutoSession:
                     "sharded/hierarchical plans go through run()"
                 )
             compiled, structure_key = artifact.compiled, artifact.structure_key
-            controller = executors.controller(artifact.plan)
+            controller = executors.controller()
             if not parallel:
                 with span_of(trace, "execute") as span:
                     results = [

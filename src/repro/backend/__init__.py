@@ -11,19 +11,18 @@ speed:
 
 On top of the vectorized tier, :mod:`repro.backend.compiled` lowers a
 whole compiled program into a single NumPy closure kept on the program
-(zero per-instruction Python dispatch); the controller routes vectorized
-executions through it automatically when a program structure key is
-available.
+(zero per-instruction Python dispatch).  The controller alone decides
+when an execution takes it: on a batched-capable backend, when a program
+structure key is available.
 """
 
 from repro.backend.base import ExecutionBackend, backend_names, resolve_backend
-from repro.backend.compiled import CompiledExecutable, compile_program
+from repro.backend.compiled import CompiledExecutable
 from repro.backend.functional import FunctionalBackend
 from repro.backend.vectorized import VectorizedBackend
 
 __all__ = [
     "backend_names",
-    "compile_program",
     "CompiledExecutable",
     "ExecutionBackend",
     "FunctionalBackend",

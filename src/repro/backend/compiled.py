@@ -48,7 +48,6 @@ from repro.utils.memo import MemoCounters
 
 __all__ = [
     "CompiledExecutable",
-    "compile_program",
     "compiled_exec_cached",
     "pin_executable",
     "CLOSURE_COUNTERS",
@@ -75,8 +74,6 @@ class CompiledExecutable:
         "output_bindings",
         "register_bindings",
         "copy_finals",
-        "input_checks",
-        "required_inputs",
         "supports_fused",
         "lut_queries",
         "instructions",
@@ -97,8 +94,6 @@ class CompiledExecutable:
         output_bindings: tuple[tuple[str, int], ...],
         register_bindings: tuple[tuple[str, int], ...],
         copy_finals: tuple[bool, ...],
-        input_checks: dict[str, tuple[int, int, int]],
-        required_inputs: tuple[tuple[str, int], ...],
         supports_fused: bool,
         lut_queries: int,
         instructions: int,
@@ -126,12 +121,6 @@ class CompiledExecutable:
         #: (whose final array may be the caller's seeded input) get the
         #: interpreted path's defensive copy.
         self.copy_finals = copy_finals
-        #: Vector name -> ``(size_elements, max_value, bit_width)`` for
-        #: external inputs, validated while seeding (one pass instead of
-        #: the interpreted route's separate ``_check_inputs`` walk).
-        self.input_checks = input_checks
-        #: ``(name, slot)`` of every external input that must be seeded.
-        self.required_inputs = required_inputs
         #: Stacked ``(shards, size)`` execution is only valid when no
         #: move writes across different-size rows (a partial-row copy is
         #: a 1-D slice assignment that has no stacked equivalent).
@@ -150,7 +139,8 @@ class CompiledExecutable:
         the result dicts in specialized straight-line code.  It only
         handles the common shape — ``inputs`` naming exactly the
         program's external vectors — and returns ``None`` otherwise, in
-        which case the caller takes :meth:`run_finals`.
+        which case the caller validates the inputs and takes
+        :meth:`run_finals`.
         """
         try:
             return self._serve(inputs)
@@ -165,64 +155,24 @@ class CompiledExecutable:
         """Seed inputs, zero-init the rest, and run the closure.
 
         Returns the final value array of every vector-bound register, in
-        :attr:`final_slots` order.  With ``shards`` the same closure runs
-        over stacked ``(shards, size)`` arrays — one gather per LUT query
-        for the whole batch (the fused path) — and input validation is
-        skipped: the fused caller has already size-checked the stacked
-        arrays.  Without ``shards``, inputs are validated in the
-        interpreted path's exact order (external missing/size/width
-        checks on the caller's dtype, then unknown names) while they are
-        seeded.
+        :attr:`final_slots` order.  ``inputs`` must already be valid for
+        the program: the controller checks them
+        (``PlutoController._check_inputs``) before it gets here.  With
+        ``shards`` the same closure runs over stacked ``(shards, size)``
+        arrays — one gather per LUT query for the whole batch (the fused
+        path).
         """
-        slots = self.input_slots
+        if shards is not None and not self.supports_fused:
+            raise ExecutionError(
+                "program moves between different-size rows; fused "
+                "compiled execution is unavailable"
+            )
         values: list = [None] * self.num_slots
-        if shards is None:
-            checks = self.input_checks
-            for name, slot in self.required_inputs:
-                if name not in inputs:
-                    raise ExecutionError(
-                        f"missing input data for external vector {name!r}"
-                    )
-                data = np.asarray(inputs[name])
-                size, limit, bits = checks[name]
-                if data.size != size:
-                    raise ExecutionError(
-                        f"input {name!r} has {data.size} elements, "
-                        f"expected {size}"
-                    )
-                if data.size and int(data.max()) > limit:
-                    raise ExecutionError(
-                        f"input {name!r} contains values wider than "
-                        f"{bits} bits"
-                    )
-                values[slot] = np.asarray(data, dtype=np.uint64)
-            for name, data in inputs.items():
-                slot = slots.get(name)
-                if slot is None:
-                    raise ExecutionError(
-                        f"input {name!r} is not a vector of this program"
-                    )
-                if values[slot] is None:
-                    values[slot] = np.asarray(data, dtype=np.uint64)
-            for slot, size in self.zero_specs:
-                if values[slot] is None:
-                    values[slot] = np.zeros(size, dtype=np.uint64)
-        else:
-            for name, data in inputs.items():
-                slot = slots.get(name)
-                if slot is None:
-                    raise ExecutionError(
-                        f"input {name!r} is not a vector of this program"
-                    )
-                values[slot] = np.asarray(data, dtype=np.uint64)
-            if not self.supports_fused:
-                raise ExecutionError(
-                    "program moves between different-size rows; fused "
-                    "compiled execution is unavailable"
-                )
-            for slot, size in self.zero_specs:
-                if values[slot] is None:
-                    values[slot] = np.zeros((shards, size), dtype=np.uint64)
+        for name, data in inputs.items():
+            values[self.input_slots[name]] = np.asarray(data, dtype=np.uint64)
+        for slot, size in self.zero_specs:
+            if values[slot] is None:
+                values[slot] = np.zeros(size if shards is None else (shards, size), dtype=np.uint64)
         try:
             return self._fn(values)
         except IndexError as error:
@@ -270,10 +220,11 @@ def _lower(compiled: CompiledProgram) -> CompiledExecutable:
     variants of the program body are generated.  ``safe_lines`` (the
     ``__pluto_program__`` closure behind run_finals and fused execution)
     carries an inline LUT bounds check wherever the source slot's
-    provable value bound can reach the table size — ``run_finals``
-    width-checks externals on the caller's dtype (a signed ``-1`` passes
-    and wraps huge as uint64, matching the interpreted route), so its
-    contract is ``assume_external_width=False``.  The serve entry point
+    provable value bound can reach the table size — the controller
+    width-checks externals on the caller's dtype before ``run_finals``
+    (a signed ``-1`` passes and wraps huge as uint64, as on the
+    interpreted route), so its contract is
+    ``assume_external_width=False``.  The serve entry point
     validates every external's *converted* uint64 values against the
     width mask and bails out otherwise, so ``fast_lines`` analyzes under
     ``assume_external_width=True`` — which elides every check in 8-bit
@@ -409,18 +360,6 @@ def _lower(compiled: CompiledProgram) -> CompiledExecutable:
         (name, position[register.index]) for name, register in binding_items
     )
     copy_finals = tuple(slot not in rebound for slot in final_slots)
-    input_checks = {
-        vector.name: (
-            vector.size,
-            mask_of(min(64, vector.bit_width)),
-            vector.bit_width,
-        )
-        for vector in compiled.external_inputs
-    }
-    required_inputs = tuple(
-        (vector.name, compiled.vector_bindings[vector.name].index)
-        for vector in compiled.external_inputs
-    )
 
     unpack = ", ".join(f"r{slot}" for slot in range(num_slots))
     unpack_line = f"({unpack},) = V" if num_slots else "pass"
@@ -433,9 +372,9 @@ def _lower(compiled: CompiledProgram) -> CompiledExecutable:
     # one straight-line function over the inputs dict.  It handles only
     # the common case — inputs naming exactly the external vectors, with
     # every *converted* uint64 value inside its width mask (a signed
-    # negative wraps huge and fails that test) — and bails to the
-    # generic run_finals path (``return None``) otherwise, which redoes
-    # validation with the interpreted route's exact checks and errors.
+    # negative wraps huge and fails that test) — and bails out
+    # (``return None``) otherwise; the controller then validates with the
+    # interpreted route's exact checks and errors and takes run_finals.
     # Inside the fast path the width test doubles as the proof that the
     # fast body's external value bounds hold.
     env.update(A=np.asarray, U=np.uint64, Z=np.zeros)
@@ -491,34 +430,10 @@ def _lower(compiled: CompiledProgram) -> CompiledExecutable:
         output_bindings=output_bindings,
         register_bindings=register_bindings,
         copy_finals=copy_finals,
-        input_checks=input_checks,
-        required_inputs=required_inputs,
         supports_fused=supports_fused,
         lut_queries=safe.lut_queries,
         instructions=safe.instructions,
     )
-
-
-def compile_program(
-    compiled: CompiledProgram, backend: "str | object" = "vectorized"
-) -> CompiledExecutable:
-    """Lower a compiled program into one whole-program NumPy closure.
-
-    ``backend`` names the execution tier the closure replaces; only
-    batched-capable backends (the vectorized tier) can be compiled — the
-    functional backend deliberately stays interpreted so it remains the
-    bit-exactness oracle the fast tiers are differentially tested
-    against.
-    """
-    from repro.backend.base import resolve_backend
-
-    resolved = resolve_backend(backend)  # type: ignore[arg-type]
-    if not resolved.supports_batched:
-        raise ExecutionError(
-            f"backend {resolved.name!r} cannot host compiled execution; "
-            "it is kept interpreted as the bit-exactness oracle"
-        )
-    return _lower(compiled)
 
 
 def _cached_closures() -> int:

@@ -5,8 +5,8 @@ objects the pLUTo engine consumes and produces a latency/energy estimate
 for processing a given number of elements.  The models are deliberately
 first-order (roofline-style): the paper's comparisons span 2-4 orders of
 magnitude and are driven by data movement, so bandwidth/compute ceilings
-and per-byte energies capture the relevant behaviour (see DESIGN.md,
-"Substitutions").
+and per-byte energies capture the relevant behaviour (the calibration is
+described in :mod:`repro.baselines.processor`).
 """
 
 from __future__ import annotations

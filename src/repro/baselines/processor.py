@@ -20,8 +20,8 @@ roofline machine:
 
 Energy combines dynamic energy per byte/operation with busy power over the
 run time.  The calibration targets the *relative* results of Figures 7-10;
-see DESIGN.md ("Substitutions") and EXPERIMENTS.md for the calibration
-notes.
+``examples/run_all_experiments.py`` lists the deviations it causes in the
+report it writes.
 """
 
 from __future__ import annotations

@@ -174,13 +174,15 @@ class PlutoController:
     backend instance across executions, which lets batched sessions share
     cached LUT gather arrays.
 
-    ``jit`` (default on) enables the whole-program compiled tier
-    (:mod:`repro.backend.compiled`): executions that arrive with a
+    The controller is the one place that decides whether an execution
+    takes the whole-program compiled tier (:mod:`repro.backend.compiled`,
+    see :meth:`_compiled_executable`): executions that arrive with a
     program ``structure_key`` on a batched-capable backend run through
     one cached NumPy closure instead of the per-instruction interpreter
-    — bit-identical outputs and traces, no per-op Python dispatch.  Pass
-    ``jit=False`` to pin the interpreted vectorized path (the compiled
-    tier's own differential oracle).
+    — bit-identical outputs and traces, no per-op Python dispatch.
+    ``jit=False`` pins the interpreted walk (the compiled tier's own
+    differential oracle and the reference its host-speed floor is
+    measured against).
     """
 
     def __init__(
@@ -222,29 +224,20 @@ class PlutoController:
         so the scheduler can model cross-bank tRRD/tFAW contention.
 
         ``structure_key`` is the program-structure key the program was
-        compiled under; with it (on a batched-capable backend, unless
-        ``jit=False``) the execution takes the whole-program compiled
-        tier: one cached NumPy closure performs every functional effect
-        and the trace is realized from the cached template — bit-identical
-        to the interpreted walk below by construction.
+        compiled under; with it the execution may take the whole-program
+        compiled tier (:meth:`_compiled_executable`): one cached NumPy
+        closure performs every functional effect and the trace is
+        realized from the cached template — bit-identical to the
+        interpreted walk below by construction.
         """
         geometry = self.engine.geometry
         if not 0 <= bank < geometry.banks:
             raise ExecutionError(
                 f"bank {bank} outside the module's range [0, {geometry.banks})"
             )
-        if self.jit and structure_key is not None:
-            # Fast path: reuse the executable pinned on the program by a
-            # prior resolution; generate it only when unseen.
-            executable = compiled.__dict__.get("_jit_executable")
-            if executable is None:
-                executable = self._compiled_executable(compiled, structure_key)
-            elif executable is False or not self.backend.supports_batched:
-                executable = None
-            if executable is not None:
-                # Input validation happens inside run_finals (same rules
-                # as _check_inputs, fused into the seeding pass).
-                return self._execute_compiled(executable, compiled, inputs, bank=bank)
+        executable = self._compiled_executable(compiled, structure_key)
+        if executable is not None:
+            return self._execute_compiled(executable, compiled, inputs, bank=bank)
         self._check_inputs(compiled, inputs)
         table = AllocationTable(geometry, bank=bank)
         trace = CommandTrace(timing=self.engine.timing, energy=self.engine.energy)
@@ -315,11 +308,14 @@ class PlutoController:
     ):
         """The program's whole-program closure, when the JIT tier applies.
 
-        The tier requires an explicit opt-in signal (a structure key), a
-        batched-capable backend, and ``jit=True``; the functional oracle
-        and keyless executions keep the interpreted walk.  The closure
-        (or the verdict that the program cannot lower) is kept on the
-        ``CompiledProgram``, so every controller shares it.
+        The one decision of whether a run takes the compiled tier, for
+        :meth:`execute` and :meth:`execute_fused` alike.  The tier
+        requires an explicit opt-in signal (a structure key), a
+        batched-capable backend, ``jit=True``, and a program that lowers;
+        the functional oracle and keyless executions keep the interpreted
+        walk.  The closure (or the verdict that the program cannot lower)
+        is kept on the ``CompiledProgram``, so every controller shares it
+        and a warm run reads it without generating anything.
         """
         if not self.jit or structure_key is None or not self.backend.supports_batched:
             return None
@@ -357,6 +353,7 @@ class PlutoController:
         if served is not None:
             outputs, registers = served
         else:
+            self._check_inputs(compiled, inputs)
             finals = executable.run_finals(inputs)
             # Closure-created finals are handed out directly (nothing
             # else references them); only finals that may alias a

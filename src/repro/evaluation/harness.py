@@ -223,7 +223,6 @@ class EvaluationHarness:
                 session.calls,
                 engine,
                 requested,
-                backend=self.backend,
                 verify=verification_enabled(engine.config.verify),
                 subject=f"harness program on {label}",
             )

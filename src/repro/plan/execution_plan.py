@@ -38,7 +38,6 @@ __all__ = [
 
 
 _MODES = ("explicit", "auto")
-_TIERS = ("auto", "compiled", "interpreted")
 
 
 @dataclass(frozen=True)
@@ -53,15 +52,15 @@ class ExecutionPlan:
     interface levels (they require ``hierarchical=True``).
 
     ``optimize`` runs the program optimizer before compilation
-    (``None`` defers to ``PlutoConfig(optimize=...)``).  ``tier`` picks
-    the execution tier: ``"compiled"`` (whole-program cached closures),
-    ``"interpreted"`` (the per-instruction walk), or ``"auto"`` (the
-    backend's best).
+    (``None`` defers to ``PlutoConfig(optimize=...)``).  A plan names no
+    host execution tier: the controller takes the compiled closure
+    whenever the backend can run it, and the modelled cost is the same
+    either way.
 
     ``mode="auto"`` hands the geometry decision to the cost-based
-    planner; pinning ``optimize`` or ``tier`` on an auto plan narrows
-    the search, but pinning geometry (``shards`` / ``hierarchical`` /
-    ``channels`` / ``ranks``) contradicts it and is rejected.
+    planner; pinning ``optimize`` on an auto plan narrows the search,
+    but pinning geometry (``shards`` / ``hierarchical`` / ``channels`` /
+    ``ranks``) contradicts it and is rejected.
     """
 
     mode: str = "explicit"
@@ -70,7 +69,6 @@ class ExecutionPlan:
     channels: int | None = None
     ranks: int | None = None
     optimize: bool | None = None
-    tier: str = "auto"
 
     def __post_init__(self) -> None:
         from repro.analyze.diagnostics import Diagnostic, Severity
@@ -78,11 +76,6 @@ class ExecutionPlan:
         if self.mode not in _MODES:
             raise ConfigurationError(
                 f"unknown plan mode {self.mode!r}; expected one of {list(_MODES)}"
-            )
-        if self.tier not in _TIERS:
-            raise ConfigurationError(
-                f"unknown execution tier {self.tier!r}; expected one of "
-                f"{list(_TIERS)}"
             )
         if self.shards is not None and self.shards < 1:
             raise ConfigurationError("shard count must be >= 1")
@@ -138,11 +131,9 @@ class ExecutionPlan:
         return pinned
 
     @classmethod
-    def auto(
-        cls, *, optimize: bool | None = None, tier: str = "auto"
-    ) -> "ExecutionPlan":
-        """An auto plan, optionally pinning the optimizer or the tier."""
-        return cls(mode="auto", optimize=optimize, tier=tier)
+    def auto(cls, *, optimize: bool | None = None) -> "ExecutionPlan":
+        """An auto plan, optionally pinning the optimizer."""
+        return cls(mode="auto", optimize=optimize)
 
     @property
     def is_auto(self) -> bool:
@@ -179,8 +170,6 @@ class ExecutionPlan:
             parts.append(f"shards={self.effective_shards}")
         if self.optimize:
             parts.append("opt")
-        if self.tier != "auto":
-            parts.append(self.tier)
         return "+".join(parts)
 
 
@@ -188,7 +177,7 @@ def resolve_plan(plan: "ExecutionPlan | str | None") -> ExecutionPlan:
     """Normalize a ``plan=`` argument to an :class:`ExecutionPlan`.
 
     ``None`` means the default explicit plan (one shard, engine-config
-    optimize, best tier); the string ``"auto"`` is shorthand for
+    optimize); the string ``"auto"`` is shorthand for
     :meth:`ExecutionPlan.auto`.  The two named plans are shared
     singletons — resolution on the hot ``run()`` path costs no
     allocation.

@@ -12,7 +12,8 @@ execution share one model *and* one memo, the planner's predicted
 makespan is exact with respect to the model — and the merges it
 performs are warm-cache hits when the chosen plan executes.  The
 planner reads no host clock: its choice is a function of the program
-structure, the engine configuration and the request alone.
+structure, the engine configuration and the request alone, never of the
+backend that will simulate the chosen plan.
 
 The planner keeps no memo of its own: every front door prepares a
 program into one :class:`~repro.api.session.ProgramArtifact` per
@@ -114,18 +115,6 @@ def _shard_grid(limit: int, size: int) -> list[int]:
     return sorted(grid)
 
 
-def _tier(request: ExecutionPlan, supports_batched: bool) -> str:
-    """The execution tier every candidate runs on.
-
-    The pinned tier if the request has one, else the backend's fastest.
-    The tier never changes the modelled makespan and the compiled tier
-    costs less host time, so no other tier is worth pricing.
-    """
-    if request.tier != "auto":
-        return request.tier
-    return "compiled" if supports_batched else "interpreted"
-
-
 def _price(
     plan: ExecutionPlan,
     templates: Sequence["TraceTemplate"],
@@ -171,7 +160,6 @@ def _enumerate(
     *,
     modes: tuple[str, ...],
     request: ExecutionPlan,
-    supports_batched: bool,
 ) -> list[CandidatePlan]:
     """Price every candidate configuration for ``calls`` on ``engine``.
 
@@ -184,9 +172,8 @@ def _enumerate(
     from repro.controller.executor import PlutoController
     from repro.opt.pipeline import optimize_cached
 
-    controller = PlutoController(engine, backend="vectorized", jit=False)
+    controller = PlutoController(engine, backend="vectorized")
     geometry = engine.geometry
-    tier = _tier(request, supports_batched)
     optimize_options = (
         (bool(request.optimize),)
         if request.optimize is not None
@@ -260,7 +247,7 @@ def _enumerate(
             whole = templates_of([size])
             if whole is not None:
                 candidates.append(
-                    _price(ExecutionPlan(shards=1, optimize=optimize, tier=tier), whole, engine)
+                    _price(ExecutionPlan(shards=1, optimize=optimize), whole, engine)
                 )
         if size is None:
             continue
@@ -275,10 +262,9 @@ def _enumerate(
                         channels=channels if channels != geometry.channels else None,
                         ranks=ranks if ranks != geometry.ranks else None,
                         optimize=optimize,
-                        tier=tier,
                     )
                 elif shards > 1:
-                    plan = ExecutionPlan(shards=shards, optimize=optimize, tier=tier)
+                    plan = ExecutionPlan(shards=shards, optimize=optimize)
                 else:
                     continue
                 shard_templates = templates_of(
@@ -340,18 +326,16 @@ def plan_program(
     *,
     request: ExecutionPlan | None = None,
     modes: tuple[str, ...] = ("single", "banks", "hierarchy"),
-    supports_batched: bool = True,
     subject: str = "program",
 ) -> PlannedExecution:
     """Pick the cheapest execution configuration for ``calls``.
 
-    ``request`` is the auto plan carrying any pinned ``optimize`` /
-    ``tier``; ``modes`` restricts the searched geometry families
-    (``"single"``, ``"banks"``, ``"hierarchy"``) — the hierarchical
-    front door passes ``("hierarchy",)`` so auto stays hierarchical.
-    ``supports_batched`` describes the backend that will execute the
-    plan (the functional oracle cannot fuse shards or run the compiled
-    tier).
+    ``request`` is the auto plan carrying any pinned ``optimize``;
+    ``modes`` restricts the searched geometry families (``"single"``,
+    ``"banks"``, ``"hierarchy"``) — the hierarchical front door passes
+    ``("hierarchy",)`` so auto stays hierarchical.  The choice depends
+    on no backend: every backend runs a plan to the same modelled
+    makespan and energy.
 
     Every call plans: reuse lives in the program artifact table of
     :func:`~repro.api.session.prepare_execution`.  The returned plan is
@@ -375,7 +359,6 @@ def plan_program(
         engine,
         modes=modes,
         request=request,
-        supports_batched=supports_batched,
     )
     if not candidates:
         raise ConfigurationError(

@@ -54,8 +54,8 @@ __all__ = [
 
 #: Bump when the artifact layout (or the meaning of any stored product)
 #: changes; entries written under another schema are discarded as stale.
-#: Version 4: a sharded artifact carries its verified shard layout.
-ARTIFACT_SCHEMA_VERSION = 4
+#: Version 5: the identity and the plan name no backend or host tier.
+ARTIFACT_SCHEMA_VERSION = 5
 
 
 #: Process-wide hit/miss/stale/saved/installed counters and cumulative
@@ -174,7 +174,6 @@ class SharedArtifactStore:
         *,
         plan: "ExecutionPlan | str | None" = None,
         modes: tuple[str, ...] = ("single", "banks", "hierarchy"),
-        supports_batched: bool = True,
     ) -> ProgramArtifact:
         """Prepare ``calls`` and persist the artifact.
 
@@ -184,7 +183,8 @@ class SharedArtifactStore:
         that cannot be laid out, is rejected and nothing is saved.  A
         process that already served the program holds its artifact, so
         exporting it costs one table lookup and one write.  ``plan``
-        ``None`` defers to the engine's default plan.
+        ``None`` defers to the engine's default plan.  The artifact
+        serves every backend alike.
         """
         from repro.api.session import prepare_execution
         from repro.controller.executor import PlutoController
@@ -196,18 +196,15 @@ class SharedArtifactStore:
             calls,
             engine,
             resolve_plan(plan),
-            # Any backend with the requested batching capability plans alike.
-            backend="vectorized" if supports_batched else "functional",
             modes=tuple(modes),
             verify=True,
             subject="warm-start",
         )
-        if supports_batched:
-            # A program's first run builds its trace template; one exported
-            # before any run gets it here, so no warm start misses it.
-            controller = PlutoController(engine, backend="vectorized", jit=False)
-            for _, compiled in artifact.programs():
-                controller.trace_template(compiled)
+        # A program's first run builds its trace template; one exported
+        # before any run gets it here, so no warm start misses it.
+        controller = PlutoController(engine, backend="vectorized")
+        for _, compiled in artifact.programs():
+            controller.trace_template(compiled)
         self.save(artifact)
         return artifact
 

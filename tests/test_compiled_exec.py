@@ -24,11 +24,7 @@ from repro.api.session import (
     clear_all_caches,
     compile_cached_with_key,
 )
-from repro.backend.compiled import (
-    CompiledExecutable,
-    compile_program,
-    compiled_exec_cached,
-)
+from repro.backend.compiled import CompiledExecutable, compiled_exec_cached
 from repro.controller.dispatch import ParallelDispatcher
 from repro.controller.executor import PlutoController
 from repro.core.engine import PlutoConfig, PlutoEngine
@@ -147,11 +143,9 @@ class TestCompiledParity:
     def test_functional_backend_never_compiles(self):
         session, inputs = _mixed_program(16)
         compiled, key = compile_cached_with_key(session.calls)
-        with pytest.raises(ExecutionError, match="oracle"):
-            compile_program(compiled, backend="functional")
-        result = PlutoController(backend="functional").execute(
-            compiled, dict(inputs), structure_key=key
-        )
+        oracle = PlutoController(backend="functional")
+        assert oracle._compiled_executable(compiled, key) is None
+        result = oracle.execute(compiled, dict(inputs), structure_key=key)
         assert result.backend == "functional"
 
 
@@ -196,7 +190,7 @@ class TestCompiledFused:
             external_inputs=[PlutoVector("small", 8, 8)],
             outputs=[PlutoVector("big", 16, 8)],
         )
-        executable = compile_program(compiled)
+        executable = compiled_exec_cached(compiled, structure_key=("partial-row move",))
         assert not executable.supports_fused
         with pytest.raises(ExecutionError, match="fused"):
             executable.run_finals(

@@ -13,7 +13,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api.session import PlutoSession, cache_stats, clear_all_caches, compile_cached
+from repro.api.session import (
+    PlutoSession,
+    cache_stats,
+    clear_all_caches,
+    compile_cached,
+    compile_cached_with_key,
+)
 from repro.controller.dispatch import ParallelDispatcher, ShardPlanner
 from repro.controller.executor import PlutoController
 from repro.core.designs import PlutoDesign
@@ -263,6 +269,10 @@ class TestCallerArraysUntouched:
     @pytest.mark.parametrize("tier", ["compiled", "interpreted"])
     @pytest.mark.parametrize("shards", [1, 2])
     def test_move_destination_is_not_written(self, backend, tier, shards):
+        """``compiled`` runs the session, whose controller takes the closure
+        where the backend can; ``interpreted`` pins the walk one layer
+        down, with ``jit=False`` (fused on the vectorized backend, the
+        per-shard loop on the functional one)."""
         session = PlutoSession()
         source = session.pluto_malloc(16, 8, "a")
         destination = session.pluto_malloc(16, 8, "b")
@@ -270,9 +280,15 @@ class TestCallerArraysUntouched:
         session.backend = backend
         ia = np.arange(16, dtype=np.uint64)
         ib = np.full(16, 7, dtype=np.uint64)
-        result = session.run(
-            {"a": ia, "b": ib}, plan=ExecutionPlan(shards=shards, tier=tier)
-        )
+        inputs = {"a": ia, "b": ib}
+        if tier == "compiled":
+            result = session.run(inputs, plan=ExecutionPlan(shards=shards))
+        elif shards == 1:
+            compiled, key = compile_cached_with_key(session.calls)
+            controller = PlutoController(backend=backend, jit=False)
+            result = controller.execute(compiled, inputs, structure_key=key)
+        else:
+            result = _run(ParallelDispatcher(backend=backend, jit=False), session, inputs, shards)
         assert np.array_equal(result.outputs["b"], np.arange(16))
         assert np.array_equal(ia, np.arange(16))
         assert np.array_equal(ib, np.full(16, 7))

@@ -15,7 +15,14 @@ import numpy as np
 import pytest
 
 import repro
-from repro.api.session import PlutoSession, cache_stats, clear_all_caches, prepare_execution
+from repro.api.session import (
+    PlutoSession,
+    cache_stats,
+    clear_all_caches,
+    compile_cached_with_key,
+    prepare_execution,
+)
+from repro.controller.executor import PlutoController
 from repro.core.designs import PlutoDesign
 from repro.core.engine import PlutoConfig, PlutoEngine
 from repro.core.lut import LookupTable
@@ -83,8 +90,6 @@ class TestExecutionPlanValidation:
         with pytest.raises(ConfigurationError):
             ExecutionPlan(mode="fastest")
         with pytest.raises(ConfigurationError):
-            ExecutionPlan(tier="gpu")
-        with pytest.raises(ConfigurationError):
             ExecutionPlan(hierarchical=True, channels=0)
 
 
@@ -126,9 +131,7 @@ class TestPlutoConfigPlanValidation:
 
 def _prepare_auto(session: PlutoSession, engine: PlutoEngine):
     """The artifact of ``session``'s program under ``plan="auto"``."""
-    return prepare_execution(
-        session.calls, engine, ExecutionPlan.auto(), backend="vectorized", verify=False
-    )
+    return prepare_execution(session.calls, engine, ExecutionPlan.auto(), verify=False)
 
 
 class TestArtifactReuse:
@@ -154,6 +157,29 @@ class TestArtifactReuse:
         # untouched (no hits, no misses — zero model calls).
         assert dict(cache_stats()["scheduler_merges"]) == merges_before
         assert dict(cache_stats()["hierarchy_schedules"]) == hierarchy_before
+
+    def test_one_artifact_whatever_the_backend(self):
+        """The artifact names no backend: a functional session runs the one
+        a vectorized session prepared, under the same plan."""
+        clear_all_caches()
+        program = workload_program("crc", elements=256, seed=1)
+        engine = PlutoEngine(PlutoConfig())
+        vectorized = program.session.run(program.inputs, engine=engine, plan="auto")
+        misses = cache_stats()["artifacts"]["misses"]
+        session = PlutoSession(
+            vectors=list(program.session.vectors),
+            calls=list(program.session.calls),
+            backend="functional",
+        )
+        functional = session.run(program.inputs, engine=engine, plan="auto")
+        assert cache_stats()["artifacts"]["misses"] == misses
+        assert functional.backend == "functional"
+        assert functional.execution_plan == vectorized.execution_plan
+        assert functional.latency_ns == vectorized.latency_ns
+        assert functional.energy_nj == vectorized.energy_nj
+        assert functional.outputs.keys() == vectorized.outputs.keys()
+        for name, data in vectorized.outputs.items():
+            assert np.array_equal(functional.outputs[name], data), name
 
     def test_structurally_identical_programs_share_a_plan(self):
         clear_all_caches()
@@ -320,7 +346,7 @@ class TestTieBreak:
         auto = session.run(inputs, plan="auto")
         default = session.run(inputs, plan=ExecutionPlan())
         priced = {c.plan.label(): c for c in auto.planner.candidates}
-        one, two = priced["shards=1+compiled"], priced["shards=2+compiled"]
+        one, two = priced["shards=1"], priced["shards=2"]
         # The premise: two shards are a near-tie at twice the energy.
         assert two.predicted_makespan_ns <= one.predicted_makespan_ns * 1.0003
         assert two.predicted_energy_nj == 2 * one.predicted_energy_nj
@@ -367,10 +393,15 @@ class TestAutoMatchesStatic:
         for name in reference.outputs:
             assert np.array_equal(auto.outputs[name], reference.outputs[name])
 
-    def test_interpreted_tier_plan_matches_compiled(self):
+    def test_interpreted_controller_matches_compiled(self):
         session, inputs = _add_program(256)
-        compiled = session.run(inputs, plan=ExecutionPlan(tier="compiled"))
-        interpreted = session.run(inputs, plan=ExecutionPlan(tier="interpreted"))
+        program, key = compile_cached_with_key(session.calls)
+        compiled = PlutoController(backend="vectorized").execute(
+            program, dict(inputs), structure_key=key
+        )
+        interpreted = PlutoController(backend="vectorized", jit=False).execute(
+            program, dict(inputs), structure_key=key
+        )
         for name in compiled.outputs:
             assert np.array_equal(compiled.outputs[name], interpreted.outputs[name])
         assert compiled.latency_ns == interpreted.latency_ns

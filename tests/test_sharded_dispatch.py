@@ -544,15 +544,15 @@ class TestSessionSurface:
         with pytest.raises(ConfigurationError, match="16 banks"):
             session.run(inputs, engine=_engine(2, 2), plan=ExecutionPlan(shards=17))
 
-    def test_one_warm_dispatcher_per_placement_and_tier(self):
+    @pytest.mark.parametrize("engine", [_engine(), None], ids=["engine", "default-engine"])
+    def test_one_warm_dispatcher_per_placement(self, engine):
         from repro.api.session import Executors
 
-        executors = Executors(_engine(), "vectorized")
+        executors = Executors(engine, "vectorized")
         banked = executors.dispatcher(ExecutionPlan(shards=8))
         # On a one-rank device the device-wide hierarchical placement is
-        # the bank-sharded one.
+        # the bank-sharded one, with or without an explicit engine.
         assert executors.dispatcher(ExecutionPlan(hierarchical=True, shards=4)) is banked
-        assert executors.dispatcher(ExecutionPlan(shards=8, tier="interpreted")) is not banked
 
     def test_run_batch_parallel_makespan(self):
         session, inputs = _program(1024)

@@ -153,7 +153,6 @@ class TestWarmStart:
         store.export(
             program.session.calls,
             plan=plan,
-            supports_batched=True,
         )
         cold = program.session.run(program.inputs, plan=plan)
 

@@ -91,6 +91,31 @@ def test_an_edit_after_the_run_never_reaches_an_equal_program(plan):
     _assert_same(_program()[0].run(inputs, plan=plan), first)
 
 
+@pytest.mark.parametrize(
+    "plan, door",
+    [
+        (ExecutionPlan(optimize=True), lambda s, inputs, plan: s.run_batch([inputs], plan=plan)[0]),
+        (
+            ExecutionPlan(hierarchical=True, shards=4),
+            lambda s, inputs, plan: s.run_hierarchical(inputs, plan=plan),
+        ),
+    ],
+    ids=["run_batch", "run_hierarchical"],
+)
+def test_an_explicit_plan_prepares_one_artifact_for_every_front_door(plan, door):
+    """The planner's search modes name no part of an explicit plan's
+    artifact, so another front door running the same plan reuses it."""
+    clear_all_caches()
+    session, inputs = _program()
+    first = session.run(inputs, plan=plan)
+    before = cache_stats()["artifacts"]
+    second = door(session, inputs, plan)
+    after = cache_stats()["artifacts"]
+    assert (before["misses"], before["hits"]) == (1, 0)
+    assert (after["misses"], after["hits"]) == (1, 1)
+    _assert_same(second, first)
+
+
 def test_recorded_call_prepares_again():
     session, inputs = _program()
     session.run(inputs)

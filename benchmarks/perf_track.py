@@ -28,7 +28,8 @@ CI's ``perf-track`` job calls this script.  It
    configuration on every family, beating the naive default on most,
    with exact predicted-vs-measured makespans), and the PR 9 floors
    (pool requests/sec, modelled >= 2x device-throughput scaling at 4
-   workers, warm-started first request within 2x of hot and the cold
+   workers, a >= 1.3x wall-clock speedup at 4 workers on >= 4 cores,
+   warm-started first request within 2x of hot and the cold
    first request at least 10x the warm one), and the PR 10 gates
    (tracing-enabled serving within 5% of tracing-disabled, and
    bit-identical per-request energy attribution across repeated
@@ -237,6 +238,12 @@ def gate(
         failures.append(
             f"modelled 4-worker scaling {scaling['modelled_scaling_4w']:.2f}x "
             f"fell below the asserted floor {scaling_floor}x"
+        )
+    wall_floor = scaling.get("min_wall_clock_ratio_4w", 1.3)
+    if scaling and scaling.get("cpu_cores", 1) >= 4 and scaling["wall_clock_ratio_4w"] < wall_floor:
+        failures.append(
+            f"4-worker wall-clock speedup {scaling['wall_clock_ratio_4w']:.2f}x on a "
+            f"{scaling['cpu_cores']}-core machine fell below the floor {wall_floor}x"
         )
     warm = serving.get("warm_start", {})
     if warm:

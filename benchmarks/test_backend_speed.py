@@ -4,8 +4,10 @@ Two floors share this file (and the ``backend_speed.json`` payload):
 
 1. ``test_vectorized_backend_is_faster`` — the original PR 2 floor: a
    representative Figure 7 workload (the 8-bit image pipeline) through
-   the full compile/controller stack must run at least 5x faster on the
-   vectorized backend than on the functional row-sweep oracle.
+   the full compile/controller stack should run at least 5x faster on
+   the vectorized backend than on the functional row-sweep oracle.  The
+   test measures and records the speedup with its floor; the ratio is
+   host wall-clock, so ``perf_track.py`` gates it, not pytest.
 2. ``test_compiled_tier_floor`` — the PR 6 floor: the whole-program
    compiled tier (one cached NumPy closure per program structure) should
    run 4096-element image and salsa20 serving programs at least 5x
@@ -91,17 +93,11 @@ def test_vectorized_backend_is_faster():
         "functional_s": functional_s,
         "vectorized_s": vectorized_s,
         "speedup": speedup,
-        # The asserted floor, recorded so the perf-track CI gate reads the
-        # same threshold this test enforces.
+        # The floor perf_track.py gates this host wall-clock ratio on.
         "min_speedup": MIN_SPEEDUP,
     }
     print("BACKEND_SPEED_JSON " + json.dumps(payload))
     _merge_payload(payload)
-
-    assert speedup >= MIN_SPEEDUP, (
-        f"vectorized backend is only {speedup:.1f}x faster than functional "
-        f"(required {MIN_SPEEDUP}x)"
-    )
 
 
 def _merge_payload(fields: dict) -> None:

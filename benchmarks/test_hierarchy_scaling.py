@@ -2,19 +2,21 @@
 
 Runs the reference 256-entry LUT map through the dispatcher, one shard
 per bank, for growing device shapes and asserts these properties of the
-makespan decomposition:
+modelled makespan decomposition:
 
 * per level, enabling more hierarchy never hurts —
   channel-parallel <= rank-parallel <= bank-only <= serial;
 * rank- and channel-level parallelism genuinely help at scale — the
   2-channel x 2-rank device beats the single-rank module;
-* wall-clock stays bounded — PR 4's fused single-pass execution and
-  memoized analytic scheduling must keep the whole figure under
-  ``MAX_WALL_CLOCK_S`` (PR 3 measured 2.63 s; the fused floor is a
-  >= 5x improvement);
-* fused dispatch beats the per-shard loop by ``MIN_FUSION_SPEEDUP`` on
-  the largest device, with bit-identical outputs and identical
-  makespans.
+* fused dispatch and the per-shard loop give bit-identical outputs and
+  identical makespans on the largest device.
+
+It also measures two host wall-clock floors and records them with their
+thresholds, which ``perf_track.py`` gates (host ratios do not belong in
+the tier-1 run): fused single-pass execution and memoized analytic
+scheduling should keep the whole figure under ``MAX_WALL_CLOCK_S`` (a
+>= 5x improvement on the 2.63 s the unfused dispatcher took), and fused
+dispatch should beat the per-shard loop by ``MIN_FUSION_SPEEDUP``.
 
 The numbers are emitted as JSON for the bench trajectory (stdout +
 ``benchmarks/hierarchy_scaling.json``, overridable via the
@@ -50,7 +52,7 @@ def _fusion_comparison() -> dict:
     """Time fused vs per-shard dispatch of the 64-shard colorgrade map."""
     from repro.api.luts import color_grade_lut
     from repro.api.session import PlutoSession
-    from repro.controller.dispatch import ParallelDispatcher
+    from repro.controller.dispatch import ParallelDispatcher, ShardPlanner
     from repro.core.designs import PlutoDesign
     from repro.core.engine import PlutoConfig, PlutoEngine
 
@@ -63,16 +65,17 @@ def _fusion_comparison() -> dict:
         PlutoConfig(design=PlutoDesign.BSA, tfaw_fraction=1.0, channels=2, ranks=2)
     )
 
+    planner = ShardPlanner(engine.geometry)
     timings = {}
     results = {}
     for label, fused in (("per_shard", False), ("fused", True)):
         dispatcher = ParallelDispatcher(engine, fused=fused)
         # Warm-up: caches, compiles.
-        dispatcher.execute(dispatcher.planner.plan(session.calls), inputs)
+        dispatcher.execute(planner.plan(session.calls), inputs)
         best = float("inf")
         for _ in range(3):
             start = time.perf_counter()
-            results[label] = dispatcher.execute(dispatcher.planner.plan(session.calls), inputs)
+            results[label] = dispatcher.execute(planner.plan(session.calls), inputs)
             best = min(best, time.perf_counter() - start)
         timings[label] = best
 
@@ -137,12 +140,3 @@ def test_hierarchy_levels_scale():
         )
     )
     output.write_text(json.dumps(payload, indent=2) + "\n")
-
-    assert wall_s <= MAX_WALL_CLOCK_S, (
-        f"hierarchy figure took {wall_s:.2f}s "
-        f"(fused+memoized budget {MAX_WALL_CLOCK_S}s)"
-    )
-    assert fusion["fusion_speedup"] >= MIN_FUSION_SPEEDUP, (
-        f"fused dispatch is only {fusion['fusion_speedup']:.2f}x faster than "
-        f"the per-shard loop (required {MIN_FUSION_SPEEDUP}x)"
-    )

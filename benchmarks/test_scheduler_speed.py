@@ -12,9 +12,11 @@ these per-bank command streams":
   (:func:`repro.dram.analytic.homogeneous_sweep_makespan_ns` — pure
   tRRD/tFAW arithmetic, no events at all).
 
-Asserts the memoized path answers repeat queries at least
-``MIN_SPEEDUP`` times faster than the event-driven merge and emits the
-numbers as JSON for the bench trajectory (stdout +
+Asserts that all three answer alike, and records how much faster the
+memoized path answers repeat queries than the event-driven merge, with
+its ``MIN_SPEEDUP`` floor, which ``perf_track.py`` gates (the ratio is
+host wall-clock).  The numbers go out as JSON for the bench trajectory
+(stdout +
 ``benchmarks/scheduler_speed.json``, overridable via the
 ``SCHEDULER_SPEED_JSON`` environment variable); CI's perf-track job
 folds them into ``BENCH_pr4.json``.
@@ -102,8 +104,7 @@ def test_memoized_scheduling_is_faster():
         "analytic_queries_per_s": 1.0 / max(analytic_s, 1e-12),
         "memoized_speedup": memoized_speedup,
         "analytic_speedup": analytic_speedup,
-        # The asserted floor, recorded so the perf-track CI gate reads
-        # the same threshold this test enforces.
+        # The floor perf_track.py gates this host wall-clock ratio on.
         "min_speedup": MIN_SPEEDUP,
     }
     print("SCHEDULER_SPEED_JSON " + json.dumps(payload))
@@ -114,8 +115,3 @@ def test_memoized_scheduling_is_faster():
         )
     )
     output.write_text(json.dumps(payload, indent=2) + "\n")
-
-    assert memoized_speedup >= MIN_SPEEDUP, (
-        f"memoized scheduling is only {memoized_speedup:.1f}x faster than "
-        f"the event-driven merge (required {MIN_SPEEDUP}x)"
-    )

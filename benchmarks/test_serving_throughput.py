@@ -1,25 +1,28 @@
 """Benchmark: multi-worker serving throughput and warm-start floors.
 
-Three gates share this file (and the ``serving_throughput.json``
+Three benchmarks share this file (and the ``serving_throughput.json``
 payload, overridable via the ``SERVING_THROUGHPUT_JSON`` environment
-variable):
+variable).  Each records its host wall-clock floors next to its
+measurements, and ``perf_track.py`` gates them; the tests themselves
+assert only what is exact or modelled:
 
 1. ``test_sustained_mixed_traffic_throughput`` — sustained mixed
    traffic over all six registry families through a
-   :class:`~repro.serve.pool.PlutoWorkerPool` must hold the aggregate
-   requests/sec floor, and every result must be bit-identical (CRC32
-   digests) to single-process ``session.run``.
+   :class:`~repro.serve.pool.PlutoWorkerPool`: every result must be
+   bit-identical (CRC32 digests) to single-process ``session.run``, and
+   the aggregate requests/sec is recorded with its floor.
 2. ``test_worker_scaling_is_near_linear`` — the affinity router must
    spread the six families well enough that the *modelled* device
    throughput (summed per-request DRAM makespan per worker) scales at
    least 2x from 1 worker to 4.  The modelled metric is deterministic,
    so the floor holds on single-core CI runners where wall-clock cannot
-   scale; measured wall-clock ratios are recorded alongside (and gated
-   only when the machine actually has 4 cores).
+   scale; the measured 4-worker wall-clock ratio is recorded alongside
+   with its floor, gated only when the machine has 4 cores.
 3. ``test_warm_start_latency_floors`` — a genuinely cold worker process
-   (spawn start method) warm-starting from a shared artifact store must
-   serve its first request within 2x of a hot request, while a cold
-   worker without the store pays at least 10x more than the warm one.
+   (spawn start method) warm-starting from a shared artifact store
+   should serve its first request within 2x of a hot request, while a
+   cold worker without the store pays at least 10x more than the warm
+   one; all three latencies are recorded with both floors.
 
 Scale the sustained-traffic volume with
 ``SERVING_REQUESTS_PER_FAMILY`` (default 32; the worker-scaling figure
@@ -56,6 +59,10 @@ MIN_REQUESTS_PER_SEC = 150.0
 #: PR 9 acceptance gate.  Deterministic: derived from per-request
 #: modelled DRAM makespans and the router's actual placement.
 MIN_MODELLED_SCALING_4W = 2.0
+
+#: Wall-clock speedup floor at 4 workers vs 1, on a machine with at
+#: least 4 cores (fewer cannot run four workers at once).
+MIN_WALL_CLOCK_RATIO_4W = 1.3
 
 #: Warm-start latency floors: a warm-started worker's first request
 #: must sit within 2x of a hot request, and a store-less cold worker's
@@ -144,11 +151,6 @@ def test_sustained_mixed_traffic_throughput():
     print("SERVING_THROUGHPUT_JSON " + json.dumps(payload))
     _merge_payload({"sustained": payload})
 
-    assert requests_per_sec >= MIN_REQUESTS_PER_SEC, (
-        f"pool served only {requests_per_sec:.0f} requests/sec "
-        f"(floor {MIN_REQUESTS_PER_SEC})"
-    )
-
 
 def test_worker_scaling_is_near_linear():
     families = optimizer_workload_programs(ELEMENTS, 0)
@@ -171,6 +173,7 @@ def test_worker_scaling_is_near_linear():
         "modelled_scaling_4w": modelled_4w,
         "min_modelled_scaling_4w": MIN_MODELLED_SCALING_4W,
         "wall_clock_ratio_4w": wall_ratio_4w,
+        "min_wall_clock_ratio_4w": MIN_WALL_CLOCK_RATIO_4W,
         "cpu_cores": cores,
     }
     print("WORKER_SCALING_JSON " + json.dumps(payload))
@@ -180,12 +183,6 @@ def test_worker_scaling_is_near_linear():
         f"modelled 4-worker scaling {modelled_4w:.2f}x fell below the "
         f"floor {MIN_MODELLED_SCALING_4W}x"
     )
-    if cores >= 4:
-        # Wall-clock parallelism is only observable with real cores.
-        assert wall_ratio_4w >= 1.3, (
-            f"4-worker wall-clock speedup {wall_ratio_4w:.2f}x on a "
-            f"{cores}-core machine (floor 1.3x)"
-        )
 
 
 def _first_and_second_execute_s(family, store_path):
@@ -234,13 +231,3 @@ def test_warm_start_latency_floors(tmp_path):
     }
     print("WARM_START_JSON " + json.dumps(payload))
     _merge_payload({"warm_start": payload})
-
-    assert warm_first <= MAX_WARM_VS_HOT * hot, (
-        f"warm-started first request {warm_first * 1e3:.3f}ms exceeds "
-        f"{MAX_WARM_VS_HOT}x the hot request {hot * 1e3:.3f}ms"
-    )
-    assert cold_first >= MIN_COLD_VS_WARM * warm_first, (
-        f"cold first request {cold_first * 1e3:.3f}ms is only "
-        f"{cold_first / warm_first:.1f}x the warm-started one "
-        f"{warm_first * 1e3:.3f}ms (expected >= {MIN_COLD_VS_WARM}x)"
-    )

@@ -37,12 +37,13 @@ execution stack:
   on the rewritten, cheaper program.
 
 How each request executes is governed by one
-:class:`~repro.plan.ExecutionPlan` (the service-wide ``plan=``), run on
-the warm :class:`~repro.api.session.Executors` of the request's backend:
-the plain controller for unsharded plans, or the
-:class:`~repro.controller.dispatch.ParallelDispatcher` over the plan's
-placement for sharded and hierarchical plans (a bank-sharded plan is one
-rank of one channel).  With ``plan="auto"`` the cost-based planner
+:class:`~repro.plan.ExecutionPlan` (the service-wide ``plan=``, or the
+request's own), and every request runs on the service's one warm
+:class:`~repro.controller.dispatch.ParallelDispatcher` for its backend:
+unsharded programs on its controller, sharded and hierarchical ones as
+the layouts their artifacts carry (a bank-sharded plan is one rank of
+one channel), so every placement shares one controller.  With
+``plan="auto"`` the cost-based planner
 (:func:`repro.plan.plan_program`) prices the candidate configurations
 once per distinct request structure — a repeat request reuses its
 program artifact, plan included — and each :class:`ServedResult`
@@ -59,7 +60,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.api.session import Executors, ProgramArtifact
+from repro.api.session import ProgramArtifact
 from repro.errors import ServiceClosedError, ServiceOverloadError
 from repro.obs.metrics import ServedLatency, request_accounting
 from repro.obs.trace import (
@@ -74,6 +75,7 @@ from repro.obs.trace import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.api.session import PlutoSession
     from repro.backend.base import ExecutionBackend
+    from repro.controller.dispatch import ParallelDispatcher
     from repro.controller.executor import ExecutionResult
     from repro.core.engine import PlutoEngine
     from repro.opt.report import OptimizationReport
@@ -195,8 +197,9 @@ class ServiceStats:
 class _PendingRequest:
     request_id: int
     inputs: dict[str, np.ndarray]
-    #: Warm executors of the backend of the session this request came from.
-    executors: Executors
+    #: The service's dispatcher for the backend of the session this
+    #: request came from.
+    dispatcher: "ParallelDispatcher"
     enqueued_at: float
     #: The request's program, prepared at submission: concrete plan,
     #: post-optimization calls and structure key, compiled program.
@@ -224,7 +227,7 @@ class _PendingRequest:
         artifact = self.artifact
         if artifact.structure_key is None:
             return (id(self),)
-        return (artifact.structure_key, self.executors, artifact.plan)
+        return (artifact.structure_key, self.dispatcher, artifact.plan)
 
     def resolve(self) -> None:
         """Settle the submitter's future (if any, and not cancelled) with
@@ -304,10 +307,10 @@ class PlutoService:
         self._queue: asyncio.Queue[_PendingRequest] | None = None
         self._worker: asyncio.Task | None = None
         self._next_id = 0
-        #: Warm executors per backend selection (names share, instances
-        #: don't), so requests from an overriding session run on the
-        #: backend that session chose.
-        self._executors: dict[object, Executors] = {}
+        #: One warm dispatcher per backend selection (names share,
+        #: instances don't), so requests from an overriding session run on
+        #: the backend that session chose.
+        self._dispatchers: "dict[object, ParallelDispatcher]" = {}
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -519,7 +522,7 @@ class PlutoService:
         request = _PendingRequest(
             request_id=self._next_id,
             inputs={name: np.asarray(data) for name, data in inputs.items()},
-            executors=self._executors_for(source.backend),
+            dispatcher=self._dispatcher_for(source.backend),
             enqueued_at=time.monotonic(),
             future=future,
             artifact=artifact,
@@ -541,21 +544,23 @@ class PlutoService:
             self.engine,
             verify=self.verify,
             subject="request",
-        )[0]
+        )
 
     def _prime(self, session: "PlutoSession", inputs: Mapping[str, np.ndarray]) -> None:
-        """Run ``session``'s program once on the executors its requests
+        """Run ``session``'s program once on the dispatcher its requests
         use, outside the service's statistics and the metrics registry,
         so the first real request finds the program and its controller
         warm."""
-        self._executors_for(session.backend).run(self._artifact(session, None), inputs)
+        self._artifact(session, None).run(self._dispatcher_for(session.backend), inputs)
 
-    def _executors_for(self, backend: "str | ExecutionBackend") -> Executors:
+    def _dispatcher_for(self, backend: "str | ExecutionBackend") -> "ParallelDispatcher":
         key = backend if isinstance(backend, str) else id(backend)
-        executors = self._executors.get(key)
-        if executors is None:
-            executors = self._executors[key] = Executors(self.engine, backend)
-        return executors
+        dispatcher = self._dispatchers.get(key)
+        if dispatcher is None:
+            from repro.controller.dispatch import ParallelDispatcher
+
+            dispatcher = self._dispatchers[key] = ParallelDispatcher(self.engine, backend)
+        return dispatcher
 
     def _require_queue(self) -> "asyncio.Queue[_PendingRequest]":
         if self._queue is None:
@@ -698,7 +703,7 @@ class PlutoService:
             token = activate(request.trace)
             try:
                 with span_of(request.trace, "execute"):
-                    result = request.executors.run(request.artifact, request.inputs)
+                    result = request.artifact.run(request.dispatcher, request.inputs)
             except Exception as error:  # this request's own failure
                 self.stats.failed += 1
                 request.outcome = error
@@ -787,7 +792,7 @@ class PlutoService:
         """
         leader = batch[0]
         artifact = leader.artifact
-        controller = leader.executors.controller()
+        controller = leader.dispatcher.controller
         if not controller.backend.supports_batched:
             return False
         names = set(leader.inputs)

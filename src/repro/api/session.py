@@ -19,10 +19,13 @@ Every execution front door — these, the async service, the evaluation
 harness and the shared artifact store — prepares a program through
 :func:`prepare_execution` (plan, optimize, compile, verify) into one
 :class:`ProgramArtifact` per program and plan request, kept in a bounded
-process-wide table, and runs it on :class:`Executors`, the one mapping
-from a concrete plan to the controller or dispatcher that executes it.
-A session keeps the artifact and executors of its recent runs as warm
-entries, and the async service reuses the submitting session's entry.
+process-wide table.  An artifact carries where it runs (a sharded one
+its verified layout), so :meth:`ProgramArtifact.run` executes any of them
+on one :class:`~repro.controller.dispatch.ParallelDispatcher` per engine
+and backend: the unsharded program on its controller, a layout on the
+dispatcher.  A session keeps one such dispatcher and the artifacts of
+its recent runs as warm entries, and the async service reuses the
+submitting session's entries.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
         ShardedExecutionResult,
         ShardLayout,
     )
-    from repro.controller.executor import ExecutionResult, PlutoController
+    from repro.controller.executor import ExecutionResult
     from repro.core.engine import PlutoEngine
     from repro.obs.trace import RequestTrace
     from repro.opt.pipeline import OptimizedProgram
@@ -67,7 +70,6 @@ __all__ = [
     "ProgramArtifact",
     "prepare_execution",
     "insert_artifact",
-    "Executors",
     "program_structure_key",
     "compile_cached",
     "compile_cached_with_key",
@@ -336,6 +338,19 @@ class ProgramArtifact:
             result.optimization = self.optimization
         return result
 
+    def run(
+        self, dispatcher: "ParallelDispatcher", inputs: Mapping[str, np.ndarray]
+    ) -> "ExecutionResult":
+        """Execute on ``dispatcher``: the unsharded program on its
+        controller, a sharded one's layout on the dispatcher itself.
+        Whether a run takes the compiled closure is the controller's
+        decision, not the plan's."""
+        if self.layout is None:
+            return dispatcher.controller.execute(
+                self.compiled, dict(inputs), structure_key=self.structure_key
+            )
+        return dispatcher.execute(self.layout, inputs)
+
 
 def prepare_execution(
     calls: Sequence[ApiCall],
@@ -475,76 +490,13 @@ def insert_artifact(artifact: ProgramArtifact) -> None:
         pin_executable(compiled)
 
 
-class Executors:
-    """The warm executors of one engine and backend.
-
-    The one place a concrete :class:`~repro.plan.ExecutionPlan` picks its
-    executor: a :class:`~repro.controller.executor.PlutoController` for
-    unsharded plans and a
-    :class:`~repro.controller.dispatch.ParallelDispatcher` over the
-    plan's placement for sharded and hierarchical ones (a bank-sharded
-    plan is one rank of one channel).  Each is built once (a dispatcher
-    once per placement) and reused, so backend LUT arrays and pinned
-    closures stay hot.  Whether a run takes the compiled closure is the
-    controller's decision, not the plan's.
-    """
-
-    def __init__(
-        self, engine: "PlutoEngine | None", backend: "str | ExecutionBackend"
-    ) -> None:
-        self.engine = engine
-        self.backend = backend
-        self._controller: "PlutoController | None" = None
-        self._dispatchers: "dict[tuple, ParallelDispatcher]" = {}
-
-    def controller(self) -> "PlutoController":
-        """The warm controller for unsharded plans."""
-        if self._controller is None:
-            from repro.controller.executor import PlutoController
-
-            self._controller = PlutoController(self.engine, backend=self.backend)
-        return self._controller
-
-    def dispatcher(self, plan: "ExecutionPlan") -> "ParallelDispatcher":
-        """The warm dispatcher for a sharded plan's placement."""
-        channels, ranks = plan.placement
-        if channels is None or ranks is None:
-            # The device's own counts (the default device's without an
-            # engine), so equal placements share one dispatcher.
-            from repro.dram.geometry import DRAMGeometry
-
-            geometry = DRAMGeometry() if self.engine is None else self.engine.geometry
-            channels, ranks = channels or geometry.channels, ranks or geometry.ranks
-        dispatcher = self._dispatchers.get((channels, ranks))
-        if dispatcher is None:
-            from repro.controller.dispatch import ParallelDispatcher
-
-            dispatcher = self._dispatchers[(channels, ranks)] = ParallelDispatcher(
-                self.engine, backend=self.backend, channels=channels, ranks=ranks
-            )
-        return dispatcher
-
-    def run(
-        self, artifact: ProgramArtifact, inputs: Mapping[str, np.ndarray]
-    ) -> "ExecutionResult":
-        """Execute a prepared program on the executor its plan calls for;
-        a sharded one hands its prepared layout to the dispatcher."""
-        if artifact.layout is None:
-            return self.controller().execute(
-                artifact.compiled,
-                dict(inputs),
-                structure_key=artifact.structure_key,
-            )
-        return self.dispatcher(artifact.plan).execute(artifact.layout, inputs)
-
-
 #: Warm entries one session keeps; making one more drops them all.
 _WARM_ENTRIES = 8
 
 
 @dataclass
 class _WarmEntry:
-    """A session's program artifact with the executors that ran it.
+    """A session's program artifact with the snapshot it was made from.
 
     It serves a run while the engine and the session's backend are the
     same objects, the session holds the same call objects in the same
@@ -553,7 +505,8 @@ class _WarmEntry:
     """
 
     artifact: ProgramArtifact
-    executors: Executors
+    engine: "PlutoEngine | None"
+    backend: "str | ExecutionBackend"
     calls: "list[ApiCall]"
     parameters: "list[dict[str, Any]]"
     generation: int
@@ -563,8 +516,8 @@ class _WarmEntry:
         calls = session.calls
         return (
             self.generation == _generation
-            and engine is self.executors.engine
-            and session.backend is self.executors.backend
+            and engine is self.engine
+            and session.backend is self.backend
             and len(calls) == len(self.calls)
             and all(map(operator.is_, calls, self.calls))
             and [call.parameters for call in calls] == self.parameters
@@ -609,11 +562,13 @@ class PlutoSession:
     _warm: "dict[tuple, _WarmEntry]" = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    #: (engine argument, backend, their dispatcher); see :meth:`_dispatcher`.
+    _held: "tuple | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __getstate__(self) -> dict[str, Any]:
-        # Warm entries hold generated closures, which do not pickle; a
-        # copy prepares its program again on its first run.
-        return dict(self.__dict__, _warm={})
+        # Warm entries and the dispatcher hold generated closures, which do
+        # not pickle; a copy prepares its program again on its first run.
+        return dict(self.__dict__, _warm={}, _held=None)
 
     # ------------------------------------------------------------------ #
     # Memory allocation (Section 6.2, "Memory Allocation")
@@ -798,23 +753,22 @@ class PlutoSession:
         *,
         verify: bool,
         subject: str = "program",
-    ) -> tuple[ProgramArtifact, Executors]:
-        """The program artifact and executors of a run of this program.
+    ) -> ProgramArtifact:
+        """The program artifact of a run of this program.
 
         A warm entry per (``plan`` argument, ``modes``, ``verify``)
         serves repeated runs (see :meth:`run` for when it is valid); the
         async service takes its requests' artifacts from here too.
-        Otherwise the program goes through :func:`prepare_execution`, on
-        fresh executors, and the pair becomes the new entry.  The stored
-        planner report is marked ``cached``, as a reused artifact's is.
+        Otherwise the program goes through :func:`prepare_execution`, and
+        the artifact becomes the new entry.  The stored planner report is
+        marked ``cached``, as a reused artifact's is.
 
         Two kinds of run get no entry.  Programs without a hashable
         structure key: their parameters may hold containers that a
         shallow snapshot cannot guard.  Runs on a backend without the
-        compiled tier (the functional oracle): it keeps every table's
-        subarray image until its next program, which an entry would pin
-        for the session's life, and its runs take milliseconds, so the
-        preparation an entry saves is noise there.
+        compiled tier (the functional oracle), which keep nothing warm
+        in the session (see :meth:`_dispatcher`): its runs take
+        milliseconds, so the preparation an entry saves is noise there.
         """
         key = (plan, modes, verify)
         try:
@@ -822,7 +776,7 @@ class PlutoSession:
         except TypeError:  # not a plan: _requested_plan below rejects it
             entry = None
         if entry is not None and entry.serves(self, engine):
-            return entry.artifact, entry.executors
+            return entry.artifact
         from repro.backend.base import resolve_backend
 
         requested = _requested_plan(plan, engine)
@@ -835,18 +789,33 @@ class PlutoSession:
             verify=verify,
             subject=subject,
         )
-        executors = Executors(engine, self.backend)
         if artifact.identity is not None and batched:
             if len(self._warm) >= _WARM_ENTRIES:
                 self._warm.clear()
             self._warm[key] = _WarmEntry(
                 artifact=artifact.reused(),
-                executors=executors,
+                engine=engine,
+                backend=self.backend,
                 calls=list(self.calls),
                 parameters=[dict(call.parameters) for call in self.calls],
                 generation=_generation,
             )
-        return artifact, executors
+        return artifact
+
+    def _dispatcher(self, engine: "PlutoEngine | None") -> "ParallelDispatcher":
+        """The session's one dispatcher for ``engine`` and its backend,
+        rebuilt when either changes.  The functional oracle gets a fresh
+        one per run: it keeps every table's subarray image until its next
+        program, which the session would pin for its life."""
+        held = self._held
+        if held is not None and held[0] is engine and held[1] is self.backend:
+            return held[2]
+        from repro.controller.dispatch import ParallelDispatcher
+
+        dispatcher = ParallelDispatcher(engine, self.backend)
+        if dispatcher.controller.backend.supports_batched:
+            self._held = (engine, self.backend, dispatcher)
+        return dispatcher
 
     @staticmethod
     def _finish_trace(trace: "RequestTrace | None", result: "ExecutionResult") -> None:
@@ -901,13 +870,14 @@ class PlutoSession:
 
         **Warm runs.**  The session keeps the program's
         :class:`ProgramArtifact` (plan, optimized calls, structure key,
-        compiled programs, planner report) and the controller or
-        dispatcher that ran it, one entry per method, ``plan`` argument
-        and verification setting (up to eight; making a ninth drops them
-        all).  A :class:`~repro.api.service.PlutoService` serving this
-        session takes its requests' artifacts from the same entries.
-        A later run reuses them, skipping planning, optimization, keying,
-        compilation, verification and executor construction, while all
+        compiled programs, planner report), one entry per method,
+        ``plan`` argument and verification setting (up to eight; making
+        a ninth drops them all), and one dispatcher for its latest
+        ``engine`` and backend, which runs every plan.  A
+        :class:`~repro.api.service.PlutoService` serving this session
+        takes its requests' artifacts from the same entries.  A later run
+        reuses an entry, skipping planning, optimization, keying,
+        compilation and verification, while all
         of these hold: ``engine`` is the same object, ``session.backend``
         is the same object, ``session.calls`` holds the same call objects
         in the same order, each call's ``parameters`` equals what it was
@@ -920,14 +890,14 @@ class PlutoSession:
         bank-0 :class:`~repro.dram.commands.CommandTrace`, as
         :class:`~repro.api.service.PlutoService` results do; the stack
         never mutates a returned trace, and callers should not either.
-        Concurrent runs on one session share its executors.
+        Concurrent runs on one session share its dispatcher.
         """
         trace = new_trace("session.run")
         token = activate(trace)
         try:
-            artifact, executors = self._prepare(plan, engine, verify=_verifies(engine))
+            artifact = self._prepare(plan, engine, verify=_verifies(engine))
             with span_of(trace, "execute"):
-                result = executors.run(artifact, inputs)
+                result = artifact.run(self._dispatcher(engine), inputs)
         finally:
             deactivate(token)
         self._finish_trace(trace, result)
@@ -959,16 +929,14 @@ class PlutoSession:
         trace = new_trace("session.run_batch")
         token = activate(trace)
         try:
-            artifact, executors = self._prepare(
-                plan, engine, ("single",), verify=_verifies(engine)
-            )
+            artifact = self._prepare(plan, engine, ("single",), verify=_verifies(engine))
             if artifact.compiled is None:
                 raise ConfigurationError(
                     "run_batch executes each job as one unsharded program; "
                     "sharded/hierarchical plans go through run()"
                 )
             compiled, structure_key = artifact.compiled, artifact.structure_key
-            controller = executors.controller()
+            controller = self._dispatcher(engine).controller
             if not parallel:
                 with span_of(trace, "execute") as span:
                     results = [
@@ -1046,7 +1014,7 @@ class PlutoSession:
         trace = new_trace("session.run_hierarchical")
         token = activate(trace)
         try:
-            artifact, executors = self._prepare(
+            artifact = self._prepare(
                 requested, engine, ("hierarchy",), verify=_verifies(engine)
             )
             if not artifact.plan.hierarchical:
@@ -1055,7 +1023,7 @@ class PlutoSession:
                     f"{artifact.plan.label()!r}"
                 )
             with span_of(trace, "execute"):
-                result = executors.run(artifact, inputs)
+                result = artifact.run(self._dispatcher(engine), inputs)
         finally:
             deactivate(token)
         self._finish_trace(trace, result)

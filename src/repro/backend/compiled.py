@@ -138,9 +138,9 @@ class CompiledExecutable:
         The generated function validates, seeds, executes, and assembles
         the result dicts in specialized straight-line code.  It only
         handles the common shape — ``inputs`` naming exactly the
-        program's external vectors — and returns ``None`` otherwise, in
-        which case the caller validates the inputs and takes
-        :meth:`run_finals`.
+        program's external vectors, each 1-D of its vector's length — and
+        returns ``None`` otherwise, in which case the caller validates the
+        inputs and takes :meth:`run_finals`.
         """
         try:
             return self._serve(inputs)
@@ -370,13 +370,13 @@ def _lower(compiled: CompiledProgram) -> CompiledExecutable:
     # The specialized serving entry point: validation, seeding,
     # zero-init, program body, and result-dict assembly all generated as
     # one straight-line function over the inputs dict.  It handles only
-    # the common case — inputs naming exactly the external vectors, with
-    # every *converted* uint64 value inside its width mask (a signed
-    # negative wraps huge and fails that test) — and bails out
-    # (``return None``) otherwise; the controller then validates with the
-    # interpreted route's exact checks and errors and takes run_finals.
-    # Inside the fast path the width test doubles as the proof that the
-    # fast body's external value bounds hold.
+    # the common case — inputs naming exactly the external vectors, each
+    # 1-D of its vector's length, with every *converted* uint64 value
+    # inside its width mask (a signed negative wraps huge and fails that
+    # test) — and bails out (``return None``) otherwise; the controller
+    # then validates with the interpreted route's exact checks and errors
+    # and takes run_finals.  Inside the fast path the width test doubles
+    # as the proof that the fast body's external value bounds hold.
     env.update(A=np.asarray, U=np.uint64, Z=np.zeros)
     external_slots = set()
     serve_lines = [f"if len(inputs) != {len(compiled.external_inputs)}:", "    return None"]
@@ -389,7 +389,7 @@ def _lower(compiled: CompiledProgram) -> CompiledExecutable:
             "if d is None:",
             "    return None",
             f"r{slot} = A(d, U)",
-            f"if r{slot}.size != {vector.size} or (r{slot}.size and r{slot}.max() > {limit}):",
+            f"if r{slot}.shape != ({vector.size},) or (r{slot}.size and r{slot}.max() > {limit}):",
             "    return None",
         ]
     for slot, size in zero_specs:

@@ -16,8 +16,9 @@ rank of one channel, which is what a bank-sharded plan is:
   channel ``i % channels``, rank ``(i // channels) % ranks``, then the
   rank-local :func:`interleaved_bank_order` that round-robins bank
   groups.  It returns a :class:`ShardLayout`, verified as it is built.
-* :class:`ParallelDispatcher` executes a layout through the
-  :class:`~repro.controller.executor.PlutoController` — in one *fused*
+* :class:`ParallelDispatcher` executes any layout of its engine's device
+  through one :class:`~repro.controller.executor.PlutoController` (which
+  runs unsharded programs too) — in one *fused*
   batched pass over a ``(shards, slice)`` view of the inputs when the
   selected :class:`~repro.backend.base.ExecutionBackend` supports it
   (the vectorized default), or shard by shard on the functional oracle —
@@ -48,7 +49,7 @@ import numpy as np
 from repro.api.handles import ApiCall, PlutoVector
 from repro.backend.base import ExecutionBackend
 from repro.compiler.lowering import CompiledProgram
-from repro.controller.executor import ExecutionResult, PlutoController
+from repro.controller.executor import ExecutionResult, PlutoController, input_shape_error
 from repro.core.designs import PlutoDesign
 from repro.core.engine import PlutoConfig, PlutoEngine
 from repro.dram.analytic import memoized_merge_makespan_ns, streams_signature
@@ -118,25 +119,13 @@ def _throttled_timing(timing, tfaw_fraction: float):
 register_layer("engine_helpers", dict, _throttled_timing.cache_clear)
 
 
-def rank_scheduler(engine: PlutoEngine) -> CommandScheduler:
-    """A fresh per-rank scheduler configured for the engine's design."""
-    return CommandScheduler(
-        _throttled_timing(engine.timing, engine.config.tfaw_fraction),
-        num_banks=engine.geometry.banks,
-        banks_per_group=engine.geometry.banks_per_group,
-        sweep_act_interval_ns=sweep_act_interval_ns(engine),
-        sweep_tail_ns=sweep_tail_ns(engine),
-        sweep_acts_per_row=sweep_acts_per_row(engine),
-        lisa_hop_ns=engine.cost_model.lisa_hop_latency_ns,
-    )
-
-
 def rank_scheduler_key(engine: PlutoEngine) -> tuple:
-    """The :func:`rank_scheduler` configuration as a hashable cache key.
+    """The per-rank scheduler configuration of the engine's design.
 
-    Mirrors :func:`repro.dram.analytic.scheduler_signature` without
-    constructing a scheduler, so memo lookups on warm caches cost a few
-    attribute reads.
+    Equal to :func:`repro.dram.analytic.scheduler_signature` of
+    :func:`rank_scheduler`, which is built from it, so memo lookups on
+    warm caches cost a few attribute reads and a miss is computed by the
+    scheduler its key describes.
     """
     return (
         _throttled_timing(engine.timing, engine.config.tfaw_fraction),
@@ -146,6 +135,22 @@ def rank_scheduler_key(engine: PlutoEngine) -> tuple:
         sweep_tail_ns(engine),
         sweep_acts_per_row(engine),
         engine.cost_model.lisa_hop_latency_ns,
+    )
+
+
+def rank_scheduler(engine: PlutoEngine) -> CommandScheduler:
+    """A fresh per-rank scheduler configured by :func:`rank_scheduler_key`."""
+    timing, banks, banks_per_group, act_interval, tail, acts_per_row, lisa_hop = (
+        rank_scheduler_key(engine)
+    )
+    return CommandScheduler(
+        timing,
+        num_banks=banks,
+        banks_per_group=banks_per_group,
+        sweep_act_interval_ns=act_interval,
+        sweep_tail_ns=tail,
+        sweep_acts_per_row=acts_per_row,
+        lisa_hop_ns=lisa_hop,
     )
 
 
@@ -696,19 +701,19 @@ def execute_shard_plans(
 
 
 class ParallelDispatcher:
-    """Executes shard layouts through the controller and merges the results.
+    """Executes shard layouts through one controller and merges the results.
+
+    A layout carries its placement (:attr:`ShardLayout.geometry`), so one
+    dispatcher runs the device-wide layout, a channel/rank narrowing and
+    the one-rank layout of a bank-sharded plan on :attr:`controller`,
+    which runs unsharded programs too:
+    ``dispatcher.execute(ShardPlanner(engine.geometry).plan(calls, shards), inputs)``.
 
     ``fused`` selects the execution strategy: ``None`` (default) runs the
     shards in one batched pass when the backend supports it, ``False``
     forces the per-shard loop (the bit-exactness oracle path), ``True``
-    requires a batched backend.
-
-    ``channels`` / ``ranks`` optionally *narrow* the placement to a
-    subset of the engine's channels and ranks (the auto-planner prices
-    partial placements, and a bank-sharded plan runs on one channel and
-    one rank); ``None`` uses the engine geometry's full count.  Its
-    :attr:`planner` lays programs out over that placement:
-    ``dispatcher.execute(dispatcher.planner.plan(calls, shards), inputs)``.
+    requires a batched backend.  ``jit=False`` pins the controller's
+    interpreted walk.
     """
 
     def __init__(
@@ -718,11 +723,8 @@ class ParallelDispatcher:
         *,
         fused: bool | None = None,
         jit: bool = True,
-        channels: int | None = None,
-        ranks: int | None = None,
     ) -> None:
         self.engine = engine if engine is not None else PlutoEngine(PlutoConfig())
-        self.planner = ShardPlanner(self.engine.geometry, channels=channels, ranks=ranks)
         self.controller = PlutoController(self.engine, backend=backend, jit=jit)
         self.fused = fused
 
@@ -731,16 +733,19 @@ class ParallelDispatcher:
     ) -> ShardedExecutionResult:
         """Run ``layout``'s shards over their slices of ``inputs`` in parallel.
 
-        A layout planned for another placement raises
-        :class:`~repro.errors.ConfigurationError` before any shard runs:
-        the schedule places stream *i* where this placement puts shard *i*.
+        A layout planned for another device than this one or a
+        channel/rank narrowing of it raises
+        :class:`~repro.errors.ConfigurationError` before any shard runs.
         """
-        placement = self.planner.geometry
-        if layout.geometry != placement:
+        device, geometry = self.engine.geometry, layout.geometry
+        if geometry != device and not (
+            geometry.channels <= device.channels
+            and geometry.ranks <= device.ranks
+            and replace(geometry, channels=device.channels, ranks=device.ranks) == device
+        ):
             raise ConfigurationError(
-                f"the shard layout was planned for {layout.geometry}, not for "
-                f"this dispatcher's placement {placement}; lay the program out "
-                "with the dispatcher's planner"
+                f"the shard layout was planned for {geometry}, which is not a "
+                f"channel/rank narrowing of this dispatcher's device {device}"
             )
         arrays = {name: np.asarray(data) for name, data in inputs.items()}
         self._check_inputs(layout.vectors, arrays)
@@ -761,10 +766,8 @@ class ParallelDispatcher:
             size = vectors.get(name)
             if size is None:
                 raise ExecutionError(f"input {name!r} is not a vector of this program")
-            if data.size != size:
-                raise ExecutionError(
-                    f"input {name!r} has {data.size} elements, expected {size}"
-                )
+            if data.shape != (size,):
+                raise input_shape_error(name, data, size)
 
     # ------------------------------------------------------------------ #
     # Aggregation

@@ -58,6 +58,13 @@ __all__ = [
 ]
 
 
+def input_shape_error(name: str, data: np.ndarray, size: int) -> ExecutionError:
+    """Why input ``name`` is not a ``(size,)`` array: its count, or its shape."""
+    if data.ndim == 1:
+        return ExecutionError(f"input {name!r} has {data.size} elements, expected {size}")
+    return ExecutionError(f"input {name!r} has shape {data.shape}, expected ({size},)")
+
+
 @dataclass(frozen=True)
 class TraceTemplate:
     """The bank-independent command trace of one compiled program.
@@ -660,11 +667,8 @@ class PlutoController:
                 )
             data = np.asarray(inputs[vector.name])
             if shards is None:
-                if data.size != vector.size:
-                    raise ExecutionError(
-                        f"input {vector.name!r} has {data.size} elements, "
-                        f"expected {vector.size}"
-                    )
+                if data.shape != (vector.size,):
+                    raise input_shape_error(vector.name, data, vector.size)
             elif data.shape != (shards, vector.size):
                 raise ExecutionError(
                     f"fused input {vector.name!r} has shape {data.shape}, "

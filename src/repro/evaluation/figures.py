@@ -329,7 +329,7 @@ def figure12_sharded_scaling(
     does not.  This is the execution-layer counterpart of the analytical
     panel (a) study above.
     """
-    from repro.controller.dispatch import ParallelDispatcher
+    from repro.controller.dispatch import ParallelDispatcher, ShardPlanner
 
     session, inputs = _sharded_reference_session(elements)
     engine = PlutoEngine(
@@ -340,8 +340,9 @@ def figure12_sharded_scaling(
         description="Makespan of one LUT-query program vs. bank-parallel shards",
     )
     dispatcher = ParallelDispatcher(engine)
+    planner = ShardPlanner(engine.geometry)
     executions = {
-        shards: dispatcher.execute(dispatcher.planner.plan(session.calls, shards), inputs)
+        shards: dispatcher.execute(planner.plan(session.calls, shards), inputs)
         for shards in shard_counts
     }
     # The speedup baseline is always a true single-shard run, whatever
@@ -349,9 +350,7 @@ def figure12_sharded_scaling(
     if 1 in executions:
         reference = executions[1].makespan_ns
     else:
-        reference = dispatcher.execute(
-            dispatcher.planner.plan(session.calls, 1), inputs
-        ).makespan_ns
+        reference = dispatcher.execute(planner.plan(session.calls, 1), inputs).makespan_ns
     for shards in shard_counts:
         execution = executions[shards]
         result.rows.append(
@@ -422,7 +421,7 @@ def figure13_sharded_tfaw(
     tRRD) stretches the scheduler-derived makespan — the execution-layer
     counterpart of the analytical Figure 13 study.
     """
-    from repro.controller.dispatch import ParallelDispatcher
+    from repro.controller.dispatch import ParallelDispatcher, ShardPlanner
 
     session, inputs = _sharded_reference_session(elements)
     result = FigureResult(
@@ -434,8 +433,8 @@ def figure13_sharded_tfaw(
         engine = PlutoEngine(
             PlutoConfig(design=PlutoDesign.BSA, tfaw_fraction=fraction)
         )
-        dispatcher = ParallelDispatcher(engine)
-        execution = dispatcher.execute(dispatcher.planner.plan(session.calls, shards), inputs)
+        layout = ShardPlanner(engine.geometry).plan(session.calls, shards)
+        execution = ParallelDispatcher(engine).execute(layout, inputs)
         if reference is None:
             reference = execution.makespan_ns
         result.rows.append(
@@ -468,7 +467,7 @@ def figure_hierarchy_scaling(
     the execution-layer decomposition of the throughput scaling the
     paper's Section 8 attributes to DRAM-wide parallelism.
     """
-    from repro.controller.dispatch import ParallelDispatcher
+    from repro.controller.dispatch import ParallelDispatcher, ShardPlanner
 
     session, inputs = _sharded_reference_session(elements)
     result = FigureResult(
@@ -484,8 +483,8 @@ def figure_hierarchy_scaling(
                 ranks=ranks,
             )
         )
-        dispatcher = ParallelDispatcher(engine)
-        execution = dispatcher.execute(dispatcher.planner.plan(session.calls), inputs)
+        layout = ShardPlanner(engine.geometry).plan(session.calls)
+        execution = ParallelDispatcher(engine).execute(layout, inputs)
         decomposition = execution.speedup_decomposition
         result.rows.append(
             {

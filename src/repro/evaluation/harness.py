@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from repro.api.session import Executors
 from repro.baselines.base import BaselineCost
 from repro.baselines.pnm import PnmBaseline
 from repro.baselines.processor import (
@@ -31,6 +30,7 @@ from repro.workloads.base import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.session import PlutoSession
+    from repro.controller.dispatch import ParallelDispatcher
     from repro.controller.executor import ExecutionResult
     from repro.plan.execution_plan import ExecutionPlan
 
@@ -142,12 +142,10 @@ class EvaluationHarness:
         self.engines = {
             label: PlutoEngine(config) for label, config in self.configs.items()
         }
-        #: Warm per-configuration executors: reusing controllers and
-        #: dispatchers across execute_program calls keeps backend LUT
+        #: One warm dispatcher per configuration label, built on first
+        #: use: reusing it across execute_program calls keeps backend LUT
         #: gather arrays, trace templates, and scheduler memos hot.
-        self._executors = {
-            label: Executors(engine, backend) for label, engine in self.engines.items()
-        }
+        self._dispatchers: "dict[str, ParallelDispatcher]" = {}
 
     def evaluate(self, workload: Workload, elements: int | None = None) -> WorkloadResult:
         """Run one workload through every system."""
@@ -194,6 +192,7 @@ class EvaluationHarness:
 
         ``plan`` selects the execution configuration exactly as in
         :meth:`PlutoSession.run` — sharded plans run through the
+        configuration's one
         :class:`~repro.controller.dispatch.ParallelDispatcher`, on one
         rank of one channel when bank-sharded and over channels and ranks
         when hierarchical (``latency_ns`` becomes the scheduler-derived
@@ -202,9 +201,10 @@ class EvaluationHarness:
         each configuration gets the plan that is cheapest on *its*
         geometry (the chosen plan rides on ``result.execution_plan``
         with the :class:`~repro.plan.PlannerReport` on
-        ``result.planner``).  Controllers and dispatchers are reused
-        across calls, so repeated evaluations run on warm LUT,
-        trace-template, and scheduler-memo caches.
+        ``result.planner``).  Each configuration's dispatcher, and its
+        controller, is reused across calls and plans, so repeated
+        evaluations run on warm LUT, trace-template, and scheduler-memo
+        caches.
 
         Plans with ``optimize=True`` run the program optimizer
         (:mod:`repro.opt`, memoized, so the engine-independent rewrite
@@ -214,6 +214,7 @@ class EvaluationHarness:
         """
         from repro.analyze.verifier import verification_enabled
         from repro.api.session import prepare_execution
+        from repro.controller.dispatch import ParallelDispatcher
         from repro.plan.execution_plan import resolve_plan
 
         requested = resolve_plan(plan)
@@ -226,6 +227,9 @@ class EvaluationHarness:
                 verify=verification_enabled(engine.config.verify),
                 subject=f"harness program on {label}",
             )
-            result = self._executors[label].run(prepared, inputs)
+            dispatcher = self._dispatchers.get(label)
+            if dispatcher is None:
+                dispatcher = self._dispatchers[label] = ParallelDispatcher(engine, self.backend)
+            result = prepared.run(dispatcher, inputs)
             results[label] = prepared.attach(result)
         return results

@@ -206,7 +206,7 @@ def _worker_main(
     (priming it outside the service's accounting after a warm start);
     ``run`` serves one chunk synchronously through
     :meth:`~repro.api.service.PlutoService.serve_chunk` — the service's
-    warm executors, artifacts and statistics persist across chunks — and
+    warm dispatchers, artifacts and statistics persist across chunks — and
     sends back one :class:`WorkerResult` or portable error per request;
     ``stop`` ends the loop.  The final statistics report goes out last.
     """

@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api.luts import BITWISE_OPERATIONS, bitcount_lut, bitwise_lut
+from repro.api.luts import BITWISE_OPERATIONS, binarize_lut, bitcount_lut, bitwise_lut
 from repro.api.session import PlutoSession
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ExecutionError
+from repro.plan import ExecutionPlan
 
 
 class TestMallocValidation:
@@ -157,3 +158,31 @@ class TestBitwiseUnification:
 
         with pytest.raises(LUTError, match="nand"):
             bitwise_lut("madd")
+
+
+#: Every way a front door runs a program: one bank, bank shards of one
+#: size (4) or two sizes (5), and the hierarchical dispatcher.
+SHAPE_PLANS = {
+    "default": None,
+    "shards=4": ExecutionPlan(shards=4),
+    "shards=5": ExecutionPlan(shards=5),
+    "hierarchical": ExecutionPlan(hierarchical=True, shards=3),
+}
+
+
+class TestInputShapeValidation:
+    """An input is a 1-D array of its vector's length on every path."""
+
+    @pytest.mark.parametrize("backend", ["vectorized", "functional"])
+    @pytest.mark.parametrize("plan", list(SHAPE_PLANS.values()), ids=list(SHAPE_PLANS))
+    @pytest.mark.parametrize("shape", [(2, 15), (30, 1)], ids=["2x15", "30x1"])
+    def test_a_multi_dimensional_input_is_rejected_alike(self, backend, plan, shape):
+        session = PlutoSession(backend=backend)
+        x = session.pluto_malloc(30, 8, "x")
+        y = session.pluto_malloc(30, 8, "y")
+        session.api_pluto_map(binarize_lut(127), x, y)
+        data = np.arange(30, dtype=np.uint64).reshape(shape)
+        for _ in range(2):  # the cold run and the warm one
+            with pytest.raises(ExecutionError) as caught:
+                session.run({"x": data}, plan=plan)
+            assert str(caught.value) == f"input 'x' has shape {shape}, expected (30,)"

@@ -25,7 +25,7 @@ from repro.api.session import (
     compile_cached_with_key,
 )
 from repro.backend.compiled import CompiledExecutable, compiled_exec_cached
-from repro.controller.dispatch import ParallelDispatcher
+from repro.controller.dispatch import ParallelDispatcher, ShardPlanner
 from repro.controller.executor import PlutoController
 from repro.core.engine import PlutoConfig, PlutoEngine
 from repro.errors import ExecutionError, LUTError
@@ -153,10 +153,9 @@ class TestCompiledFused:
     def test_fused_dispatch_uses_compiled_tier(self):
         session, inputs = _mixed_program(66)
         engine = PlutoEngine(PlutoConfig())
-        fused_dispatcher = ParallelDispatcher(engine, fused=True)
-        fused = fused_dispatcher.execute(fused_dispatcher.planner.plan(session.calls, 3), inputs)
-        loop_dispatcher = ParallelDispatcher(engine, fused=False)
-        loop = loop_dispatcher.execute(loop_dispatcher.planner.plan(session.calls, 3), inputs)
+        layout = ShardPlanner(engine.geometry).plan(session.calls, 3)
+        fused = ParallelDispatcher(engine, fused=True).execute(layout, inputs)
+        loop = ParallelDispatcher(engine, fused=False).execute(layout, inputs)
         for name, data in loop.outputs.items():
             assert np.array_equal(fused.outputs[name], data), name
         assert fused.makespan_ns == loop.makespan_ns

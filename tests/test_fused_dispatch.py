@@ -58,8 +58,9 @@ def _mixed_program(elements: int = ELEMENTS):
 
 
 def _run(dispatcher, session, inputs, shards=None):
-    """Lay ``session``'s program out on ``dispatcher``'s placement and run it."""
-    return dispatcher.execute(dispatcher.planner.plan(session.calls, shards), inputs)
+    """Lay ``session``'s program out over ``dispatcher``'s device and run it."""
+    layout = ShardPlanner(dispatcher.engine.geometry).plan(session.calls, shards)
+    return dispatcher.execute(layout, inputs)
 
 
 def _assert_same_results(fused, loop):

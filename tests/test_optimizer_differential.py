@@ -199,7 +199,7 @@ def test_differential_compiled_tier(seed, any_design):
     and the functional oracle, on both the raw and the optimized program
     of every fuzzed shape, with fused sharded execution matching too."""
     from repro.api.session import compile_cached_with_key
-    from repro.controller.dispatch import ParallelDispatcher
+    from repro.controller.dispatch import ParallelDispatcher, ShardPlanner
     from repro.controller.executor import PlutoController
 
     rng = np.random.default_rng(3000 + seed)
@@ -236,12 +236,10 @@ def test_differential_compiled_tier(seed, any_design):
         # Fused sharded execution routes through the compiled closure
         # when the program supports it and must match the per-shard
         # functional oracle exactly.
-        fused_dispatcher = ParallelDispatcher(engine, fused=True)
-        fused = fused_dispatcher.execute(fused_dispatcher.planner.plan(calls, 3), external)
+        layout = ShardPlanner(engine.geometry).plan(calls, 3)
+        fused = ParallelDispatcher(engine, fused=True).execute(layout, external)
         oracle_dispatcher = ParallelDispatcher(engine, backend="functional")
-        sharded_oracle = oracle_dispatcher.execute(
-            oracle_dispatcher.planner.plan(calls, 3), external
-        )
+        sharded_oracle = oracle_dispatcher.execute(layout, external)
         for name, data in sharded_oracle.outputs.items():
             assert np.array_equal(fused.outputs[name], data), name
         assert fused.makespan_ns == sharded_oracle.makespan_ns

@@ -22,6 +22,7 @@ from repro.controller.dispatch import (
     interleaved_bank_order,
     merged_makespan_ns,
     rank_scheduler,
+    rank_scheduler_key,
     sweep_act_interval_ns,
     sweep_acts_per_row,
     sweep_tail_ns,
@@ -32,6 +33,7 @@ from repro.dram.analytic import (
     fast_merge_makespan_ns,
     homogeneous_sweep_makespan_ns,
     merge_signature,
+    scheduler_signature,
     stream_signature,
 )
 from repro.dram.commands import Command, CommandType
@@ -157,6 +159,17 @@ class TestMemoization:
             assert merged_makespan_ns(streams, engine) == reference
             # ... and the warm path returns the identical float.
             assert merged_makespan_ns(streams, engine) == reference
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    @pytest.mark.parametrize("memory", MEMORIES)
+    @pytest.mark.parametrize("tfaw_fraction", [0.0, 0.5, 1.0])
+    def test_the_memo_key_is_the_scheduler_that_computes_a_miss(
+        self, design, memory, tfaw_fraction
+    ):
+        """The makespan memos key on ``rank_scheduler_key`` and compute a
+        miss with ``rank_scheduler``: the two must describe one scheduler."""
+        engine = _engine(design, memory, tfaw_fraction)
+        assert scheduler_signature(rank_scheduler(engine)) == rank_scheduler_key(engine)
 
     def test_signature_ignores_metadata_but_not_structure(self):
         scheduler = CommandScheduler(DDR4_2400)

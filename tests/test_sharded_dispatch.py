@@ -7,6 +7,9 @@ and hierarchical plans spread over the device's channels and ranks.
 
 from __future__ import annotations
 
+import asyncio
+import re
+
 import numpy as np
 import pytest
 
@@ -23,12 +26,14 @@ from repro.controller.dispatch import (
     sweep_acts_per_row,
     sweep_tail_ns,
 )
+from repro.controller.executor import PlutoController
 from repro.core.designs import PlutoDesign
 from repro.core.engine import PlutoConfig, PlutoEngine
 from repro.dram.commands import Command, CommandType
 from repro.dram.geometry import DRAMGeometry
 from repro.dram.scheduler import activation_count, tfaw_lower_bound_ns
 from repro.errors import ConfigurationError, ExecutionError, VerificationError
+from repro.evaluation.harness import EvaluationHarness
 from repro.plan import ExecutionPlan
 from repro.workloads.programs import workload_program
 
@@ -204,8 +209,8 @@ class TestDifferential:
         engine = _engine(channels, ranks)
         reference = session.run(inputs, engine=engine)
         shards = channels * ranks * banks_used
-        dispatcher = ParallelDispatcher(engine, backend=backend)
-        result = dispatcher.execute(dispatcher.planner.plan(session.calls, shards), inputs)
+        layout = ShardPlanner(engine.geometry).plan(session.calls, shards)
+        result = ParallelDispatcher(engine, backend=backend).execute(layout, inputs)
         assert isinstance(result, ShardedExecutionResult)
         assert result.num_shards == shards
         assert result.backend == backend
@@ -220,8 +225,8 @@ class TestDifferential:
     def test_makespan_between_bounds(self, shards):
         session, inputs = _program()
         engine = _engine()
-        dispatcher = ParallelDispatcher(engine)
-        result = dispatcher.execute(dispatcher.planner.plan(session.calls, shards), inputs)
+        layout = ShardPlanner(engine.geometry).plan(session.calls, shards)
+        result = ParallelDispatcher(engine).execute(layout, inputs)
         # Strictly faster than draining every shard through one bank ...
         assert result.makespan_ns < result.serial_latency_ns
         # ... but never below the rank's tFAW activation floor.
@@ -236,7 +241,7 @@ class TestDifferential:
         session, inputs = _program()
         engine = _engine(channels, ranks, design=any_design)
         dispatcher = ParallelDispatcher(engine)
-        result = dispatcher.execute(dispatcher.planner.plan(session.calls, 1), inputs)
+        result = dispatcher.execute(ShardPlanner(engine.geometry).plan(session.calls, 1), inputs)
         assert result.makespan_ns == pytest.approx(
             result.serial_latency_ns, rel=1e-6
         )
@@ -249,8 +254,9 @@ class TestDifferential:
     def test_rejects_mis_sized_and_unknown_inputs(self, channels, ranks):
         """Sharded runs must reject what unsharded runs reject, not slice."""
         session, inputs = _program(16)
-        dispatcher = ParallelDispatcher(_engine(channels, ranks))
-        layout = dispatcher.planner.plan(session.calls, 2)
+        engine = _engine(channels, ranks)
+        dispatcher = ParallelDispatcher(engine)
+        layout = ShardPlanner(engine.geometry).plan(session.calls, 2)
         oversized = dict(inputs, a=np.zeros(32, dtype=np.uint64))
         with pytest.raises(ExecutionError, match="'a' has 32 elements, expected 16"):
             dispatcher.execute(layout, oversized)
@@ -278,7 +284,7 @@ class TestDifferential:
         session, inputs = _program(64)
         engine = _engine(channels, ranks, verify=verify)
         dispatcher = ParallelDispatcher(engine)
-        layout = dispatcher.planner.plan(session.calls, 4)
+        layout = ShardPlanner(engine.geometry).plan(session.calls, 4)
         assert checked == [(4, engine.geometry)]
         dispatcher.execute(layout, inputs)
         dispatcher.execute(layout, inputs)
@@ -290,8 +296,9 @@ class TestDifferential:
         # (and sweeps) per bank until every shard is down to one row.
         session, inputs = _program(32768)
         dispatcher = ParallelDispatcher(_engine())
+        planner = ShardPlanner(dispatcher.engine.geometry)
         makespans = [
-            dispatcher.execute(dispatcher.planner.plan(session.calls, n), inputs).makespan_ns
+            dispatcher.execute(planner.plan(session.calls, n), inputs).makespan_ns
             for n in (1, 2, 4)
         ]
         assert makespans[0] > makespans[1] > makespans[2]
@@ -299,8 +306,10 @@ class TestDifferential:
     @PLACEMENTS
     def test_per_level_makespans_are_monotone(self, channels, ranks):
         session, inputs = _mac_program(8192)
-        dispatcher = ParallelDispatcher(_engine(channels, ranks))
-        result = dispatcher.execute(dispatcher.planner.plan(session.calls), inputs)
+        engine = _engine(channels, ranks)
+        result = ParallelDispatcher(engine).execute(
+            ShardPlanner(engine.geometry).plan(session.calls), inputs
+        )
         assert (
             result.makespan_ns
             <= result.rank_parallel_makespan_ns
@@ -318,8 +327,8 @@ class TestDifferential:
         """One rank of one channel schedules once; every level is that merge."""
         session, inputs = _mac_program(4096)
         engine = _engine(2, 2)
-        dispatcher = ParallelDispatcher(engine, channels=1, ranks=1)
-        result = dispatcher.execute(dispatcher.planner.plan(session.calls, 8), inputs)
+        layout = ShardPlanner(engine.geometry, channels=1, ranks=1).plan(session.calls, 8)
+        result = ParallelDispatcher(engine).execute(layout, inputs)
         makespan = result.makespan_ns
         assert result.bank_only_makespan_ns == makespan
         assert result.rank_parallel_makespan_ns == makespan
@@ -333,18 +342,23 @@ class TestDifferential:
     def test_levels_help_once_tfaw_binds(self):
         """Extra ranks/channels relieve the per-rank tFAW throttle."""
         session, inputs = _mac_program(16384)
-        flat_dispatcher = ParallelDispatcher(_engine(1, 1))
-        flat = flat_dispatcher.execute(flat_dispatcher.planner.plan(session.calls, 16), inputs)
-        tall_dispatcher = ParallelDispatcher(_engine(2, 2))
-        tall = tall_dispatcher.execute(tall_dispatcher.planner.plan(session.calls, 64), inputs)
+        flat_engine, tall_engine = _engine(1, 1), _engine(2, 2)
+        flat = ParallelDispatcher(flat_engine).execute(
+            ShardPlanner(flat_engine.geometry).plan(session.calls, 16), inputs
+        )
+        tall = ParallelDispatcher(tall_engine).execute(
+            ShardPlanner(tall_engine.geometry).plan(session.calls, 64), inputs
+        )
         assert tall.rank_speedup > 1.5
         assert tall.channel_speedup > 1.5
         assert tall.parallel_speedup > flat.parallel_speedup
 
     def test_channel_makespans_cover_device_makespan(self):
         session, inputs = _mac_program(4096)
-        dispatcher = ParallelDispatcher(_engine(2, 2))
-        result = dispatcher.execute(dispatcher.planner.plan(session.calls), inputs)
+        engine = _engine(2, 2)
+        result = ParallelDispatcher(engine).execute(
+            ShardPlanner(engine.geometry).plan(session.calls), inputs
+        )
         assert set(result.channel_makespans) == {0, 1}
         assert max(result.channel_makespans.values()) == pytest.approx(
             result.makespan_ns
@@ -355,10 +369,14 @@ class TestDifferential:
 class TestShardLayout:
     """A layout is built once, verified as it is built, and only run after."""
 
-    def test_a_layout_for_another_placement_is_rejected_before_any_shard_runs(
+    def test_a_layout_for_another_device_is_rejected_before_any_shard_runs(
         self, monkeypatch
     ):
+        """A layout runs on a dispatcher whose device it narrows in channels
+        and ranks only; one with more ranks, or another memory's banks, is
+        refused with its geometry named before any shard runs."""
         import repro.controller.dispatch as dispatch
+        from repro.core.engine import THREE_DS
 
         ran = []
         original = dispatch.execute_shard_plans
@@ -369,19 +387,42 @@ class TestShardLayout:
 
         monkeypatch.setattr(dispatch, "execute_shard_plans", recording)
         session, inputs = _program(64)
-        engine = _engine(2, 2)
-        device_wide = ParallelDispatcher(engine).planner.plan(session.calls, 4)
-        one_rank = ParallelDispatcher(engine, channels=1, ranks=1)
-        with pytest.raises(ConfigurationError, match="planned for"):
-            one_rank.execute(device_wide, inputs)
-        with pytest.raises(ConfigurationError, match="planned for"):
-            ParallelDispatcher(engine).execute(one_rank.planner.plan(session.calls, 4), inputs)
-        with pytest.raises(ConfigurationError, match="planned for"):
-            ParallelDispatcher(_engine(1, 2)).execute(device_wide, inputs)
+        wide = _engine(2, 2)
+        more_ranks = ShardPlanner(wide.geometry).plan(session.calls, 4)
+        three_ds = ShardPlanner(_engine(memory=THREE_DS).geometry).plan(session.calls, 4)
+        refused = ((_engine(2, 1), more_ranks), (_engine(), three_ds), (wide, three_ds))
+        for engine, layout in refused:
+            refusal = f"planned for {layout.geometry}, which is not a channel/rank narrowing"
+            with pytest.raises(ConfigurationError, match=re.escape(refusal)):
+                ParallelDispatcher(engine).execute(layout, inputs)
         assert ran == []
-        # One rank of any device is the one-rank placement of the default.
-        ParallelDispatcher(_engine()).execute(one_rank.planner.plan(session.calls, 4), inputs)
+        one_rank = ShardPlanner(wide.geometry, ranks=1).plan(session.calls, 4)
+        ParallelDispatcher(wide).execute(one_rank, inputs)
         assert ran == [1]
+
+    def test_one_dispatcher_runs_a_one_rank_and_a_device_wide_layout(self):
+        """Both layouts run on one dispatcher, bit-identically to
+        ``session.run`` under the plans that lay them out."""
+        session, inputs = _program(1024)
+        engine = _engine(2, 2)
+        dispatcher = ParallelDispatcher(engine)
+        for planner, plan, positions in (
+            (ShardPlanner(engine.geometry, channels=1, ranks=1), ExecutionPlan(shards=8), 1),
+            (ShardPlanner(engine.geometry), ExecutionPlan(hierarchical=True, shards=8), 4),
+        ):
+            result = dispatcher.execute(planner.plan(session.calls, 8), inputs)
+            reference = session.run(inputs, engine=engine, plan=plan)
+            assert len({(p.channel, p.rank) for p in result.shard_plans}) == positions
+            for name, data in reference.outputs.items():
+                assert np.array_equal(result.outputs[name], data), name
+            assert [
+                (p.channel, p.rank, p.bank, p.start, p.stop) for p in result.shard_plans
+            ] == [(p.channel, p.rank, p.bank, p.start, p.stop) for p in reference.shard_plans]
+            assert result.latency_ns == reference.latency_ns
+            assert result.energy_nj == reference.energy_nj
+            assert result.bank_only_makespan_ns == reference.bank_only_makespan_ns
+            assert result.rank_parallel_makespan_ns == reference.rank_parallel_makespan_ns
+            assert result.rank_makespans == reference.rank_makespans
 
     def test_an_aliased_or_misplaced_layout_cannot_be_built(self):
         from dataclasses import replace
@@ -475,7 +516,7 @@ class TestMakespanModel:
         session, inputs = _mac_program(4096)
         engine = _engine(2, 2)
         dispatcher = ParallelDispatcher(engine)
-        result = dispatcher.execute(dispatcher.planner.plan(session.calls), inputs)
+        result = dispatcher.execute(ShardPlanner(engine.geometry).plan(session.calls), inputs)
         streams = [r.trace.commands for r in result.shard_results]
         assert _schedule_hierarchy(
             streams, engine, channels=1, ranks=1
@@ -543,16 +584,6 @@ class TestSessionSurface:
         assert {(plan.channel, plan.rank) for plan in result.shard_plans} == {(0, 0)}
         with pytest.raises(ConfigurationError, match="16 banks"):
             session.run(inputs, engine=_engine(2, 2), plan=ExecutionPlan(shards=17))
-
-    @pytest.mark.parametrize("engine", [_engine(), None], ids=["engine", "default-engine"])
-    def test_one_warm_dispatcher_per_placement(self, engine):
-        from repro.api.session import Executors
-
-        executors = Executors(engine, "vectorized")
-        banked = executors.dispatcher(ExecutionPlan(shards=8))
-        # On a one-rank device the device-wide hierarchical placement is
-        # the bank-sharded one, with or without an explicit engine.
-        assert executors.dispatcher(ExecutionPlan(hierarchical=True, shards=4)) is banked
 
     def test_run_batch_parallel_makespan(self):
         session, inputs = _program(1024)
@@ -706,3 +737,54 @@ class TestSweepInterval:
         scheduler.issue(Command(CommandType.ACT, bank=0))
         with pytest.raises(TimingViolationError):
             scheduler.merge_streams([[Command(CommandType.ACT, bank=1)]])
+
+
+#: One plan per placement a 2x2 device serves: unsharded, bank-sharded
+#: on one rank, and hierarchical over every channel and rank.
+PLACEMENT_PLANS = (None, ExecutionPlan(shards=4), ExecutionPlan(hierarchical=True, shards=2))
+
+
+@pytest.fixture
+def controllers(monkeypatch) -> list:
+    """Every :class:`PlutoController` constructed while the test runs."""
+    built: list = []
+    original = PlutoController.__init__
+
+    def counting(self, *args, **options):
+        built.append(self)
+        original(self, *args, **options)
+
+    monkeypatch.setattr(PlutoController, "__init__", counting)
+    return built
+
+
+class TestOneControllerRunsEveryPlacement:
+    """Each front door keeps one dispatcher per engine and backend, and its
+    one controller runs every plan's placement."""
+
+    def test_a_session(self, controllers):
+        session, inputs = _program(64)
+        engine = _engine(2, 2)
+        for plan in PLACEMENT_PLANS:
+            session.run(inputs, engine=engine, plan=plan)
+        assert len(controllers) == 1
+
+    def test_a_service(self, controllers):
+        session, inputs = _program(64)
+        engine = _engine(2, 2)
+
+        async def serve():
+            async with session.serve(engine=engine) as service:
+                return [await service.submit(inputs, plan=plan) for plan in PLACEMENT_PLANS]
+
+        served = asyncio.run(serve())
+        sharded = [isinstance(result.result, ShardedExecutionResult) for result in served]
+        assert sharded == [False, True, True]
+        assert len(controllers) == 1
+
+    def test_an_evaluation_harness(self, controllers):
+        session, inputs = _program(64)
+        harness = EvaluationHarness()
+        for plan in PLACEMENT_PLANS:
+            harness.execute_program(session, inputs, plan=plan)
+        assert len(controllers) == len(harness.engines) == 6

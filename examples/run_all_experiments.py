@@ -96,8 +96,9 @@ PAPER_HEADLINES = {
         "(beyond the paper) End-to-end tracing splits every served "
         "request's wall-clock into submit / queue-wait / execute spans and "
         "attributes modelled DRAM commands, energy (pJ), and refresh "
-        "overhead to each request; tracing overhead is gated <5% in "
-        "benchmarks/test_obs_overhead.py"
+        "overhead to each request; benchmarks/test_obs_overhead.py "
+        "measures the tracing overhead and benchmarks/perf_track.py gates "
+        "it <5%"
     ),
     "Static verification": (
         "(beyond the paper) Every registry workload verifies clean — zero "

@@ -177,9 +177,9 @@ async def serve_hierarchically() -> None:
     engine = PlutoEngine(PlutoConfig(tfaw_fraction=1.0, channels=2, ranks=2))
     image = image_pipeline()
     rng = np.random.default_rng(13)
-    async with image.serve(
-        engine=engine, plan=ExecutionPlan(hierarchical=True)
-    ) as service:
+    # One shard per bank, spread over every channel and rank.
+    plan = ExecutionPlan(shards=engine.geometry.total_banks, channels=None, ranks=None)
+    async with image.serve(engine=engine, plan=plan) as service:
         served = await service.submit({"pixels": rng.integers(0, 256, ELEMENTS)})
         decomposition = served.result.speedup_decomposition
         print(

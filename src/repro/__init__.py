@@ -8,12 +8,14 @@ This package is a behavioural and analytical reproduction of
 The public API is organised by subsystem:
 
 ``repro.dram``
-    DRAM organisation, timing, energy, and a functional (bit-accurate)
-    model of subarrays, banks, and modules.
+    DRAM organisation, timing, energy, command traces and scheduling, and
+    a functional (bit-accurate) model of a subarray.
 ``repro.inmem``
-    Prior Processing-using-Memory primitives pLUTo builds on: RowClone,
-    LISA-RBM, Ambit bulk bitwise operations, DRISA shifting, and
-    subarray-level parallelism.
+    Prior Processing-using-Memory primitives pLUTo builds on: Ambit bulk
+    bitwise operations, DRISA shifting, and subarray-level parallelism.
+    RowClone and LISA-RBM have no functional unit of their own: the pLUTo
+    Controller lowers an in-DRAM move to a LISA-RBM command, and Ambit's
+    command counts include its RowClone copies.
 ``repro.circuit``
     The SPICE-substitute bitline circuit model used to reproduce the
     reliability study (Figure 6).

@@ -11,13 +11,11 @@ from repro.api.luts import (
     crc8_lut,
     crc16_lut,
     crc32_lut,
-    exponentiation_lut,
     identity_lut,
     multiply_lut,
     permutation_lut,
     quantize_lut,
     relu_lut,
-    sign_lut,
 )
 from repro.api.service import PlutoService, ServedResult, ServiceStats
 from repro.api.session import (
@@ -48,11 +46,9 @@ __all__ = [
     "crc8_lut",
     "crc16_lut",
     "crc32_lut",
-    "exponentiation_lut",
     "identity_lut",
     "multiply_lut",
     "permutation_lut",
     "quantize_lut",
     "relu_lut",
-    "sign_lut",
 ]

@@ -16,7 +16,6 @@ object.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -31,14 +30,12 @@ __all__ = [
     "multiply_lut",
     "bitwise_lut",
     "bitcount_lut",
-    "exponentiation_lut",
     "binarize_lut",
     "color_grade_lut",
     "crc8_lut",
     "crc16_lut",
     "crc32_lut",
     "permutation_lut",
-    "sign_lut",
     "relu_lut",
     "quantize_lut",
 ]
@@ -132,24 +129,6 @@ def bitcount_lut(bits: int) -> LookupTable:
     return lut_from_function(
         lambda x: bin(x).count("1"), bits, bits, name=f"bitcount{bits}"
     )
-
-
-@lru_cache(maxsize=None)
-def exponentiation_lut(bits: int, base: float = math.e, scale: float | None = None) -> LookupTable:
-    """Exponentiation LUT: ``f(x) = round(scale * base**(x / 2**bits))``.
-
-    The input is treated as a fixed-point fraction in [0, 1); the output is
-    an unsigned ``bits``-wide integer.  This is the "8-bit exponentiation"
-    entry of Table 6.
-    """
-    if scale is None:
-        scale = (mask_of(bits)) / (base ** 1.0)
-
-    def _exp(x: int) -> int:
-        value = scale * (base ** (x / float(1 << bits)))
-        return min(mask_of(bits), int(round(value)))
-
-    return lut_from_function(_exp, bits, bits, name=f"exp{bits}")
 
 
 @lru_cache(maxsize=None)
@@ -272,15 +251,6 @@ def _permutation_lut_cached(permutation: tuple[int, ...], bits: int, name: str) 
 # --------------------------------------------------------------------- #
 # Quantized-neural-network LUTs (Section 9)
 # --------------------------------------------------------------------- #
-@lru_cache(maxsize=None)
-def sign_lut(bits: int = 8) -> LookupTable:
-    """Binarization/sign activation for 1-bit networks: 1 if x >= midpoint."""
-    midpoint = 1 << (bits - 1)
-    return lut_from_function(
-        lambda x: 1 if x >= midpoint else 0, bits, bits, name=f"sign{bits}"
-    )
-
-
 @lru_cache(maxsize=None)
 def relu_lut(bits: int = 8) -> LookupTable:
     """ReLU on two's-complement ``bits``-wide values."""

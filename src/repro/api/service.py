@@ -40,9 +40,9 @@ How each request executes is governed by one
 :class:`~repro.plan.ExecutionPlan` (the service-wide ``plan=``, or the
 request's own), and every request runs on the service's one warm
 :class:`~repro.controller.dispatch.ParallelDispatcher` for its backend:
-unsharded programs on its controller, sharded and hierarchical ones as
-the layouts their artifacts carry (a bank-sharded plan is one rank of
-one channel), so every placement shares one controller.  With
+unsharded programs on its controller, sharded ones as the layouts their
+artifacts carry (one rank of one channel unless the plan's ``channels``
+/ ``ranks`` widen it), so every placement shares one controller.  With
 ``plan="auto"`` the cost-based planner
 (:func:`repro.plan.plan_program`) prices the candidate configurations
 once per distinct request structure — a repeat request reuses its
@@ -257,7 +257,7 @@ class PlutoService:
     ``max_batch`` caps how many structurally identical requests one batch
     coalesces.  ``plan`` is the service-wide
     :class:`~repro.plan.ExecutionPlan` (or ``"auto"``) every request
-    executes under — sharding, hierarchy placement and optimizer,
+    executes under — shards, their placement and the optimizer,
     exactly as in :meth:`PlutoSession.run`; with
     ``"auto"`` the cost-based planner resolves a concrete plan once per
     distinct request structure (a repeat request reuses its program
@@ -690,7 +690,7 @@ class PlutoService:
         self.stats.batches += 1
         self.stats.coalesced += len(batch) - 1
         # Only plain single-bank plans fuse into one batched pass;
-        # sharded and hierarchical plans go through the dispatcher.
+        # sharded plans go through the dispatcher.
         if (
             len(batch) > 1
             and batch[0].artifact.compiled is not None

@@ -256,24 +256,19 @@ class BatchResult:
         return sum(result.lut_queries for result in self.results)
 
 
-#: Every geometry family the planner can search: one bank, bank-parallel
-#: shards, and shards spread over channels and ranks.
-_ALL_MODES: tuple[str, ...] = ("single", "banks", "hierarchy")
-
 _Stamped = TypeVar("_Stamped", "ExecutionResult", BatchResult)
 
 
 class ArtifactIdentity(NamedTuple):
     """What one :class:`ProgramArtifact` answers: the recorded calls'
-    structure key on an engine configuration under the requested plan
-    and, for an auto plan, the planner's search modes (``()`` for an
-    explicit plan, which runs as it is whatever the front door).  No
-    backend is part of it: every backend runs an artifact alike."""
+    structure key on an engine configuration under the requested plan.
+    No front door and no backend is part of it: an auto plan's search
+    is a function of the plan alone, and every backend runs an artifact
+    alike."""
 
     structure_key: tuple
     config: "PlutoConfig"
     plan: "ExecutionPlan"
-    modes: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -284,12 +279,12 @@ class ProgramArtifact:
     plans resolved through the cost-based planner) with the planner's
     report, the optimizer's result, the call list that executes
     (post-optimization) with its structure key, and either its compiled
-    program (unsharded plans) or its verified shard layout (sharded and
-    hierarchical plans: placement, shard plans and one compiled program
-    per distinct slice size).  Each compiled program keeps its own trace
-    templates and closure, so an artifact holds everything a warm run
-    needs, and the shared artifact store (:mod:`repro.serve.store`)
-    pickles it as it is.
+    program (unsharded plans) or its verified shard layout (sharded
+    plans, whatever their placement: geometry, shard plans and one
+    compiled program per distinct slice size).  Each compiled program
+    keeps its own trace templates and closure, so an artifact holds
+    everything a warm run needs, and the shared artifact store
+    (:mod:`repro.serve.store`) pickles it as it is.
     """
 
     #: The request this artifact answers; ``None`` when the recorded
@@ -300,10 +295,10 @@ class ProgramArtifact:
     #: Structure key of ``calls``; ``None`` when it is not hashable.
     structure_key: "tuple | None"
     #: The verified compiled program of an unsharded plan (``None`` when
-    #: sharded or hierarchical).
+    #: sharded).
     compiled: "CompiledProgram | None"
-    #: The verified layout of a sharded or hierarchical plan (``None``
-    #: when unsharded); the dispatcher runs it as it is.
+    #: The verified layout of a sharded plan (``None`` when unsharded);
+    #: the dispatcher runs it as it is.
     layout: "ShardLayout | None"
     optimized: "OptimizedProgram | None"
     planner: "PlannerReport | None"
@@ -357,7 +352,6 @@ def prepare_execution(
     engine: "PlutoEngine | None",
     plan: "ExecutionPlan",
     *,
-    modes: tuple[str, ...] = _ALL_MODES,
     verify: bool,
     subject: str = "program",
 ) -> ProgramArtifact:
@@ -372,17 +366,18 @@ def prepare_execution(
 
     Otherwise the program is prepared.  An auto ``plan`` resolves
     through the cost-based planner
-    (:func:`repro.plan.planner.plan_program`), searching ``modes``.  The
-    artifact depends on no backend: whichever runs it, the controller
-    decides how the host simulates it.  The program is then optimized
+    (:func:`repro.plan.planner.plan_program`), whose search the plan
+    alone decides.  The artifact depends on no backend: whichever runs
+    it, the controller decides how the host simulates it.  The program
+    is then optimized
     when the plan asks for it (a plan that leaves ``optimize`` unset
     defers to the engine configuration).
     Unsharded plans compile through the structure-keyed program cache.
     With ``verify`` the static verifier checks the program that executes
     and raises :class:`~repro.errors.VerificationError` on any error;
     when the compiler rejects the program, the verifier's diagnostics
-    replace the compiler's error.  Sharded and hierarchical plans are
-    then laid out (:meth:`~repro.controller.dispatch.ShardPlanner.plan`,
+    replace the compiler's error.  Sharded plans are then laid out over
+    their placement (:meth:`~repro.controller.dispatch.ShardPlanner.plan`,
     one program per distinct slice size, verified whatever ``verify``
     says); a plan that cannot be laid out raises here.  ``subject``
     names the program in planner reports and diagnostics.  Compile and
@@ -394,7 +389,7 @@ def prepare_execution(
         _ARTIFACTS.note_uncached()
     else:
         config = engine.config if engine is not None else PlutoConfig()
-        identity = ArtifactIdentity(raw_key, config, plan, tuple(modes) if plan.is_auto else ())
+        identity = ArtifactIdentity(raw_key, config, plan)
         artifact = _ARTIFACTS.peek(identity)
         if artifact is not None:
             if verify and not artifact.verified:
@@ -409,13 +404,7 @@ def prepare_execution(
         from repro.plan.planner import plan_program
 
         with stage("plan") as plan_span:
-            planned = plan_program(
-                calls,
-                engine,
-                request=plan,
-                modes=modes,
-                subject=subject,
-            )
+            planned = plan_program(calls, engine, request=plan, subject=subject)
             plan_span.set(cached=planned.report.cached)
         plan, planner = planned.plan, planned.report
     optimize = plan.optimize
@@ -431,7 +420,7 @@ def prepare_execution(
     calls = tuple(calls)
     structure_key = raw_key if optimized is None else hashable_structure_key(calls)
     compiled: "CompiledProgram | None" = None
-    if not plan.hierarchical and plan.effective_shards == 1:
+    if plan.effective_shards == 1:
         span = stage("compile") if _PROGRAM_CACHE.peek(structure_key) is None else NOOP_SPAN
         try:
             with span:
@@ -446,10 +435,9 @@ def prepare_execution(
     if compiled is None:
         from repro.controller.dispatch import ShardPlanner
 
-        channels, ranks = plan.placement
         geometry = None if engine is None else engine.geometry
-        # A hierarchical plan may leave the shard count to the placement.
-        layout = ShardPlanner(geometry, channels=channels, ranks=ranks).plan(calls, plan.shards)
+        shard_planner = ShardPlanner(geometry, channels=plan.channels, ranks=plan.ranks)
+        layout = shard_planner.plan(calls, plan.shards)
     artifact = ProgramArtifact(
         identity=identity,
         plan=plan,
@@ -557,8 +545,7 @@ class PlutoSession:
     calls: list[ApiCall] = field(default_factory=list)
     _counter: int = 0
     backend: "str | ExecutionBackend" = "vectorized"
-    #: (plan argument, planner search modes, verify) -> warm entry (see
-    #: :meth:`run`).
+    #: (plan argument, verify) -> warm entry (see :meth:`run`).
     _warm: "dict[tuple, _WarmEntry]" = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -749,16 +736,15 @@ class PlutoSession:
         self,
         plan: "ExecutionPlan | str | None",
         engine: "PlutoEngine | None",
-        modes: tuple[str, ...] = _ALL_MODES,
         *,
         verify: bool,
         subject: str = "program",
     ) -> ProgramArtifact:
         """The program artifact of a run of this program.
 
-        A warm entry per (``plan`` argument, ``modes``, ``verify``)
-        serves repeated runs (see :meth:`run` for when it is valid); the
-        async service takes its requests' artifacts from here too.
+        A warm entry per (``plan`` argument, ``verify``) serves repeated
+        runs (see :meth:`run` for when it is valid); the async service
+        takes its requests' artifacts from here too.
         Otherwise the program goes through :func:`prepare_execution`, and
         the artifact becomes the new entry.  The stored planner report is
         marked ``cached``, as a reused artifact's is.
@@ -770,7 +756,7 @@ class PlutoSession:
         in the session (see :meth:`_dispatcher`): its runs take
         milliseconds, so the preparation an entry saves is noise there.
         """
-        key = (plan, modes, verify)
+        key = (plan, verify)
         try:
             entry = self._warm.get(key)
         except TypeError:  # not a plan: _requested_plan below rejects it
@@ -782,12 +768,7 @@ class PlutoSession:
         requested = _requested_plan(plan, engine)
         batched = resolve_backend(self.backend).supports_batched
         artifact = prepare_execution(
-            self.calls,
-            engine,
-            requested,
-            modes=modes,
-            verify=verify,
-            subject=subject,
+            self.calls, engine, requested, verify=verify, subject=subject
         )
         if artifact.identity is not None and batched:
             if len(self._warm) >= _WARM_ENTRIES:
@@ -849,11 +830,13 @@ class PlutoSession:
 
         ``plan`` is the unified execution front door: an
         :class:`~repro.plan.ExecutionPlan` describing the shard count,
-        hierarchy placement and optimizer — or the string ``"auto"``,
-        which hands the choice to the cost-based planner (candidates
-        priced with the analytic makespan model; a repeated request
-        reuses its artifact, plan included; the result then carries a
-        :class:`~repro.plan.PlannerReport` as ``result.planner``).
+        the placement the shards spread over and the optimizer — or the
+        string ``"auto"``, which hands the choice to the cost-based
+        planner, searching every placement of the engine's device
+        (candidates priced with the analytic makespan model; a repeated
+        request reuses its artifact, plan included; the result then
+        carries a :class:`~repro.plan.PlannerReport` as
+        ``result.planner``).
         ``None`` defers to the engine's ``PlutoConfig(plan=...)``
         default.  Outputs are bit-identical whichever plan executes.
 
@@ -861,8 +844,13 @@ class PlutoSession:
         execute bank-parallel — in one fused batched pass on
         batched-capable backends (the vectorized default) — and
         ``latency_ns`` becomes the scheduler-derived makespan under
-        cross-bank tRRD/tFAW contention; hierarchical plans additionally
-        spread shards over channels and ranks.  A plan with
+        cross-bank tRRD/tFAW contention.  Their shards stay on one rank
+        of one channel unless the plan's ``channels`` / ``ranks`` widen
+        the placement (``None`` takes all of the engine's; pass an
+        engine built from ``PlutoConfig(channels=..., ranks=...)`` to
+        model more than the Table 3 module), and the
+        :class:`~repro.controller.dispatch.ShardedExecutionResult` then
+        decomposes the speedup per level.  A plan with
         ``optimize=True`` runs the program optimizer (:mod:`repro.opt`)
         before compilation, with the
         :class:`~repro.opt.report.OptimizationReport` on
@@ -870,10 +858,10 @@ class PlutoSession:
 
         **Warm runs.**  The session keeps the program's
         :class:`ProgramArtifact` (plan, optimized calls, structure key,
-        compiled programs, planner report), one entry per method,
-        ``plan`` argument and verification setting (up to eight; making
-        a ninth drops them all), and one dispatcher for its latest
-        ``engine`` and backend, which runs every plan.  A
+        compiled programs, planner report), one entry per ``plan``
+        argument and verification setting, shared with :meth:`run_batch`
+        (up to eight; making a ninth drops them all), and one dispatcher
+        for its latest ``engine`` and backend, which runs every plan.  A
         :class:`~repro.api.service.PlutoService` serving this session
         takes its requests' artifacts from the same entries.  A later run
         reuses an entry, skipping planning, optimization, keying,
@@ -923,13 +911,17 @@ class PlutoSession:
 
         ``plan`` accepts an :class:`~repro.plan.ExecutionPlan` or
         ``"auto"`` exactly as in :meth:`run`, restricted to unsharded
-        plans — each job is one whole program; per-job sharding goes
-        through :meth:`run`.
+        plans — each job is one whole program, so an auto plan searches
+        ``ExecutionPlan(mode="auto", shards=1)``, the optimizer choice
+        alone; per-job sharding goes through :meth:`run`.
         """
         trace = new_trace("session.run_batch")
         token = activate(trace)
         try:
-            artifact = self._prepare(plan, engine, ("single",), verify=_verifies(engine))
+            requested = _requested_plan(plan, engine)
+            if requested.is_auto:
+                plan = replace(requested, shards=1)
+            artifact = self._prepare(plan, engine, verify=_verifies(engine))
             if artifact.compiled is None:
                 raise ConfigurationError(
                     "run_batch executes each job as one unsharded program; "
@@ -983,51 +975,6 @@ class PlutoSession:
         return artifact.attach(
             BatchResult(results=results, makespan_ns=makespan, request_trace=trace)
         )
-
-    def run_hierarchical(
-        self,
-        inputs: Mapping[str, np.ndarray],
-        *,
-        engine: "PlutoEngine | None" = None,
-        plan: "ExecutionPlan | str | None" = None,
-    ) -> "ShardedExecutionResult":
-        """Execute this program spread over the full DRAM hierarchy.
-
-        Shards are placed channel-first across the engine's channels,
-        ranks, bank groups, and banks (pass an engine built from a
-        ``PlutoConfig(channels=..., ranks=...)`` to model more than the
-        Table 3 single-channel module) by the same dispatcher a sharded
-        :meth:`run` uses.  Outputs are bit-identical to :meth:`run`;
-        ``latency_ns`` is the hierarchical makespan and the result
-        decomposes the speedup per level.
-
-        ``plan`` follows :meth:`run` but is forced hierarchical:
-        explicit plans may narrow the placement
-        (``ExecutionPlan(hierarchical=True, channels=..., ranks=...)``)
-        or pin the shard count, which defaults to every bank in the
-        device; ``"auto"`` searches hierarchical candidates only.  Warm
-        runs reuse their prepared program as in :meth:`run`.
-        """
-        requested = _requested_plan(plan, engine)
-        if not requested.is_auto and not requested.hierarchical:
-            requested = replace(requested, hierarchical=True)
-        trace = new_trace("session.run_hierarchical")
-        token = activate(trace)
-        try:
-            artifact = self._prepare(
-                requested, engine, ("hierarchy",), verify=_verifies(engine)
-            )
-            if not artifact.plan.hierarchical:
-                raise ConfigurationError(
-                    "run_hierarchical needs a hierarchical plan; got "
-                    f"{artifact.plan.label()!r}"
-                )
-            with span_of(trace, "execute"):
-                result = artifact.run(self._dispatcher(engine), inputs)
-        finally:
-            deactivate(token)
-        self._finish_trace(trace, result)
-        return artifact.attach(result)
 
     def serve(
         self,

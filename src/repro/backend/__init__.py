@@ -16,13 +16,12 @@ when an execution takes it: on a batched-capable backend, when a program
 structure key is available.
 """
 
-from repro.backend.base import ExecutionBackend, backend_names, resolve_backend
+from repro.backend.base import ExecutionBackend, resolve_backend
 from repro.backend.compiled import CompiledExecutable
 from repro.backend.functional import FunctionalBackend
 from repro.backend.vectorized import VectorizedBackend
 
 __all__ = [
-    "backend_names",
     "CompiledExecutable",
     "ExecutionBackend",
     "FunctionalBackend",

@@ -38,7 +38,7 @@ from repro.errors import ConfigurationError, ExecutionError
 from repro.isa.instructions import BitwiseKind, ShiftDirection
 from repro.utils.bitops import mask_of
 
-__all__ = ["ExecutionBackend", "backend_names", "resolve_backend"]
+__all__ = ["ExecutionBackend", "resolve_backend"]
 
 
 class ExecutionBackend(abc.ABC):
@@ -178,11 +178,6 @@ def _registry() -> dict[str, type[ExecutionBackend]]:
         FunctionalBackend.name: FunctionalBackend,
         VectorizedBackend.name: VectorizedBackend,
     }
-
-
-def backend_names() -> tuple[str, ...]:
-    """The registry names accepted wherever a backend can be selected."""
-    return tuple(_registry())
 
 
 def resolve_backend(backend: str | ExecutionBackend) -> ExecutionBackend:

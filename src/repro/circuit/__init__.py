@@ -13,7 +13,6 @@ from repro.circuit.bitline import (
     simulate_activation,
 )
 from repro.circuit.montecarlo import MonteCarloConfig, MonteCarloRunner, VariationSample
-from repro.circuit.senseamp import SenseAmplifier
 
 __all__ = [
     "BitlineParameters",
@@ -23,5 +22,4 @@ __all__ = [
     "MonteCarloConfig",
     "MonteCarloRunner",
     "VariationSample",
-    "SenseAmplifier",
 ]

@@ -7,7 +7,7 @@ tRRD/tFAW activation constraints inside a rank and by the command/data
 bus its ranks share above that.  So "where does shard *i* run, and what
 is the makespan" is one question, answered here once for every
 placement — the whole device, a narrowed channel/rank subset, or one
-rank of one channel, which is what a bank-sharded plan is:
+rank of one channel, where ``ExecutionPlan(shards=n)`` runs by default:
 
 * :class:`ShardPlanner` partitions a program's element space into
   balanced contiguous shards, rewrites and compiles the recorded API
@@ -360,8 +360,8 @@ class ShardPlanner:
     ``geometry`` is the device (the default DDR4 module when ``None``);
     ``channels`` / ``ranks`` narrow the placement to a subset of its
     channels and ranks (``None`` keeps the device's count).  The planner
-    places shards over :attr:`geometry`, that narrowed device; a
-    bank-sharded plan is the one-channel, one-rank placement.
+    places shards over :attr:`geometry`, that narrowed device; a plan's
+    ``channels`` / ``ranks`` are these two arguments.
     """
 
     def __init__(
@@ -705,7 +705,7 @@ class ParallelDispatcher:
 
     A layout carries its placement (:attr:`ShardLayout.geometry`), so one
     dispatcher runs the device-wide layout, a channel/rank narrowing and
-    the one-rank layout of a bank-sharded plan on :attr:`controller`,
+    a one-rank layout on :attr:`controller`,
     which runs unsharded programs too:
     ``dispatcher.execute(ShardPlanner(engine.geometry).plan(calls, shards), inputs)``.
 

@@ -62,10 +62,12 @@ class PlutoConfig:
     """One evaluated pLUTo configuration (design x memory x parallelism).
 
     ``channels`` / ``ranks`` override the memory preset's interface-level
-    hierarchy (Table 3 evaluates one channel with one rank); hierarchical
-    plans use them to model channel- and rank-level parallelism above
-    the per-rank bank scheduling, while bank-sharded plans stay on one
-    rank of one channel.
+    hierarchy (Table 3 evaluates one channel with one rank).  A sharded
+    plan stays on one rank of one channel unless its own ``channels`` /
+    ``ranks`` widen the placement (``None`` takes all of this
+    configuration's), which models channel- and rank-level parallelism
+    above the per-rank bank scheduling; ``plan="auto"`` searches every
+    placement of the device.
 
     ``optimize`` makes every execution routed through an engine built
     from this configuration run the program optimizer

@@ -1,20 +1,16 @@
 """DRAM substrate: organisation, timing, energy, and functional models."""
 
-from repro.dram.address import AddressMapper, RowAddress
-from repro.dram.bank import Bank
+from repro.dram.address import RowAddress
 from repro.dram.commands import Command, CommandTrace, CommandType
 from repro.dram.energy import DDR4_ENERGY, HMC_ENERGY, EnergyParameters
 from repro.dram.geometry import DDR4_8GB, HMC_3DS_GEOMETRY, DRAMGeometry
-from repro.dram.module import DRAMModule
 from repro.dram.refresh import RefreshModel, RowStepper
 from repro.dram.scheduler import CommandScheduler, ScheduledCommand
 from repro.dram.subarray import Subarray
-from repro.dram.timing import DDR4_2400, HMC_3DS, TimingParameters, scaled_tfaw
+from repro.dram.timing import DDR4_2400, HMC_3DS, TimingParameters
 
 __all__ = [
-    "AddressMapper",
     "RowAddress",
-    "Bank",
     "Command",
     "CommandTrace",
     "CommandType",
@@ -24,7 +20,6 @@ __all__ = [
     "DDR4_8GB",
     "HMC_3DS_GEOMETRY",
     "DRAMGeometry",
-    "DRAMModule",
     "RefreshModel",
     "RowStepper",
     "CommandScheduler",
@@ -33,5 +28,4 @@ __all__ = [
     "DDR4_2400",
     "HMC_3DS",
     "TimingParameters",
-    "scaled_tfaw",
 ]

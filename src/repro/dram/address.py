@@ -1,10 +1,9 @@
-"""Physical address mapping.
+"""Decoded DRAM row addresses.
 
-pLUTo's system integration requires knowledge of which physical addresses
-map to which bank/subarray/row so the controller can co-locate the source
-row, the LUT-holding subarray, and the destination row (Section 6.6).  This
-module implements a simple row-interleaved mapping and its inverse, which
-is what the allocation table and the compiler use.
+pLUTo's system integration requires knowledge of which bank, subarray and
+row a structure occupies, so the controller can co-locate the source row,
+the LUT-holding subarray and the destination row (Section 6.6).  The
+allocation table records its allocations as :class:`RowAddress` values.
 """
 
 from __future__ import annotations
@@ -12,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.dram.geometry import DRAMGeometry
-from repro.errors import AddressError
 
-__all__ = ["RowAddress", "AddressMapper"]
+__all__ = ["RowAddress"]
 
 
 @dataclass(frozen=True, order=True)
@@ -33,85 +31,3 @@ class RowAddress:
         if self.subarray < geometry.subarrays_per_bank - 1:
             result.append(RowAddress(self.bank, self.subarray + 1, self.row))
         return result
-
-
-class AddressMapper:
-    """Maps flat row numbers and byte addresses to DRAM coordinates.
-
-    The mapping places consecutive rows within a subarray, then walks
-    subarrays within a bank, then banks.  This keeps contiguously allocated
-    pLUTo structures physically contiguous, which is exactly what the
-    pLUTo allocation routines require.
-    """
-
-    def __init__(self, geometry: DRAMGeometry) -> None:
-        self.geometry = geometry
-
-    # ------------------------------------------------------------------ #
-    # Flat row index <-> coordinates
-    # ------------------------------------------------------------------ #
-    @property
-    def total_rows(self) -> int:
-        """Total number of rows in the device."""
-        return self.geometry.total_banks * self.geometry.rows_per_bank
-
-    def decode_row(self, flat_row: int) -> RowAddress:
-        """Decode a flat row number into (bank, subarray, row)."""
-        if not 0 <= flat_row < self.total_rows:
-            raise AddressError(
-                f"row index {flat_row} out of range [0, {self.total_rows})"
-            )
-        rows_per_bank = self.geometry.rows_per_bank
-        bank, within_bank = divmod(flat_row, rows_per_bank)
-        subarray, row = divmod(within_bank, self.geometry.rows_per_subarray)
-        return RowAddress(bank=bank, subarray=subarray, row=row)
-
-    def encode_row(self, address: RowAddress) -> int:
-        """Encode (bank, subarray, row) into a flat row number."""
-        geometry = self.geometry
-        if not 0 <= address.bank < geometry.total_banks:
-            raise AddressError(f"bank {address.bank} out of range")
-        geometry.validate_row(address.subarray, address.row)
-        return (
-            address.bank * geometry.rows_per_bank
-            + address.subarray * geometry.rows_per_subarray
-            + address.row
-        )
-
-    # ------------------------------------------------------------------ #
-    # Byte address <-> coordinates
-    # ------------------------------------------------------------------ #
-    def decode_byte(self, byte_address: int) -> tuple[RowAddress, int]:
-        """Decode a physical byte address into (row address, column offset)."""
-        if byte_address < 0:
-            raise AddressError("byte address must be non-negative")
-        row_bytes = self.geometry.row_size_bytes
-        flat_row, column = divmod(byte_address, row_bytes)
-        return self.decode_row(flat_row), column
-
-    def encode_byte(self, address: RowAddress, column: int = 0) -> int:
-        """Encode (row address, column offset) into a physical byte address."""
-        if not 0 <= column < self.geometry.row_size_bytes:
-            raise AddressError(
-                f"column {column} out of range [0, {self.geometry.row_size_bytes})"
-            )
-        return self.encode_row(address) * self.geometry.row_size_bytes + column
-
-    # ------------------------------------------------------------------ #
-    # Allocation helpers
-    # ------------------------------------------------------------------ #
-    def rows_in_subarray(self, bank: int, subarray: int) -> list[RowAddress]:
-        """All row addresses of one subarray, in wordline order."""
-        self.geometry.validate_row(subarray, 0)
-        return [
-            RowAddress(bank, subarray, row)
-            for row in range(self.geometry.rows_per_subarray)
-        ]
-
-    def same_subarray(self, first: RowAddress, second: RowAddress) -> bool:
-        """Whether two rows live in the same subarray (RowClone-FPM reach)."""
-        return first.bank == second.bank and first.subarray == second.subarray
-
-    def same_bank(self, first: RowAddress, second: RowAddress) -> bool:
-        """Whether two rows live in the same bank (LISA reach)."""
-        return first.bank == second.bank

@@ -17,7 +17,6 @@ __all__ = [
     "TimingParameters",
     "DDR4_2400",
     "HMC_3DS",
-    "scaled_tfaw",
 ]
 
 
@@ -103,11 +102,6 @@ class TimingParameters:
         if fraction < 0:
             raise ConfigurationError("tFAW fraction must be >= 0")
         return replace(self, t_faw=self.t_faw * fraction)
-
-
-def scaled_tfaw(base: TimingParameters, fraction: float) -> TimingParameters:
-    """Functional alias of :meth:`TimingParameters.with_tfaw_fraction`."""
-    return base.with_tfaw_fraction(fraction)
 
 
 #: DDR4-2400 17-17-17 (Table 3).  tRCD = tRP = 14.16 ns.

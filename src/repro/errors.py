@@ -13,10 +13,6 @@ class ConfigurationError(ReproError):
     """A configuration object is inconsistent or out of range."""
 
 
-class AddressError(ReproError):
-    """A physical or logical DRAM address is invalid."""
-
-
 class TimingViolationError(ReproError):
     """A DRAM command violates a timing constraint (e.g. tRCD, tFAW)."""
 

@@ -2,7 +2,8 @@
 
 Every function returns a :class:`FigureResult` whose rows carry the same
 series the corresponding figure plots, so benchmarks, tests, and the
-EXPERIMENTS.md generator all consume one representation.
+report generator (``examples/run_all_experiments.py``) all consume one
+representation.
 """
 
 from __future__ import annotations

@@ -193,10 +193,10 @@ class EvaluationHarness:
         ``plan`` selects the execution configuration exactly as in
         :meth:`PlutoSession.run` — sharded plans run through the
         configuration's one
-        :class:`~repro.controller.dispatch.ParallelDispatcher`, on one
-        rank of one channel when bank-sharded and over channels and ranks
-        when hierarchical (``latency_ns`` becomes the scheduler-derived
-        makespan), and
+        :class:`~repro.controller.dispatch.ParallelDispatcher`, over the
+        placement the plan names (one rank of one channel unless its
+        ``channels`` / ``ranks`` widen it; ``latency_ns`` becomes the
+        scheduler-derived makespan), and
         ``plan="auto"`` asks the cost-based planner *per engine*, so
         each configuration gets the plan that is cheapest on *its*
         geometry (the chosen plan rides on ``result.execution_plan``

@@ -5,25 +5,17 @@ multiple subarrays keep rows open and operate concurrently.  For pLUTo this
 means many Row Sweeps can proceed in parallel (Section 5.5); the achievable
 parallelism is bounded by the tFAW activation-rate constraint (Section 8.7).
 
-Two views are provided:
-
-* :func:`salp_speedup` — the first-order model used in the figures:
-  performance scales linearly with the number of parallel subarrays, then
-  is derated by the tFAW activation-rate ceiling.
-* :class:`SalpScheduler` — an event-based model that interleaves per-
-  subarray activation streams under the tFAW sliding window, used to
-  validate the first-order model in tests.
+:func:`salp_speedup` is the first-order model the figures use:
+performance scales linearly with the number of parallel subarrays, then
+is derated by the tFAW activation-rate ceiling.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
-
 from repro.dram.timing import TimingParameters
 from repro.errors import ConfigurationError
 
-__all__ = ["salp_speedup", "SalpScheduler", "SweepRequest"]
+__all__ = ["salp_speedup"]
 
 
 def salp_speedup(
@@ -67,64 +59,3 @@ def salp_speedup(
     ceiling_rate = 4.0 / effective_tfaw
     max_parallelism = ceiling_rate / per_subarray_rate
     return min(ideal, max(1.0, max_parallelism))
-
-
-@dataclass(frozen=True)
-class SweepRequest:
-    """One subarray's share of a parallel Row Sweep."""
-
-    subarray: int
-    activations: int
-    act_interval_ns: float
-
-
-class SalpScheduler:
-    """Event-based interleaving of parallel activation streams under tFAW."""
-
-    def __init__(self, timing: TimingParameters, *, tfaw_fraction: float = 1.0) -> None:
-        self.timing = timing
-        self.tfaw_ns = timing.t_faw * tfaw_fraction
-
-    def simulate(self, requests: list[SweepRequest]) -> float:
-        """Return the makespan (ns) of executing all requests concurrently."""
-        if not requests:
-            return 0.0
-        for request in requests:
-            if request.activations <= 0 or request.act_interval_ns <= 0:
-                raise ConfigurationError("requests need positive counts/intervals")
-
-        # Each stream wants to issue its next ACT at `ready`; the global
-        # tFAW window may push it later.  A min-heap on ready time gives the
-        # interleaving a real controller would produce.
-        recent_acts: list[float] = []
-        heap: list[tuple[float, int, int]] = []  # (ready, stream, remaining)
-        for index, request in enumerate(requests):
-            heapq.heappush(heap, (0.0, index, request.activations))
-        finish = 0.0
-        while heap:
-            ready, index, remaining = heapq.heappop(heap)
-            issue = ready
-            if self.tfaw_ns > 0 and len(recent_acts) >= 4:
-                issue = max(issue, recent_acts[-4] + self.tfaw_ns)
-            recent_acts.append(issue)
-            if len(recent_acts) > 8:
-                recent_acts = recent_acts[-8:]
-            request = requests[index]
-            completion = issue + request.act_interval_ns
-            finish = max(finish, completion)
-            if remaining > 1:
-                heapq.heappush(heap, (completion, index, remaining - 1))
-        return finish
-
-    def relative_performance(self, activations: int, subarrays: int) -> float:
-        """Performance of a parallel sweep relative to the unthrottled case."""
-        interval = self.timing.t_rcd + self.timing.t_rp
-        requests = [
-            SweepRequest(subarray=i, activations=activations, act_interval_ns=interval)
-            for i in range(subarrays)
-        ]
-        throttled = self.simulate(requests)
-        unthrottled = SalpScheduler(self.timing, tfaw_fraction=0.0).simulate(requests)
-        if throttled <= 0:
-            return 1.0
-        return unthrottled / throttled

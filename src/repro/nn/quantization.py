@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["QuantizedTensor", "quantize_tensor", "quantize_weights", "dequantize"]
+__all__ = ["QuantizedTensor", "quantize_tensor", "dequantize"]
 
 
 @dataclass(frozen=True)
@@ -53,11 +53,6 @@ def quantize_tensor(tensor: np.ndarray, bits: int) -> QuantizedTensor:
     scale = max_magnitude / levels
     values = np.clip(np.round(tensor / scale), -levels - 1, levels).astype(np.int64)
     return QuantizedTensor(values=values, scale=scale, bits=bits)
-
-
-def quantize_weights(weights: np.ndarray, bits: int) -> QuantizedTensor:
-    """Alias of :func:`quantize_tensor` for readability at call sites."""
-    return quantize_tensor(weights, bits)
 
 
 def dequantize(tensor: QuantizedTensor) -> np.ndarray:

@@ -15,12 +15,14 @@ backend selection — each living on a different entry point.  An
 Plans validate at construction through the shared
 :class:`~repro.analyze.diagnostics.Diagnostic` machinery, so
 contradictory settings (an auto plan pinning explicit geometry, a
-placement wider than it is allowed to be) fail with structured
-diagnostics instead of deep inside dispatch.
+placement for a single shard) and values of the wrong type fail with
+structured errors instead of deep inside dispatch.
 """
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -39,17 +41,35 @@ __all__ = [
 
 _MODES = ("explicit", "auto")
 
+#: The integer fields of a plan, with the noun their range error uses.
+_COUNTS = (
+    ("shards", "shard count"),
+    ("channels", "plan channel count"),
+    ("ranks", "plan rank count"),
+)
+
+
+def _plan_error(code: str, message: str, hint: str) -> VerificationError:
+    """A plan's construction error: one :class:`Diagnostic` record."""
+    from repro.analyze.diagnostics import Diagnostic, Severity
+
+    diagnostic = Diagnostic(severity=Severity.ERROR, code=code, message=message, hint=hint)
+    return VerificationError((diagnostic,), subject="execution plan")
+
 
 @dataclass(frozen=True)
 class ExecutionPlan:
     """One execution configuration for a recorded pLUTo program.
 
-    ``shards`` partitions the element space across DRAM banks
-    (``None`` means the route's default: 1 for plain runs, every bank in
-    the device for hierarchical runs).  ``hierarchical`` spreads the
-    shards over the channel/rank/bank hierarchy; ``channels`` / ``ranks``
-    optionally *narrow* that placement to a subset of the device's
-    interface levels (they require ``hierarchical=True``).
+    ``shards`` partitions the element space into that many slices, each
+    run in a bank of its own (``None`` means one shard).  ``channels`` /
+    ``ranks`` are the placement the shards spread over: the default
+    ``1`` / ``1`` keeps them on one rank of one channel, an integer
+    narrows the device to that many channels or ranks, and ``None``
+    takes all of the device's, so
+    ``ExecutionPlan(shards=8, channels=None, ranks=None)`` spreads eight
+    shards over the whole device.  A placement wider than one rank needs
+    ``shards > 1``.
 
     ``optimize`` runs the program optimizer before compilation
     (``None`` defers to ``PlutoConfig(optimize=...)``).  A plan names no
@@ -58,77 +78,66 @@ class ExecutionPlan:
     either way.
 
     ``mode="auto"`` hands the geometry decision to the cost-based
-    planner; pinning ``optimize`` on an auto plan narrows the search,
-    but pinning geometry (``shards`` / ``hierarchical`` / ``channels`` /
-    ``ranks``) contradicts it and is rejected.
+    planner.  Pinning ``optimize`` on an auto plan narrows the search,
+    and so does ``shards=1`` (the unsharded program only); any other
+    pinned geometry contradicts it and is rejected.
     """
 
     mode: str = "explicit"
     shards: int | None = None
-    hierarchical: bool = False
-    channels: int | None = None
-    ranks: int | None = None
+    channels: int | None = 1
+    ranks: int | None = 1
     optimize: bool | None = None
 
     def __post_init__(self) -> None:
-        from repro.analyze.diagnostics import Diagnostic, Severity
-
         if self.mode not in _MODES:
             raise ConfigurationError(
                 f"unknown plan mode {self.mode!r}; expected one of {list(_MODES)}"
             )
-        if self.shards is not None and self.shards < 1:
-            raise ConfigurationError("shard count must be >= 1")
-        if self.channels is not None and self.channels < 1:
-            raise ConfigurationError("plan channel count must be >= 1")
-        if self.ranks is not None and self.ranks < 1:
-            raise ConfigurationError("plan rank count must be >= 1")
-        diagnostics: list[Diagnostic] = []
-        if not self.hierarchical and (
-            self.channels is not None or self.ranks is not None
-        ):
-            diagnostics.append(
-                Diagnostic(
-                    severity=Severity.ERROR,
-                    code="plan-placement",
-                    message=(
-                        "channel/rank placement applies to hierarchical "
-                        "execution only; this plan has hierarchical=False"
-                    ),
-                    hint="pass hierarchical=True or drop channels=/ranks=",
-                )
+        for name, count in _COUNTS:
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if type(value) is not int:
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ConfigurationError(
+                        f"plan {name} must be an integer or None, got {value!r}"
+                    )
+                # A NumPy integer is stored as an int, so the plan's hash,
+                # label and pickled form do not depend on its type.
+                value = operator.index(value)
+                object.__setattr__(self, name, value)
+            if value < 1:
+                raise ConfigurationError(f"{count} must be >= 1")
+        if self.optimize is not None and not isinstance(self.optimize, bool):
+            raise ConfigurationError(
+                f"plan optimize must be a bool or None, got {self.optimize!r}"
             )
-        if self.mode == "auto" and self._pinned_geometry():
-            pinned = ", ".join(self._pinned_geometry())
-            diagnostics.append(
-                Diagnostic(
-                    severity=Severity.ERROR,
-                    code="plan-contradiction",
-                    message=(
-                        "an auto plan delegates the execution geometry to "
-                        f"the planner but pins {pinned}"
-                    ),
-                    hint=(
-                        "drop the explicit geometry, or use mode='explicit' "
-                        "to run exactly that configuration"
-                    ),
+        if self.is_auto:
+            pinned = [
+                f"{name}={value}"
+                for name, value, free in (
+                    ("shards", self.shards, (None, 1)),
+                    ("channels", self.channels, (1,)),
+                    ("ranks", self.ranks, (1,)),
                 )
+                if value not in free
+            ]
+            if pinned:
+                raise _plan_error(
+                    "plan-contradiction",
+                    "an auto plan delegates the execution geometry to the "
+                    f"planner but pins {', '.join(pinned)}",
+                    "drop the explicit geometry, or use mode='explicit' to run "
+                    "exactly that configuration",
+                )
+        elif self.hierarchical and self.effective_shards == 1:
+            raise _plan_error(
+                "plan-placement",
+                "a placement over channels and ranks spreads shards, but this "
+                "plan runs one shard",
+                "pass shards > 1 or drop channels=/ranks=",
             )
-        if diagnostics:
-            raise VerificationError(diagnostics, subject="execution plan")
-
-    def _pinned_geometry(self) -> list[str]:
-        """Names of explicitly pinned geometry fields (empty when free)."""
-        pinned: list[str] = []
-        if self.shards is not None:
-            pinned.append(f"shards={self.shards}")
-        if self.hierarchical:
-            pinned.append("hierarchical=True")
-        if self.channels is not None:
-            pinned.append(f"channels={self.channels}")
-        if self.ranks is not None:
-            pinned.append(f"ranks={self.ranks}")
-        return pinned
 
     @classmethod
     def auto(cls, *, optimize: bool | None = None) -> "ExecutionPlan":
@@ -146,31 +155,21 @@ class ExecutionPlan:
         return self.shards if self.shards is not None else 1
 
     @property
-    def placement(self) -> tuple[int | None, int | None]:
-        """The ``(channels, ranks)`` this plan's shards spread over.
-
-        A bank-sharded plan runs on one channel and one rank; a
-        hierarchical plan keeps its narrowing, where ``None`` means the
-        device's own count.
-        """
-        return (self.channels, self.ranks) if self.hierarchical else (1, 1)
+    def hierarchical(self) -> bool:
+        """Whether the shards spread wider than one rank of one channel."""
+        return (self.channels, self.ranks) != (1, 1)
 
     def label(self) -> str:
-        """Compact human-readable description, e.g. ``shards=16+opt``."""
+        """Compact description, e.g. ``shards=16+opt`` or ``shards=8@allx2``."""
         if self.is_auto:
             return "auto"
-        parts: list[str] = []
+        label = f"shards={self.effective_shards}"
         if self.hierarchical:
-            placement = ""
-            if self.channels is not None or self.ranks is not None:
-                placement = f"@{self.channels or 'all'}x{self.ranks or 'all'}"
-            shards = "device" if self.shards is None else str(self.shards)
-            parts.append(f"hierarchical{placement}:{shards}")
-        else:
-            parts.append(f"shards={self.effective_shards}")
-        if self.optimize:
-            parts.append("opt")
-        return "+".join(parts)
+            channels, ranks = (
+                "all" if level is None else level for level in (self.channels, self.ranks)
+            )
+            label += f"@{channels}x{ranks}"
+        return label + "+opt" if self.optimize else label
 
 
 def resolve_plan(plan: "ExecutionPlan | str | None") -> ExecutionPlan:
@@ -240,8 +239,9 @@ def plan_conflict_diagnostics(
             )
         )
     if plan.shards is not None:
-        channels, ranks = plan.placement
-        capacity = (channels or geometry.channels) * (ranks or geometry.ranks) * geometry.banks
+        capacity = (
+            (plan.channels or geometry.channels) * (plan.ranks or geometry.ranks) * geometry.banks
+        )
         overcommit = shards_overcommit_diagnostic(plan.shards, capacity)
         if overcommit is not None:
             diagnostics.append(overcommit)

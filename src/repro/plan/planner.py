@@ -1,9 +1,10 @@
 """The cost-based auto-planner.
 
 Given a recorded program and an engine, :func:`plan_program` enumerates
-candidate execution configurations — shard counts over each channel/rank
-placement (one rank of one channel for bank-sharded plans), optimizer
-on/off — prices each with the memoized analytic makespan model (the
+candidate execution configurations — the unsharded program, and every
+shard count from two up over each placement of the engine's device (one
+rank of one channel, the whole device, then each interface level alone),
+optimizer on/off — prices each with the memoized analytic makespan model (the
 same :func:`~repro.controller.dispatch.merged_makespan_ns` the
 dispatcher charges executions with, backed by
 :mod:`repro.dram.analytic`), and picks the argmin.  Near-ties break on
@@ -104,14 +105,14 @@ class PlannedExecution:
 
 
 def _shard_grid(limit: int, size: int) -> list[int]:
-    """Candidate shard counts: powers of two up to ``min(limit, size)``."""
+    """Sharded candidate counts: powers of two from 2 up to
+    ``min(limit, size)``, and that cap when it is above one."""
     cap = min(limit, size)
-    grid: set[int] = {1}
+    grid: set[int] = {cap} if cap > 1 else set()
     power = 2
     while power <= cap:
         grid.add(power)
         power *= 2
-    grid.add(cap)
     return sorted(grid)
 
 
@@ -157,8 +158,6 @@ def _complexity(plan: ExecutionPlan) -> tuple[int, int]:
 def _enumerate(
     calls: Sequence["ApiCall"],
     engine: "PlutoEngine",
-    *,
-    modes: tuple[str, ...],
     request: ExecutionPlan,
 ) -> list[CandidatePlan]:
     """Price every candidate configuration for ``calls`` on ``engine``.
@@ -179,19 +178,18 @@ def _enumerate(
         if request.optimize is not None
         else (False, True)
     )
-    # Placement -> whether its plans are spelled hierarchical.  "banks"
-    # is one channel and one rank; "hierarchy" is the full device plus
-    # each interface level alone, and on a one-rank device the full
-    # device is the "banks" placement, priced once.
-    placements: dict[tuple[int, int], bool] = {}
-    if "banks" in modes:
-        placements[(1, 1)] = False
-    if "hierarchy" in modes:
-        channels, ranks = geometry.channels, geometry.ranks
-        placements.setdefault((channels, ranks), True)
-        if channels > 1 and ranks > 1:
-            placements.setdefault((channels, 1), True)
-            placements.setdefault((1, ranks), True)
+    # (channels, ranks) placed over -> the plan's spelling of it: one rank
+    # of one channel, then the whole device, then each interface level
+    # alone.  A level the placement spans whole is spelled None (the
+    # device's count), and a placement is priced once however it is
+    # reached (on a one-rank device the whole device is the first).
+    device = (geometry.channels, geometry.ranks)
+    placements: dict[tuple[int, int], tuple[int | None, int | None]] = {(1, 1): (1, 1)}
+    for channels, ranks in (device, (device[0], 1), (1, device[1])):
+        placements.setdefault(
+            (channels, ranks),
+            (None if channels == device[0] else channels, None if ranks == device[1] else ranks),
+        )
 
     candidates: list[CandidatePlan] = []
     unallocatable: list[AllocationError] = []
@@ -199,16 +197,12 @@ def _enumerate(
         plan_calls: Sequence["ApiCall"] = (
             list(optimize_cached(list(calls)).calls) if optimize else list(calls)
         )
-
+        if not plan_calls:
+            continue
         try:
             size: int | None = ShardPlanner._uniform_size(plan_calls)
         except ConfigurationError:
-            # Non-uniform (or empty) element space: only the unsharded
-            # mode applies.  Entry points that demand a sharded layout
-            # (run_hierarchical) get the shard planner's own error
-            # rather than a silent fall back to a single-bank plan.
-            if "single" not in modes:
-                raise
+            # Non-uniform element space: only the unsharded program runs.
             size = None
 
         # Slice length -> accounting template; the whole program is the
@@ -241,36 +235,21 @@ def _enumerate(
                 built.append(template)
             return built
 
-        if "single" in modes or size is None:
-            if not plan_calls:
-                continue
-            whole = templates_of([size])
-            if whole is not None:
-                candidates.append(
-                    _price(ExecutionPlan(shards=1, optimize=optimize), whole, engine)
-                )
-        if size is None:
+        whole = templates_of([size])
+        if whole is not None:
+            candidates.append(_price(ExecutionPlan(shards=1, optimize=optimize), whole, engine))
+        if size is None or request.shards == 1:
             continue
-
-        for (channels, ranks), hierarchical in placements.items():
+        for channels, ranks in placements.values():
             planner = ShardPlanner(geometry, channels=channels, ranks=ranks)
             for shards in _shard_grid(planner.geometry.total_banks, size):
-                if hierarchical:
-                    plan = ExecutionPlan(
-                        shards=shards,
-                        hierarchical=True,
-                        channels=channels if channels != geometry.channels else None,
-                        ranks=ranks if ranks != geometry.ranks else None,
-                        optimize=optimize,
-                    )
-                elif shards > 1:
-                    plan = ExecutionPlan(shards=shards, optimize=optimize)
-                else:
-                    continue
                 shard_templates = templates_of(
                     [stop - start for start, stop in ShardPlanner.slice_bounds(size, shards)]
                 )
                 if shard_templates is not None:
+                    plan = ExecutionPlan(
+                        shards=shards, channels=channels, ranks=ranks, optimize=optimize
+                    )
                     candidates.append(_price(plan, shard_templates, engine, planner))
     if not candidates and unallocatable:
         raise unallocatable[0]
@@ -306,16 +285,14 @@ def _baseline_makespan(
 ) -> float:
     """Predicted makespan of the one-shard plan under the optimizer pin.
 
-    The first one-shard candidate whose ``optimize`` matches the request
-    (unoptimized when the request leaves it unset): ``shards=1`` when the
-    search priced the ``single`` mode, ``hierarchical:1`` for a
-    hierarchy-only search.  A search that priced no one-shard plan
-    measures against the chosen plan, so it claims no gain.
+    The ``shards=1`` candidate whose ``optimize`` matches the request
+    (unoptimized when the request leaves it unset).  When that program
+    cannot be allocated, the report measures against the chosen plan,
+    so it claims no gain.
     """
-    optimize = bool(request.optimize)
+    baseline = ExecutionPlan(shards=1, optimize=bool(request.optimize))
     for candidate in candidates:
-        plan = candidate.plan
-        if plan.effective_shards == 1 and plan.optimize == optimize:
+        if candidate.plan == baseline:
             return candidate.predicted_makespan_ns
     return chosen.predicted_makespan_ns
 
@@ -325,17 +302,18 @@ def plan_program(
     engine: "PlutoEngine | None" = None,
     *,
     request: ExecutionPlan | None = None,
-    modes: tuple[str, ...] = ("single", "banks", "hierarchy"),
     subject: str = "program",
 ) -> PlannedExecution:
     """Pick the cheapest execution configuration for ``calls``.
 
-    ``request`` is the auto plan carrying any pinned ``optimize``;
-    ``modes`` restricts the searched geometry families (``"single"``,
-    ``"banks"``, ``"hierarchy"``) — the hierarchical front door passes
-    ``("hierarchy",)`` so auto stays hierarchical.  The choice depends
-    on no backend: every backend runs a plan to the same modelled
-    makespan and energy.
+    ``request`` is the auto plan carrying any pinned ``optimize``.  The
+    planner prices the unsharded program and every shard count from two
+    up over every placement of ``engine``'s device; a request that pins
+    ``shards=1`` (as
+    :meth:`~repro.api.session.PlutoSession.run_batch` does) prices the
+    unsharded program only.  The search is a function of the request
+    alone, and the choice depends on no backend: every backend runs a
+    plan to the same modelled makespan and energy.
 
     Every call plans: reuse lives in the program artifact table of
     :func:`~repro.api.session.prepare_execution`.  The returned plan is
@@ -354,17 +332,9 @@ def plan_program(
             "plan_program expects an auto plan; explicit plans execute as-is"
         )
 
-    candidates = _enumerate(
-        calls,
-        engine,
-        modes=modes,
-        request=request,
-    )
+    candidates = _enumerate(calls, engine, request)
     if not candidates:
-        raise ConfigurationError(
-            "the planner found no viable execution configuration "
-            f"(modes={list(modes)})"
-        )
+        raise ConfigurationError("the planner found no viable execution configuration")
     chosen = _choose(candidates)
     plan = chosen.plan
     report = PlannerReport(

@@ -54,8 +54,9 @@ __all__ = [
 
 #: Bump when the artifact layout (or the meaning of any stored product)
 #: changes; entries written under another schema are discarded as stale.
-#: Version 5: the identity and the plan name no backend or host tier.
-ARTIFACT_SCHEMA_VERSION = 5
+#: Version 6: the identity names no planner search modes, and a plan
+#: spells its placement as ``channels`` / ``ranks`` alone.
+ARTIFACT_SCHEMA_VERSION = 6
 
 
 #: Process-wide hit/miss/stale/saved/installed counters and cumulative
@@ -173,7 +174,6 @@ class SharedArtifactStore:
         engine: "PlutoEngine | None" = None,
         *,
         plan: "ExecutionPlan | str | None" = None,
-        modes: tuple[str, ...] = ("single", "banks", "hierarchy"),
     ) -> ProgramArtifact:
         """Prepare ``calls`` and persist the artifact.
 
@@ -184,7 +184,7 @@ class SharedArtifactStore:
         process that already served the program holds its artifact, so
         exporting it costs one table lookup and one write.  ``plan``
         ``None`` defers to the engine's default plan.  The artifact
-        serves every backend alike.
+        serves every front door and backend that runs ``plan``.
         """
         from repro.api.session import prepare_execution
         from repro.controller.executor import PlutoController
@@ -193,12 +193,7 @@ class SharedArtifactStore:
         if plan is None and engine is not None:
             plan = engine.config.plan
         artifact = prepare_execution(
-            calls,
-            engine,
-            resolve_plan(plan),
-            modes=tuple(modes),
-            verify=True,
-            subject="warm-start",
+            calls, engine, resolve_plan(plan), verify=True, subject="warm-start"
         )
         # A program's first run builds its trace template; one exported
         # before any run gets it here, so no warm start misses it.

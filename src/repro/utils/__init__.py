@@ -2,13 +2,8 @@
 
 from repro.utils.bitops import (
     bit_length_for,
-    bits_required,
-    extract_field,
-    insert_field,
-    interleave_operands,
     mask_of,
     pack_elements,
-    split_interleaved,
     unpack_elements,
 )
 from repro.utils.fixedpoint import (
@@ -33,13 +28,8 @@ from repro.utils.units import (
 __all__ = [
     "BoundedMemo",
     "bit_length_for",
-    "bits_required",
-    "extract_field",
-    "insert_field",
-    "interleave_operands",
     "mask_of",
     "pack_elements",
-    "split_interleaved",
     "unpack_elements",
     "QFormat",
     "from_fixed",

@@ -2,9 +2,7 @@
 
 pLUTo operates on DRAM rows that hold densely packed fixed-width elements.
 The functions here convert between NumPy element vectors and packed row
-bytes, build the interleaved operand layouts required by LUT-based binary
-operations (e.g. ``a << k | b`` before an addition LUT query), and provide
-small integer-field utilities used by the ISA and compiler.
+bytes, and size the bit fields of LUT indices and elements.
 """
 
 from __future__ import annotations
@@ -15,14 +13,9 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "mask_of",
-    "bits_required",
     "bit_length_for",
-    "extract_field",
-    "insert_field",
     "pack_elements",
     "unpack_elements",
-    "interleave_operands",
-    "split_interleaved",
 ]
 
 
@@ -37,17 +30,6 @@ def mask_of(bits: int) -> int:
     return (1 << bits) - 1
 
 
-def bits_required(value: int) -> int:
-    """Return the number of bits needed to represent ``value`` (>= 1).
-
-    Zero requires one bit by convention (a LUT with a single entry still
-    occupies one row index bit).
-    """
-    if value < 0:
-        raise ConfigurationError(f"value must be non-negative, got {value}")
-    return max(1, int(value).bit_length())
-
-
 def bit_length_for(num_entries: int) -> int:
     """Return the index width (in bits) of a LUT with ``num_entries`` entries.
 
@@ -59,21 +41,6 @@ def bit_length_for(num_entries: int) -> int:
             f"a LUT must have at least one entry, got {num_entries}"
         )
     return max(1, (num_entries - 1).bit_length())
-
-
-def extract_field(value: int, offset: int, width: int) -> int:
-    """Extract ``width`` bits starting at bit ``offset`` from ``value``."""
-    if offset < 0 or width < 0:
-        raise ConfigurationError("offset and width must be non-negative")
-    return (value >> offset) & mask_of(width)
-
-
-def insert_field(value: int, field: int, offset: int, width: int) -> int:
-    """Return ``value`` with ``field`` written into bits [offset, offset+width)."""
-    if offset < 0 or width < 0:
-        raise ConfigurationError("offset and width must be non-negative")
-    cleared = value & ~(mask_of(width) << offset)
-    return cleared | ((field & mask_of(width)) << offset)
 
 
 def pack_elements(elements: np.ndarray, bit_width: int, row_bytes: int) -> np.ndarray:
@@ -127,36 +94,3 @@ def unpack_elements(row: np.ndarray, bit_width: int, count: int) -> np.ndarray:
     bits = bit_array[: count * bit_width].reshape(count, bit_width).astype(np.uint64)
     shifts = np.arange(bit_width, dtype=np.uint64)
     return (bits << shifts[None, :]).sum(axis=1, dtype=np.uint64)
-
-
-def interleave_operands(
-    left: np.ndarray, right: np.ndarray, left_bits: int, right_bits: int
-) -> np.ndarray:
-    """Combine two operand vectors into LUT indices ``(left << right_bits) | right``.
-
-    This is the operand layout produced by the pLUTo compiler before a binary
-    LUT query (Section 6.3): the left operand is shifted and OR-merged with
-    the right operand so a single LUT indexed by the concatenation computes
-    the binary function.
-    """
-    left = np.asarray(left, dtype=np.uint64)
-    right = np.asarray(right, dtype=np.uint64)
-    if left.shape != right.shape:
-        raise ConfigurationError(
-            f"operand shapes differ: {left.shape} vs {right.shape}"
-        )
-    if left.size and int(left.max()) > mask_of(left_bits):
-        raise ConfigurationError("left operand exceeds its declared bit width")
-    if right.size and int(right.max()) > mask_of(right_bits):
-        raise ConfigurationError("right operand exceeds its declared bit width")
-    return (left << np.uint64(right_bits)) | right
-
-
-def split_interleaved(
-    indices: np.ndarray, left_bits: int, right_bits: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split interleaved LUT indices back into (left, right) operand vectors."""
-    indices = np.asarray(indices, dtype=np.uint64)
-    right = indices & np.uint64(mask_of(right_bits))
-    left = (indices >> np.uint64(right_bits)) & np.uint64(mask_of(left_bits))
-    return left, right

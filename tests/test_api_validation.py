@@ -161,12 +161,12 @@ class TestBitwiseUnification:
 
 
 #: Every way a front door runs a program: one bank, bank shards of one
-#: size (4) or two sizes (5), and the hierarchical dispatcher.
+#: size (4) or two sizes (5), and shards over the whole device.
 SHAPE_PLANS = {
     "default": None,
     "shards=4": ExecutionPlan(shards=4),
     "shards=5": ExecutionPlan(shards=5),
-    "hierarchical": ExecutionPlan(hierarchical=True, shards=3),
+    "hierarchical": ExecutionPlan(shards=3, channels=None, ranks=None),
 }
 
 

@@ -12,7 +12,6 @@ from repro.circuit.bitline import (
     simulate_activation,
 )
 from repro.circuit.montecarlo import MonteCarloConfig, MonteCarloRunner
-from repro.circuit.senseamp import SenseAmplifier
 from repro.errors import ConfigurationError
 
 
@@ -81,29 +80,6 @@ class TestActivationTransient:
         )
         midpoint = len(baseline.time_ns) // 8
         assert gsa.voltage_v[midpoint] <= baseline.voltage_v[midpoint] + 1e-9
-
-
-class TestSenseAmplifier:
-    def test_senses_correct_value(self):
-        amplifier = SenseAmplifier()
-        parameters = BitlineParameters()
-        high = parameters.precharge_voltage + 0.08
-        low = parameters.precharge_voltage - 0.08
-        assert amplifier.sense(high, parameters) is CellState.ONE
-        assert amplifier.sense(low, parameters) is CellState.ZERO
-
-    def test_rejects_tiny_margin(self):
-        amplifier = SenseAmplifier(min_margin_v=0.05)
-        parameters = BitlineParameters()
-        with pytest.raises(ConfigurationError):
-            amplifier.sense(parameters.precharge_voltage + 0.01, parameters)
-
-    def test_disabled_amplifier_cannot_sense(self):
-        amplifier = SenseAmplifier(enabled=False)
-        parameters = BitlineParameters()
-        assert not amplifier.can_sense(parameters.vdd, parameters)
-        with pytest.raises(ConfigurationError):
-            amplifier.sense(parameters.vdd, parameters)
 
 
 class TestMonteCarlo:

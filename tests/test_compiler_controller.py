@@ -238,6 +238,52 @@ class TestAllocationTableAndRom:
         shift = rom.expand(PlutoBitShift(ShiftDirection.LEFT, a, 12))
         assert len(shift) == 5
 
+    def test_rom_expands_moves_and_byte_shifts(self):
+        from repro.isa.registers import RegisterFile
+        from repro.isa.instructions import PlutoByteShift, PlutoMove, ShiftDirection
+
+        registers = RegisterFile()
+        a = registers.allocate_row(8, 8)
+        b = registers.allocate_row(8, 8)
+        rom = CommandRom()
+        move = rom.expand(PlutoMove(b, a), bank=2, subarray=5)
+        assert [(c.kind, c.bank, c.subarray) for c in move] == [(CommandType.LISA_RBM, 2, 5)]
+        shift = rom.expand(PlutoByteShift(ShiftDirection.RIGHT, a, 3))
+        assert [c.kind for c in shift] == [CommandType.SHIFT] * 3
+
+    def test_a_row_register_spans_consecutive_rows_of_one_subarray(self):
+        from repro.isa.registers import RegisterFile
+
+        table = AllocationTable(DDR4_8GB, bank=3)
+        allocation = table.bind_row(RegisterFile().allocate_row(100_000, 8))
+        assert allocation.num_rows > 1
+        addresses = allocation.addresses
+        assert {(a.bank, a.subarray) for a in addresses} == {(3, allocation.subarray)}
+        assert [a.row for a in addresses] == list(
+            range(allocation.first_row, allocation.first_row + allocation.num_rows)
+        )
+
+    def test_moves_and_lut_loads_are_charged_as_lisa_moves(self):
+        """A move charges one LISA move per row it spans; loading a LUT
+        one command whose rows are the LUT's entries."""
+        elements = 4 * DDR4_8GB.elements_per_row(8)
+        session = PlutoSession()
+        src = session.pluto_malloc(elements, 8, "src")
+        moved = session.pluto_malloc(elements, 8, "moved")
+        out = session.pluto_malloc(elements, 8, "out")
+        lut = binarize_lut(127)
+        session.api_pluto_move(src, moved)
+        session.api_pluto_map(lut, moved, out)
+        data = np.arange(elements) % 256
+        result = session.run({"src": data})
+        lisa = [c for c in result.trace.commands if c.kind is CommandType.LISA_RBM]
+        loads = [c for c in lisa if c.meta.startswith("load ")]
+        moves = [c for c in lisa if c.meta.startswith("pluto_move")]
+        assert [c.rows for c in loads] == [256]
+        assert len(moves) == 4 and len(lisa) == 5
+        table = np.array([lut[value] for value in range(256)])
+        assert np.array_equal(result.outputs["out"], table[data])
+
 
 class TestController:
     @pytest.mark.parametrize("design", list(PlutoDesign))

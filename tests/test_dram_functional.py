@@ -1,18 +1,16 @@
-"""Tests for the functional DRAM models: subarray, bank, module, commands."""
+"""Tests for the functional DRAM models: subarray, commands, refresh."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.dram.bank import Bank
 from repro.dram.commands import Command, CommandTrace, CommandType
 from repro.dram.energy import DDR4_ENERGY
-from repro.dram.module import DRAMModule
 from repro.dram.refresh import RefreshModel, RowStepper
 from repro.dram.subarray import Subarray
 from repro.dram.timing import DDR4_2400
-from repro.errors import AddressError, ConfigurationError, SubarrayStateError
+from repro.errors import ConfigurationError, SubarrayStateError
 
 
 class TestSubarray:
@@ -82,39 +80,6 @@ class TestSubarray:
         assert subarray.precharge_count == 5
 
 
-class TestBankAndModule:
-    def test_bank_read_write_row(self, small_geometry, rng):
-        bank = Bank(small_geometry)
-        data = rng.integers(0, 256, small_geometry.row_size_bytes).astype(np.uint8)
-        bank.write_row(1, 7, data)
-        assert np.array_equal(bank.read_row(1, 7), data)
-
-    def test_bank_tracks_open_subarrays(self, small_geometry):
-        bank = Bank(small_geometry)
-        bank.subarray(0).activate(0)
-        bank.subarray(2).activate(5)
-        assert bank.open_subarrays == [0, 2]
-        bank.precharge_all()
-        assert bank.open_subarrays == []
-
-    def test_module_byte_addressed_roundtrip(self, small_geometry, rng):
-        module = DRAMModule(small_geometry, instantiate_banks=2)
-        payload = rng.integers(0, 256, 3 * small_geometry.row_size_bytes + 13).astype(np.uint8)
-        module.write_bytes(41, payload)
-        assert np.array_equal(module.read_bytes(41, payload.size), payload)
-
-    def test_module_rejects_unmaterialised_bank(self, small_geometry):
-        module = DRAMModule(small_geometry, instantiate_banks=1)
-        with pytest.raises(AddressError):
-            module.bank(1)
-
-    def test_module_activation_statistics(self, small_geometry):
-        module = DRAMModule(small_geometry, instantiate_banks=1)
-        module.write_bytes(0, np.arange(10, dtype=np.uint8))
-        module.read_bytes(0, 10)
-        assert module.total_activations >= 1
-
-
 class TestCommandTrace:
     def test_act_pre_costs(self):
         trace = CommandTrace(timing=DDR4_2400, energy=DDR4_ENERGY)
@@ -136,6 +101,28 @@ class TestCommandTrace:
         trace = CommandTrace(timing=DDR4_2400, energy=DDR4_ENERGY)
         trace.add(CommandType.ROW_SWEEP, rows=4)
         assert trace.total_latency_ns == pytest.approx(4 * DDR4_2400.act_pre_cycle)
+
+    @pytest.mark.parametrize(
+        "kind, acts, energy",
+        [
+            (CommandType.TRA, 2, 2 * DDR4_ENERGY.e_act + DDR4_ENERGY.e_pre),
+            (CommandType.ROWCLONE, 2, 2 * DDR4_ENERGY.e_act + DDR4_ENERGY.e_pre),
+            (CommandType.SHIFT, 2, 2 * DDR4_ENERGY.e_act + DDR4_ENERGY.e_pre),
+            (CommandType.LISA_RBM, 1, DDR4_ENERGY.e_lisa_rbm),
+        ],
+        ids=["TRA", "ROWCLONE", "SHIFT", "LISA_RBM"],
+    )
+    def test_in_dram_primitive_costs(self, kind, acts, energy):
+        """What the command ROM's in-DRAM commands are charged: Ambit,
+        RowClone-FPM and DRISA are ACT-ACT-PRE sequences, a LISA move is
+        one linked activation."""
+        trace = CommandTrace(timing=DDR4_2400, energy=DDR4_ENERGY)
+        trace.add(kind, bank=3)
+        assert trace.count(kind) == 1
+        assert trace.total_latency_ns == pytest.approx(
+            acts * DDR4_2400.t_rcd + DDR4_2400.t_rp
+        )
+        assert trace.total_energy_nj == pytest.approx(energy)
 
     def test_merge_accumulates(self):
         first = CommandTrace(timing=DDR4_2400, energy=DDR4_ENERGY)

@@ -1,16 +1,14 @@
-"""Tests for DRAM timing, energy, geometry, and address mapping."""
+"""Tests for DRAM timing, energy, geometry, and row addresses."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.dram.address import AddressMapper, RowAddress
+from repro.dram.address import RowAddress
 from repro.dram.energy import DDR4_ENERGY, HMC_ENERGY, EnergyParameters
 from repro.dram.geometry import DDR4_8GB, HMC_3DS_GEOMETRY, DRAMGeometry
-from repro.dram.timing import DDR4_2400, HMC_3DS, TimingParameters, scaled_tfaw
-from repro.errors import AddressError, ConfigurationError
+from repro.dram.timing import DDR4_2400, HMC_3DS, TimingParameters
+from repro.errors import ConfigurationError
 
 
 class TestTiming:
@@ -31,7 +29,7 @@ class TestTiming:
         assert DDR4_2400.t_rc == pytest.approx(DDR4_2400.t_ras + DDR4_2400.t_rp)
 
     def test_tfaw_scaling(self):
-        unconstrained = scaled_tfaw(DDR4_2400, 0.0)
+        unconstrained = DDR4_2400.with_tfaw_fraction(0.0)
         assert unconstrained.t_faw == 0.0
         half = DDR4_2400.with_tfaw_fraction(0.5)
         assert half.t_faw == pytest.approx(DDR4_2400.t_faw / 2)
@@ -88,45 +86,7 @@ class TestGeometry:
             DRAMGeometry(rows_per_subarray=0)
 
 
-class TestAddressMapper:
-    def test_row_roundtrip_small(self, small_geometry):
-        mapper = AddressMapper(small_geometry)
-        for flat in range(mapper.total_rows):
-            assert mapper.encode_row(mapper.decode_row(flat)) == flat
-
-    def test_decode_places_consecutive_rows_in_one_subarray(self, small_geometry):
-        mapper = AddressMapper(small_geometry)
-        first = mapper.decode_row(0)
-        second = mapper.decode_row(1)
-        assert first.subarray == second.subarray
-        assert second.row == first.row + 1
-
-    def test_byte_roundtrip(self, small_geometry):
-        mapper = AddressMapper(small_geometry)
-        address, column = mapper.decode_byte(small_geometry.row_size_bytes * 3 + 17)
-        assert column == 17
-        assert mapper.encode_byte(address, column) == small_geometry.row_size_bytes * 3 + 17
-
-    def test_out_of_range_rejected(self, small_geometry):
-        mapper = AddressMapper(small_geometry)
-        with pytest.raises(AddressError):
-            mapper.decode_row(mapper.total_rows)
-        with pytest.raises(AddressError):
-            mapper.decode_byte(-1)
-        with pytest.raises(AddressError):
-            mapper.encode_byte(RowAddress(0, 0, 0), small_geometry.row_size_bytes)
-
-    def test_same_subarray_and_bank_checks(self, small_geometry):
-        mapper = AddressMapper(small_geometry)
-        a = RowAddress(0, 1, 5)
-        b = RowAddress(0, 1, 9)
-        c = RowAddress(0, 2, 5)
-        d = RowAddress(1, 1, 5)
-        assert mapper.same_subarray(a, b)
-        assert not mapper.same_subarray(a, c)
-        assert mapper.same_bank(a, c)
-        assert not mapper.same_bank(a, d)
-
+class TestRowAddress:
     def test_neighbours_at_edges(self, small_geometry):
         first = RowAddress(0, 0, 0)
         last = RowAddress(0, small_geometry.subarrays_per_bank - 1, 0)
@@ -134,16 +94,3 @@ class TestAddressMapper:
         assert len(first.neighbours(small_geometry)) == 1
         assert len(last.neighbours(small_geometry)) == 1
         assert len(middle.neighbours(small_geometry)) == 2
-
-    def test_rows_in_subarray_listing(self, small_geometry):
-        mapper = AddressMapper(small_geometry)
-        rows = mapper.rows_in_subarray(0, 2)
-        assert len(rows) == small_geometry.rows_per_subarray
-        assert rows[0].row == 0 and rows[-1].row == small_geometry.rows_per_subarray - 1
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(min_value=0, max_value=10**7))
-    def test_roundtrip_property_ddr4(self, flat_row):
-        mapper = AddressMapper(DDR4_8GB)
-        flat_row %= mapper.total_rows
-        assert mapper.encode_row(mapper.decode_row(flat_row)) == flat_row

@@ -156,8 +156,10 @@ class TestFigure12:
     def test_pluto_comparable_to_simdram_for_small_multiplications(self):
         """Table 6 reports near-parity energy efficiency for pLUTo-BSA vs.
         SIMDRAM on small-bit-width arithmetic; our first-order model lands
-        within a small factor (it does not charge SIMDRAM for layout
-        transposition, see EXPERIMENTS.md)."""
+        within a small factor: ``figure12_scalability``'s panel b prices
+        SIMDRAM with ``SIMDRAM.multiplication_energy_nj``
+        (``repro.baselines.prior_pum``), which counts AAPs only and
+        charges no layout transposition."""
         result = figure12_scalability()
         panel_b = {row["bit_width"]: row for row in result.rows if row["panel"] == "b"}
         ratio = panel_b[4]["pLUTo-BSA_ops_per_j"] / panel_b[4]["SIMDRAM_ops_per_j"]
@@ -186,7 +188,8 @@ class TestFigure13:
 class TestStaticVerification:
     def test_registry_verifies_clean_at_both_stages(self):
         """Every registry family must be diagnostic-free, both as recorded
-        and after the optimizer rewrites it (the EXPERIMENTS.md table)."""
+        and after the optimizer rewrites it (the table that
+        ``examples/run_all_experiments.py --output <file>`` writes)."""
         result = figure_static_verification(elements=256)
         stages = {(row["workload"], row["stage"]) for row in result.rows}
         assert all(row["clean"] for row in result.rows), result.rows
@@ -198,8 +201,9 @@ class TestStaticVerification:
 class TestLatencyBreakdown:
     def test_six_families_with_stages_and_energy(self):
         """One row per workload family; every row carries positive stage
-        durations and a positive energy attribution (the EXPERIMENTS.md
-        latency-breakdown table)."""
+        durations and a positive energy attribution (the latency-breakdown
+        table that ``examples/run_all_experiments.py --output <file>``
+        writes)."""
         result = figure_latency_breakdown(elements=256, requests=2)
         assert [row["workload"] for row in result.rows] == [
             "image", "crc", "salsa20", "vmpc", "bitcount", "vector_ops",

@@ -32,7 +32,7 @@ PLANS = {
     "default": None,
     "shards": ExecutionPlan(shards=4),
     "optimize": ExecutionPlan(optimize=True),
-    "hierarchical": ExecutionPlan(hierarchical=True, shards=8),
+    "hierarchical": ExecutionPlan(shards=8, channels=None, ranks=None),
     "auto": "auto",
 }
 

@@ -1,4 +1,4 @@
-"""Tests for the prior-work PuM primitives: RowClone, LISA, Ambit, DRISA, SALP."""
+"""Tests for the prior-work PuM primitives: Ambit, DRISA, SALP."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dram.bank import Bank
 from repro.dram.commands import CommandTrace, CommandType
 from repro.dram.energy import DDR4_ENERGY
 from repro.dram.subarray import Subarray
@@ -15,67 +14,7 @@ from repro.dram.timing import DDR4_2400
 from repro.errors import ConfigurationError
 from repro.inmem.ambit import AmbitUnit
 from repro.inmem.drisa import DrisaShifter
-from repro.inmem.lisa import LisaUnit
-from repro.inmem.rowclone import RowCloneUnit
-from repro.inmem.salp import SalpScheduler, SweepRequest, salp_speedup
-
-
-class TestRowClone:
-    def test_copy_within_subarray(self, small_geometry, rng):
-        subarray = Subarray(small_geometry)
-        data = rng.integers(0, 256, small_geometry.row_size_bytes).astype(np.uint8)
-        subarray.load_row(1, data)
-        RowCloneUnit().copy(subarray, 1, 9)
-        assert np.array_equal(subarray.peek_row(9), data)
-        assert np.array_equal(subarray.peek_row(1), data)  # source preserved
-
-    def test_copy_records_command(self, small_geometry):
-        trace = CommandTrace(timing=DDR4_2400, energy=DDR4_ENERGY)
-        subarray = Subarray(small_geometry)
-        RowCloneUnit(trace).copy(subarray, 0, 1)
-        assert trace.count(CommandType.ROWCLONE) == 1
-        assert trace.total_latency_ns == pytest.approx(
-            2 * DDR4_2400.t_rcd + DDR4_2400.t_rp
-        )
-
-    def test_same_row_rejected(self, small_geometry):
-        with pytest.raises(ConfigurationError):
-            RowCloneUnit().copy(Subarray(small_geometry), 3, 3)
-
-    def test_zero_initialisation(self, small_geometry, rng):
-        subarray = Subarray(small_geometry)
-        subarray.load_row(5, rng.integers(0, 256, small_geometry.row_size_bytes).astype(np.uint8))
-        RowCloneUnit().initialize(subarray, zero_row=0, destination_row=5)
-        assert not subarray.peek_row(5).any()
-
-
-class TestLisa:
-    def test_move_between_subarrays(self, small_geometry, rng):
-        bank = Bank(small_geometry)
-        data = rng.integers(0, 256, small_geometry.row_size_bytes).astype(np.uint8)
-        bank.subarray(0).load_row(4, data)
-        LisaUnit().move_row(bank, 0, 4, 2, 7)
-        assert np.array_equal(bank.subarray(2).peek_row(7), data)
-
-    def test_hop_count_and_trace(self, small_geometry):
-        trace = CommandTrace(timing=DDR4_2400, energy=DDR4_ENERGY)
-        bank = Bank(small_geometry)
-        unit = LisaUnit(trace)
-        assert unit.hops_between(0, 3) == 3
-        unit.move_row(bank, 0, 0, 3, 0)
-        assert trace.count(CommandType.LISA_RBM) == 3
-
-    def test_same_subarray_rejected(self, small_geometry):
-        with pytest.raises(ConfigurationError):
-            LisaUnit().move_row(Bank(small_geometry), 1, 0, 1, 5)
-
-    def test_broadcast(self, small_geometry, rng):
-        bank = Bank(small_geometry)
-        data = rng.integers(0, 256, small_geometry.row_size_bytes).astype(np.uint8)
-        bank.subarray(0).load_row(0, data)
-        LisaUnit().broadcast_row(bank, 0, 0, [(1, 0), (2, 0), (3, 0)])
-        for subarray in (1, 2, 3):
-            assert np.array_equal(bank.subarray(subarray).peek_row(0), data)
+from repro.inmem.salp import salp_speedup
 
 
 class TestAmbit:
@@ -195,19 +134,3 @@ class TestSalp:
             salp_speedup(0, DDR4_2400)
         with pytest.raises(ConfigurationError):
             salp_speedup(4, DDR4_2400, act_interval_ns=0.0)
-
-    def test_scheduler_makespan_scales_with_activations(self):
-        scheduler = SalpScheduler(DDR4_2400, tfaw_fraction=0.0)
-        short = scheduler.simulate([SweepRequest(0, 4, 28.32)])
-        long = scheduler.simulate([SweepRequest(0, 16, 28.32)])
-        assert long > short
-
-    def test_scheduler_relative_performance_in_unit_range(self):
-        scheduler = SalpScheduler(DDR4_2400, tfaw_fraction=1.0)
-        relative = scheduler.relative_performance(activations=64, subarrays=16)
-        assert 0.0 < relative <= 1.0
-
-    def test_scheduler_rejects_bad_requests(self):
-        scheduler = SalpScheduler(DDR4_2400)
-        with pytest.raises(ConfigurationError):
-            scheduler.simulate([SweepRequest(0, 0, 10.0)])

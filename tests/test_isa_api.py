@@ -17,13 +17,11 @@ from repro.api.luts import (
     crc8_lut,
     crc16_lut,
     crc32_lut,
-    exponentiation_lut,
     identity_lut,
     multiply_lut,
     permutation_lut,
     quantize_lut,
     relu_lut,
-    sign_lut,
 )
 from repro.api.session import PlutoSession
 from repro.errors import CompilationError, ConfigurationError, LUTError
@@ -175,11 +173,6 @@ class TestLutBuilders:
         assert values[255] == 255
         assert all(b >= a for a, b in zip(values, values[1:]))
 
-    def test_exponentiation_monotonic(self):
-        lut = exponentiation_lut(8)
-        values = [lut[i] for i in range(256)]
-        assert all(b >= a for a, b in zip(values, values[1:]))
-
     def test_crc_tables_match_reference_update(self):
         # Verify one table entry of each CRC against a bit-serial computation.
         def crc8_bitwise(byte):
@@ -202,8 +195,6 @@ class TestLutBuilders:
         assert lut[0] == 255
 
     def test_qnn_luts(self):
-        sign = sign_lut(8)
-        assert sign[127] == 0 and sign[128] == 1
         relu = relu_lut(8)
         assert relu[5] == 5 and relu[200] == 0  # 200 is negative in two's complement
         quant = quantize_lut(8, 4)

@@ -321,9 +321,9 @@ class TestSessionIntegration:
     def test_hierarchical_run_optimizes(self):
         session = _chain_session()
         inputs = _inputs()
-        plain = session.run_hierarchical(inputs)
-        optimized = session.run_hierarchical(
-            inputs, plan=ExecutionPlan(hierarchical=True, optimize=True)
+        plain = session.run(inputs, plan=ExecutionPlan(shards=16, channels=None, ranks=None))
+        optimized = session.run(
+            inputs, plan=ExecutionPlan(shards=16, channels=None, ranks=None, optimize=True)
         )
         assert np.array_equal(plain.outputs["c"], optimized.outputs["c"])
         assert optimized.makespan_ns < plain.makespan_ns

@@ -71,18 +71,27 @@ class TestExecutionPlanValidation:
             plan.shards = 8
 
     def test_auto_with_pinned_geometry_is_contradictory(self):
-        with pytest.raises(VerificationError):
-            ExecutionPlan(mode="auto", shards=4)
-        with pytest.raises(VerificationError):
-            ExecutionPlan(mode="auto", hierarchical=True)
+        for pinned in ({"shards": 4}, {"channels": None, "ranks": None}, {"ranks": 2}):
+            with pytest.raises(VerificationError, match="plan-contradiction"):
+                ExecutionPlan(mode="auto", **pinned)
+        # One shard is the one geometry an auto plan may pin.
+        assert ExecutionPlan(mode="auto", shards=1).is_auto
 
-    def test_placement_requires_hierarchical(self):
-        with pytest.raises(VerificationError):
-            ExecutionPlan(channels=2)
-        with pytest.raises(VerificationError):
-            ExecutionPlan(ranks=2)
-        plan = ExecutionPlan(hierarchical=True, channels=2, ranks=2)
-        assert plan.channels == 2
+    def test_placement_requires_shards(self):
+        for placement in ({"channels": 2}, {"ranks": 2}, {"channels": None, "ranks": None}):
+            for shards in (None, 1):
+                with pytest.raises(VerificationError, match="plan-placement"):
+                    ExecutionPlan(shards=shards, **placement)
+        plan = ExecutionPlan(shards=4, channels=2, ranks=2)
+        assert plan.channels == 2 and plan.hierarchical
+
+    def test_labels_name_a_placement_wider_than_one_rank(self):
+        assert ExecutionPlan().label() == "shards=1"
+        assert ExecutionPlan(shards=8, channels=1, ranks=1).label() == "shards=8"
+        assert not ExecutionPlan(shards=8).hierarchical
+        wide = ExecutionPlan(shards=8, channels=None, ranks=None, optimize=True)
+        assert wide.label() == "shards=8@allxall+opt"
+        assert ExecutionPlan(shards=8, channels=None, ranks=1).label() == "shards=8@allx1"
 
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -90,7 +99,34 @@ class TestExecutionPlanValidation:
         with pytest.raises(ConfigurationError):
             ExecutionPlan(mode="fastest")
         with pytest.raises(ConfigurationError):
-            ExecutionPlan(hierarchical=True, channels=0)
+            ExecutionPlan(shards=2, channels=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("shards", 2.5),
+            ("channels", 1.5),
+            ("shards", "4"),
+            ("shards", True),
+            ("ranks", 2.0),
+            ("optimize", "no"),
+            ("optimize", 1),
+        ],
+    )
+    def test_values_of_the_wrong_type_are_rejected(self, field, value):
+        """A plan value of the wrong type fails at construction, naming
+        the field and the value, not deep inside dispatch."""
+        with pytest.raises(ConfigurationError, match=f"plan {field} must be .* got {value!r}"):
+            ExecutionPlan(**{"shards": 4, field: value})
+
+    def test_numpy_integers_are_plan_values(self):
+        session, inputs = _add_program(256)
+        plan = ExecutionPlan(shards=np.int64(4), channels=np.int32(1))
+        assert plan == ExecutionPlan(shards=4)
+        assert type(plan.shards) is int
+        result = session.run(inputs, plan=plan)
+        assert result.execution_plan.label() == "shards=4"
+        assert result.num_shards == 4
 
 
 class TestPlutoConfigPlanValidation:
@@ -103,18 +139,17 @@ class TestPlutoConfigPlanValidation:
         # Default DDR4 module: 1 channel x 1 rank x 16 banks.
         with pytest.raises(VerificationError):
             PlutoConfig(plan=ExecutionPlan(shards=64))
-        # A hierarchical plan may use every bank of its placement.
+        # A plan may use every bank of its placement.
+        whole = {"channels": None, "ranks": None}
         with pytest.raises(VerificationError, match="shards-overcommit.*32 banks"):
-            PlutoConfig(channels=2, plan=ExecutionPlan(hierarchical=True, shards=33))
-        assert PlutoConfig(channels=2, plan=ExecutionPlan(hierarchical=True, shards=32))
+            PlutoConfig(channels=2, plan=ExecutionPlan(shards=33, **whole))
+        assert PlutoConfig(channels=2, plan=ExecutionPlan(shards=32, **whole))
 
     def test_config_rejects_placement_wider_than_device(self):
         with pytest.raises(VerificationError):
-            PlutoConfig(plan=ExecutionPlan(hierarchical=True, channels=2))
+            PlutoConfig(plan=ExecutionPlan(shards=2, channels=2))
         # Widening the device makes the same plan legal.
-        config = PlutoConfig(
-            channels=2, plan=ExecutionPlan(hierarchical=True, channels=2)
-        )
+        config = PlutoConfig(channels=2, plan=ExecutionPlan(shards=2, channels=2))
         assert config.channels == 2
 
     def test_config_rejects_non_plan_types(self):
@@ -320,7 +355,7 @@ class TestTieBreak:
         assert _choose([frugal, fast]) is fast
 
     def test_equal_energy_goes_to_the_simpler_then_faster_plan(self):
-        hierarchical = _candidate(100.0, 10.0, hierarchical=True)
+        hierarchical = _candidate(100.0, 10.0, shards=2, channels=None, ranks=None)
         sharded = _candidate(100.1, 10.0, shards=2)
         slower = _candidate(100.3, 10.0, optimize=True)
         simple = _candidate(100.2, 10.0)
@@ -358,14 +393,10 @@ class TestPredictedGain:
     """The gain is measured against the one-shard plan of the same request."""
 
     @pytest.mark.parametrize("family, gain", [("image", 3.0), ("crc", 2.0)])
-    def test_hierarchy_only_search_reports_the_full_search_gain(self, family, gain):
+    def test_the_search_reports_its_gain_over_one_shard(self, family, gain):
         calls = workload_program(family, elements=4096, seed=0).session.calls
-        engine = PlutoEngine(PlutoConfig())
-        full = plan_program(calls, engine).report
-        hierarchy = plan_program(calls, engine, modes=("hierarchy",)).report
-        assert hierarchy.chosen.hierarchical
-        assert full.predicted_gain == pytest.approx(gain)
-        assert hierarchy.predicted_gain == pytest.approx(full.predicted_gain)
+        report = plan_program(calls, PlutoEngine(PlutoConfig())).report
+        assert report.predicted_gain == pytest.approx(gain)
 
     @pytest.mark.parametrize("elements", [256, 4096])
     @pytest.mark.parametrize("family", ["image", "crc"])
@@ -434,8 +465,6 @@ class TestRemovedKeywords:
             lambda: session.run(inputs, shards=4),
             lambda: session.run(inputs, optimize=True),
             lambda: session.run_batch([inputs], optimize=True),
-            lambda: session.run_hierarchical(inputs, shards=8),
-            lambda: session.run_hierarchical(inputs, optimize=True),
             lambda: session.serve(hierarchical=True),
             lambda: session.serve(shards=8),
             lambda: session.serve(optimize=True),
@@ -460,11 +489,29 @@ class TestRemovedKeywords:
             with pytest.raises(TypeError, match="unexpected keyword"):
                 asyncio.run(submit(nowait))
 
-    def test_run_hierarchical_coerces_plain_plans(self):
-        session, inputs = _add_program()
-        result = session.run_hierarchical(inputs, plan=ExecutionPlan(shards=4))
-        assert result.execution_plan.hierarchical
-        assert result.num_shards == 4
+    def test_removed_placement_spellings_raise(self, tmp_path):
+        """A placement is ``channels`` / ``ranks`` on the plan, and auto's
+        search is the plan's alone: the second spelling and the planner's
+        search modes are gone."""
+        from repro.serve.store import SharedArtifactStore
+
+        session, inputs = _add_program(256)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            ExecutionPlan(hierarchical=True, shards=4)
+        with pytest.raises(AttributeError):
+            session.run_hierarchical(inputs)
+        with pytest.raises(AttributeError):
+            ExecutionPlan(shards=4).placement
+        searches = [
+            lambda: plan_program(session.calls, modes=("single",)),
+            lambda: prepare_execution(
+                session.calls, None, ExecutionPlan.auto(), modes=("single",), verify=False
+            ),
+            lambda: SharedArtifactStore(tmp_path).export(session.calls, modes=("single",)),
+        ]
+        for search in searches:
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                search()
 
     def test_run_batch_rejects_sharded_plans(self):
         session, inputs = _add_program(256)
@@ -473,19 +520,25 @@ class TestRemovedKeywords:
 
 
 class TestAutoOnEntryPoints:
-    def test_run_hierarchical_auto_stays_hierarchical(self):
-        session, inputs = _add_program()
-        engine = PlutoEngine(PlutoConfig(channels=2, ranks=2))
-        result = session.run_hierarchical(inputs, engine=engine, plan="auto")
-        assert result.execution_plan.hierarchical
-        assert result.planner is not None
-
     def test_run_batch_auto_plans_single_mode(self):
         session, inputs = _add_program(256)
         batch = session.run_batch([inputs, inputs], plan="auto")
         plan = batch.execution_plan
         assert not plan.hierarchical and plan.effective_shards == 1
         assert batch.planner is not None
+
+    @pytest.mark.parametrize("optimize", [None, True])
+    def test_an_auto_plan_pinning_one_shard_prices_the_unsharded_program(self, optimize):
+        """``shards=1`` on an auto plan (``run_batch``'s narrowing) leaves
+        the planner only the optimizer to choose, whatever the device."""
+        calls = workload_program("image", elements=4096, seed=0).session.calls
+        engine = PlutoEngine(PlutoConfig(channels=2, ranks=2))
+        request = ExecutionPlan(mode="auto", shards=1, optimize=optimize)
+        report = plan_program(calls, engine, request=request).report
+        choices = (False, True) if optimize is None else (optimize,)
+        assert [c.plan for c in report.candidates] == [
+            ExecutionPlan(shards=1, optimize=choice) for choice in choices
+        ]
 
     def test_service_auto_plans_per_coalesced_batch(self):
         import asyncio
@@ -520,16 +573,84 @@ class TestAutoOnEntryPoints:
 class TestAutoSearchFits:
     """The search keeps only candidates the device can place and allocate."""
 
+    @pytest.mark.parametrize(
+        "family", ["image", "crc", "salsa20", "vmpc", "bitcount", "vector_ops"]
+    )
+    def test_a_multi_rank_search_prices_one_unsharded_plan(self, family):
+        """On a 2 x 2 device every placement is searched, but one shard
+        is one plan per optimizer value, and the choice is exact."""
+        program = workload_program(family, elements=4096, seed=0)
+        engine = PlutoEngine(PlutoConfig(channels=2, ranks=2))
+        result = program.session.run(program.inputs, engine=engine, plan="auto")
+        report = result.planner
+        one_shard = [c.plan for c in report.candidates if c.plan.effective_shards == 1]
+        assert one_shard == [
+            ExecutionPlan(shards=1, optimize=False),
+            ExecutionPlan(shards=1, optimize=True),
+        ]
+        assert {(c.plan.channels, c.plan.ranks) for c in report.candidates} == {
+            (1, 1), (None, None), (None, 1), (1, None)
+        }
+        assert report.predicted_makespan_ns == result.latency_ns
+
+    @pytest.mark.parametrize("channels, ranks", [(2, 1), (1, 2)])
+    @pytest.mark.parametrize(
+        "family", ["image", "crc", "salsa20", "vmpc", "bitcount", "vector_ops"]
+    )
+    def test_a_one_level_device_searches_one_rank_and_the_whole_device(
+        self, family, channels, ranks
+    ):
+        """With one interface level wider than one, that level alone is
+        the whole device, so two placements are searched; one shard is
+        one plan per optimizer value, and the choice is exact."""
+        program = workload_program(family, elements=4096, seed=0)
+        engine = PlutoEngine(PlutoConfig(channels=channels, ranks=ranks))
+        default = program.session.run(program.inputs, engine=engine)
+        result = program.session.run(program.inputs, engine=engine, plan="auto")
+        report = result.planner
+        one_shard = [c.plan for c in report.candidates if c.plan.effective_shards == 1]
+        assert one_shard == [
+            ExecutionPlan(shards=1, optimize=False),
+            ExecutionPlan(shards=1, optimize=True),
+        ]
+        assert {(c.plan.channels, c.plan.ranks) for c in report.candidates} == {
+            (1, 1), (None, None)
+        }
+        assert report.predicted_makespan_ns == result.latency_ns
+        for name, data in default.outputs.items():
+            assert np.array_equal(result.outputs[name], data), name
+
+    @pytest.mark.parametrize(
+        "config, candidates",
+        [
+            (PlutoConfig(), 10),
+            (PlutoConfig(memory="3DS"), 10),
+            (PlutoConfig(channels=2, ranks=1), 20),
+            (PlutoConfig(channels=1, ranks=2), 20),
+            (PlutoConfig(channels=2, ranks=2), 42),
+        ],
+        ids=["1x1", "3DS", "2x1", "1x2", "2x2"],
+    )
+    def test_each_placement_is_priced_once(self, config, candidates):
+        """Per optimizer value: the unsharded plan, then the shard grid
+        (powers of two up to the placement's banks) of each distinct
+        placement.  16 banks a rank: a one-rank device prices 1 + 4, a
+        2 x 1 or 1 x 2 device 1 + 4 + 5, and a 2 x 2 device
+        1 + 4 + 6 + 5 + 5."""
+        calls = workload_program("image", elements=4096, seed=0).session.calls
+        report = plan_program(calls, PlutoEngine(config)).report
+        assert len(report.candidates) == candidates
+        assert len({c.plan for c in report.candidates}) == candidates
+
     def test_multi_rank_auto_may_use_more_shards_than_one_rank_has(self):
         engine = PlutoEngine(PlutoConfig(channels=2, ranks=2))
         program = workload_program("crc", 262144)
         default = program.session.run(program.inputs, engine=engine)
-        for door in (program.session.run, program.session.run_hierarchical):
-            result = door(program.inputs, engine=engine, plan="auto")
-            assert result.num_shards > engine.geometry.banks
-            assert result.planner.predicted_makespan_ns == result.latency_ns
-            for name, data in default.outputs.items():
-                assert np.array_equal(result.outputs[name], data), name
+        result = program.session.run(program.inputs, engine=engine, plan="auto")
+        assert result.num_shards > engine.geometry.banks
+        assert result.planner.predicted_makespan_ns == result.latency_ns
+        for name, data in default.outputs.items():
+            assert np.array_equal(result.outputs[name], data), name
 
     def test_unallocatable_candidates_are_skipped(self):
         program = workload_program("salsa20", 524288)

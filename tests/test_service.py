@@ -229,7 +229,7 @@ class TestServing:
             )
             inputs = _add_inputs(rng)
             async with session.serve(
-                engine=engine, plan=ExecutionPlan(hierarchical=True, shards=8)
+                engine=engine, plan=ExecutionPlan(shards=8, channels=None, ranks=None)
             ) as service:
                 served = await service.submit(inputs)
             assert isinstance(served.result, ShardedExecutionResult)

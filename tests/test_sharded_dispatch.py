@@ -1,8 +1,8 @@
 """Tests for sharded execution over the DRAM hierarchy (controller/dispatch.py).
 
 One planner, one dispatcher and one makespan function serve every
-placement: a bank-sharded plan is the one-channel, one-rank placement,
-and hierarchical plans spread over the device's channels and ranks.
+placement: a sharded plan stays on one rank of one channel unless its
+``channels`` / ``ranks`` spread it over more of the device.
 """
 
 from __future__ import annotations
@@ -408,7 +408,7 @@ class TestShardLayout:
         dispatcher = ParallelDispatcher(engine)
         for planner, plan, positions in (
             (ShardPlanner(engine.geometry, channels=1, ranks=1), ExecutionPlan(shards=8), 1),
-            (ShardPlanner(engine.geometry), ExecutionPlan(hierarchical=True, shards=8), 4),
+            (ShardPlanner(engine.geometry), ExecutionPlan(shards=8, channels=None, ranks=None), 4),
         ):
             result = dispatcher.execute(planner.plan(session.calls, 8), inputs)
             reference = session.run(inputs, engine=engine, plan=plan)
@@ -442,7 +442,7 @@ class TestShardLayout:
         "plan,shape,elements",
         [
             (ExecutionPlan(shards=8), (1, 1), 4096),
-            (ExecutionPlan(hierarchical=True), (2, 2), 4096),
+            (ExecutionPlan(shards=64, channels=None, ranks=None), (2, 2), 4096),
             ("auto", (1, 1), 65536),
         ],
         ids=["shards", "hierarchical", "auto"],
@@ -484,7 +484,8 @@ class TestShardLayout:
 
 
 class TestBankShardedIsOneRankPlacement:
-    """``shards=n`` is ``hierarchical=True`` narrowed to one channel and rank."""
+    """``shards=n`` is the device narrowed to one channel and one rank:
+    the rest of the device changes nothing it runs or charges."""
 
     @pytest.mark.parametrize("channels,ranks", [(1, 1), (2, 2)])
     @pytest.mark.parametrize(
@@ -493,22 +494,24 @@ class TestBankShardedIsOneRankPlacement:
     def test_same_results_and_traces(self, family, channels, ranks):
         program = workload_program(family, elements=4096)
         engine = PlutoEngine(PlutoConfig(channels=channels, ranks=ranks))
+        one_rank = ShardPlanner(engine.geometry, channels=1, ranks=1)
+        dispatcher = ParallelDispatcher(engine)
+        one_rank_device = PlutoEngine(PlutoConfig())
         for shards in (2, 4, 8, 16):
-            banked = program.session.run(
-                program.inputs, engine=engine, plan=ExecutionPlan(shards=shards)
-            )
-            narrowed = program.session.run(
-                program.inputs,
-                engine=engine,
-                plan=ExecutionPlan(hierarchical=True, channels=1, ranks=1, shards=shards),
-            )
-            for name, data in banked.outputs.items():
-                assert np.array_equal(narrowed.outputs[name], data), (shards, name)
-            assert banked.latency_ns == narrowed.latency_ns
-            assert banked.energy_nj == narrowed.energy_nj
-            assert [(c.kind, c.bank, c.rows) for c in banked.trace.commands] == [
-                (c.kind, c.bank, c.rows) for c in narrowed.trace.commands
-            ]
+            plan = ExecutionPlan(shards=shards)
+            banked = program.session.run(program.inputs, engine=engine, plan=plan)
+            assert {(p.channel, p.rank) for p in banked.shard_plans} == {(0, 0)}
+            for reference in (
+                dispatcher.execute(one_rank.plan(program.session.calls, shards), program.inputs),
+                program.session.run(program.inputs, engine=one_rank_device, plan=plan),
+            ):
+                for name, data in banked.outputs.items():
+                    assert np.array_equal(reference.outputs[name], data), (shards, name)
+                assert banked.latency_ns == reference.latency_ns
+                assert banked.energy_nj == reference.energy_nj
+                assert [(c.kind, c.bank, c.rows) for c in banked.trace.commands] == [
+                    (c.kind, c.bank, c.rows) for c in reference.trace.commands
+                ]
 
 
 class TestMakespanModel:
@@ -652,30 +655,27 @@ class TestSessionSurface:
                 result.outputs["final"], plain[label].outputs["final"]
             ), label
 
-    def test_run_hierarchical(self):
+    def test_run_over_every_channel_and_rank(self):
         session, inputs = _mac_program()
         reference = session.run(inputs)
         engine = _engine(2, 2)
-        result = session.run_hierarchical(
-            inputs, engine=engine, plan=ExecutionPlan(hierarchical=True, shards=8)
+        result = session.run(
+            inputs, engine=engine, plan=ExecutionPlan(shards=8, channels=None, ranks=None)
         )
         assert isinstance(result, ShardedExecutionResult)
+        assert {(p.channel, p.rank) for p in result.shard_plans} == {
+            (0, 0), (0, 1), (1, 0), (1, 1)
+        }
         assert np.array_equal(result.outputs["out"], reference.outputs["out"])
         assert result.parallel_speedup > 1.0
 
-    def test_run_hierarchical_default_shards(self):
-        session, inputs = _mac_program(64)
-        result = session.run_hierarchical(inputs)
-        # Default engine: a single-channel, single-rank, 16-bank module.
-        assert result.num_shards == 16
-
-    def test_run_hierarchical_rejects_more_shards_than_device_banks(self):
+    def test_run_rejects_more_shards_than_device_banks(self):
         session, inputs = _mac_program(256)
         with pytest.raises(VerificationError, match="shards-overcommit.*64 banks"):
-            session.run_hierarchical(
+            session.run(
                 inputs,
                 engine=_engine(2, 2),
-                plan=ExecutionPlan(hierarchical=True, shards=65),
+                plan=ExecutionPlan(shards=65, channels=None, ranks=None),
             )
 
 
@@ -739,9 +739,13 @@ class TestSweepInterval:
             scheduler.merge_streams([[Command(CommandType.ACT, bank=1)]])
 
 
-#: One plan per placement a 2x2 device serves: unsharded, bank-sharded
-#: on one rank, and hierarchical over every channel and rank.
-PLACEMENT_PLANS = (None, ExecutionPlan(shards=4), ExecutionPlan(hierarchical=True, shards=2))
+#: One plan per placement a 2x2 device serves: unsharded, sharded on one
+#: rank, and sharded over every channel and rank.
+PLACEMENT_PLANS = (
+    None,
+    ExecutionPlan(shards=4),
+    ExecutionPlan(shards=2, channels=None, ranks=None),
+)
 
 
 @pytest.fixture

@@ -137,7 +137,7 @@ WARM_PLANS = {
     "default": (None, ELEMENTS),
     "shards": (ExecutionPlan(shards=4), 4096),
     "auto": ("auto", 4096),
-    "hierarchical": (ExecutionPlan(hierarchical=True), 4096),
+    "hierarchical": (ExecutionPlan(shards=16, channels=None, ranks=None), 4096),
 }
 
 

@@ -10,13 +10,8 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.utils.bitops import (
     bit_length_for,
-    bits_required,
-    extract_field,
-    insert_field,
-    interleave_operands,
     mask_of,
     pack_elements,
-    split_interleaved,
     unpack_elements,
 )
 
@@ -35,20 +30,6 @@ class TestMaskOf:
             mask_of(-1)
 
 
-class TestBitsRequired:
-    def test_zero_needs_one_bit(self):
-        assert bits_required(0) == 1
-
-    def test_powers_of_two(self):
-        assert bits_required(1) == 1
-        assert bits_required(255) == 8
-        assert bits_required(256) == 9
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigurationError):
-            bits_required(-5)
-
-
 class TestBitLengthFor:
     def test_single_entry_lut(self):
         assert bit_length_for(1) == 1
@@ -65,22 +46,6 @@ class TestBitLengthFor:
     def test_zero_rejected(self):
         with pytest.raises(ConfigurationError):
             bit_length_for(0)
-
-
-class TestFields:
-    def test_extract_field(self):
-        assert extract_field(0xABCD, 4, 8) == 0xBC
-
-    def test_insert_field(self):
-        assert insert_field(0x0000, 0xF, 4, 4) == 0x00F0
-
-    def test_insert_then_extract_roundtrip(self):
-        value = insert_field(0x1234, 0x7, 8, 3)
-        assert extract_field(value, 8, 3) == 0x7
-
-    def test_negative_offset_rejected(self):
-        with pytest.raises(ConfigurationError):
-            extract_field(1, -1, 4)
 
 
 class TestPacking:
@@ -135,36 +100,3 @@ class TestPacking:
         array = np.array(values, dtype=np.uint64)
         row = pack_elements(array, bits, 32)
         assert np.array_equal(unpack_elements(row, bits, array.size), array)
-
-
-class TestInterleaving:
-    def test_interleave_and_split(self):
-        left = np.array([1, 2, 3], dtype=np.uint64)
-        right = np.array([4, 5, 6], dtype=np.uint64)
-        combined = interleave_operands(left, right, 4, 4)
-        assert combined.tolist() == [0x14, 0x25, 0x36]
-        back_left, back_right = split_interleaved(combined, 4, 4)
-        assert np.array_equal(back_left, left)
-        assert np.array_equal(back_right, right)
-
-    def test_mismatched_shapes_rejected(self):
-        with pytest.raises(ConfigurationError):
-            interleave_operands(np.array([1]), np.array([1, 2]), 4, 4)
-
-    def test_out_of_range_operand_rejected(self):
-        with pytest.raises(ConfigurationError):
-            interleave_operands(np.array([16]), np.array([0]), 4, 4)
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=16),
-        st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=16),
-    )
-    def test_split_inverts_interleave(self, left_values, right_values):
-        size = min(len(left_values), len(right_values))
-        left = np.array(left_values[:size], dtype=np.uint64)
-        right = np.array(right_values[:size], dtype=np.uint64)
-        combined = interleave_operands(left, right, 4, 4)
-        back_left, back_right = split_interleaved(combined, 4, 4)
-        assert np.array_equal(back_left, left)
-        assert np.array_equal(back_right, right)

@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from repro.api import PlutoSession
+from repro.api import PlutoSession, cache_stats
 from repro.api.luts import binarize_lut, color_grade_lut
 from repro.core import PlutoConfig, PlutoEngine
 from repro.errors import ServiceOverloadError
@@ -110,7 +110,7 @@ async def serve_mixed_traffic() -> None:
                 f"p95 {quantiles['p95_s'] * 1e3:.3f} ms  "
                 f"p99 {quantiles['p99_s'] * 1e3:.3f} ms"
             )
-        caches = stats.cache_stats()
+        caches = cache_stats()
         merges = caches["scheduler_merges"]
         print(
             f"Memo effectiveness: {caches['programs']['size']} compiled "

@@ -19,7 +19,6 @@ from repro.api.luts import (
 )
 from repro.api.service import PlutoService, ServedResult, ServiceStats
 from repro.api.session import (
-    BatchResult,
     PlutoSession,
     cache_stats,
     clear_all_caches,
@@ -34,7 +33,6 @@ __all__ = [
     "PlutoService",
     "ServedResult",
     "ServiceStats",
-    "BatchResult",
     "program_structure_key",
     "cache_stats",
     "clear_all_caches",

@@ -29,7 +29,7 @@ execution stack:
 * **warm memo caches** — repeat requests reuse the compiled program's
   trace template and closure and hit the scheduler-makespan memo
   (hierarchical requests re-merge nothing), and
-  :meth:`ServiceStats.cache_stats` reports their effectiveness;
+  :func:`repro.api.cache_stats` reports their effectiveness;
 * **program optimization** — under a plan with ``optimize=True`` every
   request runs through the pass pipeline of :mod:`repro.opt` (memoized
   on program structure) before compilation, and batches coalesce on the
@@ -177,20 +177,6 @@ class ServiceStats:
     def mean_batch_size(self) -> float:
         """Average number of requests executed per coalesced batch."""
         return self.served / self.batches if self.batches else 0.0
-
-    @staticmethod
-    def cache_stats() -> dict[str, dict]:
-        """Memo effectiveness of the execution stack serving the requests.
-
-        A snapshot of the process-wide caches (compiled programs, trace
-        templates, scheduler makespan memo, hierarchical schedules,
-        per-engine helpers, LUT gather arrays) — repeat requests for the
-        same program structure should show the hit counters climbing
-        while the miss counters stay put.
-        """
-        from repro.api.session import cache_stats
-
-        return cache_stats()
 
 
 @dataclass

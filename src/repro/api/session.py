@@ -5,18 +5,18 @@ calls (Figure 5 b).  The session builds the symbolic call list; the pLUTo
 Compiler turns it into ISA instructions and the pLUTo Controller executes
 those on the functional engine.
 
-The session is also the execution front door: :meth:`PlutoSession.run`
+The session is also the one execution front door: :meth:`PlutoSession.run`
 compiles (through a process-wide compiled-program cache keyed on program
 *structure*, so equal-shaped sessions compile once) and executes on the
 session's selected backend — the vectorized NumPy fast path by default,
 or the bit-exact subarray row-sweep path with ``backend="functional"``.
-:meth:`PlutoSession.run_batch` submits many input sets against one
-compiled program.  Every execution exposes the same
+A batch of input sets is one :meth:`~PlutoSession.run` per set, each
+served from the same warm entry.  Every execution exposes the same
 :class:`~repro.controller.executor.ExecutionResult` with its full command
 trace, whichever backend produced it.
 
-Every execution front door — these, the async service, the evaluation
-harness and the shared artifact store — prepares a program through
+The async service that serves a session, and the shared artifact store,
+prepare a program as :meth:`~PlutoSession.run` does: through
 :func:`prepare_execution` (plan, optimize, compile, verify) into one
 :class:`ProgramArtifact` per program and plan request, kept in a bounded
 process-wide table.  An artifact carries where it runs (a sharded one
@@ -31,9 +31,8 @@ submitting session's entries.
 from __future__ import annotations
 
 import operator
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,7 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 
 __all__ = [
     "PlutoSession",
-    "BatchResult",
     "ArtifactIdentity",
     "ProgramArtifact",
     "prepare_execution",
@@ -158,11 +156,9 @@ def cache_stats() -> dict[str, dict]:
     memo with its exact-fast-merge/reference split, the
     hierarchical-schedule memo, the cached per-engine helpers, and the
     LUT gather arrays.  Every layer is reported, whichever modules the
-    process has imported so far.  Also exposed as
-    :meth:`PlutoSession.cache_stats` and through
-    :meth:`~repro.api.service.ServiceStats.cache_stats`, so the serving
-    layer can report memo effectiveness, and read by the process-wide
-    metrics registry as its ``pluto_cache_*`` gauges.
+    process has imported so far.  This function is the one spelling (also
+    exported as ``repro.api.cache_stats``); the process-wide metrics
+    registry reads the same table as its ``pluto_cache_*`` gauges.
 
     The layers keyed on program structure or table contents are bounded:
     ``artifacts``, ``verifier`` and ``optimizer`` hold at most 512
@@ -191,79 +187,12 @@ def clear_all_caches() -> None:
     clear_layers()
 
 
-@dataclass
-class BatchResult:
-    """Results of a batched submission: one ExecutionResult per job.
-
-    ``makespan_ns`` is set when the batch ran bank-parallel
-    (``run_batch(..., parallel=True)``): the per-job command streams are
-    merged through the timing-aware
-    :class:`~repro.dram.scheduler.CommandScheduler`, so it reflects
-    cross-bank tRRD/tFAW contention instead of a naive per-job sum.  The
-    sum stays available as :attr:`serial_latency_ns`.
-    """
-
-    results: "list[ExecutionResult]"
-    #: Scheduler-derived makespan of a bank-parallel batch (None when the
-    #: jobs genuinely ran back to back in one bank).
-    makespan_ns: float | None = None
-    #: The concrete plan the batch ran under (set by ``run_batch``).
-    execution_plan: "ExecutionPlan | None" = None
-    #: The auto-planner's report when the plan came from ``plan="auto"``.
-    planner: "PlannerReport | None" = None
-    #: Span tree of the batch run (``None`` unless tracing is enabled).
-    request_trace: "RequestTrace | None" = None
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    def __iter__(self):
-        return iter(self.results)
-
-    def __getitem__(self, index: int) -> "ExecutionResult":
-        return self.results[index]
-
-    @property
-    def outputs(self) -> list[dict[str, np.ndarray]]:
-        """Per-job output dictionaries, in submission order."""
-        return [result.outputs for result in self.results]
-
-    @property
-    def serial_latency_ns(self) -> float:
-        """Modelled latency summed over every job (single-bank execution)."""
-        return sum(result.latency_ns for result in self.results)
-
-    @property
-    def total_latency_ns(self) -> float:
-        """Modelled latency of the whole batch.
-
-        The scheduler-derived makespan for bank-parallel batches; for
-        serial batches the jobs run back to back, so the makespan *is*
-        the per-job sum.
-        """
-        if self.makespan_ns is not None:
-            return self.makespan_ns
-        return self.serial_latency_ns
-
-    @property
-    def total_energy_nj(self) -> float:
-        """Modelled energy summed over every job in the batch."""
-        return sum(result.energy_nj for result in self.results)
-
-    @property
-    def lut_queries(self) -> int:
-        """LUT queries executed across the whole batch."""
-        return sum(result.lut_queries for result in self.results)
-
-
-_Stamped = TypeVar("_Stamped", "ExecutionResult", BatchResult)
-
-
 class ArtifactIdentity(NamedTuple):
     """What one :class:`ProgramArtifact` answers: the recorded calls'
-    structure key on an engine configuration under the requested plan.
-    No front door and no backend is part of it: an auto plan's search
-    is a function of the plan alone, and every backend runs an artifact
+    structure key on an engine configuration under the requested plan,
+    its ``None`` placement levels read as the device's counts.  No front
+    door and no backend is part of it: an auto plan's search is a
+    function of the plan alone, and every backend runs an artifact
     alike."""
 
     structure_key: tuple
@@ -325,12 +254,11 @@ class ProgramArtifact:
             return self
         return replace(self, planner=replace(self.planner, cached=True))
 
-    def attach(self, result: _Stamped) -> _Stamped:
+    def attach(self, result: "ExecutionResult") -> "ExecutionResult":
         """Record the plan and reports on ``result``, and return it."""
         result.execution_plan = self.plan
         result.planner = self.planner
-        if not isinstance(result, BatchResult):
-            result.optimization = self.optimization
+        result.optimization = self.optimization
         return result
 
     def run(
@@ -358,7 +286,10 @@ def prepare_execution(
     """The execution prologue every front door shares.
 
     Returns the :class:`ProgramArtifact` of ``calls`` under ``plan``.
-    Artifacts are kept in one bounded process-wide table keyed on their
+    A placement level ``plan`` spells ``None`` is first read as the
+    device's count, so every spelling of one placement names one
+    artifact, and the artifact carries that resolved plan.  Artifacts
+    are kept in one bounded process-wide table keyed on their
     :class:`ArtifactIdentity`, so a structurally repeated request is a
     table hit.  A request with ``verify`` that finds an artifact prepared
     without verification verifies its executed calls once and keeps it
@@ -383,6 +314,13 @@ def prepare_execution(
     names the program in planner reports and diagnostics.  Compile and
     verify spans open only when that work runs.
     """
+    if None in (plan.channels, plan.ranks):
+        from repro.dram.geometry import DRAMGeometry
+
+        device = engine.geometry if engine is not None else DRAMGeometry()
+        plan = replace(
+            plan, channels=plan.channels or device.channels, ranks=plan.ranks or device.ranks
+        )
     raw_key = hashable_structure_key(calls)
     identity: "ArtifactIdentity | None" = None
     if raw_key is None:
@@ -823,22 +761,25 @@ class PlutoSession:
     ) -> "ExecutionResult | ShardedExecutionResult":
         """Compile (cached) and execute this program on the session backend.
 
-        ``engine`` selects the pLUTo configuration (design/memory); the
-        default is pLUTo-BSA on DDR4.  The returned
+        The one front door of the pLUTo Library: every execution of a
+        recorded program, a batch of input sets included (one run per
+        set, each from the same warm entry), goes through here or
+        through a :class:`~repro.api.service.PlutoService` serving this
+        session.  ``engine`` selects the pLUTo configuration
+        (design/memory); the default is pLUTo-BSA on DDR4.  The returned
         :class:`ExecutionResult` carries the outputs and the full command
         trace, identically for every backend.
 
-        ``plan`` is the unified execution front door: an
-        :class:`~repro.plan.ExecutionPlan` describing the shard count,
-        the placement the shards spread over and the optimizer — or the
-        string ``"auto"``, which hands the choice to the cost-based
-        planner, searching every placement of the engine's device
-        (candidates priced with the analytic makespan model; a repeated
-        request reuses its artifact, plan included; the result then
-        carries a :class:`~repro.plan.PlannerReport` as
-        ``result.planner``).
-        ``None`` defers to the engine's ``PlutoConfig(plan=...)``
-        default.  Outputs are bit-identical whichever plan executes.
+        ``plan`` is an :class:`~repro.plan.ExecutionPlan` describing the
+        shard count, the placement the shards spread over and the
+        optimizer — or the string ``"auto"``, which hands the choice to
+        the cost-based planner, searching every placement of the
+        engine's device (candidates priced with the analytic makespan
+        model; a repeated request reuses its artifact, plan included;
+        the result then carries a :class:`~repro.plan.PlannerReport` as
+        ``result.planner``).  ``None`` defers to the engine's
+        ``PlutoConfig(plan=...)`` default.  Outputs are bit-identical
+        whichever plan executes.
 
         Sharded plans partition the element space across DRAM banks and
         execute bank-parallel — in one fused batched pass on
@@ -846,9 +787,10 @@ class PlutoSession:
         ``latency_ns`` becomes the scheduler-derived makespan under
         cross-bank tRRD/tFAW contention.  Their shards stay on one rank
         of one channel unless the plan's ``channels`` / ``ranks`` widen
-        the placement (``None`` takes all of the engine's; pass an
-        engine built from ``PlutoConfig(channels=..., ranks=...)`` to
-        model more than the Table 3 module), and the
+        the placement (``None`` takes all of the engine's, and means the
+        same plan as spelling the engine's count; pass an engine built
+        from ``PlutoConfig(channels=..., ranks=...)`` to model more than
+        the Table 3 module), and the
         :class:`~repro.controller.dispatch.ShardedExecutionResult` then
         decomposes the speedup per level.  A plan with
         ``optimize=True`` runs the program optimizer (:mod:`repro.opt`)
@@ -859,8 +801,8 @@ class PlutoSession:
         **Warm runs.**  The session keeps the program's
         :class:`ProgramArtifact` (plan, optimized calls, structure key,
         compiled programs, planner report), one entry per ``plan``
-        argument and verification setting, shared with :meth:`run_batch`
-        (up to eight; making a ninth drops them all), and one dispatcher
+        argument and verification setting (up to eight; making a ninth
+        drops them all), and one dispatcher
         for its latest ``engine`` and backend, which runs every plan.  A
         :class:`~repro.api.service.PlutoService` serving this session
         takes its requests' artifacts from the same entries.  A later run
@@ -890,91 +832,6 @@ class PlutoSession:
             deactivate(token)
         self._finish_trace(trace, result)
         return artifact.attach(result)
-
-    def run_batch(
-        self,
-        batch: Iterable[Mapping[str, np.ndarray]],
-        *,
-        engine: "PlutoEngine | None" = None,
-        parallel: bool = False,
-        plan: "ExecutionPlan | str | None" = None,
-    ) -> BatchResult:
-        """Execute this program once per input set in ``batch``.
-
-        The program is compiled once and the controller (and therefore the
-        backend with its cached LUT arrays) is reused across the whole
-        batch, and across batches as warm runs of :meth:`run` are.  With
-        ``parallel=True`` the jobs are placed round-robin across the
-        module's banks and the batch's ``total_latency_ns`` becomes the
-        scheduler-derived makespan of the merged command streams (the
-        naive sum stays available as ``serial_latency_ns``).
-
-        ``plan`` accepts an :class:`~repro.plan.ExecutionPlan` or
-        ``"auto"`` exactly as in :meth:`run`, restricted to unsharded
-        plans — each job is one whole program, so an auto plan searches
-        ``ExecutionPlan(mode="auto", shards=1)``, the optimizer choice
-        alone; per-job sharding goes through :meth:`run`.
-        """
-        trace = new_trace("session.run_batch")
-        token = activate(trace)
-        try:
-            requested = _requested_plan(plan, engine)
-            if requested.is_auto:
-                plan = replace(requested, shards=1)
-            artifact = self._prepare(plan, engine, verify=_verifies(engine))
-            if artifact.compiled is None:
-                raise ConfigurationError(
-                    "run_batch executes each job as one unsharded program; "
-                    "sharded/hierarchical plans go through run()"
-                )
-            compiled, structure_key = artifact.compiled, artifact.structure_key
-            controller = self._dispatcher(engine).controller
-            if not parallel:
-                with span_of(trace, "execute") as span:
-                    results = [
-                        controller.execute(
-                            compiled, dict(inputs), structure_key=structure_key
-                        )
-                        for inputs in batch
-                    ]
-                    span.set(jobs=len(results))
-                return artifact.attach(BatchResult(results=results, request_trace=trace))
-            from repro.controller.dispatch import merged_makespan_ns
-
-            jobs = list(batch)
-            num_banks = controller.engine.geometry.banks
-            if len(jobs) > num_banks:
-                # Placement clamps to the available banks: jobs beyond the
-                # bank count wrap round-robin and run back to back in their
-                # bank, which the merged makespan reflects.  Warn so callers
-                # expecting one bank per job notice the serialization.
-                warnings.warn(
-                    f"run_batch(parallel=True) got {len(jobs)} jobs for a "
-                    f"module with {num_banks} banks; jobs wrap round-robin "
-                    "and serialize within each bank",
-                    stacklevel=2,
-                )
-            with span_of(trace, "execute") as span:
-                results = [
-                    controller.execute(
-                        compiled,
-                        dict(inputs),
-                        bank=index % num_banks,
-                        structure_key=structure_key,
-                    )
-                    for index, inputs in enumerate(jobs)
-                ]
-                span.set(jobs=len(results), parallel=True)
-            with span_of(trace, "schedule"):
-                makespan = merged_makespan_ns(
-                    [result.trace.commands for result in results],
-                    controller.engine,
-                )
-        finally:
-            deactivate(token)
-        return artifact.attach(
-            BatchResult(results=results, makespan_ns=makespan, request_trace=trace)
-        )
 
     def serve(
         self,
@@ -1008,16 +865,6 @@ class PlutoSession:
             plan=plan,
             verify=verify,
         )
-
-    @staticmethod
-    def cache_stats() -> dict[str, dict]:
-        """Hit/miss statistics of the process-wide execution caches.
-
-        See :func:`cache_stats` — compiled programs, trace templates, the
-        scheduler makespan memo, hierarchical schedules, per-engine
-        helpers, and LUT gather arrays.
-        """
-        return cache_stats()
 
     # ------------------------------------------------------------------ #
     # Helpers

@@ -1,20 +1,19 @@
 """Shared evaluation harness.
 
-Runs every workload through the CPU/GPU/FPGA/PnM baselines and the six
-pLUTo configurations (three designs x DDR4/3DS) and exposes the speedup and
-energy ratios the figures plot.  Serial, non-offloadable work (e.g. the CRC
-reduction) is charged at CPU speed using Amdahl's law, as the paper does
-(Section 8.2: the CRC serial reduction runs on the CPU or in the HMC logic
-layer).
+Prices every workload's analytical recipe on the CPU/GPU/FPGA/PnM
+baselines and the six pLUTo configurations (three designs x DDR4/3DS) and
+exposes the speedup and energy ratios the figures plot.  Serial,
+non-offloadable work (e.g. the CRC reduction) is charged at CPU speed
+using Amdahl's law, as the paper does (Section 8.2: the CRC serial
+reduction runs on the CPU or in the HMC logic layer).  The harness
+executes no program: a recorded program runs through
+:meth:`repro.api.PlutoSession.run`, once per engine of
+:func:`default_pluto_configs` to cover all six.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from typing import TYPE_CHECKING, Mapping
-
-import numpy as np
 
 from repro.baselines.base import BaselineCost
 from repro.baselines.pnm import PnmBaseline
@@ -27,12 +26,6 @@ from repro.baselines.processor import (
 from repro.core.designs import PlutoDesign
 from repro.core.engine import DDR4, THREE_DS, CostReport, PlutoConfig, PlutoEngine
 from repro.workloads.base import Workload
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api.session import PlutoSession
-    from repro.controller.dispatch import ParallelDispatcher
-    from repro.controller.executor import ExecutionResult
-    from repro.plan.execution_plan import ExecutionPlan
 
 __all__ = ["PLUTO_CONFIG_LABELS", "WorkloadResult", "EvaluationHarness", "default_pluto_configs"]
 
@@ -110,7 +103,7 @@ class WorkloadResult:
 
 
 class EvaluationHarness:
-    """Evaluates workloads on every system with consistent settings."""
+    """Prices workload recipes on every system with consistent settings."""
 
     def __init__(
         self,
@@ -118,12 +111,7 @@ class EvaluationHarness:
         configs: dict[str, PlutoConfig] | None = None,
         tfaw_fraction: float = 0.0,
         subarray_override: int | None = None,
-        backend: str = "vectorized",
     ) -> None:
-        #: Execution backend used for bit-exact program execution
-        #: (:meth:`execute_program`); the vectorized NumPy fast path by
-        #: default, switchable to the subarray row-sweep path.
-        self.backend = backend
         self.cpu = ProcessorBaseline(CPU_XEON_5118)
         self.gpu = ProcessorBaseline(GPU_RTX_3080TI)
         self.fpga = ProcessorBaseline(FPGA_ZCU102)
@@ -142,10 +130,6 @@ class EvaluationHarness:
         self.engines = {
             label: PlutoEngine(config) for label, config in self.configs.items()
         }
-        #: One warm dispatcher per configuration label, built on first
-        #: use: reusing it across execute_program calls keeps backend LUT
-        #: gather arrays, trace templates, and scheduler memos hot.
-        self._dispatchers: "dict[str, ParallelDispatcher]" = {}
 
     def evaluate(self, workload: Workload, elements: int | None = None) -> WorkloadResult:
         """Run one workload through every system."""
@@ -164,72 +148,3 @@ class EvaluationHarness:
         for label, engine in self.engines.items():
             result.pluto[label] = engine.execute(recipe, elements)
         return result
-
-    def evaluate_all(
-        self, workloads: list[Workload], elements: int | None = None
-    ) -> list[WorkloadResult]:
-        """Run a list of workloads through every system."""
-        return [self.evaluate(workload, elements) for workload in workloads]
-
-    # ------------------------------------------------------------------ #
-    # Bit-exact program execution
-    # ------------------------------------------------------------------ #
-    def execute_program(
-        self,
-        session: "PlutoSession",
-        inputs: Mapping[str, np.ndarray],
-        *,
-        plan: "ExecutionPlan | str | None" = None,
-    ) -> "dict[str, ExecutionResult]":
-        """Execute an API program bit-exactly on every configured engine.
-
-        Unlike :meth:`evaluate` (which costs an analytical recipe), this
-        compiles the session's program once (cached by structure) and runs
-        it through the controller on each of the six pLUTo configurations,
-        so outputs *and* per-configuration command traces come from real
-        program execution.  The harness backend (vectorized by default)
-        makes this cheap enough to run across all configurations.
-
-        ``plan`` selects the execution configuration exactly as in
-        :meth:`PlutoSession.run` — sharded plans run through the
-        configuration's one
-        :class:`~repro.controller.dispatch.ParallelDispatcher`, over the
-        placement the plan names (one rank of one channel unless its
-        ``channels`` / ``ranks`` widen it; ``latency_ns`` becomes the
-        scheduler-derived makespan), and
-        ``plan="auto"`` asks the cost-based planner *per engine*, so
-        each configuration gets the plan that is cheapest on *its*
-        geometry (the chosen plan rides on ``result.execution_plan``
-        with the :class:`~repro.plan.PlannerReport` on
-        ``result.planner``).  Each configuration's dispatcher, and its
-        controller, is reused across calls and plans, so repeated
-        evaluations run on warm LUT, trace-template, and scheduler-memo
-        caches.
-
-        Plans with ``optimize=True`` run the program optimizer
-        (:mod:`repro.opt`, memoized, so the engine-independent rewrite
-        happens once) and every configuration then compiles and executes
-        the optimized program; each result carries the shared report as
-        ``.optimization``.
-        """
-        from repro.analyze.verifier import verification_enabled
-        from repro.api.session import prepare_execution
-        from repro.controller.dispatch import ParallelDispatcher
-        from repro.plan.execution_plan import resolve_plan
-
-        requested = resolve_plan(plan)
-        results: dict[str, ExecutionResult] = {}
-        for label, engine in self.engines.items():
-            prepared = prepare_execution(
-                session.calls,
-                engine,
-                requested,
-                verify=verification_enabled(engine.config.verify),
-                subject=f"harness program on {label}",
-            )
-            dispatcher = self._dispatchers.get(label)
-            if dispatcher is None:
-                dispatcher = self._dispatchers[label] = ParallelDispatcher(engine, self.backend)
-            result = prepared.run(dispatcher, inputs)
-            results[label] = prepared.attach(result)
-        return results

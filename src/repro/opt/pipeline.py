@@ -11,7 +11,7 @@ returns the rewritten program together with an
 structure key (the same key the compile cache uses), so the serving path
 optimises each distinct program shape once no matter how many requests
 carry it; its hit/miss counters surface through
-``PlutoSession.cache_stats()["optimizer"]``.
+``repro.api.cache_stats()["optimizer"]``.
 """
 
 from __future__ import annotations

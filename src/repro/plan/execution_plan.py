@@ -68,8 +68,10 @@ class ExecutionPlan:
     narrows the device to that many channels or ranks, and ``None``
     takes all of the device's, so
     ``ExecutionPlan(shards=8, channels=None, ranks=None)`` spreads eight
-    shards over the whole device.  A placement wider than one rank needs
-    ``shards > 1``.
+    shards over the whole device.  ``None`` and the device's own count
+    are one placement: a run resolves ``None`` against its engine, and
+    the resolved plan is the one its result carries.  A placement wider
+    than one rank needs ``shards > 1``.
 
     ``optimize`` runs the program optimizer before compilation
     (``None`` defers to ``PlutoConfig(optimize=...)``).  A plan names no
@@ -78,9 +80,9 @@ class ExecutionPlan:
     either way.
 
     ``mode="auto"`` hands the geometry decision to the cost-based
-    planner.  Pinning ``optimize`` on an auto plan narrows the search,
-    and so does ``shards=1`` (the unsharded program only); any other
-    pinned geometry contradicts it and is rejected.
+    planner.  Pinning ``optimize`` on an auto plan narrows the search;
+    any pinned geometry, ``shards=1`` included, contradicts it and is
+    rejected.
     """
 
     mode: str = "explicit"
@@ -117,11 +119,11 @@ class ExecutionPlan:
             pinned = [
                 f"{name}={value}"
                 for name, value, free in (
-                    ("shards", self.shards, (None, 1)),
-                    ("channels", self.channels, (1,)),
-                    ("ranks", self.ranks, (1,)),
+                    ("shards", self.shards, None),
+                    ("channels", self.channels, 1),
+                    ("ranks", self.ranks, 1),
                 )
-                if value not in free
+                if value != free
             ]
             if pinned:
                 raise _plan_error(

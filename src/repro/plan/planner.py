@@ -3,11 +3,12 @@
 Given a recorded program and an engine, :func:`plan_program` enumerates
 candidate execution configurations — the unsharded program, and every
 shard count from two up over each placement of the engine's device (one
-rank of one channel, the whole device, then each interface level alone),
-optimizer on/off — prices each with the memoized analytic makespan model (the
-same :func:`~repro.controller.dispatch.merged_makespan_ns` the
-dispatcher charges executions with, backed by
-:mod:`repro.dram.analytic`), and picks the argmin.  Near-ties break on
+rank of one channel, the whole device, then each interface level alone,
+spelled with the device's counts), optimizer on/off — prices each with
+the memoized analytic makespan model (the same
+:func:`~repro.controller.dispatch.merged_makespan_ns` the dispatcher
+charges executions with, backed by :mod:`repro.dram.analytic`), and
+picks the argmin.  Near-ties break on
 modelled energy, then on the simpler plan.  Because pricing and
 execution share one model *and* one memo, the planner's predicted
 makespan is exact with respect to the model — and the merges it
@@ -74,7 +75,7 @@ class PlannerReport:
     """What the planner considered and what it chose.
 
     The predicted makespan is exact: a run of the chosen plan reports it
-    as its ``latency_ns`` (a batch as its ``total_latency_ns``).
+    as its ``latency_ns``.
     ``cached`` marks a report that came from a reused program artifact
     (:meth:`~repro.api.session.ProgramArtifact.reused`).
     """
@@ -178,18 +179,12 @@ def _enumerate(
         if request.optimize is not None
         else (False, True)
     )
-    # (channels, ranks) placed over -> the plan's spelling of it: one rank
-    # of one channel, then the whole device, then each interface level
-    # alone.  A level the placement spans whole is spelled None (the
-    # device's count), and a placement is priced once however it is
-    # reached (on a one-rank device the whole device is the first).
+    # The (channels, ranks) placed over, spelled as a run resolves them:
+    # one rank of one channel, then the whole device, then each interface
+    # level alone, each priced once however it is reached (on a one-rank
+    # device the whole device is the first).
     device = (geometry.channels, geometry.ranks)
-    placements: dict[tuple[int, int], tuple[int | None, int | None]] = {(1, 1): (1, 1)}
-    for channels, ranks in (device, (device[0], 1), (1, device[1])):
-        placements.setdefault(
-            (channels, ranks),
-            (None if channels == device[0] else channels, None if ranks == device[1] else ranks),
-        )
+    placements = dict.fromkeys([(1, 1), device, (device[0], 1), (1, device[1])])
 
     candidates: list[CandidatePlan] = []
     unallocatable: list[AllocationError] = []
@@ -238,9 +233,9 @@ def _enumerate(
         whole = templates_of([size])
         if whole is not None:
             candidates.append(_price(ExecutionPlan(shards=1, optimize=optimize), whole, engine))
-        if size is None or request.shards == 1:
+        if size is None:
             continue
-        for channels, ranks in placements.values():
+        for channels, ranks in placements:
             planner = ShardPlanner(geometry, channels=channels, ranks=ranks)
             for shards in _shard_grid(planner.geometry.total_banks, size):
                 shard_templates = templates_of(
@@ -308,12 +303,11 @@ def plan_program(
 
     ``request`` is the auto plan carrying any pinned ``optimize``.  The
     planner prices the unsharded program and every shard count from two
-    up over every placement of ``engine``'s device; a request that pins
-    ``shards=1`` (as
-    :meth:`~repro.api.session.PlutoSession.run_batch` does) prices the
-    unsharded program only.  The search is a function of the request
-    alone, and the choice depends on no backend: every backend runs a
-    plan to the same modelled makespan and energy.
+    up over every placement of ``engine``'s device, each placement
+    spelled with the device's counts as a run resolves it.  The search
+    is a function of the request alone, and the choice depends on no
+    backend: every backend runs a plan to the same modelled makespan and
+    energy.
 
     Every call plans: reuse lives in the program artifact table of
     :func:`~repro.api.session.prepare_execution`.  The returned plan is

@@ -54,9 +54,10 @@ __all__ = [
 
 #: Bump when the artifact layout (or the meaning of any stored product)
 #: changes; entries written under another schema are discarded as stale.
-#: Version 6: the identity names no planner search modes, and a plan
-#: spells its placement as ``channels`` / ``ranks`` alone.
-ARTIFACT_SCHEMA_VERSION = 6
+#: Version 7: an identity's plan spells its placement with the device's
+#: counts (no ``None`` level), so a version 6 entry under a ``None``
+#: placement would never be asked for again.
+ARTIFACT_SCHEMA_VERSION = 7
 
 
 #: Process-wide hit/miss/stale/saved/installed counters and cumulative

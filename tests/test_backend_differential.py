@@ -149,17 +149,17 @@ def test_backends_agree_on_random_programs(design, memory):
         assert functional.instructions_executed == vectorized.instructions_executed
 
 
-def test_session_batch_uses_compile_cache():
+def test_repeated_runs_use_compile_cache():
     # The cache is bounded: start below the bound so one insert shows.
     clear_all_caches()
     before = cache_stats()["programs"]["size"]
     rng = np.random.default_rng(7)
     session = _random_program(rng, 999_001)
     compiled = session.compile()
-    batch = session.run_batch(_inputs_for(compiled, rng) for _ in range(3))
-    assert len(batch) == 3
-    assert batch.total_latency_ns == sum(r.latency_ns for r in batch)
-    # One new structure: the three executions share a single compile.
+    first = session.run(_inputs_for(compiled, rng))
+    second = session.run(_inputs_for(compiled, rng))
+    assert second.latency_ns == first.latency_ns
+    # One new structure: the executions share a single compile.
     assert cache_stats()["programs"]["size"] == before + 1
 
 

@@ -6,7 +6,7 @@ interpreted vectorized walk and from the functional oracle: bit-identical
 outputs and registers, identical command traces and totals, identical
 error behavior (messages included).  Each closure is kept on its
 compiled program, so it is bounded with the program cache, surfaced
-through ``PlutoSession.cache_stats()``, and covered by
+through ``repro.api.cache_stats()``, and covered by
 ``clear_all_caches()``.
 """
 
@@ -21,6 +21,7 @@ import repro.api.session as session_module
 from repro.api.luts import color_grade_lut
 from repro.api.session import (
     PlutoSession,
+    cache_stats,
     clear_all_caches,
     compile_cached_with_key,
 )
@@ -203,7 +204,7 @@ class TestCompiledFused:
 
 
 def _closure_stats() -> dict:
-    return PlutoSession.cache_stats()["compiled_exec"]
+    return cache_stats()["compiled_exec"]
 
 
 class TestCompiledCache:
@@ -263,9 +264,9 @@ class TestCompiledCache:
     def test_surfaced_in_session_stats_and_cleared(self):
         session, inputs = _mixed_program(16)
         session.run(inputs)
-        stats = PlutoSession.cache_stats()["compiled_exec"]
+        stats = cache_stats()["compiled_exec"]
         assert {"hits", "misses", "uncached", "size"} <= set(stats)
         clear_all_caches()
-        cleared = PlutoSession.cache_stats()["compiled_exec"]
+        cleared = cache_stats()["compiled_exec"]
         assert cleared["size"] == 0
         assert cleared["hits"] == 0 and cleared["misses"] == 0

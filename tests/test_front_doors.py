@@ -1,12 +1,12 @@
 """Front-door conformance: one program, one plan, one answer.
 
 The session, the async service, its synchronous ``serve_chunk`` path (how
-a pool worker serves), the evaluation harness and a service warm-started
-from the shared artifact store all prepare and execute a program the
-same way.  Under each plan below the five must agree exactly
-on outputs, modelled latency and energy, the concrete plan that ran and
-the planner's choice; a malformed program must be rejected with the same
-diagnostics by the session and the service.
+a pool worker serves) and a service warm-started from the shared artifact
+store all prepare and execute a program the same way.  Under each plan
+below the four must agree exactly on outputs, modelled latency and
+energy, the concrete plan that ran and the planner's choice; a malformed
+program must be rejected with the same diagnostics by the session and
+the service.
 """
 
 from __future__ import annotations
@@ -21,12 +21,10 @@ from repro.api.session import clear_all_caches
 from repro.core.designs import PlutoDesign
 from repro.core.engine import PlutoConfig, PlutoEngine
 from repro.errors import VerificationError
-from repro.evaluation.harness import EvaluationHarness
 from repro.plan import ExecutionPlan
 from repro.serve.store import SharedArtifactStore
 
 ELEMENTS = 1024
-LABEL = "pLUTo-BSA"
 
 PLANS = {
     "default": None,
@@ -62,10 +60,7 @@ def _observed(result) -> tuple:
 
 @pytest.mark.parametrize("plan", list(PLANS.values()), ids=list(PLANS))
 def test_every_front_door_agrees(plan, tmp_path):
-    harness = EvaluationHarness(
-        configs={LABEL: PlutoConfig(design=PlutoDesign.BSA)}
-    )
-    engine = harness.engines[LABEL]
+    engine = PlutoEngine(PlutoConfig(design=PlutoDesign.BSA))
     session, inputs = _program()
 
     doors = {
@@ -74,7 +69,6 @@ def test_every_front_door_agrees(plan, tmp_path):
         "service.serve_chunk": PlutoService(session, engine=engine, plan=plan).serve_chunk(
             None, [inputs]
         )[0],
-        "harness": harness.execute_program(session, inputs, plan=plan)[LABEL],
     }
     store = SharedArtifactStore(tmp_path / "store")
     store.export(session.calls, engine, plan=plan)

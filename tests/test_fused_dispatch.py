@@ -323,11 +323,3 @@ class TestPlannerSharing:
         (plan,) = ShardPlanner().plan(session.calls, 1).plans
         assert plan.calls == tuple(session.calls)
         assert plan.calls[0] is session.calls[0]
-
-
-class TestCacheStatsSurface:
-    def test_service_stats_report_cache_stats(self):
-        from repro.api.service import ServiceStats
-
-        stats = ServiceStats()
-        assert stats.cache_stats().keys() == PlutoSession.cache_stats().keys()

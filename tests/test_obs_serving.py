@@ -17,6 +17,7 @@ import pytest
 from repro.api import PlutoSession
 from repro.obs.metrics import registry, reset_metrics
 from repro.obs.trace import enable_tracing, tracing_enabled
+from repro.plan import ExecutionPlan
 
 ELEMENTS = 128
 
@@ -178,13 +179,15 @@ class TestSessionTracing:
             result.trace.total_energy_nj * 1000.0
         )
 
-    def test_run_batch_parallel_records_a_schedule_span(self):
+    def test_a_sharded_run_records_the_dispatchers_schedule_span(self):
         session, inputs = _program()
-        batch = session.run_batch([inputs, inputs], parallel=True)
-        trace = batch.request_trace
+        result = session.run(inputs, plan=ExecutionPlan(shards=2))
+        trace = result.request_trace
         assert trace is not None
         assert trace.find("execute") is not None
-        assert trace.find("schedule") is not None
+        schedule = trace.find("schedule")
+        assert schedule is not None
+        assert schedule.attributes["shards"] == 2
 
 
 class TestPoolTracing:

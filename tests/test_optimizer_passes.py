@@ -328,12 +328,14 @@ class TestSessionIntegration:
         assert np.array_equal(plain.outputs["c"], optimized.outputs["c"])
         assert optimized.makespan_ns < plain.makespan_ns
 
-    def test_run_batch_optimizes_once(self):
+    def test_repeated_runs_optimize_once(self):
+        clear_all_caches()
         session = _chain_session()
         inputs = _inputs()
-        batch = session.run_batch([inputs, inputs], plan=ExecutionPlan(optimize=True))
+        runs = [session.run(inputs, plan=ExecutionPlan(optimize=True)) for _ in range(2)]
+        assert cache_stats()["optimizer"]["misses"] == 1
         plain = session.run(inputs)
-        for result in batch:
+        for result in runs:
             assert np.array_equal(result.outputs["c"], plain.outputs["c"])
 
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.api import identity_lut
 from repro.api.session import (
     PlutoSession,
     cache_stats,
@@ -74,8 +75,6 @@ class TestExecutionPlanValidation:
         for pinned in ({"shards": 4}, {"channels": None, "ranks": None}, {"ranks": 2}):
             with pytest.raises(VerificationError, match="plan-contradiction"):
                 ExecutionPlan(mode="auto", **pinned)
-        # One shard is the one geometry an auto plan may pin.
-        assert ExecutionPlan(mode="auto", shards=1).is_auto
 
     def test_placement_requires_shards(self):
         for placement in ({"channels": 2}, {"ranks": 2}, {"channels": None, "ranks": None}):
@@ -457,22 +456,17 @@ class TestRemovedKeywords:
     def test_removed_keywords_raise_type_error(self):
         """The per-entry-point knobs are gone; only ``plan=`` remains."""
         from repro.api import PlutoService
-        from repro.evaluation.harness import EvaluationHarness
 
         session, inputs = _add_program(256)
-        harness = EvaluationHarness()
         calls = [
             lambda: session.run(inputs, shards=4),
             lambda: session.run(inputs, optimize=True),
-            lambda: session.run_batch([inputs], optimize=True),
             lambda: session.serve(hierarchical=True),
             lambda: session.serve(shards=8),
             lambda: session.serve(optimize=True),
             lambda: PlutoService(session, hierarchical=True),
             lambda: PlutoService(session, shards=8),
             lambda: PlutoService(session, optimize=True),
-            lambda: harness.execute_program(session, inputs, shards=4),
-            lambda: harness.execute_program(session, inputs, optimize=True),
         ]
         for call in calls:
             with pytest.raises(TypeError, match="unexpected keyword"):
@@ -513,33 +507,55 @@ class TestRemovedKeywords:
             with pytest.raises(TypeError, match="unexpected keyword"):
                 search()
 
-    def test_run_batch_rejects_sharded_plans(self):
+    # ``run`` is the one front door: the batch door, its result type, the
+    # harness's program door and their spellings are gone.  Each case
+    # checks one removed spelling.
+    def test_session_run_batch_is_gone(self):
         session, inputs = _add_program(256)
-        with pytest.raises(ConfigurationError):
-            session.run_batch([inputs], plan=ExecutionPlan(shards=4))
+        with pytest.raises(AttributeError):
+            session.run_batch([inputs])
+
+    def test_harness_execute_program_is_gone(self):
+        from repro.evaluation.harness import EvaluationHarness
+
+        session, inputs = _add_program(256)
+        with pytest.raises(AttributeError):
+            EvaluationHarness().execute_program(session, inputs)
+
+    def test_harness_evaluate_all_is_gone(self):
+        from repro.evaluation.harness import EvaluationHarness
+        from repro.workloads.image import ImageBinarization
+
+        with pytest.raises(AttributeError):
+            EvaluationHarness().evaluate_all([ImageBinarization()])
+
+    def test_session_cache_stats_is_gone(self):
+        session, _ = _add_program(256)
+        with pytest.raises(AttributeError):
+            session.cache_stats()
+
+    def test_service_stats_cache_stats_is_gone(self):
+        from repro.api import ServiceStats
+
+        with pytest.raises(AttributeError):
+            ServiceStats().cache_stats()
+
+    def test_harness_backend_keyword_is_gone(self):
+        from repro.evaluation.harness import EvaluationHarness
+
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            EvaluationHarness(backend="vectorized")
+
+    def test_an_auto_plan_pinning_one_shard_is_contradictory(self):
+        with pytest.raises(VerificationError, match="plan-contradiction.*shards=1"):
+            ExecutionPlan(mode="auto", shards=1)
+
+    def test_batch_result_is_gone(self):
+        with pytest.raises(ImportError):
+            from repro.api import BatchResult  # noqa: F401
 
 
 class TestAutoOnEntryPoints:
-    def test_run_batch_auto_plans_single_mode(self):
-        session, inputs = _add_program(256)
-        batch = session.run_batch([inputs, inputs], plan="auto")
-        plan = batch.execution_plan
-        assert not plan.hierarchical and plan.effective_shards == 1
-        assert batch.planner is not None
-
-    @pytest.mark.parametrize("optimize", [None, True])
-    def test_an_auto_plan_pinning_one_shard_prices_the_unsharded_program(self, optimize):
-        """``shards=1`` on an auto plan (``run_batch``'s narrowing) leaves
-        the planner only the optimizer to choose, whatever the device."""
-        calls = workload_program("image", elements=4096, seed=0).session.calls
-        engine = PlutoEngine(PlutoConfig(channels=2, ranks=2))
-        request = ExecutionPlan(mode="auto", shards=1, optimize=optimize)
-        report = plan_program(calls, engine, request=request).report
-        choices = (False, True) if optimize is None else (optimize,)
-        assert [c.plan for c in report.candidates] == [
-            ExecutionPlan(shards=1, optimize=choice) for choice in choices
-        ]
-
     def test_service_auto_plans_per_coalesced_batch(self):
         import asyncio
 
@@ -589,7 +605,7 @@ class TestAutoSearchFits:
             ExecutionPlan(shards=1, optimize=True),
         ]
         assert {(c.plan.channels, c.plan.ranks) for c in report.candidates} == {
-            (1, 1), (None, None), (None, 1), (1, None)
+            (1, 1), (2, 2), (2, 1), (1, 2)
         }
         assert report.predicted_makespan_ns == result.latency_ns
 
@@ -614,7 +630,7 @@ class TestAutoSearchFits:
             ExecutionPlan(shards=1, optimize=True),
         ]
         assert {(c.plan.channels, c.plan.ranks) for c in report.candidates} == {
-            (1, 1), (None, None)
+            (1, 1), (channels, ranks)
         }
         assert report.predicted_makespan_ns == result.latency_ns
         for name, data in default.outputs.items():
@@ -661,11 +677,16 @@ class TestAutoSearchFits:
             assert np.array_equal(auto.outputs[name], data), name
 
     def test_the_first_allocation_error_is_raised_when_nothing_fits(self):
-        program = workload_program("salsa20", 524288)
+        """A 1024-row table fits no 512-row subarray, whatever the shard
+        count or placement, so auto raises the explicit plan's error."""
+        session = PlutoSession()
+        source = session.pluto_malloc(4096, 10, "x")
+        out = session.pluto_malloc(4096, 10, "out")
+        session.api_pluto_map(identity_lut(10), source, out)
+        inputs = {"x": np.arange(4096) % 1024}
         with pytest.raises(AllocationError) as explicit:
-            program.session.run(program.inputs, plan=ExecutionPlan(optimize=False))
+            session.run(inputs, plan=ExecutionPlan(optimize=False))
         with pytest.raises(AllocationError) as auto:
-            program.session.run_batch(
-                [program.inputs], plan=ExecutionPlan.auto(optimize=False)
-            )
+            session.run(inputs, plan=ExecutionPlan.auto(optimize=False))
         assert str(auto.value) == str(explicit.value)
+        assert str(auto.value) == "LUT 'identity10' needs 1024 rows but a subarray has only 512"

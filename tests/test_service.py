@@ -133,7 +133,7 @@ class TestServing:
         asyncio.run(main())
 
     def test_repeat_requests_report_memo_hits(self):
-        """ServiceStats.cache_stats shows the memo layers warming up."""
+        """cache_stats() shows the memo layers warming up."""
 
         async def main():
             session = _add_program()
@@ -142,7 +142,7 @@ class TestServing:
                 await asyncio.gather(
                     *(service.submit(_add_inputs(rng)) for _ in range(6))
                 )
-                stats = service.stats.cache_stats()
+                stats = cache_stats()
             assert stats["programs"]["size"] >= 1
             assert set(stats) >= {"scheduler_merges", "trace_templates"}
 

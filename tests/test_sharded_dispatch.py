@@ -13,7 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from repro.api.session import PlutoSession
+from repro.api.session import PlutoSession, cache_stats, clear_all_caches
 from repro.controller.dispatch import (
     ParallelDispatcher,
     ShardedExecutionResult,
@@ -33,7 +33,7 @@ from repro.dram.commands import Command, CommandType
 from repro.dram.geometry import DRAMGeometry
 from repro.dram.scheduler import activation_count, tfaw_lower_bound_ns
 from repro.errors import ConfigurationError, ExecutionError, VerificationError
-from repro.evaluation.harness import EvaluationHarness
+from repro.evaluation.harness import default_pluto_configs
 from repro.plan import ExecutionPlan
 from repro.workloads.programs import workload_program
 
@@ -588,72 +588,22 @@ class TestSessionSurface:
         with pytest.raises(ConfigurationError, match="16 banks"):
             session.run(inputs, engine=_engine(2, 2), plan=ExecutionPlan(shards=17))
 
-    def test_run_batch_parallel_makespan(self):
-        session, inputs = _program(1024)
-        batch = [inputs, inputs, inputs, inputs]
-        serial = session.run_batch(batch)
-        parallel = session.run_batch(batch, parallel=True)
-        # Serial batches keep sum semantics; parallel batches report the
-        # scheduler-derived makespan and keep the sum on serial_latency_ns.
-        assert serial.makespan_ns is None
-        assert serial.total_latency_ns == serial.serial_latency_ns
-        assert parallel.makespan_ns is not None
-        assert parallel.total_latency_ns < parallel.serial_latency_ns
-        assert parallel.serial_latency_ns == pytest.approx(
-            serial.serial_latency_ns
-        )
-        for one, other in zip(serial, parallel):
-            assert np.array_equal(one.outputs["final"], other.outputs["final"])
-
     def test_run_rejects_more_shards_than_banks(self):
         """The session surface, not just the planner, explains the limit."""
         session, inputs = _program(64)
         with pytest.raises(ConfigurationError, match="16 banks"):
             session.run(inputs, plan=ExecutionPlan(shards=17))
 
-    def test_run_batch_parallel_warns_when_oversubscribed(self):
-        """More jobs than banks clamps round-robin with a warning.
-
-        Jobs beyond the module's bank count wrap onto already-used banks
-        and serialise there; the results stay correct and the makespan
-        reflects the serialisation, but callers expecting one bank per
-        job are told.
-        """
-        session, inputs = _program(64)
-        batch = [inputs] * 18  # 18 jobs > 16 banks
-        with pytest.warns(UserWarning, match="16 banks"):
-            oversubscribed = session.run_batch(batch, parallel=True)
-        assert len(oversubscribed) == 18
-        reference = session.run(inputs)
-        for result in oversubscribed:
-            assert np.array_equal(
-                result.outputs["final"], reference.outputs["final"]
-            )
-        # Still a true makespan: bounded by the serial drain of all jobs.
-        assert oversubscribed.makespan_ns is not None
-        assert oversubscribed.makespan_ns < oversubscribed.serial_latency_ns
-        # A bank-count-sized batch stays warning-free.
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            session.run_batch([inputs] * 4, parallel=True)
-
-    def test_harness_sharded_execution(self):
-        from repro.evaluation.harness import EvaluationHarness
-
+    @pytest.mark.parametrize("label", list(default_pluto_configs()))
+    def test_sharded_run_on_every_configuration(self, label):
+        """Each of the six evaluated pLUTo configurations runs a sharded
+        plan to its unsharded outputs."""
         session, inputs = _program(1024)
-        harness = EvaluationHarness()
-        plain = harness.execute_program(session, inputs)
-        sharded = harness.execute_program(
-            session, inputs, plan=ExecutionPlan(shards=4)
-        )
-        assert set(sharded) == set(plain)
-        for label, result in sharded.items():
-            assert isinstance(result, ShardedExecutionResult)
-            assert np.array_equal(
-                result.outputs["final"], plain[label].outputs["final"]
-            ), label
+        engine = PlutoEngine(default_pluto_configs()[label])
+        plain = session.run(inputs, engine=engine)
+        sharded = session.run(inputs, engine=engine, plan=ExecutionPlan(shards=4))
+        assert isinstance(sharded, ShardedExecutionResult)
+        assert np.array_equal(sharded.outputs["final"], plain.outputs["final"])
 
     def test_run_over_every_channel_and_rank(self):
         session, inputs = _mac_program()
@@ -786,9 +736,44 @@ class TestOneControllerRunsEveryPlacement:
         assert sharded == [False, True, True]
         assert len(controllers) == 1
 
-    def test_an_evaluation_harness(self, controllers):
-        session, inputs = _program(64)
-        harness = EvaluationHarness()
-        for plan in PLACEMENT_PLANS:
-            harness.execute_program(session, inputs, plan=plan)
-        assert len(controllers) == len(harness.engines) == 6
+
+#: Two spellings of one placement: the device's counts and ``None``.  The
+#: default engine's device is one rank of one channel.
+SPELLINGS = {
+    "default": (
+        None,
+        ExecutionPlan(shards=8),
+        ExecutionPlan(shards=8, channels=None, ranks=None),
+        "shards=8",
+    ),
+    "2x2": (
+        (2, 2),
+        ExecutionPlan(shards=8, channels=2, ranks=2),
+        ExecutionPlan(shards=8, channels=None, ranks=None),
+        "shards=8@2x2",
+    ),
+}
+
+
+class TestOnePlacementOneArtifact:
+    """A placement level spelled ``None`` is read as the device's count
+    before the artifact is keyed, so the two spellings of one placement
+    prepare one artifact and run under one plan and one label."""
+
+    @pytest.mark.parametrize(
+        "shape, counted, whole, label", list(SPELLINGS.values()), ids=list(SPELLINGS)
+    )
+    def test_both_spellings_share_one_artifact(self, shape, counted, whole, label):
+        clear_all_caches()
+        session, inputs = _program(1024)
+        engine = None
+        if shape is not None:
+            engine = PlutoEngine(PlutoConfig(channels=shape[0], ranks=shape[1]))
+        first = session.run(inputs, engine=engine, plan=counted)
+        second = session.run(inputs, engine=engine, plan=whole)
+        stats = cache_stats()["artifacts"]
+        assert (stats["misses"], stats["hits"], stats["size"]) == (1, 1, 1)
+        assert first.execution_plan == second.execution_plan == counted
+        assert {first.execution_plan.label(), second.execution_plan.label()} == {label}
+        assert second.latency_ns == first.latency_ns
+        assert np.array_equal(second.outputs["final"], first.outputs["final"])

@@ -1,7 +1,7 @@
 """Warm runs: a session reuses its prepared program only while it is valid.
 
-``PlutoSession.run`` (and ``run_batch``) keeps the prepared program and
-the dispatcher that ran it.  Each test runs once,
+``PlutoSession.run`` keeps the prepared program and the dispatcher that
+ran it.  Each test runs once,
 changes one thing the warm entry depends on, runs again, and compares the
 second run with a fresh session recording the same calls.
 """
@@ -57,11 +57,10 @@ def _assert_same(result, reference) -> None:
     assert result.backend == reference.backend
 
 
-#: The session's two front doors, and a run sharded over the whole
+#: The session's front door, unsharded and sharded over the whole
 #: device, each returning one ExecutionResult.
 DOORS = {
     "run": lambda session, inputs: session.run(inputs),
-    "run_batch": lambda session, inputs: session.run_batch([inputs])[0],
     "run_over_the_device": lambda session, inputs: session.run(
         inputs, plan=ExecutionPlan(shards=16, channels=None, ranks=None)
     ),
@@ -95,42 +94,23 @@ def test_an_edit_after_the_run_never_reaches_an_equal_program(plan):
 
 
 @pytest.mark.parametrize(
-    "plan, door",
-    [
-        (ExecutionPlan(optimize=True), lambda s, inputs, plan: s.run_batch([inputs], plan=plan)[0]),
-        (
-            ExecutionPlan(shards=4, channels=None, ranks=None),
-            lambda s, inputs, plan: PlutoService(s, plan=plan).serve_chunk(None, [inputs])[0],
-        ),
-    ],
-    ids=["run_batch", "serve_chunk"],
+    "plan",
+    [ExecutionPlan(optimize=True), ExecutionPlan(shards=4, channels=None, ranks=None)],
+    ids=["optimize", "over_the_device"],
 )
-def test_an_explicit_plan_prepares_one_artifact_for_every_front_door(plan, door):
-    """The front door names no part of a plan's artifact, so another
-    front door running the same plan reuses it."""
+def test_an_explicit_plan_prepares_one_artifact_for_every_front_door(plan):
+    """The front door names no part of a plan's artifact, so the service
+    serving the plan a run used reuses its artifact."""
     clear_all_caches()
     session, inputs = _program()
     first = session.run(inputs, plan=plan)
     before = cache_stats()["artifacts"]
-    # A fresh session: the first one's warm entry would serve the run
+    # A fresh session: the first one's warm entry would serve the request
     # before the artifact table is asked.
-    second = door(_fresh(session), inputs, plan)
+    second = PlutoService(_fresh(session), plan=plan).serve_chunk(None, [inputs])[0]
     after = cache_stats()["artifacts"]
     assert (before["misses"], before["hits"]) == (1, 0)
     assert (after["misses"], after["hits"]) == (1, 1)
-    _assert_same(second, first)
-
-
-def test_run_batch_serves_from_the_warm_entry_run_made():
-    """The warm entry's key is the plan argument and verify, so a batch
-    under the plan a run used asks the artifact table nothing."""
-    clear_all_caches()
-    session, inputs = _program()
-    plan = ExecutionPlan(optimize=True)
-    first = session.run(inputs, plan=plan)
-    before = cache_stats()["artifacts"]
-    second = session.run_batch([inputs], plan=plan)[0]
-    assert cache_stats()["artifacts"] == before
     _assert_same(second, first)
 
 

@@ -70,8 +70,7 @@ class AllocationTable:
         """Allocate physical rows for a row register."""
         if register.index in self._row_allocations:
             return self._row_allocations[register.index]
-        elements_per_row = self.geometry.elements_per_row(register.bit_width)
-        num_rows = max(1, -(-register.size_elements // elements_per_row))
+        num_rows = self.geometry.rows_for(register.size_elements, register.bit_width)
         if self._next_data_row + num_rows > self.geometry.rows_per_subarray:
             raise AllocationError(
                 "data subarray exhausted: cannot place "

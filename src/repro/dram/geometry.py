@@ -91,6 +91,14 @@ class DRAMGeometry:
             raise ConfigurationError("bit width must be positive")
         return self.row_size_bits // bit_width
 
+    def rows_for(self, elements: int, bit_width: int) -> int:
+        """Rows a register of ``elements`` ``bit_width``-bit elements spans.
+
+        At least one: the allocator binds every row register to one or
+        more whole rows.
+        """
+        return max(1, -(-elements // self.elements_per_row(bit_width)))
+
     def validate_row(self, subarray: int, row: int) -> None:
         """Raise :class:`ConfigurationError` if (subarray, row) is out of range."""
         if not 0 <= subarray < self.subarrays_per_bank:

@@ -22,11 +22,16 @@ program into one :class:`~repro.api.session.ProgramArtifact` per
 request identity, plan included, so a structurally repeated request
 reuses its artifact and never reaches the planner.  Pricing needs only
 each candidate's slice lengths
-(:meth:`~repro.controller.dispatch.ShardPlanner.slice_bounds`), so a
-slice's calls are resized once per distinct length.  The chosen plan is
-laid out once, by :meth:`~repro.controller.dispatch.ShardPlanner.plan`
-when its artifact is prepared, and the layout verifies itself as it is
-built.
+(:meth:`~repro.controller.dispatch.ShardPlanner.slice_bounds`) and one
+accounting template per distinct vector of per-register row counts: a
+template depends on the element count only through the rows each
+register spans, so a slice whose row counts match the whole program's
+(every slice of a vector that fills one DRAM row) prices from the whole
+program's template, and only a slice with new row counts is resized and
+compiled.  Each shard stream is realized once per call and dropped with
+it.  The chosen plan is laid out once, by
+:meth:`~repro.controller.dispatch.ShardPlanner.plan` when its artifact
+is prepared, and the layout verifies itself as it is built.
 """
 
 from __future__ import annotations
@@ -39,9 +44,12 @@ from repro.plan.execution_plan import ExecutionPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.handles import ApiCall
+    from repro.compiler.lowering import CompiledProgram
     from repro.controller.dispatch import ShardPlanner
     from repro.controller.executor import TraceTemplate
     from repro.core.engine import PlutoEngine
+    from repro.dram.commands import Command
+    from repro.dram.geometry import DRAMGeometry
 
 __all__ = [
     "CandidatePlan",
@@ -121,6 +129,7 @@ def _price(
     plan: ExecutionPlan,
     templates: Sequence["TraceTemplate"],
     engine: "PlutoEngine",
+    realized: "dict[int, tuple[TraceTemplate, dict[int, list[Command]]]]",
     planner: "ShardPlanner | None" = None,
 ) -> CandidatePlan:
     """Price ``plan``, whose shards run the trace ``templates`` in order.
@@ -128,18 +137,27 @@ def _price(
     The makespan is what the plan's executor charges: the one-bank trace
     when unsharded, else :func:`merged_makespan_ns` of the shards'
     streams, realized in the banks ``planner`` places them in, over its
-    placement.  Energy adds across shards.
+    placement.  ``realized`` maps ``id(template)`` to the template and
+    its stream per bank, so a planning call realizes each (template,
+    bank) pair once.  Energy adds across shards.
     """
     from repro.controller.dispatch import merged_makespan_ns
 
     if planner is None:
         makespan = templates[0].total_latency_ns
     else:
+        streams: list[list[Command]] = []
+        for index, template in enumerate(templates):
+            bank = planner.bank(index)
+            _, banks = realized.setdefault(id(template), (template, {}))
+            stream = banks.get(bank)
+            if stream is None:
+                stream = banks[bank] = template.realize(
+                    engine.timing, engine.energy, bank=bank
+                ).commands
+            streams.append(stream)
         makespan = merged_makespan_ns(
-            [
-                template.realize(engine.timing, engine.energy, bank=planner.bank(index)).commands
-                for index, template in enumerate(templates)
-            ],
+            streams,
             engine,
             channels=planner.geometry.channels,
             ranks=planner.geometry.ranks,
@@ -154,6 +172,28 @@ def _price(
 def _complexity(plan: ExecutionPlan) -> tuple[int, int]:
     """Tie-break ordering: prefer simpler plans at equal cost."""
     return (1 if plan.hierarchical else 0, plan.effective_shards)
+
+
+def _row_counts(
+    program: "CompiledProgram", geometry: "DRAMGeometry", length: int | None = None
+) -> tuple[int, ...]:
+    """Rows each row register of ``program`` spans, in allocation order.
+
+    With ``length``, the counts of the program resized to ``length``
+    elements a vector (every register of a shardable program holds one
+    slice).  The allocator's own arithmetic
+    (:meth:`~repro.dram.geometry.DRAMGeometry.rows_for`), so the key
+    cannot drift from the allocation.  A trace template depends on the
+    element count only through these counts: no command, instruction
+    render or LUT size carries a count.  So the planner builds one
+    template per distinct vector of them.
+    """
+    return tuple(
+        geometry.rows_for(
+            register.size_elements if length is None else length, register.bit_width
+        )
+        for register in program.register_file.row_registers
+    )
 
 
 def _enumerate(
@@ -188,6 +228,9 @@ def _enumerate(
 
     candidates: list[CandidatePlan] = []
     unallocatable: list[AllocationError] = []
+    # Every shard stream priced, realized once and dropped with this call:
+    # kept on a template, the program cache would keep it alive.
+    realized: dict[int, tuple["TraceTemplate", dict[int, list["Command"]]]] = {}
     for optimize in optimize_options:
         plan_calls: Sequence["ApiCall"] = (
             list(optimize_cached(list(calls)).calls) if optimize else list(calls)
@@ -199,40 +242,53 @@ def _enumerate(
         except ConfigurationError:
             # Non-uniform element space: only the unsharded program runs.
             size = None
-
-        # Slice length -> accounting template; the whole program is the
-        # length ``size`` (``None`` when it has no uniform one).
-        templates: dict[int | None, "TraceTemplate | AllocationError"] = {}
+        try:
+            whole = compile_cached(plan_calls)
+        except AllocationError as error:
+            # A register file overflows at any element count, so no slice
+            # of this program compiles either.
+            unallocatable.append(error)
+            continue
+        # Per-register row counts -> accounting template, and slice length
+        # -> those counts; the whole program is the length ``size``
+        # (``None`` when it has no uniform one) and is built first.
+        templates: dict[tuple[int, ...], "TraceTemplate | AllocationError"] = {}
+        rows_of: dict[int | None, tuple[int, ...]] = {size: _row_counts(whole, geometry)}
 
         def templates_of(lengths: Sequence[int | None]) -> "list[TraceTemplate] | None":
-            """Compiled (cached) accounting templates, one build per length.
+            """Accounting templates, one build per new row-count vector.
 
-            A slice's calls are resized only when its length is new.
-            ``None`` when a program cannot be allocated.
+            Only a slice whose row counts no built template has is
+            resized and compiled.  ``None`` when a program cannot be
+            allocated.
             """
             built: list["TraceTemplate"] = []
             for length in lengths:
-                template = templates.get(length)
+                rows = rows_of.get(length)
+                if rows is None:
+                    rows = rows_of[length] = _row_counts(whole, geometry, length)
+                template = templates.get(rows)
                 if template is None:
-                    shard_calls = (
-                        plan_calls
-                        if length is None or length == size
-                        else ShardPlanner._resize_calls(plan_calls, length)
-                    )
                     try:
-                        template = controller.trace_template(compile_cached(shard_calls))
+                        template = controller.trace_template(
+                            whole
+                            if length is None or length == size
+                            else compile_cached(ShardPlanner._resize_calls(plan_calls, length))
+                        )
                     except AllocationError as error:
                         unallocatable.append(error)
                         template = error
-                    templates[length] = template
+                    templates[rows] = template
                 if isinstance(template, AllocationError):
                     return None
                 built.append(template)
             return built
 
-        whole = templates_of([size])
-        if whole is not None:
-            candidates.append(_price(ExecutionPlan(shards=1, optimize=optimize), whole, engine))
+        unsharded = templates_of([size])
+        if unsharded is not None:
+            candidates.append(
+                _price(ExecutionPlan(shards=1, optimize=optimize), unsharded, engine, realized)
+            )
         if size is None:
             continue
         for channels, ranks in placements:
@@ -245,7 +301,9 @@ def _enumerate(
                     plan = ExecutionPlan(
                         shards=shards, channels=channels, ranks=ranks, optimize=optimize
                     )
-                    candidates.append(_price(plan, shard_templates, engine, planner))
+                    candidates.append(
+                        _price(plan, shard_templates, engine, realized, planner)
+                    )
     if not candidates and unallocatable:
         raise unallocatable[0]
     return candidates

@@ -20,6 +20,7 @@ from repro.api.session import (
     PlutoSession,
     cache_stats,
     clear_all_caches,
+    compile_cached,
     compile_cached_with_key,
     prepare_execution,
 )
@@ -309,11 +310,203 @@ class TestPlannerIsPure:
             assert json.loads(output) == expected
 
 
-class TestSliceResizing:
-    @pytest.mark.parametrize("channels, ranks, resizes", [(2, 2, 12), (None, None, 8)])
-    def test_each_slice_length_is_resized_once(self, monkeypatch, channels, ranks, resizes):
-        """Pricing resizes the calls once per distinct (slice length,
-        optimizer) pair, however many placements share the length."""
+def _cold_program(elements: int, tag: str) -> tuple[PlutoSession, dict]:
+    """A cold-programs-like shape under names suffixed ``tag``: the nibble
+    add, two maps, a bitwise op, a shift and a move over 8-bit vectors."""
+    session = PlutoSession()
+    rng = np.random.default_rng(elements)
+
+    def vector(role: str, bits: int = 8):
+        return session.pluto_malloc(elements, bits, f"{role}_{tag}")
+
+    def table(index: int) -> LookupTable:
+        values = tuple(int(value) for value in rng.integers(0, 256, 256))
+        return LookupTable(values=values, index_bits=8, element_bits=8, name=f"lut{index}_{tag}")
+
+    x, sums, mapped, mixed, shifted, moved, out = (
+        vector(role) for role in ("x", "t0", "t1", "t2", "t3", "t4", "t5")
+    )
+    session.api_pluto_add(vector("n0", 4), vector("n1", 4), sums, bit_width=4)
+    session.api_pluto_map(table(0), x, mapped)
+    session.api_pluto_bitwise("xor", sums, mapped, mixed)
+    session.api_pluto_shift(mixed, shifted, 3, "l")
+    session.api_pluto_move(shifted, moved)
+    session.api_pluto_map(table(1), moved, out)
+    inputs = {
+        f"x_{tag}": rng.integers(0, 256, elements),
+        f"n0_{tag}": rng.integers(0, 16, elements),
+        f"n1_{tag}": rng.integers(0, 16, elements),
+    }
+    return session, inputs
+
+
+def _reference_candidates(calls, engine: PlutoEngine, request: ExecutionPlan) -> list:
+    """Every candidate priced without template reuse.
+
+    Each slice length is resized and compiled into its own template, each
+    shard's template is realized in its bank, and the streams merge
+    through ``merged_makespan_ns``.
+    """
+    from repro.controller.dispatch import ShardPlanner, merged_makespan_ns
+    from repro.opt.pipeline import optimize_cached
+
+    controller = PlutoController(engine, backend="vectorized")
+    geometry = engine.geometry
+    device = (geometry.channels, geometry.ranks)
+    candidates = []
+    for optimize in (False, True) if request.optimize is None else (request.optimize,):
+        program_calls = tuple(optimize_cached(list(calls)).calls) if optimize else tuple(calls)
+        size = ShardPlanner._uniform_size(program_calls)
+
+        def template(length: int):
+            resized = ShardPlanner._resize_calls(program_calls, length)
+            return controller.trace_template(compile_cached(resized))
+
+        whole = template(size)
+        candidates.append(
+            CandidatePlan(
+                ExecutionPlan(shards=1, optimize=optimize),
+                whole.total_latency_ns,
+                whole.total_energy_nj,
+            )
+        )
+        for channels, ranks in dict.fromkeys([(1, 1), device, (device[0], 1), (1, device[1])]):
+            planner = ShardPlanner(geometry, channels=channels, ranks=ranks)
+            cap = min(planner.geometry.total_banks, size)
+            grid = sorted({cap, *(2**k for k in range(1, cap.bit_length()) if 2**k <= cap)})
+            for shards in grid:
+                templates = [
+                    template(stop - start)
+                    for start, stop in ShardPlanner.slice_bounds(size, shards)
+                ]
+                streams = [
+                    shard.realize(engine.timing, engine.energy, bank=planner.bank(index)).commands
+                    for index, shard in enumerate(templates)
+                ]
+                candidates.append(
+                    CandidatePlan(
+                        ExecutionPlan(
+                            shards=shards, channels=channels, ranks=ranks, optimize=optimize
+                        ),
+                        merged_makespan_ns(streams, engine, channels=channels, ranks=ranks),
+                        sum(shard.total_energy_nj for shard in templates),
+                    )
+                )
+    return candidates
+
+
+def _exact(candidates) -> list[tuple[str, str, str]]:
+    return [
+        (c.plan.label(), float.hex(c.predicted_makespan_ns), float.hex(c.predicted_energy_nj))
+        for c in candidates
+    ]
+
+
+class TestTemplateReuse:
+    """Pricing builds one template per per-register row-count vector."""
+
+    ENGINES = {
+        "1x1": PlutoConfig(),
+        "2x2": PlutoConfig(channels=2, ranks=2),
+    }
+
+    @pytest.mark.parametrize("engine_name", sorted(ENGINES))
+    def test_reports_equal_a_pricer_that_compiles_every_slice(self, engine_name):
+        """Candidate labels and order, every predicted makespan and energy
+        to the bit, the chosen plan and the baseline.  5000 elements split
+        into two slice lengths; 65536 crosses row boundaries (8 rows whole,
+        1 row at 8192)."""
+        engine = PlutoEngine(self.ENGINES[engine_name])
+        programs = [
+            program.session.calls
+            for elements in (4096, 5000, 65536)
+            for program in optimizer_workload_programs(elements=elements, seed=0)
+        ]
+        programs += [
+            _cold_program(elements, f"ref{elements}")[0].calls for elements in (256, 1024, 4096)
+        ]
+        for calls in programs:
+            for optimize in (None, True, False):
+                request = ExecutionPlan.auto(optimize=optimize)
+                report = plan_program(calls, engine, request=request).report
+                reference = _reference_candidates(calls, engine, request)
+                assert _exact(report.candidates) == _exact(reference)
+                chosen = _choose(reference)
+                assert report.chosen == chosen.plan
+                assert float.hex(report.predicted_makespan_ns) == float.hex(
+                    chosen.predicted_makespan_ns
+                )
+                baseline = next(
+                    c.predicted_makespan_ns
+                    for c in reference
+                    if c.plan == ExecutionPlan(shards=1, optimize=bool(optimize))
+                )
+                assert float.hex(report.baseline_makespan_ns) == float.hex(baseline)
+
+    @pytest.mark.parametrize(
+        "family", ["image", "crc", "salsa20", "vmpc", "bitcount", "vector_ops"]
+    )
+    def test_a_slice_with_the_whole_programs_row_counts_has_its_template(self, family):
+        """At 65536 elements, for every candidate slice length of a 2 x 2
+        device and either optimizer setting: the planner's key is the row
+        count the allocator binds each of the resized program's registers
+        to, and the resized template equals the whole program's exactly
+        when the keys match (and differs when they do not)."""
+        from repro.controller.allocation_table import AllocationTable
+        from repro.controller.dispatch import ShardPlanner
+        from repro.opt.pipeline import optimize_cached
+        from repro.plan.planner import _row_counts
+
+        engine = PlutoEngine(PlutoConfig(channels=2, ranks=2))
+        geometry = engine.geometry
+        controller = PlutoController(engine, backend="vectorized")
+        calls = workload_program(family, elements=65536, seed=0).session.calls
+        lengths = {
+            stop - start
+            for shards in (2, 4, 8, 16, 32, 64)
+            for start, stop in ShardPlanner.slice_bounds(65536, shards)
+        }
+        for program_calls in (calls, optimize_cached(list(calls)).calls):
+            whole = compile_cached(program_calls)
+            whole_rows = _row_counts(whole, geometry)
+            whole_template = controller.trace_template(whole)
+            keys = {}
+            for length in sorted(lengths):
+                resized = compile_cached(ShardPlanner._resize_calls(program_calls, length))
+                rows = _row_counts(whole, geometry, length)
+                bound = tuple(
+                    AllocationTable(geometry).bind_row(register).num_rows
+                    for register in resized.register_file.row_registers
+                )
+                assert rows == bound, length
+                # Template equality compares the commands (renders
+                # included), both totals, the LUT queries and the
+                # instruction count.
+                template = controller.trace_template(resized)
+                assert (rows == whole_rows) == (template == whole_template), length
+                # One key, one template: lengths sharing a key share it.
+                assert keys.setdefault(rows, template) == template, length
+            # 65536 elements span 8 rows of 8-bit elements; 32768 and
+            # 16384 span 4 and 2; 8192 down to 1024 fit one row.
+            assert len(keys) == 3
+
+    @pytest.mark.parametrize(
+        "elements, channels, ranks, resized",
+        [
+            (4096, 2, 2, []),
+            (4096, None, None, []),
+            (65536, 2, 2, [32768, 16384, 8192] * 2),
+            (65536, None, None, [32768, 16384, 8192] * 2),
+        ],
+    )
+    def test_only_a_new_row_count_vector_is_resized(
+        self, monkeypatch, elements, channels, ranks, resized
+    ):
+        """crc at 4096 elements fills one row at every slice length, so
+        pricing resizes nothing.  At 65536 the whole program spans 8 rows,
+        and 32768, 16384 and 8192 elements span 4, 2 and 1: one resize per
+        new row-count vector and optimizer setting, however many slice
+        lengths and placements share it."""
         from repro.controller.dispatch import ShardPlanner
 
         original = ShardPlanner._resize_calls
@@ -324,12 +517,34 @@ class TestSliceResizing:
             return original(calls, size)
 
         monkeypatch.setattr(ShardPlanner, "_resize_calls", staticmethod(counting))
-        calls = workload_program("crc", elements=4096, seed=0).session.calls
+        calls = workload_program("crc", elements=elements, seed=0).session.calls
         plan_program(calls, PlutoEngine(PlutoConfig(channels=channels, ranks=ranks)))
-        assert len(lengths) == resizes
-        # 2048 down to 64 elements on the 2 x 2 device (2048 down to 256
-        # on one rank), once unoptimized and once optimized.
-        assert len(set(lengths)) == resizes // 2
+        assert lengths == resized
+
+
+class TestColdProgramCost:
+    def test_a_cold_program_builds_only_its_own_programs(self):
+        """A never-seen 4096-element program on a verifying engine compiles
+        and builds templates for its unoptimized and optimized whole
+        programs only, and every merge pricing its shards is a memo hit
+        after one program of the same shape warmed the memo."""
+        clear_all_caches()
+        engine = PlutoEngine(PlutoConfig(verify="always"))
+        warm, warm_inputs = _cold_program(4096, "warm")
+        warm.run(warm_inputs, plan="auto", engine=engine)
+        session, inputs = _cold_program(4096, "cold")
+        before = cache_stats()
+        result = session.run(inputs, plan="auto", engine=engine)
+        after = cache_stats()
+
+        def delta(layer: str, counter: str) -> int:
+            return after[layer][counter] - before[layer][counter]
+
+        assert result.execution_plan.effective_shards == 1
+        assert delta("programs", "misses") <= 2
+        assert delta("trace_templates", "misses") <= 2
+        assert delta("scheduler_merges", "hits") == 8
+        assert delta("scheduler_merges", "misses") == 0
 
 
 def _candidate(

@@ -67,7 +67,10 @@ def _build_session() -> PlutoSession:
 
 def _time_backend(session: PlutoSession, backend: str, inputs, engine) -> float:
     session.backend = backend
-    session.run(inputs, engine=engine)  # warm-up: caches, imports
+    # Warm-up: caches and imports.  A program's second run builds its
+    # closure, so the vectorized backend warms up twice.
+    for _ in range(2 if backend == "vectorized" else 1):
+        session.run(inputs, engine=engine)
     best = float("inf")
     repeats = 3 if backend == "vectorized" else 1
     for _ in range(repeats):
@@ -124,9 +127,14 @@ def _merge_payload(fields: dict) -> None:
 
 def _interleaved_speedup(interp, jit, compiled, inputs, key) -> dict:
     """Median per-round compiled-over-interpreted speedup for one program."""
+    from repro.backend.compiled import compiled_exec_cached
+
     rounds = 7
     interp_reps = 20
     jit_reps = 150
+    # A program's first run is interpreted and its second builds the
+    # closure; build it now, so every timed compiled rep runs it.
+    assert compiled_exec_cached(compiled, structure_key=key) is not None
     jit.execute(compiled, dict(inputs), structure_key=key)  # warm closure
     interp.execute(compiled, dict(inputs), structure_key=key)
     ratios = []

@@ -11,7 +11,10 @@ straight-line chain of NumPy gathers, shift-ORs, moves, and bitwise
 kernels — every gather array, mask constant, operand slot, and output
 selection resolved at compile time — and the resulting closure is kept
 on the compiled program it was generated from (:func:`compiled_exec_cached`),
-so every controller executing that program shares it.
+so every controller executing that program shares it.  The controller
+asks for it on a program's second run; the first is interpreted
+(``PlutoController._compiled_executable``), so a program run once pays
+for no code generation.
 
 Cost accounting is untouched: the controller realizes the program's
 cached :class:`~repro.controller.executor.TraceTemplate` alongside the

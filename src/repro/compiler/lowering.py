@@ -73,8 +73,9 @@ class CompiledProgram:
     products: the trace template of each engine configuration it ran
     under (:attr:`templates`) and the whole-program closure the compiled
     tier generates for it (:mod:`repro.backend.compiled`).  The closure
-    is generated code, so pickling drops it; it rebuilds from the
-    program.
+    is generated code, so pickling drops it, and with it the mark of the
+    program's first run: a copy runs interpreted once and builds its
+    closure on its second run.
     """
 
     program: PlutoProgram
@@ -94,6 +95,7 @@ class CompiledProgram:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("_jit_executable", None)
+        state.pop("_jit_ran_once", None)
         return state
 
     @property

@@ -52,7 +52,7 @@ from repro.compiler.lowering import CompiledProgram
 from repro.controller.executor import ExecutionResult, PlutoController, input_shape_error
 from repro.core.designs import PlutoDesign
 from repro.core.engine import PlutoConfig, PlutoEngine
-from repro.dram.analytic import memoized_merge_makespan_ns, streams_signature
+from repro.dram.analytic import PlacedStream, memoized_merge_makespan_ns, streams_signature
 from repro.dram.commands import Command, CommandTrace, CommandType
 from repro.dram.geometry import DRAMGeometry
 from repro.dram.scheduler import CommandScheduler, activation_count
@@ -211,8 +211,9 @@ def _schedule_hierarchy(
 ) -> tuple[float, dict[tuple[int, int], float], dict[int, float]]:
     """Schedule per-shard streams over a hierarchy, with the breakdown.
 
-    Stream *i* is placed as :class:`ShardPlanner` places shard *i*, with
-    its commands moved to that bank.  Returns ``(makespan,
+    Stream *i* is placed as :class:`ShardPlanner` places shard *i*, moved
+    to that bank as a :class:`~repro.dram.analytic.PlacedStream`, so a
+    memo hit builds no command.  Returns ``(makespan,
     rank_makespans, channel_makespans)`` where ``rank_makespans`` maps
     ``(channel, rank)`` to that rank's merged makespan (before the
     channel-bus bound) and ``channel_makespans`` maps each populated
@@ -240,14 +241,12 @@ def _schedule_hierarchy(
     rank_makespans: dict[tuple[int, int], float] = {}
     channel_makespans: dict[int, float] = {}
     bank_order = interleaved_bank_order(engine.geometry)
-    by_rank: dict[tuple[int, int], list[list[Command]]] = {}
+    by_rank: dict[tuple[int, int], list[PlacedStream]] = {}
     for index, stream in enumerate(streams):
         channel = index % channels
         rank = (index // channels) % ranks
         bank = bank_order[(index // (channels * ranks)) % len(bank_order)]
-        by_rank.setdefault((channel, rank), []).append(
-            [replace(command, bank=bank) for command in stream]
-        )
+        by_rank.setdefault((channel, rank), []).append(PlacedStream(stream, bank))
     for channel in range(channels):
         channel_bus_ns = 0.0
         slowest_rank = 0.0
@@ -297,6 +296,11 @@ def merged_makespan_ns(
     above, ranks sharing a channel are jointly bounded by the channel
     bus's issue throughput (:func:`bus_occupancy_ns`), and channels are
     independent.
+
+    A stream may be a :class:`~repro.dram.analytic.PlacedStream`, which
+    carries its memo key: the auto-planner prices each candidate's shards
+    as its trace templates placed in their banks, and their commands are
+    built only if a merge misses the memo.
     """
     if (channels, ranks) != (1, 1):
         return _schedule_hierarchy(

@@ -183,10 +183,11 @@ class PlutoController:
 
     The controller is the one place that decides whether an execution
     takes the whole-program compiled tier (:mod:`repro.backend.compiled`,
-    see :meth:`_compiled_executable`): executions that arrive with a
-    program ``structure_key`` on a batched-capable backend run through
-    one cached NumPy closure instead of the per-instruction interpreter
-    — bit-identical outputs and traces, no per-op Python dispatch.
+    see :meth:`_compiled_executable`): from a program's second run,
+    executions that arrive with its ``structure_key`` on a
+    batched-capable backend run through one cached NumPy closure instead
+    of the per-instruction interpreter — bit-identical outputs and
+    traces, no per-op Python dispatch.
     ``jit=False`` pins the interpreted walk (the compiled tier's own
     differential oracle and the reference its host-speed floor is
     measured against).
@@ -320,15 +321,25 @@ class PlutoController:
         requires an explicit opt-in signal (a structure key), a
         batched-capable backend, ``jit=True``, and a program that lowers;
         the functional oracle and keyless executions keep the interpreted
-        walk.  The closure (or the verdict that the program cannot lower)
-        is kept on the ``CompiledProgram``, so every controller shares it
-        and a warm run reads it without generating anything.
+        walk.  A program's first such run is interpreted too, and marks
+        the program; its second builds the closure.  Generating a closure
+        costs a few interpreted runs at small sizes, so a program run
+        once, as every never-seen program is, never pays for one.  The
+        closure (or the verdict that the program cannot lower) is kept on
+        the ``CompiledProgram``, so every controller shares it and a warm
+        run reads it without generating anything; a program inserted as
+        warm state has it from the start
+        (:func:`~repro.api.session.insert_artifact`).
         """
         if not self.jit or structure_key is None or not self.backend.supports_batched:
             return None
-        pinned = compiled.__dict__.get("_jit_executable")
+        state = compiled.__dict__
+        pinned = state.get("_jit_executable")
         if pinned is not None:
             return pinned or None
+        if not state.get("_jit_ran_once"):
+            state["_jit_ran_once"] = True
+            return None
         from repro.backend.compiled import compiled_exec_cached
 
         return compiled_exec_cached(compiled, structure_key=structure_key)

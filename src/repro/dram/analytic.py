@@ -17,6 +17,11 @@ up the reference semantics, via three layers:
    captures that structure in a small hashable key and
    :func:`memoized_merge_makespan_ns` caches results under it, so the
    dispatcher and the serving layer re-merge identical shard plans once.
+   A :class:`PlacedStream` carries that key for a stream moved to a
+   bank, so the auto-planner prices a shard placed from a trace template,
+   and a hierarchy moves a stream to another bank, without building a
+   :class:`~repro.dram.commands.Command`; the moved commands are built
+   only when the memo misses.
 2. **A fast exact merge** — :func:`fast_merge_makespan_ns` replays the
    *same* greedy schedule as ``merge_streams`` (same constraint terms,
    same floating-point operations, same tie-breaking) but picks the next
@@ -40,7 +45,8 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import TYPE_CHECKING, Sequence
+from collections.abc import Iterator, Sequence
+from typing import TYPE_CHECKING, overload
 
 from repro.dram.commands import Command
 from repro.dram.timing import TimingParameters
@@ -51,6 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dram.scheduler import CommandScheduler
 
 __all__ = [
+    "PlacedStream",
     "stream_signature",
     "streams_signature",
     "scheduler_signature",
@@ -70,11 +77,66 @@ def stream_signature(stream: Sequence[Command]) -> tuple:
     The scheduler's timing decisions depend only on each command's kind,
     bank, and row count — subarray indices, row addresses, and metadata
     never influence issue times — so two streams with equal signatures
-    merge to identical makespans.
+    merge to identical makespans.  A :class:`PlacedStream` carries its
+    signature, so reading it builds nothing.
     """
-    return tuple(
-        (command.kind, command.bank, command.rows) for command in stream
-    )
+    if isinstance(stream, PlacedStream):
+        return stream.signature
+    return tuple((command.kind, command.bank, command.rows) for command in stream)
+
+
+def _in_bank(command: Command, bank: int) -> Command:
+    """``command`` moved to ``bank`` (itself when it is there already)."""
+    if command.bank == bank:
+        return command
+    # The positional constructor costs well under half of
+    # dataclasses.replace, which re-reads every field by name.
+    return Command(command.kind, bank, command.subarray, command.row, command.rows, command.meta)
+
+
+class PlacedStream(Sequence[Command]):
+    """A command stream moved to one bank, built only when it is read.
+
+    The stream is ``commands`` (say, a trace template's bank-0 commands
+    or a realized shard trace) with every command's bank set to
+    ``bank``.  :attr:`signature` is :func:`stream_signature` of those
+    moved commands, computed from the kinds and row counts alone, so a
+    merge keys its memo without building a :class:`Command`; reading the
+    stream builds the moved commands, which a merge does only on a miss.
+    """
+
+    __slots__ = ("commands", "bank", "signature")
+
+    def __init__(self, commands: Sequence[Command], bank: int) -> None:
+        signature: tuple | None = None
+        if isinstance(commands, PlacedStream):
+            # Move the recorded commands, not the moved ones.
+            if commands.bank == bank:
+                signature = commands.signature
+            commands = commands.commands
+        self.commands = commands
+        self.bank = bank
+        self.signature: tuple = signature or tuple(
+            (command.kind, bank, command.rows) for command in commands
+        )
+
+    def __len__(self) -> int:
+        return len(self.commands)
+
+    def __iter__(self) -> Iterator[Command]:
+        bank = self.bank
+        return (_in_bank(command, bank) for command in self.commands)
+
+    @overload
+    def __getitem__(self, index: int) -> Command: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[Command]: ...
+
+    def __getitem__(self, index: int | slice) -> Command | list[Command]:
+        if isinstance(index, slice):
+            return [_in_bank(command, self.bank) for command in self.commands[index]]
+        return _in_bank(self.commands[index], self.bank)
 
 
 def streams_signature(streams: Sequence[Sequence[Command]]) -> tuple:

@@ -42,6 +42,11 @@ class CommandType(enum.Enum):
     #: pLUTo Row Sweep (successive activation of N consecutive rows).
     ROW_SWEEP = "ROW_SWEEP"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # exact, and it runs in C: the scheduler-merge memo hashes one kind per
+    # command of every stream it looks up (Enum's own hash is a Python call).
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class Command:

@@ -757,7 +757,8 @@ def figure_execution_tiers(
     interpreted vectorized walk, and the whole-program compiled closure —
     with outputs compared bit for bit across all three.  The compiled
     row is the per-op-Python-overhead gap this repository's JIT tier
-    closes; ``benchmarks/test_backend_speed.py`` gates its floor.
+    closes; ``benchmarks/perf_track.py`` gates its floor, from what
+    ``benchmarks/test_backend_speed.py`` measures.
     """
     import time
 
@@ -784,9 +785,12 @@ def figure_execution_tiers(
         latencies: dict[str, float] = {}
         outputs: dict[str, dict] = {}
         for tier, controller in tiers.items():
-            execution = controller.execute(
-                compiled, dict(workload.inputs), structure_key=key
-            )  # warm-up: caches, closures
+            # Warm-up: caches, and the closure a program's second
+            # compiled run builds.
+            for _ in range(2 if tier == "compiled" else 1):
+                execution = controller.execute(
+                    compiled, dict(workload.inputs), structure_key=key
+                )
             reps = 1 if tier == "functional" else 30
             best = float("inf")
             for _ in range(1 if tier == "functional" else rounds):
@@ -895,7 +899,7 @@ def figure_latency_breakdown(
     per-stage wall-clock (submit / queue wait / execute, from the span
     trees the observability layer attaches to every served request)
     next to the modelled hardware attribution: DRAM commands, energy in
-    picojoules, and refresh overhead.  ``benchmarks/test_obs_overhead.py``
+    picojoules, and refresh overhead.  ``benchmarks/perf_track.py``
     gates the tracing cost this table relies on staying negligible.
     """
     import asyncio

@@ -3,9 +3,10 @@
 A :class:`RequestTrace` is a tree of :class:`Span` records with monotonic
 ``time.perf_counter_ns`` timestamps.  Tracing is off by default and every
 instrumentation point collapses to a single boolean check plus a no-op
-context manager, so the hot serving path pays (measurably, see
-``benchmarks/test_obs_overhead.py``) under 5% with tracing enabled and
-effectively nothing with it disabled.
+context manager, so the hot serving path pays under 5% with tracing
+enabled (``benchmarks/test_obs_overhead.py`` measures it and
+``benchmarks/perf_track.py`` gates it) and effectively nothing with it
+disabled.
 
 The active trace travels through the stack via a :class:`contextvars.ContextVar`
 so deeply nested layers (optimizer passes, the analytic scheduler, the
@@ -82,7 +83,7 @@ class Span:
 
     A plain ``__slots__`` class rather than a dataclass: spans are the unit
     of allocation on the traced hot path, and the <5% overhead gate in
-    ``benchmarks/test_obs_overhead.py`` is won or lost on their cost.
+    ``benchmarks/perf_track.py`` is won or lost on their cost.
     """
 
     __slots__ = (

@@ -28,8 +28,11 @@ template depends on the element count only through the rows each
 register spans, so a slice whose row counts match the whole program's
 (every slice of a vector that fills one DRAM row) prices from the whole
 program's template, and only a slice with new row counts is resized and
-compiled.  Each shard stream is realized once per call and dropped with
-it.  The chosen plan is laid out once, by
+compiled.  A shard's stream is its template placed in a bank
+(:class:`~repro.dram.analytic.PlacedStream`), once per call and dropped
+with it: the merge memo's key comes from the template's command kinds
+and row counts, and no command is built unless the merge misses the
+memo.  The chosen plan is laid out once, by
 :meth:`~repro.controller.dispatch.ShardPlanner.plan` when its artifact
 is prepared, and the layout verifies itself as it is built.
 """
@@ -48,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.controller.dispatch import ShardPlanner
     from repro.controller.executor import TraceTemplate
     from repro.core.engine import PlutoEngine
-    from repro.dram.commands import Command
+    from repro.dram.analytic import PlacedStream
     from repro.dram.geometry import DRAMGeometry
 
 __all__ = [
@@ -129,32 +132,35 @@ def _price(
     plan: ExecutionPlan,
     templates: Sequence["TraceTemplate"],
     engine: "PlutoEngine",
-    realized: "dict[int, tuple[TraceTemplate, dict[int, list[Command]]]]",
+    placed: "dict[int, tuple[TraceTemplate, dict[int, PlacedStream]]]",
     planner: "ShardPlanner | None" = None,
 ) -> CandidatePlan:
     """Price ``plan``, whose shards run the trace ``templates`` in order.
 
     The makespan is what the plan's executor charges: the one-bank trace
     when unsharded, else :func:`merged_makespan_ns` of the shards'
-    streams, realized in the banks ``planner`` places them in, over its
-    placement.  ``realized`` maps ``id(template)`` to the template and
-    its stream per bank, so a planning call realizes each (template,
-    bank) pair once.  Energy adds across shards.
+    streams in the banks ``planner`` places them in, over its placement.
+    Each stream is its template's commands placed in a bank
+    (:class:`~repro.dram.analytic.PlacedStream`): its memo key comes from
+    the template's command kinds and row counts, and its commands are
+    built only if the merge misses the memo, which a run of the chosen
+    plan then hits.  ``placed`` maps ``id(template)`` to the template and
+    its stream per bank, so a planning call places each (template, bank)
+    pair once.  Energy adds across shards.
     """
     from repro.controller.dispatch import merged_makespan_ns
+    from repro.dram.analytic import PlacedStream
 
     if planner is None:
         makespan = templates[0].total_latency_ns
     else:
-        streams: list[list[Command]] = []
+        streams: list[PlacedStream] = []
         for index, template in enumerate(templates):
             bank = planner.bank(index)
-            _, banks = realized.setdefault(id(template), (template, {}))
+            _, banks = placed.setdefault(id(template), (template, {}))
             stream = banks.get(bank)
             if stream is None:
-                stream = banks[bank] = template.realize(
-                    engine.timing, engine.energy, bank=bank
-                ).commands
+                stream = banks[bank] = PlacedStream(template.commands, bank)
             streams.append(stream)
         makespan = merged_makespan_ns(
             streams,
@@ -228,9 +234,9 @@ def _enumerate(
 
     candidates: list[CandidatePlan] = []
     unallocatable: list[AllocationError] = []
-    # Every shard stream priced, realized once and dropped with this call:
+    # Every shard stream priced, placed once and dropped with this call:
     # kept on a template, the program cache would keep it alive.
-    realized: dict[int, tuple["TraceTemplate", dict[int, list["Command"]]]] = {}
+    placed: dict[int, tuple["TraceTemplate", dict[int, "PlacedStream"]]] = {}
     for optimize in optimize_options:
         plan_calls: Sequence["ApiCall"] = (
             list(optimize_cached(list(calls)).calls) if optimize else list(calls)
@@ -287,7 +293,7 @@ def _enumerate(
         unsharded = templates_of([size])
         if unsharded is not None:
             candidates.append(
-                _price(ExecutionPlan(shards=1, optimize=optimize), unsharded, engine, realized)
+                _price(ExecutionPlan(shards=1, optimize=optimize), unsharded, engine, placed)
             )
         if size is None:
             continue
@@ -302,7 +308,7 @@ def _enumerate(
                         shards=shards, channels=channels, ranks=ranks, optimize=optimize
                     )
                     candidates.append(
-                        _price(plan, shard_templates, engine, realized, planner)
+                        _price(plan, shard_templates, engine, placed, planner)
                     )
     if not candidates and unallocatable:
         raise unallocatable[0]

@@ -76,10 +76,22 @@ def _assert_identical(result, reference):
     ] == [(cmd.kind, cmd.bank, cmd.rows) for cmd in reference.trace.commands]
 
 
+def _pinned(calls):
+    """The program of ``calls`` and its key, with its closure built.
+
+    A program's first run is interpreted and its second builds the
+    closure; building it here makes a compiled controller's first run
+    of the program take the closure.
+    """
+    compiled, key = compile_cached_with_key(calls)
+    assert isinstance(compiled_exec_cached(compiled, structure_key=key), CompiledExecutable)
+    return compiled, key
+
+
 class TestCompiledParity:
     def test_matches_interpreted_and_functional(self, any_design):
         session, inputs = _mixed_program()
-        compiled, key = compile_cached_with_key(session.calls)
+        compiled, key = _pinned(session.calls)
         assert key is not None
         engine = PlutoEngine(PlutoConfig(design=any_design))
         jit = PlutoController(engine, backend="vectorized")
@@ -94,7 +106,7 @@ class TestCompiledParity:
     )
     def test_workload_programs_match(self, name):
         workload = workload_program(name, elements=64, seed=4)
-        compiled, key = compile_cached_with_key(workload.session.calls)
+        compiled, key = _pinned(workload.session.calls)
         engine = PlutoEngine(PlutoConfig())
         jit = PlutoController(engine, backend="vectorized")
         interp = PlutoController(engine, backend="vectorized", jit=False)
@@ -107,7 +119,7 @@ class TestCompiledParity:
     def test_serve_bails_to_generic_path_on_extra_seeds(self):
         """Seeding a non-external register takes run_finals, same results."""
         session, inputs = _mixed_program(32)
-        compiled, key = compile_cached_with_key(session.calls)
+        compiled, key = _pinned(session.calls)
         seeded = dict(inputs, tmp=np.zeros(32, dtype=np.uint64))
         engine = PlutoEngine(PlutoConfig())
         jit = PlutoController(engine, backend="vectorized")
@@ -120,7 +132,7 @@ class TestCompiledParity:
     def test_error_behavior_matches_interpreted(self):
         """Same exception type AND message on every invalid-input shape."""
         workload = workload_program("image", elements=32, seed=0)
-        compiled, key = compile_cached_with_key(workload.session.calls)
+        compiled, key = _pinned(workload.session.calls)
         engine = PlutoEngine(PlutoConfig())
         jit = PlutoController(engine, backend="vectorized")
         interp = PlutoController(engine, backend="vectorized", jit=False)
@@ -155,6 +167,8 @@ class TestCompiledFused:
         session, inputs = _mixed_program(66)
         engine = PlutoEngine(PlutoConfig())
         layout = ShardPlanner(engine.geometry).plan(session.calls, 3)
+        for key, program in layout.programs.values():
+            assert compiled_exec_cached(program, structure_key=key).supports_fused
         fused = ParallelDispatcher(engine, fused=True).execute(layout, inputs)
         loop = ParallelDispatcher(engine, fused=False).execute(layout, inputs)
         for name, data in loop.outputs.items():
@@ -237,22 +251,46 @@ class TestCompiledCache:
         assert rebuilt is not executable
         assert _closure_stats()["misses"] > stats["misses"]
 
+    def test_a_program_builds_its_closure_on_its_second_run(self):
+        """The first run is interpreted and marks the program; the second
+        builds the closure, and later runs reuse it."""
+        clear_all_caches()
+        session, inputs = _mixed_program(16)
+        compiled, key = compile_cached_with_key(session.calls)
+        controller = PlutoController(backend="vectorized")
+        reference = PlutoController(backend="vectorized", jit=False).execute(
+            compiled, dict(inputs), structure_key=key
+        )
+        closures = []
+        for builds in (0, 1, 1):
+            _assert_identical(
+                controller.execute(compiled, dict(inputs), structure_key=key), reference
+            )
+            assert _closure_stats()["misses"] == builds
+            closures.append(compiled.__dict__.get("_jit_executable"))
+        assert closures[0] is None
+        assert isinstance(closures[1], CompiledExecutable)
+        assert closures[2] is closures[1]
+
     def test_pickling_drops_the_closure_and_keeps_the_templates(self):
+        """A clone runs interpreted once, like a new program, and builds
+        its closure on its second run."""
         session, inputs = _mixed_program(16)
         reference = session.run(inputs)
+        session.run(inputs)
         compiled, key = compile_cached_with_key(session.calls)
         assert isinstance(compiled.__dict__["_jit_executable"], CompiledExecutable)
         assert list(compiled.templates) == [PlutoConfig()]
         clone = pickle.loads(pickle.dumps(compiled))
         assert "_jit_executable" not in clone.__dict__
         assert clone.templates == compiled.templates
-        result = PlutoController(backend="vectorized").execute(
-            clone, inputs, structure_key=key
-        )
-        assert isinstance(clone.__dict__["_jit_executable"], CompiledExecutable)
-        assert result.trace.commands == reference.trace.commands
-        for name, data in reference.outputs.items():
-            assert np.array_equal(result.outputs[name], data)
+        controller = PlutoController(backend="vectorized")
+        for built in (False, True):
+            result = controller.execute(clone, inputs, structure_key=key)
+            assert isinstance(clone.__dict__.get("_jit_executable"), CompiledExecutable) == built
+            assert result.trace.commands == reference.trace.commands
+            for name, data in reference.outputs.items():
+                assert np.array_equal(result.outputs[name], data)
 
     def test_uncompilable_key_is_counted(self):
         session, _ = _mixed_program(16)

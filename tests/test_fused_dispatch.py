@@ -20,6 +20,7 @@ from repro.api.session import (
     compile_cached,
     compile_cached_with_key,
 )
+from repro.backend.compiled import compiled_exec_cached
 from repro.controller.dispatch import ParallelDispatcher, ShardPlanner
 from repro.controller.executor import PlutoController
 from repro.core.designs import PlutoDesign
@@ -207,9 +208,15 @@ def _uint64_inputs(inputs):
 
 
 def _fused_and_oracle(placement, session, inputs, shards, jit=True):
+    """The fused run and the functional oracle; with ``jit`` the fused
+    run takes the closure, built first (a first run is interpreted)."""
     channels, ranks = placement
     engine = PlutoEngine(PlutoConfig(tfaw_fraction=1.0, channels=channels, ranks=ranks))
-    fused = _run(ParallelDispatcher(engine, fused=True, jit=jit), session, inputs, shards)
+    layout = ShardPlanner(engine.geometry).plan(session.calls, shards)
+    if jit:
+        for key, program in layout.programs.values():
+            assert compiled_exec_cached(program, structure_key=key) is not None
+    fused = ParallelDispatcher(engine, fused=True, jit=jit).execute(layout, inputs)
     oracle = _run(ParallelDispatcher(engine, backend="functional"), session, inputs, shards)
     return fused, oracle
 
@@ -270,8 +277,9 @@ class TestCallerArraysUntouched:
     @pytest.mark.parametrize("tier", ["compiled", "interpreted"])
     @pytest.mark.parametrize("shards", [1, 2])
     def test_move_destination_is_not_written(self, backend, tier, shards):
-        """``compiled`` runs the session, whose controller takes the closure
-        where the backend can; ``interpreted`` pins the walk one layer
+        """``compiled`` runs the session twice, and its controller takes
+        the closure on the second run where the backend can (a program's
+        first run is interpreted); ``interpreted`` pins the walk one layer
         down, with ``jit=False`` (fused on the vectorized backend, the
         per-shard loop on the functional one)."""
         session = PlutoSession()
@@ -283,14 +291,16 @@ class TestCallerArraysUntouched:
         ib = np.full(16, 7, dtype=np.uint64)
         inputs = {"a": ia, "b": ib}
         if tier == "compiled":
-            result = session.run(inputs, plan=ExecutionPlan(shards=shards))
+            results = [session.run(inputs, plan=ExecutionPlan(shards=shards)) for _ in range(2)]
         elif shards == 1:
             compiled, key = compile_cached_with_key(session.calls)
             controller = PlutoController(backend=backend, jit=False)
-            result = controller.execute(compiled, inputs, structure_key=key)
+            results = [controller.execute(compiled, inputs, structure_key=key)]
         else:
-            result = _run(ParallelDispatcher(backend=backend, jit=False), session, inputs, shards)
-        assert np.array_equal(result.outputs["b"], np.arange(16))
+            dispatcher = ParallelDispatcher(backend=backend, jit=False)
+            results = [_run(dispatcher, session, inputs, shards)]
+        for result in results:
+            assert np.array_equal(result.outputs["b"], np.arange(16))
         assert np.array_equal(ia, np.arange(16))
         assert np.array_equal(ib, np.full(16, 7))
 

@@ -197,8 +197,11 @@ def test_differential_compiled_tier(seed, any_design):
     """The whole-program compiled tier is bit-identical — outputs,
     registers, AND command traces — to the interpreted vectorized walk
     and the functional oracle, on both the raw and the optimized program
-    of every fuzzed shape, with fused sharded execution matching too."""
+    of every fuzzed shape, with fused sharded execution matching too.
+    Every program's closure is built first: a program's first run is
+    otherwise interpreted."""
     from repro.api.session import compile_cached_with_key
+    from repro.backend.compiled import compiled_exec_cached
     from repro.controller.dispatch import ParallelDispatcher, ShardPlanner
     from repro.controller.executor import PlutoController
 
@@ -211,6 +214,7 @@ def test_differential_compiled_tier(seed, any_design):
     oracle = PlutoController(engine, backend="functional")
     for calls in (list(session.calls), list(optimized.calls)):
         compiled, key = compile_cached_with_key(calls)
+        assert compiled_exec_cached(compiled, structure_key=key) is not None
         external = _external_inputs(calls, inputs)
         result = jit.execute(compiled, dict(external), structure_key=key)
         for reference in (
@@ -237,6 +241,8 @@ def test_differential_compiled_tier(seed, any_design):
         # when the program supports it and must match the per-shard
         # functional oracle exactly.
         layout = ShardPlanner(engine.geometry).plan(calls, 3)
+        for shard_key, program in layout.programs.values():
+            assert compiled_exec_cached(program, structure_key=shard_key) is not None
         fused = ParallelDispatcher(engine, fused=True).execute(layout, external)
         oracle_dispatcher = ParallelDispatcher(engine, backend="functional")
         sharded_oracle = oracle_dispatcher.execute(layout, external)

@@ -523,16 +523,37 @@ class TestTemplateReuse:
 
 
 class TestColdProgramCost:
-    def test_a_cold_program_builds_only_its_own_programs(self):
+    def test_a_cold_program_builds_only_its_own_programs(self, monkeypatch):
         """A never-seen 4096-element program on a verifying engine compiles
         and builds templates for its unoptimized and optimized whole
         programs only, and every merge pricing its shards is a memo hit
-        after one program of the same shape warmed the memo."""
+        after one program of the same shape warmed the memo.  A hit
+        builds no shard stream: the planner realizes no template and no
+        placed stream is read.  Run once, the program builds no closure;
+        its second run builds exactly one."""
+        from repro.controller.executor import TraceTemplate
+        from repro.dram.analytic import PlacedStream
+
         clear_all_caches()
         engine = PlutoEngine(PlutoConfig(verify="always"))
         warm, warm_inputs = _cold_program(4096, "warm")
         warm.run(warm_inputs, plan="auto", engine=engine)
         session, inputs = _cold_program(4096, "cold")
+        streams: list[str] = []
+
+        def counting(name, original):
+            def wrapper(self, *args, **kwargs):
+                streams.append(name)
+                return original(self, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            TraceTemplate, "realize", counting("realize", TraceTemplate.realize)
+        )
+        monkeypatch.setattr(
+            PlacedStream, "__iter__", counting("iterate", PlacedStream.__iter__)
+        )
         before = cache_stats()
         result = session.run(inputs, plan="auto", engine=engine)
         after = cache_stats()
@@ -545,6 +566,14 @@ class TestColdProgramCost:
         assert delta("trace_templates", "misses") <= 2
         assert delta("scheduler_merges", "hits") == 8
         assert delta("scheduler_merges", "misses") == 0
+        assert streams == []
+        assert delta("compiled_exec", "misses") == 0
+
+        again = session.run(inputs, plan="auto", engine=engine)
+        assert cache_stats()["compiled_exec"]["misses"] - after["compiled_exec"]["misses"] == 1
+        for name, data in result.outputs.items():
+            assert np.array_equal(again.outputs[name], data), name
+        assert again.latency_ns == result.latency_ns
 
 
 def _candidate(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from repro.api.session import cache_stats, clear_all_caches
@@ -30,6 +31,7 @@ from repro.controller.dispatch import (
 from repro.core.designs import PlutoDesign
 from repro.core.engine import DDR4, THREE_DS, PlutoConfig, PlutoEngine
 from repro.dram.analytic import (
+    PlacedStream,
     fast_merge_makespan_ns,
     homogeneous_sweep_makespan_ns,
     merge_signature,
@@ -220,6 +222,62 @@ class TestMemoization:
         assert _throttled_timing.cache_info().currsize > 0
         clear_all_caches()
         assert _throttled_timing.cache_info().currsize == 0
+
+
+class TestPlacedStreams:
+    """A placed stream is its commands moved to a bank, keyed without them."""
+
+    COMMANDS = (
+        Command(CommandType.LISA_RBM, bank=0, subarray=3, rows=16, meta="load"),
+        Command(CommandType.ROW_SWEEP, bank=0, subarray=3, rows=16, meta="op"),
+        Command(CommandType.TRA, bank=2, row=7, meta="and"),
+        Command(CommandType.PRE, bank=0),
+    )
+
+    @pytest.mark.parametrize("bank", [0, 2, 5])
+    def test_reading_it_builds_the_moved_commands(self, bank):
+        moved = [
+            Command(c.kind, bank, c.subarray, c.row, c.rows, c.meta) for c in self.COMMANDS
+        ]
+        placed = PlacedStream(self.COMMANDS, bank)
+        assert len(placed) == len(moved)
+        assert list(placed) == moved
+        assert placed[1] == moved[1] and placed[1:3] == moved[1:3]
+        assert placed.signature == stream_signature(moved)
+        assert stream_signature(placed) is placed.signature
+        # Moving a placed stream moves the recorded commands.
+        again = PlacedStream(placed, 4)
+        assert list(again) == list(PlacedStream(self.COMMANDS, 4))
+        assert again.signature == stream_signature(list(again))
+        assert PlacedStream(placed, bank).signature is placed.signature
+
+    @pytest.mark.parametrize("placement", [1, 2])
+    def test_placed_and_realized_streams_share_memo_entries(self, placement):
+        """The planner prices placed templates; the run of a priced
+        candidate merges realized traces and finds the entry pricing made:
+        the merge of a one-rank plan, the schedule of a whole 2 x 2 one."""
+        from repro.api.luts import color_grade_lut
+        from repro.api.session import PlutoSession
+        from repro.plan import ExecutionPlan, plan_program
+
+        clear_all_caches()
+        session = PlutoSession()
+        pixels = session.pluto_malloc(65536, 8, "pixels")
+        graded = session.pluto_malloc(65536, 8, "graded")
+        session.api_pluto_map(color_grade_lut(), pixels, graded)
+        inputs = {"pixels": np.arange(65536, dtype=np.uint64) % 256}
+        engine = PlutoEngine(PlutoConfig(channels=2, ranks=2))
+        report = plan_program(session.calls, engine).report
+        plan = ExecutionPlan(shards=16, channels=placement, ranks=placement, optimize=False)
+        (candidate,) = [c for c in report.candidates if c.plan == plan]
+        before = cache_stats()
+        result = session.run(inputs, plan=plan, engine=engine)
+        after = cache_stats()
+        assert result.latency_ns == candidate.predicted_makespan_ns
+        layer = "scheduler_merges" if placement == 1 else "hierarchy_schedules"
+        assert after[layer]["hits"] > before[layer]["hits"]
+        if placement == 1:
+            assert after[layer]["misses"] == before[layer]["misses"]
 
 
 class TestClosedForm:

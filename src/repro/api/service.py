@@ -770,8 +770,8 @@ class PlutoService:
         per-request input sets stack into a ``(requests, elements)`` array
         and execute as a single pass
         (:meth:`~repro.controller.executor.PlutoController.execute_fused`)
-        — one gather per LUT query for the whole batch, with each
-        request's trace synthesized from the shared template.  Returns
+        — one gather per LUT query for the whole batch, every request
+        sharing the program's one bank-0 trace.  Returns
         ``False`` (leaving the batch untouched) when the backend cannot
         batch or the inputs do not stack; the per-request loop then
         surfaces any individual errors.

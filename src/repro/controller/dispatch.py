@@ -22,7 +22,9 @@ rank of one channel, where ``ExecutionPlan(shards=n)`` runs by default:
   batched pass over a ``(shards, slice)`` view of the inputs when the
   selected :class:`~repro.backend.base.ExecutionBackend` supports it
   (the vectorized default), or shard by shard on the functional oracle —
-  so the per-shard command traces carry their shards' bank ids.
+  so the per-shard command traces carry their shards' bank ids.  The
+  merged trace and the makespans depend on the layout and the engine
+  alone, so it computes them on a layout's first run and reuses them.
 * :func:`merged_makespan_ns` schedules the per-shard command streams:
   within a rank they merge with the semantics of the timing-aware
   :class:`~repro.dram.scheduler.CommandScheduler`, memoized on the
@@ -704,6 +706,24 @@ def execute_shard_plans(
     return results, {name: registers[name] for name in results[0].outputs}, registers
 
 
+@dataclass(frozen=True)
+class _LayoutCosts:
+    """What every run of one layout on one dispatcher charges.
+
+    The merged trace (a read-only record every such result shares), its
+    counts, and the makespan at each level of the placement.
+    """
+
+    trace: CommandTrace
+    lut_queries: int
+    instructions_executed: int
+    makespan_ns: float
+    bank_only_makespan_ns: float
+    rank_parallel_makespan_ns: float
+    rank_makespans: dict[tuple[int, int], float]
+    channel_makespans: dict[int, float]
+
+
 class ParallelDispatcher:
     """Executes shard layouts through one controller and merges the results.
 
@@ -731,6 +751,8 @@ class ParallelDispatcher:
         self.engine = engine if engine is not None else PlutoEngine(PlutoConfig())
         self.controller = PlutoController(self.engine, backend=backend, jit=jit)
         self.fused = fused
+        #: Layout (identity-hashed) -> what every run of it charges here.
+        self._costs: dict[ShardLayout, _LayoutCosts] = {}
 
     def execute(
         self, layout: ShardLayout, inputs: Mapping[str, np.ndarray]
@@ -740,8 +762,40 @@ class ParallelDispatcher:
         A layout planned for another device than this one or a
         channel/rank narrowing of it raises
         :class:`~repro.errors.ConfigurationError` before any shard runs.
+        The merged trace and every per-level makespan depend on the
+        layout and the engine alone, so they are computed on the layout's
+        first run on this dispatcher and reused after that: a later run
+        computes only its outputs.
         """
-        device, geometry = self.engine.geometry, layout.geometry
+        costs = self._costs.get(layout)
+        if costs is None:
+            self._check_placement(layout.geometry)
+        arrays = {name: np.asarray(data) for name, data in inputs.items()}
+        self._check_inputs(layout.vectors, arrays)
+        shard_results, outputs, registers = execute_shard_plans(
+            self.controller, layout, arrays, fused=self.fused
+        )
+        if costs is None:
+            costs = self._layout_costs(layout, shard_results)
+        return ShardedExecutionResult(
+            outputs=outputs,
+            trace=costs.trace,
+            lut_queries=costs.lut_queries,
+            instructions_executed=costs.instructions_executed,
+            registers=registers,
+            backend=self.controller.backend.name,
+            shard_results=shard_results,
+            shard_plans=list(layout.plans),
+            makespan_ns=costs.makespan_ns,
+            bank_only_makespan_ns=costs.bank_only_makespan_ns,
+            rank_parallel_makespan_ns=costs.rank_parallel_makespan_ns,
+            channel_makespans=dict(costs.channel_makespans),
+            rank_makespans=dict(costs.rank_makespans),
+        )
+
+    def _check_placement(self, geometry: DRAMGeometry) -> None:
+        """Refuse a layout placed outside this dispatcher's device."""
+        device = self.engine.geometry
         if geometry != device and not (
             geometry.channels <= device.channels
             and geometry.ranks <= device.ranks
@@ -751,12 +805,6 @@ class ParallelDispatcher:
                 f"the shard layout was planned for {geometry}, which is not a "
                 f"channel/rank narrowing of this dispatcher's device {device}"
             )
-        arrays = {name: np.asarray(data) for name, data in inputs.items()}
-        self._check_inputs(layout.vectors, arrays)
-        shard_results, outputs, registers = execute_shard_plans(
-            self.controller, layout, arrays, fused=self.fused
-        )
-        return self._merge(layout, shard_results, outputs, registers)
 
     @staticmethod
     def _check_inputs(vectors: Mapping[str, int], arrays: Mapping[str, np.ndarray]) -> None:
@@ -776,13 +824,14 @@ class ParallelDispatcher:
     # ------------------------------------------------------------------ #
     # Aggregation
     # ------------------------------------------------------------------ #
-    def _merge(
-        self,
-        layout: ShardLayout,
-        shard_results: list[ExecutionResult],
-        outputs: dict[str, np.ndarray],
-        registers: dict[str, np.ndarray],
-    ) -> ShardedExecutionResult:
+    def _layout_costs(
+        self, layout: ShardLayout, shard_results: list[ExecutionResult]
+    ) -> _LayoutCosts:
+        """Merge a layout's shard traces and schedule them, once per layout.
+
+        Kept for every later run of the layout on this dispatcher, in a
+        table bounded like the controller's (cleared at 512 layouts).
+        """
         engine, channels, ranks = self.engine, layout.geometry.channels, layout.geometry.ranks
         merged_trace = CommandTrace(timing=engine.timing, energy=engine.energy)
         for result in shard_results:
@@ -809,20 +858,19 @@ class ParallelDispatcher:
                 rank_parallel = _schedule_hierarchy(
                     streams, engine, channels=1, ranks=ranks
                 )[0]
-        return ShardedExecutionResult(
-            outputs=outputs,
+        costs = _LayoutCosts(
             trace=merged_trace,
             lut_queries=sum(result.lut_queries for result in shard_results),
             instructions_executed=sum(
                 result.instructions_executed for result in shard_results
             ),
-            registers=registers,
-            backend=self.controller.backend.name,
-            shard_results=shard_results,
-            shard_plans=list(layout.plans),
             makespan_ns=makespan,
             bank_only_makespan_ns=bank_only,
             rank_parallel_makespan_ns=rank_parallel,
-            channel_makespans=channel_makespans,
             rank_makespans=rank_makespans,
+            channel_makespans=channel_makespans,
         )
+        if len(self._costs) >= 512:
+            self._costs.clear()
+        self._costs[layout] = costs
+        return costs

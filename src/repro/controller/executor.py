@@ -1,10 +1,14 @@
 """The pLUTo Controller: executes compiled ISA programs.
 
-The controller plays the role described in Section 6.4: it walks the ISA
-program, consults the allocation table for physical placement, expands
-every instruction into DRAM commands via the command ROM (accumulating the
-latency/energy trace), and performs the *functional* effect of every
-instruction so program outputs are bit-exact.
+The controller plays the role described in Section 6.4.  Its accounting
+walk consults the allocation table for physical placement and expands
+every instruction into DRAM commands via the command ROM, accumulating
+the latency/energy trace; it runs once per program and engine
+configuration and records a :class:`TraceTemplate` against bank 0.  A
+run takes its trace from that template placed in its bank, realized once
+per program and bank and shared by every result placed there, and spends
+its own walk on the *functional* effect of every instruction, so program
+outputs are bit-exact.
 
 Functional state is kept per row register as a vector of element values.
 The functional effects themselves are delegated to an
@@ -27,8 +31,6 @@ from repro.backend.base import ExecutionBackend, resolve_backend
 from repro.compiler.lowering import CompiledProgram
 from repro.controller.allocation_table import AllocationTable
 from repro.controller.rom import CommandRom
-from repro.core.analytical import PlutoCostModel
-from repro.core.designs import PlutoDesign
 from repro.core.engine import PlutoConfig, PlutoEngine
 from repro.dram.commands import Command, CommandTrace, CommandType
 from repro.errors import ExecutionError
@@ -130,9 +132,14 @@ class ExecutionResult:
     """Outputs and costs of one program execution."""
 
     outputs: dict[str, np.ndarray]
+    #: The modelled command trace: a read-only record, shared by every
+    #: result of one program placed in one bank (and, for a sharded run,
+    #: by every run of one layout on one dispatcher).
     trace: CommandTrace
     lut_queries: int
     instructions_executed: int
+    #: Every vector-bound register's final value; input registers hold
+    #: private copies, so no result shares memory with the caller's inputs.
     registers: dict[str, np.ndarray] = field(default_factory=dict)
     #: Name of the execution backend that produced the functional outputs.
     backend: str = "functional"
@@ -172,6 +179,27 @@ class FusedResults(list):
     registers: dict[str, np.ndarray]
 
 
+class _BankTraces(dict):
+    """Bank -> one program's :class:`TraceTemplate` realized in that bank.
+
+    A bank's trace is realized on its first read and shared by every
+    later run placed there.
+    """
+
+    __slots__ = ("template", "engine")
+
+    def __init__(self, template: TraceTemplate, engine: PlutoEngine) -> None:
+        super().__init__()
+        self.template = template
+        self.engine = engine
+
+    def __missing__(self, bank: int) -> CommandTrace:
+        trace = self[bank] = self.template.realize(
+            self.engine.timing, self.engine.energy, bank=bank
+        )
+        return trace
+
+
 class PlutoController:
     """Executes compiled pLUTo programs on a functional engine.
 
@@ -204,12 +232,12 @@ class PlutoController:
         self.rom = CommandRom()
         self.backend = resolve_backend(backend)
         self.jit = jit
-        #: Executable -> ``(TraceTemplate, realized bank-0 trace)``.
-        #: Identity-keyed (CompiledExecutable has no __eq__), so repeated
-        #: compiled executions skip both the structure-key rehash and the
-        #: engine-config hash; the controller's engine never changes, so
-        #: the entry stays valid for the executable's lifetime.
-        self._jit_entries: dict = {}
+        #: ``id(program)`` -> ``(program, its traces per bank)``, read by
+        #: every execution route.  Keyed on identity and holding the
+        #: program, so a run skips the engine-config hash of its template
+        #: lookup and an id is never reused while its entry lives; the
+        #: controller's engine never changes, so an entry stays valid.
+        self._traces: dict[int, tuple[CompiledProgram, _BankTraces]] = {}
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -231,12 +259,20 @@ class PlutoController:
         replica per bank, and every command in the trace carries the bank
         so the scheduler can model cross-bank tRRD/tFAW contention.
 
+        The trace, ``lut_queries`` and ``instructions_executed`` come from
+        the program's :class:`TraceTemplate` (:meth:`trace_template`, the
+        one accounting walk, which also raises the
+        :class:`~repro.errors.AllocationError` of a program that does not
+        fit the bank) placed in ``bank``: every run of one program in one
+        bank shares that trace object.  The interpreted walk below
+        performs only the functional effects, binding each LUT subarray
+        the backend loads.
+
         ``structure_key`` is the program-structure key the program was
         compiled under; with it the execution may take the whole-program
         compiled tier (:meth:`_compiled_executable`): one cached NumPy
-        closure performs every functional effect and the trace is
-        realized from the cached template — bit-identical to the
-        interpreted walk below by construction.
+        closure performs every functional effect instead of the walk —
+        bit-identical outputs and registers by construction.
         """
         geometry = self.engine.geometry
         if not 0 <= bank < geometry.banks:
@@ -247,12 +283,10 @@ class PlutoController:
         if executable is not None:
             return self._execute_compiled(executable, compiled, inputs, bank=bank)
         self._check_inputs(compiled, inputs)
+        traces = self._bank_traces(compiled)
         table = AllocationTable(geometry, bank=bank)
-        trace = CommandTrace(timing=self.engine.timing, energy=self.engine.energy)
-        cost_model: PlutoCostModel = self.engine.cost_model
-        design: PlutoDesign = self.engine.config.design
         backend = self.backend
-        backend.begin_program(geometry, design)
+        backend.begin_program(geometry, self.engine.config.design)
 
         # Functional state: register index -> element values.
         values: dict[int, np.ndarray] = {}
@@ -262,33 +296,20 @@ class PlutoController:
             register = register_by_vector[name]
             values[register.index] = np.asarray(data, dtype=np.uint64)
 
-        lut_queries = 0
-        executed = 0
         for instruction in compiled.program:
-            executed += 1
             if isinstance(instruction, PlutoRowAlloc):
-                table.bind_row(instruction.destination)
                 if instruction.destination.index not in values:
                     values[instruction.destination.index] = np.zeros(
                         instruction.size_elements, dtype=np.uint64
                     )
-                continue
-            if isinstance(instruction, PlutoSubarrayAlloc):
-                allocation = self._account_lut_load(
-                    instruction, compiled, table, trace
-                )
+            elif isinstance(instruction, PlutoSubarrayAlloc):
                 backend.load_lut(
                     instruction.destination.index,
                     compiled.lut_bindings[instruction.destination.index],
-                    subarray_index=allocation.subarray,
+                    subarray_index=table.bind_subarray(instruction.destination).subarray,
                 )
-                continue
-
-            # All remaining instructions expand to DRAM commands.
-            self._account(instruction, table, trace, cost_model, design)
-            if isinstance(instruction, PlutoOp):
-                lut_queries += 1
-            self._apply(instruction, compiled, values)
+            else:
+                self._apply(instruction, compiled, values)
 
         outputs = {
             vector.name: values[register_by_vector[vector.name].index].copy()
@@ -299,11 +320,12 @@ class PlutoController:
             for name, register in register_by_vector.items()
             if register.index in values
         }
+        template = traces.template
         return ExecutionResult(
             outputs=outputs,
-            trace=trace,
-            lut_queries=lut_queries,
-            instructions_executed=executed,
+            trace=traces[bank],
+            lut_queries=template.lut_queries,
+            instructions_executed=template.instructions_executed,
             registers=registers,
             backend=backend.name,
         )
@@ -353,20 +375,7 @@ class PlutoController:
         bank: int,
     ) -> ExecutionResult:
         """Run the closure; accounting comes from the cached template."""
-        entry = self._jit_entries.get(executable)
-        if entry is None:
-            template = self.trace_template(compiled)
-            # The realized bank-0 trace is placement-independent and
-            # never mutated after execution, so it is shared across
-            # results like the template's frozen commands already are.
-            entry = (
-                template,
-                template.realize(self.engine.timing, self.engine.energy, bank=0),
-            )
-            if len(self._jit_entries) >= 512:
-                self._jit_entries.clear()
-            self._jit_entries[executable] = entry
-        template, trace0 = entry
+        traces = self._bank_traces(compiled)
         served = executable.run_serve(inputs)
         if served is not None:
             outputs, registers = served
@@ -386,11 +395,10 @@ class PlutoController:
             outputs = {
                 name: registers[name] for name, _ in executable.output_bindings
             }
+        template = traces.template
         return ExecutionResult(
             outputs=outputs,
-            trace=trace0
-            if bank == 0
-            else template.realize(self.engine.timing, self.engine.energy, bank=bank),
+            trace=traces[bank],
             lut_queries=template.lut_queries,
             instructions_executed=template.instructions_executed,
             registers=registers,
@@ -415,8 +423,25 @@ class PlutoController:
         template = compiled.templates[config] = self._build_template(compiled)
         return template
 
+    def _bank_traces(self, compiled: CompiledProgram) -> _BankTraces:
+        """The program's template and its trace per bank, for every route.
+
+        A reuse counts as a template hit; the table is bounded (cleared
+        at 512 programs), and a program it dropped realizes its traces
+        again from the template it keeps.
+        """
+        entry = self._traces.get(id(compiled))
+        if entry is not None:
+            TEMPLATE_COUNTERS.hits += 1
+            return entry[1]
+        traces = _BankTraces(self.trace_template(compiled), self.engine)
+        if len(self._traces) >= 512:
+            self._traces.clear()
+        self._traces[id(compiled)] = (compiled, traces)
+        return traces
+
     def _build_template(self, compiled: CompiledProgram) -> TraceTemplate:
-        """Run the accounting half of :meth:`execute` against bank 0."""
+        """The accounting walk: every instruction's commands, in bank 0."""
         table = AllocationTable(self.engine.geometry, bank=0)
         trace = CommandTrace(timing=self.engine.timing, energy=self.engine.energy)
         cost_model = self.engine.cost_model
@@ -457,11 +482,12 @@ class PlutoController:
         caller's vector will do: inputs are never written); ``banks[i]``
         is the bank shard *i* is placed in.  The functional effects run
         **once** over the stacked arrays (one NumPy gather per LUT query
-        instead of one per shard), and the per-shard command traces are
-        synthesized from the cached :class:`TraceTemplate` by rewriting
-        bank ids.  Outputs are bit-identical to executing each shard
-        through :meth:`execute` — the backend operations are element-wise,
-        so stacking adds an axis without changing any value.
+        instead of one per shard).  Shard *i*'s trace is the program's
+        :class:`TraceTemplate` placed in ``banks[i]``, the same object
+        :meth:`execute` returns for that program and bank.  Outputs are
+        bit-identical to executing each shard through :meth:`execute` —
+        the backend operations are element-wise, so stacking adds an axis
+        without changing any value.
 
         Shard *i*'s outputs and registers are row views of the stacked
         result arrays the returned :class:`FusedResults` carries.  Result
@@ -486,7 +512,7 @@ class PlutoController:
                     f"bank {bank} outside the module's range [0, {geometry.banks})"
                 )
         self._check_inputs(compiled, inputs, shards)
-        template = self.trace_template(compiled)
+        traces = self._bank_traces(compiled)
         register_by_vector = compiled.vector_bindings
 
         executable = self._compiled_executable(compiled, structure_key)
@@ -530,15 +556,14 @@ class PlutoController:
             if register.index in values
         }
         output_names = [vector.name for vector in compiled.outputs]
+        template = traces.template
         results = FusedResults()
         for shard, bank in enumerate(banks):
             rows = {name: data[shard] for name, data in registers.items()}
             results.append(
                 ExecutionResult(
                     outputs={name: rows[name] for name in output_names},
-                    trace=template.realize(
-                        self.engine.timing, self.engine.energy, bank=bank
-                    ),
+                    trace=traces[bank],
                     lut_queries=template.lut_queries,
                     instructions_executed=template.instructions_executed,
                     registers=rows,
@@ -551,8 +576,8 @@ class PlutoController:
     # ------------------------------------------------------------------ #
     # Cost accounting
     # ------------------------------------------------------------------ #
-    def _account_lut_load(self, instruction, compiled, table, trace):
-        """Account one LUT load (``pluto_subarray_alloc``); returns the allocation.
+    def _account_lut_load(self, instruction, compiled, table, trace) -> None:
+        """Account one LUT load (``pluto_subarray_alloc``).
 
         Loading the LUT costs one LISA move per LUT row; the command
         carries the row count so the scheduler charges every linked
@@ -570,7 +595,6 @@ class PlutoController:
             latency_ns=cost_model.lut_load_latency_ns(lut.num_entries),
             energy_nj=cost_model.lut_load_energy_nj(lut.num_entries),
         )
-        return allocation
 
     def _account(self, instruction, table, trace, cost_model, design) -> None:
         if isinstance(instruction, PlutoOp):

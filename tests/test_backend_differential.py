@@ -14,15 +14,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import identity_lut
 from repro.api.handles import ApiCall
 from repro.api.luts import bitcount_lut, bitwise_lut
-from repro.api.session import PlutoSession, cache_stats, clear_all_caches
+from repro.api.session import PlutoSession, cache_stats, clear_all_caches, compile_cached
 from repro.backend import FunctionalBackend, VectorizedBackend, resolve_backend
+from repro.controller.dispatch import ShardPlanner, execute_shard_plans
 from repro.controller.executor import PlutoController
 from repro.core.designs import PlutoDesign
 from repro.core.engine import DDR4, THREE_DS, PlutoConfig, PlutoEngine
 from repro.core.lut import LookupTable
-from repro.errors import ConfigurationError
+from repro.errors import AllocationError, ConfigurationError, LUTError
+from repro.workloads.programs import workload_program
 
 DESIGNS = list(PlutoDesign)
 MEMORIES = (DDR4, THREE_DS)
@@ -199,3 +202,114 @@ def test_resolve_backend_rejects_unknown_name():
     assert isinstance(resolve_backend("vectorized"), VectorizedBackend)
     instance = VectorizedBackend()
     assert resolve_backend(instance) is instance
+
+
+# --------------------------------------------------------------------------- #
+# A run's trace is its program's template placed in its bank
+# --------------------------------------------------------------------------- #
+
+FAMILIES = ("image", "crc", "salsa20", "vmpc", "bitcount", "vector_ops")
+TEMPLATE_CASES = [f"{family}@{elements}" for family in FAMILIES for elements in (256, 4096)]
+TEMPLATE_CASES.append("cold")
+
+
+def _template_case(case: str) -> tuple[PlutoSession, dict]:
+    """A registry family at an element count, or the last cold shape
+    (4096 elements, six calls) of the benchmark's seed-1 set."""
+    if case == "cold":
+        from perfbench.workloads import cold_shapes, instantiate
+
+        request = instantiate(cold_shapes(1)[-1], "template")
+        return request.session, request.inputs
+    family, elements = case.split("@")
+    program = workload_program(family, elements=int(elements), seed=3)
+    return program.session, program.inputs
+
+
+class TestTemplateSourcedTraces:
+    """The interpreted walk performs only functional effects: its trace,
+    LUT-query count and instruction count are the program's template
+    placed in the run's bank, one trace object per program and bank
+    whichever route runs it."""
+
+    @pytest.mark.parametrize("backend", ["functional", "vectorized"])
+    @pytest.mark.parametrize("case", TEMPLATE_CASES)
+    def test_a_run_is_its_template_in_its_bank(self, case, backend):
+        session, inputs = _template_case(case)
+        compiled = compile_cached(session.calls)
+        engine = PlutoEngine(PlutoConfig())
+        controller = PlutoController(engine, backend=backend, jit=False)
+        template = controller.trace_template(compiled)
+        for bank in (0, 5):
+            result = controller.execute(compiled, dict(inputs), bank=bank)
+            reference = template.realize(engine.timing, engine.energy, bank=bank)
+            assert result.trace.commands == reference.commands
+            assert {command.bank for command in result.trace.commands} == {bank}
+            assert result.trace.total_latency_ns.hex() == reference.total_latency_ns.hex()
+            assert result.trace.total_energy_nj.hex() == reference.total_energy_nj.hex()
+            assert result.lut_queries == template.lut_queries == compiled.lut_queries
+            assert (
+                result.instructions_executed
+                == template.instructions_executed
+                == len(compiled.program)
+            )
+
+    @pytest.mark.parametrize("case", TEMPLATE_CASES)
+    def test_the_fused_pass_and_the_loop_share_each_banks_trace(self, case):
+        session, inputs = _template_case(case)
+        engine = PlutoEngine(PlutoConfig())
+        layout = ShardPlanner(engine.geometry).plan(session.calls, 4)
+        arrays = {name: np.asarray(data) for name, data in inputs.items()}
+        controller = PlutoController(engine, backend="vectorized")
+        fused, fused_outputs, _ = execute_shard_plans(controller, layout, arrays, fused=True)
+        loop, loop_outputs, _ = execute_shard_plans(controller, layout, arrays, fused=False)
+        assert [result.trace.commands[0].bank for result in fused] == [
+            plan.bank for plan in layout.plans
+        ]
+        for shard, (one, other) in enumerate(zip(fused, loop)):
+            assert one.trace is other.trace, shard
+        for name, data in loop_outputs.items():
+            assert np.array_equal(fused_outputs[name], data), name
+
+    @pytest.mark.parametrize("backend", ["functional", "vectorized"])
+    def test_an_unallocatable_program_raises_its_allocation_error(self, backend):
+        """The accounting walk raises it, with the walk's message, in any bank."""
+        too_wide = PlutoSession()
+        source = too_wide.pluto_malloc(256, 10, "x")
+        out = too_wide.pluto_malloc(256, 10, "out")
+        too_wide.api_pluto_map(identity_lut(10), source, out)
+        too_long = PlutoSession()
+        source = too_long.pluto_malloc(300_000, 64, "x")
+        out = too_long.pluto_malloc(300_000, 64, "out")
+        too_long.api_pluto_move(source, out)
+        controller = PlutoController(backend=backend, jit=False)
+        for session, inputs, message in (
+            (
+                too_wide,
+                {"x": np.arange(256)},
+                "LUT 'identity10' needs 1024 rows but a subarray has only 512",
+            ),
+            (
+                too_long,
+                {"x": np.zeros(300_000, dtype=np.uint64)},
+                "data subarray exhausted: cannot place 293 more rows for $prg1",
+            ),
+        ):
+            compiled = compile_cached(session.calls)
+            for bank in (0, 5):
+                with pytest.raises(AllocationError) as raised:
+                    controller.execute(compiled, dict(inputs), bank=bank)
+                assert str(raised.value) == message
+
+    @pytest.mark.parametrize("backend", ["functional", "vectorized"])
+    def test_a_signed_input_raises_the_lut_error(self, backend):
+        """-1 wraps to 2**64 - 1, which no 256-entry LUT holds."""
+        session, inputs = _template_case("image@256")
+        compiled = compile_cached(session.calls)
+        controller = PlutoController(backend=backend, jit=False)
+        signed = {name: np.full(len(data), -1, dtype=np.int64) for name, data in inputs.items()}
+        with pytest.raises(LUTError) as raised:
+            controller.execute(compiled, signed, bank=5)
+        assert str(raised.value) == (
+            "query index 18446744073709551615 outside the 256-entry LUT 'colorgrade8'"
+        )

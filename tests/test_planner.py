@@ -529,8 +529,11 @@ class TestColdProgramCost:
         programs only, and every merge pricing its shards is a memo hit
         after one program of the same shape warmed the memo.  A hit
         builds no shard stream: the planner realizes no template and no
-        placed stream is read.  Run once, the program builds no closure;
-        its second run builds exactly one."""
+        placed stream is read.  The run realizes its own template once,
+        in bank 0, for its trace.  Run once, the program builds no
+        closure; its second run builds exactly one and realizes
+        nothing."""
+        import repro.plan.planner as planner
         from repro.controller.executor import TraceTemplate
         from repro.dram.analytic import PlacedStream
 
@@ -539,12 +542,26 @@ class TestColdProgramCost:
         warm, warm_inputs = _cold_program(4096, "warm")
         warm.run(warm_inputs, plan="auto", engine=engine)
         session, inputs = _cold_program(4096, "cold")
-        streams: list[str] = []
+        # (phase, stream event): ``plan`` inside plan_program, else ``run``.
+        streams: list[tuple[str, str]] = []
+        phase = ["run"]
+        plans: list[int] = []
 
         def counting(name, original):
             def wrapper(self, *args, **kwargs):
-                streams.append(name)
+                streams.append((phase[0], name))
                 return original(self, *args, **kwargs)
+
+            return wrapper
+
+        def planning(original):
+            def wrapper(*args, **kwargs):
+                plans.append(1)
+                phase[0] = "plan"
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    phase[0] = "run"
 
             return wrapper
 
@@ -554,6 +571,7 @@ class TestColdProgramCost:
         monkeypatch.setattr(
             PlacedStream, "__iter__", counting("iterate", PlacedStream.__iter__)
         )
+        monkeypatch.setattr(planner, "plan_program", planning(planner.plan_program))
         before = cache_stats()
         result = session.run(inputs, plan="auto", engine=engine)
         after = cache_stats()
@@ -566,11 +584,15 @@ class TestColdProgramCost:
         assert delta("trace_templates", "misses") <= 2
         assert delta("scheduler_merges", "hits") == 8
         assert delta("scheduler_merges", "misses") == 0
-        assert streams == []
+        assert plans == [1]
+        assert [event for event in streams if event[0] == "plan"] == []
+        assert streams == [("run", "realize")]
         assert delta("compiled_exec", "misses") == 0
 
         again = session.run(inputs, plan="auto", engine=engine)
         assert cache_stats()["compiled_exec"]["misses"] - after["compiled_exec"]["misses"] == 1
+        assert again.trace is result.trace
+        assert streams == [("run", "realize")]
         for name, data in result.outputs.items():
             assert np.array_equal(again.outputs[name], data), name
         assert again.latency_ns == result.latency_ns

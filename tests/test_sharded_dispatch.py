@@ -29,7 +29,7 @@ from repro.controller.dispatch import (
 from repro.controller.executor import PlutoController
 from repro.core.designs import PlutoDesign
 from repro.core.engine import PlutoConfig, PlutoEngine
-from repro.dram.commands import Command, CommandType
+from repro.dram.commands import Command, CommandTrace, CommandType
 from repro.dram.geometry import DRAMGeometry
 from repro.dram.scheduler import activation_count, tfaw_lower_bound_ns
 from repro.errors import ConfigurationError, ExecutionError, VerificationError
@@ -481,6 +481,78 @@ class TestShardLayout:
         assert warm.energy_nj == cold.energy_nj
         for name, data in cold.outputs.items():
             assert np.array_equal(warm.outputs[name], data), name
+
+
+def _charges(result: ShardedExecutionResult) -> tuple:
+    """Everything a sharded run charges, every float as its exact hex."""
+
+    def trace(record) -> tuple:
+        return (record.commands, record.total_latency_ns.hex(), record.total_energy_nj.hex())
+
+    return (
+        result.latency_ns.hex(),
+        result.energy_nj.hex(),
+        result.bank_only_makespan_ns.hex(),
+        result.rank_parallel_makespan_ns.hex(),
+        {position: value.hex() for position, value in result.rank_makespans.items()},
+        {channel: value.hex() for channel, value in result.channel_makespans.items()},
+        trace(result.trace),
+        result.lut_queries,
+        result.instructions_executed,
+        [trace(shard.trace) for shard in result.shard_results],
+    )
+
+
+class TestLayoutCosts:
+    """A layout's merged trace and per-level makespans depend on the
+    layout and the engine alone: a dispatcher computes them on the
+    layout's first run there, and a later run computes only its outputs."""
+
+    @pytest.mark.parametrize("backend", ["vectorized", "functional"])
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2)], ids=["one-rank", "2x2"])
+    def test_a_second_run_reuses_the_first_runs_costs(self, monkeypatch, shape, backend):
+        """On a 2x2 engine a one-rank and a device-wide layout run one slice
+        program in different banks, so each layout keeps its own costs."""
+        import repro.controller.dispatch as dispatch
+
+        session, inputs = _program(256)
+        engine = _engine(*shape)
+        planners = [ShardPlanner(engine.geometry, channels=1, ranks=1)]
+        if shape != (1, 1):
+            planners.append(ShardPlanner(engine.geometry))
+        layouts = [planner.plan(session.calls, 4) for planner in planners]
+        dispatcher = ParallelDispatcher(engine, backend)
+        firsts = [dispatcher.execute(layout, inputs) for layout in layouts]
+        fresh = [ParallelDispatcher(engine, backend).execute(layout, inputs) for layout in layouts]
+        built: dict[str, int] = {}
+
+        def counting(name, function):
+            def counted(*args, **kwargs):
+                built[name] = built.get(name, 0) + 1
+                return function(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(Command, "__init__", counting("Command", Command.__init__))
+        monkeypatch.setattr(
+            CommandTrace, "__init__", counting("CommandTrace", CommandTrace.__init__)
+        )
+        for name in ("merged_makespan_ns", "_schedule_hierarchy"):
+            monkeypatch.setattr(dispatch, name, counting(name, getattr(dispatch, name)))
+        before = cache_stats()
+        seconds = [dispatcher.execute(layout, inputs) for layout in layouts]
+        after = cache_stats()
+        assert built == {}
+        for layer in ("scheduler_merges", "hierarchy_schedules"):
+            lookups = [stats[layer]["hits"] + stats[layer]["misses"] for stats in (before, after)]
+            assert lookups[0] == lookups[1], layer
+        for first, second, reference in zip(firsts, seconds, fresh):
+            assert _charges(first) == _charges(reference)
+            assert _charges(second) == _charges(reference)
+            for name, data in reference.outputs.items():
+                assert np.array_equal(second.outputs[name], data), name
+        if len(layouts) == 2:
+            assert _charges(seconds[0]) != _charges(seconds[1])
 
 
 class TestBankShardedIsOneRankPlacement:

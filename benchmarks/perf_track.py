@@ -7,8 +7,8 @@ CI's ``perf-track`` job calls this script.  It
    vectorized walk, and verified vs unverified serving),
    ``benchmarks/test_hierarchy_scaling.py`` (per-level
    makespan decomposition + fused vs per-shard dispatch),
-   ``benchmarks/test_scheduler_speed.py`` (event-driven vs
-   memoized+analytic makespan throughput),
+   ``benchmarks/test_scheduler_speed.py`` (event-driven vs memoized
+   makespan throughput),
    ``benchmarks/test_optimizer_gain.py`` (program-optimizer row-sweep
    and makespan savings), ``benchmarks/test_planner_gain.py``
    (cost-based auto-planner vs the static configuration grid), and

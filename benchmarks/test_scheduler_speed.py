@@ -1,18 +1,15 @@
-"""Benchmark: merge/makespan throughput, event-driven vs memoized+analytic.
+"""Benchmark: merge/makespan throughput, event-driven vs memoized.
 
-Times the three ways the simulator can answer "what is the makespan of
-these per-bank command streams":
+Times the two ways the simulator answers "what is the makespan of these
+per-bank command streams":
 
 * the reference event-driven :meth:`CommandScheduler.merge_streams`
   (replays every activation through the Python scheduling loop),
 * the memoized path used by the dispatcher
   (:func:`repro.controller.dispatch.merged_makespan_ns` — structural
-  signature + cache, bit-identical results),
-* the closed-form homogeneous Row-Sweep model
-  (:func:`repro.dram.analytic.homogeneous_sweep_makespan_ns` — pure
-  tRRD/tFAW arithmetic, no events at all).
+  signature + cache, bit-identical results).
 
-Asserts that all three answer alike, and records how much faster the
+Asserts that both answer alike, and records how much faster the
 memoized path answers repeat queries than the event-driven merge, with
 its ``MIN_SPEEDUP`` floor, which ``perf_track.py`` gates (the ratio is
 host wall-clock).  The numbers go out as JSON for the bench trajectory
@@ -29,16 +26,9 @@ import os
 import time
 from pathlib import Path
 
-import pytest
-
 from repro.api.session import clear_all_caches
-from repro.controller.dispatch import (
-    merged_makespan_ns,
-    rank_scheduler,
-    sweep_act_interval_ns,
-)
+from repro.controller.dispatch import merged_makespan_ns, rank_scheduler
 from repro.core.engine import PlutoConfig, PlutoEngine
-from repro.dram.analytic import homogeneous_sweep_makespan_ns
 from repro.dram.commands import Command, CommandType
 
 #: One LUT load + one Row Sweep per bank over a 128-entry LUT.
@@ -80,30 +70,16 @@ def test_memoized_scheduling_is_faster():
         merged_makespan_ns(streams, engine)
     memoized_s = (time.perf_counter() - start) / QUERIES
 
-    # Analytic: the closed-form homogeneous model, no events at all.
-    gap = sweep_act_interval_ns(engine)
-    timing = engine.timing.with_tfaw_fraction(engine.config.tfaw_fraction)
-    analytic = homogeneous_sweep_makespan_ns(BANKS, 2 * ROWS, gap, timing)
-    assert analytic == pytest.approx(reference, rel=1e-9)
-    start = time.perf_counter()
-    for _ in range(QUERIES):
-        homogeneous_sweep_makespan_ns(BANKS, 2 * ROWS, gap, timing)
-    analytic_s = (time.perf_counter() - start) / QUERIES
-
     memoized_speedup = event_s / max(memoized_s, 1e-12)
-    analytic_speedup = event_s / max(analytic_s, 1e-12)
     payload = {
         "workload": f"{BANKS} banks x (LUT load + Row Sweep) over {ROWS} rows",
         "streams": BANKS,
         "activations": BANKS * 2 * ROWS,
         "event_driven_s_per_merge": event_s,
         "memoized_s_per_query": memoized_s,
-        "analytic_s_per_query": analytic_s,
         "event_driven_merges_per_s": 1.0 / max(event_s, 1e-12),
         "memoized_queries_per_s": 1.0 / max(memoized_s, 1e-12),
-        "analytic_queries_per_s": 1.0 / max(analytic_s, 1e-12),
         "memoized_speedup": memoized_speedup,
-        "analytic_speedup": analytic_speedup,
         # The floor perf_track.py gates this host wall-clock ratio on.
         "min_speedup": MIN_SPEEDUP,
     }

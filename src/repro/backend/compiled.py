@@ -76,7 +76,6 @@ class CompiledExecutable:
         "final_slots",
         "output_bindings",
         "register_bindings",
-        "copy_finals",
         "supports_fused",
         "lut_queries",
         "instructions",
@@ -96,7 +95,6 @@ class CompiledExecutable:
         final_slots: tuple[int, ...],
         output_bindings: tuple[tuple[str, int], ...],
         register_bindings: tuple[tuple[str, int], ...],
-        copy_finals: tuple[bool, ...],
         supports_fused: bool,
         lut_queries: int,
         instructions: int,
@@ -117,13 +115,6 @@ class CompiledExecutable:
         self.output_bindings = output_bindings
         #: ``(vector name, position in finals)`` for the register snapshot.
         self.register_bindings = register_bindings
-        #: Per-finals-position: whether the result must be defensively
-        #: copied.  Positions whose slot is rebound by the closure hold
-        #: freshly created arrays nothing else references, so the
-        #: controller hands them out directly; only never-rebound slots
-        #: (whose final array may be the caller's seeded input) get the
-        #: interpreted path's defensive copy.
-        self.copy_finals = copy_finals
         #: Stacked ``(shards, size)`` execution is only valid when no
         #: move writes across different-size rows (a partial-row copy is
         #: a 1-D slice assignment that has no stacked equivalent).
@@ -158,8 +149,10 @@ class CompiledExecutable:
         """Seed inputs, zero-init the rest, and run the closure.
 
         Returns the final value array of every vector-bound register, in
-        :attr:`final_slots` order.  ``inputs`` must already be valid for
-        the program: the controller checks them
+        :attr:`final_slots` order, none sharing memory with ``inputs``: a
+        seed that is still the caller's array is copied, one the
+        conversion to ``uint64`` made fresh is not.  ``inputs`` must
+        already be valid for the program: the controller checks them
         (``PlutoController._check_inputs``) before it gets here.  With
         ``shards`` the same closure runs over stacked ``(shards, size)``
         arrays — one gather per LUT query for the whole batch (the fused
@@ -171,17 +164,38 @@ class CompiledExecutable:
                 "compiled execution is unavailable"
             )
         values: list = [None] * self.num_slots
+        given: dict[int, object] = {}
         for name, data in inputs.items():
-            values[self.input_slots[name]] = np.asarray(data, dtype=np.uint64)
+            slot = self.input_slots[name]
+            values[slot] = np.asarray(data, dtype=np.uint64)
+            given[slot] = data
         for slot, size in self.zero_specs:
             if values[slot] is None:
                 values[slot] = np.zeros(size if shards is None else (shards, size), dtype=np.uint64)
         try:
-            return self._fn(values)
+            finals = self._fn(values)
         except IndexError as error:
             raise LUTError(
                 f"compiled LUT query index out of range: {error}"
             ) from None
+        # A slot the closure never rebinds ends as its seed, which may
+        # still be the caller's array; every other final is fresh.
+        return tuple(
+            _unshared(final, given[slot]) if slot in given and final is values[slot] else final
+            for slot, final in zip(self.final_slots, finals)
+        )
+
+
+def _unshared(seed: np.ndarray, data: object) -> np.ndarray:
+    """``seed``, which is ``np.asarray(data, dtype=np.uint64)``, as an
+    array no caller holds.
+
+    When ``data`` is already ``uint64`` the seed is the caller's array
+    or a view of its memory, and is copied; any other dtype (numpy's
+    default ``int64``, say) was converted to a fresh array, which is
+    handed out as it is, so such an input is copied once, not twice.
+    """
+    return seed.copy() if seed is data or seed.base is not None else seed
 
 
 def _raise_lut_bounds(index: int, entries: int, name: str) -> None:
@@ -362,7 +376,6 @@ def _lower(compiled: CompiledProgram) -> CompiledExecutable:
     register_bindings = tuple(
         (name, position[register.index]) for name, register in binding_items
     )
-    copy_finals = tuple(slot not in rebound for slot in final_slots)
 
     unpack = ", ".join(f"r{slot}" for slot in range(num_slots))
     unpack_line = f"({unpack},) = V" if num_slots else "pass"
@@ -380,7 +393,7 @@ def _lower(compiled: CompiledProgram) -> CompiledExecutable:
     # then validates with the interpreted route's exact checks and errors
     # and takes run_finals.  Inside the fast path the width test doubles
     # as the proof that the fast body's external value bounds hold.
-    env.update(A=np.asarray, U=np.uint64, Z=np.zeros)
+    env.update(A=np.asarray, U=np.uint64, Z=np.zeros, N=_unshared)
     external_slots = set()
     serve_lines = [f"if len(inputs) != {len(compiled.external_inputs)}:", "    return None"]
     for vector in compiled.external_inputs:
@@ -388,10 +401,10 @@ def _lower(compiled: CompiledProgram) -> CompiledExecutable:
         external_slots.add(slot)
         limit = mask_of(min(64, vector.bit_width))
         serve_lines += [
-            f"d = inputs.get({vector.name!r})",
-            "if d is None:",
+            f"d{slot} = inputs.get({vector.name!r})",
+            f"if d{slot} is None:",
             "    return None",
-            f"r{slot} = A(d, U)",
+            f"r{slot} = A(d{slot}, U)",
             f"if r{slot}.shape != ({vector.size},) or (r{slot}.size and r{slot}.max() > {limit}):",
             "    return None",
         ]
@@ -399,9 +412,15 @@ def _lower(compiled: CompiledProgram) -> CompiledExecutable:
         if slot not in external_slots:
             serve_lines.append(f"r{slot} = Z({size}, U)")
     serve_lines.extend(fast_lines)
+    # A never-rebound external register still holds its seed: copied
+    # while it is the caller's array, exactly as run_finals does.
     register_exprs = ", ".join(
-        f"{name!r}: r{register.index}"
-        + ("" if register.index in rebound else ".copy()")
+        f"{name!r}: "
+        + (
+            f"N(r{register.index}, d{register.index})"
+            if register.index in external_slots and register.index not in rebound
+            else f"r{register.index}"
+        )
         for name, register in binding_items
     )
     output_exprs = ", ".join(
@@ -432,7 +451,6 @@ def _lower(compiled: CompiledProgram) -> CompiledExecutable:
         final_slots=final_slots,
         output_bindings=output_bindings,
         register_bindings=register_bindings,
-        copy_finals=copy_finals,
         supports_fused=supports_fused,
         lut_queries=safe.lut_queries,
         instructions=safe.instructions,

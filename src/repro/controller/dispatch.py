@@ -76,7 +76,6 @@ __all__ = [
     "bus_occupancy_ns",
     "interleaved_bank_order",
     "rank_scheduler",
-    "rank_scheduler_key",
 ]
 
 
@@ -121,39 +120,26 @@ def _throttled_timing(timing, tfaw_fraction: float):
 register_layer("engine_helpers", dict, _throttled_timing.cache_clear)
 
 
-def rank_scheduler_key(engine: PlutoEngine) -> tuple:
-    """The per-rank scheduler configuration of the engine's design.
-
-    Equal to :func:`repro.dram.analytic.scheduler_signature` of
-    :func:`rank_scheduler`, which is built from it, so memo lookups on
-    warm caches cost a few attribute reads and a miss is computed by the
-    scheduler its key describes.
-    """
-    return (
-        _throttled_timing(engine.timing, engine.config.tfaw_fraction),
-        engine.geometry.banks,
-        engine.geometry.banks_per_group,
-        sweep_act_interval_ns(engine),
-        sweep_tail_ns(engine),
-        sweep_acts_per_row(engine),
-        engine.cost_model.lisa_hop_latency_ns,
-    )
-
-
 def rank_scheduler(engine: PlutoEngine) -> CommandScheduler:
-    """A fresh per-rank scheduler configured by :func:`rank_scheduler_key`."""
-    timing, banks, banks_per_group, act_interval, tail, acts_per_row, lisa_hop = (
-        rank_scheduler_key(engine)
-    )
-    return CommandScheduler(
-        timing,
-        num_banks=banks,
-        banks_per_group=banks_per_group,
-        sweep_act_interval_ns=act_interval,
-        sweep_tail_ns=tail,
-        sweep_acts_per_row=acts_per_row,
-        lisa_hop_ns=lisa_hop,
-    )
+    """The per-rank scheduler of the engine's design, one per engine.
+
+    Built on first use and kept on the engine.  A scheduler is a frozen
+    value of its settings, so it is also the timing half of the makespan
+    memos' keys: engines of equal configuration build equal schedulers
+    and share memo entries.
+    """
+    scheduler: CommandScheduler | None = engine.__dict__.get("_rank_scheduler")
+    if scheduler is None:
+        scheduler = engine.__dict__["_rank_scheduler"] = CommandScheduler(
+            _throttled_timing(engine.timing, engine.config.tfaw_fraction),
+            num_banks=engine.geometry.banks,
+            banks_per_group=engine.geometry.banks_per_group,
+            sweep_act_interval_ns=sweep_act_interval_ns(engine),
+            sweep_tail_ns=sweep_tail_ns(engine),
+            sweep_acts_per_row=sweep_acts_per_row(engine),
+            lisa_hop_ns=engine.cost_model.lisa_hop_latency_ns,
+        )
+    return scheduler
 
 
 @lru_cache(maxsize=None)
@@ -197,7 +183,7 @@ def bus_occupancy_ns(streams: Sequence[Sequence[Command]], engine: PlutoEngine) 
     return total
 
 
-#: (streams signature, scheduler key, channels, ranks) -> (makespan,
+#: (streams signature, rank scheduler, channels, ranks) -> (makespan,
 #: rank makespans, channel makespans).  The per-rank merges additionally
 #: share the module-wide makespan memo, so collapsing levels re-merges
 #: nothing.
@@ -228,17 +214,12 @@ def _schedule_hierarchy(
     streams = [stream for stream in streams if len(stream)]
     if not streams:
         return 0.0, {}, {}
-    config_key = rank_scheduler_key(engine)
-    try:
-        key = (streams_signature(streams), config_key, channels, ranks)
-    except TypeError:
-        key = None
-        _HIERARCHY_MEMO.note_uncached()
-    if key is not None:
-        cached = _HIERARCHY_MEMO.get(key)
-        if cached is not None:
-            makespan, rank_makespans, channel_makespans = cached
-            return makespan, dict(rank_makespans), dict(channel_makespans)
+    scheduler = rank_scheduler(engine)
+    key = (streams_signature(streams), scheduler, channels, ranks)
+    cached = _HIERARCHY_MEMO.get(key)
+    if cached is not None:
+        makespan, rank_makespans, channel_makespans = cached
+        return makespan, dict(rank_makespans), dict(channel_makespans)
 
     rank_makespans: dict[tuple[int, int], float] = {}
     channel_makespans: dict[int, float] = {}
@@ -256,21 +237,14 @@ def _schedule_hierarchy(
             rank_streams = by_rank.get((channel, rank))
             if not rank_streams:
                 continue
-            rank_makespan = memoized_merge_makespan_ns(
-                rank_streams,
-                lambda: rank_scheduler(engine),
-                config_key=config_key,
-            )
+            rank_makespan = memoized_merge_makespan_ns(rank_streams, scheduler)
             rank_makespans[(channel, rank)] = rank_makespan
             slowest_rank = max(slowest_rank, rank_makespan)
             channel_bus_ns += bus_occupancy_ns(rank_streams, engine)
         if slowest_rank:
             channel_makespans[channel] = max(slowest_rank, channel_bus_ns)
     makespan = max(channel_makespans.values(), default=0.0)
-    if key is not None:
-        _HIERARCHY_MEMO.put(
-            key, (makespan, dict(rank_makespans), dict(channel_makespans))
-        )
+    _HIERARCHY_MEMO.put(key, (makespan, dict(rank_makespans), dict(channel_makespans)))
     return makespan, rank_makespans, channel_makespans
 
 
@@ -311,11 +285,7 @@ def merged_makespan_ns(
     streams = [stream for stream in command_streams if len(stream)]
     if not streams:
         return 0.0
-    return memoized_merge_makespan_ns(
-        streams,
-        lambda: rank_scheduler(engine),
-        config_key=rank_scheduler_key(engine),
-    )
+    return memoized_merge_makespan_ns(streams, rank_scheduler(engine))
 
 
 @dataclass(frozen=True)

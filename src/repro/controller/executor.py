@@ -382,16 +382,12 @@ class PlutoController:
         else:
             self._check_inputs(compiled, inputs)
             finals = executable.run_finals(inputs)
-            # Closure-created finals are handed out directly (nothing
-            # else references them); only finals that may alias a
-            # caller-seeded array get the interpreted path's defensive
-            # copy.  Outputs share the register snapshot's arrays — both
-            # views of the same final.
-            copy = executable.copy_finals
-            registers = {}
-            for name, position in executable.register_bindings:
-                value = finals[position]
-                registers[name] = value.copy() if copy[position] else value
+            # No final shares a caller's array, so each is handed out
+            # directly.  Outputs share the register snapshot's arrays —
+            # both views of the same final.
+            registers = {
+                name: finals[position] for name, position in executable.register_bindings
+            }
             outputs = {
                 name: registers[name] for name, _ in executable.output_bindings
             }
@@ -517,16 +513,10 @@ class PlutoController:
 
         executable = self._compiled_executable(compiled, structure_key)
         if executable is not None and executable.supports_fused:
-            # The whole stacked batch runs through the compiled closure.
-            # Only finals whose slot the closure never rebinds can be an
-            # input array; those are the ones copied.
+            # The whole stacked batch runs through the compiled closure,
+            # whose finals share no input array.
             finals = executable.run_finals(inputs, shards=shards)
-            values = {
-                slot: final.copy() if copy else final
-                for slot, final, copy in zip(
-                    executable.final_slots, finals, executable.copy_finals
-                )
-            }
+            values = dict(zip(executable.final_slots, finals))
         else:
             backend.begin_program(geometry, self.engine.config.design)
             # Seeded with copies: every instruction below rebinds its

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.dram.energy import EnergyParameters
 from repro.dram.timing import TimingParameters
@@ -112,34 +112,6 @@ class CommandTrace:
         self.total_latency_ns += latency_ns
         self.total_energy_nj += energy_nj
         return command
-
-    def extend(self, commands: Iterable[Command]) -> None:
-        """Append pre-built commands using default costs."""
-        for command in commands:
-            self.add(
-                command.kind,
-                bank=command.bank,
-                subarray=command.subarray,
-                row=command.row,
-                rows=command.rows,
-                meta=command.meta,
-            )
-
-    def add_activate(self, bank: int = 0, subarray: int = 0, row: int = 0) -> Command:
-        """Append an ACT command."""
-        return self.add(CommandType.ACT, bank=bank, subarray=subarray, row=row)
-
-    def add_precharge(self, bank: int = 0, subarray: int = 0) -> Command:
-        """Append a PRE command."""
-        return self.add(CommandType.PRE, bank=bank, subarray=subarray)
-
-    def add_read(self, bank: int = 0, subarray: int = 0, row: int = 0) -> Command:
-        """Append a column read burst."""
-        return self.add(CommandType.RD, bank=bank, subarray=subarray, row=row)
-
-    def add_write(self, bank: int = 0, subarray: int = 0, row: int = 0) -> Command:
-        """Append a column write burst."""
-        return self.add(CommandType.WR, bank=bank, subarray=subarray, row=row)
 
     def add_row_sweep(
         self,

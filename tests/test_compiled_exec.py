@@ -13,6 +13,7 @@ through ``repro.api.cache_stats()``, and covered by
 from __future__ import annotations
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +216,60 @@ class TestCompiledFused:
         merged = by_slot[big.index]
         assert np.array_equal(merged[:8], np.arange(8))
         assert not merged[8:].any()  # the zero-initialized tail survives
+
+
+class TestSeedCopies:
+    """A final the closure never rebinds holds its input's seed: copied
+    while it is the caller's array, handed out when the conversion to
+    ``uint64`` already made it fresh, on every compiled route."""
+
+    ELEMENTS = 65536
+
+    def _routes(self):
+        """The serving entry, its ``run_finals`` fallback (an extra seed
+        makes the entry bail out) and the fused 8-shard pass."""
+        session = PlutoSession()
+        pixels = session.pluto_malloc(self.ELEMENTS, 8, "pixels")
+        graded = session.pluto_malloc(self.ELEMENTS, 8, "graded")
+        session.api_pluto_map(color_grade_lut(), pixels, graded)
+        engine = PlutoEngine(PlutoConfig())
+        compiled, key = _pinned(session.calls)
+        controller = PlutoController(engine, backend="vectorized")
+        extra = {"graded": np.zeros(self.ELEMENTS, dtype=np.uint64)}
+        layout = ShardPlanner(engine.geometry).plan(session.calls, 8)
+        for shard_key, program in layout.programs.values():
+            assert compiled_exec_cached(program, structure_key=shard_key).supports_fused
+        dispatcher = ParallelDispatcher(engine, fused=True)
+        return {
+            "serve": lambda x: controller.execute(compiled, {"pixels": x}, structure_key=key),
+            "run_finals": lambda x: controller.execute(
+                compiled, {"pixels": x, **extra}, structure_key=key
+            ),
+            "fused": lambda x: dispatcher.execute(layout, {"pixels": x}),
+        }
+
+    @pytest.mark.parametrize("route", ["serve", "run_finals", "fused"])
+    def test_no_result_shares_an_input_and_int64_is_copied_once(self, route):
+        run = self._routes()[route]
+        peaks = {}
+        for dtype in (np.uint64, np.int64):
+            data = (np.arange(self.ELEMENTS) % 256).astype(dtype)
+            result = run(data)  # the layout's first run schedules it
+            arrays = [*result.outputs.values(), *result.registers.values()]
+            for shard in getattr(result, "shard_results", []):
+                arrays += [*shard.outputs.values(), *shard.registers.values()]
+            assert not any(np.shares_memory(array, data) for array in arrays)
+            del result, arrays
+            tracemalloc.start()
+            try:
+                result = run(data)
+                peaks[dtype] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            del result
+        # An int64 input is converted once and never copied again, so it
+        # peaks no higher than a uint64 input, which is copied once.
+        assert peaks[np.int64] - peaks[np.uint64] < data.nbytes // 4
 
 
 def _closure_stats() -> dict:

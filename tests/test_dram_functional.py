@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.dram.commands import Command, CommandTrace, CommandType
+from repro.dram.commands import CommandTrace, CommandType
 from repro.dram.energy import DDR4_ENERGY
 from repro.dram.refresh import RefreshModel, RowStepper
 from repro.dram.subarray import Subarray
@@ -83,8 +83,8 @@ class TestSubarray:
 class TestCommandTrace:
     def test_act_pre_costs(self):
         trace = CommandTrace(timing=DDR4_2400, energy=DDR4_ENERGY)
-        trace.add_activate(row=3)
-        trace.add_precharge()
+        trace.add(CommandType.ACT, row=3)
+        trace.add(CommandType.PRE)
         assert trace.total_latency_ns == pytest.approx(DDR4_2400.t_rcd + DDR4_2400.t_rp)
         assert trace.total_energy_nj == pytest.approx(
             DDR4_ENERGY.e_act + DDR4_ENERGY.e_pre
@@ -126,20 +126,24 @@ class TestCommandTrace:
 
     def test_merge_accumulates(self):
         first = CommandTrace(timing=DDR4_2400, energy=DDR4_ENERGY)
-        first.add_activate()
+        first.add(CommandType.ACT)
         second = CommandTrace(timing=DDR4_2400, energy=DDR4_ENERGY)
-        second.add_precharge()
+        second.add(CommandType.PRE)
         first.merge(second)
         assert len(first) == 2
         assert first.total_latency_ns == pytest.approx(
             DDR4_2400.t_rcd + DDR4_2400.t_rp
         )
 
-    def test_extend_with_prebuilt_commands(self):
+    def test_column_access_costs(self):
         trace = CommandTrace(timing=DDR4_2400, energy=DDR4_ENERGY)
-        trace.extend([Command(CommandType.ACT), Command(CommandType.PRE)])
-        assert trace.count(CommandType.ACT) == 1
-        assert trace.count(CommandType.PRE) == 1
+        trace.add(CommandType.RD, row=3)
+        trace.add(CommandType.WR, row=3)
+        assert trace.count(CommandType.RD) == trace.count(CommandType.WR) == 1
+        assert trace.total_latency_ns == pytest.approx(
+            2 * (DDR4_2400.t_cl + DDR4_2400.t_burst)
+        )
+        assert trace.total_energy_nj == pytest.approx(DDR4_ENERGY.e_rd + DDR4_ENERGY.e_wr)
 
 
 class TestRefreshAndStepper:

@@ -14,155 +14,90 @@ from repro.dram.timing import DDR4_2400, TimingParameters
 from repro.errors import TimingViolationError
 
 
-def _act(bank: int, row: int = 0) -> Command:
-    return Command(CommandType.ACT, bank=bank, row=row)
+def _act(bank: int) -> Command:
+    return Command(CommandType.ACT, bank=bank)
 
 
-def _pre(bank: int) -> Command:
-    return Command(CommandType.PRE, bank=bank)
+class TestActivationTiming:
+    """tRRD, tFAW and the command bus, as the merge enforces them."""
 
+    def test_trrd_between_banks(self):
+        # The second bank's ACT waits only for tRRD, not for the first
+        # bank's full activation.
+        makespan = CommandScheduler(DDR4_2400).merge_streams([[_act(0)], [_act(1)]])
+        assert makespan == pytest.approx(DDR4_2400.t_rrd + DDR4_2400.t_rcd)
 
-class TestBasicSequencing:
-    def test_act_then_pre_elapsed(self):
-        scheduler = CommandScheduler(DDR4_2400)
-        scheduler.issue(_act(0))
-        scheduler.issue(_pre(0))
-        # PRE must respect tRAS after the ACT, then takes tRP.
-        assert scheduler.elapsed_ns == pytest.approx(
-            DDR4_2400.t_ras + DDR4_2400.t_rp
-        )
-
-    def test_read_requires_open_row(self):
-        scheduler = CommandScheduler(DDR4_2400)
-        with pytest.raises(TimingViolationError):
-            scheduler.issue(Command(CommandType.RD, bank=0))
-
-    def test_double_activate_same_bank_rejected(self):
-        scheduler = CommandScheduler(DDR4_2400)
-        scheduler.issue(_act(0, 1))
-        with pytest.raises(TimingViolationError):
-            scheduler.issue(_act(0, 2))
-
-    def test_unknown_bank_rejected(self):
-        scheduler = CommandScheduler(DDR4_2400, num_banks=2)
-        with pytest.raises(TimingViolationError):
-            scheduler.issue(_act(5))
-
-
-class TestTfawEnforcement:
-    def test_fifth_activation_delayed_by_tfaw(self):
+    def test_fifth_activation_waits_for_tfaw(self):
         # Use a huge tFAW so the delay is unambiguous.
         timing = TimingParameters(t_faw=1000.0, t_rrd=0.0)
         scheduler = CommandScheduler(timing)
-        issue_times = [scheduler.issue(_act(bank)).issue_time_ns for bank in range(5)]
-        assert issue_times[4] >= issue_times[0] + 1000.0
+        four = scheduler.merge_streams([[_act(bank)] for bank in range(4)])
+        five = scheduler.merge_streams([[_act(bank)] for bank in range(5)])
+        assert four < 1000.0
+        assert five == pytest.approx(1000.0 + timing.t_rcd)
 
     def test_no_tfaw_constraint_when_zero(self):
         timing = TimingParameters(t_faw=0.0, t_rrd=0.0)
-        scheduler = CommandScheduler(timing)
-        issue_times = [scheduler.issue(_act(bank)).issue_time_ns for bank in range(8)]
+        makespan = CommandScheduler(timing).merge_streams([[_act(bank)] for bank in range(8)])
         # Only the command-bus serialisation (one clock per command) remains.
-        assert issue_times[-1] - issue_times[0] <= 8 * timing.clock_ns
+        assert makespan == pytest.approx(7 * timing.clock_ns + timing.t_rcd)
 
-    def test_row_sweep_counts_toward_tfaw(self):
-        timing = TimingParameters(t_faw=500.0, t_rrd=0.0)
-        scheduler = CommandScheduler(timing)
-        scheduler.issue(Command(CommandType.ROW_SWEEP, bank=0, rows=4))
-        follow_up = scheduler.issue(_act(1))
-        assert follow_up.issue_time_ns >= 500.0
-
-    def test_lisa_load_activations_respect_tfaw(self):
-        """Multi-row LUT loads cannot slip inside a closed tFAW window."""
+    @pytest.mark.parametrize(
+        "filler",
+        [
+            [Command(CommandType.ROW_SWEEP, bank=0, rows=4)],
+            [Command(CommandType.LISA_RBM, bank=0, rows=4)],
+            [Command(CommandType.TRA, bank=0), Command(CommandType.TRA, bank=0)],
+            [_act(0)] * 4,
+        ],
+        ids=["sweep", "lisa", "tra", "act"],
+    )
+    def test_activations_count_toward_the_window(self, filler):
+        """Four activations of any kind on bank 0 close the window: the
+        ACT bank 1 issues after a refresh waits a full tFAW."""
         timing = TimingParameters(t_faw=1000.0, t_rrd=0.0)
-        scheduler = CommandScheduler(timing)
-        scheduler.issue(Command(CommandType.ROW_SWEEP, bank=0, rows=4))
-        lisa = scheduler.issue(Command(CommandType.LISA_RBM, bank=1, rows=4))
-        assert lisa.issue_time_ns >= 1000.0
+        scheduler = CommandScheduler(timing, sweep_act_interval_ns=10.0)
+        waiting = [Command(CommandType.REF, bank=1), _act(1)]
+        assert scheduler.merge_streams([filler, waiting]) == pytest.approx(
+            1000.0 + timing.t_rcd
+        )
+        # Three activations leave the window open.
+        fewer = [Command(CommandType.ROW_SWEEP, bank=0, rows=3)]
+        assert scheduler.merge_streams([fewer, waiting]) == pytest.approx(
+            timing.t_rfc + timing.t_rcd
+        )
 
-    def test_compound_commands_respect_tfaw(self):
-        timing = TimingParameters(t_faw=1000.0, t_rrd=0.0)
-        scheduler = CommandScheduler(timing)
-        for bank in range(4):
-            scheduler.issue(_act(bank))
-        tra = scheduler.issue(Command(CommandType.TRA, bank=4))
-        assert tra.issue_time_ns >= 1000.0
-
-    def test_recent_acts_deque_trims_at_16_entries(self):
-        """The sliding window keeps only the 16 newest activations.
-
-        Only ``_recent_acts[-4]`` matters for the 4-activation window, so
-        trimming must never drop an entry that can still constrain an
-        issue time — after a 100-activation sweep the deque holds exactly
-        16 entries and the 4th-newest still enforces tFAW on the next ACT.
-        """
+    def test_window_survives_the_16_entry_trim(self):
+        """Only the 16 newest activations are kept; after a 100-activation
+        sweep the next ACT still waits a full tFAW after the 4th newest."""
         timing = TimingParameters(t_faw=1000.0, t_rrd=0.0)
         scheduler = CommandScheduler(timing, sweep_act_interval_ns=0.0)
-        scheduler.issue(Command(CommandType.ROW_SWEEP, bank=0, rows=100))
-        assert len(scheduler._recent_acts) == 16
-        fourth_newest = scheduler._recent_acts[-4]
-        follow_up = scheduler.issue(_act(1))
-        assert follow_up.issue_time_ns >= fourth_newest + 1000.0
-
-    def test_back_to_back_row_sweeps_across_banks(self):
-        """Sweeps on different banks serialise only through tRRD/tFAW.
-
-        With tFAW disabled the second bank's sweep starts one tRRD after
-        the first sweep's final activation (75 ns); with a 200 ns window
-        the first sweep is internally throttled (activations at 0, 10,
-        20, 30, then 200, 210, 220, 230) and the second sweep's first
-        activation must trail the window opened at 200 ns, landing at
-        400 ns with its own tail at 640 ns.
-        """
-        relaxed = TimingParameters(t_faw=0.0, t_rrd=5.0, clock_ns=0.5)
-        scheduler = CommandScheduler(relaxed, sweep_act_interval_ns=10.0)
-        first = scheduler.issue(Command(CommandType.ROW_SWEEP, bank=0, rows=8))
-        second = scheduler.issue(Command(CommandType.ROW_SWEEP, bank=1, rows=8))
-        assert first.issue_time_ns == 0.0
-        assert second.issue_time_ns == pytest.approx(75.0)
-        assert scheduler.elapsed_ns == pytest.approx(155.0)
-
-        throttled = TimingParameters(t_faw=200.0, t_rrd=5.0, clock_ns=0.5)
-        scheduler = CommandScheduler(throttled, sweep_act_interval_ns=10.0)
-        scheduler.issue(Command(CommandType.ROW_SWEEP, bank=0, rows=8))
-        second = scheduler.issue(Command(CommandType.ROW_SWEEP, bank=1, rows=8))
-        assert second.issue_time_ns == pytest.approx(400.0)
-        assert scheduler.elapsed_ns == pytest.approx(640.0)
-
-
-class TestCompoundCommands:
-    def test_rowclone_duration(self):
-        scheduler = CommandScheduler(DDR4_2400)
-        scheduler.issue(Command(CommandType.ROWCLONE, bank=0))
-        assert scheduler.elapsed_ns == pytest.approx(
-            2 * DDR4_2400.t_rcd + DDR4_2400.t_rp
+        sweep = Command(CommandType.ROW_SWEEP, bank=0, rows=100)
+        # Activations go four per window: the last four at 24000 ns and
+        # one, two and three clocks later, so the 101st waits for 25000.
+        assert scheduler.merge_streams([[sweep, _act(0)]]) == pytest.approx(
+            25000.0 + timing.t_rcd
         )
+
+
+class TestSingleStreamDurations:
+    def test_rowclone_duration(self):
+        makespan = CommandScheduler(DDR4_2400).merge_streams(
+            [[Command(CommandType.ROWCLONE, bank=0)]]
+        )
+        assert makespan == pytest.approx(2 * DDR4_2400.t_rcd + DDR4_2400.t_rp)
 
     def test_lisa_duration(self):
-        scheduler = CommandScheduler(DDR4_2400)
-        scheduler.issue(Command(CommandType.LISA_RBM, bank=0))
-        assert scheduler.elapsed_ns == pytest.approx(DDR4_2400.t_rcd + DDR4_2400.t_rp)
+        makespan = CommandScheduler(DDR4_2400).merge_streams(
+            [[Command(CommandType.LISA_RBM, bank=0)]]
+        )
+        assert makespan == pytest.approx(DDR4_2400.t_rcd + DDR4_2400.t_rp)
 
     def test_refresh_duration(self):
-        scheduler = CommandScheduler(DDR4_2400)
-        scheduler.issue(Command(CommandType.REF, bank=0))
-        assert scheduler.elapsed_ns == pytest.approx(DDR4_2400.t_rfc)
-
-    def test_issue_all_returns_schedule(self):
-        scheduler = CommandScheduler(DDR4_2400)
-        scheduled = scheduler.issue_all([_act(0), _pre(0), _act(0, 5)])
-        assert len(scheduled) == 3
-        assert len(scheduler.schedule) == 3
-        assert scheduled[2].issue_time_ns > scheduled[0].issue_time_ns
-
-    def test_parallel_banks_overlap(self):
-        scheduler = CommandScheduler(DDR4_2400)
-        first = scheduler.issue(_act(0))
-        second = scheduler.issue(_act(1))
-        # The second bank's ACT only waits for tRRD, not for the first
-        # bank's full activation.
-        assert second.issue_time_ns - first.issue_time_ns == pytest.approx(
-            DDR4_2400.t_rrd
+        makespan = CommandScheduler(DDR4_2400).merge_streams(
+            [[Command(CommandType.REF, bank=0)]]
         )
+        assert makespan == pytest.approx(DDR4_2400.t_rfc)
 
 
 class TestMergeStreams:
@@ -230,7 +165,6 @@ class TestMergeStreams:
         )
         streams = [[self._sweep(bank, rows=4)] for bank in range(16)]
         makespan = scheduler.merge_streams(streams)
-        assert len(scheduler._recent_acts) == 16
         assert makespan >= tfaw_lower_bound_ns(64, timing)
         # Each bank alone needs rows x interval = 40 ns.
         assert makespan >= 40.0
@@ -276,28 +210,14 @@ class TestBankGroupColumnTiming:
         )
 
     def test_group_boundary_follows_banks_per_group(self):
-        """Banks 0 and 1 share a group only while banks_per_group > 1."""
+        """Banks 0 and 3 share a group only while banks_per_group > 3."""
+        long = DDR4_2400.t_ccd_l + DDR4_2400.t_cl + DDR4_2400.t_burst
+        short = DDR4_2400.t_ccd_s + DDR4_2400.t_cl + DDR4_2400.t_burst
         wide = CommandScheduler(DDR4_2400, banks_per_group=4)
         narrow = CommandScheduler(DDR4_2400, banks_per_group=1)
-        assert wide.bank_group_of(0) == wide.bank_group_of(3) == 0
-        assert wide.bank_group_of(4) == 1
-        assert narrow.bank_group_of(0) == 0
-        assert narrow.bank_group_of(1) == 1
-        crossed = narrow.merge_streams([[self._rd(0)], [self._rd(1)]])
-        assert crossed == pytest.approx(
-            DDR4_2400.t_ccd_s + DDR4_2400.t_cl + DDR4_2400.t_burst
-        )
-
-    def test_issue_path_enforces_tccd_between_groups(self):
-        scheduler = CommandScheduler(DDR4_2400, banks_per_group=4)
-        scheduler.issue(_act(0))
-        scheduler.issue(_act(1))
-        first = scheduler.issue(Command(CommandType.RD, bank=0))
-        second = scheduler.issue(Command(CommandType.RD, bank=1))
-        assert (
-            second.issue_time_ns - first.issue_time_ns
-            >= DDR4_2400.t_ccd_l - 1e-9
-        )
+        assert wide.merge_streams([[self._rd(0)], [self._rd(3)]]) == pytest.approx(long)
+        assert wide.merge_streams([[self._rd(3)], [self._rd(4)]]) == pytest.approx(short)
+        assert narrow.merge_streams([[self._rd(0)], [self._rd(1)]]) == pytest.approx(short)
 
     def test_rejects_non_positive_banks_per_group(self):
         from repro.errors import ConfigurationError

@@ -1,11 +1,9 @@
-"""Tests for memoized/analytic scheduling (dram/analytic.py).
+"""Tests for memoized scheduling (dram/analytic.py).
 
 The contract under test: the memoized fast merge is *bit-identical* to
 the reference event-driven :meth:`CommandScheduler.merge_streams` (same
-floating-point operations in the same order), and the closed-form
-homogeneous Row-Sweep model matches it to machine precision (it
-multiplies where the merge accumulates, so the comparison allows
-last-ulp slack).
+floating-point operations in the same order), and the memo keys on the
+scheduler, a frozen value of its settings.
 """
 
 from __future__ import annotations
@@ -23,24 +21,18 @@ from repro.controller.dispatch import (
     interleaved_bank_order,
     merged_makespan_ns,
     rank_scheduler,
-    rank_scheduler_key,
-    sweep_act_interval_ns,
-    sweep_acts_per_row,
-    sweep_tail_ns,
 )
 from repro.core.designs import PlutoDesign
 from repro.core.engine import DDR4, THREE_DS, PlutoConfig, PlutoEngine
 from repro.dram.analytic import (
     PlacedStream,
     fast_merge_makespan_ns,
-    homogeneous_sweep_makespan_ns,
-    merge_signature,
-    scheduler_signature,
+    memoized_merge_makespan_ns,
     stream_signature,
 )
 from repro.dram.commands import Command, CommandType
 from repro.dram.scheduler import CommandScheduler
-from repro.dram.timing import DDR4_2400, HMC_3DS
+from repro.dram.timing import DDR4_2400
 from repro.errors import TimingViolationError
 
 DESIGNS = [PlutoDesign.BSA, PlutoDesign.GSA, PlutoDesign.GMC]
@@ -165,22 +157,37 @@ class TestMemoization:
     @pytest.mark.parametrize("design", DESIGNS)
     @pytest.mark.parametrize("memory", MEMORIES)
     @pytest.mark.parametrize("tfaw_fraction", [0.0, 0.5, 1.0])
-    def test_the_memo_key_is_the_scheduler_that_computes_a_miss(
+    def test_a_scheduler_is_a_value_and_its_own_memo_key(
         self, design, memory, tfaw_fraction
     ):
-        """The makespan memos key on ``rank_scheduler_key`` and compute a
-        miss with ``rank_scheduler``: the two must describe one scheduler."""
+        """A scheduler merges twice to the same value; engines of equal
+        configuration give equal schedulers that share memo entries."""
+        clear_all_caches()
         engine = _engine(design, memory, tfaw_fraction)
-        assert scheduler_signature(rank_scheduler(engine)) == rank_scheduler_key(engine)
+        twin = _engine(design, memory, tfaw_fraction)
+        scheduler = rank_scheduler(engine)
+        assert rank_scheduler(engine) is scheduler
+        assert rank_scheduler(twin) == scheduler
+        assert hash(rank_scheduler(twin)) == hash(scheduler)
+        streams = _sweep_streams(range(4), 6, lut_rows=6)
+        first = scheduler.merge_streams(streams)
+        assert scheduler.merge_streams(streams) == first
+        assert merged_makespan_ns(streams, engine) == first
+        assert merged_makespan_ns(streams, twin) == first
+        assert cache_stats()["scheduler_merges"]["misses"] == 1
+        assert cache_stats()["scheduler_merges"]["hits"] == 1
 
     def test_signature_ignores_metadata_but_not_structure(self):
+        clear_all_caches()
         scheduler = CommandScheduler(DDR4_2400)
         a = [Command(CommandType.ROW_SWEEP, bank=1, rows=4, meta="x")]
         b = [Command(CommandType.ROW_SWEEP, bank=1, rows=4, meta="y")]
         c = [Command(CommandType.ROW_SWEEP, bank=1, rows=5, meta="x")]
         assert stream_signature(a) == stream_signature(b)
         assert stream_signature(a) != stream_signature(c)
-        assert merge_signature([a], scheduler) == merge_signature([b], scheduler)
+        memoized_merge_makespan_ns([a], scheduler)
+        memoized_merge_makespan_ns([b], scheduler)
+        assert cache_stats()["scheduler_merges"]["hits"] == 1
 
     def test_distinct_timing_distinct_entries(self):
         clear_all_caches()
@@ -278,71 +285,3 @@ class TestPlacedStreams:
         assert after[layer]["hits"] > before[layer]["hits"]
         if placement == 1:
             assert after[layer]["misses"] == before[layer]["misses"]
-
-
-class TestClosedForm:
-    """The analytic model vs the event-driven merge, to machine precision."""
-
-    @pytest.mark.parametrize("design", DESIGNS)
-    @pytest.mark.parametrize("memory", MEMORIES)
-    @pytest.mark.parametrize("tfaw_fraction", [0.0, 1.0, 2.0])
-    @pytest.mark.parametrize("banks_used", [1, 4, 7, 16])
-    def test_matches_reference_across_designs_and_geometries(
-        self, design, memory, tfaw_fraction, banks_used
-    ):
-        engine = _engine(design, memory, tfaw_fraction)
-        gap = sweep_act_interval_ns(engine) / sweep_acts_per_row(engine)
-        rows = 24
-        timing = engine.timing.with_tfaw_fraction(tfaw_fraction)
-        closed = homogeneous_sweep_makespan_ns(
-            banks_used,
-            rows * sweep_acts_per_row(engine),
-            gap,
-            timing,
-            tail_ns=sweep_tail_ns(engine),
-        )
-        if closed is None:  # outside the wave model: fallback is the contract
-            return
-        streams = _sweep_streams(range(banks_used), rows)
-        reference = rank_scheduler(engine).merge_streams(streams)
-        assert closed == pytest.approx(reference, rel=1e-9, abs=1e-6)
-
-    def test_covers_the_16_plus_pending_act_regime(self):
-        """24 banks x 20-row sweeps: far beyond the 16-act tFAW deque."""
-        timing = DDR4_2400.with_tfaw_fraction(2.0)
-        gap = 28.32
-        closed = homogeneous_sweep_makespan_ns(24, 20, gap, timing)
-        assert closed is not None
-        scheduler = CommandScheduler(
-            timing, num_banks=24, banks_per_group=4, sweep_act_interval_ns=gap
-        )
-        streams = _sweep_streams(range(24), 20)
-        assert closed == pytest.approx(scheduler.merge_streams(streams), rel=1e-9)
-
-    @pytest.mark.parametrize("timing", [DDR4_2400, HMC_3DS])
-    def test_grid_against_reference(self, timing):
-        checked = 0
-        for fraction, banks, rows, gap in itertools.product(
-            [0.0, 1.0], [1, 2, 5, 9, 16], [1, 2, 33], [3.0, 14.16, 28.32]
-        ):
-            throttled = timing.with_tfaw_fraction(fraction)
-            closed = homogeneous_sweep_makespan_ns(banks, rows, gap, throttled)
-            if closed is None:
-                continue
-            scheduler = CommandScheduler(
-                throttled, num_banks=banks, sweep_act_interval_ns=gap
-            )
-            reference = scheduler.merge_streams(_sweep_streams(range(banks), rows))
-            assert closed == pytest.approx(reference, rel=1e-9, abs=1e-6), (
-                fraction,
-                banks,
-                rows,
-                gap,
-            )
-            checked += 1
-        assert checked > 20  # the model must cover most of the grid
-
-    def test_degenerate_inputs(self):
-        assert homogeneous_sweep_makespan_ns(4, 0, 10.0, DDR4_2400) == 0.0
-        assert homogeneous_sweep_makespan_ns(0, 4, 10.0, DDR4_2400) is None
-        assert homogeneous_sweep_makespan_ns(4, 4, -1.0, DDR4_2400) is None

@@ -750,16 +750,6 @@ class TestSweepInterval:
         assert single.merge_streams(streams) == pytest.approx(40.0)
         assert double.merge_streams(streams) >= 1000.0
 
-    def test_merge_streams_requires_fresh_scheduler(self):
-        from repro.dram.scheduler import CommandScheduler
-        from repro.dram.timing import DDR4_2400
-        from repro.errors import TimingViolationError
-
-        scheduler = CommandScheduler(DDR4_2400)
-        scheduler.issue(Command(CommandType.ACT, bank=0))
-        with pytest.raises(TimingViolationError):
-            scheduler.merge_streams([[Command(CommandType.ACT, bank=1)]])
-
 
 #: One plan per placement a 2x2 device serves: unsharded, sharded on one
 #: rank, and sharded over every channel and rank.

@@ -19,10 +19,8 @@ SRC = ROOT / "src" / "repro"
 
 #: Definitions nothing in the program names, kept because tests use them.
 KEPT_FOR_TESTS = {
-    # Scheduler references: the tFAW floor any schedule respects, and the
-    # merge memo's key, which the memo tests compare against.
+    # Scheduler reference: the tFAW floor any schedule respects.
     "dram/scheduler.py::tfaw_lower_bound_ns",
-    "dram/analytic.py::merge_signature",
     # Test hooks: clear the process-wide metrics, read the active trace.
     "obs/metrics.py::reset_metrics",
     "obs/trace.py::current_trace",

@@ -67,6 +67,47 @@ class TestActivationTiming:
             timing.t_rfc + timing.t_rcd
         )
 
+    def test_reload_activations_fill_the_window(self):
+        """A swept row costs ``sweep_acts_per_row`` activations: two rows
+        of GSA-style sweeps (reload + sweep) close the window that two
+        rows of plain sweeps leave open."""
+        timing = TimingParameters(t_faw=1000.0, t_rrd=0.0)
+        waiting = [Command(CommandType.REF, bank=1), _act(1)]
+        sweep = [Command(CommandType.ROW_SWEEP, bank=0, rows=2)]
+        reloading = CommandScheduler(
+            timing, sweep_act_interval_ns=10.0, sweep_acts_per_row=2
+        )
+        plain = CommandScheduler(timing, sweep_act_interval_ns=10.0)
+        assert reloading.merge_streams([sweep, waiting]) == pytest.approx(
+            1000.0 + timing.t_rcd
+        )
+        assert plain.merge_streams([sweep, waiting]) == pytest.approx(
+            timing.t_rfc + timing.t_rcd
+        )
+
+    def test_back_to_back_row_sweeps_across_banks(self):
+        """Sweeps on different banks interleave, coupled only by tRRD and
+        tFAW.
+
+        With tFAW disabled bank 1's activations trail bank 0's by one
+        tRRD (bank 0 at 0, 10, ..., 70 ns; bank 1 at 5, 15, ..., 75 ns),
+        so the two 8-row sweeps end at 85 ns.  A 200 ns window admits
+        four activations per window (0, 5, 10, 15, then 200, 205, ...),
+        so the 16th starts at 615 ns and its bank is free at 625 ns.
+        """
+        sweeps = [
+            [Command(CommandType.ROW_SWEEP, bank=0, rows=8)],
+            [Command(CommandType.ROW_SWEEP, bank=1, rows=8)],
+        ]
+        relaxed = TimingParameters(t_faw=0.0, t_rrd=5.0, clock_ns=0.5)
+        throttled = TimingParameters(t_faw=200.0, t_rrd=5.0, clock_ns=0.5)
+        assert CommandScheduler(
+            relaxed, sweep_act_interval_ns=10.0
+        ).merge_streams(sweeps) == pytest.approx(85.0)
+        assert CommandScheduler(
+            throttled, sweep_act_interval_ns=10.0
+        ).merge_streams(sweeps) == pytest.approx(625.0)
+
     def test_window_survives_the_16_entry_trim(self):
         """Only the 16 newest activations are kept; after a 100-activation
         sweep the next ACT still waits a full tFAW after the 4th newest."""
@@ -98,6 +139,32 @@ class TestSingleStreamDurations:
             [[Command(CommandType.REF, bank=0)]]
         )
         assert makespan == pytest.approx(DDR4_2400.t_rfc)
+
+    def test_act_then_pre_duration(self):
+        """A precharge follows its activation's tRCD and takes tRP; the
+        merge models no tRAS."""
+        scheduler = CommandScheduler(DDR4_2400)
+        pre = Command(CommandType.PRE, bank=0)
+        assert scheduler.merge_streams([[_act(0), pre]]) == pytest.approx(
+            DDR4_2400.t_rcd + DDR4_2400.t_rp
+        )
+        assert scheduler.merge_streams([[_act(0), pre, _act(0)]]) == pytest.approx(
+            2 * DDR4_2400.t_rcd + DDR4_2400.t_rp
+        )
+
+    def test_sweep_tail_occupies_only_its_bank(self):
+        """The trailing precharge of a sweep delays its bank's next sweep
+        but not another bank's activations."""
+        timing = TimingParameters(t_faw=0.0, t_rrd=0.0, clock_ns=0.5)
+        scheduler = CommandScheduler(
+            timing, sweep_act_interval_ns=10.0, sweep_tail_ns=7.0
+        )
+        sweep = Command(CommandType.ROW_SWEEP, bank=0, rows=8)
+        other = Command(CommandType.ROW_SWEEP, bank=1, rows=8)
+        assert scheduler.merge_streams([[sweep]]) == pytest.approx(87.0)
+        assert scheduler.merge_streams([[sweep, sweep]]) == pytest.approx(174.0)
+        # Bank 1 trails bank 0 by one bus clock and keeps its own tail.
+        assert scheduler.merge_streams([[sweep], [other]]) == pytest.approx(87.5)
 
 
 class TestMergeStreams:
@@ -150,6 +217,11 @@ class TestMergeStreams:
         scheduler = CommandScheduler(DDR4_2400, num_banks=2)
         with pytest.raises(TimingViolationError):
             scheduler.merge_streams([[self._sweep(7)]])
+
+    def test_rejects_negative_bank(self):
+        scheduler = CommandScheduler(DDR4_2400)
+        with pytest.raises(TimingViolationError):
+            scheduler.merge_streams([[_act(-1)]])
 
     def test_hierarchical_merge_beyond_sixteen_pending_activations(self):
         """A full rank of sweeps: 64 activations across all 4 bank groups.

@@ -2,8 +2,9 @@
 
 The contract under test: the memoized fast merge is *bit-identical* to
 the reference event-driven :meth:`CommandScheduler.merge_streams` (same
-floating-point operations in the same order), and the memo keys on the
-scheduler, a frozen value of its settings.
+floating-point operations in the same order), both stay inside the
+bounds the timing rules alone put on a merge of Row Sweeps, and the memo
+keys on the scheduler, a frozen value of its settings.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from repro.controller.dispatch import (
     interleaved_bank_order,
     merged_makespan_ns,
     rank_scheduler,
+    sweep_act_interval_ns,
+    sweep_acts_per_row,
+    sweep_tail_ns,
 )
 from repro.core.designs import PlutoDesign
 from repro.core.engine import DDR4, THREE_DS, PlutoConfig, PlutoEngine
@@ -31,8 +35,8 @@ from repro.dram.analytic import (
     stream_signature,
 )
 from repro.dram.commands import Command, CommandType
-from repro.dram.scheduler import CommandScheduler
-from repro.dram.timing import DDR4_2400
+from repro.dram.scheduler import CommandScheduler, tfaw_lower_bound_ns
+from repro.dram.timing import DDR4_2400, HMC_3DS
 from repro.errors import TimingViolationError
 
 DESIGNS = [PlutoDesign.BSA, PlutoDesign.GSA, PlutoDesign.GMC]
@@ -55,6 +59,40 @@ def _sweep_streams(banks, rows, *, lut_rows=0):
         stream.append(Command(CommandType.ROW_SWEEP, bank=bank, rows=rows))
         streams.append(stream)
     return streams
+
+
+def _sweep_bounds_ns(scheduler, banks, rows):
+    """Lower and upper bounds on the makespan of ``banks`` equal sweeps.
+
+    Derived from the timing rules alone, not from the greedy: each bank
+    spaces its own activations ``sub`` apart and then holds its tail;
+    consecutive activations of the rank are at least one bus clock and
+    tRRD apart, and tFAW admits four per window; and no activation issues
+    later than ``sub``, a clock, tRRD or tFAW, whichever is longest,
+    after the one before it.
+    """
+    timing = scheduler.timing
+    per_bank = rows * scheduler.sweep_acts_per_row
+    acts = banks * per_bank
+    sub = scheduler.sweep_act_interval_ns / scheduler.sweep_acts_per_row
+    tail = scheduler.sweep_tail_ns
+    last_act_floor = max(
+        tfaw_lower_bound_ns(acts, timing),
+        (acts - 1) * max(timing.t_rrd, timing.clock_ns),
+        (per_bank - 1) * sub,
+    )
+    step = max(sub, timing.clock_ns, timing.t_rrd, timing.t_faw)
+    return last_act_floor + sub + tail, (acts - 1) * step + sub + tail
+
+
+def _assert_exact_and_bounded(scheduler, banks, rows):
+    """Fast merge equals the reference bit for bit, inside the bounds."""
+    streams = _sweep_streams(range(banks), rows)
+    reference = scheduler.merge_streams(streams)
+    assert fast_merge_makespan_ns(streams, scheduler) == reference
+    lower, upper = _sweep_bounds_ns(scheduler, banks, rows)
+    # The bounds multiply where the merge accumulates: allow rounding.
+    assert lower - 1e-6 <= reference <= upper + 1e-6
 
 
 class TestFastMergeExactness:
@@ -285,3 +323,61 @@ class TestPlacedStreams:
         assert after[layer]["hits"] > before[layer]["hits"]
         if placement == 1:
             assert after[layer]["misses"] == before[layer]["misses"]
+
+
+class TestMergeAcrossGeometries:
+    """Row-Sweep merges over designs, memories, tFAW and bank counts: the
+    fast merge replays the reference exactly and both honour the timing
+    bounds, which catch a fault the two merges would share."""
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    @pytest.mark.parametrize("memory", MEMORIES)
+    @pytest.mark.parametrize("tfaw_fraction", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("banks_used", [1, 4, 7, 16])
+    def test_matches_reference_across_designs_and_geometries(
+        self, design, memory, tfaw_fraction, banks_used
+    ):
+        engine = _engine(design, memory, tfaw_fraction)
+        scheduler = rank_scheduler(engine)
+        # The scheduler carries the design's sweep shape.
+        assert scheduler.sweep_act_interval_ns == sweep_act_interval_ns(engine)
+        assert scheduler.sweep_acts_per_row == sweep_acts_per_row(engine)
+        assert scheduler.sweep_tail_ns == sweep_tail_ns(engine)
+        _assert_exact_and_bounded(scheduler, banks_used, 24)
+
+    def test_covers_the_16_plus_pending_act_regime(self):
+        """24 banks x 20-row sweeps: far beyond the 16-act tFAW deque."""
+        scheduler = CommandScheduler(
+            DDR4_2400.with_tfaw_fraction(2.0),
+            num_banks=24,
+            banks_per_group=4,
+            sweep_act_interval_ns=28.32,
+        )
+        _assert_exact_and_bounded(scheduler, 24, 20)
+
+    @pytest.mark.parametrize("timing", [DDR4_2400, HMC_3DS])
+    def test_grid_against_reference(self, timing):
+        for fraction, banks, rows, gap in itertools.product(
+            [0.0, 1.0], [1, 2, 5, 9, 16], [1, 2, 33], [3.0, 14.16, 28.32]
+        ):
+            scheduler = CommandScheduler(
+                timing.with_tfaw_fraction(fraction),
+                num_banks=banks,
+                sweep_act_interval_ns=gap,
+            )
+            _assert_exact_and_bounded(scheduler, banks, rows)
+
+    def test_degenerate_inputs(self):
+        """No streams, empty streams and zero-row sweeps cost nothing but
+        their tails, on both merges."""
+        plain = CommandScheduler(DDR4_2400)
+        tailed = CommandScheduler(DDR4_2400, sweep_tail_ns=7.0)
+        empty_sweeps = _sweep_streams(range(4), 0)
+        for scheduler, streams, expected in (
+            (plain, [], 0.0),
+            (plain, [[], []], 0.0),
+            (plain, empty_sweeps, 0.0),
+            (tailed, empty_sweeps, 7.0),
+        ):
+            assert scheduler.merge_streams(streams) == expected
+            assert fast_merge_makespan_ns(streams, scheduler) == expected

@@ -709,36 +709,41 @@ def _check_bindings(compiled: "CompiledProgram") -> list[Diagnostic]:
 # Whole-program verification (API + compiled) and its memo
 # ---------------------------------------------------------------------- #
 def verify_program(
-    calls: "Sequence[ApiCall]", *, subject: str = "program"
+    calls: "Sequence[ApiCall]",
+    *,
+    subject: str = "program",
+    compiled: "CompiledProgram | None" = None,
 ) -> VerificationReport:
     """Verify a recorded program at both levels.
 
     API-level errors make the program uncompilable, so compilation (and
     the ISA-level walk) only runs on an error-free call list; compile
     failures the call checks did not predict surface as a
-    ``compile-failed`` diagnostic rather than an exception.
+    ``compile-failed`` diagnostic rather than an exception.  A caller
+    that already compiled ``calls`` passes the program as ``compiled``.
     """
     report = verify_calls(calls, subject=subject)
     if not report.ok:
         return report
-    from repro.api.session import compile_cached
+    if compiled is None:
+        from repro.api.session import compile_cached
 
-    try:
-        compiled = compile_cached(list(calls))
-    except ReproError as error:
-        return report.merged(
-            VerificationReport(
-                (
-                    Diagnostic(
-                        severity=Severity.ERROR,
-                        code="compile-failed",
-                        message=str(error),
-                        hint="the compiler rejected the program outright",
+        try:
+            compiled = compile_cached(list(calls))
+        except ReproError as error:
+            return report.merged(
+                VerificationReport(
+                    (
+                        Diagnostic(
+                            severity=Severity.ERROR,
+                            code="compile-failed",
+                            message=str(error),
+                            hint="the compiler rejected the program outright",
+                        ),
                     ),
-                ),
-                subject=subject,
+                    subject=subject,
+                )
             )
-        )
     return report.merged(verify_compiled(compiled, subject=subject))
 
 
@@ -751,6 +756,7 @@ def verify_cached(
     *,
     subject: str = "program",
     key: "tuple | None | object" = _KEY_UNSET,
+    compiled: "CompiledProgram | None" = None,
 ) -> VerificationReport:
     """:func:`verify_program`, memoized on the program structure key.
 
@@ -762,11 +768,14 @@ def verify_cached(
 
     ``key`` lets the execution front doors pass the structure key they
     already computed for the compile cache (``None`` meaning "known
-    unhashable"), so the hot path builds the key once per run.
+    unhashable"), so the hot path builds the key once per run, and the
+    program they compiled as ``compiled``, so a miss compiles nothing.
     """
     if key is _KEY_UNSET:
         key = hashable_structure_key(calls)
-    report = _VERIFY_MEMO.get_or_compute(key, lambda: verify_program(calls, subject=subject))
+    report = _VERIFY_MEMO.get_or_compute(
+        key, lambda: verify_program(calls, subject=subject, compiled=compiled)
+    )
     if report.subject != subject:
         report = VerificationReport(report.diagnostics, subject=subject)
     return report

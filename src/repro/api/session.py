@@ -60,7 +60,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.opt.pipeline import OptimizedProgram
     from repro.opt.report import OptimizationReport
     from repro.plan.execution_plan import ExecutionPlan
-    from repro.plan.planner import PlannerReport
+    from repro.plan.planner import PlannedProgram, PlannerReport
 
 __all__ = [
     "PlutoSession",
@@ -298,9 +298,11 @@ def prepare_execution(
     Otherwise the program is prepared.  An auto ``plan`` resolves
     through the cost-based planner
     (:func:`repro.plan.planner.plan_program`), whose search the plan
-    alone decides.  The artifact depends on no backend: whichever runs
-    it, the controller decides how the host simulates it.  The program
-    is then optimized
+    alone decides, and which hands over the whole program it optimized,
+    keyed and compiled for the chosen plan, so nothing below builds them
+    again.  The artifact depends on no backend: whichever runs
+    it, the controller decides how the host simulates it.  An explicit
+    plan's program is optimized
     when the plan asks for it (a plan that leaves ``optimize`` unset
     defers to the engine configuration).
     Unsharded plans compile through the structure-keyed program cache.
@@ -338,37 +340,47 @@ def prepare_execution(
             return artifact
         _ARTIFACTS.misses += 1
     planner: "PlannerReport | None" = None
+    program: "PlannedProgram | None" = None
     if plan.is_auto:
         from repro.plan.planner import plan_program
 
         with stage("plan") as plan_span:
-            planned = plan_program(calls, engine, request=plan, subject=subject)
+            planned = plan_program(calls, engine, request=plan, subject=subject, key=raw_key)
             plan_span.set(cached=planned.report.cached)
-        plan, planner = planned.plan, planned.report
-    optimize = plan.optimize
-    if optimize is None:
-        optimize = engine is not None and engine.config.optimize
-    optimized: "OptimizedProgram | None" = None
-    if optimize:
-        from repro.opt.pipeline import optimize_cached
+        plan, planner, program = planned.plan, planned.report, planned.program
+    # The whole program that executes (for a sharded plan, the one the
+    # verifier reads), when the planner already compiled it.
+    whole: "CompiledProgram | None" = None
+    if program is None:
+        optimize = plan.optimize
+        if optimize is None:
+            optimize = engine is not None and engine.config.optimize
+        optimized: "OptimizedProgram | None" = None
+        if optimize:
+            from repro.opt.pipeline import optimize_cached
 
-        with stage("optimize"):
-            optimized = optimize_cached(calls)
-        calls = optimized.calls
-    calls = tuple(calls)
-    structure_key = raw_key if optimized is None else hashable_structure_key(calls)
+            with stage("optimize"):
+                optimized = optimize_cached(calls, key=raw_key)
+            calls = optimized.calls
+        calls = tuple(calls)
+        structure_key = raw_key if optimized is None else hashable_structure_key(calls)
+    else:
+        optimized, calls, structure_key, whole = program
     compiled: "CompiledProgram | None" = None
     if plan.effective_shards == 1:
-        span = stage("compile") if _PROGRAM_CACHE.peek(structure_key) is None else NOOP_SPAN
-        try:
-            with span:
-                compiled, _ = compile_cached_with_key(calls, structure_key)
-        except ReproError:
-            if verify:
-                _verify(calls, structure_key, subject)
-            raise
+        compiled = whole
+        if compiled is None:
+            span = stage("compile") if _PROGRAM_CACHE.peek(structure_key) is None else NOOP_SPAN
+            try:
+                with span:
+                    compiled, _ = compile_cached_with_key(calls, structure_key)
+            except ReproError:
+                if verify:
+                    _verify(calls, structure_key, subject)
+                raise
+        whole = compiled
     if verify:
-        _verify(calls, structure_key, subject)
+        _verify(calls, structure_key, subject, whole)
     layout: "ShardLayout | None" = None
     if compiled is None:
         from repro.controller.dispatch import ShardPlanner
@@ -392,12 +404,18 @@ def prepare_execution(
     return artifact
 
 
-def _verify(calls: Sequence[ApiCall], key: "tuple | None", subject: str) -> None:
-    """Verify ``calls`` (memoized on ``key``); raise on any error."""
+def _verify(
+    calls: Sequence[ApiCall],
+    key: "tuple | None",
+    subject: str,
+    compiled: "CompiledProgram | None" = None,
+) -> None:
+    """Verify ``calls`` (memoized on ``key``; ``compiled`` is their
+    program when the caller holds it); raise on any error."""
     from repro.analyze.verifier import verify_cached
 
     with stage("verify"):
-        verify_cached(list(calls), subject=subject, key=key).raise_if_errors()
+        verify_cached(list(calls), subject=subject, key=key, compiled=compiled).raise_if_errors()
 
 
 def insert_artifact(artifact: ProgramArtifact) -> None:

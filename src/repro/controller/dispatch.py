@@ -428,12 +428,13 @@ class ShardPlanner:
         return self._bank_order[index // (self.geometry.channels * self.geometry.ranks)]
 
     @staticmethod
-    def slice_bounds(size: int, shards: int) -> list[tuple[int, int]]:
-        """Balanced contiguous ``(start, stop)`` slices of ``size`` elements.
+    def slice_lengths(size: int, shards: int) -> list[tuple[int, int]]:
+        """Balanced slice lengths of ``size`` elements, as ``(length,
+        count)`` runs in shard order.
 
         Shard sizes differ by at most one element, the larger first, so a
-        split takes at most two distinct slice sizes and equal-sized
-        shards run one program.
+        split takes at most two runs and equal-sized shards run one
+        program.
         """
         if shards <= 0:
             raise ConfigurationError("shard count must be positive")
@@ -442,12 +443,18 @@ class ShardPlanner:
                 f"cannot split {size} elements into {shards} non-empty shards"
             )
         base, remainder = divmod(size, shards)
+        runs = [(base + 1, remainder), (base, shards - remainder)]
+        return [(length, count) for length, count in runs if count]
+
+    @staticmethod
+    def slice_bounds(size: int, shards: int) -> list[tuple[int, int]]:
+        """Contiguous ``(start, stop)`` slices of :meth:`slice_lengths`."""
         bounds = []
         start = 0
-        for index in range(shards):
-            stop = start + base + (1 if index < remainder else 0)
-            bounds.append((start, stop))
-            start = stop
+        for length, count in ShardPlanner.slice_lengths(size, shards):
+            for _ in range(count):
+                bounds.append((start, start + length))
+                start += length
         return bounds
 
     @staticmethod

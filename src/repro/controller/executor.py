@@ -288,13 +288,15 @@ class PlutoController:
         backend = self.backend
         backend.begin_program(geometry, self.engine.config.design)
 
-        # Functional state: register index -> element values.
-        values: dict[int, np.ndarray] = {}
-
         register_by_vector = compiled.vector_bindings
-        for name, data in inputs.items():
-            register = register_by_vector[name]
-            values[register.index] = np.asarray(data, dtype=np.uint64)
+        # Functional state: register index -> element values, seeded with
+        # private arrays (a uint64 input copied, any other dtype converted,
+        # once either way).  Every instruction below binds its destination
+        # to a fresh array, so no final can be the caller's array.
+        values: dict[int, np.ndarray] = {
+            register_by_vector[name].index: np.array(data, dtype=np.uint64)
+            for name, data in inputs.items()
+        }
 
         for instruction in compiled.program:
             if isinstance(instruction, PlutoRowAlloc):
@@ -311,15 +313,14 @@ class PlutoController:
             else:
                 self._apply(instruction, compiled, values)
 
-        outputs = {
-            vector.name: values[register_by_vector[vector.name].index].copy()
-            for vector in compiled.outputs
-        }
+        # The finals are handed out as they are; outputs share the
+        # register snapshot's arrays, as on the compiled routes.
         registers = {
-            name: values[register.index].copy()
+            name: values[register.index]
             for name, register in register_by_vector.items()
             if register.index in values
         }
+        outputs = {vector.name: registers[vector.name] for vector in compiled.outputs}
         template = traces.template
         return ExecutionResult(
             outputs=outputs,

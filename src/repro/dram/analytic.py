@@ -30,14 +30,22 @@ up the reference semantics, via two layers:
    it is bit-identical to the reference while doing O(log banks) work per
    activation.  Streams with column accesses (RD/WR) fall back to the
    reference implementation, which models the data-bus/tCCD interplay.
+
+Next to the merge sits a sound lower bound on it:
+:func:`makespan_floor_ns` reads each stream only through a
+:class:`StreamBound` (its serial event sum, whether it opens with an
+activation, and its activation count, all from the scheduler's own
+:meth:`~repro.dram.scheduler.CommandScheduler.events_of`), so the
+auto-planner can prove that a candidate loses without merging it.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from collections.abc import Iterator, Sequence
-from typing import TYPE_CHECKING, overload
+from collections.abc import Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import TYPE_CHECKING, NamedTuple, overload
 
 from repro.dram.commands import Command
 from repro.errors import TimingViolationError
@@ -48,10 +56,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "PlacedStream",
+    "StreamBound",
     "stream_signature",
     "streams_signature",
     "memoized_merge_makespan_ns",
     "fast_merge_makespan_ns",
+    "stream_bound",
+    "makespan_floor_ns",
 ]
 
 
@@ -257,3 +268,122 @@ def fast_merge_makespan_ns(
         if queue:
             heapq.heappush(pending, (cursor, index, bank))
     return makespan
+
+
+# --------------------------------------------------------------------- #
+# A sound floor under the merge
+# --------------------------------------------------------------------- #
+#: Relative margin :func:`makespan_floor_ns` keeps below the merge.  The
+#: floor adds the merge's durations in another order, and multiplies
+#: where the merge adds, so where it is exactly tight (a rank holding one
+#: stream) it could round a few ulps above the merge; rounding moves a
+#: sum of n positive terms by at most about n ulps, so this margin covers
+#: ranks of up to about 10^9 events.
+FLOOR_MARGIN = 1e-6
+
+
+class StreamBound(NamedTuple):
+    """What :func:`makespan_floor_ns` reads of one command stream."""
+
+    #: Sum of the stream's event durations: its bank's cursor never
+    #: moves back, so the stream ends no earlier.
+    serial_ns: float
+    #: Whether its first event is an activation.
+    opens_with_act: bool
+    #: Row activations it issues.
+    activations: int
+
+
+def stream_bound(stream: Iterable[Command], scheduler: "CommandScheduler") -> StreamBound:
+    """The :class:`StreamBound` of ``stream`` under ``scheduler``.
+
+    Built from :meth:`~repro.dram.scheduler.CommandScheduler.events_of`,
+    the decomposition both merges schedule, so the bound cannot drift
+    from the schedule.  A command's events depend on its kind and row
+    count alone, so each distinct pair is decomposed once.
+    """
+    serial = 0.0
+    activations = 0
+    opens: bool | None = None
+    shapes: dict[tuple, tuple[float, int, str | None]] = {}
+    for command in stream:
+        shape = (command.kind, command.rows)
+        summary = shapes.get(shape)
+        if summary is None:
+            events = scheduler.events_of(command)
+            kinds = list(map(itemgetter(0), events))
+            summary = shapes[shape] = (
+                sum(map(itemgetter(1), events)),
+                kinds.count("act"),
+                kinds[0] if kinds else None,
+            )
+        duration, acts, first = summary
+        serial += duration
+        activations += acts
+        if opens is None and first is not None:
+            opens = first == "act"
+    return StreamBound(serial, bool(opens), activations)
+
+
+def makespan_floor_ns(
+    parts: Sequence[tuple[StreamBound, int]],
+    scheduler: "CommandScheduler",
+    *,
+    channels: int = 1,
+    ranks: int = 1,
+) -> float:
+    """A lower bound on the merged makespan of streams placed over ranks.
+
+    ``parts`` describes the streams in placement order: each pair is
+    ``count`` consecutive streams of one :class:`StreamBound`, each
+    holding at least one command.  Stream *i* runs in rank
+    ``i % (channels * ranks)``, in a bank of its own, which is where
+    :class:`~repro.controller.dispatch.ShardPlanner` and the dispatcher
+    place shard *i*.  A rank's merge ends no earlier than the largest of:
+
+    * its longest stream's serial event sum;
+    * when m >= 2 of its streams open with an activation, the smallest
+      of their sums plus (m - 1) activation steps: those m first
+      activations issue one after another, at least
+      ``max(tRRD, clock)`` apart, and the last of them starts a whole
+      stream;
+    * the issue time of its last activation: consecutive activations are
+      a step apart, and each is at least tFAW after the fourth before it.
+
+    The floor is the largest rank's, less :data:`FLOOR_MARGIN`, so it is
+    at or below both merges in floating point.  A channel's makespan is
+    at least its slowest rank's, so the bound holds over any placement.
+    """
+    timing = scheduler.timing
+    step = max(timing.t_rrd, timing.clock_ns, 0.0)
+    four_steps = max(timing.t_faw, 4 * step)
+    slots = channels * ranks
+
+    def landing(count: int, slot: int) -> int:
+        """How many of streams 0 .. count - 1 run in rank ``slot``."""
+        return max(0, (count - slot + slots - 1) // slots)
+
+    floor = 0.0
+    for slot in range(slots):
+        longest = 0.0
+        shortest_opening = float("inf")
+        opening = activations = 0
+        start = 0
+        for bound, count in parts:
+            here = landing(start + count, slot) - landing(start, slot)
+            start += count
+            if not here:
+                continue
+            longest = max(longest, bound.serial_ns)
+            activations += here * bound.activations
+            if bound.opens_with_act:
+                opening += here
+                shortest_opening = min(shortest_opening, bound.serial_ns)
+        rank_floor = longest
+        if opening >= 2:
+            rank_floor = max(rank_floor, (opening - 1) * step + shortest_opening)
+        if activations:
+            groups, rest = divmod(activations - 1, 4)
+            rank_floor = max(rank_floor, groups * four_steps + rest * step)
+        floor = max(floor, rank_floor)
+    return floor * (1.0 - FLOOR_MARGIN)

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from repro.analyze.verifier import check_pass_invariants, verification_enabled
 from repro.api.handles import ApiCall, PlutoVector
-from repro.api.session import hashable_structure_key
+from repro.api.session import _KEY_UNSET, hashable_structure_key
 from repro.errors import CompilationError
 from repro.opt.analysis import natural_output_names, topological_calls
 from repro.opt.passes import (
@@ -198,15 +198,18 @@ def optimize_program(
 _OPTIMIZE_MEMO: BoundedMemo[OptimizedProgram] = BoundedMemo("optimizer", 512)
 
 
-def optimize_cached(calls: Sequence[ApiCall]) -> OptimizedProgram:
+def optimize_cached(
+    calls: Sequence[ApiCall], *, key: "tuple | None | object" = _KEY_UNSET
+) -> OptimizedProgram:
     """Optimize with the default pipeline, memoized on program structure.
 
     The key is :func:`repro.compiler.lowering.program_structure_key` —
     the same identity the compile, trace-template, and makespan memos
     use, so a served program shape pays for its optimization exactly
     once.  Unhashable structures (list-valued parameters) bypass the
-    memo and are counted as ``uncached``.
+    memo and are counted as ``uncached``.  A caller that already holds
+    the key passes it as ``key`` (``None`` meaning "known unhashable").
     """
-    return _OPTIMIZE_MEMO.get_or_compute(
-        hashable_structure_key(calls), lambda: optimize_program(calls)
-    )
+    if key is _KEY_UNSET:
+        key = hashable_structure_key(calls)
+    return _OPTIMIZE_MEMO.get_or_compute(key, lambda: optimize_program(calls))

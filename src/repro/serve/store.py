@@ -54,10 +54,10 @@ __all__ = [
 
 #: Bump when the artifact layout (or the meaning of any stored product)
 #: changes; entries written under another schema are discarded as stale.
-#: Version 7: an identity's plan spells its placement with the device's
-#: counts (no ``None`` level), so a version 6 entry under a ``None``
-#: placement would never be asked for again.
-ARTIFACT_SCHEMA_VERSION = 7
+#: Version 8: a planner report's candidates carry a makespan floor and a
+#: pruned reason, and a pruned candidate has no predicted makespan, so a
+#: version 7 report would unpickle without them.
+ARTIFACT_SCHEMA_VERSION = 8
 
 
 #: Process-wide hit/miss/stale/saved/installed counters and cumulative

@@ -221,13 +221,15 @@ class TestCompiledFused:
 class TestSeedCopies:
     """A final the closure never rebinds holds its input's seed: copied
     while it is the caller's array, handed out when the conversion to
-    ``uint64`` already made it fresh, on every compiled route."""
+    ``uint64`` already made it fresh, on every compiled route and on the
+    interpreted walk."""
 
     ELEMENTS = 65536
 
     def _routes(self):
         """The serving entry, its ``run_finals`` fallback (an extra seed
-        makes the entry bail out) and the fused 8-shard pass."""
+        makes the entry bail out), the fused 8-shard pass and the
+        interpreted walk."""
         session = PlutoSession()
         pixels = session.pluto_malloc(self.ELEMENTS, 8, "pixels")
         graded = session.pluto_malloc(self.ELEMENTS, 8, "graded")
@@ -240,15 +242,17 @@ class TestSeedCopies:
         for shard_key, program in layout.programs.values():
             assert compiled_exec_cached(program, structure_key=shard_key).supports_fused
         dispatcher = ParallelDispatcher(engine, fused=True)
+        walk = PlutoController(engine, backend="vectorized", jit=False)
         return {
             "serve": lambda x: controller.execute(compiled, {"pixels": x}, structure_key=key),
             "run_finals": lambda x: controller.execute(
                 compiled, {"pixels": x, **extra}, structure_key=key
             ),
             "fused": lambda x: dispatcher.execute(layout, {"pixels": x}),
+            "interpreted": lambda x: walk.execute(compiled, {"pixels": x}, structure_key=key),
         }
 
-    @pytest.mark.parametrize("route", ["serve", "run_finals", "fused"])
+    @pytest.mark.parametrize("route", ["serve", "run_finals", "fused", "interpreted"])
     def test_no_result_shares_an_input_and_int64_is_copied_once(self, route):
         run = self._routes()[route]
         peaks = {}

@@ -30,7 +30,7 @@ from repro.core.engine import PlutoConfig, PlutoEngine
 from repro.core.lut import LookupTable
 from repro.errors import AllocationError, ConfigurationError, VerificationError
 from repro.plan import ExecutionPlan, plan_program, resolve_plan
-from repro.plan.planner import CandidatePlan, _choose
+from repro.plan.planner import PRUNED_BY_TIE_BREAK, CandidatePlan, _choose
 from repro.workloads.programs import optimizer_workload_programs, workload_program
 
 ELEMENTS = 1024
@@ -255,7 +255,8 @@ class TestPredictionExactness:
         result = session.run(inputs, plan="auto")
         report = result.planner
         assert len(report.candidates) > 1
-        predicted = [c.predicted_makespan_ns for c in report.candidates]
+        # A pruned candidate has a floor and a reason instead of a makespan.
+        predicted = [c.predicted_makespan_ns for c in report.candidates if c.pruned is None]
         assert report.predicted_makespan_ns == min(predicted)
         assert report.predicted_gain >= 1.0
 
@@ -395,13 +396,6 @@ def _reference_candidates(calls, engine: PlutoEngine, request: ExecutionPlan) ->
     return candidates
 
 
-def _exact(candidates) -> list[tuple[str, str, str]]:
-    return [
-        (c.plan.label(), float.hex(c.predicted_makespan_ns), float.hex(c.predicted_energy_nj))
-        for c in candidates
-    ]
-
-
 class TestTemplateReuse:
     """Pricing builds one template per per-register row-count vector."""
 
@@ -412,10 +406,14 @@ class TestTemplateReuse:
 
     @pytest.mark.parametrize("engine_name", sorted(ENGINES))
     def test_reports_equal_a_pricer_that_compiles_every_slice(self, engine_name):
-        """Candidate labels and order, every predicted makespan and energy
-        to the bit, the chosen plan and the baseline.  5000 elements split
+        """Candidate labels and order, every energy and every priced
+        makespan to the bit, every pruned floor at or below the merged
+        makespan, the chosen plan and the baseline.  5000 elements split
         into two slice lengths; 65536 crosses row boundaries (8 rows whole,
-        1 row at 8192)."""
+        1 row at 8192); the cold-programs shapes of seed 1 are the
+        programs a never-seen request plans."""
+        from perfbench.workloads import cold_shapes, instantiate
+
         engine = PlutoEngine(self.ENGINES[engine_name])
         programs = [
             program.session.calls
@@ -425,12 +423,28 @@ class TestTemplateReuse:
         programs += [
             _cold_program(elements, f"ref{elements}")[0].calls for elements in (256, 1024, 4096)
         ]
+        programs += [instantiate(shape, "ref").session.calls for shape in cold_shapes(1)]
         for calls in programs:
             for optimize in (None, True, False):
                 request = ExecutionPlan.auto(optimize=optimize)
                 report = plan_program(calls, engine, request=request).report
                 reference = _reference_candidates(calls, engine, request)
-                assert _exact(report.candidates) == _exact(reference)
+                assert [c.plan.label() for c in report.candidates] == [
+                    c.plan.label() for c in reference
+                ]
+                for candidate, merged in zip(report.candidates, reference):
+                    label = candidate.plan.label()
+                    assert float.hex(candidate.predicted_energy_nj) == float.hex(
+                        merged.predicted_energy_nj
+                    ), label
+                    if candidate.pruned is None:
+                        assert float.hex(candidate.predicted_makespan_ns) == float.hex(
+                            merged.predicted_makespan_ns
+                        ), label
+                    else:
+                        assert candidate.predicted_makespan_ns is None, label
+                    if candidate.floor_ns is not None:
+                        assert candidate.floor_ns <= merged.predicted_makespan_ns, label
                 chosen = _choose(reference)
                 assert report.chosen == chosen.plan
                 assert float.hex(report.predicted_makespan_ns) == float.hex(
@@ -526,13 +540,12 @@ class TestColdProgramCost:
     def test_a_cold_program_builds_only_its_own_programs(self, monkeypatch):
         """A never-seen 4096-element program on a verifying engine compiles
         and builds templates for its unoptimized and optimized whole
-        programs only, and every merge pricing its shards is a memo hit
-        after one program of the same shape warmed the memo.  A hit
-        builds no shard stream: the planner realizes no template and no
-        placed stream is read.  The run realizes its own template once,
-        in bank 0, for its trace.  Run once, the program builds no
-        closure; its second run builds exactly one and realizes
-        nothing."""
+        programs only, and merges none of its sharded candidates: each
+        one's floor proves it cannot be chosen, so the planner realizes
+        no template, places no stream and looks up no merge.  The run
+        realizes its own template once, in bank 0, for its trace.  Run
+        once, the program builds no closure; its second run builds
+        exactly one and realizes nothing."""
         import repro.plan.planner as planner
         from repro.controller.executor import TraceTemplate
         from repro.dram.analytic import PlacedStream
@@ -582,7 +595,7 @@ class TestColdProgramCost:
         assert result.execution_plan.effective_shards == 1
         assert delta("programs", "misses") <= 2
         assert delta("trace_templates", "misses") <= 2
-        assert delta("scheduler_merges", "hits") == 8
+        assert delta("scheduler_merges", "hits") == 0
         assert delta("scheduler_merges", "misses") == 0
         assert plans == [1]
         assert [event for event in streams if event[0] == "plan"] == []
@@ -596,6 +609,49 @@ class TestColdProgramCost:
         for name, data in result.outputs.items():
             assert np.array_equal(again.outputs[name], data), name
         assert again.latency_ns == result.latency_ns
+
+    @pytest.mark.parametrize("elements", [256, 4096])
+    def test_a_cold_request_keys_and_compiles_each_program_once(self, monkeypatch, elements):
+        """A never-seen program on a verifying engine builds the structure
+        keys of its two programs (recorded and optimized) once each and
+        compiles through the program cache twice: the planner hands its
+        whole program to the artifact and the verifier, and the key it
+        was given to the optimizer."""
+        import repro.api.session as session_module
+        import repro.compiler.lowering as lowering
+
+        engine = PlutoEngine(PlutoConfig(verify="always"))
+        warm, warm_inputs = _cold_program(elements, "keywarm")
+        warm.run(warm_inputs, plan="auto", engine=engine)
+        session, inputs = _cold_program(elements, "keycold")
+        keys: list[int] = []
+        compiles: list[int] = []
+        structure_key = lowering.program_structure_key
+        compile_with_key = session_module.compile_cached_with_key
+
+        def keying(*args, **kwargs):
+            keys.append(1)
+            return structure_key(*args, **kwargs)
+
+        def compiling(*args, **kwargs):
+            compiles.append(1)
+            return compile_with_key(*args, **kwargs)
+
+        monkeypatch.setattr(lowering, "program_structure_key", keying)
+        monkeypatch.setattr(session_module, "compile_cached_with_key", compiling)
+        before = cache_stats()
+        result = session.run(inputs, plan="auto", engine=engine)
+        after = cache_stats()
+        assert result.planner is not None and result.planner.predicted_makespan_ns == (
+            result.latency_ns
+        )
+        assert len(keys) == 2
+        assert len(compiles) == 2
+        for layer in ("programs", "optimizer", "verifier", "trace_templates"):
+            assert after[layer]["misses"] - before[layer]["misses"] <= 2, layer
+        for name, data in warm.run(warm_inputs, engine=engine).outputs.items():
+            role = name.removesuffix("_keywarm")
+            assert np.array_equal(result.outputs[f"{role}_keycold"], data), name
 
 
 def _candidate(
@@ -647,8 +703,11 @@ class TestTieBreak:
         default = session.run(inputs, plan=ExecutionPlan())
         priced = {c.plan.label(): c for c in auto.planner.candidates}
         one, two = priced["shards=1"], priced["shards=2"]
-        # The premise: two shards are a near-tie at twice the energy.
-        assert two.predicted_makespan_ns <= one.predicted_makespan_ns * 1.0003
+        # The premise: two shards are a near-tie at twice the energy.  Their
+        # floor is inside the window and at or above one shard's makespan,
+        # so one shard beats them on energy without a merge.
+        assert one.predicted_makespan_ns <= two.floor_ns <= one.predicted_makespan_ns * 1.0003
+        assert two.pruned == PRUNED_BY_TIE_BREAK and two.predicted_makespan_ns is None
         assert two.predicted_energy_nj == 2 * one.predicted_energy_nj
         assert auto.execution_plan.effective_shards == 1
         assert auto.energy_nj == default.energy_nj == one.predicted_energy_nj

@@ -3,8 +3,9 @@
 The contract under test: the memoized fast merge is *bit-identical* to
 the reference event-driven :meth:`CommandScheduler.merge_streams` (same
 floating-point operations in the same order), both stay inside the
-bounds the timing rules alone put on a merge of Row Sweeps, and the memo
-keys on the scheduler, a frozen value of its settings.
+bounds the timing rules alone put on a merge of Row Sweeps, the memo
+keys on the scheduler, a frozen value of its settings, and the makespan
+floor never exceeds either merge.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.session import cache_stats, clear_all_caches
 from repro.controller.dispatch import (
@@ -29,9 +32,12 @@ from repro.controller.dispatch import (
 from repro.core.designs import PlutoDesign
 from repro.core.engine import DDR4, THREE_DS, PlutoConfig, PlutoEngine
 from repro.dram.analytic import (
+    FLOOR_MARGIN,
     PlacedStream,
     fast_merge_makespan_ns,
+    makespan_floor_ns,
     memoized_merge_makespan_ns,
+    stream_bound,
     stream_signature,
 )
 from repro.dram.commands import Command, CommandType
@@ -300,7 +306,8 @@ class TestPlacedStreams:
     def test_placed_and_realized_streams_share_memo_entries(self, placement):
         """The planner prices placed templates; the run of a priced
         candidate merges realized traces and finds the entry pricing made:
-        the merge of a one-rank plan, the schedule of a whole 2 x 2 one."""
+        the merge of a one-rank plan, the schedule of a whole 2 x 2 one.
+        Eight shards are merged on both placements (sixteen are pruned)."""
         from repro.api.luts import color_grade_lut
         from repro.api.session import PlutoSession
         from repro.plan import ExecutionPlan, plan_program
@@ -313,8 +320,9 @@ class TestPlacedStreams:
         inputs = {"pixels": np.arange(65536, dtype=np.uint64) % 256}
         engine = PlutoEngine(PlutoConfig(channels=2, ranks=2))
         report = plan_program(session.calls, engine).report
-        plan = ExecutionPlan(shards=16, channels=placement, ranks=placement, optimize=False)
+        plan = ExecutionPlan(shards=8, channels=placement, ranks=placement, optimize=False)
         (candidate,) = [c for c in report.candidates if c.plan == plan]
+        assert candidate.pruned is None
         before = cache_stats()
         result = session.run(inputs, plan=plan, engine=engine)
         after = cache_stats()
@@ -381,3 +389,111 @@ class TestMergeAcrossGeometries:
         ):
             assert scheduler.merge_streams(streams) == expected
             assert fast_merge_makespan_ns(streams, scheduler) == expected
+
+
+#: Engines of the floor tests, by (design, tfaw fraction, channels, ranks).
+_FLOOR_ENGINES: dict[tuple, PlutoEngine] = {}
+
+
+def _floor_engine(design, tfaw_fraction, channels, ranks) -> PlutoEngine:
+    key = (design, tfaw_fraction, channels, ranks)
+    if key not in _FLOOR_ENGINES:
+        _FLOOR_ENGINES[key] = PlutoEngine(
+            PlutoConfig(
+                design=design, tfaw_fraction=tfaw_fraction, channels=channels, ranks=ranks
+            )
+        )
+    return _FLOOR_ENGINES[key]
+
+
+def _placed(streams, engine, channels, ranks) -> list[PlacedStream]:
+    """Stream *i* in the bank the dispatcher places shard *i* in."""
+    order = interleaved_bank_order(engine.geometry)
+    return [
+        PlacedStream(stream, order[index // (channels * ranks)])
+        for index, stream in enumerate(streams)
+    ]
+
+
+#: Streams of one to five sweeps, LISA loads, TRAs and precharges, with
+#: row counts from zero (a sweep of nothing) up.
+_STREAMS = st.lists(
+    st.lists(
+        st.tuples(
+            st.sampled_from(
+                [CommandType.ROW_SWEEP, CommandType.LISA_RBM, CommandType.TRA, CommandType.PRE]
+            ),
+            st.integers(0, 12),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    min_size=1,
+    max_size=16,
+)
+
+
+class TestMakespanFloor:
+    """The floor the auto-planner prunes with is at or below both merges."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shapes=_STREAMS,
+        design=st.sampled_from(DESIGNS),
+        placement=st.sampled_from([(1, 1), (2, 1), (2, 2)]),
+        tfaw_fraction=st.sampled_from([0.0, 1.0]),
+    )
+    def test_the_floor_is_at_or_below_both_merges(
+        self, shapes, design, placement, tfaw_fraction
+    ):
+        channels, ranks = placement
+        engine = _floor_engine(design, tfaw_fraction, channels, ranks)
+        scheduler = rank_scheduler(engine)
+        streams = _placed(
+            [[Command(kind, bank=0, rows=rows) for kind, rows in shape] for shape in shapes],
+            engine,
+            channels,
+            ranks,
+        )
+        floor = makespan_floor_ns(
+            [(stream_bound(stream, scheduler), 1) for stream in streams],
+            scheduler,
+            channels=channels,
+            ranks=ranks,
+        )
+        slots = channels * ranks
+        for slot in range(min(slots, len(streams))):
+            rank_streams = streams[slot::slots]
+            fast = fast_merge_makespan_ns(rank_streams, scheduler)
+            assert fast == scheduler.merge_streams(rank_streams)
+        makespan = merged_makespan_ns(streams, engine, channels=channels, ranks=ranks)
+        assert floor <= makespan
+        if slots == 1:
+            assert floor <= fast
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_a_rank_of_one_sweep_is_tight(self, design):
+        """Unthrottled, one sweep's merge is its serial event sum, which
+        the floor meets up to its margin."""
+        engine = _floor_engine(design, 0.0, 1, 1)
+        scheduler = rank_scheduler(engine)
+        stream = [Command(CommandType.ROW_SWEEP, bank=0, rows=256)]
+        floor = makespan_floor_ns([(stream_bound(stream, scheduler), 1)], scheduler)
+        makespan = fast_merge_makespan_ns([stream], scheduler)
+        assert makespan * (1.0 - 2 * FLOOR_MARGIN) <= floor <= makespan
+
+    def test_a_run_of_equal_streams_is_one_part(self):
+        """``(bound, count)`` is ``count`` consecutive streams of one bound,
+        wherever the run falls across ranks."""
+        engine = _floor_engine(PlutoDesign.BSA, 1.0, 2, 2)
+        scheduler = rank_scheduler(engine)
+        long = stream_bound([Command(CommandType.ROW_SWEEP, bank=0, rows=9)], scheduler)
+        short = stream_bound([Command(CommandType.ROW_SWEEP, bank=0, rows=4)], scheduler)
+        for longer, shorter in ((3, 6), (1, 4), (0, 5), (6, 0)):
+            runs = makespan_floor_ns(
+                [(long, longer), (short, shorter)], scheduler, channels=2, ranks=2
+            )
+            single = makespan_floor_ns(
+                [(long, 1)] * longer + [(short, 1)] * shorter, scheduler, channels=2, ranks=2
+            )
+            assert runs == single

@@ -16,6 +16,18 @@ asks for it on a program's second run; the first is interpreted
 (``PlutoController._compiled_executable``), so a program run once pays
 for no code generation.
 
+Each closure carries two generated functions.  ``__pluto_serve__``, the
+single-vector serving entry, allocates its results as NumPy does.
+``__pluto_program__``, behind :meth:`CompiledExecutable.run_finals` (the
+fused ``(shards, size)`` pass and the unsharded fallback), writes every
+destination into a ``uint64`` array from :data:`BUFFERS`, one
+process-wide recycler keyed on shape: at 65536 elements a fresh result
+array is half a MiB of pages the kernel must fault in and zero, and the
+allocator has returned the previous request's memory by then.  The
+recycler hands out an array only once nothing but itself references it,
+so a result keeps its bytes for as long as any of its arrays or views
+lives.
+
 Cost accounting is untouched: the controller realizes the program's
 cached :class:`~repro.controller.executor.TraceTemplate` alongside the
 closure, so a compiled execution's command trace is bit-identical to the
@@ -26,6 +38,8 @@ suites compare both fast tiers against.
 
 from __future__ import annotations
 
+import threading
+from sys import getrefcount
 from typing import Callable
 
 import numpy as np
@@ -47,14 +61,127 @@ from repro.isa.instructions import (
 )
 from repro.obs.trace import stage
 from repro.utils.bitops import mask_of
-from repro.utils.memo import MemoCounters
+from repro.utils.memo import MemoCounters, register_layer
 
 __all__ = [
+    "BUFFERS",
+    "BUFFER_LIMIT_BYTES",
     "CompiledExecutable",
     "compiled_exec_cached",
     "pin_executable",
     "CLOSURE_COUNTERS",
 ]
+
+#: Bytes of result arrays :data:`BUFFERS` may hold at once.
+BUFFER_LIMIT_BYTES = 64 << 20
+
+
+def _last_idle(arrays: list, idle: int) -> int:
+    """Position of the last array nothing but ``arrays`` references, or -1."""
+    for index in range(len(arrays) - 1, -1, -1):
+        if getrefcount(arrays[index]) <= idle:
+            return index
+    return -1
+
+
+def _idle_refs() -> int:
+    """The reference count :func:`_last_idle` reads on an array only
+    its list holds (calibrated once: it depends on the interpreter)."""
+    probe = [np.empty(0, dtype=np.uint64)]
+    refs = 1
+    while _last_idle(probe, refs) < 0:
+        refs += 1
+    return refs
+
+
+class _BufferRecycler:
+    """Process-wide ``uint64`` result arrays, recycled by shape.
+
+    :meth:`acquire` hands out an array the recycler holds that nothing
+    else references any more (its CPython reference count is the idle
+    count calibrated once), or a fresh ``np.empty`` that it keeps while
+    its held bytes stay within :attr:`limit`.  A result, any of its
+    arrays, or any view of one therefore keeps its bytes until it is
+    dropped.  The scan runs under a lock, because the runs of one
+    dispatcher and a service's batch thread may overlap: an array leaves
+    the lock already referenced by its taker.  Reported as
+    ``cache_stats()["compiled_exec"]["buffers"]``; ``clear_all_caches()``
+    forgets the held arrays.
+    """
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self._held: dict[tuple[int, ...], list[np.ndarray]] = {}
+        self._bytes = 0
+        self._lock = threading.Lock()
+        self._idle = _idle_refs()
+        self.hits = 0
+        self.misses = 0
+        self.uncached = 0
+        register_layer("compiled_exec", self.stats, self.clear)
+
+    def acquire(self, shape: tuple[int, ...]) -> np.ndarray:
+        """An array of ``shape`` no one else holds; its contents are stale."""
+        with self._lock:
+            arrays = self._held.get(shape)
+            index = _last_idle(arrays, self._idle) if arrays else -1
+            if index >= 0:
+                # The scan runs from the most recently handed out array:
+                # the idle array it finds first is the one likeliest to
+                # be in the CPU's caches still.
+                array = arrays.pop(index)
+                arrays.append(array)
+                self.hits += 1
+                return array
+            array = np.empty(shape, dtype=np.uint64)
+            if self._bytes + array.nbytes > self.limit:
+                self._drop_idle(shape, self.limit - array.nbytes)
+                if self._bytes + array.nbytes > self.limit:
+                    self.uncached += 1
+                    return array
+            self._held.setdefault(shape, []).append(array)
+            self._bytes += array.nbytes
+            self.misses += 1
+            return array
+
+    def _drop_idle(self, shape: tuple[int, ...], budget: int) -> None:
+        """Forget idle arrays of other shapes until the held bytes fit ``budget``."""
+        for other in [other for other in self._held if other != shape]:
+            arrays = self._held[other]
+            while self._bytes > budget:
+                index = _last_idle(arrays, self._idle)
+                if index < 0:
+                    break
+                self._bytes -= arrays.pop(index).nbytes
+            if not arrays:
+                del self._held[other]
+
+    def stats(self) -> dict[str, dict[str, int]]:
+        """Reuses, kept and unkept fresh arrays, arrays and bytes held."""
+        with self._lock:
+            size = sum(len(arrays) for arrays in self._held.values())
+            return {
+                "buffers": {
+                    "hits": self.hits,
+                    "misses": self.misses,
+                    "uncached": self.uncached,
+                    "size": size,
+                    "bytes": self._bytes,
+                }
+            }
+
+    def clear(self) -> None:
+        """Forget every held array and zero the counters."""
+        with self._lock:
+            self._held.clear()
+            self._bytes = 0
+            self.hits = 0
+            self.misses = 0
+            self.uncached = 0
+
+
+#: The one recycler every ``__pluto_program__`` closure writes into.
+BUFFERS = _BufferRecycler(BUFFER_LIMIT_BYTES)
 
 
 class CompiledExecutable:
@@ -62,10 +189,11 @@ class CompiledExecutable:
 
     The closure takes a slot list ``V`` (row-register index -> value
     array), runs the whole program without touching the instruction
-    stream, and returns the final value of every vector-bound register.
-    Executables depend only on program structure and LUT contents — not
-    on the engine, bank, or backend instance — so one instance serves
-    every controller in the process.
+    stream, writing each destination into a buffer from
+    :data:`BUFFERS`, and returns the final value of every vector-bound
+    register.  Executables depend only on program structure and LUT
+    contents — not on the engine, bank, or backend instance — so one
+    instance serves every controller in the process.
     """
 
     __slots__ = (
@@ -149,10 +277,13 @@ class CompiledExecutable:
         """Seed inputs, zero-init the rest, and run the closure.
 
         Returns the final value array of every vector-bound register, in
-        :attr:`final_slots` order, none sharing memory with ``inputs``: a
-        seed that is still the caller's array is copied, one the
-        conversion to ``uint64`` made fresh is not.  ``inputs`` must
-        already be valid for the program: the controller checks them
+        :attr:`final_slots` order, none sharing memory with ``inputs`` or
+        with any array a live result holds.  Every array it makes comes
+        from :data:`BUFFERS`: each destination the closure writes, the
+        ``uint64`` conversion of an input of another dtype, each
+        zero-initialised register, and the copy of a final that is still
+        the caller's seed.  ``inputs`` must already be valid for the
+        program: the controller checks them
         (``PlutoController._check_inputs``) before it gets here.  With
         ``shards`` the same closure runs over stacked ``(shards, size)``
         arrays — one gather per LUT query for the whole batch (the fused
@@ -163,39 +294,51 @@ class CompiledExecutable:
                 "program moves between different-size rows; fused "
                 "compiled execution is unavailable"
             )
+        acquire = BUFFERS.acquire
         values: list = [None] * self.num_slots
-        given: dict[int, object] = {}
+        callers: set[int] = set()
         for name, data in inputs.items():
             slot = self.input_slots[name]
-            values[slot] = np.asarray(data, dtype=np.uint64)
-            given[slot] = data
+            if isinstance(data, np.ndarray) and data.dtype != np.uint64:
+                seed = acquire(data.shape)
+                np.copyto(seed, data, casting="unsafe")
+            else:
+                seed = np.asarray(data, dtype=np.uint64)
+                if _callers(seed, data):
+                    callers.add(slot)
+            values[slot] = seed
         for slot, size in self.zero_specs:
             if values[slot] is None:
-                values[slot] = np.zeros(size if shards is None else (shards, size), dtype=np.uint64)
-        try:
-            finals = self._fn(values)
-        except IndexError as error:
-            raise LUTError(
-                f"compiled LUT query index out of range: {error}"
-            ) from None
+                zeros = values[slot] = acquire((size,) if shards is None else (shards, size))
+                zeros.fill(0)
+        finals = self._fn(values)
         # A slot the closure never rebinds ends as its seed, which may
-        # still be the caller's array; every other final is fresh.
+        # still be the caller's array; every other final is the closure's.
         return tuple(
-            _unshared(final, given[slot]) if slot in given and final is values[slot] else final
+            _recycled_copy(final) if slot in callers and final is values[slot] else final
             for slot, final in zip(self.final_slots, finals)
         )
 
 
-def _unshared(seed: np.ndarray, data: object) -> np.ndarray:
-    """``seed``, which is ``np.asarray(data, dtype=np.uint64)``, as an
-    array no caller holds.
+def _callers(seed: np.ndarray, data: object) -> bool:
+    """Whether ``seed``, which is ``np.asarray(data, dtype=np.uint64)``,
+    is the caller's memory: ``data`` itself or a view of it when ``data``
+    is already ``uint64``, and not when the conversion made it fresh."""
+    return seed is data or seed.base is not None
 
-    When ``data`` is already ``uint64`` the seed is the caller's array
-    or a view of its memory, and is copied; any other dtype (numpy's
-    default ``int64``, say) was converted to a fresh array, which is
-    handed out as it is, so such an input is copied once, not twice.
-    """
-    return seed.copy() if seed is data or seed.base is not None else seed
+
+def _unshared(seed: np.ndarray, data: object) -> np.ndarray:
+    """``seed`` (see :func:`_callers`) as an array no caller holds: an
+    input of another dtype (numpy's default ``int64``, say) is copied
+    once, by its conversion, not twice."""
+    return seed.copy() if _callers(seed, data) else seed
+
+
+def _recycled_copy(array: np.ndarray) -> np.ndarray:
+    """A copy of ``array`` in a buffer from :data:`BUFFERS`."""
+    copy = BUFFERS.acquire(array.shape)
+    np.copyto(copy, array)
+    return copy
 
 
 def _raise_lut_bounds(index: int, entries: int, name: str) -> None:
@@ -205,27 +348,42 @@ def _raise_lut_bounds(index: int, entries: int, name: str) -> None:
     )
 
 
-def _bitwise_expression(
-    kind: BitwiseKind, a: str, b: str | None, mask: str
-) -> str:
-    """The NumPy expression matching ``ExecutionBackend.bitwise`` exactly."""
-    if kind is BitwiseKind.NOT:
-        return f"(~{a}) & {mask}"
+#: Bitwise kind -> (the operator and ufunc combining two sources, or
+#: ``None`` for NOT's one source; whether the result is inverted).
+_BITWISE: dict[BitwiseKind, tuple[tuple[str, str] | None, bool]] = {
+    BitwiseKind.NOT: (None, True),
+    BitwiseKind.AND: (("&", "AND"), False),
+    BitwiseKind.OR: (("|", "OR"), False),
+    BitwiseKind.XOR: (("^", "XOR"), False),
+    BitwiseKind.XNOR: (("^", "XOR"), True),
+    BitwiseKind.NAND: (("&", "AND"), True),
+    BitwiseKind.NOR: (("|", "OR"), True),
+}
+
+
+def _bitwise_code(
+    kind: BitwiseKind, destination: str, a: str, b: str | None, mask: str
+) -> tuple[str, list[str]]:
+    """The statement matching ``ExecutionBackend.bitwise`` exactly, and
+    the same computation written into a recycled buffer."""
+    if kind not in _BITWISE:
+        raise ExecutionError(f"unsupported bitwise kind {kind}")
+    combine, inverted = _BITWISE[kind]
+    if combine is None:
+        return f"{destination} = (~{a}) & {mask}", [
+            f"{destination} = INV({a}, out=B({a}.shape))",
+            f"AND({destination}, {mask}, out={destination})",
+        ]
     if b is None:
         raise ExecutionError(f"bitwise {kind.value} needs two source rows")
-    if kind is BitwiseKind.AND:
-        return f"({a} & {b}) & {mask}"
-    if kind is BitwiseKind.OR:
-        return f"({a} | {b}) & {mask}"
-    if kind is BitwiseKind.XOR:
-        return f"({a} ^ {b}) & {mask}"
-    if kind is BitwiseKind.XNOR:
-        return f"(~({a} ^ {b})) & {mask}"
-    if kind is BitwiseKind.NAND:
-        return f"(~({a} & {b})) & {mask}"
-    if kind is BitwiseKind.NOR:
-        return f"(~({a} | {b})) & {mask}"
-    raise ExecutionError(f"unsupported bitwise kind {kind}")
+    symbol, ufunc = combine
+    combined = f"({a} {symbol} {b})"
+    recycled = [f"{destination} = {ufunc}({a}, {b}, out=B({a}.shape))"]
+    if inverted:
+        combined = f"(~{combined})"
+        recycled.append(f"INV({destination}, out={destination})")
+    recycled.append(f"AND({destination}, {mask}, out={destination})")
+    return f"{destination} = {combined} & {mask}", recycled
 
 
 def _lower(compiled: CompiledProgram) -> CompiledExecutable:
@@ -236,6 +394,7 @@ def _lower(compiled: CompiledProgram) -> CompiledExecutable:
     this function is pure code generation against those facts.  Two
     variants of the program body are generated.  ``safe_lines`` (the
     ``__pluto_program__`` closure behind run_finals and fused execution)
+    writes every destination into a buffer from :data:`BUFFERS` and
     carries an inline LUT bounds check wherever the source slot's
     provable value bound can reach the table size — the controller
     width-checks externals on the caller's dtype before ``run_finals``
@@ -245,20 +404,36 @@ def _lower(compiled: CompiledProgram) -> CompiledExecutable:
     validates every external's *converted* uint64 values against the
     width mask and bails out otherwise, so ``fast_lines`` analyzes under
     ``assume_external_width=True`` — which elides every check in 8-bit
-    serving programs.
+    serving programs — and allocates its results: its requests are
+    single vectors, whose fresh arrays fault in next to no pages.
     """
     fast = analyze_dataflow(compiled, assume_external_width=True)
     safe = analyze_dataflow(compiled, assume_external_width=False)
 
-    env: dict[str, object] = {"I": np.intp, "EL": _raise_lut_bounds}
+    env: dict[str, object] = {
+        "I": np.intp,
+        "EL": _raise_lut_bounds,
+        "B": BUFFERS.acquire,
+        "TK": np.take,
+        "RC": _recycled_copy,
+        "AND": np.bitwise_and,
+        "OR": np.bitwise_or,
+        "XOR": np.bitwise_xor,
+        "INV": np.invert,
+        "LS": np.left_shift,
+        "RS": np.right_shift,
+    }
     fast_lines: list[str] = []
     safe_lines: list[str] = []
     masks: dict[int, str] = {}
     shift_consts: dict[int, str] = {}
 
-    def emit(line: str) -> None:
-        fast_lines.append(line)
-        safe_lines.append(line)
+    def emit(fast_line: str, *recycled: str) -> None:
+        """One instruction: the serving body's statement, and the
+        statements writing it into recycled buffers (the same one when
+        none are given)."""
+        fast_lines.append(fast_line)
+        safe_lines.extend(recycled or (fast_line,))
 
     def mask_const(width: int) -> str:
         width = min(64, width)
@@ -285,6 +460,7 @@ def _lower(compiled: CompiledProgram) -> CompiledExecutable:
             env[f"T{slot}"] = gather_array(compiled.lut_bindings[slot])
         elif isinstance(instruction, PlutoOp):
             source = f"r{instruction.source.index}"
+            destination = f"r{instruction.destination.index}"
             lut_index = instruction.lut_subarray.index
             lut = compiled.lut_bindings[lut_index]
             # The vectorized backend raises LUTError when any index
@@ -307,17 +483,22 @@ def _lower(compiled: CompiledProgram) -> CompiledExecutable:
                 safe_lines.append(guard)
             # The uint64 indices are bit-reinterpreted as intp (a free,
             # itemsize-preserving view) because NumPy's intp gather is
-            # measurably faster than uint64 fancy indexing or ``take``.
+            # measurably faster than uint64 fancy indexing.  ``take``
+            # writes into a recycled buffer only with ``mode="clip"``
+            # (``"raise"`` gathers into a scratch array first); the
+            # guards above keep every index in range, so nothing clips.
             # The interpreted path's post-gather mask is omitted because
             # it is a no-op: LookupTable validates every stored value
             # against mask_of(element_bits) at construction.
             emit(
-                f"r{instruction.destination.index} = "
-                f"T{lut_index}[{source}.view(I)]"
+                f"{destination} = T{lut_index}[{source}.view(I)]",
+                f"{destination} = TK(T{lut_index}, {source}.view(I), "
+                f"out=B({source}.shape), mode='clip')",
             )
         elif isinstance(instruction, PlutoBitwise):
-            expression = _bitwise_expression(
+            fast_line, recycled = _bitwise_code(
                 instruction.kind,
+                f"r{instruction.destination.index}",
                 f"r{instruction.source1.index}",
                 (
                     f"r{instruction.source2.index}"
@@ -326,19 +507,24 @@ def _lower(compiled: CompiledProgram) -> CompiledExecutable:
                 ),
                 mask_const(instruction.destination.bit_width),
             )
-            emit(f"r{instruction.destination.index} = {expression}")
+            emit(fast_line, *recycled)
         elif isinstance(instruction, (PlutoBitShift, PlutoByteShift)):
             amount = instruction.amount
             if isinstance(instruction, PlutoByteShift):
                 amount *= 8
             target = f"r{instruction.target.index}"
             if instruction.direction is ShiftDirection.LEFT:
+                mask = mask_const(instruction.target.bit_width)
                 emit(
-                    f"{target} = ({target} << {shift_const(amount)}) "
-                    f"& {mask_const(instruction.target.bit_width)}"
+                    f"{target} = ({target} << {shift_const(amount)}) & {mask}",
+                    f"{target} = LS({target}, {shift_const(amount)}, out=B({target}.shape))",
+                    f"AND({target}, {mask}, out={target})",
                 )
             else:
-                emit(f"{target} = {target} >> {shift_const(amount)}")
+                emit(
+                    f"{target} = {target} >> {shift_const(amount)}",
+                    f"{target} = RS({target}, {shift_const(amount)}, out=B({target}.shape))",
+                )
         elif isinstance(instruction, PlutoMove):
             source = f"r{instruction.source.index}"
             destination = instruction.destination
@@ -352,7 +538,10 @@ def _lower(compiled: CompiledProgram) -> CompiledExecutable:
                     f"[:{instruction.source.size_elements}] = {source}"
                 )
             else:
-                emit(f"r{destination.index} = {source}.copy()")
+                emit(
+                    f"r{destination.index} = {source}.copy()",
+                    f"r{destination.index} = RC({source})",
+                )
         else:
             raise ExecutionError(
                 f"unsupported instruction {type(instruction).__name__}"

@@ -140,6 +140,9 @@ class ExecutionResult:
     instructions_executed: int
     #: Every vector-bound register's final value; input registers hold
     #: private copies, so no result shares memory with the caller's inputs.
+    #: A compiled ``run_finals`` pass writes them into recycled buffers
+    #: (:data:`repro.backend.compiled.BUFFERS`), which are handed out
+    #: again only once no array or view of them is referenced.
     registers: dict[str, np.ndarray] = field(default_factory=dict)
     #: Name of the execution backend that produced the functional outputs.
     backend: str = "functional"
@@ -174,6 +177,8 @@ class FusedResults(list):
     ``registers`` maps each vector name to the pass's stacked
     ``(shards, size)`` result array; every shard's outputs and registers
     are row views of them, so the dispatcher joins shards without copying.
+    On the compiled route the stacked arrays are recycled buffers, so any
+    one shard row keeps the whole array from reuse while it lives.
     """
 
     registers: dict[str, np.ndarray]
@@ -489,7 +494,13 @@ class PlutoController:
         Shard *i*'s outputs and registers are row views of the stacked
         result arrays the returned :class:`FusedResults` carries.  Result
         arrays that may alias an input are copied once for the whole
-        pass, so no result shares memory with ``inputs``.
+        pass, so no result shares memory with ``inputs``.  The compiled
+        closure writes every stacked result, those copies included,
+        into recycled buffers
+        (:meth:`~repro.backend.compiled.CompiledExecutable.run_finals`):
+        a warm pass reuses the buffers of dropped results instead of
+        faulting in fresh pages, and never writes one that a live
+        result or view still references.
 
         Requires a backend with ``supports_batched`` (the vectorized
         backend); the functional backend keeps the per-shard loop as the
@@ -515,7 +526,7 @@ class PlutoController:
         executable = self._compiled_executable(compiled, structure_key)
         if executable is not None and executable.supports_fused:
             # The whole stacked batch runs through the compiled closure,
-            # whose finals share no input array.
+            # whose finals are recycled buffers sharing no input array.
             finals = executable.run_finals(inputs, shards=shards)
             values = dict(zip(executable.final_slots, finals))
         else:

@@ -13,6 +13,7 @@ through ``repro.api.cache_stats()``, and covered by
 from __future__ import annotations
 
 import pickle
+import threading
 import tracemalloc
 
 import numpy as np
@@ -26,12 +27,12 @@ from repro.api.session import (
     clear_all_caches,
     compile_cached_with_key,
 )
-from repro.backend.compiled import CompiledExecutable, compiled_exec_cached
+from repro.backend.compiled import BUFFERS, CompiledExecutable, compiled_exec_cached
 from repro.controller.dispatch import ParallelDispatcher, ShardPlanner
 from repro.controller.executor import PlutoController
 from repro.core.engine import PlutoConfig, PlutoEngine
 from repro.errors import ExecutionError, LUTError
-from repro.workloads.programs import workload_program
+from repro.workloads.programs import optimizer_workload_programs, workload_program
 
 ELEMENTS = 96
 
@@ -75,6 +76,15 @@ def _assert_identical(result, reference):
     assert [
         (cmd.kind, cmd.bank, cmd.rows) for cmd in result.trace.commands
     ] == [(cmd.kind, cmd.bank, cmd.rows) for cmd in reference.trace.commands]
+
+
+def _result_arrays(result) -> list:
+    """Every output and register of ``result`` and of each of its shards."""
+    return [
+        array
+        for part in (result, *getattr(result, "shard_results", []))
+        for array in (*part.outputs.values(), *part.registers.values())
+    ]
 
 
 def _pinned(calls):
@@ -259,11 +269,10 @@ class TestSeedCopies:
         for dtype in (np.uint64, np.int64):
             data = (np.arange(self.ELEMENTS) % 256).astype(dtype)
             result = run(data)  # the layout's first run schedules it
-            arrays = [*result.outputs.values(), *result.registers.values()]
-            for shard in getattr(result, "shard_results", []):
-                arrays += [*shard.outputs.values(), *shard.registers.values()]
-            assert not any(np.shares_memory(array, data) for array in arrays)
-            del result, arrays
+            # Nothing of this result may outlive the check: a live array
+            # keeps its recycled buffer from the traced run below.
+            assert not any(np.shares_memory(array, data) for array in _result_arrays(result))
+            del result
             tracemalloc.start()
             try:
                 result = run(data)
@@ -274,6 +283,147 @@ class TestSeedCopies:
         # An int64 input is converted once and never copied again, so it
         # peaks no higher than a uint64 input, which is copied once.
         assert peaks[np.int64] - peaks[np.uint64] < data.nbytes // 4
+
+
+def _buffers() -> dict:
+    return cache_stats()["compiled_exec"]["buffers"]
+
+
+class _Fused:
+    """The six families at 65536 elements laid out over 8 shards, their
+    closures built, on one vectorized fused dispatcher."""
+
+    ELEMENTS = 65536
+
+    def __init__(self) -> None:
+        engine = PlutoEngine(PlutoConfig())
+        planner = ShardPlanner(engine.geometry)
+        self.dispatcher = ParallelDispatcher(engine, fused=True)
+        self.families = {
+            workload.name: workload
+            for workload in optimizer_workload_programs(elements=self.ELEMENTS, seed=1)
+        }
+        self.layouts = {}
+        for name, workload in self.families.items():
+            layout = self.layouts[name] = planner.plan(workload.session.calls, 8)
+            for key, program in layout.programs.values():
+                assert compiled_exec_cached(program, structure_key=key).supports_fused
+        # The image family is one 8-bit input mapped element by element,
+        # so the functional oracle's result on every input value is a
+        # table of each register over the input.
+        every_value = np.arange(self.ELEMENTS, dtype=np.uint64) % 256
+        oracle = PlutoController(engine, backend="functional").execute(
+            compile_cached_with_key(self.families["image"].session.calls)[0],
+            {"pixels": every_value},
+        )
+        self.tables = {name: data[:256].copy() for name, data in oracle.registers.items()}
+
+    def run(self, name: str, inputs: dict | None = None):
+        return self.dispatcher.execute(
+            self.layouts[name], self.families[name].inputs if inputs is None else inputs
+        )
+
+    def rolled(self, name: str, shift: int) -> dict:
+        """The family's inputs rolled by ``shift`` elements (new values per position)."""
+        return {key: np.roll(data, shift) for key, data in self.families[name].inputs.items()}
+
+    def matches_oracle(self, result, pixels: np.ndarray) -> bool:
+        return all(
+            np.array_equal(result.registers[name], table[pixels])
+            for name, table in self.tables.items()
+        )
+
+
+@pytest.fixture(scope="class")
+def fused() -> _Fused:
+    return _Fused()
+
+
+class TestRecycledBuffers:
+    """The fused closure writes into recycled result buffers: a buffer is
+    handed out again only once nothing references it, so every live
+    result keeps its bytes, and a dropped one's buffers serve the next run."""
+
+    def test_live_results_share_no_memory(self, fused):
+        runs = [fused.rolled("salsa20", shift) for shift in (0, 1, 2)]
+        results = [fused.run("salsa20", inputs) for inputs in runs]
+        groups = [_result_arrays(result) for result in results]
+        inputs = [data for run in runs for data in run.values()]
+        for index, group in enumerate(groups):
+            others = [array for other in groups[index + 1 :] for array in other] + inputs
+            for array in group:
+                assert not any(np.shares_memory(array, other) for other in others)
+
+    def test_a_dropped_result_lends_its_buffers_to_the_next_run(self, fused):
+        for name in fused.families:  # warm: every family has run once
+            fused.run(name)
+        before = _buffers()
+        for _ in range(20):
+            for name in fused.families:
+                result = fused.run(name)
+                del result
+        after = _buffers()
+        assert after["misses"] == before["misses"]
+        assert after["hits"] - before["hits"] >= 20 * len(fused.families)
+
+    @pytest.mark.parametrize("keeper", ["shard row", "register", "output slice"])
+    def test_a_view_keeps_its_bytes(self, fused, keeper):
+        result = fused.run("image")
+        views = {
+            "shard row": result.shard_results[3].outputs["inverted"],
+            "register": result.registers["graded"],
+            "output slice": result.outputs["inverted"][1000:3000],
+        }
+        kept = views[keeper]
+        expected = kept.copy()
+        del result, views
+        for shift in range(1, 6):
+            fused.run("image", fused.rolled("image", shift))
+            fused.run("crc", fused.rolled("crc", shift))
+        assert np.array_equal(kept, expected)
+
+    def test_an_output_fed_back_as_input(self, fused):
+        pixels = fused.families["image"].inputs["pixels"]
+        first = fused.run("image")
+        fed = first.outputs["inverted"]
+        again = fused.run("image", {"pixels": fed})
+        assert fused.matches_oracle(first, pixels)
+        assert fused.matches_oracle(again, fused.tables["inverted"][pixels])
+
+    def test_threads_running_one_layout(self, fused):
+        fused.run("image")
+        mismatches: list = []
+
+        def client(seed: int) -> None:
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(100):
+                    pixels = rng.integers(0, 256, fused.ELEMENTS, dtype=np.uint64)
+                    if not fused.matches_oracle(fused.run("image", {"pixels": pixels}), pixels):
+                        mismatches.append(seed)
+            except Exception as error:  # surfaced by the assert below
+                mismatches.append(error)
+
+        threads = [threading.Thread(target=client, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert mismatches == []
+
+    def test_the_byte_bound_holds_and_clear_forgets(self, fused, monkeypatch):
+        clear_all_caches()
+        stacked_bytes = fused.ELEMENTS * 8
+        monkeypatch.setattr(BUFFERS, "limit", 3 * stacked_bytes)
+        held = [fused.run("image", fused.rolled("image", shift)) for shift in range(4)]
+        stats = _buffers()
+        assert 0 < stats["bytes"] <= BUFFERS.limit
+        assert stats["uncached"] > 0
+        pixels = fused.families["image"].inputs["pixels"]
+        for shift, result in enumerate(held):
+            assert fused.matches_oracle(result, np.roll(pixels, shift))
+        clear_all_caches()
+        assert _buffers() == {"hits": 0, "misses": 0, "uncached": 0, "size": 0, "bytes": 0}
 
 
 def _closure_stats() -> dict:
